@@ -493,9 +493,6 @@ class GraphContext:
         """Non-tensor payloads (index arrays, labels, structures)."""
         return self._inputs[name]
 
-    def has_input(self, name):
-        return name in self._inputs
-
     def param(self, name) -> Var:
         key = ("p", name)
         if key not in self._vars:

@@ -28,10 +28,10 @@ from .losses import LossContractError
 from .metrics import MetricError, MetricReport, compute_mce_mrr, compute_miou
 from .moe import read_gate_csv
 from .params import CheckpointError, load_checkpoint
-from .pipeline import (PipelineError, RunConfig, evaluate_checkpoint,
-                       export_predictions, generate_dataset, linear_probe,
-                       load_dataset, probe_random_baseline, stage1_pretrain,
-                       stage2_cml, stage3_sms, embed_cloud)
+from .pipeline import (PipelineError, RunConfig, embed_cloud, evaluate_store,
+                       generate_dataset, linear_probe, load_dataset,
+                       probe_random_baseline, stage1_pretrain, stage2_cml,
+                       stage3_sms)
 from .sensors import ConfigError
 
 USAGE_ERROR = 1
@@ -52,16 +52,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_config(path) -> dict:
-    if path is None:
+# the keys each run-config subcommand reads besides the RunConfig fields
+_OWN_KEYS = {
+    "pretrain": (),
+    "cml": ("expert_ckpts", "stage1_dir"),
+    "sms": ("init",),
+    "probe": ("checkpoint", "random_baseline", "representation"),
+    "eval": ("checkpoint", "pairs_csv", "split"),
+    "cosine-map": ("features_csv", "checkpoint", "cloud", "query_id",
+                   "representation"),
+}
+_RUN_KEYS = frozenset(RunConfig.__dataclass_fields__)
+
+
+def _load_config(args) -> dict:
+    """The --config document; a run-config subcommand rejects unknown keys."""
+    if args.config is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    own = _OWN_KEYS.get(args.command)
+    if own is not None:
+        unknown = sorted(set(doc) - _RUN_KEYS - set(own))
+        if unknown:
+            raise PipelineError(f"unknown {args.command} config key(s): "
+                                f"{', '.join(unknown)}")
+    return doc
 
 
 def _run_config(doc: dict, args) -> RunConfig:
-    keys = set(RunConfig().__dict__)
-    cfg = RunConfig.from_json({k: v for k, v in doc.items() if k in keys})
+    cfg = RunConfig.from_json({k: v for k, v in doc.items() if k in _RUN_KEYS})
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -93,7 +113,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_datagen(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     out = _out_dir(args)
     generate_dataset(doc, out, args.seed if args.seed is not None else 0)
     manifest = load_manifest(out / "manifest.json")
@@ -103,7 +123,7 @@ def _cmd_datagen(args):
 
 
 def _cmd_pretrain(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     results = stage1_pretrain(cfg, out)
@@ -112,7 +132,7 @@ def _cmd_pretrain(args):
 
 
 def _cmd_cml(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     if "expert_ckpts" in doc:
@@ -128,7 +148,7 @@ def _cmd_cml(args):
 
 
 def _cmd_sms(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     init = doc.get("init", {})
@@ -138,7 +158,7 @@ def _cmd_sms(args):
 
 
 def _cmd_probe(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     if "checkpoint" in doc:
@@ -169,7 +189,7 @@ def _read_pairs_csv(path):
 
 
 def _cmd_eval(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     out = _out_dir(args)
     if "pairs_csv" in doc:
         preds, labels = _read_pairs_csv(doc["pairs_csv"])
@@ -180,21 +200,24 @@ def _cmd_eval(args):
     cfg = _run_config(doc, args)
     if "checkpoint" not in doc:
         raise PipelineError("eval config needs checkpoint or pairs_csv")
-    reports = evaluate_checkpoint(cfg, doc["checkpoint"],
-                                  split=doc.get("split", "val"))
-    for name, report in reports.items():
-        _write_metric_csv(out / f"metrics_{name}.csv", report)
+    split = doc.get("split", "val")
     store, _ = load_checkpoint(doc["checkpoint"])
     data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
-    export_predictions(store, cfg, data, out / "predictions.csv",
-                       split=doc.get("split", "val"))
+    reports, fused = evaluate_store(store, cfg, data, split=split)
+    for name, report in reports.items():
+        _write_metric_csv(out / f"metrics_{name}.csv", report)
+    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
+        fh.write("scan,point_id,prediction,label\n")
+        for scan, preds in zip(data.scans(split), fused):
+            for i, (p, l) in enumerate(zip(preds.tolist(), scan.cloud.label.tolist())):
+                fh.write(f"{scan.name},{i},{p},{l}\n")
     _write_json(out / "eval_summary.json",
                 {name: report.miou for name, report in reports.items()})
     return 0
 
 
 def _cmd_corrupt(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     out = _out_dir(args)
     dataset = Path(doc["dataset"])
     kind = doc["kind"]
@@ -221,7 +244,7 @@ def _cmd_corrupt(args):
 
 
 def _cmd_route_stats(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     out = _out_dir(args)
     scores = read_gate_csv(doc["gates_csv"])
     cloud = read_lpcd(doc["cloud"])
@@ -242,7 +265,7 @@ def _cmd_route_stats(args):
 
 
 def _cmd_cosine_map(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     out = _out_dir(args)
     query = int(doc["query_id"])
     cloud = read_lpcd(doc["cloud"]) if "cloud" in doc else None
@@ -267,7 +290,7 @@ def _cmd_cosine_map(args):
 
 
 def _cmd_report(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args)
     out = _out_dir(args)
     mce, mrr, per = compute_mce_mrr(doc["model_ious"], doc["baseline_ious"],
                                     float(doc["clean_iou"]))

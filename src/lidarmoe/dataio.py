@@ -2,10 +2,9 @@
 
 LPCD point-cloud file: magic "LPCD", u32 version=1, u64 N, then N records
 of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
-little-endian, plus a CSV mirror with header ``x,y,z,intensity,beam,label``.
-Camera renders are stored as .npz with arrays ``class_id`` (H, W) int32,
-``depth`` (H, W) float64, and ``superpixel`` (H, W) int32. A dataset
-manifest is a JSON document listing per-split scan/camera pairs.
+little-endian. Camera renders are stored as .npz with arrays ``class_id``
+(H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
+A dataset manifest is a JSON document listing per-split scan/camera pairs.
 """
 
 from __future__ import annotations
@@ -58,34 +57,6 @@ def read_lpcd(path) -> PointCloud:
     xyz = np.stack([rec["x"], rec["y"], rec["z"]], axis=1)
     return PointCloud(xyz, rec["intensity"], rec["beam"].astype(np.int32),
                       rec["label"])
-
-
-def write_cloud_csv(path, cloud: PointCloud) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,z,intensity,beam,label\n")
-        for i in range(cloud.count):
-            x, y, z = cloud.xyz[i].tolist()
-            fh.write(f"{x!r},{y!r},{z!r},{float(cloud.intensity[i])!r},"
-                     f"{int(cloud.beam[i])},{int(cloud.label[i])}\n")
-
-
-def read_cloud_csv(path) -> PointCloud:
-    xyz, inten, beam, label = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,z,intensity,beam,label":
-            raise DataFormatError(f"bad CSV header in {path}")
-        for line in fh:
-            cols = line.strip().split(",")
-            if len(cols) != 6:
-                raise DataFormatError(f"bad CSV row in {path}")
-            xyz.append([float(cols[0]), float(cols[1]), float(cols[2])])
-            inten.append(float(cols[3]))
-            beam.append(int(cols[4]))
-            label.append(int(cols[5]))
-    return PointCloud(np.array(xyz, np.float32).reshape(-1, 3),
-                      np.array(inten, np.float32), np.array(beam, np.int32),
-                      np.array(label, np.int32))
 
 
 def write_camera_npz(path, image: ClassImage, superpixel_map: np.ndarray) -> None:

@@ -13,9 +13,6 @@ Three small encoders preserve each representation's inductive bias:
 The teacher maps a rendered class image to per-superpixel embeddings via
 a frozen random class embedding plus a sinusoidal positional code; it is
 constant for a given seed and never trained.
-
-Each backbone has a composable graph builder (``build_*``) plus an
-evaluated convenience wrapper.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, ShapeError
+from .autodiff import ShapeError
 from .datagen import ClassImage
-from .geometry import RangeImage, VoxelGrid
+from .geometry import VoxelGrid
 from .params import ParameterStore, add_linear, glorot_uniform
 from .pointcloud import PointCloud
 
@@ -99,13 +96,6 @@ def build_range_embed(ctx, image_input: str, prefix="range", head="head"):
                   f"{prefix}.{head}")
 
 
-def encode_range(range_image: RangeImage, params: ParameterStore,
-                 prefix="range") -> np.ndarray:
-    """Per-cell embeddings of a range image, shape (H_r * W_r, D)."""
-    graph = Graph(lambda ctx: {"out": build_range_embed(ctx, "image", prefix)})
-    return ad.evaluate(graph, params, {"image": range_image.features})["out"]
-
-
 # ---------------------------------------------------------------------------
 # voxel encoder
 # ---------------------------------------------------------------------------
@@ -142,16 +132,6 @@ def build_voxel_trunk(ctx, feat_input: str, pairs_input: str, prefix="voxel"):
 def build_voxel_embed(ctx, feat_input, pairs_input, prefix="voxel", head="head"):
     return linear(ctx, build_voxel_trunk(ctx, feat_input, pairs_input, prefix),
                   f"{prefix}.{head}")
-
-
-def encode_voxel(grid: VoxelGrid, params: ParameterStore,
-                 prefix="voxel") -> np.ndarray:
-    """Per-voxel embeddings, shape (M, D)."""
-    if grid.count < 1:
-        raise ShapeError("voxel grid is empty")
-    pairs = voxel_neighbor_pairs(grid)
-    graph = Graph(lambda ctx: {"out": build_voxel_embed(ctx, "feats", "pairs", prefix)})
-    return ad.evaluate(graph, params, {"feats": grid.features, "pairs": pairs})["out"]
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +202,6 @@ def build_point_trunk(ctx, feat_input: str, grouping_input: str, prefix="point")
 def build_point_embed(ctx, feat_input, grouping_input, prefix="point", head="head"):
     return linear(ctx, build_point_trunk(ctx, feat_input, grouping_input, prefix),
                   f"{prefix}.{head}")
-
-
-def encode_point(cloud: PointCloud, params: ParameterStore, centroid_count: int,
-                 k: int, prefix="point") -> np.ndarray:
-    """Per-point embeddings, shape (N, D)."""
-    grouping = point_grouping(cloud, centroid_count, k)
-    graph = Graph(lambda ctx: {"out": build_point_embed(ctx, "feats", "grouping", prefix)})
-    return ad.evaluate(graph, params,
-                       {"feats": cloud.features(), "grouping": grouping})["out"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Representation transforms: spherical range projection, sparse
-voxelization, camera projection, superpoint construction, feature
-alignment back to point space, and grouped pooling.
+voxelization, camera projection, superpoint construction, and the label
+spaces of the derived representations.
 
 All functions are pure over immutable inputs. The range projection maps a
 point (x, y, z) with depth d to
@@ -210,40 +210,6 @@ def build_superpoints(cloud: PointCloud, camera: CameraModel,
     return SuperpointPartition(group.astype(np.int32),
                                tuple(np.array(m, np.int64) for m in members),
                                used.astype(np.int32))
-
-
-def align_to_points(features: np.ndarray, mapping) -> np.ndarray:
-    """Broadcast per-cell or per-voxel features back onto the points.
-
-    ``mapping`` is the RangeImage or VoxelGrid the features were computed
-    on; output has one row per original point.
-    """
-    feats = np.asarray(features)
-    if isinstance(mapping, RangeImage):
-        cells = mapping.height * mapping.width
-        if feats.shape[0] != cells:
-            raise ContractError(f"expected {cells} cell rows, got {feats.shape[0]}")
-        return feats[mapping.point_cell_ids()]
-    if isinstance(mapping, VoxelGrid):
-        if feats.shape[0] != mapping.count:
-            raise ContractError(f"expected {mapping.count} voxel rows, got {feats.shape[0]}")
-        return feats[mapping.point_voxel]
-    raise ContractError(f"unsupported mapping type: {type(mapping).__name__}")
-
-
-def group_mean(features: np.ndarray, partition: SuperpointPartition) -> np.ndarray:
-    """Mean feature per superpoint; unassigned points are excluded."""
-    feats = np.asarray(features)
-    s = partition.count
-    d = feats.shape[1]
-    out = np.zeros((s, d), np.float64)
-    grp = partition.point_group
-    inside = grp >= 0
-    np.add.at(out, grp[inside].astype(np.int64), feats[inside].astype(np.float64))
-    counts = np.bincount(grp[inside].astype(np.int64), minlength=s).astype(np.float64)
-    if s:
-        out /= np.maximum(counts, 1.0)[:, None]
-    return out.astype(feats.dtype if feats.dtype == np.float64 else np.float32)
 
 
 def project_labels(cloud: PointCloud, target) -> np.ndarray:

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph
-from .params import ParameterStore
 
 
 class LossContractError(ValueError):
@@ -74,14 +72,6 @@ def build_info_nce(k_var, q_var, temperature, denominator="all"):
     return ad.neg(ad.mean_all(ad.sub(pos, lse)))
 
 
-def info_nce(k: np.ndarray, q: np.ndarray, temperature: float,
-             denominator: str = "all") -> float:
-    graph = Graph(lambda ctx: {"loss": build_info_nce(
-        ctx.input("k"), ctx.input("q"), temperature, denominator)})
-    out = ad.evaluate(graph, ParameterStore(), {"k": k, "q": q})
-    return float(out["loss"])
-
-
 def build_cross_entropy(logits_var, labels, ignore=-1):
     """Mean negative log-likelihood over non-ignored rows."""
     labels = np.asarray(labels, np.int64).reshape(-1)
@@ -96,12 +86,6 @@ def build_cross_entropy(logits_var, labels, ignore=-1):
     onehot[np.arange(keep.size), labels[keep]] = 1.0
     picked = ad.sum_cols(ad.mul(logp, ad.as_var(onehot)))
     return ad.neg(ad.mean_all(picked))
-
-
-def cross_entropy(logits: np.ndarray, labels, ignore: int = -1) -> float:
-    graph = Graph(lambda ctx: {"loss": build_cross_entropy(
-        ctx.input("logits"), labels, ignore)})
-    return float(ad.evaluate(graph, ParameterStore(), {"logits": logits})["loss"])
 
 
 def jaccard_extension_grad(fg_sorted: np.ndarray) -> np.ndarray:
@@ -150,12 +134,6 @@ def build_lovasz_softmax(probs_var, labels, ignore=-1):
     return ad.mul(terms, ad.as_var(np.float32(1.0 / present.size)))
 
 
-def lovasz_softmax(probs: np.ndarray, labels, ignore: int = -1) -> float:
-    graph = Graph(lambda ctx: {"loss": build_lovasz_softmax(
-        ctx.input("probs"), labels, ignore)})
-    return float(ad.evaluate(graph, ParameterStore(), {"probs": probs})["loss"])
-
-
 def build_sms_total(logits_by_rep: dict, labels_by_rep: dict,
                     config: LossConfig):
     """Composable supervised composite; returns (total Var, breakdown Vars).
@@ -184,18 +162,3 @@ def build_sms_total(logits_by_rep: dict, labels_by_rep: dict,
     if total is None:
         raise LossContractError("all loss weights are zero")
     return total, breakdown
-
-
-def sms_total(logits_by_rep: dict, labels_by_rep: dict,
-              config: LossConfig = LossConfig()):
-    """Evaluated composite loss; returns (total, per-term breakdown)."""
-    def build(ctx):
-        logits = {rep: ctx.input(rep) for rep in logits_by_rep}
-        total, breakdown = build_sms_total(logits, labels_by_rep, config)
-        out = {"loss": total}
-        out.update(breakdown)
-        return out
-
-    outs = ad.evaluate(Graph(build), ParameterStore(), dict(logits_by_rep))
-    total = float(outs.pop("loss"))
-    return total, {k: float(v) for k, v in outs.items()}

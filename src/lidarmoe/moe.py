@@ -6,10 +6,8 @@ standard-normal draws scaled by softplus(E @ Z_n). Row-softmax yields
 convex weights (alpha, beta, gamma) and the output is the weighted sum of
 the raw expert rows - the routing feature never enters the output.
 
-Feature-level fusion (``moe_fuse``) adds noise whenever train_mode is
-set; logit-level fusion (``moe_fuse_logits``) multiplies the noise term
-by the train/inference switch ``zeta``. Z_g and Z_n start at zero, so a
-fresh layer routes uniformly and outputs the plain expert average.
+Z_g and Z_n start at zero, so a fresh layer routes uniformly and outputs
+the plain expert average.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, ShapeError
+from .autodiff import ShapeError
 from .params import ParameterStore, glorot_uniform
 
 
@@ -71,39 +69,6 @@ def build_moe(ctx, expert_r, expert_v, expert_p, prefix="moe",
     fused = ad.add(ad.add(ad.mul(alpha, expert_r), ad.mul(beta, expert_v)),
                    ad.mul(gamma, expert_p))
     return fused, gates
-
-
-def _run_fusion(feats_r, feats_v, feats_p, params, noise_active, seed, prefix):
-    def build(ctx):
-        fused, gates = build_moe(ctx, ctx.input("r"), ctx.input("v"),
-                                 ctx.input("p"), prefix,
-                                 noise_active=noise_active)
-        return {"fused": fused, "gates": gates}
-
-    outs = ad.evaluate(Graph(build), params,
-                       {"r": feats_r, "v": feats_v, "p": feats_p}, seed=seed)
-    return outs["fused"], GateScores(outs["gates"])
-
-
-def moe_fuse(feats_r, feats_v, feats_p, params: ParameterStore,
-             train_mode: bool, seed: int = 0, prefix="moe"):
-    """Feature-level fusion of aligned (N, D) expert features.
-
-    Noise is applied whenever ``train_mode`` is set; the inference path
-    omits it and is bit-deterministic.
-    """
-    return _run_fusion(feats_r, feats_v, feats_p, params, train_mode, seed, prefix)
-
-
-def moe_fuse_logits(logits_r, logits_v, logits_p, params: ParameterStore,
-                    zeta: int, seed: int = 0, prefix="moe"):
-    """Logit-level fusion of aligned (N, C) logits.
-
-    ``zeta`` is 1 during training (noise on) and 0 at inference.
-    """
-    if zeta not in (0, 1):
-        raise ValueError("zeta must be 0 or 1")
-    return _run_fusion(logits_r, logits_v, logits_p, params, zeta == 1, seed, prefix)
 
 
 def write_gate_csv(path, scores: GateScores) -> None:

@@ -10,6 +10,7 @@ manifest order. Loading reproduces every tensor bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -66,24 +67,6 @@ class ParameterStore:
     def __len__(self):
         return len(self._values)
 
-    def merge(self, prefix: str, other: "ParameterStore") -> None:
-        """Adopt another store's tensors under ``prefix.`` (shared arrays)."""
-        for name in other.names():
-            self.add(f"{prefix}.{name}", other.get(name), other.is_trainable(name))
-            # share storage so updates through either store are visible
-            self._values[f"{prefix}.{name}"] = other._values[name]
-
-    def view(self, prefix: str) -> "ParameterStore":
-        """Sub-store of every parameter under ``prefix.``, sharing storage."""
-        sub = ParameterStore()
-        dot = prefix + "."
-        for name in self.names():
-            if name.startswith(dot):
-                short = name[len(dot):]
-                sub._values[short] = self._values[name]
-                sub._trainable[short] = self._trainable[name]
-        return sub
-
     def copy(self) -> "ParameterStore":
         dup = ParameterStore()
         for name in self.names():
@@ -123,19 +106,27 @@ def save_checkpoint(path, store: ParameterStore, metadata: dict) -> None:
         "metadata": metadata,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for n in names:
-            fh.write(store.get(n).astype("<f4").tobytes(order="C"))
+    # written beside ``path`` and renamed over it, so an interrupted write
+    # never leaves a truncated checkpoint at ``path``
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for n in names:
+                fh.write(store.get(n).astype("<f4").tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def load_checkpoint(path, expected_names=None):
+def load_checkpoint(path):
     """Read a checkpoint; returns ``(ParameterStore, metadata)``.
 
-    ``expected_names`` (optional) is a manifest of names the caller
-    requires; a missing name or shape/magic/version problem raises
+    A magic, version, dtype or length problem raises
     :class:`CheckpointError`.
     """
     with open(path, "rb") as fh:
@@ -160,8 +151,4 @@ def load_checkpoint(path, expected_names=None):
                 raise CheckpointError(f"truncated blob in {path}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
             store.add(entry["name"], arr, entry["trainable"])
-    if expected_names is not None:
-        missing = set(expected_names) - set(store.names())
-        if missing:
-            raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)}")
     return store, manifest["metadata"]

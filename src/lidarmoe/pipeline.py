@@ -186,6 +186,9 @@ class DatasetBundle:
     num_classes: int
     tile: int
 
+    def scans(self, split):
+        return self.val if split == "val" else self.train
+
 
 def load_dataset(dataset_dir, superpoint_tolerance=0.1) -> DatasetBundle:
     base = Path(dataset_dir)
@@ -230,6 +233,10 @@ class ReprView:
     gather: np.ndarray | None
     mapping: object
 
+    def align(self, out):
+        """Encoder output rows gathered to one row per point."""
+        return out if self.gather is None else ad.gather_rows(out, self.gather)
+
 
 def make_view(kind, cloud, sensor, config: RunConfig, ns) -> ReprView:
     if kind == "range":
@@ -246,6 +253,17 @@ def make_view(kind, cloud, sensor, config: RunConfig, ns) -> ReprView:
                                f"{ns}.grouping": grouping}, None, grouping)
 
 
+def _make_views(specs: dict, sensor, config: RunConfig):
+    """One view per ``{ns: (kind, cloud)}`` entry, plus all their graph
+    inputs merged into one dict."""
+    views = {ns: make_view(kind, cloud, sensor, config, ns)
+             for ns, (kind, cloud) in specs.items()}
+    inputs = {}
+    for v in views.values():
+        inputs.update(v.inputs)
+    return views, inputs
+
+
 def build_view_output(ctx, view: ReprView, prefix, head="head"):
     """Encoder output in representation space (cells / voxels / points)."""
     if view.kind == "range":
@@ -258,10 +276,7 @@ def build_view_output(ctx, view: ReprView, prefix, head="head"):
 
 
 def build_view_aligned(ctx, view: ReprView, prefix, head="head"):
-    out = build_view_output(ctx, view, prefix, head)
-    if view.gather is not None:
-        out = ad.gather_rows(out, view.gather)
-    return out
+    return view.align(build_view_output(ctx, view, prefix, head))
 
 
 def build_group_mean(feats_var, partition):
@@ -300,18 +315,21 @@ def _accumulate(batch_grads: list) -> dict:
     return {n: (g / len(batch_grads)).astype(np.float32) for n, g in total.items()}
 
 
-def _train_epochs(config, scans, step_fn, optimizer, log, stage_name):
-    """Shared loop: per epoch, per batch, accumulate grads and step.
+def _train_epochs(config, scans, step_fn, step, log, stage_name, on_epoch):
+    """The training loop of every stage and the probe: per epoch, per
+    batch of ``config.batch_size`` scans, average the grads and ``step``.
 
-    ``step_fn(scan_index, scan, epoch) -> (loss, grads) | None`` (None
-    skips the scan). Returns per-epoch mean losses and the skip count.
+    ``step_fn(scan_index, scan, epoch) -> (loss, grads, terms) | None``
+    (None skips the scan); ``terms`` are extra values logged with the
+    step's loss. ``on_epoch(epoch)``, unless None, returns values logged
+    after the epoch's mean loss. Returns per-epoch mean losses and the
+    skip count.
     """
     epoch_losses = []
     skipped = 0
-    step = 0
+    global_step = 0
     for epoch in range(config.epochs):
         losses = []
-        batch = []
         pending = []
         for idx, scan in enumerate(scans):
             result = step_fn(idx, scan, epoch)
@@ -319,21 +337,24 @@ def _train_epochs(config, scans, step_fn, optimizer, log, stage_name):
                 if epoch == 0:
                     skipped += 1
                 continue
-            loss, grads = result
+            loss, grads, terms = result
             losses.append(loss)
             pending.append(grads)
             if len(pending) >= config.batch_size:
-                optimizer.step(_accumulate(pending))
+                step(_accumulate(pending))
                 pending = []
-            if log is not None:
-                log.append(step, stage_name, "loss", loss)
-            step += 1
+            log.append(global_step, stage_name, "loss", loss)
+            for term, value in terms.items():
+                log.append(global_step, stage_name, term, value)
+            global_step += 1
         if pending:
-            optimizer.step(_accumulate(pending))
+            step(_accumulate(pending))
         mean = float(np.mean(losses)) if losses else float("nan")
         epoch_losses.append(mean)
-        if log is not None:
-            log.append(step, stage_name, "epoch_loss", mean)
+        log.append(global_step, stage_name, "epoch_loss", mean)
+        if on_epoch is not None:
+            for term, value in on_epoch(epoch).items():
+                log.append(global_step, stage_name, term, value)
     return epoch_losses, skipped
 
 
@@ -396,11 +417,12 @@ def stage1_pretrain(config: RunConfig, out_dir, representations=REPRESENTATIONS)
 
             outs, grads = ad.backward(Graph(build), store, view.inputs,
                                       seed=_step_seed(config.seed, "s1", kind, epoch, idx))
-            return float(outs["loss"]), grads
+            return float(outs["loss"]), grads, {}
 
         with TrainingLog(out / f"stage1_{kind}_log.csv") as log:
             epoch_losses, skipped = _train_epochs(config, data.train, step_fn,
-                                                  optimizer, log, f"stage1-{kind}")
+                                                  optimizer.step, log,
+                                                  f"stage1-{kind}", None)
         ckpt = out / f"stage1_{kind}.ckpt"
         save_checkpoint(ckpt, store, {"stage": f"stage1-{kind}",
                                       "config_digest": config.digest(),
@@ -448,16 +470,12 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     def step_fn(idx, scan, epoch):
         if scan.partition is None or scan.partition.count < 2:
             return None
-        views = {}
-        for kind in REPRESENTATIONS:
-            cloud = _maybe_augment(scan.cloud, config, "cml", kind, epoch, idx)
-            views[kind] = make_view(kind, cloud, data.sensor, config, kind)
-        student_cloud = _maybe_augment(scan.cloud, config, "cml", "student", epoch, idx)
-        views["student"] = make_view(config.student, student_cloud, data.sensor,
-                                     config, "student")
-        inputs = {}
-        for v in views.values():
-            inputs.update(v.inputs)
+        specs = {kind: (kind, _maybe_augment(scan.cloud, config, "cml", kind,
+                                             epoch, idx))
+                 for kind in REPRESENTATIONS}
+        specs["student"] = (config.student, _maybe_augment(
+            scan.cloud, config, "cml", "student", epoch, idx))
+        views, inputs = _make_views(specs, data.sensor, config)
 
         def build(ctx):
             aligned = {k: build_view_aligned(ctx, views[k], f"expert.{k}")
@@ -477,11 +495,11 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
                                   seed=_step_seed(config.seed, "cml", epoch, idx))
         if epoch == config.epochs - 1:
             final_gates[scan.name] = GateScores(outs["gates"])
-        return float(outs["loss"]), grads
+        return float(outs["loss"]), grads, {}
 
     with TrainingLog(out / "cml_log.csv") as log:
         epoch_losses, skipped = _train_epochs(config, data.train, step_fn,
-                                              optimizer, log, "cml")
+                                              optimizer.step, log, "cml", None)
     for name, gates in sorted(final_gates.items()):
         write_gate_csv(out / f"cml_gates_{name}.csv", gates)
 
@@ -535,16 +553,13 @@ def _is_backbone_param(name: str) -> bool:
 
 
 def _sms_forward_build(ctx, views):
-    logits = {}
-    for kind in REPRESENTATIONS:
-        logits[kind] = build_view_output(ctx, views[kind], kind, head="logit_head")
-    aligned = {k: (logits[k] if views[k].gather is None
-                   else ad.gather_rows(logits[k], views[k].gather))
-               for k in REPRESENTATIONS}
-    fused, gates = build_moe(ctx, aligned["range"], aligned["voxel"],
-                             aligned["point"], noise_active=ctx.train_mode,
-                             noise_tag="sms")
-    return logits, aligned, fused, gates
+    logits = {k: build_view_output(ctx, views[k], k, head="logit_head")
+              for k in REPRESENTATIONS}
+    aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
+    fused, _ = build_moe(ctx, aligned["range"], aligned["voxel"],
+                         aligned["point"], noise_active=ctx.train_mode,
+                         noise_tag="sms")
+    return logits, aligned, fused
 
 
 def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
@@ -575,18 +590,12 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
     opt_backbone = AdamW(store, config.lr_sms_backbone, steps)
     opt_other = AdamW(store, config.lr_sms_other, steps)
 
-    def make_views(cloud):
-        return {k: make_view(k, cloud, data.sensor, cfg, k)
-                for k in REPRESENTATIONS}
-
     val_history = []
 
     def step_fn(idx, scan, epoch):
         cloud = _maybe_augment(scan.cloud, cfg, "sms", epoch, idx)
-        views = make_views(cloud)
-        inputs = {}
-        for v in views.values():
-            inputs.update(v.inputs)
+        views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS},
+                                    data.sensor, cfg)
         labels = {
             "fused": cloud.label,
             "point": cloud.label,
@@ -595,7 +604,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
         }
 
         def build(ctx):
-            logits, aligned, fused, gates = _sms_forward_build(ctx, views)
+            logits, aligned, fused = _sms_forward_build(ctx, views)
             total, breakdown = build_sms_total(
                 {"fused": fused, "range": logits["range"],
                  "voxel": logits["voxel"], "point": aligned["point"]},
@@ -606,99 +615,61 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
 
         outs, grads = ad.backward(Graph(build), store, inputs, train_mode=True,
                                   seed=_step_seed(cfg.seed, "sms", epoch, idx))
+        terms = {k: float(v) for k, v in sorted(outs.items()) if k != "loss"}
+        return float(outs["loss"]), grads, terms
+
+    def step(grads):
         gb = {n: g for n, g in grads.items() if n in backbone_names}
         go = {n: g for n, g in grads.items() if n not in backbone_names}
         if gb:
             opt_backbone.step(gb)
         if go:
             opt_other.step(go)
-        terms = {k: float(v) for k, v in outs.items() if k != "loss"}
-        return float(outs["loss"]), terms
 
-    epoch_losses = []
+    def validate(epoch):
+        reports, _ = evaluate_store(store, config, data, split="val")
+        val_history.append({k: r.miou for k, r in reports.items()})
+        return {f"val_miou_{k}": r.miou for k, r in reports.items()}
+
     with TrainingLog(out / "sms_log.csv") as log:
-        step = 0
-        for epoch in range(cfg.epochs):
-            losses = []
-            for idx, scan in enumerate(labeled):
-                loss, terms = step_fn(idx, scan, epoch)
-                losses.append(loss)
-                log.append(step, "sms", "loss", loss)
-                for term, value in sorted(terms.items()):
-                    log.append(step, "sms", term, value)
-                step += 1
-            epoch_losses.append(float(np.mean(losses)))
-            log.append(step, "sms", "epoch_loss", epoch_losses[-1])
-            val = evaluate_store(store, config, data, split="val")
-            val_history.append({k: r.miou for k, r in val.items()})
-            for k, r in val.items():
-                log.append(step, "sms", f"val_miou_{k}", r.miou)
+        epoch_losses, _ = _train_epochs(cfg, labeled, step_fn, step, log, "sms",
+                                        validate)
 
     ckpt = out / "sms_model.ckpt"
     save_checkpoint(ckpt, store, {"stage": "sms",
                                   "config_digest": config.digest(),
                                   "seed": config.seed})
-    final = evaluate_store(store, config, data, split="val")
+    final, _ = evaluate_store(store, config, data, split="val")
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
             "val_history": val_history,
             "val_miou": {k: r.miou for k, r in final.items()}}
 
 
-def _forward_predictions(store, config, data, scan, num_classes, seed=0):
-    """Inference forward (no noise); per-point predictions per head."""
-    views = {k: make_view(k, scan.cloud, data.sensor, config, k)
-             for k in REPRESENTATIONS}
-    inputs = {}
-    for v in views.values():
-        inputs.update(v.inputs)
-
-    def build(ctx):
-        logits, aligned, fused, gates = _sms_forward_build(ctx, views)
-        return {"fused": fused, "gates": gates,
-                **{f"single_{k}": aligned[k] for k in REPRESENTATIONS}}
-
-    outs = ad.evaluate(Graph(build), store, inputs, train_mode=False, seed=seed)
-    preds = {"fused": np.argmax(outs["fused"], axis=1)}
-    for k in REPRESENTATIONS:
-        preds[k] = np.argmax(outs[f"single_{k}"], axis=1)
-    return preds, GateScores(outs["gates"])
-
-
 def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
-    """Per-class IoU reports for the fused head and each single head."""
-    scans = data.val if split == "val" else data.train
+    """Inference forward (noise off) over one split, one pass per scan.
+
+    Returns per-class IoU reports for the fused head and each single
+    head, and the fused per-point predictions of each scan in split order.
+    """
+    scans = data.scans(split)
     if not scans:
         raise PipelineError(f"empty split: {split}")
-    all_preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
-    all_labels = []
+    preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
     for scan in scans:
-        preds, _ = _forward_predictions(store, config, data, scan,
-                                        data.num_classes)
-        for k in all_preds:
-            all_preds[k].append(preds[k])
-        all_labels.append(scan.cloud.label)
-    labels = np.concatenate(all_labels)
-    return {k: compute_miou(np.concatenate(v), labels, data.num_classes)
-            for k, v in all_preds.items()}
+        views, inputs = _make_views({k: (k, scan.cloud) for k in REPRESENTATIONS},
+                                    data.sensor, config)
 
+        def build(ctx):
+            _, aligned, fused = _sms_forward_build(ctx, views)
+            return {"fused": fused, **aligned}
 
-def evaluate_checkpoint(config: RunConfig, ckpt_path, split="val"):
-    store, _ = load_checkpoint(ckpt_path)
-    data = load_dataset(config.dataset, config.superpoint_tolerance)
-    return evaluate_store(store, config, data, split=split)
-
-
-def export_predictions(store, config: RunConfig, data: DatasetBundle, path,
-                       split="val") -> None:
-    scans = data.val if split == "val" else data.train
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("scan,point_id,prediction,label\n")
-        for scan in scans:
-            preds, _ = _forward_predictions(store, config, data, scan,
-                                            data.num_classes)
-            for i, (p, l) in enumerate(zip(preds["fused"].tolist(),
-                                           scan.cloud.label.tolist())):
-                fh.write(f"{scan.name},{i},{p},{l}\n")
+        outs = ad.evaluate(Graph(build), store, inputs)
+        for k, head in preds.items():
+            head.append(np.argmax(outs[k], axis=1))
+    labels = np.concatenate([scan.cloud.label for scan in scans])
+    reports = {k: compute_miou(np.concatenate(v), labels, data.num_classes)
+               for k, v in preds.items()}
+    return reports, preds["fused"]
 
 
 # ---------------------------------------------------------------------------
@@ -744,32 +715,25 @@ def probe_random_baseline(config: RunConfig, representation, out_dir):
 
 
 def _probe_on_store(config, store, kind, prefix, data, out, before=None):
-    train_embeds, train_labels = [], []
-    for scan in data.train:
-        train_embeds.append(embed_cloud(store, config, data.sensor,
-                                        scan.cloud, kind, prefix))
-        train_labels.append(scan.cloud.label)
+    train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind, prefix)
+                    for scan in data.train]
     probe = ParameterStore()
     add_linear(probe, "probe", config.embed_dim, data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
     steps = max(1, config.probe_epochs * len(train_embeds))
     optimizer = AdamW(probe, config.probe_lr, steps)
 
-    def build_for(emb, labels):
+    def step_fn(idx, scan, epoch):
         def build(ctx):
             logits = linear(ctx, ctx.input("emb"), "probe")
-            return {"loss": build_cross_entropy(logits, labels)}
-        return build
+            return {"loss": build_cross_entropy(logits, scan.cloud.label)}
+
+        outs, grads = ad.backward(Graph(build), probe, {"emb": train_embeds[idx]})
+        return float(outs["loss"]), grads, {}
 
     with TrainingLog(out / f"probe_{kind}_log.csv") as log:
-        step = 0
-        for epoch in range(config.probe_epochs):
-            for emb, labels in zip(train_embeds, train_labels):
-                outs, grads = ad.backward(Graph(build_for(emb, labels)), probe,
-                                          {"emb": emb})
-                optimizer.step(grads)
-                log.append(step, "probe", "loss", float(outs["loss"]))
-                step += 1
+        _train_epochs(replace(config, epochs=config.probe_epochs), data.train,
+                      step_fn, optimizer.step, log, "probe", None)
 
     preds, labels = [], []
     for scan in data.val:

@@ -23,3 +23,14 @@ def tiny_config(tiny_dataset):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def small_dataset(tmp_path_factory):
+    """3 train + 2 val scans at reduced resolution, for batching and
+    per-scan evaluation checks."""
+    doc = dict(DEFAULT_DATASET_CONFIG)
+    doc.update(n_train=3, n_val=2, azimuth_steps=64, range_w=64)
+    out = tmp_path_factory.mktemp("small_ds")
+    generate_dataset(doc, out, seed=0)
+    return out

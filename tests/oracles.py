@@ -76,3 +76,28 @@ def range_uv_scalar(x, y, z, sensor):
     u = 0.5 * (1.0 - math.atan2(y, x) / math.pi) * sensor.range_w
     v = (1.0 - (math.asin(z / d) + sensor.fov_down) / sensor.fov_total) * sensor.range_h
     return u, v
+
+
+def align_to_points(features, mapping):
+    """Each point's row of per-cell (range image) or per-voxel (voxel
+    grid) features, indexed point by point."""
+    feats = np.asarray(features)
+    if hasattr(mapping, "point_voxel"):
+        rows = [int(m) for m in mapping.point_voxel]
+    else:
+        rows = [int(v) * mapping.width + int(u)
+                for u, v in zip(mapping.pixel_u, mapping.pixel_v)]
+    return feats[np.array(rows, np.int64).reshape(-1)]
+
+
+def group_mean(features, partition):
+    """Mean feature per superpoint over its assigned points, one group at a
+    time; points with group -1 are excluded."""
+    feats = np.asarray(features, np.float64)
+    groups = partition.point_group.tolist()
+    out = np.zeros((partition.count, feats.shape[1]))
+    for g in range(partition.count):
+        rows = [i for i, pg in enumerate(groups) if pg == g]
+        if rows:
+            out[g] = feats[rows].mean(axis=0)
+    return out

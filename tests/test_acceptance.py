@@ -24,11 +24,9 @@ from lidarmoe.encoders import (build_point_embed, build_range_embed,
                                point_grouping, voxel_neighbor_pairs)
 from lidarmoe.geometry import project_to_range, range_uv_exact, voxelize
 from lidarmoe.losses import (LossConfig, build_cross_entropy, build_info_nce,
-                             build_lovasz_softmax, build_sms_total, info_nce,
-                             lovasz_softmax)
+                             build_lovasz_softmax, build_sms_total)
 from lidarmoe.metrics import compute_mce_mrr, compute_miou
-from lidarmoe.moe import (GateScores, build_moe, init_moe_params, moe_fuse,
-                          moe_fuse_logits, read_gate_csv)
+from lidarmoe.moe import GateScores, build_moe, init_moe_params, read_gate_csv
 from lidarmoe.analysis import route_stats, write_route_csv, route_bars_svg
 from lidarmoe.params import ParameterStore
 from lidarmoe.pipeline import (RunConfig, generate_dataset, linear_probe,
@@ -37,6 +35,7 @@ from lidarmoe.pipeline import (RunConfig, generate_dataset, linear_probe,
 from lidarmoe.pointcloud import PointCloud
 from lidarmoe.sensors import SensorModel
 
+from graph_eval import evaluate_builder
 from oracles import info_nce_bruteforce, lovasz_bruteforce, range_uv_scalar
 
 REFERENCE_SEEDS = (101, 303, 505)
@@ -209,29 +208,38 @@ def test_criterion_2_gate_laws(rng):
     r = rng.standard_normal((n, d)).astype(np.float32)
     v = rng.standard_normal((n, d)).astype(np.float32)
     p = rng.standard_normal((n, d)).astype(np.float32)
-    _, gates = moe_fuse(r, v, p, store, train_mode=True, seed=5)
-    sums_ok = np.all(np.abs(gates.gates.sum(axis=1) - 1.0) <= 1e-6)
-    nonneg_ok = np.all(gates.gates >= 0)
+    _, gates = _fuse(r, v, p, store, train_mode=True, seed=5)
+    sums_ok = np.all(np.abs(gates.sum(axis=1) - 1.0) <= 1e-6)
+    nonneg_ok = np.all(gates >= 0)
 
-    fused_same, _ = moe_fuse(r, r, r, store, train_mode=True, seed=6)
+    fused_same, _ = _fuse(r, r, r, store, train_mode=True, seed=6)
     identical_ok = np.max(np.abs(fused_same - r)) <= 1e-6
 
-    a, ga = moe_fuse_logits(r[:, :4], v[:, :4], p[:, :4],
-                            _logit_params(), zeta=0, seed=1)
-    b, gb = moe_fuse_logits(r[:, :4], v[:, :4], p[:, :4],
-                            _logit_params(), zeta=0, seed=2)
-    zeta_ok = np.array_equal(a, b) and np.array_equal(ga.gates, gb.gates)
+    # logit fusion at inference (zeta = 0): no noise, so the seed is moot
+    a, ga = _fuse(r[:, :4], v[:, :4], p[:, :4], _logit_params(),
+                  train_mode=False, seed=1)
+    b, gb = _fuse(r[:, :4], v[:, :4], p[:, :4], _logit_params(),
+                  train_mode=False, seed=2)
+    zeta_ok = np.array_equal(a, b) and np.array_equal(ga, gb)
 
     fresh = ParameterStore()
     init_moe_params(fresh, d, np.random.default_rng(1))
-    _, g0 = moe_fuse(r, v, p, fresh, train_mode=False)
+    _, g0 = _fuse(r, v, p, fresh, train_mode=False)
     third = np.float32(1.0) / np.float32(3.0)
-    uniform_ok = np.all(g0.gates == third)
+    uniform_ok = np.all(g0 == third)
 
     ok = sums_ok and nonneg_ok and identical_ok and zeta_ok and uniform_ok
     report(2, ok, f"rows sum to 1: {sums_ok}, nonneg: {nonneg_ok}, "
                   f"identical-fuse: {identical_ok}, zeta0 bit-identical: {zeta_ok}, "
                   f"zero-init uniform: {uniform_ok} (n={n})")
+
+
+def _fuse(r, v, p, store, train_mode, seed=0):
+    """(fused, gates) arrays of the gated fusion, noisy in train mode."""
+    return evaluate_builder(
+        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"),
+                              noise_active=ctx.train_mode),
+        {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 
 def _logit_params():
@@ -292,6 +300,16 @@ def test_criterion_3_projection_roundtrips(rng):
 # -- criterion 4: loss oracles --------------------------------------------------
 
 def test_criterion_4_loss_oracles(rng):
+    def info_nce(k, q, tau, denom="all"):
+        return float(evaluate_builder(
+            lambda ctx: build_info_nce(ctx.input("k"), ctx.input("q"), tau, denom),
+            {"k": k, "q": q}))
+
+    def lovasz_softmax(probs, labels):
+        return float(evaluate_builder(
+            lambda ctx: build_lovasz_softmax(ctx.input("probs"), labels),
+            {"probs": probs}))
+
     worst_nce = 0.0
     for trial in range(100):
         s = int(rng.integers(2, 9))

@@ -205,3 +205,57 @@ def test_full_cli_training_chain(tmp_path, tiny_dataset):
     assert main(["cosine-map", "--config", cm_cfg, "--out", str(cm_out)]) == 0
     rows = (cm_out / "cosine_map.csv").read_text().strip().split("\n")
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command,key", [
+    ("pretrain", "epoch"), ("cml", "init"), ("sms", "stage1_dir"),
+    ("probe", "pairs_csv"), ("eval", "representation"), ("cosine-map", "axis"),
+])
+def test_unknown_run_config_key_exit_2(tmp_path, tiny_dataset, capsys, command, key):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"dataset": str(tiny_dataset), "epochs": 1, key: 5})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown {command} config key(s): {key}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,
+                                                         monkeypatch):
+    from lidarmoe import autodiff as ad
+    from lidarmoe.metrics import compute_miou
+    run_doc = {"dataset": str(small_dataset), "seed": 2, "embed_dim": 8,
+               "centroid_count": 8, "knn_k": 4, "sms_epochs": 1}
+    sms_out = tmp_path / "sms"
+    assert main(["sms", "--config", write_json(tmp_path / "sms.json", run_doc),
+                 "--out", str(sms_out)]) == 0
+
+    calls = []
+    original = ad.evaluate
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "evaluate", counting_evaluate)
+    eval_doc = dict(run_doc, checkpoint=str(sms_out / "sms_model.ckpt"))
+    out = tmp_path / "eval"
+    assert main(["eval", "--config", write_json(tmp_path / "eval.json", eval_doc),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((small_dataset / "manifest.json").read_text())
+    val_scans = len(manifest["splits"]["val"])
+    assert val_scans == 2
+    assert len(calls) == val_scans
+
+    rows = [r.split(",") for r in
+            (out / "predictions.csv").read_text().strip().split("\n")[1:]]
+    assert len({r[0] for r in rows}) == val_scans
+    report = compute_miou(np.array([int(r[2]) for r in rows]),
+                          np.array([int(r[3]) for r in rows]),
+                          manifest["num_classes"])
+    metrics = [r.split(",") for r in
+               (out / "metrics_fused.csv").read_text().strip().split("\n")[1:]]
+    assert [float(m[4]) if m[4] else None for m in metrics] \
+        == [None if np.isnan(v) else float(v) for v in report.iou]
+    summary = json.loads((out / "eval_summary.json").read_text())
+    assert summary["fused"] == report.miou

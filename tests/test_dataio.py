@@ -6,8 +6,8 @@ import pytest
 from lidarmoe.datagen import ClassImage
 from lidarmoe.dataio import (DataFormatError, DatasetManifest, ScanEntry,
                              TrainingLog, load_manifest, read_camera_npz,
-                             read_cloud_csv, read_lpcd, save_manifest,
-                             write_camera_npz, write_cloud_csv, write_lpcd)
+                             read_lpcd, save_manifest, write_camera_npz,
+                             write_lpcd)
 from lidarmoe.pointcloud import PointCloud, empty_cloud
 
 
@@ -60,17 +60,6 @@ def test_lpcd_truncated_rejected(tmp_path, rng):
     path.write_bytes(data[:-5])
     with pytest.raises(DataFormatError):
         read_lpcd(path)
-
-
-def test_cloud_csv_roundtrip(tmp_path, rng):
-    cloud = sample_cloud(rng, 20)
-    path = tmp_path / "scan.csv"
-    write_cloud_csv(path, cloud)
-    loaded = read_cloud_csv(path)
-    assert np.array_equal(loaded.xyz, cloud.xyz)
-    assert np.array_equal(loaded.intensity, cloud.intensity)
-    assert np.array_equal(loaded.beam, cloud.beam)
-    assert np.array_equal(loaded.label, cloud.label)
 
 
 def test_camera_npz_roundtrip(tmp_path, rng):

@@ -8,8 +8,7 @@ from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.datagen import ClassImage
 from lidarmoe.encoders import (build_point_embed, build_range_embed,
-                               build_voxel_embed, encode_point, encode_range,
-                               encode_voxel, farthest_point_sample,
+                               build_voxel_embed, farthest_point_sample,
                                init_point_params, init_range_params,
                                init_teacher_params, init_voxel_params,
                                point_grouping, teacher_features,
@@ -19,10 +18,32 @@ from lidarmoe.params import ParameterStore
 from lidarmoe.pointcloud import PointCloud
 from lidarmoe.sensors import SensorModel
 
+from graph_eval import evaluate_builder
+
 
 def small_sensor(w=16):
     return SensorModel(beam_count=8, azimuth_steps=w, fov_total=0.6,
                        fov_down=0.3, max_range=60.0, range_h=8, range_w=w)
+
+
+def range_embed(ri, store):
+    """Per-cell range embeddings, shape (H_r * W_r, D)."""
+    return evaluate_builder(lambda ctx: build_range_embed(ctx, "image"),
+                            {"image": ri.features}, store)
+
+
+def voxel_embed(grid, store):
+    """Per-voxel embeddings, shape (M, D)."""
+    return evaluate_builder(lambda ctx: build_voxel_embed(ctx, "feats", "pairs"),
+                            {"feats": grid.features,
+                             "pairs": voxel_neighbor_pairs(grid)}, store)
+
+
+def point_embed(cloud, store, centroid_count, k):
+    """Per-point embeddings, shape (N, D)."""
+    grouping = point_grouping(cloud, centroid_count, k)
+    return evaluate_builder(lambda ctx: build_point_embed(ctx, "feats", "grouping"),
+                            {"feats": cloud.features(), "grouping": grouping}, store)
 
 
 def make_cloud(rng, n=30):
@@ -45,7 +66,7 @@ def test_range_zero_image_zero_head_gives_zero(rng):
     ri = RangeImage(np.zeros((8, 16, 5), np.float32),
                     np.full((8, 16), -1, np.int32), np.zeros(0, np.int32),
                     np.zeros(0, np.int32), np.zeros(0, bool))
-    out = encode_range(ri, store)
+    out = range_embed(ri, store)
     assert out.shape == (8 * 16, 4)
     assert np.all(out == 0)
 
@@ -55,7 +76,7 @@ def test_range_output_shape(rng):
     init_range_params(store, 6, rng)
     cloud = make_cloud(rng)
     ri = project_to_range(cloud, small_sensor())
-    out = encode_range(ri, store)
+    out = range_embed(ri, store)
     assert out.shape == (8 * 16, 6)
     assert np.all(np.isfinite(out))
 
@@ -86,7 +107,7 @@ def test_voxel_single_voxel_neighborhood_is_self(rng):
     init_voxel_params(store, 4, rng)
     cloud = PointCloud(np.array([[0.5, 0.5, 0.5]], np.float32), [0.3], [0], [0])
     grid = voxelize(cloud, (1, 1, 1))
-    out = encode_voxel(grid, store)
+    out = voxel_embed(grid, store)
     assert out.shape == (1, 4)
     assert np.all(np.isfinite(out))
 
@@ -98,7 +119,7 @@ def test_voxel_identical_isolated_voxels_identical_embeddings(rng):
     xyz = np.array([[0.25, 0.25, 0.25], [10.25, 0.25, 0.25]], np.float32)
     cloud = PointCloud(xyz, [0.5, 0.5], [0, 0], [0, 0])
     grid = voxelize(cloud, (1, 1, 1))
-    out = encode_voxel(grid, store)
+    out = voxel_embed(grid, store)
     # pooled features differ only in x; make them identical by construction:
     feats = grid.features.copy()
     feats[:, 0] = 0.25
@@ -149,13 +170,13 @@ def test_voxel_permutation_equivariance(rng):
     init_voxel_params(store, 5, rng)
     cloud = make_cloud(rng, 50)
     grid = voxelize(cloud, (2.0, 2.0, 2.0))
-    out = encode_voxel(grid, store)
+    out = voxel_embed(grid, store)
     aligned = out[grid.point_voxel]
     perm = rng.permutation(cloud.count)
     cloud_p = PointCloud(cloud.xyz[perm], cloud.intensity[perm],
                          cloud.beam[perm], cloud.label[perm])
     grid_p = voxelize(cloud_p, (2.0, 2.0, 2.0))
-    aligned_p = encode_voxel(grid_p, store)[grid_p.point_voxel]
+    aligned_p = voxel_embed(grid_p, store)[grid_p.point_voxel]
     assert np.array_equal(aligned_p, aligned[perm])
 
 
@@ -178,7 +199,7 @@ def test_point_single_point(rng):
     store = ParameterStore()
     init_point_params(store, 4, rng)
     cloud = PointCloud(np.array([[1.0, 2.0, 3.0]], np.float32), [0.5], [0], [0])
-    out = encode_point(cloud, store, centroid_count=4, k=3)
+    out = point_embed(cloud, store, centroid_count=4, k=3)
     assert out.shape == (1, 4)
     assert np.all(np.isfinite(out))
 
@@ -189,7 +210,7 @@ def test_point_duplicate_points_identical(rng):
     xyz = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [4.0, 0.0, 0.0]],
                    np.float32)
     cloud = PointCloud(xyz, [0.5, 0.5, 0.1], [0, 0, 0], [0, 0, 0])
-    out = encode_point(cloud, store, centroid_count=2, k=2)
+    out = point_embed(cloud, store, centroid_count=2, k=2)
     assert np.allclose(out[0], out[1], atol=1e-7)
 
 
@@ -220,11 +241,11 @@ def test_point_permutation_equivariance_fixing_start(rng):
     store = ParameterStore()
     init_point_params(store, 6, rng)
     cloud = make_cloud(rng, 40)
-    out = encode_point(cloud, store, centroid_count=8, k=4)
+    out = point_embed(cloud, store, centroid_count=8, k=4)
     perm = np.concatenate([[0], 1 + rng.permutation(cloud.count - 1)])
     cloud_p = PointCloud(cloud.xyz[perm], cloud.intensity[perm],
                          cloud.beam[perm], cloud.label[perm])
-    out_p = encode_point(cloud_p, store, centroid_count=8, k=4)
+    out_p = point_embed(cloud_p, store, centroid_count=8, k=4)
     assert np.allclose(out_p, out[perm], atol=1e-6)
 
 

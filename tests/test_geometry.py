@@ -9,11 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from lidarmoe.geometry import (ContractError, align_to_points, build_superpoints,
-                               group_mean, project_labels, project_to_image,
+from lidarmoe.geometry import (build_superpoints, project_labels, project_to_image,
                                project_to_range, range_uv_exact, voxelize)
+from lidarmoe.pipeline import RunConfig, build_group_mean, make_view
 from lidarmoe.pointcloud import PointCloud
 from lidarmoe.sensors import CameraModel, SensorModel, forward_camera
+
+from graph_eval import evaluate_builder
+from oracles import align_to_points, group_mean
 
 
 def sensor_1024():
@@ -230,6 +233,22 @@ def test_wall_scene_assigns_points_bruteforce():
 
 
 # -- alignment and pooling ---------------------------------------------------
+# The graph path (gather over a view's row map, segment mean over a
+# partition) is checked against the point-by-point oracles.
+
+def aligned(feats, kind, cloud, sensor=None):
+    view = make_view(kind, cloud, sensor, RunConfig(voxel_size=(1.0, 1.0, 1.0)), "x")
+    out = evaluate_builder(lambda ctx: view.align(ctx.input("f")), {"f": feats})
+    assert np.array_equal(out, align_to_points(feats, view.mapping))
+    return out
+
+
+def pooled(feats, partition):
+    out = evaluate_builder(lambda ctx: build_group_mean(ctx.input("f"), partition),
+                           {"f": feats})
+    assert np.allclose(out, group_mean(feats, partition), atol=1e-6)
+    return out
+
 
 def test_align_range_single_point(rng):
     s = SensorModel(beam_count=4, azimuth_steps=8, fov_total=0.6, fov_down=0.3,
@@ -237,7 +256,7 @@ def test_align_range_single_point(rng):
     cloud = cloud_from_xyz([[5.0, 0.0, 0.0]])
     ri = project_to_range(cloud, s)
     feats = rng.standard_normal((4 * 8, 3)).astype(np.float32)
-    out = align_to_points(feats, ri)
+    out = aligned(feats, "range", cloud, s)
     assert out.shape == (1, 3)
     cell = ri.point_cell_ids()[0]
     assert np.array_equal(out[0], feats[cell])
@@ -247,7 +266,7 @@ def test_align_voxel_shared_rows():
     cloud = cloud_from_xyz([[0.1, 0, 0], [0.2, 0, 0], [1.5, 0, 0]])
     grid = voxelize(cloud, (1.0, 1.0, 1.0))
     feats = np.arange(grid.count * 2, dtype=np.float32).reshape(grid.count, 2)
-    out = align_to_points(feats, grid)
+    out = aligned(feats, "voxel", cloud)
     assert out.shape == (3, 2)
     assert np.array_equal(out[0], out[1])
 
@@ -257,14 +276,8 @@ def test_align_range_collision_shares_kept_feature(rng):
     cloud = cloud_from_xyz([[5.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     ri = project_to_range(cloud, s)
     feats = rng.standard_normal((s.range_h * s.range_w, 4)).astype(np.float32)
-    out = align_to_points(feats, ri)
+    out = aligned(feats, "range", cloud, s)
     assert np.array_equal(out[0], out[1])
-
-
-def test_align_dimension_mismatch_rejected():
-    grid = voxelize(cloud_from_xyz([[0.5, 0.5, 0.5]]), (1, 1, 1))
-    with pytest.raises(ContractError):
-        align_to_points(np.zeros((5, 2), np.float32), grid)
 
 
 def test_range_roundtrip_kept_points_get_own_feature(rng):
@@ -276,16 +289,16 @@ def test_range_roundtrip_kept_points_get_own_feature(rng):
     xyz = xyz[np.linalg.norm(xyz, axis=1) > 0.5]
     cloud = cloud_from_xyz(xyz, intensity=rng.uniform(0, 1, xyz.shape[0]))
     ri = project_to_range(cloud, s)
-    aligned = align_to_points(ri.features.reshape(-1, 5), ri)
+    rows = aligned(ri.features.reshape(-1, 5), "range", cloud, s)
     cells = ri.point_cell_ids()
-    assert np.array_equal(aligned, ri.features.reshape(-1, 5)[cells])
+    assert np.array_equal(rows, ri.features.reshape(-1, 5)[cells])
     kept = ri.kept_index.ravel()
     d = cloud.depth()
     for cell_id in np.flatnonzero(kept >= 0):
         i = kept[cell_id]
         own = np.concatenate([cloud.xyz[i], [cloud.intensity[i]],
                               [np.float32(d[i])]])
-        assert np.allclose(aligned[i], own, atol=1e-6)
+        assert np.allclose(rows[i], own, atol=1e-6)
 
 
 def _partition(groups, n):
@@ -298,15 +311,15 @@ def _partition(groups, n):
 
 def test_group_mean_basic():
     feats = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
-    out = group_mean(feats, _partition([0, 0], 2))
+    out = pooled(feats, _partition([0, 0], 2))
     assert np.allclose(out, [[0.5, 0.5]])
 
 
 def test_group_mean_singletons_and_excluded():
     feats = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], np.float32)
-    out = group_mean(feats, _partition([0, -1, 1], 3))
+    out = pooled(feats, _partition([0, -1, 1], 3))
     assert np.allclose(out, [[1.0, 2.0], [5.0, 6.0]])
-    empty = group_mean(feats, _partition([-1, -1, -1], 3))
+    empty = pooled(feats, _partition([-1, -1, -1], 3))
     assert empty.shape == (0, 2)
 
 
@@ -314,8 +327,8 @@ def test_group_mean_linearity(rng):
     feats_a = rng.standard_normal((20, 4)).astype(np.float32)
     feats_b = rng.standard_normal((20, 4)).astype(np.float32)
     part = _partition(rng.integers(-1, 3, 20), 20)
-    lhs = group_mean(2.0 * feats_a + 3.0 * feats_b, part)
-    rhs = 2.0 * group_mean(feats_a, part) + 3.0 * group_mean(feats_b, part)
+    lhs = pooled(2.0 * feats_a + 3.0 * feats_b, part)
+    rhs = 2.0 * pooled(feats_a, part) + 3.0 * pooled(feats_b, part)
     assert np.allclose(lhs, rhs, atol=1e-5)
 
 

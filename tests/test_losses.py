@@ -9,12 +9,41 @@ from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.losses import (LossConfig, LossContractError, build_cross_entropy,
                              build_info_nce, build_lovasz_softmax,
-                             build_sms_total, cross_entropy, info_nce,
-                             lovasz_softmax, sms_total)
+                             build_sms_total)
 from lidarmoe.params import ParameterStore
 
-
+from graph_eval import evaluate_builder
 from oracles import info_nce_bruteforce, lovasz_bruteforce
+
+
+def info_nce(k, q, temperature, denominator="all"):
+    return float(evaluate_builder(
+        lambda ctx: build_info_nce(ctx.input("k"), ctx.input("q"), temperature,
+                                   denominator), {"k": k, "q": q}))
+
+
+def cross_entropy(logits, labels):
+    return float(evaluate_builder(
+        lambda ctx: build_cross_entropy(ctx.input("logits"), labels),
+        {"logits": logits}))
+
+
+def lovasz_softmax(probs, labels):
+    return float(evaluate_builder(
+        lambda ctx: build_lovasz_softmax(ctx.input("probs"), labels),
+        {"probs": probs}))
+
+
+def sms_total(logits_by_rep, labels_by_rep, config=LossConfig()):
+    """(total, per-term breakdown) of the supervised composite."""
+    def build(ctx):
+        total, breakdown = build_sms_total(
+            {rep: ctx.input(rep) for rep in logits_by_rep}, labels_by_rep, config)
+        return {"loss": total, **breakdown}
+
+    outs = evaluate_builder(build, dict(logits_by_rep))
+    total = float(outs.pop("loss"))
+    return total, {k: float(v) for k, v in outs.items()}
 
 
 # -- info_nce ----------------------------------------------------------------

@@ -5,15 +5,26 @@ import pytest
 
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph, ShapeError
-from lidarmoe.moe import (GateScores, build_moe, init_moe_params, moe_fuse,
-                          moe_fuse_logits, read_gate_csv, write_gate_csv)
+from lidarmoe.moe import (GateScores, build_moe, init_moe_params, read_gate_csv,
+                          write_gate_csv)
 from lidarmoe.params import ParameterStore
+
+from graph_eval import evaluate_builder
 
 
 def fresh_params(dim, seed=0, prefix="moe"):
     store = ParameterStore()
     init_moe_params(store, dim, np.random.default_rng(seed), prefix)
     return store
+
+
+def fuse(r, v, p, store, train_mode, seed=0):
+    """(fused, gates) arrays of the gated fusion; noise is on in train
+    mode, as in the stage-3 logit fusion."""
+    return evaluate_builder(
+        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"),
+                              noise_active=ctx.train_mode),
+        {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 
 def rand_experts(rng, n=20, d=6):
@@ -25,16 +36,16 @@ def rand_experts(rng, n=20, d=6):
 def test_identical_experts_fuse_to_themselves(rng):
     store = fresh_params(5)
     f = rng.standard_normal((12, 5)).astype(np.float32)
-    fused, _ = moe_fuse(f, f, f, store, train_mode=True, seed=9)
+    fused, _ = fuse(f, f, f, store, train_mode=True, seed=9)
     assert np.allclose(fused, f, atol=1e-6)
 
 
 def test_zero_gate_uniform_routing(rng):
     store = fresh_params(4)
     r, v, p = rand_experts(rng, d=4)
-    fused, gates = moe_fuse(r, v, p, store, train_mode=False)
+    fused, gates = fuse(r, v, p, store, train_mode=False)
     third = np.float32(1.0) / np.float32(3.0)
-    assert np.all(gates.gates == third)
+    assert np.all(gates == third)
     assert np.allclose(fused, (r + v + p) / 3.0, atol=1e-6)
 
 
@@ -66,16 +77,16 @@ def test_gate_rows_sum_to_one_with_noise(rng):
     store.set("moe.z_gate", rng.standard_normal((6, 3)).astype(np.float32))
     store.set("moe.z_noise", rng.standard_normal((6, 3)).astype(np.float32))
     r, v, p = rand_experts(rng, n=200, d=6)
-    _, gates = moe_fuse(r, v, p, store, train_mode=True, seed=4)
-    assert np.all(gates.gates >= 0)
-    assert np.all(np.abs(gates.gates.sum(axis=1) - 1.0) <= 1e-6)
+    _, gates = fuse(r, v, p, store, train_mode=True, seed=4)
+    assert np.all(gates >= 0)
+    assert np.all(np.abs(gates.sum(axis=1) - 1.0) <= 1e-6)
 
 
 def test_convexity_componentwise(rng):
     store = fresh_params(5, seed=2)
     store.set("moe.z_gate", rng.standard_normal((5, 3)).astype(np.float32))
     r, v, p = rand_experts(rng, n=50, d=5)
-    fused, _ = moe_fuse(r, v, p, store, train_mode=True, seed=11)
+    fused, _ = fuse(r, v, p, store, train_mode=True, seed=11)
     lo = np.minimum(np.minimum(r, v), p)
     hi = np.maximum(np.maximum(r, v), p)
     assert np.all(fused >= lo - 1e-6)
@@ -86,9 +97,9 @@ def test_noise_changes_training_logits(rng):
     store = fresh_params(6, seed=3)
     store.set("moe.z_gate", rng.standard_normal((6, 3)).astype(np.float32))
     r, v, p = rand_experts(rng, n=50, d=6)
-    _, clean = moe_fuse(r, v, p, store, train_mode=False)
-    _, noisy = moe_fuse(r, v, p, store, train_mode=True, seed=12)
-    assert not np.array_equal(clean.gates, noisy.gates)
+    _, clean = fuse(r, v, p, store, train_mode=False)
+    _, noisy = fuse(r, v, p, store, train_mode=True, seed=12)
+    assert not np.array_equal(clean, noisy)
 
 
 def test_row_count_mismatch_rejected(rng):
@@ -96,17 +107,17 @@ def test_row_count_mismatch_rejected(rng):
     r = rng.standard_normal((5, 4)).astype(np.float32)
     v = rng.standard_normal((6, 4)).astype(np.float32)
     with pytest.raises(ShapeError):
-        moe_fuse(r, v, r, store, train_mode=False)
+        fuse(r, v, r, store, train_mode=False)
 
 
 def test_logits_zeta_zero_bit_identical(rng):
     store = fresh_params(4, seed=1)
     store.set("moe.z_gate", rng.standard_normal((4, 3)).astype(np.float32))
     r, v, p = rand_experts(rng, n=30, d=4)
-    a, ga = moe_fuse_logits(r, v, p, store, zeta=0, seed=1)
-    b, gb = moe_fuse_logits(r, v, p, store, zeta=0, seed=2)
+    a, ga = fuse(r, v, p, store, train_mode=False, seed=1)
+    b, gb = fuse(r, v, p, store, train_mode=False, seed=2)
     assert np.array_equal(a, b)
-    assert np.array_equal(ga.gates, gb.gates)
+    assert np.array_equal(ga, gb)
 
 
 def test_logits_zeta_one_seeded(rng):
@@ -114,9 +125,9 @@ def test_logits_zeta_one_seeded(rng):
     store.set("moe.z_noise", rng.standard_normal((4, 3)).astype(np.float32))
     store.set("moe.z_gate", rng.standard_normal((4, 3)).astype(np.float32))
     r, v, p = rand_experts(rng, n=30, d=4)
-    a, _ = moe_fuse_logits(r, v, p, store, zeta=1, seed=5)
-    b, _ = moe_fuse_logits(r, v, p, store, zeta=1, seed=5)
-    c, _ = moe_fuse_logits(r, v, p, store, zeta=1, seed=6)
+    a, _ = fuse(r, v, p, store, train_mode=True, seed=5)
+    b, _ = fuse(r, v, p, store, train_mode=True, seed=5)
+    c, _ = fuse(r, v, p, store, train_mode=True, seed=6)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -124,7 +135,7 @@ def test_logits_zeta_one_seeded(rng):
 def test_logits_identical_inputs_convexity(rng):
     store = fresh_params(4, seed=1)
     y = rng.standard_normal((10, 4)).astype(np.float32)
-    fused, _ = moe_fuse_logits(y, y, y, store, zeta=1, seed=3)
+    fused, _ = fuse(y, y, y, store, train_mode=True, seed=3)
     assert np.allclose(fused, y, atol=1e-6)
 
 

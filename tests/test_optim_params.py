@@ -78,13 +78,37 @@ def test_checkpoint_magic_validated(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_expected_manifest(tmp_path):
-    store = ParameterStore()
-    store.add("w", np.ones(3, np.float32))
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path):
     path = tmp_path / "x.ckpt"
-    save_checkpoint(path, store, {})
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path, expected_names=["w", "missing"])
+    old = ParameterStore()
+    old.add("w", np.ones(3, np.float32))
+    save_checkpoint(path, old, {"stage": "old"})
+    before = path.read_bytes()
+
+    class FailingStore(ParameterStore):
+        """Fails on the first tensor read after the manifest is built."""
+
+        def __init__(self):
+            super().__init__()
+            self.reads = 0
+
+        def get(self, name):
+            self.reads += 1
+            if self.reads > len(self.names()) + 1:
+                raise RuntimeError("write interrupted")
+            return super().get(name)
+
+    new = FailingStore()
+    new.add("a", np.zeros(4, np.float32))
+    new.add("b", np.zeros(5, np.float32))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_checkpoint(path, new, {"stage": "new"})
+    assert new.reads == len(new.names()) + 2  # one tensor written, then the failure
+    assert path.read_bytes() == before
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"stage": "old"}
+    assert np.array_equal(loaded.get("w"), old.get("w"))
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
 
 
 def test_duplicate_parameter_name_rejected():

@@ -9,7 +9,7 @@ from lidarmoe.autodiff import Graph
 from lidarmoe.dataio import load_manifest
 from lidarmoe.params import load_checkpoint
 from lidarmoe.pipeline import (PipelineError, RunConfig, build_group_mean,
-                               build_view_aligned, evaluate_checkpoint,
+                               build_view_aligned, evaluate_store,
                                generate_dataset, init_backbone_store,
                                linear_probe, load_dataset, make_view,
                                probe_random_baseline, stage1_pretrain,
@@ -137,8 +137,14 @@ def test_stage3_epochs_zero_still_evaluates(tiny_config, tmp_path):
 def test_stage3_validation_deterministic(tiny_config, tmp_path):
     result = stage3_sms(tiny_config, {}, tmp_path)
     cfg = tiny_config
-    a = evaluate_checkpoint(cfg, result["checkpoint"])
-    b = evaluate_checkpoint(cfg, result["checkpoint"])
+
+    def evaluate_checkpoint():
+        store, _ = load_checkpoint(result["checkpoint"])
+        data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
+        return evaluate_store(store, cfg, data)[0]
+
+    a = evaluate_checkpoint()
+    b = evaluate_checkpoint()
     assert a["fused"].miou == b["fused"].miou
     assert np.array_equal(a["fused"].tp, b["fused"].tp)
 
@@ -151,7 +157,8 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     the first conv stays trainable so a conv layer is exercised inside
     the composite.
     """
-    from lidarmoe.pipeline import _sms_store, _sms_forward_build, REPRESENTATIONS
+    from lidarmoe.pipeline import (_make_views, _sms_store, _sms_forward_build,
+                                   REPRESENTATIONS)
     from lidarmoe.losses import LossConfig, build_sms_total
     from lidarmoe.geometry import project_labels
     from lidarmoe.sensors import SensorModel
@@ -169,17 +176,14 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     store = _sms_store(cfg, {}, 4)
     store.set_trainable("range.conv2.w", False)
     store.set_trainable("range.conv2.b", False)
-    views = {k: make_view(k, cloud, sensor, cfg, k) for k in REPRESENTATIONS}
-    inputs = {}
-    for v in views.values():
-        inputs.update(v.inputs)
+    views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS}, sensor, cfg)
     labels = {"fused": np.clip(cloud.label, -1, 3),
               "point": np.clip(cloud.label, -1, 3),
               "range": np.clip(project_labels(cloud, views["range"].mapping), -1, 3),
               "voxel": np.clip(project_labels(cloud, views["voxel"].mapping), -1, 3)}
 
     def build(ctx):
-        logits, aligned, fused, _ = _sms_forward_build(ctx, views)
+        logits, aligned, fused = _sms_forward_build(ctx, views)
         total, _ = build_sms_total(
             {"fused": fused, "range": logits["range"], "voxel": logits["voxel"],
              "point": aligned["point"]}, labels, LossConfig())
@@ -246,6 +250,26 @@ def test_sms_honors_annotation_fraction(tiny_config, tmp_path):
     terms = {l.split(",")[2] for l in log[1:]}
     assert {"range_ce", "range_lovasz", "voxel_ce", "voxel_lovasz",
             "point_ce", "fused_ce"} <= terms
+
+
+def test_stage3_honors_batch_size(small_dataset, monkeypatch, tmp_path):
+    from lidarmoe.optim import AdamW
+    steps = {}
+    original = AdamW.step
+
+    def counting_step(self, grads):
+        steps[id(self)] = steps.get(id(self), 0) + 1
+        return original(self, grads)
+
+    monkeypatch.setattr(AdamW, "step", counting_step)
+    cfg = RunConfig(dataset=str(small_dataset), seed=1, embed_dim=8,
+                    centroid_count=8, knn_k=4, sms_epochs=2, batch_size=2)
+    data = load_dataset(cfg.dataset)
+    labeled = sum(1 for s in data.train if np.any(s.cloud.label >= 0))
+    assert labeled == 3
+    stage3_sms(cfg, {}, tmp_path)
+    # backbone and head/gate optimizers, each stepping once per batch
+    assert sorted(steps.values()) == [cfg.sms_epochs * 2] * 2
 
 
 def test_linear_probe_freezes_backbone(tiny_config, tmp_path):
