@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moe import GateScores
 from .pointcloud import PointCloud
 
 ROUTE_AXES = ("beam", "distance-bin", "class")
@@ -35,16 +34,16 @@ class RouteTable:
         return (self.loads * self.counts[:, None]).sum(axis=0) / total
 
 
-def route_stats(scores: GateScores, cloud: PointCloud, axis: str,
+def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
                 distance_edges=DEFAULT_DISTANCE_EDGES) -> RouteTable:
-    """Bucket the per-point gate weights by beam, distance bin, or class.
+    """Bucket the per-point (N, 3) gate weights by beam, distance bin, or
+    class.
 
     Distance bins are [e0,e1), ..., [e_last, max); the class axis uses
     point labels (ignore-labeled points are dropped).
     """
     if axis not in ROUTE_AXES:
         raise AnalysisError(f"unknown axis: {axis}")
-    gates = scores.gates
     if gates.shape[0] != cloud.count:
         raise AnalysisError("gate rows and point count disagree")
     if axis == "beam":

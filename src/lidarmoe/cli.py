@@ -58,7 +58,7 @@ _OWN_KEYS = {
     "cml": ("expert_ckpts", "stage1_dir"),
     "sms": ("init",),
     "probe": ("checkpoint", "random_baseline", "representation"),
-    "eval": ("checkpoint", "pairs_csv", "split"),
+    "eval": ("checkpoint", "pairs_csv", "split", "num_classes"),
     "cosine-map": ("features_csv", "checkpoint", "cloud", "query_id",
                    "representation"),
 }
@@ -246,13 +246,13 @@ def _cmd_corrupt(args):
 def _cmd_route_stats(args):
     doc = _load_config(args)
     out = _out_dir(args)
-    scores = read_gate_csv(doc["gates_csv"])
+    gates = read_gate_csv(doc["gates_csv"])
     cloud = read_lpcd(doc["cloud"])
     axis = doc.get("axis", "beam")
     kwargs = {}
     if "distance_edges" in doc:
         kwargs["distance_edges"] = tuple(doc["distance_edges"])
-    table = route_stats(scores, cloud, axis, **kwargs)
+    table = route_stats(gates, cloud, axis, **kwargs)
     write_route_csv(out / f"route_{axis}.csv", table)
     route_bars_svg(out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
     load = table.global_load()

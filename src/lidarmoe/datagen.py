@@ -76,27 +76,6 @@ class Scene:
             if p.class_id >= self.num_classes:
                 raise ConfigError("primitive class_id out of range")
 
-    def to_json(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "seed": self.seed,
-            "primitives": [
-                {"kind": p.kind, "pose": list(p.pose),
-                 "extents": list(p.extents), "class_id": p.class_id}
-                for p in self.primitives
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Scene":
-        prims = tuple(
-            Primitive(kind=e["kind"], pose=tuple(e["pose"]),
-                      extents=tuple(e["extents"]), class_id=int(e["class_id"]))
-            for e in doc["primitives"]
-        )
-        return cls(primitives=prims, seed=int(doc.get("seed", 0)),
-                   num_classes=int(doc.get("num_classes", NUM_CLASSES)))
-
 
 @dataclass(frozen=True)
 class SceneConfig:

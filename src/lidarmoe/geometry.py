@@ -162,17 +162,15 @@ class SuperpointPartition:
     """Image-anchored point groups.
 
     ``point_group`` maps each point to a group id in [0, S) or -1;
-    ``members`` lists point ids per group; ``superpixel_of`` links each
-    group back to its source superpixel id.
+    ``superpixel_of`` links each group back to its source superpixel id.
     """
 
     point_group: np.ndarray
-    members: tuple
     superpixel_of: np.ndarray
 
     @property
     def count(self):
-        return len(self.members)
+        return len(self.superpixel_of)
 
 
 def build_superpoints(cloud: PointCloud, camera: CameraModel,
@@ -200,16 +198,10 @@ def build_superpoints(cloud: PointCloud, camera: CameraModel,
             sel = sel[agree]
             group[sel] = superpixel_map[vi[sel], ui[sel]]
 
-    used = np.unique(group[group >= 0])
-    remap = {int(g): i for i, g in enumerate(used)}
-    members = [[] for _ in used]
-    for i in np.flatnonzero(group >= 0):
-        g = remap[int(group[i])]
-        group[i] = g
-        members[g].append(int(i))
-    return SuperpointPartition(group.astype(np.int32),
-                               tuple(np.array(m, np.int64) for m in members),
-                               used.astype(np.int32))
+    assigned = group >= 0
+    used, compact = np.unique(group[assigned], return_inverse=True)
+    group[assigned] = compact
+    return SuperpointPartition(group.astype(np.int32), used.astype(np.int32))
 
 
 def project_labels(cloud: PointCloud, target) -> np.ndarray:

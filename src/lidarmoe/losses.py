@@ -23,11 +23,10 @@ class LossContractError(ValueError):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperature, per-representation term weights, and the ignore label."""
+    """Per-representation term weights and the ignore label of the
+    supervised composite."""
 
-    temperature: float = 0.07
     ignore: int = -1
-    denominator: str = "all"
     weights: dict = field(default_factory=lambda: {
         "fused": {"ce": 1.0, "lovasz": 0.0},
         "range": {"ce": 1.0, "lovasz": 2.0},
@@ -36,10 +35,6 @@ class LossConfig:
     })
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise LossContractError("temperature must be positive")
-        if self.denominator not in ("all", "exclude_positive"):
-            raise LossContractError("denominator must be all|exclude_positive")
         for rep in self.weights.values():
             if any(w < 0 for w in rep.values()):
                 raise LossContractError("loss weights must be >= 0")

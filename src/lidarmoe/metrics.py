@@ -13,7 +13,7 @@ reported in percent, with means over corruption types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +31,6 @@ class MetricReport:
     fn: np.ndarray
     iou: np.ndarray          # percent; NaN for classes absent everywhere
     miou: float              # percent
-    per_corruption: dict = field(default_factory=dict)
-    mce: float | None = None
-    mrr: float | None = None
-
-    def included_classes(self):
-        return np.flatnonzero(~np.isnan(self.iou))
-
-    def to_json(self) -> dict:
-        doc = {
-            "tp": self.tp.tolist(), "fp": self.fp.tolist(), "fn": self.fn.tolist(),
-            "iou": [None if np.isnan(x) else x for x in self.iou.tolist()],
-            "miou": self.miou,
-        }
-        if self.per_corruption:
-            doc["per_corruption"] = self.per_corruption
-        if self.mce is not None:
-            doc["mce"] = self.mce
-        if self.mrr is not None:
-            doc["mrr"] = self.mrr
-        return doc
 
 
 def compute_miou(predictions, labels, num_classes: int) -> MetricReport:

@@ -12,8 +12,6 @@ the plain expert average.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -27,25 +25,6 @@ def init_moe_params(store: ParameterStore, channels: int, rng, prefix="moe"):
     store.add(f"{prefix}.fusion.b", np.zeros(channels, np.float32))
     store.add(f"{prefix}.z_gate", np.zeros((channels, 3), np.float32))
     store.add(f"{prefix}.z_noise", np.zeros((channels, 3), np.float32))
-
-
-@dataclass(frozen=True)
-class GateScores:
-    """Per-row convex weights over (range, voxel, point)."""
-
-    gates: np.ndarray
-
-    @property
-    def alpha(self):
-        return self.gates[:, 0]
-
-    @property
-    def beta(self):
-        return self.gates[:, 1]
-
-    @property
-    def gamma(self):
-        return self.gates[:, 2]
 
 
 def build_moe(ctx, expert_r, expert_v, expert_p, prefix="moe",
@@ -71,15 +50,17 @@ def build_moe(ctx, expert_r, expert_v, expert_p, prefix="moe",
     return fused, gates
 
 
-def write_gate_csv(path, scores: GateScores) -> None:
-    """Per-point gate export: point_id, alpha, beta, gamma."""
+def write_gate_csv(path, gates: np.ndarray) -> None:
+    """Per-point gate export of an (N, 3) array over (range, voxel,
+    point): point_id, alpha, beta, gamma."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("point_id,alpha,beta,gamma\n")
-        for i, (a, b, g) in enumerate(scores.gates.tolist()):
+        for i, (a, b, g) in enumerate(gates.tolist()):
             fh.write(f"{i},{a!r},{b!r},{g!r}\n")
 
 
-def read_gate_csv(path) -> GateScores:
+def read_gate_csv(path) -> np.ndarray:
+    """The (N, 3) float32 gate array of a gate-score CSV."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -88,4 +69,4 @@ def read_gate_csv(path) -> GateScores:
         for line in fh:
             _, a, b, g = line.strip().split(",")
             rows.append((float(a), float(b), float(g)))
-    return GateScores(np.array(rows, np.float32).reshape(-1, 3))
+    return np.array(rows, np.float32).reshape(-1, 3)

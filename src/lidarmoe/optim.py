@@ -1,6 +1,8 @@
 """Adaptive-moment optimizer with decoupled weight decay and a one-cycle
 learning-rate schedule: linear warmup over the first 10% of steps to the
-configured peak, then cosine decay to peak/100 at the final step."""
+configured peak, then cosine decay to peak/100 at the final step.
+
+``total_steps`` counts optimizer iterations (one per batch), not scans."""
 
 from __future__ import annotations
 
@@ -23,6 +25,8 @@ def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:
 class AdamW:
     """Per-parameter moment estimates over a ParameterStore's trainables.
 
+    ``peak_lr(name)`` gives each parameter's schedule peak; every
+    parameter follows the same one-cycle shape over ``total_steps``.
     Frozen parameters are never touched. The update uses beta1=0.9,
     beta2=0.999, eps=1e-8 with bias correction and decoupled weight decay.
     """
@@ -30,7 +34,7 @@ class AdamW:
     def __init__(self, store, peak_lr, total_steps, weight_decay=0.01,
                  beta1=0.9, beta2=0.999, eps=1e-8):
         self.store = store
-        self.peak_lr = float(peak_lr)
+        self.peak_lr = peak_lr
         self.total_steps = int(total_steps)
         self.weight_decay = float(weight_decay)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -38,15 +42,16 @@ class AdamW:
         self._m = {}
         self._v = {}
 
-    def step(self, grads: dict) -> float:
-        """Apply one update from ``grads`` (name -> array); returns the lr used."""
+    def step(self, grads: dict) -> None:
+        """Apply one update from ``grads`` (name -> array)."""
         trainable = set(self.store.trainable_names())
         extra = set(grads) - trainable
         if extra:
             raise ValueError(f"gradients for non-trainable parameters: {sorted(extra)}")
-        lr = one_cycle_lr(self.step_count, self.total_steps, self.peak_lr)
         t = self.step_count + 1
         for name in sorted(grads):
+            lr = one_cycle_lr(self.step_count, self.total_steps,
+                              float(self.peak_lr(name)))
             g = grads[name].astype(np.float64)
             theta = self.store.get(name).astype(np.float64)
             m = self._m.get(name)
@@ -63,4 +68,3 @@ class AdamW:
                            + self.weight_decay * theta)
             self.store.set(name, theta)
         self.step_count += 1
-        return lr

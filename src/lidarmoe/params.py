@@ -61,12 +61,6 @@ class ParameterStore:
     def trainable_names(self):
         return [n for n, f in self._trainable.items() if f]
 
-    def __contains__(self, name):
-        return name in self._values
-
-    def __len__(self):
-        return len(self._values)
-
     def copy(self) -> "ParameterStore":
         dup = ParameterStore()
         for name in self.names():

@@ -7,6 +7,10 @@ distills the fusion into a single student network. Stage 3 fine-tunes all
 three backbones with fresh logit heads under the supervised composite,
 fusing logits through a train-only noisy gate.
 
+Every training run (stage 1 per representation, stage 2, stage 3, the
+linear probe) goes through ``_train_epochs``, which owns the run's one
+AdamW and sizes its schedule by the optimizer steps it takes.
+
 Every run is a pure function of (config, dataset, seed): augmentation,
 gate noise, and initialization seeds derive deterministically from the
 run seed, so identical runs produce bit-identical checkpoints and logs.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,7 +41,7 @@ from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import LossConfig, build_cross_entropy, build_info_nce, build_sms_total
 from .metrics import compute_miou
-from .moe import GateScores, build_moe, init_moe_params, write_gate_csv
+from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
@@ -58,7 +63,6 @@ class RunConfig:
     epochs: int = 50
     batch_size: int = 1
     embed_dim: int = 64
-    num_classes: int = NUM_CLASSES
     temperature: float = 0.07
     contrastive_denominator: str = "all"
     lr_stage1: float = 0.01
@@ -86,6 +90,8 @@ class RunConfig:
             raise PipelineError("student_init must be stage1|random")
         if self.contrastive_denominator not in ("all", "exclude_positive"):
             raise PipelineError("bad contrastive_denominator")
+        if not self.temperature > 0:
+            raise PipelineError("temperature must be > 0")
 
     def to_json(self) -> dict:
         doc = dict(self.__dict__)
@@ -184,7 +190,6 @@ class DatasetBundle:
     sensor: SensorModel
     camera: CameraModel
     num_classes: int
-    tile: int
 
     def scans(self, split):
         return self.val if split == "val" else self.train
@@ -214,8 +219,7 @@ def load_dataset(dataset_dir, superpoint_tolerance=0.1) -> DatasetBundle:
         return scans
 
     return DatasetBundle(load_split(manifest.train), load_split(manifest.val),
-                         sensor, camera, manifest.num_classes,
-                         int(sdoc.get("superpixel_tile", 16)))
+                         sensor, camera, manifest.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -315,47 +319,47 @@ def _accumulate(batch_grads: list) -> dict:
     return {n: (g / len(batch_grads)).astype(np.float32) for n, g in total.items()}
 
 
-def _train_epochs(config, scans, step_fn, step, log, stage_name, on_epoch):
+def _train_epochs(config, scans, step_fn, store, peak_lr, log, stage_name,
+                  on_epoch):
     """The training loop of every stage and the probe: per epoch, per
-    batch of ``config.batch_size`` scans, average the grads and ``step``.
+    batch of ``config.batch_size`` scans, average the grads and step the
+    run's one AdamW over ``store``.
 
-    ``step_fn(scan_index, scan, epoch) -> (loss, grads, terms) | None``
-    (None skips the scan); ``terms`` are extra values logged with the
-    step's loss. ``on_epoch(epoch)``, unless None, returns values logged
-    after the epoch's mean loss. Returns per-epoch mean losses and the
-    skip count.
+    Callers pass only the scans they train on, so the one-cycle schedule
+    spans exactly the steps taken: ``epochs x ceil(len(scans) /
+    batch_size)``. ``peak_lr(name)`` is each parameter's schedule peak.
+    ``step_fn(scan_index, scan, epoch) -> (loss, grads, terms)``; ``terms``
+    are extra values logged with the step's loss. ``on_epoch(epoch)``,
+    unless None, returns values logged after the epoch's mean loss.
+    Returns per-epoch mean losses.
     """
+    batches = math.ceil(len(scans) / config.batch_size)
+    optimizer = AdamW(store, peak_lr, max(1, config.epochs * batches))
     epoch_losses = []
-    skipped = 0
     global_step = 0
     for epoch in range(config.epochs):
         losses = []
         pending = []
         for idx, scan in enumerate(scans):
-            result = step_fn(idx, scan, epoch)
-            if result is None:
-                if epoch == 0:
-                    skipped += 1
-                continue
-            loss, grads, terms = result
+            loss, grads, terms = step_fn(idx, scan, epoch)
             losses.append(loss)
             pending.append(grads)
             if len(pending) >= config.batch_size:
-                step(_accumulate(pending))
+                optimizer.step(_accumulate(pending))
                 pending = []
             log.append(global_step, stage_name, "loss", loss)
             for term, value in terms.items():
                 log.append(global_step, stage_name, term, value)
             global_step += 1
         if pending:
-            step(_accumulate(pending))
+            optimizer.step(_accumulate(pending))
         mean = float(np.mean(losses)) if losses else float("nan")
         epoch_losses.append(mean)
         log.append(global_step, stage_name, "epoch_loss", mean)
         if on_epoch is not None:
             for term, value in on_epoch(epoch).items():
                 log.append(global_step, stage_name, term, value)
-    return epoch_losses, skipped
+    return epoch_losses
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +398,13 @@ def stage1_pretrain(config: RunConfig, out_dir, representations=REPRESENTATIONS)
         if scan.partition.count >= 2:
             q = teacher_features(scan.image, teacher, scan.superpixels)
             targets[scan.name] = q[scan.partition.superpixel_of]
+    scans = [s for s in data.train if s.name in targets]
 
     results = {}
     for kind in representations:
         store = init_backbone_store(kind, config, "stage1")
-        total_steps = max(1, config.epochs * len(data.train))
-        optimizer = AdamW(store, config.lr_stage1, total_steps)
 
         def step_fn(idx, scan, epoch):
-            if scan.name not in targets:
-                return None
             view_cloud = _maybe_augment(scan.cloud, config, "s1", kind, epoch, idx)
             view = make_view(kind, view_cloud, data.sensor, config, "x")
 
@@ -420,15 +421,15 @@ def stage1_pretrain(config: RunConfig, out_dir, representations=REPRESENTATIONS)
             return float(outs["loss"]), grads, {}
 
         with TrainingLog(out / f"stage1_{kind}_log.csv") as log:
-            epoch_losses, skipped = _train_epochs(config, data.train, step_fn,
-                                                  optimizer.step, log,
-                                                  f"stage1-{kind}", None)
+            epoch_losses = _train_epochs(config, scans, step_fn, store,
+                                         lambda _: config.lr_stage1, log,
+                                         f"stage1-{kind}", None)
         ckpt = out / f"stage1_{kind}.ckpt"
         save_checkpoint(ckpt, store, {"stage": f"stage1-{kind}",
                                       "config_digest": config.digest(),
                                       "seed": config.seed})
         results[kind] = {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
-                         "skipped": skipped}
+                         "skipped": len(data.train) - len(scans)}
     return results
 
 
@@ -463,13 +464,9 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
 
     usable = [s for s in data.train
               if s.partition is not None and s.partition.count >= 2]
-    total_steps = max(1, config.epochs * len(data.train))
-    optimizer = AdamW(store, config.lr_cml, total_steps)
     final_gates = {}
 
     def step_fn(idx, scan, epoch):
-        if scan.partition is None or scan.partition.count < 2:
-            return None
         specs = {kind: (kind, _maybe_augment(scan.cloud, config, "cml", kind,
                                              epoch, idx))
                  for kind in REPRESENTATIONS}
@@ -494,12 +491,12 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
         outs, grads = ad.backward(Graph(build), store, inputs,
                                   seed=_step_seed(config.seed, "cml", epoch, idx))
         if epoch == config.epochs - 1:
-            final_gates[scan.name] = GateScores(outs["gates"])
+            final_gates[scan.name] = outs["gates"]
         return float(outs["loss"]), grads, {}
 
     with TrainingLog(out / "cml_log.csv") as log:
-        epoch_losses, skipped = _train_epochs(config, data.train, step_fn,
-                                              optimizer.step, log, "cml", None)
+        epoch_losses = _train_epochs(config, usable, step_fn, store,
+                                     lambda _: config.lr_cml, log, "cml", None)
     for name, gates in sorted(final_gates.items()):
         write_gate_csv(out / f"cml_gates_{name}.csv", gates)
 
@@ -517,7 +514,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
         frozen_ok &= all(np.array_equal(store.get(f"expert.{n}"), src.get(n))
                          for n in src.names())
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
-            "skipped": skipped, "experts_frozen": frozen_ok,
+            "skipped": len(data.train) - len(usable), "experts_frozen": frozen_ok,
             "usable_scans": len(usable)}
 
 
@@ -562,14 +559,14 @@ def _sms_forward_build(ctx, views):
     return logits, aligned, fused
 
 
-def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
-               loss_config: LossConfig = None):
+def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     """Fine-tune all three backbones with supervised logit fusion.
 
     ``init_ckpts`` maps representation to a warm-start checkpoint (stage-1
-    or distilled-student); a missing entry means random init. Backbones
-    use ``lr_sms_backbone``; logit heads and the gate use ``lr_sms_other``.
-    Validation runs after every epoch with the noise switch off.
+    or distilled-student); a missing entry means random init. One AdamW
+    steps every parameter: backbones peak at ``lr_sms_backbone``, logit
+    heads and the gate at ``lr_sms_other``. Validation runs after every
+    epoch with the noise switch off; the last one gives ``val_miou``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -581,15 +578,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
     if frac < 1.0:
         labeled = labeled[:max(1, int(np.ceil(frac * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
-    loss_config = loss_config or LossConfig(temperature=config.temperature,
-                                            denominator=config.contrastive_denominator)
-
     store = _sms_store(config, init_ckpts, data.num_classes)
-    steps = max(1, cfg.epochs * len(labeled))
-    backbone_names = {n for n in store.trainable_names() if _is_backbone_param(n)}
-    opt_backbone = AdamW(store, config.lr_sms_backbone, steps)
-    opt_other = AdamW(store, config.lr_sms_other, steps)
-
     val_history = []
 
     def step_fn(idx, scan, epoch):
@@ -608,7 +597,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
             total, breakdown = build_sms_total(
                 {"fused": fused, "range": logits["range"],
                  "voxel": logits["voxel"], "point": aligned["point"]},
-                labels, loss_config)
+                labels, LossConfig())
             out_nodes = {"loss": total}
             out_nodes.update(breakdown)
             return out_nodes
@@ -618,13 +607,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
         terms = {k: float(v) for k, v in sorted(outs.items()) if k != "loss"}
         return float(outs["loss"]), grads, terms
 
-    def step(grads):
-        gb = {n: g for n, g in grads.items() if n in backbone_names}
-        go = {n: g for n, g in grads.items() if n not in backbone_names}
-        if gb:
-            opt_backbone.step(gb)
-        if go:
-            opt_other.step(go)
+    def peak_lr(name):
+        return config.lr_sms_backbone if _is_backbone_param(name) \
+            else config.lr_sms_other
 
     def validate(epoch):
         reports, _ = evaluate_store(store, config, data, split="val")
@@ -632,17 +617,17 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir,
         return {f"val_miou_{k}": r.miou for k, r in reports.items()}
 
     with TrainingLog(out / "sms_log.csv") as log:
-        epoch_losses, _ = _train_epochs(cfg, labeled, step_fn, step, log, "sms",
-                                        validate)
+        epoch_losses = _train_epochs(cfg, labeled, step_fn, store, peak_lr, log,
+                                     "sms", validate)
 
     ckpt = out / "sms_model.ckpt"
     save_checkpoint(ckpt, store, {"stage": "sms",
                                   "config_digest": config.digest(),
                                   "seed": config.seed})
-    final, _ = evaluate_store(store, config, data, split="val")
+    val_miou = val_history[-1] if val_history else {
+        k: r.miou for k, r in evaluate_store(store, config, data)[0].items()}
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
-            "val_history": val_history,
-            "val_miou": {k: r.miou for k, r in final.items()}}
+            "val_history": val_history, "val_miou": val_miou}
 
 
 def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
@@ -720,8 +705,6 @@ def _probe_on_store(config, store, kind, prefix, data, out, before=None):
     probe = ParameterStore()
     add_linear(probe, "probe", config.embed_dim, data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
-    steps = max(1, config.probe_epochs * len(train_embeds))
-    optimizer = AdamW(probe, config.probe_lr, steps)
 
     def step_fn(idx, scan, epoch):
         def build(ctx):
@@ -733,7 +716,8 @@ def _probe_on_store(config, store, kind, prefix, data, out, before=None):
 
     with TrainingLog(out / f"probe_{kind}_log.csv") as log:
         _train_epochs(replace(config, epochs=config.probe_epochs), data.train,
-                      step_fn, optimizer.step, log, "probe", None)
+                      step_fn, probe, lambda _: config.probe_lr, log, "probe",
+                      None)
 
     preds, labels = [], []
     for scan in data.val:

@@ -1,4 +1,4 @@
-"""Spinning-LiDAR and pinhole-camera models with JSON (de)serialization."""
+"""Spinning-LiDAR and pinhole-camera models, read from JSON documents."""
 
 from __future__ import annotations
 
@@ -49,17 +49,6 @@ class SensorModel:
         a = self.azimuth_steps
         return (-np.pi + 2.0 * np.pi * (np.arange(a) + 0.5) / a).astype(np.float64)
 
-    def to_json(self) -> dict:
-        return {
-            "beam_count": self.beam_count,
-            "azimuth_steps": self.azimuth_steps,
-            "fov_total_rad": self.fov_total,
-            "fov_down_rad": self.fov_down,
-            "max_range_m": self.max_range,
-            "range_h": self.range_h,
-            "range_w": self.range_w,
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "SensorModel":
         try:
@@ -108,14 +97,6 @@ class CameraModel:
         r = self.extrinsics[:3, :3]
         t = self.extrinsics[:3, 3]
         return -r.T @ t
-
-    def to_json(self) -> dict:
-        return {
-            "cam_intrinsics": self.intrinsics.tolist(),
-            "cam_extrinsics": self.extrinsics.tolist(),
-            "cam_w": self.width,
-            "cam_h": self.height,
-        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "CameraModel":

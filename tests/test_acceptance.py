@@ -26,7 +26,7 @@ from lidarmoe.geometry import project_to_range, range_uv_exact, voxelize
 from lidarmoe.losses import (LossConfig, build_cross_entropy, build_info_nce,
                              build_lovasz_softmax, build_sms_total)
 from lidarmoe.metrics import compute_mce_mrr, compute_miou
-from lidarmoe.moe import GateScores, build_moe, init_moe_params, read_gate_csv
+from lidarmoe.moe import build_moe, init_moe_params, read_gate_csv
 from lidarmoe.analysis import route_stats, write_route_csv, route_bars_svg
 from lidarmoe.params import ParameterStore
 from lidarmoe.pipeline import (RunConfig, generate_dataset, linear_probe,
@@ -422,7 +422,7 @@ def test_criterion_9_route_analysis(reference_runs, reference_dataset, tmp_path)
     n = scan.cloud.count
     onehot = np.zeros((n, 3), np.float32)
     onehot[:, 0] = 1.0
-    table = route_stats(GateScores(onehot), scan.cloud, "beam")
+    table = route_stats(onehot, scan.cloud, "beam")
     onehot_ok = np.array_equal(table.loads, np.tile([1.0, 0.0, 0.0],
                                                     (len(table.buckets), 1)))
 

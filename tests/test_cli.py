@@ -7,7 +7,7 @@ import pytest
 
 from lidarmoe.cli import main
 from lidarmoe.dataio import read_lpcd, write_lpcd
-from lidarmoe.moe import GateScores, write_gate_csv
+from lidarmoe.moe import write_gate_csv
 from lidarmoe.pointcloud import PointCloud
 
 
@@ -69,7 +69,7 @@ def test_route_stats_one_hot_fixture(tmp_path):
     gates = np.zeros((n, 3), np.float32)
     gates[:, 2] = 1.0
     gates_csv = tmp_path / "gates.csv"
-    write_gate_csv(gates_csv, GateScores(gates))
+    write_gate_csv(gates_csv, gates)
     cfg = write_json(tmp_path / "cfg.json",
                      {"gates_csv": str(gates_csv), "cloud": str(scan),
                       "axis": "beam"})
@@ -93,7 +93,7 @@ def test_route_stats_gate_rows_validated(tmp_path):
     scan = tmp_path / "scan.lpcd"
     write_lpcd(scan, cloud)
     gates_csv = tmp_path / "gates.csv"
-    write_gate_csv(gates_csv, GateScores(np.ones((3, 3), np.float32) / 3))
+    write_gate_csv(gates_csv, np.ones((3, 3), np.float32) / 3)
     cfg = write_json(tmp_path / "cfg.json",
                      {"gates_csv": str(gates_csv), "cloud": str(scan),
                       "axis": "beam"})
@@ -210,6 +210,7 @@ def test_full_cli_training_chain(tmp_path, tiny_dataset):
 @pytest.mark.parametrize("command,key", [
     ("pretrain", "epoch"), ("cml", "init"), ("sms", "stage1_dir"),
     ("probe", "pairs_csv"), ("eval", "representation"), ("cosine-map", "axis"),
+    ("sms", "num_classes"),
 ])
 def test_unknown_run_config_key_exit_2(tmp_path, tiny_dataset, capsys, command, key):
     cfg = write_json(tmp_path / "cfg.json",
@@ -218,6 +219,13 @@ def test_unknown_run_config_key_exit_2(tmp_path, tiny_dataset, capsys, command, 
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"unknown {command} config key(s): {key}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_nonpositive_temperature_exit_2(tmp_path, tiny_dataset, capsys):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"dataset": str(tiny_dataset), "epochs": 1, "temperature": 0})
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "temperature must be > 0" in capsys.readouterr().err
 
 
 def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,

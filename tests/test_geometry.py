@@ -227,9 +227,11 @@ def test_wall_scene_assigns_points_bruteforce():
             sp = part.superpixel_of[part.point_group[i]]
             assert sp == superpixels[vi, ui]
     # partition laws
-    sizes = [len(m) for m in part.members]
-    assert sum(sizes) == int(np.sum(part.point_group >= 0))
-    assert all(s >= 1 for s in sizes)
+    assigned = part.point_group[part.point_group >= 0]
+    sizes = np.bincount(assigned, minlength=part.count)
+    assert sizes.size == part.count
+    assert sizes.sum() == assigned.size
+    assert np.all(sizes >= 1)
 
 
 # -- alignment and pooling ---------------------------------------------------
@@ -304,9 +306,8 @@ def test_range_roundtrip_kept_points_get_own_feature(rng):
 def _partition(groups, n):
     from lidarmoe.geometry import SuperpointPartition
     groups = np.asarray(groups, np.int32)
-    s = groups[groups >= 0].max() + 1 if np.any(groups >= 0) else 0
-    members = tuple(np.flatnonzero(groups == g) for g in range(s))
-    return SuperpointPartition(groups, members, np.arange(s, dtype=np.int32))
+    s = np.bincount(groups[groups >= 0]).size
+    return SuperpointPartition(groups, np.arange(s, dtype=np.int32))
 
 
 def test_group_mean_basic():

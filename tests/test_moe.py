@@ -5,7 +5,7 @@ import pytest
 
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph, ShapeError
-from lidarmoe.moe import (GateScores, build_moe, init_moe_params, read_gate_csv,
+from lidarmoe.moe import (build_moe, init_moe_params, read_gate_csv,
                           write_gate_csv)
 from lidarmoe.params import ParameterStore
 
@@ -175,8 +175,8 @@ def test_moe_grad_check(rng):
 
 
 def test_gate_csv_roundtrip(tmp_path, rng):
-    gates = GateScores(rng.uniform(0, 1, (10, 3)).astype(np.float32))
+    gates = rng.uniform(0, 1, (10, 3)).astype(np.float32)
     path = tmp_path / "gates.csv"
     write_gate_csv(path, gates)
     loaded = read_gate_csv(path)
-    assert np.array_equal(loaded.gates, gates.gates)
+    assert np.array_equal(loaded, gates)

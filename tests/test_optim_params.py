@@ -29,7 +29,7 @@ def test_schedule_monotone_warmup():
 def test_zero_gradient_zero_decay_keeps_params():
     store = ParameterStore()
     store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3))
-    opt = AdamW(store, peak_lr=0.1, total_steps=10, weight_decay=0.0)
+    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=10, weight_decay=0.0)
     before = store.get("w").copy()
     for _ in range(5):
         opt.step({"w": np.zeros((2, 3), np.float32)})
@@ -40,7 +40,7 @@ def test_frozen_parameters_never_move():
     store = ParameterStore()
     store.add("w", np.ones((2, 2), np.float32), trainable=True)
     store.add("frozen", np.full((3,), 7.0, np.float32), trainable=False)
-    opt = AdamW(store, peak_lr=0.1, total_steps=4)
+    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=4)
     before = store.get("frozen").copy()
     for _ in range(4):
         opt.step({"w": np.ones((2, 2), np.float32)})
@@ -51,7 +51,7 @@ def test_frozen_parameters_never_move():
 def test_gradient_for_frozen_parameter_rejected():
     store = ParameterStore()
     store.add("w", np.ones(2, np.float32), trainable=False)
-    opt = AdamW(store, peak_lr=0.1, total_steps=1)
+    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=1)
     with pytest.raises(ValueError):
         opt.step({"w": np.ones(2, np.float32)})
 

@@ -163,8 +163,7 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     from lidarmoe.geometry import project_labels
     from lidarmoe.sensors import SensorModel
     # seed picked so no relu/max kink sits within eps of a crossing
-    cfg = replace(tiny_config, seed=7, embed_dim=4, centroid_count=5, knn_k=3,
-                  num_classes=4)
+    cfg = replace(tiny_config, seed=7, embed_dim=4, centroid_count=5, knn_k=3)
     data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
     sensor = SensorModel(beam_count=4, azimuth_steps=8, fov_total=0.7,
                          fov_down=0.45, max_range=60.0, range_h=4, range_w=8)
@@ -211,11 +210,13 @@ def test_stage3_refuses_unlabeled_dataset(tiny_config, tmp_path):
         stage3_sms(cfg, {}, tmp_path / "out")
 
 
-def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_path):
+def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_path,
+                                                            monkeypatch):
     # overwrite one train camera with an all-sky render: no superpoints
     import shutil
     from lidarmoe.datagen import ClassImage
     from lidarmoe.dataio import write_camera_npz
+    from lidarmoe.optim import AdamW
     src = tiny_config.dataset
     dst = tmp_path / "sky"
     shutil.copytree(src, dst)
@@ -225,10 +226,20 @@ def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_pat
     sky = ClassImage(np.full((h, w), -1, np.int32), np.full((h, w), np.inf))
     write_camera_npz(dst / "cams" / "train_000.npz", sky,
                      np.zeros((h, w), np.int32))
-    cfg = replace(tiny_config, dataset=str(dst), epochs=1)
+    schedules = []
+    original = AdamW.step
+
+    def recording_step(self, grads):
+        schedules.append(self.total_steps)
+        return original(self, grads)
+
+    monkeypatch.setattr(AdamW, "step", recording_step)
+    cfg = replace(tiny_config, dataset=str(dst), epochs=2)
     results = stage1_pretrain(cfg, tmp_path / "out", representations=("voxel",))
     assert results["voxel"]["skipped"] == 1
     assert np.isfinite(results["voxel"]["epoch_losses"][0])
+    # one usable scan: the schedule spans the epochs x 1 steps taken
+    assert schedules == [cfg.epochs] * cfg.epochs
 
 
 def test_sms_honors_annotation_fraction(tiny_config, tmp_path):
@@ -253,23 +264,42 @@ def test_sms_honors_annotation_fraction(tiny_config, tmp_path):
 
 
 def test_stage3_honors_batch_size(small_dataset, monkeypatch, tmp_path):
-    from lidarmoe.optim import AdamW
-    steps = {}
-    original = AdamW.step
+    from lidarmoe import optim
+    schedules, lrs, evaluations = {}, [], []
+    original_step, original_lr = optim.AdamW.step, optim.one_cycle_lr
+    original_evaluate = ad.evaluate
 
     def counting_step(self, grads):
-        steps[id(self)] = steps.get(id(self), 0) + 1
-        return original(self, grads)
+        schedules.setdefault(id(self), []).append(self.total_steps)
+        return original_step(self, grads)
 
-    monkeypatch.setattr(AdamW, "step", counting_step)
+    def recording_lr(step, total_steps, peak):
+        lr = original_lr(step, total_steps, peak)
+        lrs.append((step, peak, lr))
+        return lr
+
+    def counting_evaluate(*args, **kwargs):
+        evaluations.append(1)
+        return original_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(optim.AdamW, "step", counting_step)
+    monkeypatch.setattr(optim, "one_cycle_lr", recording_lr)
+    monkeypatch.setattr(ad, "evaluate", counting_evaluate)
     cfg = RunConfig(dataset=str(small_dataset), seed=1, embed_dim=8,
                     centroid_count=8, knn_k=4, sms_epochs=2, batch_size=2)
     data = load_dataset(cfg.dataset)
     labeled = sum(1 for s in data.train if np.any(s.cloud.label >= 0))
     assert labeled == 3
-    stage3_sms(cfg, {}, tmp_path)
-    # backbone and head/gate optimizers, each stepping once per batch
-    assert sorted(steps.values()) == [cfg.sms_epochs * 2] * 2
+    result = stage3_sms(cfg, {}, tmp_path)
+    # one optimizer steps once per batch, over a schedule of exactly those steps
+    steps = cfg.sms_epochs * 2
+    assert list(schedules.values()) == [[steps] * steps]
+    last = {(peak, lr) for step, peak, lr in lrs if step == steps - 1}
+    assert {peak for peak, _ in last} == {cfg.lr_sms_backbone, cfg.lr_sms_other}
+    assert all(lr == pytest.approx(peak / 100) for peak, lr in last)
+    # validation once per epoch, one forward per val scan, and no more
+    assert len(evaluations) == cfg.sms_epochs * len(data.val)
+    assert result["val_miou"] == result["val_history"][-1]
 
 
 def test_linear_probe_freezes_backbone(tiny_config, tmp_path):
@@ -308,5 +338,7 @@ def test_run_config_roundtrip_and_digest():
 def test_run_config_validation():
     with pytest.raises(PipelineError):
         RunConfig(student="mesh")
+    with pytest.raises(PipelineError):
+        RunConfig(temperature=0.0)
     with pytest.raises(PipelineError):
         RunConfig(batch_size=0)
