@@ -299,17 +299,32 @@ def transpose(a):
                 lambda g: (np.ascontiguousarray(g.T),))
 
 
+def scatter_add_rows(idx, values, num_rows):
+    """float64 sums of the rows of ``values`` into ``num_rows`` rows by
+    non-negative target row ``idx``.
+
+    ``np.bincount`` adds in input order, so each sum is bit for bit the
+    one a row-by-row scatter-add gives.
+    """
+    values = np.asarray(values)
+    tail = values.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    flat = (np.asarray(idx, np.int64)[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
+    # bincount returns int64 for empty weights
+    return sums.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+
 def gather_rows(a, idx):
-    """Select rows by integer index; gradients scatter-add back."""
+    """Select rows by non-negative integer index; gradients scatter-add
+    back."""
     a = as_var(a)
     idx = np.asarray(idx, dtype=np.int64)
     data = a.data[idx]
-    shape = a.data.shape
+    n = a.data.shape[0]
 
     def bwd(g):
-        full = np.zeros(shape, dtype=np.float64)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (scatter_add_rows(idx, g, n),)
 
     return _out(data, (a,), bwd)
 
@@ -338,8 +353,7 @@ def segment_mean(a, seg, num_segments):
     if seg.shape != (n,):
         raise ShapeError("segment ids must be one per row")
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    sums = np.zeros((num_segments, d), dtype=np.float64)
-    np.add.at(sums, seg, a.data.astype(np.float64))
+    sums = scatter_add_rows(seg, a.data, num_segments)
     safe = np.maximum(counts, 1.0)
     data = (sums / safe[:, None]).astype(a.data.dtype)
 
@@ -371,9 +385,9 @@ def segment_max(a, seg, num_segments):
     np.minimum.at(winners, seg, np.where(hit, rows, n))
 
     def bwd(g):
+        # each column's winners are distinct rows, so no target repeats
         full = np.zeros((n, d), dtype=np.float64)
-        cols = np.broadcast_to(np.arange(d), winners.shape)
-        np.add.at(full, (winners.ravel(), cols.ravel()), g.ravel())
+        full[winners, np.arange(d)] = g
         return (full,)
 
     return _out(data, (a,), bwd)

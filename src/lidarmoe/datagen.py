@@ -111,6 +111,11 @@ class SceneConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("scene config must be a JSON object")
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ConfigError(f"unknown scene config key(s): {', '.join(unknown)}")
         kw = dict(doc)
         for key in ("x_bounds", "y_bounds"):
             if key in kw:

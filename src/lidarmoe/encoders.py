@@ -5,10 +5,13 @@ Three small encoders preserve each representation's inductive bias:
 * range: two 3x3 convolutions (5 -> 32 -> 32) over the projection grid,
   then a per-cell linear head;
 * voxel: pointwise MLP (4 -> 32), one mean aggregation over 6-connected
-  existing voxels (self included), MLP (32 -> 32), linear head;
+  existing voxels (self included), MLP (32 -> 32), linear head; voxel ids
+  follow the lexicographic order of the voxel coordinates;
 * point: farthest-point-sampled centroids, k-nearest-neighbor groups,
   shared pointwise MLP (4 -> 32) max-pooled per group, and a per-point
-  head over (own feature || nearest centroid feature).
+  head over (own feature || nearest centroid feature). A group lists its
+  k points by ascending distance to the centroid, ties to the smaller
+  point id.
 
 The teacher maps a rendered class image to per-superpixel embeddings via
 a frozen random class embedding plus a sinusoidal positional code; it is
@@ -24,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError
 from .datagen import ClassImage
-from .geometry import VoxelGrid
+from .geometry import VoxelGrid, lexicographic_keys
 from .params import ParameterStore, add_linear, glorot_uniform
 from .pointcloud import PointCloud
 
@@ -100,22 +103,24 @@ def build_range_embed(ctx, image_input: str, prefix="range", head="head"):
 # voxel encoder
 # ---------------------------------------------------------------------------
 
+_NEIGHBOR_OFFSETS = np.array([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                              (0, -1, 0), (0, 0, 1), (0, 0, -1)], np.int64)
+
+
 def voxel_neighbor_pairs(grid: VoxelGrid):
     """(src, dst) voxel-id pairs for the 6-connected existing neighbors of
     every voxel, self included, sorted by (dst, src)."""
-    coords = grid.coords
-    lookup = {tuple(c): i for i, c in enumerate(coords.tolist())}
-    src, dst = [], []
-    offsets = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-               (0, 0, 1), (0, 0, -1)]
-    for i, c in enumerate(coords.tolist()):
-        for off in offsets:
-            j = lookup.get((c[0] + off[0], c[1] + off[1], c[2] + off[2]))
-            if j is not None:
-                dst.append(i)
-                src.append(j)
-    order = np.lexsort((np.asarray(src), np.asarray(dst)))
-    return (np.asarray(src, np.int64)[order], np.asarray(dst, np.int64)[order])
+    if grid.count == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    # grid.coords are in lexicographic order, so their keys are sorted
+    keys, steps = lexicographic_keys(grid.coords, pad=1)
+    dst = np.tile(np.arange(grid.count, dtype=np.int64), len(_NEIGHBOR_OFFSETS))
+    wanted = (keys[None, :] + (_NEIGHBOR_OFFSETS @ np.array(steps))[:, None]).ravel()
+    src = np.minimum(np.searchsorted(keys, wanted), grid.count - 1)
+    hit = keys[src] == wanted
+    src, dst = src[hit].astype(np.int64), dst[hit]
+    order = np.lexsort((src, dst))
+    return src[order], dst[order]
 
 
 def build_voxel_trunk(ctx, feat_input: str, pairs_input: str, prefix="voxel"):
@@ -138,20 +143,37 @@ def build_voxel_embed(ctx, feat_input, pairs_input, prefix="voxel", head="head")
 # point encoder
 # ---------------------------------------------------------------------------
 
+def _fps_sq_dist(xyz: np.ndarray, count: int):
+    """Greedy farthest-point centroid ids, starting from point 0 (distance
+    ties resolve to the smallest id), plus the (count, N) float64 squared
+    distances from each centroid to every point."""
+    n = xyz.shape[0]
+    count = min(count, n)
+    if count < 1:
+        raise ShapeError("need at least one point and one centroid")
+    x, y, z = (xyz[:, j].astype(np.float64) for j in range(3))
+    chosen = np.zeros(count, np.int64)
+    d2 = np.empty((count, n), np.float64)
+    dist = None
+    for i in range(count):
+        if i:
+            chosen[i] = int(np.argmax(dist))
+        c = chosen[i]
+        dx, dy, dz = x - x[c], y - y[c], z - z[c]
+        row = d2[i]
+        np.multiply(dx, dx, out=row)
+        row += dy * dy
+        row += dz * dz
+        # the running minimum compares Euclidean distances, as sqrt can
+        # merge nearly equal squared distances into one tie
+        dist = np.sqrt(row) if dist is None else np.minimum(dist, np.sqrt(row))
+    return chosen, d2
+
+
 def farthest_point_sample(xyz: np.ndarray, count: int) -> np.ndarray:
     """Greedy farthest-point centroid ids, starting from point 0; distance
     ties resolve to the smallest id."""
-    n = xyz.shape[0]
-    count = min(count, n)
-    xyz = xyz.astype(np.float64)
-    chosen = np.empty(count, np.int64)
-    chosen[0] = 0
-    dist = np.linalg.norm(xyz - xyz[0], axis=1)
-    for i in range(1, count):
-        nxt = int(np.argmax(dist))
-        chosen[i] = nxt
-        dist = np.minimum(dist, np.linalg.norm(xyz - xyz[nxt], axis=1))
-    return chosen
+    return _fps_sq_dist(xyz, count)[0]
 
 
 @dataclass(frozen=True)
@@ -170,21 +192,26 @@ class PointGrouping:
 
 
 def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGrouping:
+    """FPS centroids, each centroid's k nearest points in ascending squared
+    distance (ties to the smaller point id), and each point's nearest
+    centroid (ties to the earlier centroid)."""
     if cloud.count < 1 or k < 1:
         raise ShapeError("need at least one point and k >= 1")
-    xyz = cloud.xyz.astype(np.float64)
-    centroids = farthest_point_sample(xyz, centroid_count)
-    d2 = ((xyz[centroids][:, None, :] - xyz[None, :, :]) ** 2).sum(axis=2)
-    k_eff = min(k, cloud.count)
-    member_rows, member_group = [], []
-    for g in range(centroids.shape[0]):
-        nn = np.argsort(d2[g], kind="stable")[:k_eff]
-        member_rows.append(nn)
-        member_group.append(np.full(k_eff, g, np.int64))
+    centroids, d2 = _fps_sq_dist(cloud.xyz, centroid_count)
+    count, k_eff = centroids.shape[0], min(k, cloud.count)
+    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()
+    # every row has >= k_eff candidates at or below its k-th distance;
+    # ordering them by (row, distance, point id) puts each row's k nearest
+    # first
+    rows, cols = np.nonzero(d2 <= kth[:, None])
+    order = np.lexsort((cols, d2[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    starts = np.searchsorted(rows, np.arange(count))
+    first_k = (starts[:, None] + np.arange(k_eff)).ravel()
     nearest = np.argmin(d2, axis=0).astype(np.int64)
     return PointGrouping(centroids,
-                         np.concatenate(member_rows),
-                         np.concatenate(member_group),
+                         cols[first_k].astype(np.int64),
+                         np.repeat(np.arange(count, dtype=np.int64), k_eff),
                          nearest)
 
 
@@ -259,8 +286,7 @@ def teacher_features(class_image: ClassImage, params: ParameterStore,
 
     sp = superpixel_map.ravel().astype(np.int64)
     s = int(sp.max()) + 1 if sp.size else 0
-    out = np.zeros((s, pix.shape[1]), np.float64)
-    np.add.at(out, sp, pix)
+    out = ad.scatter_add_rows(sp, pix, s)
     counts = np.bincount(sp, minlength=s).astype(np.float64)
     if s:
         out /= np.maximum(counts, 1.0)[:, None]

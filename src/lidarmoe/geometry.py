@@ -121,17 +121,48 @@ class VoxelGrid:
         return self.coords.shape[0]
 
 
+def lexicographic_keys(coords: np.ndarray, pad: int = 0):
+    """One int64 key per integer (x, y, z) row, ordered as the rows are
+    lexicographically, plus the key step of each axis.
+
+    Every axis spans the rows' range widened by ``pad`` cells on each side,
+    so a row moved by up to ``pad`` cells per axis keeps a distinct key.
+    ``coords`` must be non-empty. Raises ContractError when the keys would
+    not fit in int64.
+    """
+    lo = [int(v) - pad for v in coords.min(axis=0)]
+    hi = [int(v) + pad for v in coords.max(axis=0)]
+    span = [b - a + 1 for a, b in zip(lo, hi)]
+    limit = np.iinfo(np.int64)
+    if min(lo) < limit.min or max(hi) > limit.max or span[0] * span[1] * span[2] > limit.max:
+        raise ContractError("voxel coordinate range too large for int64 keys")
+    steps = (span[1] * span[2], span[2], 1)
+    keys = ((coords[:, 0] - lo[0]) * steps[0] + (coords[:, 1] - lo[1]) * steps[1]
+            + (coords[:, 2] - lo[2]))
+    return keys, steps
+
+
 def voxelize(cloud: PointCloud, sizes) -> VoxelGrid:
     sx, sy, sz = sizes
     if sx <= 0 or sy <= 0 or sz <= 0:
         raise ContractError("voxel sizes must be positive")
     xyz = cloud.xyz.astype(np.float64)
     idx = np.floor(xyz / np.array([sx, sy, sz])).astype(np.int64)
-    coords, inverse = np.unique(idx, axis=0, return_inverse=True)
-    inverse = inverse.astype(np.int64).reshape(-1)
-    m = coords.shape[0]
-    feats = np.zeros((m, 4), np.float64)
-    np.add.at(feats, inverse, np.concatenate([xyz, cloud.intensity[:, None].astype(np.float64)], axis=1))
+    if cloud.count:
+        # unique keys sort like the coordinate rows, so voxel ids follow
+        # the lexicographic order of their coordinates
+        keys, _ = lexicographic_keys(idx)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        m = uniq.shape[0]
+    else:
+        inverse, m = np.zeros(0, np.int64), 0
+    inverse = inverse.astype(np.int64)
+    coords = np.empty((m, 3), np.int64)
+    coords[inverse] = idx
+    # per-voxel sums accumulate in point order, as a sequential scatter-add
+    cols = [xyz[:, 0], xyz[:, 1], xyz[:, 2], cloud.intensity]
+    feats = np.stack([np.bincount(inverse, weights=c, minlength=m) for c in cols],
+                     axis=1).astype(np.float64, copy=False)
     counts = np.bincount(inverse, minlength=m).astype(np.float64)
     if m:
         feats /= counts[:, None]
@@ -225,8 +256,9 @@ def project_labels(cloud: PointCloud, target) -> np.ndarray:
         valid = lab >= 0
         if np.any(valid):
             num_classes = int(lab[valid].max()) + 1
-            votes = np.zeros((m, num_classes), np.int64)
-            np.add.at(votes, (target.point_voxel[valid], lab[valid]), 1)
+            votes = np.bincount(
+                target.point_voxel[valid] * num_classes + lab[valid],
+                minlength=m * num_classes).reshape(m, num_classes)
             has_vote = votes.sum(axis=1) > 0
             out[has_vote] = votes[has_vote].argmax(axis=1)
         return out.astype(np.int32)

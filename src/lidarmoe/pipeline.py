@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +54,19 @@ class PipelineError(ValueError):
     """Invalid pipeline configuration or dataset."""
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# accepted values per RunConfig field annotation
+_FIELD_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Run settings shared by the stage commands; JSON keys match fields."""
@@ -82,8 +95,23 @@ class RunConfig:
     sms_epochs: int = 30
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise PipelineError("epochs must be >= 0 and batch_size >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "voxel_size":
+                ok = (isinstance(value, tuple) and len(value) == 3
+                      and all(_is_number(v) and v > 0 for v in value))
+                what = "three positive numbers"
+            else:
+                ok, what = _FIELD_TYPES[f.type](value), f.type
+            if not ok:
+                raise PipelineError(f"run config {f.name} must be {what}, "
+                                    f"got {value!r}")
+        for name in ("epochs", "probe_epochs", "sms_epochs"):
+            if getattr(self, name) < 0:
+                raise PipelineError(f"{name} must be >= 0")
+        for name in ("batch_size", "embed_dim", "centroid_count", "knn_k"):
+            if getattr(self, name) < 1:
+                raise PipelineError(f"{name} must be >= 1")
         if self.student not in REPRESENTATIONS:
             raise PipelineError(f"unknown student representation: {self.student}")
         if self.student_init not in ("stage1", "random"):
@@ -101,13 +129,18 @@ class RunConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
         kw = dict(doc)
-        if "voxel_size" in kw:
+        if isinstance(kw.get("voxel_size"), list):
             kw["voxel_size"] = tuple(kw["voxel_size"])
         return cls(**kw)
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True).encode("utf-8")
+        """Hash of every setting except where the dataset sits, so the same
+        run on the same data gives the same checkpoints at any path."""
+        doc = self.to_json()
+        del doc["dataset"]
+        blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
+
 
 
 def _step_seed(*parts) -> int:

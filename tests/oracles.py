@@ -101,3 +101,81 @@ def group_mean(features, partition):
         if rows:
             out[g] = feats[rows].mean(axis=0)
     return out
+
+
+# -- reference view geometry and scatter-add ----------------------------------
+# The loop/dict/np.add.at forms the whole-array implementations in
+# ``encoders``, ``geometry`` and ``autodiff`` replaced; the new code must
+# return the same dtypes, shapes and values.
+
+def farthest_point_sample_loop(xyz, count):
+    """Greedy FPS from point 0 with ``np.linalg.norm`` distances."""
+    n = xyz.shape[0]
+    count = min(count, n)
+    xyz = xyz.astype(np.float64)
+    chosen = np.empty(count, np.int64)
+    chosen[0] = 0
+    dist = np.linalg.norm(xyz - xyz[0], axis=1)
+    for i in range(1, count):
+        nxt = int(np.argmax(dist))
+        chosen[i] = nxt
+        dist = np.minimum(dist, np.linalg.norm(xyz - xyz[nxt], axis=1))
+    return chosen
+
+
+def point_grouping_loop(xyz, centroid_count, k):
+    """(centroid_ids, member_rows, member_group, nearest_centroid) with one
+    stable argsort of the squared distances per centroid."""
+    xyz = np.asarray(xyz).astype(np.float64)
+    centroids = farthest_point_sample_loop(xyz, centroid_count)
+    d2 = ((xyz[centroids][:, None, :] - xyz[None, :, :]) ** 2).sum(axis=2)
+    k_eff = min(k, xyz.shape[0])
+    member_rows, member_group = [], []
+    for g in range(centroids.shape[0]):
+        member_rows.append(np.argsort(d2[g], kind="stable")[:k_eff])
+        member_group.append(np.full(k_eff, g, np.int64))
+    nearest = np.argmin(d2, axis=0).astype(np.int64)
+    return (centroids, np.concatenate(member_rows),
+            np.concatenate(member_group), nearest)
+
+
+def voxelize_unique_rows(xyz, intensity, sizes):
+    """(coords, point_voxel, features) via ``np.unique(axis=0)`` and
+    ``np.add.at``."""
+    xyz = np.asarray(xyz).astype(np.float64)
+    idx = np.floor(xyz / np.array(sizes, np.float64)).astype(np.int64)
+    coords, inverse = np.unique(idx, axis=0, return_inverse=True)
+    inverse = inverse.astype(np.int64).reshape(-1)
+    m = coords.shape[0]
+    feats = np.zeros((m, 4), np.float64)
+    np.add.at(feats, inverse, np.concatenate(
+        [xyz, np.asarray(intensity)[:, None].astype(np.float64)], axis=1))
+    counts = np.bincount(inverse, minlength=m).astype(np.float64)
+    if m:
+        feats /= counts[:, None]
+    return coords, inverse, feats
+
+
+def voxel_neighbor_pairs_dict(coords):
+    """(src, dst) 6-connected pairs (self included) by dict lookup, sorted
+    by (dst, src)."""
+    lookup = {tuple(c): i for i, c in enumerate(np.asarray(coords).tolist())}
+    src, dst = [], []
+    offsets = [(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+               (0, 0, 1), (0, 0, -1)]
+    for i, c in enumerate(np.asarray(coords).tolist()):
+        for off in offsets:
+            j = lookup.get((c[0] + off[0], c[1] + off[1], c[2] + off[2]))
+            if j is not None:
+                dst.append(i)
+                src.append(j)
+    order = np.lexsort((np.asarray(src), np.asarray(dst)))
+    return (np.asarray(src, np.int64)[order], np.asarray(dst, np.int64)[order])
+
+
+def scatter_add_rows_at(idx, values, num_rows):
+    """float64 (num_rows, ...) row sums by ``np.add.at``."""
+    values = np.asarray(values)
+    out = np.zeros((num_rows,) + values.shape[1:], np.float64)
+    np.add.at(out, np.asarray(idx, np.int64), values)
+    return out

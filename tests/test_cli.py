@@ -228,6 +228,20 @@ def test_nonpositive_temperature_exit_2(tmp_path, tiny_dataset, capsys):
     assert "temperature must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("epochs", "3"), ("centroid_count", 0)])
+def test_bad_run_config_value_exit_2(tmp_path, tiny_dataset, capsys, key, value):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"dataset": str(tiny_dataset), "epochs": 1, key: value})
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_datagen_unknown_scene_key_exit_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"scene": {"primitives": []}})
+    assert main(["datagen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown scene config key(s): primitives" in capsys.readouterr().err
+
+
 def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,
                                                          monkeypatch):
     from lidarmoe import autodiff as ad

@@ -333,6 +333,7 @@ def test_run_config_roundtrip_and_digest():
     assert again == cfg
     assert cfg.digest() == again.digest()
     assert cfg.digest() != replace(cfg, seed=4).digest()
+    assert replace(cfg, dataset="a").digest() == replace(cfg, dataset="b").digest()
 
 
 def test_run_config_validation():
@@ -342,3 +343,25 @@ def test_run_config_validation():
         RunConfig(temperature=0.0)
     with pytest.raises(PipelineError):
         RunConfig(batch_size=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "3"), ("epochs", 2.0), ("epochs", True), ("seed", None),
+    ("knn_k", 1.5), ("lr_cml", "0.1"), ("lr_cml", True), ("lr_cml", float("nan")),
+    ("temperature", float("inf")), ("augment", 1), ("sms_augment", "yes"),
+    ("dataset", 3), ("student", ["voxel"]), ("voxel_size", (1.0, 1.0)),
+    ("voxel_size", (1.0, 0.0, 1.0)), ("voxel_size", (1.0, "1", 1.0)),
+    ("voxel_size", [1.0, 1.0, 1.0]), ("voxel_size", 1.5),
+    ("centroid_count", 0), ("knn_k", 0), ("embed_dim", 0),
+    ("probe_epochs", -1), ("sms_epochs", -1), ("epochs", -1),
+])
+def test_run_config_rejects_bad_field_naming_it(field, value):
+    with pytest.raises(PipelineError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_accepts_ints_for_floats_and_json_voxel_lists():
+    cfg = RunConfig.from_json({"lr_cml": 1, "temperature": 1, "voxel_size": [2, 2, 2]})
+    assert cfg.voxel_size == (2, 2, 2) and cfg.lr_cml == 1
+    with pytest.raises(PipelineError, match="voxel_size"):
+        RunConfig.from_json({"voxel_size": 5})
