@@ -131,11 +131,10 @@ def _color(value: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def scatter_svg(path, xy: np.ndarray, values: np.ndarray, size=640,
-                title="") -> None:
-    """Top-down scatter of points colored by a value in [-1, 1]."""
+def scatter_svg(path, xy: np.ndarray, values: np.ndarray, title="") -> None:
+    """Top-down square scatter of points colored by a value in [-1, 1]."""
     xy = np.asarray(xy, np.float64)
-    pad = 24
+    size, pad = 640, 24
     lo = xy.min(axis=0) if xy.size else np.zeros(2)
     hi = xy.max(axis=0) if xy.size else np.ones(2)
     span = np.maximum(hi - lo, 1e-9)
@@ -157,11 +156,10 @@ _EXPERT_COLORS = ("#2ca02c", "#d62728", "#1f77b4")
 _EXPERT_NAMES = ("range", "voxel", "point")
 
 
-def route_bars_svg(path, table: RouteTable, width=720, height=360,
-                   title="") -> None:
+def route_bars_svg(path, table: RouteTable, title="") -> None:
     """Stacked per-bucket expert-load bars."""
     n = max(len(table.buckets), 1)
-    pad = 40
+    width, height, pad = 720, 360, 40
     bar_w = (width - 2 * pad) / n
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="#ffffff"/>']

@@ -22,7 +22,7 @@ from .analysis import (AnalysisError, cosine_map, route_stats, route_bars_svg,
 from .autodiff import NonFiniteError, ShapeError
 from .datagen import corrupt as corrupt_cloud
 from .dataio import (DataFormatError, DatasetManifest, ScanEntry, load_manifest,
-                     read_lpcd, resolve, save_manifest, write_lpcd)
+                     read_lpcd, resolve, save_manifest, write_json, write_lpcd)
 from .geometry import ContractError
 from .losses import LossContractError
 from .metrics import MetricError, MetricReport, compute_mce_mrr, compute_miou
@@ -30,8 +30,7 @@ from .moe import read_gate_csv
 from .params import CheckpointError, load_checkpoint
 from .pipeline import (PipelineError, RunConfig, embed_cloud, evaluate_store,
                        generate_dataset, linear_probe, load_dataset,
-                       probe_random_baseline, stage1_pretrain, stage2_cml,
-                       stage3_sms)
+                       stage1_pretrain, stage2_cml, stage3_sms)
 from .sensors import ConfigError
 
 USAGE_ERROR = 1
@@ -87,12 +86,6 @@ def _run_config(doc: dict, args) -> RunConfig:
     return cfg
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_metric_csv(path, report: MetricReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("class,tp,fp,fn,iou\n")
@@ -117,8 +110,8 @@ def _cmd_datagen(args):
     out = _out_dir(args)
     generate_dataset(doc, out, args.seed if args.seed is not None else 0)
     manifest = load_manifest(out / "manifest.json")
-    _write_json(out / "datagen_summary.json",
-                {"train_scans": len(manifest.train), "val_scans": len(manifest.val)})
+    write_json(out / "datagen_summary.json",
+               {"train_scans": len(manifest.train), "val_scans": len(manifest.val)})
     return 0
 
 
@@ -127,7 +120,7 @@ def _cmd_pretrain(args):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     results = stage1_pretrain(cfg, out)
-    _write_json(out / "stage1_results.json", results)
+    write_json(out / "stage1_results.json", results)
     return 0
 
 
@@ -143,7 +136,7 @@ def _cmd_cml(args):
     else:
         raise PipelineError("cml config needs expert_ckpts or stage1_dir")
     results = stage2_cml(cfg, ckpts, out)
-    _write_json(out / "cml_results.json", results)
+    write_json(out / "cml_results.json", results)
     return 0
 
 
@@ -153,7 +146,7 @@ def _cmd_sms(args):
     out = _out_dir(args)
     init = doc.get("init", {})
     results = stage3_sms(cfg, init, out)
-    _write_json(out / "sms_results.json", results)
+    write_json(out / "sms_results.json", results)
     return 0
 
 
@@ -161,17 +154,14 @@ def _cmd_probe(args):
     doc = _load_config(args)
     cfg = _run_config(doc, args)
     out = _out_dir(args)
-    if "checkpoint" in doc:
-        result = linear_probe(cfg, doc["checkpoint"], out,
-                              representation=doc.get("representation"))
-    elif doc.get("random_baseline"):
-        result = probe_random_baseline(cfg, doc.get("representation", cfg.student), out)
-    else:
+    if "checkpoint" not in doc and not doc.get("random_baseline"):
         raise PipelineError("probe config needs checkpoint or random_baseline")
+    result = linear_probe(cfg, out, checkpoint=doc.get("checkpoint"),
+                          representation=doc.get("representation"))
     _write_metric_csv(out / "probe_metrics.csv", result["report"])
-    _write_json(out / "probe_summary.json",
-                {"miou": result["report"].miou,
-                 "backbone_intact": bool(result["backbone_intact"])})
+    write_json(out / "probe_summary.json",
+               {"miou": result["report"].miou,
+                "backbone_intact": bool(result["backbone_intact"])})
     return 0
 
 
@@ -195,14 +185,14 @@ def _cmd_eval(args):
         preds, labels = _read_pairs_csv(doc["pairs_csv"])
         report = compute_miou(preds, labels, int(doc.get("num_classes", 6)))
         _write_metric_csv(out / "metrics.csv", report)
-        _write_json(out / "eval_summary.json", {"miou": report.miou})
+        write_json(out / "eval_summary.json", {"miou": report.miou})
         return 0
     cfg = _run_config(doc, args)
     if "checkpoint" not in doc:
         raise PipelineError("eval config needs checkpoint or pairs_csv")
     split = doc.get("split", "val")
     store, _ = load_checkpoint(doc["checkpoint"])
-    data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
+    data = load_dataset(cfg.dataset)
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
         _write_metric_csv(out / f"metrics_{name}.csv", report)
@@ -211,8 +201,8 @@ def _cmd_eval(args):
         for scan, preds in zip(data.scans(split), fused):
             for i, (p, l) in enumerate(zip(preds.tolist(), scan.cloud.label.tolist())):
                 fh.write(f"{scan.name},{i},{p},{l}\n")
-    _write_json(out / "eval_summary.json",
-                {name: report.miou for name, report in reports.items()})
+    write_json(out / "eval_summary.json",
+               {name: report.miou for name, report in reports.items()})
     return 0
 
 
@@ -238,8 +228,8 @@ def _cmd_corrupt(args):
     (new_manifest.val if split == "val" else new_manifest.train).extend(new_entries)
     save_manifest(out / "manifest.json", new_manifest)
     shutil.copy(dataset / "sensors.json", out / "sensors.json")
-    _write_json(out / "corrupt_summary.json",
-                {"kind": kind, "severity": severity, "scans": len(new_entries)})
+    write_json(out / "corrupt_summary.json",
+               {"kind": kind, "severity": severity, "scans": len(new_entries)})
     return 0
 
 
@@ -256,7 +246,7 @@ def _cmd_route_stats(args):
     write_route_csv(out / f"route_{axis}.csv", table)
     route_bars_svg(out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
     load = table.global_load()
-    _write_json(out / "route_summary.json", {
+    write_json(out / "route_summary.json", {
         "axis": axis,
         "global_load": load.tolist(),
         "non_degenerate": bool(np.all(load >= 0.05)),
@@ -277,15 +267,15 @@ def _cmd_cosine_map(args):
         rep = doc.get("representation") or meta.get("student")
         if cloud is None:
             raise PipelineError("cosine-map from a checkpoint needs a cloud")
-        data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
-        feats = embed_cloud(store, cfg, data.sensor, cloud, rep, rep)
+        data = load_dataset(cfg.dataset)
+        feats = embed_cloud(store, cfg, data.sensor, cloud, rep)
     sims, degenerate = cosine_map(feats, query)
     write_cosine_csv(out / "cosine_map.csv", sims, degenerate)
     if cloud is not None:
         scatter_svg(out / "cosine_map.svg", cloud.xyz[:, :2], sims,
                     title=f"cosine similarity vs point {query}")
-    _write_json(out / "cosine_summary.json",
-                {"query_id": query, "zero_norm_rows": int(degenerate.sum())})
+    write_json(out / "cosine_summary.json",
+               {"query_id": query, "zero_norm_rows": int(degenerate.sum())})
     return 0
 
 
@@ -298,7 +288,7 @@ def _cmd_report(args):
         fh.write("corruption,ce,rr\n")
         for name in sorted(per):
             fh.write(f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n")
-    _write_json(out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
+    write_json(out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
     return 0
 
 

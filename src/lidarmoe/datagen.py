@@ -1,9 +1,9 @@
 """Synthetic scene construction, LiDAR/camera ray casting, augmentation,
 and corruption generators.
 
-Scenes are compositions of four primitive kinds on a fixed 6-class palette:
+Scenes are compositions of three primitive kinds on a fixed 6-class palette:
 ground plane (0), vehicle box (1), pedestrian cylinder (2), pole cylinder
-(3), building wall (4), barrier wall (5). All generators are pure functions
+(3), building box (4), barrier box (5). All generators are pure functions
 of their inputs and an integer seed.
 """
 
@@ -35,16 +35,16 @@ INTENSITY_BASE = {
 }
 
 _RAY_EPS = 1e-9
-PRIMITIVE_KINDS = ("ground-plane", "box", "vertical-cylinder", "wall")
+PRIMITIVE_KINDS = ("ground-plane", "box", "vertical-cylinder")
 
 
 @dataclass(frozen=True)
 class Primitive:
     """One scene element.
 
-    pose: (x, y, z, yaw) center and heading for boxes/walls; (x, y, z_base)
+    pose: (x, y, z, yaw) center and heading for boxes; (x, y, z_base)
     center-bottom for cylinders; (x, y, z_surface) for the ground plane.
-    extents: half-extents (hx, hy, hz) for boxes/walls and the ground
+    extents: half-extents (hx, hy, hz) for boxes and the ground
     rectangle (hz unused for ground); (radius, height) for cylinders.
     """
 
@@ -58,23 +58,18 @@ class Primitive:
             raise ConfigError(f"unknown primitive kind: {self.kind}")
         if any(e <= 0 for e in self.extents[:2]):
             raise ConfigError("extents must be strictly positive")
-        if self.class_id < 0:
-            raise ConfigError("class_id must be >= 0")
+        if not 0 <= self.class_id < NUM_CLASSES:
+            raise ConfigError(f"class_id must be in [0, {NUM_CLASSES})")
 
 
 @dataclass(frozen=True)
 class Scene:
     primitives: tuple
-    seed: int
-    num_classes: int = NUM_CLASSES
 
     def __post_init__(self):
         grounds = [p for p in self.primitives if p.kind == "ground-plane"]
         if len(grounds) != 1:
             raise ConfigError("scene must contain exactly one ground plane")
-        for p in self.primitives:
-            if p.class_id >= self.num_classes:
-                raise ConfigError("primitive class_id out of range")
 
 
 @dataclass(frozen=True)
@@ -158,15 +153,15 @@ def build_scene(config: SceneConfig, seed: int) -> Scene:
         hx = float(rng.uniform(3.0, 6.0))
         hy = float(rng.uniform(0.3, 0.6))
         hz = float(rng.uniform(2.5, 4.0))
-        prims.append(Primitive("wall", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_BUILDING))
+        prims.append(Primitive("box", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_BUILDING))
     for _ in range(config.n_barriers):
         x, y = draw_xy()
         yaw = float(rng.uniform(-np.pi, np.pi))
         hx = float(rng.uniform(1.5, 3.0))
         hy = float(rng.uniform(0.15, 0.3))
         hz = float(rng.uniform(0.4, 0.6))
-        prims.append(Primitive("wall", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_BARRIER))
-    return Scene(primitives=tuple(prims), seed=seed)
+        prims.append(Primitive("box", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_BARRIER))
+    return Scene(primitives=tuple(prims))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +248,6 @@ _INTERSECTORS = {
     "ground-plane": _ray_plane_rect,
     "box": _ray_obb,
     "vertical-cylinder": _ray_cylinder,
-    "wall": _ray_obb,
 }
 
 
@@ -312,14 +306,6 @@ class ClassImage:
 
     class_id: np.ndarray
     depth: np.ndarray
-
-    @property
-    def height(self):
-        return self.class_id.shape[0]
-
-    @property
-    def width(self):
-        return self.class_id.shape[1]
 
 
 def _tile_superpixels(class_map: np.ndarray, tile: int) -> np.ndarray:

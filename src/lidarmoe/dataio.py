@@ -5,11 +5,13 @@ of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
 little-endian. Camera renders are stored as .npz with arrays ``class_id``
 (H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
 A dataset manifest is a JSON document listing per-split scan/camera pairs.
+JSON documents and checkpoints are written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +29,27 @@ _RECORD = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
 
 class DataFormatError(ValueError):
     """Corrupt or mismatched dataset file."""
+
+
+def atomic_write(path, write) -> None:
+    """Call ``write(fh)`` on a binary file beside ``path``, then rename it
+    over ``path``, so an interrupted write never leaves a partial file at
+    ``path``."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """Indented, key-sorted JSON plus a final newline, written atomically."""
+    blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    atomic_write(path, lambda fh: fh.write(blob))
 
 
 def write_lpcd(path, cloud: PointCloud) -> None:
@@ -116,9 +139,7 @@ class DatasetManifest:
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest.to_json())
 
 
 def load_manifest(path) -> DatasetManifest:

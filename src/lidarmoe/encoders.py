@@ -50,29 +50,29 @@ def linear(ctx, x, name):
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_range_params(store: ParameterStore, dim: int, rng, prefix="range"):
-    store.add(f"{prefix}.conv1.w", glorot_uniform((9 * 5, TRUNK_CH), rng))
-    store.add(f"{prefix}.conv1.b", np.zeros(TRUNK_CH, np.float32))
-    store.add(f"{prefix}.conv2.w", glorot_uniform((9 * TRUNK_CH, TRUNK_CH), rng))
-    store.add(f"{prefix}.conv2.b", np.zeros(TRUNK_CH, np.float32))
-    add_linear(store, f"{prefix}.head", TRUNK_CH, dim, rng)
+def init_range_params(store: ParameterStore, dim: int, rng):
+    store.add("range.conv1.w", glorot_uniform((9 * 5, TRUNK_CH), rng))
+    store.add("range.conv1.b", np.zeros(TRUNK_CH, np.float32))
+    store.add("range.conv2.w", glorot_uniform((9 * TRUNK_CH, TRUNK_CH), rng))
+    store.add("range.conv2.b", np.zeros(TRUNK_CH, np.float32))
+    add_linear(store, "range.head", TRUNK_CH, dim, rng)
 
 
-def init_voxel_params(store: ParameterStore, dim: int, rng, prefix="voxel"):
-    add_linear(store, f"{prefix}.mlp1", 4, TRUNK_CH, rng)
-    add_linear(store, f"{prefix}.mlp2", TRUNK_CH, TRUNK_CH, rng)
-    add_linear(store, f"{prefix}.head", TRUNK_CH, dim, rng)
+def init_voxel_params(store: ParameterStore, dim: int, rng):
+    add_linear(store, "voxel.mlp1", 4, TRUNK_CH, rng)
+    add_linear(store, "voxel.mlp2", TRUNK_CH, TRUNK_CH, rng)
+    add_linear(store, "voxel.head", TRUNK_CH, dim, rng)
 
 
-def init_point_params(store: ParameterStore, dim: int, rng, prefix="point"):
-    add_linear(store, f"{prefix}.mlp", 4, TRUNK_CH, rng)
-    add_linear(store, f"{prefix}.head", POINT_CONCAT_CH, dim, rng)
+def init_point_params(store: ParameterStore, dim: int, rng):
+    add_linear(store, "point.mlp", 4, TRUNK_CH, rng)
+    add_linear(store, "point.head", POINT_CONCAT_CH, dim, rng)
 
 
-def init_encoder_params(store, kind, dim, rng, prefix=None):
-    prefix = prefix or kind
+def init_encoder_params(store, kind, dim, rng):
+    """The ``kind`` backbone's parameters, named ``<kind>.*``."""
     {"range": init_range_params, "voxel": init_voxel_params,
-     "point": init_point_params}[kind](store, dim, rng, prefix)
+     "point": init_point_params}[kind](store, dim, rng)
 
 
 def trunk_width(kind: str) -> int:
@@ -170,12 +170,6 @@ def _fps_sq_dist(xyz: np.ndarray, count: int):
     return chosen, d2
 
 
-def farthest_point_sample(xyz: np.ndarray, count: int) -> np.ndarray:
-    """Greedy farthest-point centroid ids, starting from point 0; distance
-    ties resolve to the smallest id."""
-    return _fps_sq_dist(xyz, count)[0]
-
-
 @dataclass(frozen=True)
 class PointGrouping:
     """Sampled centroids plus their k-NN membership and the per-point
@@ -236,14 +230,14 @@ def build_point_embed(ctx, feat_input, grouping_input, prefix="point", head="hea
 # ---------------------------------------------------------------------------
 
 def init_teacher_params(store: ParameterStore, num_classes: int, dim: int,
-                        seed: int, prefix="teacher"):
-    """Create the frozen teacher weights from a fixed seed."""
+                        seed: int):
+    """Create the frozen ``teacher.*`` weights from a fixed seed."""
     rng = np.random.default_rng(seed)
-    store.add(f"{prefix}.emb", glorot_uniform((num_classes, TEACHER_CH), rng),
+    store.add("teacher.emb", glorot_uniform((num_classes, TEACHER_CH), rng),
               trainable=False)
-    store.add(f"{prefix}.proj.w", glorot_uniform((TEACHER_CH, dim), rng),
+    store.add("teacher.proj.w", glorot_uniform((TEACHER_CH, dim), rng),
               trainable=False)
-    store.add(f"{prefix}.proj.b", np.zeros(dim, np.float32), trainable=False)
+    store.add("teacher.proj.b", np.zeros(dim, np.float32), trainable=False)
 
 
 POSITION_SCALE = 0.25
@@ -267,16 +261,16 @@ def positional_code(width: int, height: int) -> np.ndarray:
 
 
 def teacher_features(class_image: ClassImage, params: ParameterStore,
-                     superpixel_map: np.ndarray, prefix="teacher") -> np.ndarray:
+                     superpixel_map: np.ndarray) -> np.ndarray:
     """Per-superpixel teacher embeddings Q, shape (S, D).
 
     Per-pixel feature = one-hot(class) @ class embedding + positional
     code, through the frozen projection; Q is the superpixel mean. Class
     -1 pixels contribute only their positional code.
     """
-    emb = params.get(f"{prefix}.emb").astype(np.float64)
-    proj_w = params.get(f"{prefix}.proj.w").astype(np.float64)
-    proj_b = params.get(f"{prefix}.proj.b").astype(np.float64)
+    emb = params.get("teacher.emb").astype(np.float64)
+    proj_w = params.get("teacher.proj.w").astype(np.float64)
+    proj_b = params.get("teacher.proj.b").astype(np.float64)
     cls = class_image.class_id.ravel().astype(np.int64)
     h, w = class_image.class_id.shape
     feat = positional_code(w, h).astype(np.float64)

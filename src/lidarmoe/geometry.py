@@ -111,7 +111,6 @@ class VoxelGrid:
     (M, 4) mean of member (x, y, z, intensity).
     """
 
-    sizes: tuple
     coords: np.ndarray
     point_voxel: np.ndarray
     features: np.ndarray
@@ -167,7 +166,7 @@ def voxelize(cloud: PointCloud, sizes) -> VoxelGrid:
     if m:
         feats /= counts[:, None]
     # float64 so pooled means stay exact; consumers cast on entry
-    return VoxelGrid((float(sx), float(sy), float(sz)), coords, inverse, feats)
+    return VoxelGrid(coords, inverse, feats)
 
 
 def project_to_image(cloud: PointCloud, camera: CameraModel):

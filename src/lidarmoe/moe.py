@@ -19,26 +19,27 @@ from .autodiff import ShapeError
 from .params import ParameterStore, glorot_uniform
 
 
-def init_moe_params(store: ParameterStore, channels: int, rng, prefix="moe"):
-    """Fusion linear (3*channels -> channels) plus zero gate/noise weights."""
-    store.add(f"{prefix}.fusion.w", glorot_uniform((3 * channels, channels), rng))
-    store.add(f"{prefix}.fusion.b", np.zeros(channels, np.float32))
-    store.add(f"{prefix}.z_gate", np.zeros((channels, 3), np.float32))
-    store.add(f"{prefix}.z_noise", np.zeros((channels, 3), np.float32))
+def init_moe_params(store: ParameterStore, channels: int, rng):
+    """Fusion linear (3*channels -> channels) plus zero gate/noise weights,
+    named ``moe.*``."""
+    store.add("moe.fusion.w", glorot_uniform((3 * channels, channels), rng))
+    store.add("moe.fusion.b", np.zeros(channels, np.float32))
+    store.add("moe.z_gate", np.zeros((channels, 3), np.float32))
+    store.add("moe.z_noise", np.zeros((channels, 3), np.float32))
 
 
-def build_moe(ctx, expert_r, expert_v, expert_p, prefix="moe",
-              noise_active=False, noise_tag="moe"):
+def build_moe(ctx, expert_r, expert_v, expert_p, noise_active=False,
+              noise_tag="moe"):
     """Composable fusion; returns (fused Var, gates Var)."""
     n = expert_r.shape[0]
     if expert_v.shape != expert_r.shape or expert_p.shape != expert_r.shape:
         raise ShapeError("expert feature shapes disagree")
     e = ad.add(ad.matmul(ad.concat_cols([expert_r, expert_v, expert_p]),
-                         ctx.param(f"{prefix}.fusion.w")),
-               ctx.param(f"{prefix}.fusion.b"))
-    logits = ad.matmul(e, ctx.param(f"{prefix}.z_gate"))
+                         ctx.param("moe.fusion.w")),
+               ctx.param("moe.fusion.b"))
+    logits = ad.matmul(e, ctx.param("moe.z_gate"))
     if noise_active:
-        scale = ad.softplus(ad.matmul(e, ctx.param(f"{prefix}.z_noise")))
+        scale = ad.softplus(ad.matmul(e, ctx.param("moe.z_noise")))
         chi = ad.as_var(ctx.randn((n, 3), noise_tag))
         logits = ad.add(logits, ad.mul(chi, scale))
     gates = ad.softmax_rows(logits)

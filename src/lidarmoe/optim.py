@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+WEIGHT_DECAY = 0.01
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:
     """Learning rate at ``step`` (0-based) of a ``total_steps`` run."""
@@ -27,17 +30,15 @@ class AdamW:
 
     ``peak_lr(name)`` gives each parameter's schedule peak; every
     parameter follows the same one-cycle shape over ``total_steps``.
-    Frozen parameters are never touched. The update uses beta1=0.9,
-    beta2=0.999, eps=1e-8 with bias correction and decoupled weight decay.
+    Frozen parameters are never touched. The update uses ``BETA1``,
+    ``BETA2`` and ``EPS`` with bias correction and decoupled weight decay
+    ``WEIGHT_DECAY``.
     """
 
-    def __init__(self, store, peak_lr, total_steps, weight_decay=0.01,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store, peak_lr, total_steps):
         self.store = store
         self.peak_lr = peak_lr
         self.total_steps = int(total_steps)
-        self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._m = {}
         self._v = {}
@@ -59,12 +60,11 @@ class AdamW:
             if m is None:
                 m = np.zeros_like(g)
                 v = np.zeros_like(g)
-            m = self.beta1 * m + (1 - self.beta1) * g
-            v = self.beta2 * v + (1 - self.beta2) * g * g
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
             self._m[name], self._v[name] = m, v
-            m_hat = m / (1 - self.beta1 ** t)
-            v_hat = v / (1 - self.beta2 ** t)
-            theta -= lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                           + self.weight_decay * theta)
+            m_hat = m / (1 - BETA1 ** t)
+            v_hat = v / (1 - BETA2 ** t)
+            theta -= lr * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * theta)
             self.store.set(name, theta)
         self.step_count += 1

@@ -10,10 +10,11 @@ manifest order. Loading reproduces every tensor bit-exactly.
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
+
+from .dataio import atomic_write
 
 CHECKPOINT_MAGIC = b"LMOECKPT"
 CHECKPOINT_VERSION = 1
@@ -47,9 +48,6 @@ class ParameterStore:
 
     def is_trainable(self, name: str) -> bool:
         return self._trainable[name]
-
-    def set_trainable(self, name: str, flag: bool) -> None:
-        self._trainable[name] = bool(flag)
 
     def freeze_all(self) -> None:
         for name in self._trainable:
@@ -100,21 +98,15 @@ def save_checkpoint(path, store: ParameterStore, metadata: dict) -> None:
         "metadata": metadata,
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    # written beside ``path`` and renamed over it, so an interrupted write
-    # never leaves a truncated checkpoint at ``path``
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for n in names:
-                fh.write(store.get(n).astype("<f4").tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+
+    def write(fh):
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for n in names:
+            fh.write(store.get(n).astype("<f4").tobytes(order="C"))
+
+    atomic_write(path, write)
 
 
 def load_checkpoint(path):

@@ -33,7 +33,7 @@ from .datagen import (NUM_CLASSES, SceneConfig, build_scene,
 from .datagen import augment as augment_cloud
 from .dataio import (DatasetManifest, ScanEntry, TrainingLog, load_manifest,
                      read_camera_npz, read_lpcd, resolve, save_manifest,
-                     write_camera_npz, write_lpcd)
+                     write_camera_npz, write_json, write_lpcd)
 from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
                        init_encoder_params, init_teacher_params, linear,
                        point_grouping, teacher_features, trunk_width,
@@ -45,7 +45,7 @@ from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
-from .sensors import CameraModel, SensorModel
+from .sensors import CameraModel, ConfigError, SensorModel
 
 REPRESENTATIONS = ("range", "voxel", "point")
 
@@ -176,12 +176,19 @@ DEFAULT_DATASET_CONFIG = {
 
 
 def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
-    """Render scans + camera files and write manifest/sensor documents."""
+    """Render scans + camera files and write manifest/sensor documents.
+
+    ``doc`` overrides keys of ``DEFAULT_DATASET_CONFIG``; any other key
+    raises ConfigError naming it."""
+    doc = doc or {}
+    unknown = sorted(set(doc) - set(DEFAULT_DATASET_CONFIG))
+    if unknown:
+        raise ConfigError(f"unknown datagen config key(s): {', '.join(unknown)}")
     out = Path(out_dir)
     (out / "scans").mkdir(parents=True, exist_ok=True)
     (out / "cams").mkdir(parents=True, exist_ok=True)
     merged = dict(DEFAULT_DATASET_CONFIG)
-    merged.update(doc or {})
+    merged.update(doc)
     sensor = SensorModel.from_json(merged)
     camera = CameraModel.from_json(merged)
     scene_cfg = SceneConfig.from_json(merged["scene"])
@@ -201,9 +208,7 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
             entry = ScanEntry(scan=scan_rel, camera=cam_rel)
             (manifest.train if split == "train" else manifest.val).append(entry)
     save_manifest(out / "manifest.json", manifest)
-    with open(out / "sensors.json", "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "sensors.json", merged)
     return out
 
 
@@ -213,7 +218,6 @@ class LoadedScan:
     cloud: PointCloud
     image: object = None
     superpixels: np.ndarray = None
-    partition: object = None
 
 
 @dataclass
@@ -223,12 +227,13 @@ class DatasetBundle:
     sensor: SensorModel
     camera: CameraModel
     num_classes: int
+    annotation_fraction: float
 
     def scans(self, split):
         return self.val if split == "val" else self.train
 
 
-def load_dataset(dataset_dir, superpoint_tolerance=0.1) -> DatasetBundle:
+def load_dataset(dataset_dir) -> DatasetBundle:
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
     with open(base / "sensors.json", "r", encoding="utf-8") as fh:
@@ -242,17 +247,35 @@ def load_dataset(dataset_dir, superpoint_tolerance=0.1) -> DatasetBundle:
             cloud = read_lpcd(resolve(base, e.scan))
             scan = LoadedScan(name=Path(e.scan).stem, cloud=cloud)
             if e.camera:
-                image, superpixels = read_camera_npz(resolve(base, e.camera))
-                scan.image = image
-                scan.superpixels = superpixels
-                scan.partition = build_superpoints(
-                    cloud, camera, superpixels, image.depth,
-                    tolerance=superpoint_tolerance)
+                scan.image, scan.superpixels = read_camera_npz(
+                    resolve(base, e.camera))
             scans.append(scan)
         return scans
 
     return DatasetBundle(load_split(manifest.train), load_split(manifest.val),
-                         sensor, camera, manifest.num_classes)
+                         sensor, camera, manifest.num_classes,
+                         manifest.annotation_fraction)
+
+
+def _superpoint_scans(config: RunConfig, data: DatasetBundle):
+    """``(scan, partition)`` for every train scan with at least two
+    superpoints: the scans stage 1 and CML train on.
+
+    Raises PipelineError when a train scan has no camera pairing or no
+    train scan has two superpoints.
+    """
+    usable = []
+    for scan in data.train:
+        if scan.image is None:
+            raise PipelineError(f"train scan {scan.name} lacks camera pairing")
+        partition = build_superpoints(scan.cloud, data.camera, scan.superpixels,
+                                      scan.image.depth,
+                                      tolerance=config.superpoint_tolerance)
+        if partition.count >= 2:
+            usable.append((scan, partition))
+    if not usable:
+        raise PipelineError("no train scan has at least two superpoints")
+    return usable
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +355,14 @@ def _maybe_augment(cloud, config, *seed_parts):
 def _copy_prefixed(dst: ParameterStore, src: ParameterStore, src_prefix: str,
                    dst_prefix: str, skip_embedding_head=False,
                    trainable=True) -> None:
-    dot = src_prefix + "." if src_prefix else ""
+    dot = src_prefix + "."
     for name in src.names():
         if not name.startswith(dot):
             continue
         short = name[len(dot):]
         if skip_embedding_head and short.startswith("head."):
             continue
-        dst.add(f"{dst_prefix}.{short}" if dst_prefix else short,
-                src.get(name).copy(), trainable)
+        dst.add(f"{dst_prefix}.{short}", src.get(name).copy(), trainable)
 
 
 def _accumulate(batch_grads: list) -> dict:
@@ -402,7 +424,7 @@ def _train_epochs(config, scans, step_fn, store, peak_lr, log, stage_name,
 def init_backbone_store(kind, config: RunConfig, seed_tag) -> ParameterStore:
     store = ParameterStore()
     rng = np.random.default_rng(_step_seed(config.seed, "init", seed_tag, kind))
-    init_encoder_params(store, kind, config.embed_dim, rng, prefix=kind)
+    init_encoder_params(store, kind, config.embed_dim, rng)
     return store
 
 
@@ -413,7 +435,7 @@ def teacher_store(config: RunConfig, num_classes) -> ParameterStore:
     return store
 
 
-def stage1_pretrain(config: RunConfig, out_dir, representations=REPRESENTATIONS):
+def stage1_pretrain(config: RunConfig, out_dir):
     """Train each representation encoder against the frozen teacher.
 
     Writes one checkpoint and one loss log per representation; returns
@@ -421,29 +443,25 @@ def stage1_pretrain(config: RunConfig, out_dir, representations=REPRESENTATIONS)
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = load_dataset(config.dataset, config.superpoint_tolerance)
+    data = load_dataset(config.dataset)
     teacher = teacher_store(config, data.num_classes)
-
-    targets = {}
-    for scan in data.train:
-        if scan.partition is None:
-            raise PipelineError(f"train scan {scan.name} lacks camera pairing")
-        if scan.partition.count >= 2:
-            q = teacher_features(scan.image, teacher, scan.superpixels)
-            targets[scan.name] = q[scan.partition.superpixel_of]
-    scans = [s for s in data.train if s.name in targets]
+    scans = _superpoint_scans(config, data)
+    targets = {scan.name: teacher_features(scan.image, teacher,
+                                           scan.superpixels)[part.superpixel_of]
+               for scan, part in scans}
 
     results = {}
-    for kind in representations:
+    for kind in REPRESENTATIONS:
         store = init_backbone_store(kind, config, "stage1")
 
-        def step_fn(idx, scan, epoch):
+        def step_fn(idx, item, epoch):
+            scan, partition = item
             view_cloud = _maybe_augment(scan.cloud, config, "s1", kind, epoch, idx)
             view = make_view(kind, view_cloud, data.sensor, config, "x")
 
             def build(ctx):
                 feats = build_view_aligned(ctx, view, kind)
-                k = build_group_mean(feats, scan.partition)
+                k = build_group_mean(feats, partition)
                 loss = build_info_nce(k, ad.as_var(targets[scan.name]),
                                       config.temperature,
                                       config.contrastive_denominator)
@@ -480,7 +498,8 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = load_dataset(config.dataset, config.superpoint_tolerance)
+    data = load_dataset(config.dataset)
+    usable = _superpoint_scans(config, data)
 
     store = ParameterStore()
     for kind in REPRESENTATIONS:
@@ -495,11 +514,10 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     init_moe_params(store, config.embed_dim,
                     np.random.default_rng(_step_seed(config.seed, "init", "moe")))
 
-    usable = [s for s in data.train
-              if s.partition is not None and s.partition.count >= 2]
     final_gates = {}
 
-    def step_fn(idx, scan, epoch):
+    def step_fn(idx, item, epoch):
+        scan, partition = item
         specs = {kind: (kind, _maybe_augment(scan.cloud, config, "cml", kind,
                                              epoch, idx))
                  for kind in REPRESENTATIONS}
@@ -513,10 +531,10 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             fused, gates = build_moe(ctx, aligned["range"], aligned["voxel"],
                                      aligned["point"], noise_active=True,
                                      noise_tag="cml")
-            k_moe = build_group_mean(fused, scan.partition)
+            k_moe = build_group_mean(fused, partition)
             student_feats = build_view_aligned(ctx, views["student"],
                                                f"student.{config.student}")
-            k_student = build_group_mean(student_feats, scan.partition)
+            k_student = build_group_mean(student_feats, partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
             return {"loss": loss, "gates": gates}
@@ -564,12 +582,9 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
             if not any(n.startswith(kind + ".") for n in src.names()):
                 raise PipelineError(
                     f"checkpoint {src_path} has no {kind} backbone")
-            _copy_prefixed(store, src, kind, kind, skip_embedding_head=True,
-                           trainable=True)
         else:
-            fresh = init_backbone_store(kind, config, "sms")
-            _copy_prefixed(store, fresh, kind, kind, skip_embedding_head=True,
-                           trainable=True)
+            src = init_backbone_store(kind, config, "sms")
+        _copy_prefixed(store, src, kind, kind, skip_embedding_head=True)
         rng = np.random.default_rng(_step_seed(config.seed, "init", "sms-head", kind))
         add_linear(store, f"{kind}.logit_head", trunk_width(kind), num_classes, rng)
     init_moe_params(store, num_classes,
@@ -603,11 +618,11 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = load_dataset(config.dataset, config.superpoint_tolerance)
+    data = load_dataset(config.dataset)
     labeled = [s for s in data.train if np.any(s.cloud.label >= 0)]
     if not labeled:
         raise PipelineError("no labeled training scans")
-    frac = load_manifest(Path(config.dataset) / "manifest.json").annotation_fraction
+    frac = data.annotation_fraction
     if frac < 1.0:
         labeled = labeled[:max(1, int(np.ceil(frac * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
@@ -626,11 +641,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
         }
 
         def build(ctx):
-            logits, aligned, fused = _sms_forward_build(ctx, views)
-            total, breakdown = build_sms_total(
-                {"fused": fused, "range": logits["range"],
-                 "voxel": logits["voxel"], "point": aligned["point"]},
-                labels, LossConfig())
+            logits, _, fused = _sms_forward_build(ctx, views)
+            total, breakdown = build_sms_total({"fused": fused, **logits},
+                                               labels, LossConfig())
             out_nodes = {"loss": total}
             out_nodes.update(breakdown)
             return out_nodes
@@ -694,46 +707,37 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
 # linear probing
 # ---------------------------------------------------------------------------
 
-def embed_cloud(store, config, sensor, cloud, kind, prefix):
+def embed_cloud(store, config, sensor, cloud, kind):
     """Frozen-backbone per-point embeddings of one cloud."""
     view = make_view(kind, cloud, sensor, config, "x")
-    graph = Graph(lambda ctx: {"out": build_view_aligned(ctx, view, prefix)})
+    graph = Graph(lambda ctx: {"out": build_view_aligned(ctx, view, kind)})
     return ad.evaluate(graph, store, view.inputs)["out"]
 
 
-def linear_probe(config: RunConfig, ckpt_path, out_dir, representation=None):
+def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=None):
     """Train a linear head on frozen per-point embeddings; report val mIoU.
 
-    ``ckpt_path`` may be a stage-1 or distilled-student checkpoint; pass
-    ``representation`` to pick a backbone when several are present, or
-    None to use the checkpoint's student/stage metadata.
+    The backbone comes from ``checkpoint`` (stage-1 or distilled-student;
+    ``representation`` picks one when several are present, None uses the
+    checkpoint's student/stage metadata) or, without a checkpoint, is a
+    fresh ``representation`` backbone (default ``config.student``): the
+    random baseline.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    store, meta = load_checkpoint(ckpt_path)
-    kind = representation or meta.get("student") \
-        or meta.get("stage", "").replace("stage1-", "")
-    if kind not in REPRESENTATIONS:
-        raise PipelineError(f"cannot infer representation from {ckpt_path}")
+    if checkpoint is None:
+        kind = representation or config.student
+        store = init_backbone_store(kind, config, "probe-baseline")
+    else:
+        store, meta = load_checkpoint(checkpoint)
+        kind = representation or meta.get("student") \
+            or meta.get("stage", "").replace("stage1-", "")
+        if kind not in REPRESENTATIONS:
+            raise PipelineError(f"cannot infer representation from {checkpoint}")
     store.freeze_all()
     before = store.copy()
-    data = load_dataset(config.dataset, config.superpoint_tolerance)
-    return _probe_on_store(config, store, kind, kind, data, out, before=before)
-
-
-def probe_random_baseline(config: RunConfig, representation, out_dir):
-    """Linear probe of a freshly initialized frozen backbone."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data = load_dataset(config.dataset, config.superpoint_tolerance)
-    store = init_backbone_store(representation, config, "probe-baseline")
-    store.freeze_all()
-    return _probe_on_store(config, store, representation, representation,
-                           data, out)
-
-
-def _probe_on_store(config, store, kind, prefix, data, out, before=None):
-    train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind, prefix)
+    data = load_dataset(config.dataset)
+    train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind)
                     for scan in data.train]
     probe = ParameterStore()
     add_linear(probe, "probe", config.embed_dim, data.num_classes,
@@ -754,11 +758,11 @@ def _probe_on_store(config, store, kind, prefix, data, out, before=None):
 
     preds, labels = [], []
     for scan in data.val:
-        emb = embed_cloud(store, config, data.sensor, scan.cloud, kind, prefix)
+        emb = embed_cloud(store, config, data.sensor, scan.cloud, kind)
         logits = emb @ probe.get("probe.w") + probe.get("probe.b")
         preds.append(np.argmax(logits, axis=1))
         labels.append(scan.cloud.label)
     report = compute_miou(np.concatenate(preds), np.concatenate(labels),
                           data.num_classes)
-    backbone_intact = before is None or store.state_equal(before)
-    return {"report": report, "probe": probe, "backbone_intact": backbone_intact}
+    return {"report": report, "probe": probe,
+            "backbone_intact": store.state_equal(before)}

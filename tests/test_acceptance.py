@@ -30,8 +30,8 @@ from lidarmoe.moe import build_moe, init_moe_params, read_gate_csv
 from lidarmoe.analysis import route_stats, write_route_csv, route_bars_svg
 from lidarmoe.params import ParameterStore
 from lidarmoe.pipeline import (RunConfig, generate_dataset, linear_probe,
-                               load_dataset, probe_random_baseline,
-                               stage1_pretrain, stage2_cml, stage3_sms)
+                               load_dataset, stage1_pretrain, stage2_cml,
+                               stage3_sms)
 from lidarmoe.pointcloud import PointCloud
 from lidarmoe.sensors import SensorModel
 
@@ -71,8 +71,8 @@ def reference_runs(reference_dataset, tmp_path_factory):
         s1 = stage1_pretrain(cfg, base / "s1")
         cml = stage2_cml(cfg, {k: v["checkpoint"] for k, v in s1.items()},
                          base / "cml")
-        probe_cml = linear_probe(cfg, cml["checkpoint"], base / "probe")
-        probe_rand = probe_random_baseline(cfg, cfg.student, base / "probe0")
+        probe_cml = linear_probe(cfg, base / "probe", checkpoint=cml["checkpoint"])
+        probe_rand = linear_probe(cfg, base / "probe0", representation=cfg.student)
         probe_seconds = time.time() - t0
         sms = stage3_sms(cfg, {"voxel": cml["checkpoint"],
                                "range": s1["range"]["checkpoint"],

@@ -1,0 +1,92 @@
+"""Every public function, class and method in ``src/lidarmoe`` is used by
+the package itself, not only by tests.
+
+A name counts as used when some module of the package refers to it
+outside its own definition: a bare name in its module or in a module that
+imports it, ``module.name`` through an imported module, or, for a method,
+any attribute access of that name.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lidarmoe"
+
+# public names kept for callers outside the package
+ALLOWED = {
+    "autodiff.grad_check",  # the tests' reference for every backward pass
+}
+
+
+def _parse():
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _public_names(trees):
+    """{(module, name)} of top-level functions and classes, and
+    {(module, class, method)} of their non-dunder methods."""
+    defs, methods = set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            defs.add((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                methods |= {(module, node.name, m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_")}
+    return defs, methods
+
+
+def _imports(tree):
+    """Local name -> (module, name) for ``from .m import name``, and
+    local name -> module for ``from . import m``."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    modules[local] = alias.name
+                else:
+                    names[local] = (node.module, alias.name)
+    return names, modules
+
+
+def _references(trees):
+    """(module, name) pairs referred to outside their own definition, and
+    every attribute name accessed anywhere."""
+    refs, attrs = set(), set()
+    for module, tree in trees.items():
+        names, modules = _imports(tree)
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+                    if isinstance(node.value, ast.Name) and node.value.id in modules:
+                        refs.add((modules[node.value.id], node.attr))
+                elif isinstance(node, ast.Name) and node.id != own:
+                    refs.add(names.get(node.id, (module, node.id)))
+    return refs, attrs
+
+
+def test_every_public_name_in_src_is_used_by_src():
+    trees = _parse()
+    defs, methods = _public_names(trees)
+    refs, attrs = _references(trees)
+    unused = sorted(f"{m}.{n}" for m, n in defs - refs)
+    unused += sorted(f"{m}.{c}.{n}" for m, c, n in methods if n not in attrs)
+    assert [name for name in unused if name not in ALLOWED] == []
+
+
+def test_allowlist_names_exist_and_are_unused():
+    trees = _parse()
+    defs, _ = _public_names(trees)
+    refs, _ = _references(trees)
+    for entry in ALLOWED:
+        module, name = entry.split(".")
+        assert (module, name) in defs - refs, entry

@@ -108,7 +108,7 @@ def test_grad_check_softplus_chain(rng):
 
 
 @pytest.mark.parametrize("op", ["softmax", "log_softmax", "logsumexp", "div",
-                                "exp", "log", "sqrt", "transpose", "diag",
+                                "sqrt", "transpose", "diag",
                                 "concat", "slice", "gather", "segment_mean",
                                 "segment_max", "sum_cols"])
 def test_grad_check_each_primitive(op, rng):
@@ -125,10 +125,6 @@ def test_grad_check_each_primitive(op, rng):
             return ad.logsumexp_rows(h)
         if op == "div":
             return ad.div(h, ad.as_var(np.float32(3.0)))
-        if op == "exp":
-            return ad.exp(ad.mul(h, ad.as_var(np.float32(0.1))))
-        if op == "log":
-            return ad.log(ad.add(ad.mul(h, h), ad.as_var(np.float32(1.0))))
         if op == "sqrt":
             return ad.sqrt(ad.add(ad.mul(h, h), ad.as_var(np.float32(1.0))))
         if op == "transpose":
@@ -188,7 +184,7 @@ def test_shape_validation():
 
 
 def test_non_finite_intermediate_raises():
-    g = Graph(lambda ctx: {"out": ad.log(ctx.input("x"))})
+    g = Graph(lambda ctx: {"out": ad.sqrt(ctx.input("x"))})
     with pytest.raises(NonFiniteError):
         ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0], np.float32)})
 

@@ -242,6 +242,12 @@ def test_datagen_unknown_scene_key_exit_2(tmp_path, capsys):
     assert "unknown scene config key(s): primitives" in capsys.readouterr().err
 
 
+def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"n_trian": 1, "n_val": 1})
+    assert main(["datagen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown datagen config key(s): n_trian" in capsys.readouterr().err
+
+
 def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,
                                                          monkeypatch):
     from lidarmoe import autodiff as ad

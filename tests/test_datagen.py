@@ -8,7 +8,9 @@ from lidarmoe.datagen import (AugmentParams, CLASS_GROUND, Primitive, Scene,
                               cast_rays, corrupt, dropped_beams, render_camera,
                               simulate_lidar)
 from lidarmoe.pointcloud import PointCloud
-from lidarmoe.sensors import ConfigError, SensorModel, forward_camera
+from lidarmoe.sensors import ConfigError, SensorModel
+
+from cameras import forward_camera
 
 
 def small_sensor(**kw):
@@ -22,7 +24,7 @@ def small_sensor(**kw):
 def ground_only_scene(z=-2.0):
     return Scene(primitives=(
         Primitive("ground-plane", (0.0, 0.0, z), (200.0, 200.0, 1.0), CLASS_GROUND),
-    ), seed=0)
+    ))
 
 
 # -- build_scene -------------------------------------------------------------
@@ -59,7 +61,7 @@ def test_invalid_bounds_rejected():
 
 def test_scene_requires_exactly_one_ground():
     with pytest.raises(ConfigError):
-        Scene(primitives=(), seed=0)
+        Scene(primitives=())
 
 
 # -- simulate_lidar ----------------------------------------------------------
@@ -74,7 +76,7 @@ def test_cylinder_closed_form_hit():
     scene = Scene(primitives=(
         Primitive("ground-plane", (0, 0, -50.0), (500.0, 500.0, 1.0), 0),
         Primitive("vertical-cylinder", (5.0, 0.0, -2.0), (1.0, 4.0), 3),
-    ), seed=0)
+    ))
     t, cls = cast_rays(scene, np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
     assert t[0] == pytest.approx(4.0, abs=1e-12)
     assert cls[0] == 3
@@ -114,7 +116,7 @@ def test_lidar_deterministic():
 def test_empty_scene_renders_all_sky_one_superpixel_per_tile():
     scene = Scene(primitives=(
         Primitive("ground-plane", (0.0, 0.0, -500.0), (0.1, 0.1, 1.0), 0),
-    ), seed=0)
+    ))
     cam = forward_camera(width=32, height=32)
     image, superpixels = render_camera(scene, cam, tile=16)
     assert np.all(image.class_id == -1)
@@ -123,11 +125,11 @@ def test_empty_scene_renders_all_sky_one_superpixel_per_tile():
 
 
 def test_box_covering_tile_is_single_superpixel():
-    # a huge wall right in front fills the view
+    # a huge box right in front fills the view
     scene = Scene(primitives=(
         Primitive("ground-plane", (0.0, 0.0, -500.0), (0.1, 0.1, 1.0), 0),
-        Primitive("wall", (5.0, 0.0, 0.0, 0.0), (0.5, 50.0, 50.0), 4),
-    ), seed=0)
+        Primitive("box", (5.0, 0.0, 0.0, 0.0), (0.5, 50.0, 50.0), 4),
+    ))
     cam = forward_camera(width=32, height=32)
     image, superpixels = render_camera(scene, cam, tile=16)
     assert np.all(image.class_id == 4)

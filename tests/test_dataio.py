@@ -1,5 +1,7 @@
 """Serialization round-trips for point clouds, camera renders, manifests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,24 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.train[0].scan == "scans/a.lpcd"
     assert loaded.train[0].camera == "cams/a.npz"
     assert loaded.val[0].camera is None
+
+
+def test_interrupted_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "manifest.json"
+    save_manifest(path, DatasetManifest(train=[ScanEntry("scans/a.lpcd")]))
+    before = path.read_bytes()
+
+    def interrupted_rename(src, dst):
+        # the new document is complete, but not yet renamed over the old one
+        assert load_manifest(src).train[0].scan == "scans/b.lpcd"
+        raise RuntimeError("write interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted_rename)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        save_manifest(path, DatasetManifest(train=[ScanEntry("scans/b.lpcd")]))
+    assert path.read_bytes() == before
+    assert load_manifest(path).train[0].scan == "scans/a.lpcd"
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_training_log_format(tmp_path):

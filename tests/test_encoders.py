@@ -8,8 +8,7 @@ from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.datagen import ClassImage
 from lidarmoe.encoders import (build_point_embed, build_range_embed,
-                               build_voxel_embed, farthest_point_sample,
-                               init_point_params, init_range_params,
+                               build_voxel_embed, init_point_params, init_range_params,
                                init_teacher_params, init_voxel_params,
                                point_grouping, teacher_features,
                                voxel_neighbor_pairs)
@@ -182,9 +181,16 @@ def test_voxel_permutation_equivariance(rng):
 
 # -- point -------------------------------------------------------------------
 
+def fps_ids(xyz, count):
+    """Farthest-point centroid ids, as the point encoder samples them."""
+    n = len(xyz)
+    cloud = PointCloud(xyz, np.zeros(n), np.zeros(n), np.zeros(n))
+    return point_grouping(cloud, count, 1).centroid_ids
+
+
 def test_fps_starts_at_point_zero_and_spreads():
     xyz = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0], [5.0, 0, 0]])
-    ids = farthest_point_sample(xyz, 3)
+    ids = fps_ids(xyz, 3)
     assert ids[0] == 0
     assert ids[1] == 2  # farthest from 0
     assert ids[2] == 3  # 5.0 maximizes min distance to {0, 10}
@@ -192,7 +198,7 @@ def test_fps_starts_at_point_zero_and_spreads():
 
 def test_fps_clips_to_n():
     xyz = np.zeros((3, 3))
-    assert farthest_point_sample(xyz, 10).shape[0] == 3
+    assert fps_ids(xyz, 10).shape[0] == 3
 
 
 def test_point_single_point(rng):

@@ -13,8 +13,9 @@ from lidarmoe.geometry import (build_superpoints, project_labels, project_to_ima
                                project_to_range, range_uv_exact, voxelize)
 from lidarmoe.pipeline import RunConfig, build_group_mean, make_view
 from lidarmoe.pointcloud import PointCloud
-from lidarmoe.sensors import CameraModel, SensorModel, forward_camera
+from lidarmoe.sensors import CameraModel, SensorModel
 
+from cameras import forward_camera
 from graph_eval import evaluate_builder
 from oracles import align_to_points, group_mean
 
@@ -204,8 +205,8 @@ def test_wall_scene_assigns_points_bruteforce():
     from lidarmoe.sensors import SensorModel
     scene = Scene(primitives=(
         Primitive("ground-plane", (0, 0, -500.0), (0.1, 0.1, 1.0), 0),
-        Primitive("wall", (8.0, 0.0, 0.0, 0.0), (0.5, 60.0, 60.0), 4),
-    ), seed=0)
+        Primitive("box", (8.0, 0.0, 0.0, 0.0), (0.5, 60.0, 60.0), 4),
+    ))
     cam = forward_camera()
     sensor = SensorModel(beam_count=8, azimuth_steps=64, fov_total=0.4,
                          fov_down=0.2, max_range=60.0, range_h=8, range_w=64)

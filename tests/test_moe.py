@@ -12,9 +12,9 @@ from lidarmoe.params import ParameterStore
 from graph_eval import evaluate_builder
 
 
-def fresh_params(dim, seed=0, prefix="moe"):
+def fresh_params(dim, seed=0):
     store = ParameterStore()
-    init_moe_params(store, dim, np.random.default_rng(seed), prefix)
+    init_moe_params(store, dim, np.random.default_rng(seed))
     return store
 
 

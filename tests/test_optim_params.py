@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lidarmoe.optim import AdamW, one_cycle_lr
+from lidarmoe.optim import WEIGHT_DECAY, AdamW, one_cycle_lr
 from lidarmoe.params import (CheckpointError, ParameterStore, load_checkpoint,
                              save_checkpoint)
 
@@ -26,14 +26,20 @@ def test_schedule_monotone_warmup():
     assert all(b > a for a, b in zip(lrs, lrs[1:]))
 
 
-def test_zero_gradient_zero_decay_keeps_params():
+def test_zero_gradient_applies_only_the_fixed_decay():
     store = ParameterStore()
     store.add("w", np.arange(6, dtype=np.float32).reshape(2, 3))
-    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=10, weight_decay=0.0)
-    before = store.get("w").copy()
-    for _ in range(5):
+    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=10)
+    want = store.get("w").copy()
+    for step in range(5):
         opt.step({"w": np.zeros((2, 3), np.float32)})
-    assert np.array_equal(store.get("w"), before)
+        # zero moments leave the decoupled decay as the whole update
+        w64 = want.astype(np.float64)
+        want = (w64 - one_cycle_lr(step, 10, 0.1) * WEIGHT_DECAY * w64
+                ).astype(np.float32)
+        assert np.allclose(store.get("w"), want, rtol=1e-6, atol=0.0)
+    assert store.get("w")[0, 0] == 0.0
+    assert np.all(store.get("w").ravel()[1:] < np.arange(1, 6))
 
 
 def test_frozen_parameters_never_move():

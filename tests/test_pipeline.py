@@ -8,12 +8,12 @@ from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.dataio import load_manifest
 from lidarmoe.params import load_checkpoint
-from lidarmoe.pipeline import (PipelineError, RunConfig, build_group_mean,
-                               build_view_aligned, evaluate_store,
-                               generate_dataset, init_backbone_store,
-                               linear_probe, load_dataset, make_view,
-                               probe_random_baseline, stage1_pretrain,
-                               stage2_cml, stage3_sms, teacher_store)
+from lidarmoe.pipeline import (REPRESENTATIONS, PipelineError, RunConfig,
+                               build_group_mean, build_view_aligned,
+                               evaluate_store, generate_dataset,
+                               init_backbone_store, linear_probe, load_dataset,
+                               make_view, stage1_pretrain, stage2_cml,
+                               stage3_sms, teacher_store)
 from lidarmoe.losses import build_info_nce
 from lidarmoe.encoders import teacher_features
 
@@ -45,7 +45,7 @@ def test_manifest_counts(tiny_dataset):
 
 def test_stage1_zero_epochs_equals_init(tiny_config, tmp_path):
     cfg = replace(tiny_config, epochs=0)
-    results = stage1_pretrain(cfg, tmp_path, representations=("voxel",))
+    results = stage1_pretrain(cfg, tmp_path)
     loaded, meta = load_checkpoint(results["voxel"]["checkpoint"])
     fresh = init_backbone_store("voxel", cfg, "stage1")
     assert loaded.state_equal(fresh)
@@ -54,8 +54,8 @@ def test_stage1_zero_epochs_equals_init(tiny_config, tmp_path):
 
 
 def test_stage1_deterministic(tiny_config, tmp_path):
-    r1 = stage1_pretrain(tiny_config, tmp_path / "a", representations=("range",))
-    r2 = stage1_pretrain(tiny_config, tmp_path / "b", representations=("range",))
+    r1 = stage1_pretrain(tiny_config, tmp_path / "a")
+    r2 = stage1_pretrain(tiny_config, tmp_path / "b")
     a = (tmp_path / "a" / "stage1_range.ckpt").read_bytes()
     b = (tmp_path / "b" / "stage1_range.ckpt").read_bytes()
     assert a == b
@@ -63,7 +63,7 @@ def test_stage1_deterministic(tiny_config, tmp_path):
 
 
 def test_stage1_loss_is_finite_and_logged(tiny_config, tmp_path):
-    results = stage1_pretrain(tiny_config, tmp_path, representations=("point",))
+    results = stage1_pretrain(tiny_config, tmp_path)
     losses = results["point"]["epoch_losses"]
     assert len(losses) == tiny_config.epochs
     assert all(np.isfinite(l) for l in losses)
@@ -75,9 +75,11 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
     """Micro-scale stage-1 objective passes the finite-difference check."""
     from lidarmoe.geometry import build_superpoints
     cfg = replace(tiny_config, embed_dim=6, centroid_count=6, knn_k=4)
-    data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
+    data = load_dataset(cfg.dataset)
     scan = data.train[0]
-    assigned = np.flatnonzero(scan.partition.point_group >= 0)
+    whole = build_superpoints(scan.cloud, data.camera, scan.superpixels,
+                              scan.image.depth, tolerance=cfg.superpoint_tolerance)
+    assigned = np.flatnonzero(whole.point_group >= 0)
     cloud = scan.cloud.select(assigned[:: max(1, assigned.size // 48)][:48])
     partition = build_superpoints(cloud, data.camera, scan.superpixels,
                                   scan.image.depth,
@@ -140,7 +142,7 @@ def test_stage3_validation_deterministic(tiny_config, tmp_path):
 
     def evaluate_checkpoint():
         store, _ = load_checkpoint(result["checkpoint"])
-        data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
+        data = load_dataset(cfg.dataset)
         return evaluate_store(store, cfg, data)[0]
 
     a = evaluate_checkpoint()
@@ -157,14 +159,14 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     the first conv stays trainable so a conv layer is exercised inside
     the composite.
     """
-    from lidarmoe.pipeline import (_make_views, _sms_store, _sms_forward_build,
-                                   REPRESENTATIONS)
+    from lidarmoe.pipeline import _make_views, _sms_store, _sms_forward_build
     from lidarmoe.losses import LossConfig, build_sms_total
+    from lidarmoe.params import ParameterStore
     from lidarmoe.geometry import project_labels
     from lidarmoe.sensors import SensorModel
     # seed picked so no relu/max kink sits within eps of a crossing
     cfg = replace(tiny_config, seed=7, embed_dim=4, centroid_count=5, knn_k=3)
-    data = load_dataset(cfg.dataset, cfg.superpoint_tolerance)
+    data = load_dataset(cfg.dataset)
     sensor = SensorModel(beam_count=4, azimuth_steps=8, fov_total=0.7,
                          fov_down=0.45, max_range=60.0, range_h=4, range_w=8)
     scan = data.train[0]
@@ -172,9 +174,10 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     cloud = scan.cloud.select(np.arange(0, scan.cloud.count,
                                         max(1, scan.cloud.count // 32))[:32])
     cloud = cloud.select(np.flatnonzero(cloud.label >= 0))
-    store = _sms_store(cfg, {}, 4)
-    store.set_trainable("range.conv2.w", False)
-    store.set_trainable("range.conv2.b", False)
+    full = _sms_store(cfg, {}, 4)
+    store = ParameterStore()
+    for name in full.names():
+        store.add(name, full.get(name), not name.startswith("range.conv2."))
     views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS}, sensor, cfg)
     labels = {"fused": np.clip(cloud.label, -1, 3),
               "point": np.clip(cloud.label, -1, 3),
@@ -235,11 +238,56 @@ def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_pat
 
     monkeypatch.setattr(AdamW, "step", recording_step)
     cfg = replace(tiny_config, dataset=str(dst), epochs=2)
-    results = stage1_pretrain(cfg, tmp_path / "out", representations=("voxel",))
+    results = stage1_pretrain(cfg, tmp_path / "out")
     assert results["voxel"]["skipped"] == 1
     assert np.isfinite(results["voxel"]["epoch_losses"][0])
-    # one usable scan: the schedule spans the epochs x 1 steps taken
-    assert schedules == [cfg.epochs] * cfg.epochs
+    # one usable scan: each representation's schedule spans the epochs x 1
+    # steps taken
+    assert schedules == [cfg.epochs] * cfg.epochs * len(REPRESENTATIONS)
+
+
+def _stage1_and_cml_errors(tiny_config, dataset, tmp_path):
+    """The PipelineError messages of stage 1 and of CML on ``dataset``;
+    CML's experts come from a zero-epoch stage 1 on the tiny dataset."""
+    experts = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "experts")
+    cfg = replace(tiny_config, dataset=str(dataset))
+    errors = []
+    for run in (lambda: stage1_pretrain(cfg, tmp_path / "s1"),
+                lambda: stage2_cml(cfg, ckpts_of(experts), tmp_path / "cml")):
+        with pytest.raises(PipelineError) as info:
+            run()
+        errors.append(str(info.value))
+    return errors
+
+
+def test_stage1_and_cml_reject_train_scan_without_camera(tiny_config, tmp_path):
+    import shutil
+    from lidarmoe.dataio import save_manifest
+    dst = tmp_path / "nocam"
+    shutil.copytree(tiny_config.dataset, dst)
+    manifest = load_manifest(dst / "manifest.json")
+    manifest.train[1].camera = None
+    save_manifest(dst / "manifest.json", manifest)
+    errors = _stage1_and_cml_errors(tiny_config, dst, tmp_path)
+    assert errors == ["train scan train_001 lacks camera pairing"] * 2
+
+
+def test_stage1_and_cml_reject_dataset_without_two_superpoints(tiny_config,
+                                                               tmp_path):
+    # every train camera an all-sky render: no scan has a superpoint
+    import json
+    import shutil
+    from lidarmoe.datagen import ClassImage
+    from lidarmoe.dataio import write_camera_npz
+    dst = tmp_path / "sky"
+    shutil.copytree(tiny_config.dataset, dst)
+    sdoc = json.loads((dst / "sensors.json").read_text())
+    h, w = sdoc["cam_h"], sdoc["cam_w"]
+    sky = ClassImage(np.full((h, w), -1, np.int32), np.full((h, w), np.inf))
+    for cam in (dst / "cams").glob("train_*.npz"):
+        write_camera_npz(cam, sky, np.zeros((h, w), np.int32))
+    errors = _stage1_and_cml_errors(tiny_config, dst, tmp_path)
+    assert errors == ["no train scan has at least two superpoints"] * 2
 
 
 def test_sms_honors_annotation_fraction(tiny_config, tmp_path):
@@ -303,17 +351,17 @@ def test_stage3_honors_batch_size(small_dataset, monkeypatch, tmp_path):
 
 
 def test_linear_probe_freezes_backbone(tiny_config, tmp_path):
-    s1 = stage1_pretrain(replace(tiny_config, epochs=1), tmp_path / "s1",
-                         representations=("voxel",))
-    result = linear_probe(tiny_config, s1["voxel"]["checkpoint"], tmp_path / "p")
+    s1 = stage1_pretrain(replace(tiny_config, epochs=1), tmp_path / "s1")
+    result = linear_probe(tiny_config, tmp_path / "p",
+                          checkpoint=s1["voxel"]["checkpoint"])
     assert result["backbone_intact"]
     assert np.isfinite(result["report"].miou)
 
 
 def test_linear_probe_random_baseline_and_seeds(tiny_config, tmp_path):
-    a = probe_random_baseline(tiny_config, "voxel", tmp_path / "a")
-    b = probe_random_baseline(replace(tiny_config, seed=99), "voxel",
-                              tmp_path / "b")
+    a = linear_probe(tiny_config, tmp_path / "a", representation="voxel")
+    b = linear_probe(replace(tiny_config, seed=99), tmp_path / "b",
+                     representation="voxel")
     assert np.isfinite(a["report"].miou)
     assert np.isfinite(b["report"].miou)
 

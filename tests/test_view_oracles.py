@@ -8,8 +8,7 @@ import pytest
 
 from lidarmoe import autodiff as ad
 from lidarmoe.datagen import augment
-from lidarmoe.encoders import (farthest_point_sample, point_grouping,
-                               voxel_neighbor_pairs)
+from lidarmoe.encoders import point_grouping, voxel_neighbor_pairs
 from lidarmoe.geometry import ContractError, project_labels, voxelize
 from lidarmoe.params import ParameterStore
 from lidarmoe.pipeline import RunConfig, generate_dataset, load_dataset
@@ -75,8 +74,7 @@ def small_and_negative_clouds():
 
 
 def check_view_geometry(cloud, centroid_count, k, sizes):
-    assert_same(farthest_point_sample(cloud.xyz, centroid_count),
-                farthest_point_sample_loop(cloud.xyz, centroid_count))
+    # the first oracle output is farthest_point_sample_loop's centroids
     g = point_grouping(cloud, centroid_count, k)
     want = point_grouping_loop(cloud.xyz, centroid_count, k)
     for got, ref in zip((g.centroid_ids, g.member_rows, g.member_group,
@@ -116,9 +114,10 @@ def test_view_geometry_matches_oracles_on_small_and_negative_clouds(
 def test_fps_ties_on_euclidean_not_squared_distance():
     # squared distances 1 and 1 + 2**-52 share the Euclidean distance 1.0,
     # so the farther point is the tie's smaller id
-    xyz = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0 ** -26, 0.0]])
-    assert_same(farthest_point_sample(xyz, 2), farthest_point_sample_loop(xyz, 2))
-    assert farthest_point_sample(xyz, 2).tolist() == [0, 1]
+    cloud = make_cloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0 ** -26, 0.0]])
+    centroids = point_grouping(cloud, 2, 1).centroid_ids
+    assert_same(centroids, farthest_point_sample_loop(cloud.xyz, 2))
+    assert centroids.tolist() == [0, 1]
 
 
 def test_voxel_order_is_lexicographic_with_negative_coordinates():
