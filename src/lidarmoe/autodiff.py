@@ -2,9 +2,14 @@
 
 Values are held in ``Var`` nodes that record their parents and a backward
 closure as operations are applied, so any composition of the primitives below
-is differentiable. Storage is float32; reductions (sums, means, segment
-pooling, gradient accumulation) run with float64 accumulators before rounding
-back, and an exact float64 mode exists for finite-difference verification.
+is differentiable.
+
+The graph's dtype is the one compute dtype, in the forward and the backward
+pass: storage, elementwise operations, matrix products and gradient buffers
+all use it. It is float32 in normal mode and float64 in exact mode
+(``Graph.run(dtype=np.float64)``), which :func:`grad_check` uses. Sums and
+scatter-adds (reductions, segment pooling, softmax normalisers) accumulate
+in float64 and round back to the graph dtype.
 
 The package-level entry points are :func:`evaluate`, :func:`backward` and
 :func:`grad_check`, which run a :class:`Graph` (a named build function over
@@ -26,9 +31,9 @@ class ShapeError(ValueError):
     """Operand shapes do not match the operation's contract."""
 
 
-def _finite(data: np.ndarray) -> np.ndarray:
+def _finite(data: np.ndarray, what="intermediate tensor") -> np.ndarray:
     if not np.all(np.isfinite(data)):
-        raise NonFiniteError("non-finite value in intermediate tensor")
+        raise NonFiniteError(f"non-finite value in {what}")
     return data
 
 
@@ -56,8 +61,9 @@ class Var:
 
     def add_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros(self.data.shape, dtype=np.float64)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
 
 def as_var(x) -> Var:
@@ -88,12 +94,9 @@ def _unbroadcast(g, shape):
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)), dtype=np.float64)
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True, dtype=np.float64)
-    return g.reshape(shape)
+    axes = tuple(range(extra)) + tuple(
+        extra + i for i, s in enumerate(shape) if s == 1 and g.shape[extra + i] != 1)
+    return _reduce_sum(g, axis=axes).reshape(shape).astype(g.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def matmul(a, b):
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.astype(np.float64).T, ad.astype(np.float64).T @ g
+        return g @ bd.T, ad.T @ g
 
     return _out(data, (a, b), bwd)
 
@@ -181,8 +184,7 @@ def sqrt(a):
     a = as_var(a)
     with np.errstate(invalid="ignore"):
         data = np.sqrt(a.data)
-    d64 = data.astype(np.float64)
-    return _out(data, (a,), lambda g: (g / (2.0 * d64),))
+    return _out(data, (a,), lambda g: (g / (2.0 * data),))
 
 
 def softmax_rows(a):
@@ -259,7 +261,7 @@ def slice_cols(a, j0, j1):
     shape = a.data.shape
 
     def bwd(g):
-        full = np.zeros(shape, dtype=np.float64)
+        full = np.zeros(shape, dtype=g.dtype)
         full[:, j0:j1] = g
         return (full,)
 
@@ -319,7 +321,7 @@ def take_diag(a):
     data = np.diagonal(a.data).reshape(n, 1).copy()
 
     def bwd(g):
-        full = np.zeros((n, n), dtype=np.float64)
+        full = np.zeros((n, n), dtype=g.dtype)
         np.fill_diagonal(full, g[:, 0])
         return (full,)
 
@@ -339,7 +341,7 @@ def segment_mean(a, seg, num_segments):
     data = (sums / safe[:, None]).astype(a.data.dtype)
 
     def bwd(g):
-        return ((g / safe[:, None])[seg],)
+        return ((g / safe[:, None].astype(g.dtype))[seg],)
 
     return _out(data, (a,), bwd)
 
@@ -356,18 +358,17 @@ def segment_max(a, seg, num_segments):
     counts = np.bincount(seg, minlength=num_segments)
     if np.any(counts == 0):
         raise ShapeError("segment_max requires all segments non-empty")
-    out = np.full((num_segments, d), -np.inf)
-    np.maximum.at(out, seg, a.data.astype(np.float64))
-    data = out.astype(a.data.dtype)
+    data = np.full((num_segments, d), -np.inf, dtype=a.data.dtype)
+    np.maximum.at(data, seg, a.data)
 
     winners = np.full((num_segments, d), n, dtype=np.int64)
     rows = np.arange(n, dtype=np.int64)[:, None]
-    hit = a.data.astype(np.float64) == out[seg]
+    hit = a.data == data[seg]
     np.minimum.at(winners, seg, np.where(hit, rows, n))
 
     def bwd(g):
         # each column's winners are distinct rows, so no target repeats
-        full = np.zeros((n, d), dtype=np.float64)
+        full = np.zeros((n, d), dtype=g.dtype)
         full[winners, np.arange(d)] = g
         return (full,)
 
@@ -378,7 +379,7 @@ def sum_all(a):
     a = as_var(a)
     data = np.asarray(_reduce_sum(a.data), dtype=a.data.dtype)
     shape = a.data.shape
-    return _out(data, (a,), lambda g: (np.broadcast_to(g, shape).astype(np.float64),))
+    return _out(data, (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def mean_all(a):
@@ -388,7 +389,7 @@ def mean_all(a):
     shape = a.data.shape
 
     def bwd(g):
-        return (np.full(shape, float(g) / n, dtype=np.float64),)
+        return (np.full(shape, float(g) / n, dtype=g.dtype),)
 
     return _out(data, (a,), bwd)
 
@@ -409,8 +410,9 @@ def conv2d3x3(x, w, b):
     """3x3 same-padding convolution on an HWC image.
 
     ``w`` has shape (9 * C_in, C_out) with taps ordered row-major over the
-    3x3 window; ``b`` has shape (C_out,). Implemented as nine shifted
-    matrix products, which keeps the backward pass exact and simple.
+    3x3 window; ``b`` has shape (C_out,). Implemented as one im2col matrix
+    product: row ``i * W + j`` of the (H * W, 9 * C_in) patch matrix holds
+    the nine zero-padded neighbours of pixel (i, j) in tap order.
     """
     x, w, b = as_var(x), as_var(w), as_var(b)
     if x.data.ndim != 3:
@@ -420,31 +422,24 @@ def conv2d3x3(x, w, b):
         raise ShapeError(f"conv2d3x3 weight rows {w.data.shape[0]} != 9*{cin}")
     cout = w.data.shape[1]
     dtype = _dtype_of(x, w, b)
+    taps = [divmod(t, 3) for t in range(9)]
 
-    xp = np.zeros((h + 2, wd + 2, cin), dtype=x.data.dtype)
+    xp = np.zeros((h + 2, wd + 2, cin), dtype=dtype)
     xp[1:-1, 1:-1] = x.data
-    shifts = [xp[dy:dy + h, dx:dx + wd].reshape(h * wd, cin)
-              for dy in range(3) for dx in range(3)]
-
-    acc = np.zeros((h * wd, cout), dtype=np.float64)
-    for t, sh in enumerate(shifts):
-        acc += sh.astype(np.float64) @ w.data[t * cin:(t + 1) * cin].astype(np.float64)
-    acc += b.data.astype(np.float64)
-    data = acc.reshape(h, wd, cout).astype(dtype)
-
-    wdat = w.data.astype(np.float64)
+    cols = np.empty((h, wd, 9, cin), dtype=dtype)
+    for t, (dy, dx) in enumerate(taps):
+        cols[:, :, t] = xp[dy:dy + h, dx:dx + wd]
+    cols = cols.reshape(h * wd, 9 * cin)
+    wmat = w.data.astype(dtype, copy=False)
+    data = (cols @ wmat + b.data).reshape(h, wd, cout)
 
     def bwd(g):
         gf = g.reshape(h * wd, cout)
-        gxp = np.zeros((h + 2, wd + 2, cin), dtype=np.float64)
-        gw = np.zeros((9 * cin, cout), dtype=np.float64)
-        for t in range(9):
-            dy, dx = divmod(t, 3)
-            blk = wdat[t * cin:(t + 1) * cin]
-            gxp[dy:dy + h, dx:dx + wd] += (gf @ blk.T).reshape(h, wd, cin)
-            gw[t * cin:(t + 1) * cin] = shifts[t].astype(np.float64).T @ gf
-        gb = gf.sum(axis=0, dtype=np.float64)
-        return gxp[1:-1, 1:-1], gw, gb
+        gcols = (gf @ wmat.T).reshape(h, wd, 9, cin)
+        gxp = np.zeros((h + 2, wd + 2, cin), dtype=dtype)
+        for t, (dy, dx) in enumerate(taps):
+            gxp[dy:dy + h, dx:dx + wd] += gcols[:, :, t]
+        return gxp[1:-1, 1:-1], cols.T @ gf, _reduce_sum(gf, axis=0)
 
     return _out(data, (x, w, b), bwd)
 
@@ -544,7 +539,7 @@ def _backprop(loss_var: Var):
         for p in node.parents:
             stack.append((p, False))
 
-    loss_var.grad = np.ones(loss_var.data.shape, dtype=np.float64)
+    loss_var.grad = np.ones(loss_var.data.shape, dtype=loss_var.data.dtype)
     for node in reversed(topo):
         if node.bwd is None or node.grad is None:
             continue
@@ -559,6 +554,8 @@ def backward(graph, params, inputs, loss="loss", train_mode=False, seed=0):
     Returns ``(outputs, grads)``; ``grads`` maps parameter name to a
     float32 array and contains entries only for trainable parameters used
     by the graph (a used-but-unaffecting parameter gets a zero array).
+    Raises NonFiniteError naming the first parameter whose grad is not
+    finite.
     """
     ctx, outputs = graph.run(params, inputs, train_mode=train_mode, seed=seed)
     loss_var = outputs[loss]
@@ -569,8 +566,8 @@ def backward(graph, params, inputs, loss="loss", train_mode=False, seed=0):
     for name, var in ctx.param_vars().items():
         if not var.requires_grad:
             continue
-        g = var.grad if var.grad is not None else np.zeros(var.data.shape)
-        grads[name] = g.astype(np.float32)
+        g = var.grad if var.grad is not None else np.zeros_like(var.data)
+        grads[name] = _finite(g, f"gradient of parameter {name}")
     out_arrays = {k: v.data for k, v in outputs.items()}
     return out_arrays, grads
 

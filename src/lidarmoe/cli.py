@@ -30,7 +30,7 @@ from .moe import read_gate_csv
 from .params import CheckpointError, load_checkpoint
 from .pipeline import (PipelineError, RunConfig, embed_cloud, evaluate_store,
                        generate_dataset, linear_probe, load_dataset,
-                       stage1_pretrain, stage2_cml, stage3_sms)
+                       load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
 from .sensors import ConfigError
 
 USAGE_ERROR = 1
@@ -267,8 +267,8 @@ def _cmd_cosine_map(args):
         rep = doc.get("representation") or meta.get("student")
         if cloud is None:
             raise PipelineError("cosine-map from a checkpoint needs a cloud")
-        data = load_dataset(cfg.dataset)
-        feats = embed_cloud(store, cfg, data.sensor, cloud, rep)
+        sensor, _ = load_sensors(cfg.dataset)
+        feats = embed_cloud(store, cfg, sensor, cloud, rep)
     sims, degenerate = cosine_map(feats, query)
     write_cosine_csv(out / "cosine_map.csv", sims, degenerate)
     if cloud is not None:

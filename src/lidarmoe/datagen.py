@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointcloud import PointCloud, empty_cloud
-from .sensors import CameraModel, ConfigError, SensorModel
+from .sensors import CameraModel, ConfigError, SensorModel, bad_field, is_number
 
 CLASS_GROUND = 0
 CLASS_VEHICLE = 1
@@ -92,6 +92,14 @@ class SceneConfig:
     ground_half: float = 120.0
 
     def __post_init__(self):
+        bad = bad_field(self, (lambda v: len(v) == 2 and all(map(is_number, v)),
+                               "two numbers"))
+        if bad is not None:
+            raise ConfigError("scene config {} must be {}, got {!r}".format(*bad))
+        for name in ("n_boxes", "n_pedestrians", "n_poles", "n_buildings",
+                     "n_barriers"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"scene config {name} must be >= 0")
         if self.x_bounds[0] > self.x_bounds[1] or self.y_bounds[0] > self.y_bounds[1]:
             raise ConfigError("placement bounds must have min <= max")
 
@@ -113,7 +121,7 @@ class SceneConfig:
             raise ConfigError(f"unknown scene config key(s): {', '.join(unknown)}")
         kw = dict(doc)
         for key in ("x_bounds", "y_bounds"):
-            if key in kw:
+            if isinstance(kw.get(key), list):
                 kw[key] = tuple(kw[key])
         return cls(**kw)
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph
+from .autodiff import Graph, NonFiniteError
 from .datagen import (NUM_CLASSES, SceneConfig, build_scene,
                       render_camera, simulate_lidar)
 from .datagen import augment as augment_cloud
@@ -45,26 +45,14 @@ from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
-from .sensors import CameraModel, ConfigError, SensorModel
+from .sensors import (FIELD_TYPES, CameraModel, ConfigError, SensorModel,
+                      bad_field, is_number)
 
 REPRESENTATIONS = ("range", "voxel", "point")
 
 
 class PipelineError(ValueError):
     """Invalid pipeline configuration or dataset."""
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-# accepted values per RunConfig field annotation
-_FIELD_TYPES = {
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": _is_number,
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-}
 
 
 @dataclass(frozen=True)
@@ -95,17 +83,10 @@ class RunConfig:
     sms_epochs: int = 30
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "voxel_size":
-                ok = (isinstance(value, tuple) and len(value) == 3
-                      and all(_is_number(v) and v > 0 for v in value))
-                what = "three positive numbers"
-            else:
-                ok, what = _FIELD_TYPES[f.type](value), f.type
-            if not ok:
-                raise PipelineError(f"run config {f.name} must be {what}, "
-                                    f"got {value!r}")
+        bad = bad_field(self, (lambda v: len(v) == 3 and all(
+            is_number(x) and x > 0 for x in v), "three positive numbers"))
+        if bad is not None:
+            raise PipelineError("run config {} must be {}, got {!r}".format(*bad))
         for name in ("epochs", "probe_epochs", "sms_epochs"):
             if getattr(self, name) < 0:
                 raise PipelineError(f"{name} must be >= 0")
@@ -178,25 +159,32 @@ DEFAULT_DATASET_CONFIG = {
 def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
     """Render scans + camera files and write manifest/sensor documents.
 
-    ``doc`` overrides keys of ``DEFAULT_DATASET_CONFIG``; any other key
-    raises ConfigError naming it."""
+    ``doc`` overrides keys of ``DEFAULT_DATASET_CONFIG`` with values of the
+    default's type; any other key or value raises ConfigError naming it."""
     doc = doc or {}
     unknown = sorted(set(doc) - set(DEFAULT_DATASET_CONFIG))
     if unknown:
         raise ConfigError(f"unknown datagen config key(s): {', '.join(unknown)}")
-    out = Path(out_dir)
-    (out / "scans").mkdir(parents=True, exist_ok=True)
-    (out / "cams").mkdir(parents=True, exist_ok=True)
+    for key, value in doc.items():
+        what = type(DEFAULT_DATASET_CONFIG[key]).__name__
+        if not FIELD_TYPES[what](value):
+            raise ConfigError(f"datagen config {key} must be {what}, got {value!r}")
+    for key, low in (("n_train", 0), ("n_val", 0), ("superpixel_tile", 1),
+                     ("num_classes", NUM_CLASSES)):
+        if doc.get(key, low) < low:
+            raise ConfigError(f"datagen config {key} must be >= {low}")
     merged = dict(DEFAULT_DATASET_CONFIG)
     merged.update(doc)
     sensor = SensorModel.from_json(merged)
     camera = CameraModel.from_json(merged)
     scene_cfg = SceneConfig.from_json(merged["scene"])
-    tile = int(merged["superpixel_tile"])
+    tile = merged["superpixel_tile"]
+    out = Path(out_dir)
+    (out / "scans").mkdir(parents=True, exist_ok=True)
+    (out / "cams").mkdir(parents=True, exist_ok=True)
 
-    manifest = DatasetManifest(num_classes=int(merged["num_classes"]))
-    for split, count in (("train", int(merged["n_train"])),
-                         ("val", int(merged["n_val"]))):
+    manifest = DatasetManifest(num_classes=merged["num_classes"])
+    for split, count in (("train", merged["n_train"]), ("val", merged["n_val"])):
         for i in range(count):
             scene = build_scene(scene_cfg, _step_seed(seed, split, i))
             cloud = simulate_lidar(scene, sensor)
@@ -233,13 +221,18 @@ class DatasetBundle:
         return self.val if split == "val" else self.train
 
 
+def load_sensors(dataset_dir):
+    """``(SensorModel, CameraModel)`` of a dataset, read from its
+    ``sensors.json`` alone."""
+    with open(Path(dataset_dir) / "sensors.json", "r", encoding="utf-8") as fh:
+        sdoc = json.load(fh)
+    return SensorModel.from_json(sdoc), CameraModel.from_json(sdoc)
+
+
 def load_dataset(dataset_dir) -> DatasetBundle:
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
-    with open(base / "sensors.json", "r", encoding="utf-8") as fh:
-        sdoc = json.load(fh)
-    sensor = SensorModel.from_json(sdoc)
-    camera = CameraModel.from_json(sdoc)
+    sensor, camera = load_sensors(base)
 
     def load_split(entries):
         scans = []
@@ -258,13 +251,13 @@ def load_dataset(dataset_dir) -> DatasetBundle:
 
 
 def _superpoint_scans(config: RunConfig, data: DatasetBundle):
-    """``(scan, partition)`` for every train scan with at least two
-    superpoints: the scans stage 1 and CML train on.
+    """The train scans with at least two superpoints, which stage 1 and CML
+    train on, and ``{scan name: partition}`` of each.
 
     Raises PipelineError when a train scan has no camera pairing or no
     train scan has two superpoints.
     """
-    usable = []
+    usable, partitions = [], {}
     for scan in data.train:
         if scan.image is None:
             raise PipelineError(f"train scan {scan.name} lacks camera pairing")
@@ -272,10 +265,11 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
                                       scan.image.depth,
                                       tolerance=config.superpoint_tolerance)
         if partition.count >= 2:
-            usable.append((scan, partition))
+            usable.append(scan)
+            partitions[scan.name] = partition
     if not usable:
         raise PipelineError("no train scan has at least two superpoints")
-    return usable
+    return usable, partitions
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +380,8 @@ def _train_epochs(config, scans, step_fn, store, peak_lr, log, stage_name,
     ``step_fn(scan_index, scan, epoch) -> (loss, grads, terms)``; ``terms``
     are extra values logged with the step's loss. ``on_epoch(epoch)``,
     unless None, returns values logged after the epoch's mean loss.
-    Returns per-epoch mean losses.
+    A NonFiniteError from ``step_fn`` is raised again with the stage, epoch
+    and scan name in its message. Returns per-epoch mean losses.
     """
     batches = math.ceil(len(scans) / config.batch_size)
     optimizer = AdamW(store, peak_lr, max(1, config.epochs * batches))
@@ -396,7 +391,11 @@ def _train_epochs(config, scans, step_fn, store, peak_lr, log, stage_name,
         losses = []
         pending = []
         for idx, scan in enumerate(scans):
-            loss, grads, terms = step_fn(idx, scan, epoch)
+            try:
+                loss, grads, terms = step_fn(idx, scan, epoch)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"{stage_name} epoch {epoch} scan "
+                                     f"{scan.name}: {exc}") from exc
             losses.append(loss)
             pending.append(grads)
             if len(pending) >= config.batch_size:
@@ -445,17 +444,17 @@ def stage1_pretrain(config: RunConfig, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
     teacher = teacher_store(config, data.num_classes)
-    scans = _superpoint_scans(config, data)
-    targets = {scan.name: teacher_features(scan.image, teacher,
-                                           scan.superpixels)[part.superpixel_of]
-               for scan, part in scans}
+    scans, partitions = _superpoint_scans(config, data)
+    targets = {scan.name: teacher_features(
+        scan.image, teacher, scan.superpixels)[partitions[scan.name].superpixel_of]
+        for scan in scans}
 
     results = {}
     for kind in REPRESENTATIONS:
         store = init_backbone_store(kind, config, "stage1")
 
-        def step_fn(idx, item, epoch):
-            scan, partition = item
+        def step_fn(idx, scan, epoch):
+            partition = partitions[scan.name]
             view_cloud = _maybe_augment(scan.cloud, config, "s1", kind, epoch, idx)
             view = make_view(kind, view_cloud, data.sensor, config, "x")
 
@@ -499,7 +498,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
-    usable = _superpoint_scans(config, data)
+    usable, partitions = _superpoint_scans(config, data)
 
     store = ParameterStore()
     for kind in REPRESENTATIONS:
@@ -516,8 +515,8 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
 
     final_gates = {}
 
-    def step_fn(idx, item, epoch):
-        scan, partition = item
+    def step_fn(idx, scan, epoch):
+        partition = partitions[scan.name]
         specs = {kind: (kind, _maybe_augment(scan.cloud, config, "cml", kind,
                                              epoch, idx))
                  for kind in REPRESENTATIONS}

@@ -2,13 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 
 class ConfigError(ValueError):
     """Invalid sensor, camera, or scene configuration."""
+
+
+def is_number(v) -> bool:
+    """A finite int or float; a bool does not count."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# accepted JSON values per field type name
+FIELD_TYPES = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": is_number,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "list": lambda v: isinstance(v, list),
+    "dict": lambda v: isinstance(v, dict),
+}
+
+
+def bad_field(config, tuple_rule):
+    """``(name, expected, value)`` of the first dataclass field of ``config``
+    whose value does not fit its annotation, else None; ``tuple_rule`` is
+    the ``(check, expected)`` pair for ``tuple`` fields."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "tuple":
+            check, what = tuple_rule
+            ok = isinstance(value, tuple) and check(value)
+        else:
+            ok, what = FIELD_TYPES[f.type](value), f.type
+        if not ok:
+            return f.name, what, value
+    return None
 
 
 @dataclass(frozen=True)

@@ -179,3 +179,26 @@ def scatter_add_rows_at(idx, values, num_rows):
     out = np.zeros((num_rows,) + values.shape[1:], np.float64)
     np.add.at(out, np.asarray(idx, np.int64), values)
     return out
+
+
+def conv2d3x3_shifts(x, w, b, g):
+    """float64 output and (x, w, b) grads of ``autodiff.conv2d3x3`` for
+    upstream grad ``g``, as nine shifted (H*W, C_in) @ (C_in, C_out)
+    products, one per tap of the row-major 3x3 window."""
+    x, w, b, g = (np.asarray(a, np.float64) for a in (x, w, b, g))
+    h, wd, cin = x.shape
+    cout = w.shape[1]
+    xp = np.zeros((h + 2, wd + 2, cin))
+    xp[1:-1, 1:-1] = x
+    gf = g.reshape(h * wd, cout)
+    out = np.zeros((h * wd, cout))
+    gxp = np.zeros((h + 2, wd + 2, cin))
+    gw = np.zeros((9 * cin, cout))
+    for t in range(9):
+        dy, dx = divmod(t, 3)
+        shift = xp[dy:dy + h, dx:dx + wd].reshape(h * wd, cin)
+        blk = w[t * cin:(t + 1) * cin]
+        out += shift @ blk
+        gxp[dy:dy + h, dx:dx + wd] += (gf @ blk.T).reshape(h, wd, cin)
+        gw[t * cin:(t + 1) * cin] = shift.T @ gf
+    return (out + b).reshape(h, wd, cout), gxp[1:-1, 1:-1], gw, gf.sum(axis=0)

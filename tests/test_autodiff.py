@@ -8,6 +8,8 @@ from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph, NonFiniteError, ShapeError
 from lidarmoe.params import ParameterStore
 
+from oracles import conv2d3x3_shifts
+
 
 def make_store(**arrays):
     store = ParameterStore()
@@ -174,6 +176,113 @@ def test_conv2d3x3_matches_explicit_convolution(rng):
                     acc += xp[i + dy, j + dx] @ tap.astype(np.float64)
             expected[i, j] = acc
     assert np.allclose(out, expected, atol=1e-5)
+
+
+@pytest.mark.parametrize("h,w,cin,cout", [(4, 5, 3, 2), (1, 6, 2, 3), (5, 1, 2, 3),
+                                          (3, 4, 1, 4), (6, 10, 5, 32),
+                                          (6, 10, 32, 32)])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_conv2d3x3_matches_nine_shift_oracle(h, w, cin, cout, dtype, tol):
+    """Forward and the three grads against the nine-shift form; the
+    summation order differs, so the error is taken relative to the
+    largest entry of each reference."""
+    rng = np.random.default_rng(h * 1000 + w * 100 + cin)
+    x, weight, bias, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                          ((h, w, cin), (9 * cin, cout), (cout,), (h, w, cout)))
+    out = ad.conv2d3x3(*(ad.Var(a, requires_grad=True) for a in (x, weight, bias)))
+    assert out.data.dtype == dtype
+    got = (out.data,) + tuple(out.bwd(g))
+    for name, have, want in zip(("out", "gx", "gw", "gb"), got,
+                                conv2d3x3_shifts(x, weight, bias, g)):
+        assert have.shape == want.shape, name
+        assert np.max(np.abs(have - want)) <= tol * np.max(np.abs(want)), name
+
+
+def test_non_finite_gradient_names_the_parameter():
+    """The forward is finite in float32; the grad of p, 2 * 3e38, is not."""
+    store = make_store(p=np.full(1, 1e-30))
+
+    def build(ctx):
+        pc = ad.mul(ctx.param("p"), ctx.input("c"))
+        return {"loss": ad.add(ad.sum_all(pc), ad.sum_all(pc))}
+
+    graph = Graph(build)
+    inputs = {"c": np.full(1, 3e38, np.float32)}
+    assert np.isfinite(ad.evaluate(graph, store, inputs)["loss"])
+    with pytest.raises(NonFiniteError, match="gradient of parameter p"), \
+            np.errstate(over="ignore"):
+        ad.backward(graph, store, inputs)
+
+
+# every public autodiff function that makes a graph node
+PRIMITIVES = sorted(n for n, fn in vars(ad).items()
+                    if callable(fn) and not n.startswith("_")
+                    and "_out" in getattr(getattr(fn, "__code__", None), "co_names", ()))
+
+SEG = np.array([0, 1, 0, 2, 1])
+
+# primitive -> (parameter shapes, body over the parameter Vars); the bodies
+# give every operand a grad, and ``add``/``sub``/``mul`` broadcast one
+POLICY_CASES = {
+    "add": ({"a": (5, 4), "b": (4,)}, lambda p: ad.add(p["a"], p["b"])),
+    "sub": ({"a": (5, 4), "b": (1, 4)}, lambda p: ad.sub(p["a"], p["b"])),
+    "neg": ({"a": (5, 4)}, lambda p: ad.neg(p["a"])),
+    "mul": ({"a": (5, 4), "b": (4,)}, lambda p: ad.mul(p["a"], p["b"])),
+    "div": ({"a": (5, 4), "b": (5, 4)}, lambda p: ad.div(p["a"], p["b"])),
+    "matmul": ({"a": (5, 4), "b": (4, 3)}, lambda p: ad.matmul(p["a"], p["b"])),
+    "relu": ({"a": (5, 4), "b": (4,)}, lambda p: ad.relu(ad.sub(p["a"], p["b"]))),
+    "softplus": ({"a": (5, 4), "b": (4,)},
+                 lambda p: ad.softplus(ad.sub(p["a"], p["b"]))),
+    "sqrt": ({"a": (5, 4)}, lambda p: ad.sqrt(p["a"])),
+    "softmax_rows": ({"a": (5, 4)}, lambda p: ad.softmax_rows(p["a"])),
+    "log_softmax_rows": ({"a": (5, 4)}, lambda p: ad.log_softmax_rows(p["a"])),
+    "logsumexp_rows": ({"a": (5, 4)}, lambda p: ad.logsumexp_rows(p["a"])),
+    "concat_cols": ({"a": (5, 4), "b": (5, 2)},
+                    lambda p: ad.concat_cols([p["a"], p["b"]])),
+    "slice_cols": ({"a": (5, 4)}, lambda p: ad.slice_cols(p["a"], 1, 3)),
+    "reshape": ({"a": (5, 4)}, lambda p: ad.reshape(p["a"], (4, 5))),
+    "transpose": ({"a": (5, 4)}, lambda p: ad.transpose(p["a"])),
+    "gather_rows": ({"a": (5, 4)},
+                    lambda p: ad.gather_rows(p["a"], np.array([0, 0, 2, 4]))),
+    "take_diag": ({"a": (4, 4)}, lambda p: ad.take_diag(p["a"])),
+    "segment_mean": ({"a": (5, 4)}, lambda p: ad.segment_mean(p["a"], SEG, 3)),
+    "segment_max": ({"a": (5, 4)}, lambda p: ad.segment_max(p["a"], SEG, 3)),
+    "sum_all": ({"a": (5, 4)}, lambda p: ad.sum_all(p["a"])),
+    "mean_all": ({"a": (5, 4)}, lambda p: ad.mean_all(p["a"])),
+    "sum_cols": ({"a": (5, 4)}, lambda p: ad.sum_cols(p["a"])),
+    "conv2d3x3": ({"x": (3, 4, 2), "w": (18, 3), "b": (3,)},
+                  lambda p: ad.conv2d3x3(p["x"], p["w"], p["b"])),
+}
+
+
+def test_policy_cases_cover_every_primitive():
+    assert "conv2d3x3" in PRIMITIVES and "scatter_add_rows" not in PRIMITIVES
+    assert sorted(POLICY_CASES) == PRIMITIVES
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_backward_runs_in_the_graph_dtype(name):
+    """Every parameter grad has the graph's dtype and shape, in normal
+    (float32) and exact (float64) mode, and exact mode passes grad_check."""
+    shapes, body = POLICY_CASES[name]
+    rng = np.random.default_rng(7)
+    store = make_store(**{k: rng.uniform(0.5, 1.5, s) for k, s in shapes.items()})
+
+    def build(ctx):
+        out = body({k: ctx.param(k) for k in shapes})
+        weights = np.random.default_rng(8).standard_normal(out.shape)
+        return {"loss": ad.sum_all(ad.mul(out, ad.as_var(weights.astype(ctx.dtype))))}
+
+    graph = Graph(build)
+    for dtype in (np.float32, np.float64):
+        ctx, outputs = graph.run(store, {}, dtype=dtype)
+        ad._backprop(outputs["loss"])
+        for pname, var in ctx.param_vars().items():
+            assert var.grad is not None, pname
+            assert var.grad.dtype == dtype, pname
+            assert var.grad.shape == var.data.shape, pname
+    eps = 1e-4 if name == "segment_max" else 1e-3
+    assert ad.grad_check(graph, store, {}, eps=eps) < 1e-4
 
 
 def test_shape_validation():

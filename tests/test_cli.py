@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, output files, reproducibility."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -206,6 +207,16 @@ def test_full_cli_training_chain(tmp_path, tiny_dataset):
     rows = (cm_out / "cosine_map.csv").read_text().strip().split("\n")
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0)
 
+    # the cosine map reads only the dataset's sensors.json
+    sensors_only = tmp_path / "sensors_only"
+    sensors_only.mkdir()
+    shutil.copy(tiny_dataset / "sensors.json", sensors_only / "sensors.json")
+    lone_cfg = write_json(tmp_path / "cm_lone.json",
+                          dict(cm_doc, dataset=str(sensors_only)))
+    assert main(["cosine-map", "--config", lone_cfg, "--out", str(tmp_path / "cm2")]) == 0
+    assert (tmp_path / "cm2" / "cosine_map.csv").read_bytes() == \
+        (cm_out / "cosine_map.csv").read_bytes()
+
 
 @pytest.mark.parametrize("command,key", [
     ("pretrain", "epoch"), ("cml", "init"), ("sms", "stage1_dir"),
@@ -246,6 +257,26 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"n_trian": 1, "n_val": 1})
     assert main(["datagen", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "unknown datagen config key(s): n_trian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n_train": 1, "n_val": 0, "scene": {"n_boxes": "3"}},
+     "scene config n_boxes must be int, got '3'"),
+    ({"n_train": 1, "n_val": 0, "scene": {"x_bounds": 4}},
+     "scene config x_bounds must be two numbers, got 4"),
+    ({"n_train": 1, "n_val": 0, "scene": {"n_poles": -1}},
+     "scene config n_poles must be >= 0"),
+    ({"n_train": 1.9, "n_val": 0}, "datagen config n_train must be int, got 1.9"),
+    ({"n_train": 1, "n_val": 0, "max_range_m": "60"},
+     "datagen config max_range_m must be float, got '60'"),
+    ({"n_train": 1, "n_val": -1}, "datagen config n_val must be >= 0"),
+])
+def test_datagen_bad_value_exit_2(tmp_path, capsys, doc, message):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    out = tmp_path / "out"
+    assert main(["datagen", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from lidarmoe import autodiff as ad
-from lidarmoe.autodiff import Graph
-from lidarmoe.dataio import load_manifest
-from lidarmoe.params import load_checkpoint
+from lidarmoe.autodiff import Graph, NonFiniteError
+from lidarmoe.dataio import TrainingLog, load_manifest
+from lidarmoe.params import ParameterStore, load_checkpoint
 from lidarmoe.pipeline import (REPRESENTATIONS, PipelineError, RunConfig,
-                               build_group_mean, build_view_aligned,
+                               _train_epochs, build_group_mean, build_view_aligned,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
                                make_view, stage1_pretrain, stage2_cml,
@@ -18,6 +18,7 @@ from lidarmoe.losses import build_info_nce
 from lidarmoe.encoders import teacher_features
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 
 def ckpts_of(results):
@@ -413,3 +414,21 @@ def test_run_config_accepts_ints_for_floats_and_json_voxel_lists():
     assert cfg.voxel_size == (2, 2, 2) and cfg.lr_cml == 1
     with pytest.raises(PipelineError, match="voxel_size"):
         RunConfig.from_json({"voxel_size": 5})
+
+
+def test_train_epochs_names_stage_epoch_and_scan_of_non_finite_error(tmp_path):
+    scans = [SimpleNamespace(name="train_000"), SimpleNamespace(name="train_001")]
+    store = ParameterStore()
+    store.add("w", np.ones(2, np.float32))
+
+    def step_fn(idx, scan, epoch):
+        if (epoch, idx) == (1, 1):
+            raise NonFiniteError("non-finite value in gradient of parameter w")
+        return 1.0, {"w": np.ones(2, np.float32)}, {}
+
+    with TrainingLog(tmp_path / "log.csv") as log, \
+            pytest.raises(NonFiniteError) as info:
+        _train_epochs(RunConfig(epochs=3), scans, step_fn, store,
+                      lambda _: 0.01, log, "stage1-range", None)
+    assert str(info.value) == ("stage1-range epoch 1 scan train_001: "
+                               "non-finite value in gradient of parameter w")
