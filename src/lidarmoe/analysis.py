@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_text
 from .pointcloud import PointCloud
 
 ROUTE_AXES = ("beam", "distance-bin", "class")
@@ -80,11 +81,10 @@ def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
 
 
 def write_route_csv(path, table: RouteTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("axis,bucket,count,load_range,load_voxel,load_point\n")
+    write_text(path, "axis,bucket,count,load_range,load_voxel,load_point\n" + "".join(
+        f"{table.axis},{name},{cnt},{a!r},{b!r},{g!r}\n"
         for name, cnt, (a, b, g) in zip(table.buckets, table.counts.tolist(),
-                                        table.loads.tolist()):
-            fh.write(f"{table.axis},{name},{cnt},{a!r},{b!r},{g!r}\n")
+                                        table.loads.tolist())))
 
 
 def cosine_map(features: np.ndarray, query: int):
@@ -111,10 +111,9 @@ def cosine_map(features: np.ndarray, query: int):
 
 
 def write_cosine_csv(path, sims: np.ndarray, degenerate: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("point_id,similarity,zero_norm\n")
-        for i, (s, z) in enumerate(zip(sims.tolist(), degenerate.tolist())):
-            fh.write(f"{i},{s!r},{int(z)}\n")
+    write_text(path, "point_id,similarity,zero_norm\n" + "".join(
+        f"{i},{s!r},{int(z)}\n"
+        for i, (s, z) in enumerate(zip(sims.tolist(), degenerate.tolist()))))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +147,7 @@ def scatter_svg(path, xy: np.ndarray, values: np.ndarray, title="") -> None:
         py = size - pad - (y - lo[1]) * scale
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2" fill="{_color(v)}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    write_text(path, "\n".join(parts))
 
 
 _EXPERT_COLORS = ("#2ca02c", "#d62728", "#1f77b4")
@@ -180,5 +178,4 @@ def route_bars_svg(path, table: RouteTable, title="") -> None:
         parts.append(f'<rect x="{pad + j * 90}" y="{height - 14}" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{pad + j * 90 + 14}" y="{height - 5}" fill="#111111" font-size="10">{nm}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    write_text(path, "\n".join(parts))

@@ -11,6 +11,10 @@ all use it. It is float32 in normal mode and float64 in exact mode
 scatter-adds (reductions, segment pooling, softmax normalisers) accumulate
 in float64 and round back to the graph dtype.
 
+A backward closure computes a grad only for an operand whose
+``requires_grad`` is set and returns None for the others. Gradients are
+never written in place, so a closure may hand one array to two parents.
+
 The package-level entry points are :func:`evaluate`, :func:`backward` and
 :func:`grad_check`, which run a :class:`Graph` (a named build function over
 inputs and parameters) forward, backward, and against central differences.
@@ -60,10 +64,11 @@ class Var:
         return self.data.shape
 
     def add_grad(self, g):
+        # never written in place: a closure may hand one array to two parents
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
-            self.grad += g
+            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
 
 
 def as_var(x) -> Var:
@@ -74,7 +79,12 @@ def as_var(x) -> Var:
 
 def _out(data, parents, bwd):
     req = any(p.requires_grad for p in parents)
-    return Var(data, parents=tuple(parents), bwd=bwd, requires_grad=req)
+    try:
+        return Var(data, parents=tuple(parents), bwd=bwd, requires_grad=req)
+    except NonFiniteError:
+        # every primitive defines its backward closure in its own body
+        primitive = bwd.__qualname__.split(".")[0]
+        raise NonFiniteError(f"non-finite value in output of {primitive}") from None
 
 
 def _dtype_of(*vars_):
@@ -105,20 +115,22 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data + b.data).astype(_dtype_of(a, b))
+    data = (a.data + b.data).astype(_dtype_of(a, b), copy=False)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _out(data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data - b.data).astype(_dtype_of(a, b))
+    data = (a.data - b.data).astype(_dtype_of(a, b), copy=False)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _out(data, (a, b), bwd)
 
@@ -130,23 +142,24 @@ def neg(a):
 
 def mul(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data * b.data).astype(_dtype_of(a, b))
+    data = (a.data * b.data).astype(_dtype_of(a, b), copy=False)
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
 
     return _out(data, (a, b), bwd)
 
 
 def div(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data / b.data).astype(_dtype_of(a, b))
+    data = (a.data / b.data).astype(_dtype_of(a, b), copy=False)
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return (_unbroadcast(g / bd, ad.shape),
-                _unbroadcast(-g * ad / (bd * bd), bd.shape))
+        return (_unbroadcast(g / bd, ad.shape) if a.requires_grad else None,
+                _unbroadcast(-g * ad / (bd * bd), bd.shape) if b.requires_grad else None)
 
     return _out(data, (a, b), bwd)
 
@@ -155,11 +168,12 @@ def matmul(a, b):
     a, b = as_var(a), as_var(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul {a.data.shape} @ {b.data.shape}")
-    data = (a.data @ b.data).astype(_dtype_of(a, b))
+    data = (a.data @ b.data).astype(_dtype_of(a, b), copy=False)
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _out(data, (a, b), bwd)
 
@@ -167,7 +181,7 @@ def matmul(a, b):
 def relu(a):
     a = as_var(a)
     mask = a.data > 0
-    return _out(np.where(mask, a.data, 0).astype(a.data.dtype), (a,),
+    return _out(np.where(mask, a.data, 0).astype(a.data.dtype, copy=False), (a,),
                 lambda g: (g * mask,))
 
 
@@ -217,7 +231,8 @@ def log_softmax_rows(a):
     sm = np.exp(y64)
 
     def bwd(g):
-        return (g - sm * np.sum(g, axis=1, keepdims=True),)
+        # rounded once to the graph dtype before any sum with other grads
+        return ((g - sm * np.sum(g, axis=1, keepdims=True)).astype(g.dtype),)
 
     return _out(data, (a,), bwd)
 
@@ -247,8 +262,8 @@ def concat_cols(parts):
 
     def bwd(g):
         grads, j = [], 0
-        for w in widths:
-            grads.append(g[:, j:j + w])
+        for p, w in zip(parts, widths):
+            grads.append(g[:, j:j + w] if p.requires_grad else None)
             j += w
         return tuple(grads)
 
@@ -406,13 +421,29 @@ def sum_cols(a):
     return _out(data, (a,), bwd)
 
 
+def _padded_rows(img, dtype):
+    """An HWC image zero-padded by one pixel on each side and flattened to
+    ((H + 2) * (W + 2) + 2, C) rows; the two extra zero rows let the last
+    tap's row slice run to full length."""
+    h, wd, c = img.shape
+    flat = np.zeros(((h + 2) * (wd + 2) + 2, c), dtype=dtype)
+    flat[:-2].reshape(h + 2, wd + 2, c)[1:-1, 1:-1] = img
+    return flat
+
+
 def conv2d3x3(x, w, b):
     """3x3 same-padding convolution on an HWC image.
 
     ``w`` has shape (9 * C_in, C_out) with taps ordered row-major over the
-    3x3 window; ``b`` has shape (C_out,). Implemented as one im2col matrix
-    product: row ``i * W + j`` of the (H * W, 9 * C_in) patch matrix holds
-    the nine zero-padded neighbours of pixel (i, j) in tap order.
+    3x3 window; ``b`` has shape (C_out,). Each tap is one matrix product
+    over a row slice of the flattened zero-padded image (see
+    :func:`_padded_rows`): tap (dy, dx) starts at row ``dy * (W + 2) + dx``
+    and covers H * (W + 2) rows, so output pixel (i, j) is row
+    ``i * (W + 2) + j`` of the nine-tap sum, and a view drops the two junk
+    columns of each image row. The backward runs the same way: the weight
+    grad of a tap is its slice transposed times the centre slice of the
+    zero-padded grad, and the image grad sums nine products over slices of
+    that padded grad with the taps flipped.
     """
     x, w, b = as_var(x), as_var(w), as_var(b)
     if x.data.ndim != 3:
@@ -422,24 +453,33 @@ def conv2d3x3(x, w, b):
         raise ShapeError(f"conv2d3x3 weight rows {w.data.shape[0]} != 9*{cin}")
     cout = w.data.shape[1]
     dtype = _dtype_of(x, w, b)
-    taps = [divmod(t, 3) for t in range(9)]
-
-    xp = np.zeros((h + 2, wd + 2, cin), dtype=dtype)
-    xp[1:-1, 1:-1] = x.data
-    cols = np.empty((h, wd, 9, cin), dtype=dtype)
-    for t, (dy, dx) in enumerate(taps):
-        cols[:, :, t] = xp[dy:dy + h, dx:dx + wd]
-    cols = cols.reshape(h * wd, 9 * cin)
+    row = wd + 2
+    n = h * row
+    starts = [dy * row + dx for dy, dx in (divmod(t, 3) for t in range(9))]
     wmat = w.data.astype(dtype, copy=False)
-    data = (cols @ wmat + b.data).reshape(h, wd, cout)
+    taps = [wmat[t * cin:(t + 1) * cin] for t in range(9)]
+
+    xflat = _padded_rows(x.data, dtype)
+    acc = xflat[:n] @ taps[0]
+    for s, tap in zip(starts[1:], taps[1:]):
+        acc += xflat[s:s + n] @ tap
+    acc += b.data
+    data = acc.reshape(h, row, cout)[:, :wd]
 
     def bwd(g):
-        gf = g.reshape(h * wd, cout)
-        gcols = (gf @ wmat.T).reshape(h, wd, 9, cin)
-        gxp = np.zeros((h + 2, wd + 2, cin), dtype=dtype)
-        for t, (dy, dx) in enumerate(taps):
-            gxp[dy:dy + h, dx:dx + wd] += gcols[:, :, t]
-        return gxp[1:-1, 1:-1], cols.T @ gf, _reduce_sum(gf, axis=0)
+        gflat = _padded_rows(g, dtype)
+        gx = gw = gb = None
+        if x.requires_grad:
+            gacc = gflat[starts[8]:starts[8] + n] @ taps[0].T
+            for s, tap in zip(starts[7::-1], taps[1:]):
+                gacc += gflat[s:s + n] @ tap.T
+            gx = gacc.reshape(h, row, cin)[:, :wd]
+        if w.requires_grad:
+            centre = gflat[row + 1:row + 1 + n]
+            gw = np.concatenate([xflat[s:s + n].T @ centre for s in starts])
+        if b.requires_grad:
+            gb = _reduce_sum(g, axis=(0, 1))
+        return gx, gw, gb
 
     return _out(data, (x, w, b), bwd)
 
@@ -554,6 +594,8 @@ def backward(graph, params, inputs, loss="loss", train_mode=False, seed=0):
     Returns ``(outputs, grads)``; ``grads`` maps parameter name to a
     float32 array and contains entries only for trainable parameters used
     by the graph (a used-but-unaffecting parameter gets a zero array).
+    Grad arrays are not copied: two entries may share one array, and an
+    entry may be a read-only view, so copy one before writing to it.
     Raises NonFiniteError naming the first parameter whose grad is not
     finite.
     """

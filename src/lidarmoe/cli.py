@@ -22,7 +22,8 @@ from .analysis import (AnalysisError, cosine_map, route_stats, route_bars_svg,
 from .autodiff import NonFiniteError, ShapeError
 from .datagen import corrupt as corrupt_cloud
 from .dataio import (DataFormatError, DatasetManifest, ScanEntry, load_manifest,
-                     read_lpcd, resolve, save_manifest, write_json, write_lpcd)
+                     read_lpcd, resolve, save_manifest, write_json, write_lpcd,
+                     write_text)
 from .geometry import ContractError
 from .losses import LossContractError
 from .metrics import MetricError, MetricReport, compute_mce_mrr, compute_miou
@@ -87,12 +88,12 @@ def _run_config(doc: dict, args) -> RunConfig:
 
 
 def _write_metric_csv(path, report: MetricReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("class,tp,fp,fn,iou\n")
-        for c in range(report.tp.shape[0]):
-            iou = report.iou[c]
-            val = "" if np.isnan(iou) else repr(float(iou))
-            fh.write(f"{c},{report.tp[c]},{report.fp[c]},{report.fn[c]},{val}\n")
+    rows = ["class,tp,fp,fn,iou\n"]
+    for c in range(report.tp.shape[0]):
+        iou = report.iou[c]
+        val = "" if np.isnan(iou) else repr(float(iou))
+        rows.append(f"{c},{report.tp[c]},{report.fp[c]},{report.fn[c]},{val}\n")
+    write_text(path, "".join(rows))
 
 
 def _out_dir(args) -> Path:
@@ -196,11 +197,11 @@ def _cmd_eval(args):
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
         _write_metric_csv(out / f"metrics_{name}.csv", report)
-    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
-        fh.write("scan,point_id,prediction,label\n")
-        for scan, preds in zip(data.scans(split), fused):
-            for i, (p, l) in enumerate(zip(preds.tolist(), scan.cloud.label.tolist())):
-                fh.write(f"{scan.name},{i},{p},{l}\n")
+    rows = ["scan,point_id,prediction,label\n"]
+    for scan, preds in zip(data.scans(split), fused):
+        rows.extend(f"{scan.name},{i},{p},{l}\n" for i, (p, l) in
+                    enumerate(zip(preds.tolist(), scan.cloud.label.tolist())))
+    write_text(out / "predictions.csv", "".join(rows))
     write_json(out / "eval_summary.json",
                {name: report.miou for name, report in reports.items()})
     return 0
@@ -284,10 +285,8 @@ def _cmd_report(args):
     out = _out_dir(args)
     mce, mrr, per = compute_mce_mrr(doc["model_ious"], doc["baseline_ious"],
                                     float(doc["clean_iou"]))
-    with open(out / "robustness.csv", "w", encoding="utf-8") as fh:
-        fh.write("corruption,ce,rr\n")
-        for name in sorted(per):
-            fh.write(f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n")
+    write_text(out / "robustness.csv", "corruption,ce,rr\n" + "".join(
+        f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n" for name in sorted(per)))
     write_json(out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
     return 0
 

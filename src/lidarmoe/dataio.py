@@ -5,7 +5,8 @@ of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
 little-endian. Camera renders are stored as .npz with arrays ``class_id``
 (H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
 A dataset manifest is a JSON document listing per-split scan/camera pairs.
-JSON documents and checkpoints are written through :func:`atomic_write`.
+Every output file except the streamed training log and the camera renders
+is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -46,10 +47,15 @@ def atomic_write(path, write) -> None:
         raise
 
 
+def write_text(path, text: str) -> None:
+    """UTF-8 text, written atomically."""
+    blob = text.encode("utf-8")
+    atomic_write(path, lambda fh: fh.write(blob))
+
+
 def write_json(path, doc) -> None:
     """Indented, key-sorted JSON plus a final newline, written atomically."""
-    blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    atomic_write(path, lambda fh: fh.write(blob))
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_lpcd(path, cloud: PointCloud) -> None:
@@ -58,11 +64,14 @@ def write_lpcd(path, cloud: PointCloud) -> None:
     rec["intensity"] = cloud.intensity
     rec["beam"] = cloud.beam.astype("<u2")
     rec["label"] = cloud.label
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(LPCD_MAGIC)
         fh.write(struct.pack("<I", LPCD_VERSION))
         fh.write(struct.pack("<Q", cloud.count))
         fh.write(rec.tobytes())
+
+    atomic_write(path, write)
 
 
 def read_lpcd(path) -> PointCloud:

@@ -76,7 +76,8 @@ def build_cross_entropy(logits_var, labels, ignore=-1):
     if keep.size == 0:
         raise LossContractError("all labels are ignored")
     c = logits_var.shape[1]
-    logp = ad.log_softmax_rows(ad.gather_rows(logits_var, keep))
+    kept = logits_var if keep.size == labels.size else ad.gather_rows(logits_var, keep)
+    logp = ad.log_softmax_rows(kept)
     onehot = np.zeros((keep.size, c), np.float32)
     onehot[np.arange(keep.size), labels[keep]] = 1.0
     picked = ad.sum_cols(ad.mul(logp, ad.as_var(onehot)))
@@ -114,7 +115,7 @@ def build_lovasz_softmax(probs_var, labels, ignore=-1):
     keep = np.flatnonzero(labels != ignore)
     if keep.size == 0:
         raise LossContractError("all labels are ignored")
-    probs_kept = ad.gather_rows(probs_var, keep)
+    probs_kept = probs_var if keep.size == labels.size else ad.gather_rows(probs_var, keep)
     kept_labels = labels[keep]
     present = np.unique(kept_labels)
     terms = None

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError
+from .dataio import write_text
 from .params import ParameterStore, glorot_uniform
 
 
@@ -54,10 +55,8 @@ def build_moe(ctx, expert_r, expert_v, expert_p, noise_active=False,
 def write_gate_csv(path, gates: np.ndarray) -> None:
     """Per-point gate export of an (N, 3) array over (range, voxel,
     point): point_id, alpha, beta, gamma."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("point_id,alpha,beta,gamma\n")
-        for i, (a, b, g) in enumerate(gates.tolist()):
-            fh.write(f"{i},{a!r},{b!r},{g!r}\n")
+    write_text(path, "point_id,alpha,beta,gamma\n" + "".join(
+        f"{i},{a!r},{b!r},{g!r}\n" for i, (a, b, g) in enumerate(gates.tolist())))
 
 
 def read_gate_csv(path) -> np.ndarray:

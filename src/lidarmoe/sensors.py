@@ -17,7 +17,7 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# accepted JSON values per field type name
+# accepted JSON values per field type name; a matrix is a list of number lists
 FIELD_TYPES = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": is_number,
@@ -25,7 +25,21 @@ FIELD_TYPES = {
     "str": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, list),
     "dict": lambda v: isinstance(v, dict),
+    "matrix": lambda v: isinstance(v, list) and all(
+        isinstance(row, list) and all(map(is_number, row)) for row in v),
 }
+
+
+def _read(doc, owner, key, what):
+    """``doc[key]`` after checking it with ``FIELD_TYPES[what]``; raises
+    ConfigError naming the key."""
+    try:
+        value = doc[key]
+    except KeyError as exc:
+        raise ConfigError(f"{owner} config missing key {exc}") from exc
+    if not FIELD_TYPES[what](value):
+        raise ConfigError(f"{owner} config {key} must be {what}, got {value!r}")
+    return value
 
 
 def bad_field(config, tuple_rule):
@@ -84,18 +98,18 @@ class SensorModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SensorModel":
-        try:
-            return cls(
-                beam_count=int(doc["beam_count"]),
-                azimuth_steps=int(doc["azimuth_steps"]),
-                fov_total=float(doc["fov_total_rad"]),
-                fov_down=float(doc["fov_down_rad"]),
-                max_range=float(doc["max_range_m"]),
-                range_h=int(doc["range_h"]),
-                range_w=int(doc["range_w"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"sensor config missing key {exc}") from exc
+        def read(key, what):
+            return _read(doc, "sensor", key, what)
+
+        return cls(
+            beam_count=read("beam_count", "int"),
+            azimuth_steps=read("azimuth_steps", "int"),
+            fov_total=float(read("fov_total_rad", "float")),
+            fov_down=float(read("fov_down_rad", "float")),
+            max_range=float(read("max_range_m", "float")),
+            range_h=read("range_h", "int"),
+            range_w=read("range_w", "int"),
+        )
 
 
 @dataclass(frozen=True)
@@ -133,13 +147,13 @@ class CameraModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CameraModel":
-        try:
-            return cls(
-                intrinsics=np.asarray(doc["cam_intrinsics"], dtype=np.float64),
-                extrinsics=np.asarray(doc["cam_extrinsics"], dtype=np.float64),
-                width=int(doc["cam_w"]),
-                height=int(doc["cam_h"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"camera config missing key {exc}") from exc
+        def read(key, what):
+            return _read(doc, "camera", key, what)
+
+        return cls(
+            intrinsics=np.asarray(read("cam_intrinsics", "matrix"), dtype=np.float64),
+            extrinsics=np.asarray(read("cam_extrinsics", "matrix"), dtype=np.float64),
+            width=read("cam_w", "int"),
+            height=read("cam_h", "int"),
+        )
 

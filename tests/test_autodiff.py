@@ -185,17 +185,22 @@ def test_conv2d3x3_matches_explicit_convolution(rng):
 def test_conv2d3x3_matches_nine_shift_oracle(h, w, cin, cout, dtype, tol):
     """Forward and the three grads against the nine-shift form; the
     summation order differs, so the error is taken relative to the
-    largest entry of each reference."""
+    largest entry of each reference. A constant image gets no grad."""
     rng = np.random.default_rng(h * 1000 + w * 100 + cin)
     x, weight, bias, g = (rng.standard_normal(shape).astype(dtype) for shape in
                           ((h, w, cin), (9 * cin, cout), (cout,), (h, w, cout)))
-    out = ad.conv2d3x3(*(ad.Var(a, requires_grad=True) for a in (x, weight, bias)))
-    assert out.data.dtype == dtype
-    got = (out.data,) + tuple(out.bwd(g))
-    for name, have, want in zip(("out", "gx", "gw", "gb"), got,
-                                conv2d3x3_shifts(x, weight, bias, g)):
-        assert have.shape == want.shape, name
-        assert np.max(np.abs(have - want)) <= tol * np.max(np.abs(want)), name
+    want = conv2d3x3_shifts(x, weight, bias, g)
+    for x_trainable in (True, False):
+        out = ad.conv2d3x3(ad.Var(x, requires_grad=x_trainable),
+                           *(ad.Var(a, requires_grad=True) for a in (weight, bias)))
+        assert out.data.dtype == dtype
+        got = (out.data,) + tuple(out.bwd(g))
+        assert (got[1] is None) == (not x_trainable)
+        for name, have, ref in zip(("out", "gx", "gw", "gb"), got, want):
+            if have is None:
+                continue
+            assert have.shape == ref.shape, name
+            assert np.max(np.abs(have - ref)) <= tol * np.max(np.abs(ref)), name
 
 
 def test_non_finite_gradient_names_the_parameter():
@@ -285,6 +290,67 @@ def test_backward_runs_in_the_graph_dtype(name):
     assert ad.grad_check(graph, store, {}, eps=eps) < 1e-4
 
 
+def _node(body, arrays, constant=None):
+    """The operand leaves (all trainable but ``constant``) and the node
+    ``body`` makes over them."""
+    leaves = {k: ad.Var(v, requires_grad=k != constant) for k, v in arrays.items()}
+    return leaves, body(leaves)
+
+
+def _operand_grads(body, arrays, constant=None):
+    """The node's closure grads by operand name, for a fixed upstream grad."""
+    leaves, out = _node(body, arrays, constant)
+    g = np.random.default_rng(9).standard_normal(out.shape).astype(out.data.dtype)
+    grads = dict(zip(map(id, out.parents), out.bwd(g)))
+    return {k: grads[id(v)] for k, v in leaves.items()}
+
+
+MULTI_OPERAND = [name for name, (shapes, body) in POLICY_CASES.items()
+                 if len(_node(body, {k: np.ones(s) for k, s in shapes.items()})[1]
+                        .parents) > 1]
+
+
+def test_multi_operand_cases_are_the_binary_primitives():
+    assert MULTI_OPERAND == ["add", "sub", "mul", "div", "matmul", "concat_cols",
+                             "conv2d3x3"]
+
+
+@pytest.mark.parametrize("name", MULTI_OPERAND)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_constant_operand_gets_no_grad(name, dtype):
+    """The closure returns None for an operand that takes no grad, and
+    exactly the all-trainable grads for the others."""
+    shapes, body = POLICY_CASES[name]
+    rng = np.random.default_rng(7)
+    arrays = {k: rng.uniform(0.5, 1.5, s).astype(dtype) for k, s in shapes.items()}
+    full = _operand_grads(body, arrays)
+    for constant in shapes:
+        grads = _operand_grads(body, arrays, constant)
+        assert grads[constant] is None, constant
+        for k in shapes:
+            if k != constant:
+                assert grads[k].dtype == full[k].dtype, (constant, k)
+                assert np.array_equal(grads[k], full[k]), (constant, k)
+
+
+@pytest.mark.parametrize("shared_first", [True, False])
+def test_grad_array_shared_by_two_parents_is_not_overwritten(shared_first):
+    """``add`` hands one grad array to both operands; a later second grad
+    of ``a`` must not change ``b``'s."""
+    w1, w2 = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
+    store = make_store(a=np.ones(3), b=np.ones(3))
+
+    def build(ctx):
+        a, b = ctx.param("a"), ctx.param("b")
+        shared = ad.sum_all(ad.mul(ad.add(a, b), ad.as_var(w1.astype(ctx.dtype))))
+        second = ad.sum_all(ad.mul(a, ad.as_var(w2.astype(ctx.dtype))))
+        return {"loss": ad.add(shared, second) if shared_first else ad.add(second, shared)}
+
+    _, grads = ad.backward(Graph(build), store, {})
+    assert np.array_equal(grads["a"], w1 + w2)
+    assert np.array_equal(grads["b"], w1)
+
+
 def test_shape_validation():
     g = Graph(lambda ctx: {"out": ad.matmul(ctx.input("a"), ctx.input("b"))})
     with pytest.raises(ShapeError):
@@ -293,8 +359,10 @@ def test_shape_validation():
 
 
 def test_non_finite_intermediate_raises():
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
+        ad.sqrt(-1)
     g = Graph(lambda ctx: {"out": ad.sqrt(ctx.input("x"))})
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
         ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0], np.float32)})
 
 

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, output files, reproducibility."""
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from lidarmoe.cli import main
 from lidarmoe.dataio import read_lpcd, write_lpcd
 from lidarmoe.moe import write_gate_csv
+from lidarmoe.params import ParameterStore, save_checkpoint
 from lidarmoe.pointcloud import PointCloud
 
 
@@ -277,6 +279,64 @@ def test_datagen_bad_value_exit_2(tmp_path, capsys, doc, message):
     assert main(["datagen", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_interrupted_predictions_write_keeps_previous_file(tmp_path, tiny_dataset,
+                                                          monkeypatch):
+    run_doc = {"dataset": str(tiny_dataset), "seed": 2, "embed_dim": 8,
+               "centroid_count": 8, "knn_k": 4, "sms_epochs": 1}
+    assert main(["sms", "--config", write_json(tmp_path / "sms.json", run_doc),
+                 "--out", str(tmp_path / "sms")]) == 0
+    eval_doc = dict(run_doc, checkpoint=str(tmp_path / "sms" / "sms_model.ckpt"))
+    out = tmp_path / "eval"
+    train_cfg = write_json(tmp_path / "train.json", dict(eval_doc, split="train"))
+    assert main(["eval", "--config", train_cfg, "--out", str(out)]) == 0
+    path = out / "predictions.csv"
+    before = path.read_bytes()
+    real_replace = os.replace
+
+    def interrupted_rename(src, dst):
+        if os.path.basename(dst) != "predictions.csv":
+            return real_replace(src, dst)
+        # the new file is complete (one row per val point), but not yet
+        # renamed over the old one
+        rows = open(src, encoding="utf-8").read().splitlines()
+        assert len(rows) == 1 + read_lpcd(tiny_dataset / "scans" / "val_000.lpcd").count
+        raise RuntimeError("write interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted_rename)
+    val_cfg = write_json(tmp_path / "val.json", dict(eval_doc, split="val"))
+    with pytest.raises(RuntimeError, match="interrupted"):
+        main(["eval", "--config", val_cfg, "--out", str(out)])
+    assert path.read_bytes() == before
+    assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["eval", "cosine-map"])
+@pytest.mark.parametrize("key,value,message", [
+    ("beam_count", 32.7, "sensor config beam_count must be int, got 32.7"),
+    ("range_h", "32", "sensor config range_h must be int, got '32'"),
+    ("max_range_m", True, "sensor config max_range_m must be float, got True"),
+    ("cam_w", 96.0, "camera config cam_w must be int, got 96.0"),
+    ("cam_intrinsics", [["80", 0, 48], [0, 80, 32], [0, 0, 1]],
+     "camera config cam_intrinsics must be matrix"),
+])
+def test_mistyped_sensors_json_exit_2(tmp_path, tiny_dataset, capsys, command,
+                                      key, value, message):
+    """A hand-edited sensors.json is type-checked on read, not coerced."""
+    dataset = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, dataset)
+    sensors = json.loads((dataset / "sensors.json").read_text())
+    sensors[key] = value
+    write_json(dataset / "sensors.json", sensors)
+    ckpt = tmp_path / "empty.ckpt"
+    save_checkpoint(ckpt, ParameterStore(), {"student": "voxel"})
+    doc = {"dataset": str(dataset), "checkpoint": str(ckpt)}
+    if command == "cosine-map":
+        doc.update(query_id=0, cloud=str(dataset / "scans" / "val_000.lpcd"))
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,

@@ -432,3 +432,23 @@ def test_train_epochs_names_stage_epoch_and_scan_of_non_finite_error(tmp_path):
                       lambda _: 0.01, log, "stage1-range", None)
     assert str(info.value) == ("stage1-range epoch 1 scan train_001: "
                                "non-finite value in gradient of parameter w")
+
+
+def test_train_epochs_names_the_primitive_of_a_non_finite_forward(tmp_path):
+    scans = [SimpleNamespace(name="train_000"), SimpleNamespace(name="train_001")]
+    store = ParameterStore()
+    store.add("w", np.ones(2, np.float32))
+    graph = Graph(lambda ctx: {"loss": ad.sum_all(ad.sqrt(ad.mul(
+        ctx.param("w"), ctx.input("x"))))})
+
+    def step_fn(idx, scan, epoch):
+        x = np.full(2, -1.0 if idx == 1 else 1.0, np.float32)
+        outs, grads = ad.backward(graph, store, {"x": x})
+        return float(outs["loss"]), grads, {}
+
+    with TrainingLog(tmp_path / "log.csv") as log, \
+            pytest.raises(NonFiniteError) as info:
+        _train_epochs(RunConfig(epochs=2), scans, step_fn, store,
+                      lambda _: 0.01, log, "cml", None)
+    assert str(info.value) == ("cml epoch 0 scan train_001: "
+                               "non-finite value in output of sqrt")
