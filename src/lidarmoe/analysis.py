@@ -8,14 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import write_text
+from .errors import LidarMoeError
 from .pointcloud import PointCloud
 
 ROUTE_AXES = ("beam", "distance-bin", "class")
 DEFAULT_DISTANCE_EDGES = (0.0, 10.0, 20.0, 30.0, 40.0)
-
-
-class AnalysisError(ValueError):
-    """Invalid analysis request."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,9 @@ def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
     point labels (ignore-labeled points are dropped).
     """
     if axis not in ROUTE_AXES:
-        raise AnalysisError(f"unknown axis: {axis}")
+        raise LidarMoeError(f"unknown axis: {axis}")
     if gates.shape[0] != cloud.count:
-        raise AnalysisError("gate rows and point count disagree")
+        raise LidarMoeError("gate rows and point count disagree")
     if axis == "beam":
         key = cloud.beam.astype(np.int64)
         ids = np.unique(key)
@@ -60,7 +57,7 @@ def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
     else:
         edges = np.asarray(distance_edges, np.float64)
         if edges.size < 1 or np.any(np.diff(edges) <= 0):
-            raise AnalysisError("distance edges must be increasing")
+            raise LidarMoeError("distance edges must be increasing")
         d = cloud.depth()
         key = np.searchsorted(edges, d, side="right") - 1
         mask = key >= 0
@@ -96,7 +93,7 @@ def cosine_map(features: np.ndarray, query: int):
     feats = np.asarray(features, np.float64)
     n = feats.shape[0]
     if not (0 <= query < n):
-        raise AnalysisError("query id out of range")
+        raise LidarMoeError("query id out of range")
     norms = np.linalg.norm(feats, axis=1)
     degenerate = norms == 0
     qn = norms[query]

@@ -26,13 +26,7 @@ import zlib
 
 import numpy as np
 
-
-class NonFiniteError(FloatingPointError):
-    """An operation produced NaN or Inf."""
-
-
-class ShapeError(ValueError):
-    """Operand shapes do not match the operation's contract."""
+from .errors import LidarMoeError, NonFiniteError
 
 
 def _finite(data: np.ndarray, what="intermediate tensor") -> np.ndarray:
@@ -85,6 +79,13 @@ def _out(data, parents, bwd):
         # every primitive defines its backward closure in its own body
         primitive = bwd.__qualname__.split(".")[0]
         raise NonFiniteError(f"non-finite value in output of {primitive}") from None
+
+
+def _leaf(data, what, requires_grad=False):
+    try:
+        return Var(data, requires_grad=requires_grad)
+    except NonFiniteError:
+        raise NonFiniteError(f"non-finite value in {what}") from None
 
 
 def _dtype_of(*vars_):
@@ -167,7 +168,7 @@ def div(a, b):
 def matmul(a, b):
     a, b = as_var(a), as_var(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul {a.data.shape} @ {b.data.shape}")
+        raise LidarMoeError(f"matmul {a.data.shape} @ {b.data.shape}")
     data = (a.data @ b.data).astype(_dtype_of(a, b), copy=False)
     ad, bd = a.data, b.data
 
@@ -205,7 +206,7 @@ def softmax_rows(a):
     """Row-wise softmax of a 2D array."""
     a = as_var(a)
     if a.data.ndim != 2:
-        raise ShapeError("softmax_rows expects 2D input")
+        raise LidarMoeError("softmax_rows expects 2D input")
     x = a.data.astype(np.float64)
     x = x - x.max(axis=1, keepdims=True)
     e = np.exp(x)
@@ -222,7 +223,7 @@ def softmax_rows(a):
 def log_softmax_rows(a):
     a = as_var(a)
     if a.data.ndim != 2:
-        raise ShapeError("log_softmax_rows expects 2D input")
+        raise LidarMoeError("log_softmax_rows expects 2D input")
     x = a.data.astype(np.float64)
     shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
@@ -256,7 +257,7 @@ def concat_cols(parts):
     parts = [as_var(p) for p in parts]
     rows = {p.data.shape[0] for p in parts}
     if len(rows) != 1:
-        raise ShapeError(f"concat_cols row mismatch: {sorted(rows)}")
+        raise LidarMoeError(f"concat_cols row mismatch: {sorted(rows)}")
     data = np.concatenate([p.data for p in parts], axis=1)
     widths = [p.data.shape[1] for p in parts]
 
@@ -292,7 +293,7 @@ def reshape(a, shape):
 def transpose(a):
     a = as_var(a)
     if a.data.ndim != 2:
-        raise ShapeError("transpose expects 2D input")
+        raise LidarMoeError("transpose expects 2D input")
     return _out(np.ascontiguousarray(a.data.T), (a,),
                 lambda g: (np.ascontiguousarray(g.T),))
 
@@ -332,7 +333,7 @@ def take_diag(a):
     a = as_var(a)
     n, m = a.data.shape
     if n != m:
-        raise ShapeError("take_diag expects a square matrix")
+        raise LidarMoeError("take_diag expects a square matrix")
     data = np.diagonal(a.data).reshape(n, 1).copy()
 
     def bwd(g):
@@ -349,7 +350,7 @@ def segment_mean(a, seg, num_segments):
     seg = np.asarray(seg, dtype=np.int64)
     n, d = a.data.shape
     if seg.shape != (n,):
-        raise ShapeError("segment ids must be one per row")
+        raise LidarMoeError("segment ids must be one per row")
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     sums = scatter_add_rows(seg, a.data, num_segments)
     safe = np.maximum(counts, 1.0)
@@ -372,7 +373,7 @@ def segment_max(a, seg, num_segments):
     n, d = a.data.shape
     counts = np.bincount(seg, minlength=num_segments)
     if np.any(counts == 0):
-        raise ShapeError("segment_max requires all segments non-empty")
+        raise LidarMoeError("segment_max requires all segments non-empty")
     data = np.full((num_segments, d), -np.inf, dtype=a.data.dtype)
     np.maximum.at(data, seg, a.data)
 
@@ -447,10 +448,10 @@ def conv2d3x3(x, w, b):
     """
     x, w, b = as_var(x), as_var(w), as_var(b)
     if x.data.ndim != 3:
-        raise ShapeError("conv2d3x3 expects an HWC image")
+        raise LidarMoeError("conv2d3x3 expects an HWC image")
     h, wd, cin = x.data.shape
     if w.data.shape[0] != 9 * cin:
-        raise ShapeError(f"conv2d3x3 weight rows {w.data.shape[0]} != 9*{cin}")
+        raise LidarMoeError(f"conv2d3x3 weight rows {w.data.shape[0]} != 9*{cin}")
     cout = w.data.shape[1]
     dtype = _dtype_of(x, w, b)
     row = wd + 2
@@ -512,11 +513,10 @@ class GraphContext:
     def input(self, name) -> Var:
         key = ("in", name)
         if key not in self._vars:
-            raw = self._inputs[name]
-            arr = np.asarray(raw)
+            arr = np.asarray(self._inputs[name])
             if np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(self.dtype)
-            self._vars[key] = Var(arr)
+            self._vars[key] = _leaf(arr, f"input {name}")
         return self._vars[key]
 
     def raw_input(self, name):
@@ -530,7 +530,8 @@ class GraphContext:
                 value = self._overrides[name].astype(self.dtype)
             else:
                 value = self._params.get(name).astype(self.dtype)
-            self._vars[key] = Var(value, requires_grad=self._params.is_trainable(name))
+            self._vars[key] = _leaf(value, f"parameter {name}",
+                                    self._params.is_trainable(name))
         return self._vars[key]
 
     def param_vars(self):
@@ -602,7 +603,7 @@ def backward(graph, params, inputs, loss="loss", train_mode=False, seed=0):
     ctx, outputs = graph.run(params, inputs, train_mode=train_mode, seed=seed)
     loss_var = outputs[loss]
     if loss_var.data.shape != ():
-        raise ShapeError("loss node must be scalar")
+        raise LidarMoeError("loss node must be scalar")
     _backprop(loss_var)
     grads = {}
     for name, var in ctx.param_vars().items():

@@ -2,14 +2,15 @@
 
 Subcommands: datagen, pretrain, cml, sms, probe, eval, corrupt,
 route-stats, cosine-map, report. Global flags: --config <path>,
---seed <u64>, --out <dir>. Exit codes: 0 success, 1 usage error,
-2 data/contract error. Results are written as CSV/JSON under --out.
+--seed <u64>, --out <dir>. Exit codes: 0 success, 1 usage error, 2 bad
+input: a LidarMoeError or OSError (bad config, dataset, checkpoint or
+file). An internal bug propagates with its traceback, which Python
+reports as exit 1. Results are written as CSV/JSON under --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 from dataclasses import replace
@@ -17,39 +18,31 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (AnalysisError, cosine_map, route_stats, route_bars_svg,
-                       scatter_svg, write_cosine_csv, write_route_csv)
-from .autodiff import NonFiniteError, ShapeError
+from .analysis import (DEFAULT_DISTANCE_EDGES, cosine_map, route_stats,
+                       route_bars_svg, scatter_svg, write_cosine_csv, write_route_csv)
 from .datagen import corrupt as corrupt_cloud
-from .dataio import (DataFormatError, DatasetManifest, ScanEntry, load_manifest,
-                     read_lpcd, resolve, save_manifest, write_json, write_lpcd,
-                     write_text)
-from .geometry import ContractError
-from .losses import LossContractError
-from .metrics import MetricError, MetricReport, compute_mce_mrr, compute_miou
+from .dataio import (DatasetManifest, ScanEntry, load_manifest, read_csv,
+                     read_json, read_lpcd, resolve, save_manifest, write_json,
+                     write_lpcd, write_text)
+from .errors import LidarMoeError
+from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import read_gate_csv
-from .params import CheckpointError, load_checkpoint
-from .pipeline import (PipelineError, RunConfig, embed_cloud, evaluate_store,
+from .params import load_checkpoint
+from .pipeline import (REPRESENTATIONS, RunConfig, embed_cloud, evaluate_store,
                        generate_dataset, linear_probe, load_dataset,
                        load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
-from .sensors import ConfigError
+from .sensors import read_key
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-_DATA_ERRORS = (ConfigError, ContractError, DataFormatError, PipelineError,
-                MetricError, AnalysisError, LossContractError, CheckpointError,
-                ShapeError, NonFiniteError, FileNotFoundError, KeyError,
-                json.JSONDecodeError, ValueError, OSError)
-
-
-class _UsageError(Exception):
-    pass
+_DATA_ERRORS = (LidarMoeError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"usage error: {message}\n")
 
 
 # the keys each run-config subcommand reads besides the RunConfig fields
@@ -69,13 +62,12 @@ def _load_config(args) -> dict:
     """The --config document; a run-config subcommand rejects unknown keys."""
     if args.config is None:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.config)
     own = _OWN_KEYS.get(args.command)
     if own is not None:
         unknown = sorted(set(doc) - _RUN_KEYS - set(own))
         if unknown:
-            raise PipelineError(f"unknown {args.command} config key(s): "
+            raise LidarMoeError(f"unknown {args.command} config key(s): "
                                 f"{', '.join(unknown)}")
     return doc
 
@@ -106,93 +98,75 @@ def _out_dir(args) -> Path:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_datagen(args):
-    doc = _load_config(args)
+def _cmd_datagen(args, doc):
     out = _out_dir(args)
     generate_dataset(doc, out, args.seed if args.seed is not None else 0)
     manifest = load_manifest(out / "manifest.json")
     write_json(out / "datagen_summary.json",
                {"train_scans": len(manifest.train), "val_scans": len(manifest.val)})
-    return 0
 
 
-def _cmd_pretrain(args):
-    doc = _load_config(args)
+def _cmd_pretrain(args, doc):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     results = stage1_pretrain(cfg, out)
     write_json(out / "stage1_results.json", results)
-    return 0
 
 
-def _cmd_cml(args):
-    doc = _load_config(args)
+def _cmd_cml(args, doc):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     if "expert_ckpts" in doc:
-        ckpts = doc["expert_ckpts"]
+        given = read_key(doc, "cml config", "expert_ckpts", "dict")
+        ckpts = {k: read_key(given, "cml config expert_ckpts", k, "str")
+                 for k in REPRESENTATIONS}
     elif "stage1_dir" in doc:
-        d = Path(doc["stage1_dir"])
-        ckpts = {k: str(d / f"stage1_{k}.ckpt") for k in ("range", "voxel", "point")}
+        d = Path(read_key(doc, "cml config", "stage1_dir", "str"))
+        ckpts = {k: str(d / f"stage1_{k}.ckpt") for k in REPRESENTATIONS}
     else:
-        raise PipelineError("cml config needs expert_ckpts or stage1_dir")
+        raise LidarMoeError("cml config needs expert_ckpts or stage1_dir")
     results = stage2_cml(cfg, ckpts, out)
     write_json(out / "cml_results.json", results)
-    return 0
 
 
-def _cmd_sms(args):
-    doc = _load_config(args)
+def _cmd_sms(args, doc):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
-    init = doc.get("init", {})
+    init = read_key(doc, "sms config", "init", "dict", {})
+    init = {k: read_key(init, "sms config init", k, "str") for k in init}
     results = stage3_sms(cfg, init, out)
     write_json(out / "sms_results.json", results)
-    return 0
 
 
-def _cmd_probe(args):
-    doc = _load_config(args)
+def _cmd_probe(args, doc):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
     if "checkpoint" not in doc and not doc.get("random_baseline"):
-        raise PipelineError("probe config needs checkpoint or random_baseline")
-    result = linear_probe(cfg, out, checkpoint=doc.get("checkpoint"),
-                          representation=doc.get("representation"))
+        raise LidarMoeError("probe config needs checkpoint or random_baseline")
+    result = linear_probe(
+        cfg, out, checkpoint=read_key(doc, "probe config", "checkpoint", "str", None),
+        representation=doc.get("representation"))
     _write_metric_csv(out / "probe_metrics.csv", result["report"])
     write_json(out / "probe_summary.json",
                {"miou": result["report"].miou,
                 "backbone_intact": bool(result["backbone_intact"])})
-    return 0
 
 
-def _read_pairs_csv(path):
-    preds, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "prediction,label":
-            raise DataFormatError("pairs CSV must have header prediction,label")
-        for line in fh:
-            p, l = line.strip().split(",")
-            preds.append(int(p))
-            labels.append(int(l))
-    return np.array(preds, np.int64), np.array(labels, np.int64)
-
-
-def _cmd_eval(args):
-    doc = _load_config(args)
+def _cmd_eval(args, doc):
     out = _out_dir(args)
     if "pairs_csv" in doc:
-        preds, labels = _read_pairs_csv(doc["pairs_csv"])
-        report = compute_miou(preds, labels, int(doc.get("num_classes", 6)))
+        pairs = read_csv(read_key(doc, "eval config", "pairs_csv", "str"),
+                         "prediction,label", np.int64)
+        report = compute_miou(pairs[:, 0], pairs[:, 1],
+                              read_key(doc, "eval config", "num_classes", "int", 6))
         _write_metric_csv(out / "metrics.csv", report)
         write_json(out / "eval_summary.json", {"miou": report.miou})
-        return 0
+        return
     cfg = _run_config(doc, args)
     if "checkpoint" not in doc:
-        raise PipelineError("eval config needs checkpoint or pairs_csv")
+        raise LidarMoeError("eval config needs checkpoint or pairs_csv")
     split = doc.get("split", "val")
-    store, _ = load_checkpoint(doc["checkpoint"])
+    store, _ = load_checkpoint(read_key(doc, "eval config", "checkpoint", "str"))
     data = load_dataset(cfg.dataset)
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
@@ -204,17 +178,16 @@ def _cmd_eval(args):
     write_text(out / "predictions.csv", "".join(rows))
     write_json(out / "eval_summary.json",
                {name: report.miou for name, report in reports.items()})
-    return 0
 
 
-def _cmd_corrupt(args):
-    doc = _load_config(args)
-    out = _out_dir(args)
-    dataset = Path(doc["dataset"])
-    kind = doc["kind"]
-    severity = int(doc["severity"])
+def _cmd_corrupt(args, doc):
+    dataset = Path(read_key(doc, "corrupt config", "dataset", "str"))
+    kind = read_key(doc, "corrupt config", "kind", "str")
+    severity = read_key(doc, "corrupt config", "severity", "int")
     split = doc.get("split", "val")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else \
+        read_key(doc, "corrupt config", "seed", "int", 0)
+    out = _out_dir(args)
     manifest = load_manifest(dataset / "manifest.json")
     entries = manifest.val if split == "val" else manifest.train
     (out / "scans").mkdir(parents=True, exist_ok=True)
@@ -231,19 +204,16 @@ def _cmd_corrupt(args):
     shutil.copy(dataset / "sensors.json", out / "sensors.json")
     write_json(out / "corrupt_summary.json",
                {"kind": kind, "severity": severity, "scans": len(new_entries)})
-    return 0
 
 
-def _cmd_route_stats(args):
-    doc = _load_config(args)
+def _cmd_route_stats(args, doc):
+    gates = read_gate_csv(read_key(doc, "route-stats config", "gates_csv", "str"))
+    cloud = read_lpcd(read_key(doc, "route-stats config", "cloud", "str"))
     out = _out_dir(args)
-    gates = read_gate_csv(doc["gates_csv"])
-    cloud = read_lpcd(doc["cloud"])
     axis = doc.get("axis", "beam")
-    kwargs = {}
-    if "distance_edges" in doc:
-        kwargs["distance_edges"] = tuple(doc["distance_edges"])
-    table = route_stats(gates, cloud, axis, **kwargs)
+    edges = read_key(doc, "route-stats config", "distance_edges", "numbers",
+                     DEFAULT_DISTANCE_EDGES)
+    table = route_stats(gates, cloud, axis, edges)
     write_route_csv(out / f"route_{axis}.csv", table)
     route_bars_svg(out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
     load = table.global_load()
@@ -252,24 +222,28 @@ def _cmd_route_stats(args):
         "global_load": load.tolist(),
         "non_degenerate": bool(np.all(load >= 0.05)),
     })
-    return 0
 
 
-def _cmd_cosine_map(args):
-    doc = _load_config(args)
-    out = _out_dir(args)
-    query = int(doc["query_id"])
-    cloud = read_lpcd(doc["cloud"]) if "cloud" in doc else None
+def _cmd_cosine_map(args, doc):
+    query = read_key(doc, "cosine-map config", "query_id", "int")
+    cloud = read_key(doc, "cosine-map config", "cloud", "str", None)
+    cloud = None if cloud is None else read_lpcd(cloud)
     if "features_csv" in doc:
-        feats = np.loadtxt(doc["features_csv"], delimiter=",", ndmin=2)
+        path = read_key(doc, "cosine-map config", "features_csv", "str")
+        try:
+            feats = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise LidarMoeError(f"{path}: {exc}") from exc
     else:
         cfg = _run_config(doc, args)
-        store, meta = load_checkpoint(doc["checkpoint"])
+        store, meta = load_checkpoint(
+            read_key(doc, "cosine-map config", "checkpoint", "str"))
         rep = doc.get("representation") or meta.get("student")
         if cloud is None:
-            raise PipelineError("cosine-map from a checkpoint needs a cloud")
+            raise LidarMoeError("cosine-map from a checkpoint needs a cloud")
         sensor, _ = load_sensors(cfg.dataset)
         feats = embed_cloud(store, cfg, sensor, cloud, rep)
+    out = _out_dir(args)
     sims, degenerate = cosine_map(feats, query)
     write_cosine_csv(out / "cosine_map.csv", sims, degenerate)
     if cloud is not None:
@@ -277,18 +251,17 @@ def _cmd_cosine_map(args):
                     title=f"cosine similarity vs point {query}")
     write_json(out / "cosine_summary.json",
                {"query_id": query, "zero_norm_rows": int(degenerate.sum())})
-    return 0
 
 
-def _cmd_report(args):
-    doc = _load_config(args)
+def _cmd_report(args, doc):
+    mce, mrr, per = compute_mce_mrr(
+        read_key(doc, "report config", "model_ious", "dict"),
+        read_key(doc, "report config", "baseline_ious", "dict"),
+        float(read_key(doc, "report config", "clean_iou", "float")))
     out = _out_dir(args)
-    mce, mrr, per = compute_mce_mrr(doc["model_ious"], doc["baseline_ious"],
-                                    float(doc["clean_iou"]))
     write_text(out / "robustness.csv", "corruption,ce,rr\n" + "".join(
         f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n" for name in sorted(per)))
     write_json(out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
-    return 0
 
 
 _COMMANDS = {
@@ -317,22 +290,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return USAGE_ERROR
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     if args.command is None:
         parser.print_help(sys.stderr)
         return USAGE_ERROR
     try:
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args, _load_config(args))
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LidarMoeError
 from .pointcloud import PointCloud, empty_cloud
-from .sensors import CameraModel, ConfigError, SensorModel, bad_field, is_number
+from .sensors import CameraModel, SensorModel, bad_field, is_number
 
 CLASS_GROUND = 0
 CLASS_VEHICLE = 1
@@ -55,11 +56,11 @@ class Primitive:
 
     def __post_init__(self):
         if self.kind not in PRIMITIVE_KINDS:
-            raise ConfigError(f"unknown primitive kind: {self.kind}")
+            raise LidarMoeError(f"unknown primitive kind: {self.kind}")
         if any(e <= 0 for e in self.extents[:2]):
-            raise ConfigError("extents must be strictly positive")
+            raise LidarMoeError("extents must be strictly positive")
         if not 0 <= self.class_id < NUM_CLASSES:
-            raise ConfigError(f"class_id must be in [0, {NUM_CLASSES})")
+            raise LidarMoeError(f"class_id must be in [0, {NUM_CLASSES})")
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class Scene:
     def __post_init__(self):
         grounds = [p for p in self.primitives if p.kind == "ground-plane"]
         if len(grounds) != 1:
-            raise ConfigError("scene must contain exactly one ground plane")
+            raise LidarMoeError("scene must contain exactly one ground plane")
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,13 @@ class SceneConfig:
         bad = bad_field(self, (lambda v: len(v) == 2 and all(map(is_number, v)),
                                "two numbers"))
         if bad is not None:
-            raise ConfigError("scene config {} must be {}, got {!r}".format(*bad))
+            raise LidarMoeError("scene config {} must be {}, got {!r}".format(*bad))
         for name in ("n_boxes", "n_pedestrians", "n_poles", "n_buildings",
                      "n_barriers"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"scene config {name} must be >= 0")
+                raise LidarMoeError(f"scene config {name} must be >= 0")
         if self.x_bounds[0] > self.x_bounds[1] or self.y_bounds[0] > self.y_bounds[1]:
-            raise ConfigError("placement bounds must have min <= max")
+            raise LidarMoeError("placement bounds must have min <= max")
 
     def to_json(self) -> dict:
         return {
@@ -114,11 +115,9 @@ class SceneConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("scene config must be a JSON object")
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
-            raise ConfigError(f"unknown scene config key(s): {', '.join(unknown)}")
+            raise LidarMoeError(f"unknown scene config key(s): {', '.join(unknown)}")
         kw = dict(doc)
         for key in ("x_bounds", "y_bounds"):
             if isinstance(kw.get(key), list):
@@ -417,9 +416,9 @@ def dropped_beams(beam_count: int, severity: int) -> np.ndarray:
 def corrupt(cloud: PointCloud, kind: str, severity: int, seed: int) -> PointCloud:
     """Simplified sensor-corruption analogues, deterministic per seed."""
     if kind not in CORRUPTION_KINDS:
-        raise ConfigError(f"unknown corruption kind: {kind}")
+        raise LidarMoeError(f"unknown corruption kind: {kind}")
     if severity not in (1, 2, 3):
-        raise ConfigError("severity must be 1, 2, or 3")
+        raise LidarMoeError("severity must be 1, 2, or 3")
     if kind == "beam-missing":
         gone = dropped_beams(int(cloud.beam.max(initial=-1)) + 1, severity)
         keep = ~np.isin(cloud.beam, gone)

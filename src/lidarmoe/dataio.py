@@ -14,22 +14,21 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datagen import ClassImage
+from .errors import LidarMoeError
 from .pointcloud import PointCloud
+from .sensors import read_key
 
 LPCD_MAGIC = b"LPCD"
 LPCD_VERSION = 1
 _RECORD = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
                     ("intensity", "<f4"), ("beam", "<u2"), ("label", "<i4")])
-
-
-class DataFormatError(ValueError):
-    """Corrupt or mismatched dataset file."""
 
 
 def atomic_write(path, write) -> None:
@@ -58,6 +57,43 @@ def write_json(path, doc) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def read_json(path) -> dict:
+    """The JSON object in a UTF-8 file; raises LidarMoeError naming ``path``
+    when the file is not UTF-8, not JSON or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise LidarMoeError(f"{path} is not a UTF-8 JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise LidarMoeError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def read_csv(path, header: str, dtype) -> np.ndarray:
+    """The (rows, fields) ``dtype`` array of a numeric UTF-8 CSV file whose
+    first line is ``header``; raises LidarMoeError naming the file when the
+    header or a row is malformed."""
+    width = header.count(",") + 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().strip() != header:
+                raise ValueError(f"first line must be {header}")
+            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
+        if rows.size and rows.shape[1] != width:
+            raise ValueError(f"{rows.shape[1]} fields per row, want {width}")
+    except ValueError as exc:
+        raise LidarMoeError(f"{path}: {exc}") from exc
+    return rows.reshape(-1, width)
+
+
+def read_exact(fh, size, path, error=LidarMoeError) -> bytes:
+    """The next ``size`` bytes of ``fh``, or ``error`` when ``path`` ends first."""
+    if not 0 <= size <= os.fstat(fh.fileno()).st_size - fh.tell():
+        raise error(f"truncated file {path}")
+    return fh.read(size)
+
+
 def write_lpcd(path, cloud: PointCloud) -> None:
     rec = np.empty(cloud.count, dtype=_RECORD)
     rec["x"], rec["y"], rec["z"] = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
@@ -77,15 +113,11 @@ def write_lpcd(path, cloud: PointCloud) -> None:
 def read_lpcd(path) -> PointCloud:
     with open(path, "rb") as fh:
         if fh.read(4) != LPCD_MAGIC:
-            raise DataFormatError(f"bad magic in {path}")
-        (version,) = struct.unpack("<I", fh.read(4))
+            raise LidarMoeError(f"bad magic in {path}")
+        version, n = struct.unpack("<IQ", read_exact(fh, 12, path))
         if version != LPCD_VERSION:
-            raise DataFormatError(f"unsupported LPCD version {version}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(n * _RECORD.itemsize)
-        if len(raw) != n * _RECORD.itemsize:
-            raise DataFormatError(f"truncated LPCD file {path}")
-        rec = np.frombuffer(raw, dtype=_RECORD)
+            raise LidarMoeError(f"unsupported LPCD version {version} in {path}")
+        rec = np.frombuffer(read_exact(fh, n * _RECORD.itemsize, path), dtype=_RECORD)
     xyz = np.stack([rec["x"], rec["y"], rec["z"]], axis=1)
     return PointCloud(xyz, rec["intensity"], rec["beam"].astype(np.int32),
                       rec["label"])
@@ -98,9 +130,12 @@ def write_camera_npz(path, image: ClassImage, superpixel_map: np.ndarray) -> Non
 
 
 def read_camera_npz(path):
-    with np.load(path) as data:
-        image = ClassImage(data["class_id"], data["depth"])
-        superpixel = data["superpixel"]
+    try:
+        with np.load(path) as data:
+            image = ClassImage(data["class_id"], data["depth"])
+            superpixel = data["superpixel"]
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise LidarMoeError(f"corrupt camera file {path}: {exc}") from exc
     return image, superpixel
 
 
@@ -135,25 +170,23 @@ class DatasetManifest:
             "counts": {"train": len(self.train), "val": len(self.val)},
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "DatasetManifest":
-        def entries(lst):
-            return [ScanEntry(scan=e["scan"], camera=e.get("camera")) for e in lst]
-
-        splits = doc.get("splits", {})
-        return cls(train=entries(splits.get("train", [])),
-                   val=entries(splits.get("val", [])),
-                   num_classes=int(doc.get("num_classes", 6)),
-                   annotation_fraction=float(doc.get("annotation_fraction", 1.0)))
-
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
     write_json(path, manifest.to_json())
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DatasetManifest.from_json(json.load(fh))
+    doc, owner = read_json(path), f"manifest {path}"
+    splits = read_key(doc, owner, "splits", "dict", {})
+
+    def entries(split):
+        return [ScanEntry(read_key(e, f"{owner} {split} entry", "scan", "str"),
+                          e.get("camera"))
+                for e in read_key(splits, owner, split, "list", [])]
+
+    return DatasetManifest(entries("train"), entries("val"),
+                           read_key(doc, owner, "num_classes", "int", 6),
+                           float(read_key(doc, owner, "annotation_fraction", "float", 1.0)))
 
 
 def resolve(base: Path, rel: str) -> Path:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError
+from .errors import LidarMoeError
 from .datagen import ClassImage
 from .geometry import VoxelGrid, lexicographic_keys
 from .params import ParameterStore, add_linear, glorot_uniform
@@ -150,7 +150,7 @@ def _fps_sq_dist(xyz: np.ndarray, count: int):
     n = xyz.shape[0]
     count = min(count, n)
     if count < 1:
-        raise ShapeError("need at least one point and one centroid")
+        raise LidarMoeError("need at least one point and one centroid")
     x, y, z = (xyz[:, j].astype(np.float64) for j in range(3))
     chosen = np.zeros(count, np.int64)
     d2 = np.empty((count, n), np.float64)
@@ -190,7 +190,7 @@ def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGroup
     distance (ties to the smaller point id), and each point's nearest
     centroid (ties to the earlier centroid)."""
     if cloud.count < 1 or k < 1:
-        raise ShapeError("need at least one point and k >= 1")
+        raise LidarMoeError("need at least one point and k >= 1")
     centroids, d2 = _fps_sq_dist(cloud.xyz, centroid_count)
     count, k_eff = centroids.shape[0], min(k, cloud.count)
     kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import LidarMoeError
 from .pointcloud import PointCloud
 from .sensors import CameraModel, SensorModel
-
-
-class ContractError(ValueError):
-    """An argument violates a documented precondition."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ def range_uv_exact(xyz, sensor: SensorModel):
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     d = np.linalg.norm(xyz, axis=1)
     if np.any(d <= 0):
-        raise ContractError("points must have positive depth")
+        raise LidarMoeError("points must have positive depth")
     u = 0.5 * (1.0 - np.arctan2(xyz[:, 1], xyz[:, 0]) / np.pi) * sensor.range_w
     v = (1.0 - (np.arcsin(xyz[:, 2] / d) + sensor.fov_down) / sensor.fov_total) * sensor.range_h
     return u, v, d
@@ -126,7 +123,7 @@ def lexicographic_keys(coords: np.ndarray, pad: int = 0):
 
     Every axis spans the rows' range widened by ``pad`` cells on each side,
     so a row moved by up to ``pad`` cells per axis keeps a distinct key.
-    ``coords`` must be non-empty. Raises ContractError when the keys would
+    ``coords`` must be non-empty. Raises LidarMoeError when the keys would
     not fit in int64.
     """
     lo = [int(v) - pad for v in coords.min(axis=0)]
@@ -134,7 +131,7 @@ def lexicographic_keys(coords: np.ndarray, pad: int = 0):
     span = [b - a + 1 for a, b in zip(lo, hi)]
     limit = np.iinfo(np.int64)
     if min(lo) < limit.min or max(hi) > limit.max or span[0] * span[1] * span[2] > limit.max:
-        raise ContractError("voxel coordinate range too large for int64 keys")
+        raise LidarMoeError("voxel coordinate range too large for int64 keys")
     steps = (span[1] * span[2], span[2], 1)
     keys = ((coords[:, 0] - lo[0]) * steps[0] + (coords[:, 1] - lo[1]) * steps[1]
             + (coords[:, 2] - lo[2]))
@@ -144,7 +141,7 @@ def lexicographic_keys(coords: np.ndarray, pad: int = 0):
 def voxelize(cloud: PointCloud, sizes) -> VoxelGrid:
     sx, sy, sz = sizes
     if sx <= 0 or sy <= 0 or sz <= 0:
-        raise ContractError("voxel sizes must be positive")
+        raise LidarMoeError("voxel sizes must be positive")
     xyz = cloud.xyz.astype(np.float64)
     idx = np.floor(xyz / np.array([sx, sy, sz])).astype(np.int64)
     if cloud.count:
@@ -261,4 +258,4 @@ def project_labels(cloud: PointCloud, target) -> np.ndarray:
             has_vote = votes.sum(axis=1) > 0
             out[has_vote] = votes[has_vote].argmax(axis=1)
         return out.astype(np.int32)
-    raise ContractError(f"unsupported target type: {type(target).__name__}")
+    raise LidarMoeError(f"unsupported target type: {type(target).__name__}")

@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-
-
-class LossContractError(ValueError):
-    """Loss inputs violate a documented precondition."""
+from .errors import LidarMoeError
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class LossConfig:
     def __post_init__(self):
         for rep in self.weights.values():
             if any(w < 0 for w in rep.values()):
-                raise LossContractError("loss weights must be >= 0")
+                raise LidarMoeError("loss weights must be >= 0")
 
 
 def _normalize_rows(x):
@@ -50,9 +47,9 @@ def build_info_nce(k_var, q_var, temperature, denominator="all"):
     """Composable contrastive loss over matched embedding rows."""
     s = k_var.shape[0]
     if s < 2:
-        raise LossContractError("contrastive loss needs at least 2 rows")
+        raise LidarMoeError("contrastive loss needs at least 2 rows")
     if q_var.shape != k_var.shape:
-        raise LossContractError("embedding shapes disagree")
+        raise LidarMoeError("embedding shapes disagree")
     kn = _normalize_rows(k_var)
     qn = _normalize_rows(q_var)
     scaled = ad.mul(ad.matmul(kn, ad.transpose(qn)),
@@ -71,10 +68,10 @@ def build_cross_entropy(logits_var, labels, ignore=-1):
     """Mean negative log-likelihood over non-ignored rows."""
     labels = np.asarray(labels, np.int64).reshape(-1)
     if labels.shape[0] != logits_var.shape[0]:
-        raise LossContractError("labels and logits row counts disagree")
+        raise LidarMoeError("labels and logits row counts disagree")
     keep = np.flatnonzero(labels != ignore)
     if keep.size == 0:
-        raise LossContractError("all labels are ignored")
+        raise LidarMoeError("all labels are ignored")
     c = logits_var.shape[1]
     kept = logits_var if keep.size == labels.size else ad.gather_rows(logits_var, keep)
     logp = ad.log_softmax_rows(kept)
@@ -108,13 +105,13 @@ def build_lovasz_softmax(probs_var, labels, ignore=-1):
     """
     labels = np.asarray(labels, np.int64).reshape(-1)
     if labels.shape[0] != probs_var.shape[0]:
-        raise LossContractError("labels and probability row counts disagree")
+        raise LidarMoeError("labels and probability row counts disagree")
     sums = probs_var.data.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-5):
-        raise LossContractError("probability rows must sum to 1")
+        raise LidarMoeError("probability rows must sum to 1")
     keep = np.flatnonzero(labels != ignore)
     if keep.size == 0:
-        raise LossContractError("all labels are ignored")
+        raise LidarMoeError("all labels are ignored")
     probs_kept = probs_var if keep.size == labels.size else ad.gather_rows(probs_var, keep)
     kept_labels = labels[keep]
     present = np.unique(kept_labels)
@@ -156,5 +153,5 @@ def build_sms_total(logits_by_rep: dict, labels_by_rep: dict,
             breakdown[f"{rep}_lovasz"] = term
             total = term if total is None else ad.add(total, term)
     if total is None:
-        raise LossContractError("all loss weights are zero")
+        raise LidarMoeError("all loss weights are zero")
     return total, breakdown

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class MetricError(ValueError):
-    """Metric inputs are empty or inconsistent."""
+from .errors import LidarMoeError
+from .sensors import FIELD_TYPES
 
 
 @dataclass
@@ -41,13 +40,13 @@ def compute_miou(predictions, labels, num_classes: int) -> MetricReport:
     predictions = np.asarray(predictions, np.int64).reshape(-1)
     labels = np.asarray(labels, np.int64).reshape(-1)
     if predictions.shape != labels.shape:
-        raise MetricError("predictions and labels lengths disagree")
+        raise LidarMoeError("predictions and labels lengths disagree")
     if predictions.size == 0:
-        raise MetricError("empty input")
+        raise LidarMoeError("empty input")
     keep = labels >= 0
     predictions, labels = predictions[keep], labels[keep]
     if predictions.size == 0:
-        raise MetricError("all labels ignored")
+        raise LidarMoeError("all labels ignored")
     tp = np.zeros(num_classes, np.int64)
     fp = np.zeros(num_classes, np.int64)
     fn = np.zeros(num_classes, np.int64)
@@ -70,19 +69,19 @@ def compute_mce_mrr(model_ious: dict, baseline_ious: dict, clean_iou: float):
     percentages; returns (mCE, mRR, per-corruption dict), all percent.
     """
     if clean_iou <= 0:
-        raise MetricError("clean IoU must be positive")
+        raise LidarMoeError("clean IoU must be positive")
     if set(model_ious) != set(baseline_ious):
-        raise MetricError("model and baseline corruption sets disagree")
+        raise LidarMoeError("model and baseline corruption sets disagree")
     per = {}
     ces, rrs = [], []
     for name in sorted(model_ious):
-        m = np.asarray(model_ious[name], np.float64) / 100.0
-        b = np.asarray(baseline_ious[name], np.float64) / 100.0
-        if m.shape != (3,) or b.shape != (3,):
-            raise MetricError("each corruption needs exactly three severities")
+        rows = [model_ious[name], baseline_ious[name]]
+        if not (FIELD_TYPES["matrix"](rows) and all(len(r) == 3 for r in rows)):
+            raise LidarMoeError(f"corruption {name} needs exactly three severity IoUs")
+        m, b = np.asarray(rows, np.float64) / 100.0
         base_err = np.sum(1.0 - b)
         if base_err == 0:
-            raise MetricError(f"baseline corruption error is zero for {name}")
+            raise LidarMoeError(f"baseline corruption error is zero for {name}")
         ce = 100.0 * float(np.sum(1.0 - m) / base_err)
         rr = 100.0 * float(np.sum(m) / (3.0 * clean_iou / 100.0))
         per[name] = {"ce": ce, "rr": rr}

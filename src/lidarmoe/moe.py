@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError
-from .dataio import write_text
+from .dataio import read_csv, write_text
+from .errors import LidarMoeError
 from .params import ParameterStore, glorot_uniform
 
 
@@ -34,7 +34,7 @@ def build_moe(ctx, expert_r, expert_v, expert_p, noise_active=False,
     """Composable fusion; returns (fused Var, gates Var)."""
     n = expert_r.shape[0]
     if expert_v.shape != expert_r.shape or expert_p.shape != expert_r.shape:
-        raise ShapeError("expert feature shapes disagree")
+        raise LidarMoeError("expert feature shapes disagree")
     e = ad.add(ad.matmul(ad.concat_cols([expert_r, expert_v, expert_p]),
                          ctx.param("moe.fusion.w")),
                ctx.param("moe.fusion.b"))
@@ -61,12 +61,4 @@ def write_gate_csv(path, gates: np.ndarray) -> None:
 
 def read_gate_csv(path) -> np.ndarray:
     """The (N, 3) float32 gate array of a gate-score CSV."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("point_id"):
-            raise ValueError("not a gate-score CSV")
-        for line in fh:
-            _, a, b, g = line.strip().split(",")
-            rows.append((float(a), float(b), float(g)))
-    return np.array(rows, np.float32).reshape(-1, 3)
+    return read_csv(path, "point_id,alpha,beta,gamma", np.float64)[:, 1:].astype(np.float32)

@@ -14,14 +14,11 @@ import struct
 
 import numpy as np
 
-from .dataio import atomic_write
+from .dataio import atomic_write, read_exact
+from .errors import CheckpointError, LidarMoeError
 
 CHECKPOINT_MAGIC = b"LMOECKPT"
 CHECKPOINT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Corrupt checkpoint file or manifest mismatch."""
 
 
 class ParameterStore:
@@ -38,7 +35,10 @@ class ParameterStore:
         self._trainable[name] = bool(trainable)
 
     def get(self, name: str) -> np.ndarray:
-        return self._values[name]
+        try:
+            return self._values[name]
+        except KeyError:
+            raise LidarMoeError(f"missing parameter {name}") from None
 
     def set(self, name: str, value) -> None:
         arr = np.ascontiguousarray(value, dtype=np.float32)
@@ -112,29 +112,31 @@ def save_checkpoint(path, store: ParameterStore, metadata: dict) -> None:
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(ParameterStore, metadata)``.
 
-    A magic, version, dtype or length problem raises
-    :class:`CheckpointError`.
+    A magic, version, dtype, manifest or length problem raises
+    :class:`CheckpointError` naming ``path``.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(8) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic in {path}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
+        (mlen,) = struct.unpack("<Q", read_exact(fh, 8, path, CheckpointError))
         try:
-            manifest = json.loads(fh.read(mlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            manifest = json.loads(read_exact(fh, mlen, path, CheckpointError)
+                                  .decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
             raise CheckpointError(f"corrupt manifest in {path}") from exc
-        if manifest.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError("unsupported checkpoint version")
+        if not isinstance(manifest, dict) \
+                or manifest.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version in {path}")
         if manifest.get("dtype") != "f32":
-            raise CheckpointError("unsupported dtype tag")
+            raise CheckpointError(f"unsupported dtype tag in {path}")
         store = ParameterStore()
-        for entry in manifest["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise CheckpointError(f"truncated blob in {path}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-            store.add(entry["name"], arr, entry["trainable"])
-    return store, manifest["metadata"]
+        try:
+            for entry in manifest["params"]:
+                shape = tuple(entry["shape"])
+                raw = read_exact(fh, 4 * int(np.prod(shape)), path, CheckpointError)
+                arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+                store.add(entry["name"], arr, entry["trainable"])
+            metadata = manifest["metadata"]
+        except (KeyError, TypeError, ValueError) as exc:  # a duplicate name too
+            raise CheckpointError(f"malformed manifest in {path}: {exc!r}") from exc
+    return store, metadata

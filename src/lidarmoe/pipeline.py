@@ -27,17 +27,18 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, NonFiniteError
+from .autodiff import Graph
 from .datagen import (NUM_CLASSES, SceneConfig, build_scene,
                       render_camera, simulate_lidar)
 from .datagen import augment as augment_cloud
 from .dataio import (DatasetManifest, ScanEntry, TrainingLog, load_manifest,
-                     read_camera_npz, read_lpcd, resolve, save_manifest,
-                     write_camera_npz, write_json, write_lpcd)
+                     read_camera_npz, read_json, read_lpcd, resolve,
+                     save_manifest, write_camera_npz, write_json, write_lpcd)
 from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
                        init_encoder_params, init_teacher_params, linear,
                        point_grouping, teacher_features, trunk_width,
                        voxel_neighbor_pairs)
+from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import LossConfig, build_cross_entropy, build_info_nce, build_sms_total
 from .metrics import compute_miou
@@ -45,14 +46,9 @@ from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
-from .sensors import (FIELD_TYPES, CameraModel, ConfigError, SensorModel,
-                      bad_field, is_number)
+from .sensors import CameraModel, SensorModel, bad_field, is_number, read_key
 
 REPRESENTATIONS = ("range", "voxel", "point")
-
-
-class PipelineError(ValueError):
-    """Invalid pipeline configuration or dataset."""
 
 
 @dataclass(frozen=True)
@@ -86,21 +82,21 @@ class RunConfig:
         bad = bad_field(self, (lambda v: len(v) == 3 and all(
             is_number(x) and x > 0 for x in v), "three positive numbers"))
         if bad is not None:
-            raise PipelineError("run config {} must be {}, got {!r}".format(*bad))
+            raise LidarMoeError("run config {} must be {}, got {!r}".format(*bad))
         for name in ("epochs", "probe_epochs", "sms_epochs"):
             if getattr(self, name) < 0:
-                raise PipelineError(f"{name} must be >= 0")
+                raise LidarMoeError(f"{name} must be >= 0")
         for name in ("batch_size", "embed_dim", "centroid_count", "knn_k"):
             if getattr(self, name) < 1:
-                raise PipelineError(f"{name} must be >= 1")
+                raise LidarMoeError(f"{name} must be >= 1")
         if self.student not in REPRESENTATIONS:
-            raise PipelineError(f"unknown student representation: {self.student}")
+            raise LidarMoeError(f"unknown student representation: {self.student}")
         if self.student_init not in ("stage1", "random"):
-            raise PipelineError("student_init must be stage1|random")
+            raise LidarMoeError("student_init must be stage1|random")
         if self.contrastive_denominator not in ("all", "exclude_positive"):
-            raise PipelineError("bad contrastive_denominator")
+            raise LidarMoeError("bad contrastive_denominator")
         if not self.temperature > 0:
-            raise PipelineError("temperature must be > 0")
+            raise LidarMoeError("temperature must be > 0")
 
     def to_json(self) -> dict:
         doc = dict(self.__dict__)
@@ -121,7 +117,6 @@ class RunConfig:
         del doc["dataset"]
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
-
 
 
 def _step_seed(*parts) -> int:
@@ -160,19 +155,17 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
     """Render scans + camera files and write manifest/sensor documents.
 
     ``doc`` overrides keys of ``DEFAULT_DATASET_CONFIG`` with values of the
-    default's type; any other key or value raises ConfigError naming it."""
+    default's type; any other key or value raises LidarMoeError naming it."""
     doc = doc or {}
     unknown = sorted(set(doc) - set(DEFAULT_DATASET_CONFIG))
     if unknown:
-        raise ConfigError(f"unknown datagen config key(s): {', '.join(unknown)}")
-    for key, value in doc.items():
-        what = type(DEFAULT_DATASET_CONFIG[key]).__name__
-        if not FIELD_TYPES[what](value):
-            raise ConfigError(f"datagen config {key} must be {what}, got {value!r}")
+        raise LidarMoeError(f"unknown datagen config key(s): {', '.join(unknown)}")
+    for key in doc:
+        read_key(doc, "datagen config", key, type(DEFAULT_DATASET_CONFIG[key]).__name__)
     for key, low in (("n_train", 0), ("n_val", 0), ("superpixel_tile", 1),
                      ("num_classes", NUM_CLASSES)):
         if doc.get(key, low) < low:
-            raise ConfigError(f"datagen config {key} must be >= {low}")
+            raise LidarMoeError(f"datagen config {key} must be >= {low}")
     merged = dict(DEFAULT_DATASET_CONFIG)
     merged.update(doc)
     sensor = SensorModel.from_json(merged)
@@ -224,8 +217,7 @@ class DatasetBundle:
 def load_sensors(dataset_dir):
     """``(SensorModel, CameraModel)`` of a dataset, read from its
     ``sensors.json`` alone."""
-    with open(Path(dataset_dir) / "sensors.json", "r", encoding="utf-8") as fh:
-        sdoc = json.load(fh)
+    sdoc = read_json(Path(dataset_dir) / "sensors.json")
     return SensorModel.from_json(sdoc), CameraModel.from_json(sdoc)
 
 
@@ -254,13 +246,13 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
     """The train scans with at least two superpoints, which stage 1 and CML
     train on, and ``{scan name: partition}`` of each.
 
-    Raises PipelineError when a train scan has no camera pairing or no
+    Raises LidarMoeError when a train scan has no camera pairing or no
     train scan has two superpoints.
     """
     usable, partitions = [], {}
     for scan in data.train:
         if scan.image is None:
-            raise PipelineError(f"train scan {scan.name} lacks camera pairing")
+            raise LidarMoeError(f"train scan {scan.name} lacks camera pairing")
         partition = build_superpoints(scan.cloud, data.camera, scan.superpixels,
                                       scan.image.depth,
                                       tolerance=config.superpoint_tolerance)
@@ -268,7 +260,7 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
             usable.append(scan)
             partitions[scan.name] = partition
     if not usable:
-        raise PipelineError("no train scan has at least two superpoints")
+        raise LidarMoeError("no train scan has at least two superpoints")
     return usable, partitions
 
 
@@ -579,7 +571,7 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
         if src_path:
             src, _ = load_checkpoint(src_path)
             if not any(n.startswith(kind + ".") for n in src.names()):
-                raise PipelineError(
+                raise LidarMoeError(
                     f"checkpoint {src_path} has no {kind} backbone")
         else:
             src = init_backbone_store(kind, config, "sms")
@@ -620,7 +612,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     data = load_dataset(config.dataset)
     labeled = [s for s in data.train if np.any(s.cloud.label >= 0)]
     if not labeled:
-        raise PipelineError("no labeled training scans")
+        raise LidarMoeError("no labeled training scans")
     frac = data.annotation_fraction
     if frac < 1.0:
         labeled = labeled[:max(1, int(np.ceil(frac * len(labeled))))]
@@ -683,7 +675,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
     """
     scans = data.scans(split)
     if not scans:
-        raise PipelineError(f"empty split: {split}")
+        raise LidarMoeError(f"empty split: {split}")
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
     for scan in scans:
         views, inputs = _make_views({k: (k, scan.cloud) for k in REPRESENTATIONS},
@@ -732,7 +724,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
         kind = representation or meta.get("student") \
             or meta.get("stage", "").replace("stage1-", "")
         if kind not in REPRESENTATIONS:
-            raise PipelineError(f"cannot infer representation from {checkpoint}")
+            raise LidarMoeError(f"cannot infer representation from {checkpoint}")
     store.freeze_all()
     before = store.copy()
     data = load_dataset(config.dataset)

@@ -7,9 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-
-class ConfigError(ValueError):
-    """Invalid sensor, camera, or scene configuration."""
+from .errors import LidarMoeError
 
 
 def is_number(v) -> bool:
@@ -25,20 +23,27 @@ FIELD_TYPES = {
     "str": lambda v: isinstance(v, str),
     "list": lambda v: isinstance(v, list),
     "dict": lambda v: isinstance(v, dict),
-    "matrix": lambda v: isinstance(v, list) and all(
-        isinstance(row, list) and all(map(is_number, row)) for row in v),
+    "numbers": lambda v: isinstance(v, list) and all(map(is_number, v)),
+    "matrix": lambda v: isinstance(v, list) and all(map(FIELD_TYPES["numbers"], v)),
 }
 
 
-def _read(doc, owner, key, what):
-    """``doc[key]`` after checking it with ``FIELD_TYPES[what]``; raises
-    ConfigError naming the key."""
-    try:
-        value = doc[key]
-    except KeyError as exc:
-        raise ConfigError(f"{owner} config missing key {exc}") from exc
+_REQUIRED = object()
+
+
+def read_key(doc, owner, key, what, default=_REQUIRED):
+    """``doc[key]`` checked with ``FIELD_TYPES[what]``, or ``default`` when
+    given and the key is absent; raises LidarMoeError naming ``owner``
+    (the document, say "sensor config") and the key."""
+    if not isinstance(doc, dict):
+        raise LidarMoeError(f"{owner} must be a JSON object")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise LidarMoeError(f"{owner} missing key {key!r}")
+        return default
+    value = doc[key]
     if not FIELD_TYPES[what](value):
-        raise ConfigError(f"{owner} config {key} must be {what}, got {value!r}")
+        raise LidarMoeError(f"{owner} {key} must be {what}, got {value!r}")
     return value
 
 
@@ -79,13 +84,13 @@ class SensorModel:
 
     def __post_init__(self):
         if not (0.0 < self.fov_down < self.fov_total):
-            raise ConfigError("need 0 < fov_down < fov_total")
+            raise LidarMoeError("need 0 < fov_down < fov_total")
         if self.range_h < 1 or self.range_w < 1:
-            raise ConfigError("range image resolution must be >= 1")
+            raise LidarMoeError("range image resolution must be >= 1")
         if self.beam_count < 1 or self.azimuth_steps < 1:
-            raise ConfigError("beam_count and azimuth_steps must be >= 1")
+            raise LidarMoeError("beam_count and azimuth_steps must be >= 1")
         if self.max_range <= 0:
-            raise ConfigError("max_range must be positive")
+            raise LidarMoeError("max_range must be positive")
 
     def beam_elevations(self) -> np.ndarray:
         b = self.beam_count
@@ -99,7 +104,7 @@ class SensorModel:
     @classmethod
     def from_json(cls, doc: dict) -> "SensorModel":
         def read(key, what):
-            return _read(doc, "sensor", key, what)
+            return read_key(doc, "sensor config", key, what)
 
         return cls(
             beam_count=read("beam_count", "int"),
@@ -128,16 +133,16 @@ class CameraModel:
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics", t)
         if k[1, 0] != 0 or k[2, 0] != 0 or k[2, 1] != 0:
-            raise ConfigError("intrinsics must be upper-triangular")
+            raise LidarMoeError("intrinsics must be upper-triangular")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
-            raise ConfigError("focal lengths must be positive")
+            raise LidarMoeError("focal lengths must be positive")
         r = t[:3, :3]
         if np.linalg.norm(r.T @ r - np.eye(3)) >= 1e-6:
-            raise ConfigError("extrinsic rotation block must be orthonormal")
+            raise LidarMoeError("extrinsic rotation block must be orthonormal")
         if not np.allclose(t[3], [0, 0, 0, 1]):
-            raise ConfigError("extrinsics bottom row must be [0,0,0,1]")
+            raise LidarMoeError("extrinsics bottom row must be [0,0,0,1]")
         if self.width < 1 or self.height < 1:
-            raise ConfigError("image size must be >= 1")
+            raise LidarMoeError("image size must be >= 1")
 
     def center_in_lidar(self) -> np.ndarray:
         """Camera optical center expressed in the LiDAR frame."""
@@ -148,7 +153,7 @@ class CameraModel:
     @classmethod
     def from_json(cls, doc: dict) -> "CameraModel":
         def read(key, what):
-            return _read(doc, "camera", key, what)
+            return read_key(doc, "camera config", key, what)
 
         return cls(
             intrinsics=np.asarray(read("cam_intrinsics", "matrix"), dtype=np.float64),

@@ -8,6 +8,7 @@ any attribute access of that name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lidarmoe"
@@ -90,3 +91,21 @@ def test_allowlist_names_exist_and_are_unused():
     for entry in ALLOWED:
         module, name = entry.split(".")
         assert (module, name) in defs - refs, entry
+
+
+def test_every_exception_class_derives_from_lidarmoe_error():
+    """Bad input raises one hierarchy, so the CLI's exit code 2 catches
+    exactly ``(LidarMoeError, OSError)``."""
+    from lidarmoe.cli import _DATA_ERRORS
+    from lidarmoe.errors import LidarMoeError
+
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"lidarmoe.{path.stem}")
+        found.update((f"{path.stem}.{name}", obj) for name, obj in vars(module).items()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == module.__name__)
+    assert "errors.LidarMoeError" in found
+    assert [name for name, cls in found.items()
+            if not issubclass(cls, LidarMoeError)] == []
+    assert _DATA_ERRORS == (LidarMoeError, OSError)

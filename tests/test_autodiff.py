@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lidarmoe import autodiff as ad
-from lidarmoe.autodiff import Graph, NonFiniteError, ShapeError
+from lidarmoe.autodiff import Graph, NonFiniteError
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
 from oracles import conv2d3x3_shifts
@@ -219,6 +220,21 @@ def test_non_finite_gradient_names_the_parameter():
         ad.backward(graph, store, inputs)
 
 
+def test_non_finite_input_names_itself():
+    g = Graph(lambda ctx: {"out": ad.relu(ctx.input("x"))})
+    with pytest.raises(NonFiniteError, match="^non-finite value in input x$"):
+        ad.evaluate(g, ParameterStore(), {"x": np.array([np.nan], np.float32)})
+
+
+@pytest.mark.parametrize("trainable", [True, False])
+def test_non_finite_parameter_names_itself(trainable):
+    store = ParameterStore()
+    store.add("enc.w", np.array([1.0, np.inf], np.float32), trainable)
+    g = Graph(lambda ctx: {"out": ad.relu(ctx.param("enc.w"))})
+    with pytest.raises(NonFiniteError, match="^non-finite value in parameter enc.w$"):
+        ad.evaluate(g, store, {})
+
+
 # every public autodiff function that makes a graph node
 PRIMITIVES = sorted(n for n, fn in vars(ad).items()
                     if callable(fn) and not n.startswith("_")
@@ -353,7 +369,7 @@ def test_grad_array_shared_by_two_parents_is_not_overwritten(shared_first):
 
 def test_shape_validation():
     g = Graph(lambda ctx: {"out": ad.matmul(ctx.input("a"), ctx.input("b"))})
-    with pytest.raises(ShapeError):
+    with pytest.raises(LidarMoeError, match=r"^matmul \(2, 3\) @ \(2, 3\)$"):
         ad.evaluate(g, ParameterStore(), {"a": np.ones((2, 3), np.float32),
                                           "b": np.ones((2, 3), np.float32)})
 
@@ -369,7 +385,7 @@ def test_non_finite_intermediate_raises():
 def test_backward_requires_scalar_loss():
     store = make_store(w=np.ones((2, 2)))
     g = Graph(lambda ctx: {"loss": ctx.param("w")})
-    with pytest.raises(ShapeError):
+    with pytest.raises(LidarMoeError, match="^loss node must be scalar$"):
         ad.backward(g, store, {})
 
 

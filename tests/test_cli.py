@@ -378,3 +378,121 @@ def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path
         == [None if np.isnan(v) else float(v) for v in report.iou]
     summary = json.loads((out / "eval_summary.json").read_text())
     assert summary["fused"] == report.miou
+
+
+def _write_cloud(path, n=5):
+    write_lpcd(path, PointCloud(np.ones((n, 3), np.float32), np.zeros(n),
+                                np.zeros(n, np.int32), np.zeros(n, np.int32)))
+    return str(path)
+
+
+def _full_docs(tmp_path, dataset):
+    """A complete config of each subcommand that reads required keys."""
+    gates = tmp_path / "gates.csv"
+    write_gate_csv(gates, np.ones((5, 3), np.float32) / 3)
+    ious = {"beam": [60.0, 50.0, 40.0]}
+    return {
+        "corrupt": {"dataset": str(dataset), "kind": "jitter", "severity": 1},
+        "route-stats": {"gates_csv": str(gates),
+                        "cloud": _write_cloud(tmp_path / "scan.lpcd")},
+        "cosine-map": {"query_id": 0, "checkpoint": str(tmp_path / "x.ckpt")},
+        "report": {"model_ious": ious, "baseline_ious": ious, "clean_iou": 70.0},
+    }
+
+
+@pytest.mark.parametrize("command,key", [
+    ("corrupt", "dataset"), ("corrupt", "kind"), ("corrupt", "severity"),
+    ("route-stats", "gates_csv"), ("route-stats", "cloud"),
+    ("cosine-map", "query_id"), ("cosine-map", "checkpoint"),
+    ("report", "model_ious"), ("report", "baseline_ious"), ("report", "clean_iou"),
+])
+def test_missing_config_key_exit_2_naming_it(tmp_path, tiny_dataset, capsys,
+                                             command, key):
+    doc = _full_docs(tmp_path, tiny_dataset)[command]
+    del doc[key]
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {command} config missing key '{key}'" in capsys.readouterr().err
+
+
+def _bad_input(case, tmp_path, dataset):
+    """(command, config path, text stderr must hold) of one bad input."""
+    run = {"dataset": str(dataset), "epochs": 1, "embed_dim": 8,
+           "centroid_count": 8, "knn_k": 4}
+    if case == "lpcd cut in header":
+        cut = tmp_path / "cut.lpcd"
+        cut.write_bytes((dataset / "scans" / "val_000.lpcd").read_bytes()[:10])
+        gates = tmp_path / "gates.csv"
+        write_gate_csv(gates, np.ones((5, 3), np.float32) / 3)
+        doc = {"gates_csv": str(gates), "cloud": str(cut)}
+        return "route-stats", write_json(tmp_path / "cfg.json", doc), f"truncated file {cut}"
+    if case == "checkpoint cut at 12 bytes":
+        ckpt = tmp_path / "cut.ckpt"
+        save_checkpoint(ckpt, ParameterStore(), {})
+        ckpt.write_bytes(ckpt.read_bytes()[:12])
+        doc = dict(run, checkpoint=str(ckpt))
+        return "eval", write_json(tmp_path / "cfg.json", doc), f"truncated file {ckpt}"
+    if case in ("half-written camera npz", "manifest entry without scan"):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        cfg = write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy)))
+        if case == "manifest entry without scan":
+            manifest = json.loads((copy / "manifest.json").read_text())
+            del manifest["splits"]["train"][1]["scan"]
+            write_json(copy / "manifest.json", manifest)
+            return "pretrain", cfg, f"manifest {copy / 'manifest.json'} train " \
+                                    "entry missing key 'scan'"
+        cam = copy / "cams" / "train_001.npz"
+        cam.write_bytes(cam.read_bytes()[:cam.stat().st_size // 2])
+        return "pretrain", cfg, f"corrupt camera file {cam}"
+    if case == "config document [1]":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        return "pretrain", str(cfg), f"{cfg} must hold a JSON object, got list"
+    if case == "severity not an int":
+        doc = {"dataset": str(dataset), "kind": "jitter", "severity": "x"}
+        return "corrupt", write_json(tmp_path / "cfg.json", doc), \
+            "corrupt config severity must be int, got 'x'"
+    if case == "severity as a string number":
+        doc = {"dataset": str(dataset), "kind": "jitter", "severity": "2"}
+        return "corrupt", write_json(tmp_path / "cfg.json", doc), \
+            "corrupt config severity must be int, got '2'"
+    if case == "report clean_iou not a number":
+        ious = {"beam": [60.0, 50.0, 40.0]}
+        doc = {"model_ious": ious, "baseline_ious": ious, "clean_iou": "70"}
+        return "report", write_json(tmp_path / "cfg.json", doc), \
+            "report config clean_iou must be float, got '70'"
+    if case == "malformed pairs CSV row":
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("prediction,label\n1,1\n2\n")
+        return "eval", write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)}), \
+            f"{pairs}: "
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "lpcd cut in header", "checkpoint cut at 12 bytes", "half-written camera npz",
+    "manifest entry without scan", "config document [1]", "severity not an int",
+    "severity as a string number", "report clean_iou not a number",
+    "malformed pairs CSV row",
+])
+def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
+    command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_internal_key_error_is_not_a_data_error(tmp_path, monkeypatch):
+    """A bug that raises KeyError inside a subcommand ends in a traceback,
+    not in exit code 2."""
+    import lidarmoe.cli as cli
+
+    def buggy(*args):
+        return {}["mce"]
+
+    monkeypatch.setattr(cli, "compute_mce_mrr", buggy)
+    ious = {"beam": [60.0, 50.0, 40.0]}
+    cfg = write_json(tmp_path / "cfg.json", {"model_ious": ious, "baseline_ious": ious,
+                                             "clean_iou": 70.0})
+    with pytest.raises(KeyError, match="mce"):
+        main(["report", "--config", cfg, "--out", str(tmp_path / "out")])

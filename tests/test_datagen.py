@@ -7,8 +7,9 @@ from lidarmoe.datagen import (AugmentParams, CLASS_GROUND, Primitive, Scene,
                               SceneConfig, apply_augment, augment, build_scene,
                               cast_rays, corrupt, dropped_beams, render_camera,
                               simulate_lidar)
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.pointcloud import PointCloud
-from lidarmoe.sensors import ConfigError, SensorModel
+from lidarmoe.sensors import SensorModel
 
 from cameras import forward_camera
 
@@ -55,12 +56,12 @@ def test_boxes_inside_bounds():
 
 
 def test_invalid_bounds_rejected():
-    with pytest.raises(ConfigError):
+    with pytest.raises(LidarMoeError, match="^placement bounds must have min <= max$"):
         SceneConfig(x_bounds=(10.0, 5.0))
 
 
 def test_scene_requires_exactly_one_ground():
-    with pytest.raises(ConfigError):
+    with pytest.raises(LidarMoeError, match="^scene must contain exactly one ground plane$"):
         Scene(primitives=())
 
 
@@ -268,5 +269,5 @@ def test_range_cut_severity3_empties_cloud_at_25m():
 
 def test_unknown_corruption_kind_rejected():
     cloud = PointCloud(np.ones((1, 3), np.float32), [0.0], [0], [0])
-    with pytest.raises(ConfigError):
+    with pytest.raises(LidarMoeError, match="^unknown corruption kind: fog$"):
         corrupt(cloud, "fog", 1, seed=0)

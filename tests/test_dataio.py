@@ -1,15 +1,18 @@
 """Serialization round-trips for point clouds, camera renders, manifests."""
 
+import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from lidarmoe.datagen import ClassImage
-from lidarmoe.dataio import (DataFormatError, DatasetManifest, ScanEntry,
+from lidarmoe.dataio import (DatasetManifest, ScanEntry,
                              TrainingLog, load_manifest, read_camera_npz,
-                             read_lpcd, save_manifest, write_camera_npz,
-                             write_lpcd)
+                             read_json, read_lpcd, save_manifest,
+                             write_camera_npz, write_lpcd)
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.pointcloud import PointCloud, empty_cloud
 
 
@@ -51,7 +54,7 @@ def test_lpcd_layout_and_magic(tmp_path, rng):
 def test_lpcd_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.lpcd"
     path.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(DataFormatError):
+    with pytest.raises(LidarMoeError, match=f"^bad magic in {re.escape(str(path))}$"):
         read_lpcd(path)
 
 
@@ -60,7 +63,7 @@ def test_lpcd_truncated_rejected(tmp_path, rng):
     write_lpcd(path, sample_cloud(rng, 10))
     data = path.read_bytes()
     path.write_bytes(data[:-5])
-    with pytest.raises(DataFormatError):
+    with pytest.raises(LidarMoeError, match=f"^truncated file {re.escape(str(path))}$"):
         read_lpcd(path)
 
 
@@ -117,3 +120,70 @@ def test_training_log_format(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "step,stage,term,value"
     assert lines[1] == "0,stage1-range,loss,3.25"
+
+
+def test_every_cut_of_the_lpcd_header_is_a_package_error(tmp_path, rng):
+    """A file cut anywhere inside its 16-byte header raises LidarMoeError
+    naming the file, never ``struct.error``."""
+    path = tmp_path / "scan.lpcd"
+    write_lpcd(path, sample_cloud(rng, 3))
+    data = path.read_bytes()
+    for size in range(16):
+        path.write_bytes(data[:size])
+        want = "bad magic in" if size < 4 else "truncated file"
+        with pytest.raises(LidarMoeError, match=f"^{want} {re.escape(str(path))}$"):
+            read_lpcd(path)
+
+
+def test_lpcd_point_count_past_the_end_is_truncation(tmp_path):
+    path = tmp_path / "scan.lpcd"
+    path.write_bytes(b"LPCD" + (1).to_bytes(4, "little") + (2 ** 60).to_bytes(8, "little"))
+    with pytest.raises(LidarMoeError, match=f"^truncated file {re.escape(str(path))}$"):
+        read_lpcd(path)
+
+
+@pytest.mark.parametrize("cut", ["half", "missing array", "garbage"])
+def test_corrupt_camera_npz_is_a_package_error(tmp_path, rng, cut):
+    path = tmp_path / "cam.npz"
+    cls = rng.integers(-1, 6, (8, 12)).astype(np.int32)
+    write_camera_npz(path, ClassImage(cls, np.ones((8, 12))), cls)
+    if cut == "half":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif cut == "missing array":
+        np.savez(path, class_id=cls, depth=np.ones((8, 12)))
+    else:
+        path.write_bytes(b"not a zip archive")
+    with pytest.raises(LidarMoeError,
+                       match=f"^corrupt camera file {re.escape(str(path))}: "):
+        read_camera_npz(path)
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"\xff\xfe{}", "is not a UTF-8 JSON document"),
+    (b'{"a": ', "is not a UTF-8 JSON document"),
+    (b"[1]", "must hold a JSON object, got list"),
+    (b'"x"', "must hold a JSON object, got str"),
+])
+def test_read_json_rejects_what_is_not_a_json_object(tmp_path, raw, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    with pytest.raises(LidarMoeError, match=f"^{re.escape(str(path))} {message}"):
+        read_json(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m["splits"]["train"][0].pop("scan"), "train entry missing key 'scan'"),
+    (lambda m: m["splits"]["val"].__setitem__(0, "scans/b.lpcd"),
+     "val entry must be a JSON object"),
+    (lambda m: m["splits"].__setitem__("train", {}), "train must be list"),
+    (lambda m: m.__setitem__("num_classes", "6"), "num_classes must be int"),
+])
+def test_malformed_manifest_names_file_and_key(tmp_path, edit, message):
+    path = tmp_path / "manifest.json"
+    save_manifest(path, DatasetManifest(train=[ScanEntry("scans/a.lpcd", "cams/a.npz")],
+                                        val=[ScanEntry("scans/b.lpcd")]))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LidarMoeError, match=f"^manifest {re.escape(str(path))} {message}"):
+        load_manifest(path)

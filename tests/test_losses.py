@@ -7,7 +7,8 @@ import pytest
 
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
-from lidarmoe.losses import (LossConfig, LossContractError, build_cross_entropy,
+from lidarmoe.errors import LidarMoeError
+from lidarmoe.losses import (LossConfig, build_cross_entropy,
                              build_info_nce, build_lovasz_softmax,
                              build_sms_total)
 from lidarmoe.params import ParameterStore
@@ -98,7 +99,7 @@ def test_info_nce_temperature_monotonicity():
 
 def test_info_nce_requires_two_rows():
     k = np.ones((1, 3), np.float32)
-    with pytest.raises(LossContractError):
+    with pytest.raises(LidarMoeError, match="^contrastive loss needs at least 2 rows$"):
         info_nce(k, k, 0.1)
 
 
@@ -134,7 +135,7 @@ def test_ce_ignore_rows_do_not_change_loss(rng):
 
 
 def test_ce_all_ignored_rejected():
-    with pytest.raises(LossContractError):
+    with pytest.raises(LidarMoeError, match="^all labels are ignored$"):
         cross_entropy(np.zeros((2, 3), np.float32), [-1, -1])
 
 
@@ -181,7 +182,7 @@ def test_lovasz_matches_bruteforce_sweep(rng):
 
 
 def test_lovasz_malformed_rows_rejected():
-    with pytest.raises(LossContractError):
+    with pytest.raises(LidarMoeError, match="^probability rows must sum to 1$"):
         lovasz_softmax(np.array([[0.9, 0.9]], np.float32), [0])
 
 
@@ -264,5 +265,5 @@ def test_sms_grad_check(rng):
 
 
 def test_loss_config_validation():
-    with pytest.raises(LossContractError):
+    with pytest.raises(LidarMoeError, match="^loss weights must be >= 0$"):
         LossConfig(weights={"fused": {"ce": -1.0}})

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from lidarmoe.analysis import (AnalysisError, cosine_map, route_bars_svg,
-                               route_stats, scatter_svg, write_route_csv)
-from lidarmoe.metrics import MetricError, compute_mce_mrr, compute_miou
+from lidarmoe.analysis import (cosine_map, route_bars_svg, route_stats,
+                               scatter_svg, write_route_csv)
+from lidarmoe.errors import LidarMoeError
+from lidarmoe.metrics import compute_mce_mrr, compute_miou
 from lidarmoe.pointcloud import PointCloud
 
 
@@ -53,7 +54,7 @@ def test_iou_absent_class_excluded_from_mean():
 
 
 def test_iou_empty_input_rejected():
-    with pytest.raises(MetricError):
+    with pytest.raises(LidarMoeError, match="^empty input$"):
         compute_miou([], [], 3)
 
 
@@ -81,7 +82,7 @@ def test_ce_rr_worked_triple():
 
 
 def test_ce_zero_baseline_error_rejected():
-    with pytest.raises(MetricError):
+    with pytest.raises(LidarMoeError, match="^baseline corruption error is zero for x$"):
         compute_mce_mrr({"x": [50, 50, 50]}, {"x": [100.0, 100.0, 100.0]}, 70.0)
 
 
@@ -143,7 +144,7 @@ def test_route_global_load_equals_whole_cloud_mean(rng):
 
 def test_route_unknown_axis_rejected():
     cloud = make_cloud(1, [0], [0], [5.0])
-    with pytest.raises(AnalysisError):
+    with pytest.raises(LidarMoeError, match="^unknown axis: color$"):
         route_stats(np.ones((1, 3), np.float32), cloud, "color")
 
 
@@ -180,7 +181,7 @@ def test_cosine_zero_norm_flagged():
 
 
 def test_cosine_query_out_of_range():
-    with pytest.raises(AnalysisError):
+    with pytest.raises(LidarMoeError, match="^query id out of range$"):
         cosine_map(np.ones((3, 2), np.float32), 5)
 
 

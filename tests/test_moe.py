@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lidarmoe import autodiff as ad
-from lidarmoe.autodiff import Graph, ShapeError
+from lidarmoe.autodiff import Graph
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.moe import (build_moe, init_moe_params, read_gate_csv,
                           write_gate_csv)
 from lidarmoe.params import ParameterStore
@@ -106,7 +107,7 @@ def test_row_count_mismatch_rejected(rng):
     store = fresh_params(4)
     r = rng.standard_normal((5, 4)).astype(np.float32)
     v = rng.standard_normal((6, 4)).astype(np.float32)
-    with pytest.raises(ShapeError):
+    with pytest.raises(LidarMoeError, match="^expert feature shapes disagree$"):
         fuse(r, v, r, store, train_mode=False)
 
 

@@ -1,8 +1,13 @@
 """Optimizer schedule, freeze semantics, and checkpoint round-trips."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.optim import WEIGHT_DECAY, AdamW, one_cycle_lr
 from lidarmoe.params import (CheckpointError, ParameterStore, load_checkpoint,
                              save_checkpoint)
@@ -80,8 +85,68 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
 def test_checkpoint_magic_validated(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=f"^bad magic in {re.escape(str(path))}$"):
         load_checkpoint(path)
+
+
+def test_every_cut_of_a_checkpoint_is_a_checkpoint_error(tmp_path):
+    """A file cut anywhere, its 16-byte header included, raises
+    CheckpointError naming the file, never ``struct.error``."""
+    path = tmp_path / "x.ckpt"
+    store = ParameterStore()
+    store.add("w", np.ones((2, 3), np.float32))
+    save_checkpoint(path, store, {"stage": "x"})
+    data = path.read_bytes()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        want = "bad magic in" if size < 8 else "truncated file"
+        with pytest.raises(CheckpointError, match=f"^{want} {re.escape(str(path))}$"):
+            load_checkpoint(path)
+
+
+def _raw_checkpoint(path, manifest, blob=b""):
+    text = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(b"LMOECKPT" + struct.pack("<Q", len(text)) + text + blob)
+
+
+@pytest.mark.parametrize("params,metadata,message", [
+    ([{"name": "w", "shape": [2]}], {}, "KeyError\\('trainable'\\)"),
+    ([{"name": "w", "shape": "ab", "trainable": True}], {}, "TypeError"),
+    ([{"name": "w", "shape": [1], "trainable": True}] * 2, {},
+     "duplicate parameter name: w"),
+    ([], None, "KeyError\\('metadata'\\)"),
+])
+def test_malformed_checkpoint_manifest_is_a_checkpoint_error(tmp_path, params,
+                                                            metadata, message):
+    path = tmp_path / "bad.ckpt"
+    manifest = {"format_version": 1, "dtype": "f32", "params": params}
+    if metadata is not None:
+        manifest["metadata"] = metadata
+    _raw_checkpoint(path, manifest, b"\0" * 64)
+    with pytest.raises(CheckpointError, match=f"^malformed manifest in "
+                       f"{re.escape(str(path))}: .*{message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_length_past_the_end_is_truncation(tmp_path):
+    """A corrupt manifest length is checked against the file before any
+    read, so it cannot ask for 2**62 bytes."""
+    path = tmp_path / "x.ckpt"
+    path.write_bytes(b"LMOECKPT" + struct.pack("<Q", 2 ** 62) + b"{}")
+    with pytest.raises(CheckpointError, match=f"^truncated file {re.escape(str(path))}$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_manifest_must_be_an_object(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    _raw_checkpoint(path, [1])
+    with pytest.raises(CheckpointError, match="^unsupported checkpoint version in "):
+        load_checkpoint(path)
+
+
+def test_missing_parameter_is_a_package_error():
+    with pytest.raises(LidarMoeError, match="^missing parameter enc.w$"):
+        ParameterStore().get("enc.w")
 
 
 def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path):

@@ -7,8 +7,9 @@ import pytest
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.dataio import TrainingLog, load_manifest
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
-from lidarmoe.pipeline import (REPRESENTATIONS, PipelineError, RunConfig,
+from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig,
                                _train_epochs, build_group_mean, build_view_aligned,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
@@ -210,7 +211,7 @@ def test_stage3_refuses_unlabeled_dataset(tiny_config, tmp_path):
         stripped.label[:] = -1
         write_lpcd(scan, stripped)
     cfg = replace(tiny_config, dataset=str(dst))
-    with pytest.raises(PipelineError):
+    with pytest.raises(LidarMoeError, match="^no labeled training scans$"):
         stage3_sms(cfg, {}, tmp_path / "out")
 
 
@@ -248,14 +249,14 @@ def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_pat
 
 
 def _stage1_and_cml_errors(tiny_config, dataset, tmp_path):
-    """The PipelineError messages of stage 1 and of CML on ``dataset``;
+    """The LidarMoeError messages of stage 1 and of CML on ``dataset``;
     CML's experts come from a zero-epoch stage 1 on the tiny dataset."""
     experts = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "experts")
     cfg = replace(tiny_config, dataset=str(dataset))
     errors = []
     for run in (lambda: stage1_pretrain(cfg, tmp_path / "s1"),
                 lambda: stage2_cml(cfg, ckpts_of(experts), tmp_path / "cml")):
-        with pytest.raises(PipelineError) as info:
+        with pytest.raises(LidarMoeError) as info:
             run()
         errors.append(str(info.value))
     return errors
@@ -386,11 +387,11 @@ def test_run_config_roundtrip_and_digest():
 
 
 def test_run_config_validation():
-    with pytest.raises(PipelineError):
+    with pytest.raises(LidarMoeError, match="^unknown student representation: mesh$"):
         RunConfig(student="mesh")
-    with pytest.raises(PipelineError):
+    with pytest.raises(LidarMoeError, match="^temperature must be > 0$"):
         RunConfig(temperature=0.0)
-    with pytest.raises(PipelineError):
+    with pytest.raises(LidarMoeError, match="^batch_size must be >= 1$"):
         RunConfig(batch_size=0)
 
 
@@ -405,14 +406,14 @@ def test_run_config_validation():
     ("probe_epochs", -1), ("sms_epochs", -1), ("epochs", -1),
 ])
 def test_run_config_rejects_bad_field_naming_it(field, value):
-    with pytest.raises(PipelineError, match=field):
+    with pytest.raises(LidarMoeError, match=field):
         RunConfig(**{field: value})
 
 
 def test_run_config_accepts_ints_for_floats_and_json_voxel_lists():
     cfg = RunConfig.from_json({"lr_cml": 1, "temperature": 1, "voxel_size": [2, 2, 2]})
     assert cfg.voxel_size == (2, 2, 2) and cfg.lr_cml == 1
-    with pytest.raises(PipelineError, match="voxel_size"):
+    with pytest.raises(LidarMoeError, match="voxel_size"):
         RunConfig.from_json({"voxel_size": 5})
 
 

@@ -9,7 +9,8 @@ import pytest
 from lidarmoe import autodiff as ad
 from lidarmoe.datagen import augment
 from lidarmoe.encoders import point_grouping, voxel_neighbor_pairs
-from lidarmoe.geometry import ContractError, project_labels, voxelize
+from lidarmoe.errors import LidarMoeError
+from lidarmoe.geometry import project_labels, voxelize
 from lidarmoe.params import ParameterStore
 from lidarmoe.pipeline import RunConfig, generate_dataset, load_dataset
 from lidarmoe.pointcloud import PointCloud
@@ -141,7 +142,7 @@ def test_voxelize_empty_cloud_matches_oracle():
 
 def test_voxel_key_range_overflow_is_a_contract_error():
     cloud = make_cloud([[0.0, 0.0, 0.0], [3e9, 3e9, 3e9]])
-    with pytest.raises(ContractError):
+    with pytest.raises(LidarMoeError, match="^voxel coordinate range too large for int64 keys$"):
         voxelize(cloud, (1.0, 1.0, 1.0))
 
 
