@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (DEFAULT_DISTANCE_EDGES, cosine_map, route_stats,
+from .analysis import (DEFAULT_DISTANCE_EDGES, ROUTE_AXES, cosine_map, route_stats,
                        route_bars_svg, scatter_svg, write_cosine_csv, write_route_csv)
 from .datagen import corrupt as corrupt_cloud
 from .dataio import (DatasetManifest, ScanEntry, load_manifest, read_csv,
@@ -45,31 +45,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"usage error: {message}\n")
 
 
-# the keys each run-config subcommand reads besides the RunConfig fields
-_OWN_KEYS = {
-    "pretrain": (),
-    "cml": ("expert_ckpts", "stage1_dir"),
-    "sms": ("init",),
-    "probe": ("checkpoint", "random_baseline", "representation"),
-    "eval": ("checkpoint", "pairs_csv", "split", "num_classes"),
-    "cosine-map": ("features_csv", "checkpoint", "cloud", "query_id",
-                   "representation"),
-}
+# the keys each subcommand reads (datagen checks its own document)
 _RUN_KEYS = frozenset(RunConfig.__dataclass_fields__)
+_KEYS = {
+    "pretrain": _RUN_KEYS,
+    "cml": _RUN_KEYS | {"expert_ckpts", "stage1_dir"},
+    "sms": _RUN_KEYS | {"init"},
+    "probe": _RUN_KEYS | {"checkpoint", "random_baseline", "representation"},
+    "eval": _RUN_KEYS | {"checkpoint", "pairs_csv", "split", "num_classes"},
+    "cosine-map": _RUN_KEYS | {"features_csv", "checkpoint", "cloud", "query_id",
+                               "representation"},
+    "corrupt": {"dataset", "kind", "severity", "split", "seed"},
+    "route-stats": {"gates_csv", "cloud", "axis", "distance_edges"},
+    "report": {"model_ious", "baseline_ious", "clean_iou"},
+}
 
 
 def _load_config(args) -> dict:
-    """The --config document; a run-config subcommand rejects unknown keys."""
+    """The --config document; every subcommand rejects unknown keys."""
     if args.config is None:
         return {}
     doc = read_json(args.config)
-    own = _OWN_KEYS.get(args.command)
-    if own is not None:
-        unknown = sorted(set(doc) - _RUN_KEYS - set(own))
-        if unknown:
-            raise LidarMoeError(f"unknown {args.command} config key(s): "
-                                f"{', '.join(unknown)}")
+    unknown = sorted(set(doc) - _KEYS.get(args.command, set(doc)))
+    if unknown:
+        raise LidarMoeError(f"unknown {args.command} config key(s): "
+                            f"{', '.join(unknown)}")
     return doc
+
+
+def _read_choice(doc, owner, key, choices, default):
+    """``doc[key]``, one of the strings ``choices``, or ``default`` if absent."""
+    value = read_key(doc, owner, key, "str", default)
+    if value != default and value not in choices:
+        raise LidarMoeError(f"{owner} {key} must be {'|'.join(choices)}, "
+                            f"got {value!r}")
+    return value
 
 
 def _run_config(doc: dict, args) -> RunConfig:
@@ -141,11 +151,13 @@ def _cmd_sms(args, doc):
 def _cmd_probe(args, doc):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
-    if "checkpoint" not in doc and not doc.get("random_baseline"):
+    rep = _read_choice(doc, "probe config", "representation", REPRESENTATIONS, None)
+    baseline = read_key(doc, "probe config", "random_baseline", "bool", False)
+    if "checkpoint" not in doc and not baseline:
         raise LidarMoeError("probe config needs checkpoint or random_baseline")
     result = linear_probe(
         cfg, out, checkpoint=read_key(doc, "probe config", "checkpoint", "str", None),
-        representation=doc.get("representation"))
+        representation=rep)
     _write_metric_csv(out / "probe_metrics.csv", result["report"])
     write_json(out / "probe_summary.json",
                {"miou": result["report"].miou,
@@ -165,7 +177,7 @@ def _cmd_eval(args, doc):
     cfg = _run_config(doc, args)
     if "checkpoint" not in doc:
         raise LidarMoeError("eval config needs checkpoint or pairs_csv")
-    split = doc.get("split", "val")
+    split = _read_choice(doc, "eval config", "split", ("train", "val"), "val")
     store, _ = load_checkpoint(read_key(doc, "eval config", "checkpoint", "str"))
     data = load_dataset(cfg.dataset)
     reports, fused = evaluate_store(store, cfg, data, split=split)
@@ -184,22 +196,21 @@ def _cmd_corrupt(args, doc):
     dataset = Path(read_key(doc, "corrupt config", "dataset", "str"))
     kind = read_key(doc, "corrupt config", "kind", "str")
     severity = read_key(doc, "corrupt config", "severity", "int")
-    split = doc.get("split", "val")
+    split = _read_choice(doc, "corrupt config", "split", ("train", "val"), "val")
     seed = args.seed if args.seed is not None else \
         read_key(doc, "corrupt config", "seed", "int", 0)
     out = _out_dir(args)
     manifest = load_manifest(dataset / "manifest.json")
-    entries = manifest.val if split == "val" else manifest.train
     (out / "scans").mkdir(parents=True, exist_ok=True)
     new_entries = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(getattr(manifest, split)):
         cloud = read_lpcd(resolve(dataset, entry.scan))
         bad = corrupt_cloud(cloud, kind, severity, seed=seed + i)
         rel = f"scans/{split}_{i:03d}.lpcd"
         write_lpcd(out / rel, bad)
         new_entries.append(ScanEntry(scan=rel, camera=None))
     new_manifest = DatasetManifest(num_classes=manifest.num_classes)
-    (new_manifest.val if split == "val" else new_manifest.train).extend(new_entries)
+    getattr(new_manifest, split).extend(new_entries)
     save_manifest(out / "manifest.json", new_manifest)
     shutil.copy(dataset / "sensors.json", out / "sensors.json")
     write_json(out / "corrupt_summary.json",
@@ -210,7 +221,7 @@ def _cmd_route_stats(args, doc):
     gates = read_gate_csv(read_key(doc, "route-stats config", "gates_csv", "str"))
     cloud = read_lpcd(read_key(doc, "route-stats config", "cloud", "str"))
     out = _out_dir(args)
-    axis = doc.get("axis", "beam")
+    axis = _read_choice(doc, "route-stats config", "axis", ROUTE_AXES, "beam")
     edges = read_key(doc, "route-stats config", "distance_edges", "numbers",
                      DEFAULT_DISTANCE_EDGES)
     table = route_stats(gates, cloud, axis, edges)
@@ -236,13 +247,14 @@ def _cmd_cosine_map(args, doc):
             raise LidarMoeError(f"{path}: {exc}") from exc
     else:
         cfg = _run_config(doc, args)
+        rep = _read_choice(doc, "cosine-map config", "representation",
+                           REPRESENTATIONS, None)
         store, meta = load_checkpoint(
             read_key(doc, "cosine-map config", "checkpoint", "str"))
-        rep = doc.get("representation") or meta.get("student")
         if cloud is None:
             raise LidarMoeError("cosine-map from a checkpoint needs a cloud")
         sensor, _ = load_sensors(cfg.dataset)
-        feats = embed_cloud(store, cfg, sensor, cloud, rep)
+        feats = embed_cloud(store, cfg, sensor, cloud, rep or meta.get("student"))
     out = _out_dir(args)
     sims, degenerate = cosine_map(feats, query)
     write_cosine_csv(out / "cosine_map.csv", sims, degenerate)

@@ -105,13 +105,8 @@ class SceneConfig:
             raise LidarMoeError("placement bounds must have min <= max")
 
     def to_json(self) -> dict:
-        return {
-            "n_boxes": self.n_boxes, "n_pedestrians": self.n_pedestrians,
-            "n_poles": self.n_poles, "n_buildings": self.n_buildings,
-            "n_barriers": self.n_barriers,
-            "x_bounds": list(self.x_bounds), "y_bounds": list(self.y_bounds),
-            "ground_z": self.ground_z, "ground_half": self.ground_half,
-        }
+        return dict(self.__dict__, x_bounds=list(self.x_bounds),
+                    y_bounds=list(self.y_bounds))
 
     @classmethod
     def from_json(cls, doc: dict) -> "SceneConfig":

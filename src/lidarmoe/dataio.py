@@ -5,8 +5,8 @@ of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
 little-endian. Camera renders are stored as .npz with arrays ``class_id``
 (H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
 A dataset manifest is a JSON document listing per-split scan/camera pairs.
-Every output file except the streamed training log and the camera renders
-is written through :func:`atomic_write`.
+Every output file except the streamed training log is written through
+:func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -124,9 +124,10 @@ def read_lpcd(path) -> PointCloud:
 
 
 def write_camera_npz(path, image: ClassImage, superpixel_map: np.ndarray) -> None:
-    np.savez(path, class_id=image.class_id.astype(np.int32),
-             depth=image.depth.astype(np.float64),
-             superpixel=superpixel_map.astype(np.int32))
+    atomic_write(path, lambda fh: np.savez(
+        fh, class_id=image.class_id.astype(np.int32),
+        depth=image.depth.astype(np.float64),
+        superpixel=superpixel_map.astype(np.int32)))
 
 
 def read_camera_npz(path):

@@ -83,20 +83,16 @@ def trunk_width(kind: str) -> int:
 # range encoder
 # ---------------------------------------------------------------------------
 
-def build_range_trunk(ctx, image_input: str, prefix="range"):
-    """Per-cell trunk features, shape (H_r * W_r, 32)."""
+def build_range_embed(ctx, image_input: str, prefix="range", head="head"):
+    """Per-cell features: two 3x3 convolutions, then the ``head`` linear
+    layer over each of the H_r * W_r cells."""
     x = ad.mul(ctx.input(image_input), ad.as_var(_SCALE_RANGE))
     h, w, _ = x.shape
     y = ad.relu(ad.conv2d3x3(x, ctx.param(f"{prefix}.conv1.w"),
                              ctx.param(f"{prefix}.conv1.b")))
     y = ad.relu(ad.conv2d3x3(y, ctx.param(f"{prefix}.conv2.w"),
                              ctx.param(f"{prefix}.conv2.b")))
-    return ad.reshape(y, (h * w, TRUNK_CH))
-
-
-def build_range_embed(ctx, image_input: str, prefix="range", head="head"):
-    return linear(ctx, build_range_trunk(ctx, image_input, prefix),
-                  f"{prefix}.{head}")
+    return linear(ctx, ad.reshape(y, (h * w, TRUNK_CH)), f"{prefix}.{head}")
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +119,15 @@ def voxel_neighbor_pairs(grid: VoxelGrid):
     return src[order], dst[order]
 
 
-def build_voxel_trunk(ctx, feat_input: str, pairs_input: str, prefix="voxel"):
-    """Per-voxel trunk features, shape (M, 32)."""
+def build_voxel_embed(ctx, feat_input, pairs_input, prefix="voxel", head="head"):
+    """Per-voxel features: MLP, mean over each voxel's neighbors, MLP,
+    then the ``head`` linear layer."""
     x = ad.mul(ctx.input(feat_input), ad.as_var(_SCALE_XYZI))
     src, dst = ctx.raw_input(pairs_input)
     m = x.shape[0]
     h = ad.relu(linear(ctx, x, f"{prefix}.mlp1"))
-    gathered = ad.gather_rows(h, src)
-    agg = ad.segment_mean(gathered, dst, m)
-    return ad.relu(linear(ctx, agg, f"{prefix}.mlp2"))
-
-
-def build_voxel_embed(ctx, feat_input, pairs_input, prefix="voxel", head="head"):
-    return linear(ctx, build_voxel_trunk(ctx, feat_input, pairs_input, prefix),
+    agg = ad.segment_mean(ad.gather_rows(h, src), dst, m)
+    return linear(ctx, ad.relu(linear(ctx, agg, f"{prefix}.mlp2")),
                   f"{prefix}.{head}")
 
 
@@ -209,20 +201,17 @@ def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGroup
                          nearest)
 
 
-def build_point_trunk(ctx, feat_input: str, grouping_input: str, prefix="point"):
-    """Per-point trunk features, shape (N, 64)."""
+def build_point_embed(ctx, feat_input, grouping_input, prefix="point", head="head"):
+    """Per-point features: pointwise MLP, max-pooled per group, each
+    point's own feature beside its nearest centroid's, then the ``head``
+    linear layer."""
     x = ad.mul(ctx.input(feat_input), ad.as_var(_SCALE_XYZI))
     grouping: PointGrouping = ctx.raw_input(grouping_input)
     h = ad.relu(linear(ctx, x, f"{prefix}.mlp"))
     members = ad.gather_rows(h, grouping.member_rows)
     pooled = ad.segment_max(members, grouping.member_group, grouping.count)
     per_point = ad.gather_rows(pooled, grouping.nearest_centroid)
-    return ad.concat_cols([h, per_point])
-
-
-def build_point_embed(ctx, feat_input, grouping_input, prefix="point", head="head"):
-    return linear(ctx, build_point_trunk(ctx, feat_input, grouping_input, prefix),
-                  f"{prefix}.{head}")
+    return linear(ctx, ad.concat_cols([h, per_point]), f"{prefix}.{head}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ fusing logits through a train-only noisy gate.
 
 Every training run (stage 1 per representation, stage 2, stage 3, the
 linear probe) goes through ``_train_epochs``, which owns the run's one
-AdamW and sizes its schedule by the optimizer steps it takes.
+AdamW and its training log and sizes the schedule by the optimizer steps
+it takes; ``_save_stage`` writes every stage checkpoint. ``make_view`` is
+the one place a representation is chosen: its view runs its own encoder.
 
 Every run is a pure function of (config, dataset, seed): augmentation,
 gate noise, and initialization seeds derive deterministically from the
@@ -99,9 +101,7 @@ class RunConfig:
             raise LidarMoeError("temperature must be > 0")
 
     def to_json(self) -> dict:
-        doc = dict(self.__dict__)
-        doc["voxel_size"] = list(self.voxel_size)
-        return doc
+        return dict(self.__dict__, voxel_size=list(self.voxel_size))
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
@@ -271,32 +271,46 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
 @dataclass
 class ReprView:
     """One representation of one (possibly augmented) cloud: the named
-    graph inputs plus the per-point row index into the encoder output."""
+    graph inputs of its encoder, in the encoder's argument order, plus the
+    per-point row index into the encoder output."""
 
-    kind: str
-    ns: str
     inputs: dict
     gather: np.ndarray | None
     mapping: object
+    encoder: object
+
+    def output(self, ctx, prefix, head="head"):
+        """Encoder output in representation space (cells / voxels / points)."""
+        return self.encoder(ctx, *self.inputs, prefix, head)
 
     def align(self, out):
         """Encoder output rows gathered to one row per point."""
         return out if self.gather is None else ad.gather_rows(out, self.gather)
 
+    def aligned(self, ctx, prefix):
+        return self.align(self.output(ctx, prefix))
+
+    def labels(self, cloud):
+        """Per-row labels of the encoder output."""
+        return cloud.label if self.gather is None else project_labels(cloud, self.mapping)
+
 
 def make_view(kind, cloud, sensor, config: RunConfig, ns) -> ReprView:
+    """The ``kind`` view of ``cloud``, its graph inputs named ``<ns>.*``."""
     if kind == "range":
         ri = project_to_range(cloud, sensor)
-        return ReprView(kind, ns, {f"{ns}.image": ri.features},
-                        ri.point_cell_ids(), ri)
+        return ReprView({f"{ns}.image": ri.features}, ri.point_cell_ids(), ri,
+                        build_range_embed)
     if kind == "voxel":
         vg = voxelize(cloud, config.voxel_size)
-        pairs = voxel_neighbor_pairs(vg)
-        return ReprView(kind, ns, {f"{ns}.feats": vg.features, f"{ns}.pairs": pairs},
-                        vg.point_voxel, vg)
-    grouping = point_grouping(cloud, config.centroid_count, config.knn_k)
-    return ReprView(kind, ns, {f"{ns}.feats": cloud.features(),
-                               f"{ns}.grouping": grouping}, None, grouping)
+        return ReprView({f"{ns}.feats": vg.features,
+                         f"{ns}.pairs": voxel_neighbor_pairs(vg)},
+                        vg.point_voxel, vg, build_voxel_embed)
+    if kind == "point":
+        grouping = point_grouping(cloud, config.centroid_count, config.knn_k)
+        return ReprView({f"{ns}.feats": cloud.features(), f"{ns}.grouping": grouping},
+                        None, grouping, build_point_embed)
+    raise LidarMoeError(f"unknown representation: {kind}")
 
 
 def _make_views(specs: dict, sensor, config: RunConfig):
@@ -308,21 +322,6 @@ def _make_views(specs: dict, sensor, config: RunConfig):
     for v in views.values():
         inputs.update(v.inputs)
     return views, inputs
-
-
-def build_view_output(ctx, view: ReprView, prefix, head="head"):
-    """Encoder output in representation space (cells / voxels / points)."""
-    if view.kind == "range":
-        return build_range_embed(ctx, f"{view.ns}.image", prefix, head)
-    if view.kind == "voxel":
-        return build_voxel_embed(ctx, f"{view.ns}.feats", f"{view.ns}.pairs",
-                                 prefix, head)
-    return build_point_embed(ctx, f"{view.ns}.feats", f"{view.ns}.grouping",
-                             prefix, head)
-
-
-def build_view_aligned(ctx, view: ReprView, prefix, head="head"):
-    return view.align(build_view_output(ctx, view, prefix, head))
 
 
 def build_group_mean(feats_var, partition):
@@ -360,11 +359,12 @@ def _accumulate(batch_grads: list) -> dict:
     return {n: (g / len(batch_grads)).astype(np.float32) for n, g in total.items()}
 
 
-def _train_epochs(config, scans, step_fn, store, peak_lr, log, stage_name,
+def _train_epochs(config, scans, step_fn, store, peak_lr, log_path, stage_name,
                   on_epoch):
     """The training loop of every stage and the probe: per epoch, per
     batch of ``config.batch_size`` scans, average the grads and step the
-    run's one AdamW over ``store``.
+    run's one AdamW over ``store``, logging to a ``TrainingLog`` at
+    ``log_path``.
 
     Callers pass only the scans they train on, so the one-cycle schedule
     spans exactly the steps taken: ``epochs x ceil(len(scans) /
@@ -377,35 +377,41 @@ def _train_epochs(config, scans, step_fn, store, peak_lr, log, stage_name,
     """
     batches = math.ceil(len(scans) / config.batch_size)
     optimizer = AdamW(store, peak_lr, max(1, config.epochs * batches))
-    epoch_losses = []
-    global_step = 0
-    for epoch in range(config.epochs):
-        losses = []
-        pending = []
-        for idx, scan in enumerate(scans):
-            try:
-                loss, grads, terms = step_fn(idx, scan, epoch)
-            except NonFiniteError as exc:
-                raise NonFiniteError(f"{stage_name} epoch {epoch} scan "
-                                     f"{scan.name}: {exc}") from exc
-            losses.append(loss)
-            pending.append(grads)
-            if len(pending) >= config.batch_size:
+    epoch_losses, global_step = [], 0
+    with TrainingLog(log_path) as log:
+        for epoch in range(config.epochs):
+            losses = []
+            pending = []
+            for idx, scan in enumerate(scans):
+                try:
+                    loss, grads, terms = step_fn(idx, scan, epoch)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"{stage_name} epoch {epoch} scan "
+                                         f"{scan.name}: {exc}") from exc
+                losses.append(loss)
+                pending.append(grads)
+                if len(pending) >= config.batch_size:
+                    optimizer.step(_accumulate(pending))
+                    pending = []
+                log.append(global_step, stage_name, "loss", loss)
+                for term, value in terms.items():
+                    log.append(global_step, stage_name, term, value)
+                global_step += 1
+            if pending:
                 optimizer.step(_accumulate(pending))
-                pending = []
-            log.append(global_step, stage_name, "loss", loss)
-            for term, value in terms.items():
-                log.append(global_step, stage_name, term, value)
-            global_step += 1
-        if pending:
-            optimizer.step(_accumulate(pending))
-        mean = float(np.mean(losses)) if losses else float("nan")
-        epoch_losses.append(mean)
-        log.append(global_step, stage_name, "epoch_loss", mean)
-        if on_epoch is not None:
-            for term, value in on_epoch(epoch).items():
-                log.append(global_step, stage_name, term, value)
+            mean = float(np.mean(losses)) if losses else float("nan")
+            epoch_losses.append(mean)
+            log.append(global_step, stage_name, "epoch_loss", mean)
+            if on_epoch is not None:
+                for term, value in on_epoch(epoch).items():
+                    log.append(global_step, stage_name, term, value)
     return epoch_losses
+
+
+def _save_stage(path, store, config: RunConfig, stage, **extra):
+    """A stage checkpoint whose metadata holds stage, digest, seed and ``extra``."""
+    save_checkpoint(path, store, {"stage": stage, "config_digest": config.digest(),
+                                  "seed": config.seed, **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +457,7 @@ def stage1_pretrain(config: RunConfig, out_dir):
             view = make_view(kind, view_cloud, data.sensor, config, "x")
 
             def build(ctx):
-                feats = build_view_aligned(ctx, view, kind)
+                feats = view.aligned(ctx, kind)
                 k = build_group_mean(feats, partition)
                 loss = build_info_nce(k, ad.as_var(targets[scan.name]),
                                       config.temperature,
@@ -462,14 +468,12 @@ def stage1_pretrain(config: RunConfig, out_dir):
                                       seed=_step_seed(config.seed, "s1", kind, epoch, idx))
             return float(outs["loss"]), grads, {}
 
-        with TrainingLog(out / f"stage1_{kind}_log.csv") as log:
-            epoch_losses = _train_epochs(config, scans, step_fn, store,
-                                         lambda _: config.lr_stage1, log,
-                                         f"stage1-{kind}", None)
+        epoch_losses = _train_epochs(config, scans, step_fn, store,
+                                     lambda _: config.lr_stage1,
+                                     out / f"stage1_{kind}_log.csv",
+                                     f"stage1-{kind}", None)
         ckpt = out / f"stage1_{kind}.ckpt"
-        save_checkpoint(ckpt, store, {"stage": f"stage1-{kind}",
-                                      "config_digest": config.digest(),
-                                      "seed": config.seed})
+        _save_stage(ckpt, store, config, f"stage1-{kind}")
         results[kind] = {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
                          "skipped": len(data.train) - len(scans)}
     return results
@@ -492,16 +496,13 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     data = load_dataset(config.dataset)
     usable, partitions = _superpoint_scans(config, data)
 
+    experts = {k: load_checkpoint(expert_ckpts[k])[0] for k in REPRESENTATIONS}
     store = ParameterStore()
-    for kind in REPRESENTATIONS:
-        expert, _ = load_checkpoint(expert_ckpts[kind])
+    for kind, expert in experts.items():
         _copy_prefixed(store, expert, kind, f"expert.{kind}", trainable=False)
-    if config.student_init == "stage1":
-        student_src, _ = load_checkpoint(expert_ckpts[config.student])
-    else:
-        student_src = init_backbone_store(config.student, config, "cml-student")
-    _copy_prefixed(store, student_src, config.student,
-                   f"student.{config.student}", trainable=True)
+    student_src = experts[config.student] if config.student_init == "stage1" \
+        else init_backbone_store(config.student, config, "cml-student")
+    _copy_prefixed(store, student_src, config.student, config.student)
     init_moe_params(store, config.embed_dim,
                     np.random.default_rng(_step_seed(config.seed, "init", "moe")))
 
@@ -517,15 +518,14 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
         views, inputs = _make_views(specs, data.sensor, config)
 
         def build(ctx):
-            aligned = {k: build_view_aligned(ctx, views[k], f"expert.{k}")
+            aligned = {k: views[k].aligned(ctx, f"expert.{k}")
                        for k in REPRESENTATIONS}
             fused, gates = build_moe(ctx, aligned["range"], aligned["voxel"],
                                      aligned["point"], noise_active=True,
                                      noise_tag="cml")
             k_moe = build_group_mean(fused, partition)
-            student_feats = build_view_aligned(ctx, views["student"],
-                                               f"student.{config.student}")
-            k_student = build_group_mean(student_feats, partition)
+            k_student = build_group_mean(
+                views["student"].aligned(ctx, config.student), partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
             return {"loss": loss, "gates": gates}
@@ -536,25 +536,19 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             final_gates[scan.name] = outs["gates"]
         return float(outs["loss"]), grads, {}
 
-    with TrainingLog(out / "cml_log.csv") as log:
-        epoch_losses = _train_epochs(config, usable, step_fn, store,
-                                     lambda _: config.lr_cml, log, "cml", None)
+    epoch_losses = _train_epochs(config, usable, step_fn, store,
+                                 lambda _: config.lr_cml, out / "cml_log.csv",
+                                 "cml", None)
     for name, gates in sorted(final_gates.items()):
         write_gate_csv(out / f"cml_gates_{name}.csv", gates)
 
     export = ParameterStore()
-    _copy_prefixed(export, store, f"student.{config.student}", config.student)
-    _copy_prefixed(export, store, "moe", "moe")
+    for name in store.trainable_names():
+        export.add(name, store.get(name))
     ckpt = out / "cml_student.ckpt"
-    save_checkpoint(ckpt, export, {"stage": "cml",
-                                   "student": config.student,
-                                   "config_digest": config.digest(),
-                                   "seed": config.seed})
-    frozen_ok = True
-    for k in REPRESENTATIONS:
-        src, _ = load_checkpoint(expert_ckpts[k])
-        frozen_ok &= all(np.array_equal(store.get(f"expert.{n}"), src.get(n))
-                         for n in src.names())
+    _save_stage(ckpt, export, config, "cml", student=config.student)
+    frozen_ok = all(np.array_equal(store.get(f"expert.{n}"), expert.get(n))
+                    for expert in experts.values() for n in expert.names())
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
             "skipped": len(data.train) - len(usable), "experts_frozen": frozen_ok,
             "usable_scans": len(usable)}
@@ -589,8 +583,7 @@ def _is_backbone_param(name: str) -> bool:
 
 
 def _sms_forward_build(ctx, views):
-    logits = {k: build_view_output(ctx, views[k], k, head="logit_head")
-              for k in REPRESENTATIONS}
+    logits = {k: views[k].output(ctx, k, head="logit_head") for k in REPRESENTATIONS}
     aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
     fused, _ = build_moe(ctx, aligned["range"], aligned["voxel"],
                          aligned["point"], noise_active=ctx.train_mode,
@@ -624,12 +617,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
         cloud = _maybe_augment(scan.cloud, cfg, "sms", epoch, idx)
         views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS},
                                     data.sensor, cfg)
-        labels = {
-            "fused": cloud.label,
-            "point": cloud.label,
-            "range": project_labels(cloud, views["range"].mapping),
-            "voxel": project_labels(cloud, views["voxel"].mapping),
-        }
+        labels = {"fused": cloud.label, **{k: v.labels(cloud) for k, v in views.items()}}
 
         def build(ctx):
             logits, _, fused = _sms_forward_build(ctx, views)
@@ -653,14 +641,10 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
         val_history.append({k: r.miou for k, r in reports.items()})
         return {f"val_miou_{k}": r.miou for k, r in reports.items()}
 
-    with TrainingLog(out / "sms_log.csv") as log:
-        epoch_losses = _train_epochs(cfg, labeled, step_fn, store, peak_lr, log,
-                                     "sms", validate)
-
+    epoch_losses = _train_epochs(cfg, labeled, step_fn, store, peak_lr,
+                                 out / "sms_log.csv", "sms", validate)
     ckpt = out / "sms_model.ckpt"
-    save_checkpoint(ckpt, store, {"stage": "sms",
-                                  "config_digest": config.digest(),
-                                  "seed": config.seed})
+    _save_stage(ckpt, store, config, "sms")
     val_miou = val_history[-1] if val_history else {
         k: r.miou for k, r in evaluate_store(store, config, data)[0].items()}
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
@@ -701,7 +685,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
 def embed_cloud(store, config, sensor, cloud, kind):
     """Frozen-backbone per-point embeddings of one cloud."""
     view = make_view(kind, cloud, sensor, config, "x")
-    graph = Graph(lambda ctx: {"out": build_view_aligned(ctx, view, kind)})
+    graph = Graph(lambda ctx: {"out": view.aligned(ctx, kind)})
     return ad.evaluate(graph, store, view.inputs)["out"]
 
 
@@ -734,24 +718,25 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     add_linear(probe, "probe", config.embed_dim, data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
 
-    def step_fn(idx, scan, epoch):
-        def build(ctx):
-            logits = linear(ctx, ctx.input("emb"), "probe")
-            return {"loss": build_cross_entropy(logits, scan.cloud.label)}
+    def logits(ctx):
+        return linear(ctx, ctx.input("emb"), "probe")
 
-        outs, grads = ad.backward(Graph(build), probe, {"emb": train_embeds[idx]})
+    def step_fn(idx, scan, epoch):
+        graph = Graph(lambda ctx: {"loss": build_cross_entropy(logits(ctx),
+                                                               scan.cloud.label)})
+        outs, grads = ad.backward(graph, probe, {"emb": train_embeds[idx]})
         return float(outs["loss"]), grads, {}
 
-    with TrainingLog(out / f"probe_{kind}_log.csv") as log:
-        _train_epochs(replace(config, epochs=config.probe_epochs), data.train,
-                      step_fn, probe, lambda _: config.probe_lr, log, "probe",
-                      None)
+    _train_epochs(replace(config, epochs=config.probe_epochs), data.train,
+                  step_fn, probe, lambda _: config.probe_lr,
+                  out / f"probe_{kind}_log.csv", "probe", None)
 
+    head = Graph(lambda ctx: {"logits": logits(ctx)})
     preds, labels = [], []
     for scan in data.val:
         emb = embed_cloud(store, config, data.sensor, scan.cloud, kind)
-        logits = emb @ probe.get("probe.w") + probe.get("probe.b")
-        preds.append(np.argmax(logits, axis=1))
+        outs = ad.evaluate(head, probe, {"emb": emb})
+        preds.append(np.argmax(outs["logits"], axis=1))
         labels.append(scan.cloud.label)
     report = compute_miou(np.concatenate(preds), np.concatenate(labels),
                           data.num_classes)

@@ -415,6 +415,57 @@ def test_missing_config_key_exit_2_naming_it(tmp_path, tiny_dataset, capsys,
     assert f"error: {command} config missing key '{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key", [
+    ("corrupt", "sed"), ("corrupt", "splt"), ("corrupt", "epochs"),
+    ("route-stats", "axes"), ("route-stats", "dataset"),
+    ("report", "clean_iuo"), ("report", "seed"),
+])
+def test_unknown_key_of_a_plain_subcommand_exit_2(tmp_path, tiny_dataset, capsys,
+                                                   command, key):
+    """Subcommands without a run config reject misspelt keys and the run
+    config fields alike."""
+    doc = dict(_full_docs(tmp_path, tiny_dataset)[command], **{key: 5})
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown {command} config key(s): {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value,want", [
+    ("eval", "split", "vla", "train|val, got 'vla'"),
+    ("eval", "split", 1, "str, got 1"),
+    ("corrupt", "split", "trian", "train|val, got 'trian'"),
+    ("probe", "representation", "mesh", "range|voxel|point, got 'mesh'"),
+    ("probe", "random_baseline", "yes", "bool, got 'yes'"),
+    ("cosine-map", "representation", "mesh", "range|voxel|point, got 'mesh'"),
+    ("route-stats", "axis", "colour", "beam|distance-bin|class, got 'colour'"),
+])
+def test_bad_choice_exit_2_naming_key_and_value(tmp_path, tiny_dataset, capsys,
+                                                command, key, value, want):
+    docs = _full_docs(tmp_path, tiny_dataset)
+    docs["eval"] = {"dataset": str(tiny_dataset), "checkpoint": str(tmp_path / "x.ckpt")}
+    docs["probe"] = {"dataset": str(tiny_dataset), "random_baseline": True}
+    docs["cosine-map"]["cloud"] = docs["route-stats"]["cloud"]
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path / "cfg.json", dict(docs[command], **{key: value}))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {command} config {key} must be {want}" in capsys.readouterr().err
+    assert not (out / "scans").exists()
+
+
+def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset):
+    cfg = write_json(tmp_path / "cfg.json", {"dataset": str(tiny_dataset),
+                                             "kind": "jitter", "severity": 1,
+                                             "split": "train"})
+    out = tmp_path / "out"
+    assert main(["corrupt", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["scan"] for e in manifest["splits"]["train"]] == \
+        ["scans/train_000.lpcd", "scans/train_001.lpcd"]
+    assert manifest["splits"]["val"] == []
+
+
 def _bad_input(case, tmp_path, dataset):
     """(command, config path, text stderr must hold) of one bad input."""
     run = {"dataset": str(dataset), "epochs": 1, "embed_dim": 8,

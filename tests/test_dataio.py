@@ -79,6 +79,25 @@ def test_camera_npz_roundtrip(tmp_path, rng):
     assert np.array_equal(sp2, sp)
 
 
+def test_failed_camera_npz_write_leaves_no_file(tmp_path, monkeypatch):
+    """A camera render is written through ``atomic_write``: a write that
+    dies halfway leaves neither the render nor its temporary file."""
+    savez = np.savez
+
+    def dies_halfway(fh, **arrays):
+        fh.write(b"PK\x03\x04partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", dies_halfway)
+    cls = np.zeros((4, 6), np.int32)
+    with pytest.raises(OSError, match="disk full"):
+        write_camera_npz(tmp_path / "cam.npz", ClassImage(cls, np.ones((4, 6))), cls)
+    assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(np, "savez", savez)
+    write_camera_npz(tmp_path / "cam.npz", ClassImage(cls, np.ones((4, 6))), cls)
+    assert os.listdir(tmp_path) == ["cam.npz"]
+
+
 def test_manifest_roundtrip(tmp_path):
     manifest = DatasetManifest(
         train=[ScanEntry("scans/a.lpcd", "cams/a.npz")],

@@ -6,11 +6,11 @@ import pytest
 
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph, NonFiniteError
-from lidarmoe.dataio import TrainingLog, load_manifest
+from lidarmoe.dataio import load_manifest
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
 from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig,
-                               _train_epochs, build_group_mean, build_view_aligned,
+                               _train_epochs, build_group_mean,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
                                make_view, stage1_pretrain, stage2_cml,
@@ -94,7 +94,7 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
     view = make_view("point", cloud, data.sensor, cfg, "x")
 
     def build(ctx):
-        feats = build_view_aligned(ctx, view, "point")
+        feats = view.aligned(ctx, "point")
         k = build_group_mean(feats, partition)
         return {"loss": build_info_nce(k, ad.as_var(target), cfg.temperature)}
 
@@ -121,6 +121,59 @@ def test_stage2_freezes_experts_and_reports(tiny_config, tmp_path):
     assert len(result["epoch_losses"]) == tiny_config.epochs
     gates = list((tmp_path / "cml").glob("cml_gates_*.csv"))
     assert len(gates) == result["usable_scans"]
+
+
+def test_stage2_reads_each_expert_checkpoint_once(tiny_config, tmp_path,
+                                                  monkeypatch):
+    import lidarmoe.pipeline as pipeline
+    s1 = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "s1")
+    read = []
+
+    def counting(path):
+        read.append(str(path))
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(pipeline, "load_checkpoint", counting)
+    result = stage2_cml(replace(tiny_config, epochs=1), ckpts_of(s1), tmp_path / "cml")
+    assert sorted(read) == sorted(ckpts_of(s1).values())
+    assert result["experts_frozen"]
+
+
+def test_stage2_reports_an_expert_changed_during_training(tiny_config, tmp_path,
+                                                          monkeypatch):
+    """``experts_frozen`` compares the trained store against the stage-1
+    checkpoints, so a changed expert value makes it False."""
+    from lidarmoe.optim import AdamW
+    s1 = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "s1")
+    step = AdamW.step
+
+    def step_and_touch_expert(self, grads):
+        step(self, grads)
+        name = "expert.point.head.b"
+        self.store.set(name, self.store.get(name) + 1.0)
+
+    monkeypatch.setattr(AdamW, "step", step_and_touch_expert)
+    result = stage2_cml(replace(tiny_config, epochs=1), ckpts_of(s1), tmp_path / "cml")
+    assert result["experts_frozen"] is False
+
+
+def test_stage2_exports_the_student_and_gate_it_trained(tiny_config, tmp_path):
+    s1 = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "s1")
+    result = stage2_cml(replace(tiny_config, epochs=1), ckpts_of(s1), tmp_path / "cml")
+    student, meta = load_checkpoint(result["checkpoint"])
+    expert, _ = load_checkpoint(s1["voxel"]["checkpoint"])
+    moe = ["moe.fusion.w", "moe.fusion.b", "moe.z_gate", "moe.z_noise"]
+    assert student.names() == expert.names() + moe
+    assert all(student.is_trainable(n) for n in student.names())
+    assert any(not np.array_equal(student.get(n), expert.get(n))
+               for n in expert.names())
+    assert (meta["stage"], meta["student"], meta["seed"]) == ("cml", "voxel", 1)
+
+
+def test_make_view_rejects_an_unknown_representation(tiny_config):
+    data = load_dataset(tiny_config.dataset)
+    with pytest.raises(LidarMoeError, match="unknown representation: mesh"):
+        make_view("mesh", data.val[0].cloud, data.sensor, tiny_config, "x")
 
 
 def test_stage2_deterministic(tiny_config, tmp_path):
@@ -427,10 +480,9 @@ def test_train_epochs_names_stage_epoch_and_scan_of_non_finite_error(tmp_path):
             raise NonFiniteError("non-finite value in gradient of parameter w")
         return 1.0, {"w": np.ones(2, np.float32)}, {}
 
-    with TrainingLog(tmp_path / "log.csv") as log, \
-            pytest.raises(NonFiniteError) as info:
+    with pytest.raises(NonFiniteError) as info:
         _train_epochs(RunConfig(epochs=3), scans, step_fn, store,
-                      lambda _: 0.01, log, "stage1-range", None)
+                      lambda _: 0.01, tmp_path / "log.csv", "stage1-range", None)
     assert str(info.value) == ("stage1-range epoch 1 scan train_001: "
                                "non-finite value in gradient of parameter w")
 
@@ -447,9 +499,8 @@ def test_train_epochs_names_the_primitive_of_a_non_finite_forward(tmp_path):
         outs, grads = ad.backward(graph, store, {"x": x})
         return float(outs["loss"]), grads, {}
 
-    with TrainingLog(tmp_path / "log.csv") as log, \
-            pytest.raises(NonFiniteError) as info:
+    with pytest.raises(NonFiniteError) as info:
         _train_epochs(RunConfig(epochs=2), scans, step_fn, store,
-                      lambda _: 0.01, log, "cml", None)
+                      lambda _: 0.01, tmp_path / "log.csv", "cml", None)
     assert str(info.value) == ("cml epoch 0 scan train_001: "
                                "non-finite value in output of sqrt")
