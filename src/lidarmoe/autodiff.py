@@ -314,6 +314,14 @@ def scatter_add_rows(idx, values, num_rows):
     return sums.astype(np.float64, copy=False).reshape((num_rows,) + tail)
 
 
+def segment_means(seg, values, num_segments):
+    """float64 means of the rows of ``values`` per non-negative segment id
+    ``seg``, and the per-segment row counts floored at 1; an empty segment's
+    mean is a zero row. The sums are ``scatter_add_rows``'."""
+    counts = np.maximum(np.bincount(seg, minlength=num_segments).astype(np.float64), 1.0)
+    return scatter_add_rows(seg, values, num_segments) / counts[:, None], counts
+
+
 def gather_rows(a, idx):
     """Select rows by non-negative integer index; gradients scatter-add
     back."""
@@ -351,10 +359,8 @@ def segment_mean(a, seg, num_segments):
     n, d = a.data.shape
     if seg.shape != (n,):
         raise LidarMoeError("segment ids must be one per row")
-    counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    sums = scatter_add_rows(seg, a.data, num_segments)
-    safe = np.maximum(counts, 1.0)
-    data = (sums / safe[:, None]).astype(a.data.dtype)
+    means, safe = segment_means(seg, a.data, num_segments)
+    data = means.astype(a.data.dtype)
 
     def bwd(g):
         return ((g / safe[:, None].astype(g.dtype))[seg],)

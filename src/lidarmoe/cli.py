@@ -28,8 +28,8 @@ from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (REPRESENTATIONS, RunConfig, embed_cloud, evaluate_store,
-                       generate_dataset, linear_probe, load_dataset,
+from .pipeline import (REPRESENTATIONS, RunConfig, backbone_kind, embed_cloud,
+                       evaluate_store, generate_dataset, linear_probe, load_dataset,
                        load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
 from .sensors import read_key
 
@@ -249,12 +249,12 @@ def _cmd_cosine_map(args, doc):
         cfg = _run_config(doc, args)
         rep = _read_choice(doc, "cosine-map config", "representation",
                            REPRESENTATIONS, None)
-        store, meta = load_checkpoint(
-            read_key(doc, "cosine-map config", "checkpoint", "str"))
+        path = read_key(doc, "cosine-map config", "checkpoint", "str")
+        store, _ = load_checkpoint(path)
         if cloud is None:
             raise LidarMoeError("cosine-map from a checkpoint needs a cloud")
         sensor, _ = load_sensors(cfg.dataset)
-        feats = embed_cloud(store, cfg, sensor, cloud, rep or meta.get("student"))
+        feats = embed_cloud(store, cfg, sensor, cloud, backbone_kind(store, rep, path))
     out = _out_dir(args)
     sims, degenerate = cosine_map(feats, query)
     write_cosine_csv(out / "cosine_map.csv", sims, degenerate)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LidarMoeError
-from .pointcloud import PointCloud, empty_cloud
+from .pointcloud import PointCloud
 from .sensors import CameraModel, SensorModel, bad_field, is_number
 
 CLASS_GROUND = 0
@@ -97,8 +97,7 @@ class SceneConfig:
                                "two numbers"))
         if bad is not None:
             raise LidarMoeError("scene config {} must be {}, got {!r}".format(*bad))
-        for name in ("n_boxes", "n_pedestrians", "n_poles", "n_buildings",
-                     "n_barriers"):
+        for name, *_ in _PLACEMENTS:
             if getattr(self, name) < 0:
                 raise LidarMoeError(f"scene config {name} must be >= 0")
         if self.x_bounds[0] > self.x_bounds[1] or self.y_bounds[0] > self.y_bounds[1]:
@@ -120,49 +119,31 @@ class SceneConfig:
         return cls(**kw)
 
 
+# (count field, kind, class, size ranges) of each placed object. Each draws
+# x, y, a box its yaw, then its sizes: a box's half-extents (hx, hy, hz),
+# its center hz above the ground; a cylinder's (radius, height) at its base
+_PLACEMENTS = (
+    ("n_boxes", "box", CLASS_VEHICLE, ((1.6, 2.4), (0.7, 1.0), (0.6, 0.9))),
+    ("n_pedestrians", "vertical-cylinder", CLASS_PEDESTRIAN, ((0.25, 0.35), (1.5, 1.9))),
+    ("n_poles", "vertical-cylinder", CLASS_POLE, ((0.10, 0.18), (3.5, 5.0))),
+    ("n_buildings", "box", CLASS_BUILDING, ((3.0, 6.0), (0.3, 0.6), (2.5, 4.0))),
+    ("n_barriers", "box", CLASS_BARRIER, ((1.5, 3.0), (0.15, 0.3), (0.4, 0.6))),
+)
+
+
 def build_scene(config: SceneConfig, seed: int) -> Scene:
     """Generate a random scene; deterministic for fixed (config, seed)."""
     rng = np.random.default_rng(seed)
     z0 = config.ground_z
     prims = [Primitive("ground-plane", (0.0, 0.0, z0),
                        (config.ground_half, config.ground_half, 1.0), CLASS_GROUND)]
-
-    def draw_xy():
-        x = rng.uniform(*config.x_bounds)
-        y = rng.uniform(*config.y_bounds)
-        return float(x), float(y)
-
-    for _ in range(config.n_boxes):
-        x, y = draw_xy()
-        yaw = float(rng.uniform(-np.pi, np.pi))
-        hx = float(rng.uniform(1.6, 2.4))
-        hy = float(rng.uniform(0.7, 1.0))
-        hz = float(rng.uniform(0.6, 0.9))
-        prims.append(Primitive("box", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_VEHICLE))
-    for _ in range(config.n_pedestrians):
-        x, y = draw_xy()
-        r = float(rng.uniform(0.25, 0.35))
-        h = float(rng.uniform(1.5, 1.9))
-        prims.append(Primitive("vertical-cylinder", (x, y, z0), (r, h), CLASS_PEDESTRIAN))
-    for _ in range(config.n_poles):
-        x, y = draw_xy()
-        r = float(rng.uniform(0.10, 0.18))
-        h = float(rng.uniform(3.5, 5.0))
-        prims.append(Primitive("vertical-cylinder", (x, y, z0), (r, h), CLASS_POLE))
-    for _ in range(config.n_buildings):
-        x, y = draw_xy()
-        yaw = float(rng.uniform(-np.pi, np.pi))
-        hx = float(rng.uniform(3.0, 6.0))
-        hy = float(rng.uniform(0.3, 0.6))
-        hz = float(rng.uniform(2.5, 4.0))
-        prims.append(Primitive("box", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_BUILDING))
-    for _ in range(config.n_barriers):
-        x, y = draw_xy()
-        yaw = float(rng.uniform(-np.pi, np.pi))
-        hx = float(rng.uniform(1.5, 3.0))
-        hy = float(rng.uniform(0.15, 0.3))
-        hz = float(rng.uniform(0.4, 0.6))
-        prims.append(Primitive("box", (x, y, z0 + hz, yaw), (hx, hy, hz), CLASS_BARRIER))
+    for count, kind, class_id, ranges in _PLACEMENTS:
+        for _ in range(getattr(config, count)):
+            x, y = (float(rng.uniform(*b)) for b in (config.x_bounds, config.y_bounds))
+            yaw = (float(rng.uniform(-np.pi, np.pi)),) if kind == "box" else ()
+            sizes = tuple(float(rng.uniform(*r)) for r in ranges)
+            z = z0 + sizes[2] if kind == "box" else z0
+            prims.append(Primitive(kind, (x, y, z) + yaw, sizes, class_id))
     return Scene(primitives=tuple(prims))
 
 
@@ -289,8 +270,6 @@ def simulate_lidar(scene: Scene, sensor: SensorModel) -> PointCloud:
     origins = np.zeros_like(dirs)
     t, cls = cast_rays(scene, origins, dirs)
     hit = np.isfinite(t) & (t <= sensor.max_range)
-    if not np.any(hit):
-        return empty_cloud()
     t, cls, bb = t[hit], cls[hit], bb[hit]
     xyz = dirs[hit] * t[:, None]
     base = np.array([INTENSITY_BASE[c] for c in cls.tolist()])

@@ -181,13 +181,17 @@ def load_manifest(path) -> DatasetManifest:
     splits = read_key(doc, owner, "splits", "dict", {})
 
     def entries(split):
-        return [ScanEntry(read_key(e, f"{owner} {split} entry", "scan", "str"),
-                          e.get("camera"))
+        where = f"{owner} {split} entry"
+        return [ScanEntry(read_key(e, where, "scan", "str"),
+                          read_key(e, where, "camera", "str or null", None))
                 for e in read_key(splits, owner, split, "list", [])]
 
+    fraction = float(read_key(doc, owner, "annotation_fraction", "float", 1.0))
+    if not 0.0 < fraction <= 1.0:
+        raise LidarMoeError(f"{owner} annotation_fraction must be in (0, 1], "
+                            f"got {fraction!r}")
     return DatasetManifest(entries("train"), entries("val"),
-                           read_key(doc, owner, "num_classes", "int", 6),
-                           float(read_key(doc, owner, "annotation_fraction", "float", 1.0)))
+                           read_key(doc, owner, "num_classes", "int", 6), fraction)
 
 
 def resolve(base: Path, rel: str) -> Path:

@@ -106,8 +106,6 @@ _NEIGHBOR_OFFSETS = np.array([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
 def voxel_neighbor_pairs(grid: VoxelGrid):
     """(src, dst) voxel-id pairs for the 6-connected existing neighbors of
     every voxel, self included, sorted by (dst, src)."""
-    if grid.count == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     # grid.coords are in lexicographic order, so their keys are sorted
     keys, steps = lexicographic_keys(grid.coords, pad=1)
     dst = np.tile(np.arange(grid.count, dtype=np.int64), len(_NEIGHBOR_OFFSETS))
@@ -268,9 +266,5 @@ def teacher_features(class_image: ClassImage, params: ParameterStore,
     pix = feat @ proj_w + proj_b
 
     sp = superpixel_map.ravel().astype(np.int64)
-    s = int(sp.max()) + 1 if sp.size else 0
-    out = ad.scatter_add_rows(sp, pix, s)
-    counts = np.bincount(sp, minlength=s).astype(np.float64)
-    if s:
-        out /= np.maximum(counts, 1.0)[:, None]
-    return out.astype(np.float32)
+    means, _ = ad.segment_means(sp, pix, int(sp.max(initial=-1)) + 1)
+    return means.astype(np.float32)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import segment_means
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
 from .sensors import CameraModel, SensorModel
@@ -68,12 +69,6 @@ def range_uv_exact(xyz, sensor: SensorModel):
 
 def project_to_range(cloud: PointCloud, sensor: SensorModel) -> RangeImage:
     h, w = sensor.range_h, sensor.range_w
-    n = cloud.count
-    if n == 0:
-        return RangeImage(np.zeros((h, w, 5), np.float32),
-                          np.full((h, w), -1, np.int32),
-                          np.zeros(0, np.int32), np.zeros(0, np.int32),
-                          np.zeros(0, bool))
     u, v, d = range_uv_exact(cloud.xyz, sensor)
     ui = np.floor(u).astype(np.int64)
     vi = np.floor(v).astype(np.int64)
@@ -84,7 +79,7 @@ def project_to_range(cloud: PointCloud, sensor: SensorModel) -> RangeImage:
     cell = vc * w + uc
     # min-depth point per cell, ties to the lower point id: sort by
     # (depth, id) and write in reverse so the best entry lands last
-    order = np.lexsort((np.arange(n), d))
+    order = np.lexsort((np.arange(cloud.count), d))
     flat = np.full(h * w, -1, np.int64)
     flat[cell[order[::-1]]] = order[::-1]
     kept = flat.reshape(h, w)
@@ -123,11 +118,14 @@ def lexicographic_keys(coords: np.ndarray, pad: int = 0):
 
     Every axis spans the rows' range widened by ``pad`` cells on each side,
     so a row moved by up to ``pad`` cells per axis keeps a distinct key.
-    ``coords`` must be non-empty. Raises LidarMoeError when the keys would
-    not fit in int64.
+    Empty ``coords`` give empty keys. Raises LidarMoeError when the keys
+    would not fit in int64.
     """
-    lo = [int(v) - pad for v in coords.min(axis=0)]
-    hi = [int(v) + pad for v in coords.max(axis=0)]
+    if not len(coords):
+        return np.zeros(0, np.int64), (1, 1, 1)
+    # column by column: an axis-0 reduction of a 3-wide array is ~8x slower
+    lo = [int(coords[:, j].min()) - pad for j in range(3)]
+    hi = [int(coords[:, j].max()) + pad for j in range(3)]
     span = [b - a + 1 for a, b in zip(lo, hi)]
     limit = np.iinfo(np.int64)
     if min(lo) < limit.min or max(hi) > limit.max or span[0] * span[1] * span[2] > limit.max:
@@ -142,27 +140,15 @@ def voxelize(cloud: PointCloud, sizes) -> VoxelGrid:
     sx, sy, sz = sizes
     if sx <= 0 or sy <= 0 or sz <= 0:
         raise LidarMoeError("voxel sizes must be positive")
-    xyz = cloud.xyz.astype(np.float64)
-    idx = np.floor(xyz / np.array([sx, sy, sz])).astype(np.int64)
-    if cloud.count:
-        # unique keys sort like the coordinate rows, so voxel ids follow
-        # the lexicographic order of their coordinates
-        keys, _ = lexicographic_keys(idx)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        m = uniq.shape[0]
-    else:
-        inverse, m = np.zeros(0, np.int64), 0
-    inverse = inverse.astype(np.int64)
+    idx = np.floor(cloud.xyz.astype(np.float64) / np.array([sx, sy, sz])).astype(np.int64)
+    # unique keys sort like the coordinate rows, so voxel ids follow the
+    # lexicographic order of their coordinates
+    uniq, inverse = np.unique(lexicographic_keys(idx)[0], return_inverse=True)
+    m, inverse = uniq.shape[0], inverse.astype(np.int64)
     coords = np.empty((m, 3), np.int64)
     coords[inverse] = idx
-    # per-voxel sums accumulate in point order, as a sequential scatter-add
-    cols = [xyz[:, 0], xyz[:, 1], xyz[:, 2], cloud.intensity]
-    feats = np.stack([np.bincount(inverse, weights=c, minlength=m) for c in cols],
-                     axis=1).astype(np.float64, copy=False)
-    counts = np.bincount(inverse, minlength=m).astype(np.float64)
-    if m:
-        feats /= counts[:, None]
     # float64 so pooled means stay exact; consumers cast on entry
+    feats, _ = segment_means(inverse, cloud.features(), m)
     return VoxelGrid(coords, inverse, feats)
 
 
@@ -210,20 +196,15 @@ def build_superpoints(cloud: PointCloud, camera: CameraModel,
     with the rendered pixel depth within ``tolerance`` (occlusion rule).
     Superpixels with no member points are dropped and ids recompacted.
     """
-    n = cloud.count
-    group = np.full(n, -1, np.int64)
-    if n:
-        u, v, ok = project_to_image(cloud, camera)
-        ui = np.floor(u).astype(np.int64)
-        vi = np.floor(v).astype(np.int64)
-        cam_center = camera.center_in_lidar()
-        dist = np.linalg.norm(cloud.xyz.astype(np.float64) - cam_center, axis=1)
-        sel = np.flatnonzero(ok)
-        if sel.size:
-            depth_at = pixel_depth[vi[sel], ui[sel]]
-            agree = np.abs(dist[sel] - depth_at) <= tolerance
-            sel = sel[agree]
-            group[sel] = superpixel_map[vi[sel], ui[sel]]
+    group = np.full(cloud.count, -1, np.int64)
+    u, v, ok = project_to_image(cloud, camera)
+    ui = np.floor(u).astype(np.int64)
+    vi = np.floor(v).astype(np.int64)
+    dist = np.linalg.norm(cloud.xyz.astype(np.float64) - camera.center_in_lidar(), axis=1)
+    sel = np.flatnonzero(ok)
+    agree = np.abs(dist[sel] - pixel_depth[vi[sel], ui[sel]]) <= tolerance
+    sel = sel[agree]
+    group[sel] = superpixel_map[vi[sel], ui[sel]]
 
     assigned = group >= 0
     used, compact = np.unique(group[assigned], return_inverse=True)

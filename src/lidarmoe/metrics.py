@@ -35,7 +35,8 @@ class MetricReport:
 def compute_miou(predictions, labels, num_classes: int) -> MetricReport:
     """Confusion-count IoU over paired prediction/label vectors.
 
-    Ignore-labeled points (label < 0) are excluded entirely.
+    Ignore-labeled points (label < 0) are excluded entirely; any other
+    class id outside [0, num_classes) raises LidarMoeError.
     """
     predictions = np.asarray(predictions, np.int64).reshape(-1)
     labels = np.asarray(labels, np.int64).reshape(-1)
@@ -47,13 +48,16 @@ def compute_miou(predictions, labels, num_classes: int) -> MetricReport:
     predictions, labels = predictions[keep], labels[keep]
     if predictions.size == 0:
         raise LidarMoeError("all labels ignored")
-    tp = np.zeros(num_classes, np.int64)
-    fp = np.zeros(num_classes, np.int64)
-    fn = np.zeros(num_classes, np.int64)
-    for c in range(num_classes):
-        tp[c] = int(np.sum((predictions == c) & (labels == c)))
-        fp[c] = int(np.sum((predictions == c) & (labels != c)))
-        fn[c] = int(np.sum((predictions != c) & (labels == c)))
+    bad = (predictions < 0) | (predictions >= num_classes) | (labels >= num_classes)
+    if np.any(bad):
+        raise LidarMoeError(f"class ids must be in [0, num_classes={num_classes}), got "
+                            f"prediction {predictions[bad][0]} for label {labels[bad][0]}")
+    # confusion[label, prediction] counts the points of each pair
+    confusion = np.bincount(labels * num_classes + predictions,
+                            minlength=num_classes * num_classes).reshape(num_classes, -1)
+    tp = np.diagonal(confusion).copy()
+    fp = confusion.sum(axis=0) - tp
+    fn = confusion.sum(axis=1) - tp
     denom = tp + fp + fn
     iou = np.full(num_classes, np.nan)
     present = denom > 0

@@ -222,6 +222,8 @@ def load_sensors(dataset_dir):
 
 
 def load_dataset(dataset_dir) -> DatasetBundle:
+    """The scans, sensors and manifest settings of a dataset; raises
+    LidarMoeError naming a scan that holds a label >= num_classes."""
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
     sensor, camera = load_sensors(base)
@@ -230,6 +232,10 @@ def load_dataset(dataset_dir) -> DatasetBundle:
         scans = []
         for e in entries:
             cloud = read_lpcd(resolve(base, e.scan))
+            top = int(cloud.label.max(initial=-1))
+            if top >= manifest.num_classes:
+                raise LidarMoeError(f"scan {resolve(base, e.scan)} has label {top}, "
+                                    f"but num_classes is {manifest.num_classes}")
             scan = LoadedScan(name=Path(e.scan).stem, cloud=cloud)
             if e.camera:
                 scan.image, scan.superpixels = read_camera_npz(
@@ -564,9 +570,7 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
         src_path = init_ckpts.get(kind)
         if src_path:
             src, _ = load_checkpoint(src_path)
-            if not any(n.startswith(kind + ".") for n in src.names()):
-                raise LidarMoeError(
-                    f"checkpoint {src_path} has no {kind} backbone")
+            backbone_kind(src, kind, src_path)
         else:
             src = init_backbone_store(kind, config, "sms")
         _copy_prefixed(store, src, kind, kind, skip_embedding_head=True)
@@ -682,6 +686,19 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
 # linear probing
 # ---------------------------------------------------------------------------
 
+def backbone_kind(store: ParameterStore, representation, source) -> str:
+    """``representation`` if ``store`` holds its ``<kind>.*`` parameters,
+    else, when it is None, the one backbone kind the store holds; raises
+    LidarMoeError naming the checkpoint ``source`` otherwise."""
+    kinds = [k for k in REPRESENTATIONS if any(n.startswith(k + ".") for n in store.names())]
+    if representation is not None and representation not in kinds:
+        raise LidarMoeError(f"checkpoint {source} has no {representation} backbone")
+    if representation is None and len(kinds) != 1:
+        raise LidarMoeError(f"checkpoint {source} holds {len(kinds)} backbones "
+                            f"({', '.join(kinds)}); set representation to pick one")
+    return representation or kinds[0]
+
+
 def embed_cloud(store, config, sensor, cloud, kind):
     """Frozen-backbone per-point embeddings of one cloud."""
     view = make_view(kind, cloud, sensor, config, "x")
@@ -692,11 +709,9 @@ def embed_cloud(store, config, sensor, cloud, kind):
 def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=None):
     """Train a linear head on frozen per-point embeddings; report val mIoU.
 
-    The backbone comes from ``checkpoint`` (stage-1 or distilled-student;
-    ``representation`` picks one when several are present, None uses the
-    checkpoint's student/stage metadata) or, without a checkpoint, is a
-    fresh ``representation`` backbone (default ``config.student``): the
-    random baseline.
+    The backbone comes from ``checkpoint``, picked by ``backbone_kind``,
+    or, without a checkpoint, is a fresh ``representation`` backbone
+    (default ``config.student``): the random baseline.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -704,11 +719,8 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
         kind = representation or config.student
         store = init_backbone_store(kind, config, "probe-baseline")
     else:
-        store, meta = load_checkpoint(checkpoint)
-        kind = representation or meta.get("student") \
-            or meta.get("stage", "").replace("stage1-", "")
-        if kind not in REPRESENTATIONS:
-            raise LidarMoeError(f"cannot infer representation from {checkpoint}")
+        store, _ = load_checkpoint(checkpoint)
+        kind = backbone_kind(store, representation, checkpoint)
     store.freeze_all()
     before = store.copy()
     data = load_dataset(config.dataset)

@@ -48,8 +48,3 @@ class PointCloud:
     def select(self, mask_or_idx) -> "PointCloud":
         return PointCloud(self.xyz[mask_or_idx], self.intensity[mask_or_idx],
                           self.beam[mask_or_idx], self.label[mask_or_idx])
-
-
-def empty_cloud() -> PointCloud:
-    return PointCloud(np.zeros((0, 3)), np.zeros(0), np.zeros(0, np.int32),
-                      np.zeros(0, np.int32))

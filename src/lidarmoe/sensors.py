@@ -21,6 +21,7 @@ FIELD_TYPES = {
     "float": is_number,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
+    "str or null": lambda v: v is None or isinstance(v, str),
     "list": lambda v: isinstance(v, list),
     "dict": lambda v: isinstance(v, dict),
     "numbers": lambda v: isinstance(v, list) and all(map(is_number, v)),

@@ -4,7 +4,8 @@ the package itself, not only by tests.
 A name counts as used when some module of the package refers to it
 outside its own definition: a bare name in its module or in a module that
 imports it, ``module.name`` through an imported module, or, for a method,
-any attribute access of that name.
+any attribute access of that name. Every name a module imports is used
+in that module.
 """
 
 import ast
@@ -82,6 +83,23 @@ def test_every_public_name_in_src_is_used_by_src():
     unused = sorted(f"{m}.{n}" for m, n in defs - refs)
     unused += sorted(f"{m}.{c}.{n}" for m, c, n in methods if n not in attrs)
     assert [name for name in unused if name not in ALLOWED] == []
+
+
+def test_every_import_in_src_is_used():
+    """Each name a module imports is referred to in that module."""
+    unused = []
+    for module, tree in _parse().items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    imported[local] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert sorted(unused) == []
 
 
 def test_allowlist_names_exist_and_are_unused():

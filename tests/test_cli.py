@@ -513,6 +513,33 @@ def _bad_input(case, tmp_path, dataset):
         doc = {"model_ious": ious, "baseline_ious": ious, "clean_iou": "70"}
         return "report", write_json(tmp_path / "cfg.json", doc), \
             "report config clean_iou must be float, got '70'"
+    if case.startswith("manifest "):
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        path = copy / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if case == "manifest camera 5":
+            manifest["splits"]["train"][0]["camera"] = 5
+            want = f"manifest {path} train entry camera must be str or null, got 5"
+        elif case == "manifest annotation_fraction -3":
+            manifest["annotation_fraction"] = -3
+            want = f"manifest {path} annotation_fraction must be in (0, 1], got -3.0"
+        else:
+            manifest["num_classes"] = 3
+            top = read_lpcd(copy / "scans" / "train_000.lpcd").label.max()
+            want = f"scan {copy / 'scans' / 'train_000.lpcd'} has label {top}, " \
+                   "but num_classes is 3"
+        write_json(path, manifest)
+        return "sms", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), want
+    if case.startswith("pairs "):
+        # the first row outside [0, num_classes) is (bad, bad)
+        bad, classes = (7, 6) if case == "pairs class 7 of 6" else (1, -2)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"prediction,label\n1,1\n{bad},{bad}\n")
+        doc = {"pairs_csv": str(pairs), "num_classes": classes}
+        return "eval", write_json(tmp_path / "cfg.json", doc), \
+            f"class ids must be in [0, num_classes={classes}), got prediction {bad} " \
+            f"for label {bad}"
     if case == "malformed pairs CSV row":
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("prediction,label\n1,1\n2\n")
@@ -525,7 +552,9 @@ def _bad_input(case, tmp_path, dataset):
     "lpcd cut in header", "checkpoint cut at 12 bytes", "half-written camera npz",
     "manifest entry without scan", "config document [1]", "severity not an int",
     "severity as a string number", "report clean_iou not a number",
-    "malformed pairs CSV row",
+    "malformed pairs CSV row", "manifest camera 5", "manifest annotation_fraction -3",
+    "manifest num_classes below the labels", "pairs class 7 of 6",
+    "pairs num_classes -2",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)
@@ -547,3 +576,51 @@ def test_internal_key_error_is_not_a_data_error(tmp_path, monkeypatch):
                                              "clean_iou": 70.0})
     with pytest.raises(KeyError, match="mce"):
         main(["report", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
+@pytest.fixture(scope="module")
+def zero_epoch_ckpts(tiny_dataset, tmp_path_factory):
+    """Untrained stage-1 and SMS checkpoints written by the CLI, and their
+    run config."""
+    root = tmp_path_factory.mktemp("zero_epoch")
+    run = {"dataset": str(tiny_dataset), "epochs": 0, "sms_epochs": 0, "embed_dim": 8,
+           "centroid_count": 8, "knn_k": 4}
+    assert main(["pretrain", "--config", write_json(root / "s1.json", run),
+                 "--out", str(root / "s1")]) == 0
+    assert main(["sms", "--config", write_json(root / "sms.json", run),
+                 "--out", str(root / "sms")]) == 0
+    return {"run": run, "stage1_point": str(root / "s1" / "stage1_point.ckpt"),
+            "sms": str(root / "sms" / "sms_model.ckpt")}
+
+
+def test_cosine_map_reads_the_backbone_of_a_stage1_checkpoint(tmp_path, tiny_dataset,
+                                                              zero_epoch_ckpts):
+    doc = dict(zero_epoch_ckpts["run"], checkpoint=zero_epoch_ckpts["stage1_point"],
+               cloud=str(tiny_dataset / "scans" / "val_000.lpcd"), query_id=0)
+    out = tmp_path / "out"
+    assert main(["cosine-map", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 0
+    assert (out / "cosine_map.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "cosine-map"])
+def test_checkpoint_with_three_backbones_needs_a_representation(
+        tmp_path, tiny_dataset, zero_epoch_ckpts, capsys, command):
+    ckpt = zero_epoch_ckpts["sms"]
+    doc = dict(zero_epoch_ckpts["run"], checkpoint=ckpt,
+               cloud=str(tiny_dataset / "scans" / "val_000.lpcd"), query_id=0)
+    if command == "probe":
+        del doc["cloud"], doc["query_id"]
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: checkpoint {ckpt} holds 3 backbones (range, voxel, point); " \
+        "set representation to pick one" in capsys.readouterr().err
+
+
+def test_sms_init_checkpoint_without_that_backbone_exit_2(tmp_path, zero_epoch_ckpts,
+                                                          capsys):
+    ckpt = zero_epoch_ckpts["stage1_point"]
+    doc = dict(zero_epoch_ckpts["run"], init={"range": ckpt})
+    assert main(["sms", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: checkpoint {ckpt} has no range backbone" in capsys.readouterr().err

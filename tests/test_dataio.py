@@ -13,7 +13,7 @@ from lidarmoe.dataio import (DatasetManifest, ScanEntry,
                              read_json, read_lpcd, save_manifest,
                              write_camera_npz, write_lpcd)
 from lidarmoe.errors import LidarMoeError
-from lidarmoe.pointcloud import PointCloud, empty_cloud
+from lidarmoe.pointcloud import PointCloud
 
 
 def sample_cloud(rng, n=50):
@@ -36,7 +36,8 @@ def test_lpcd_roundtrip_bit_exact(tmp_path, rng):
 
 def test_lpcd_empty_cloud(tmp_path):
     path = tmp_path / "empty.lpcd"
-    write_lpcd(path, empty_cloud())
+    write_lpcd(path, PointCloud(np.zeros((0, 3)), np.zeros(0), np.zeros(0, np.int32),
+                                np.zeros(0, np.int32)))
     assert read_lpcd(path).count == 0
 
 

@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from lidarmoe.datagen import SceneConfig, build_scene, simulate_lidar
+from lidarmoe.encoders import voxel_neighbor_pairs
 from lidarmoe.geometry import (build_superpoints, project_labels, project_to_image,
                                project_to_range, range_uv_exact, voxelize)
 from lidarmoe.pipeline import RunConfig, build_group_mean, make_view
@@ -359,3 +361,43 @@ def test_range_label_is_kept_points():
     cell = ri.point_cell_ids()[0]
     assert labels[cell] == 2
     assert np.sum(labels >= 0) == 1
+
+
+# -- empty inputs ------------------------------------------------------------
+
+def test_empty_inputs_give_empty_fields_of_the_general_shapes_and_dtypes():
+    """No point in, every per-point and per-group field comes out empty
+    with the shape and dtype a non-empty input gives."""
+    def fields(obj, names):
+        return {n: (getattr(obj, n).shape, getattr(obj, n).dtype) for n in names}
+
+    sensor = SensorModel(beam_count=8, azimuth_steps=32, fov_total=0.6,
+                         fov_down=0.3, max_range=1.0, range_h=8, range_w=32)
+    no_objects = SceneConfig(n_boxes=0, n_pedestrians=0, n_poles=0,
+                             n_buildings=0, n_barriers=0)
+    # the ground lies 1.8 m below the sensor, beyond the 1 m max range
+    cloud = simulate_lidar(build_scene(no_objects, seed=0), sensor)
+    assert fields(cloud, ("xyz", "intensity", "beam", "label")) == {
+        "xyz": ((0, 3), np.float32), "intensity": ((0,), np.float32),
+        "beam": ((0,), np.int32), "label": ((0,), np.int32)}
+
+    ri = project_to_range(cloud, sensor)
+    assert fields(ri, ("features", "kept_index", "pixel_u", "pixel_v", "valid")) == {
+        "features": ((8, 32, 5), np.float32), "kept_index": ((8, 32), np.int32),
+        "pixel_u": ((0,), np.int32), "pixel_v": ((0,), np.int32),
+        "valid": ((0,), np.bool_)}
+    assert not ri.features.any() and (ri.kept_index == -1).all()
+
+    camera = forward_camera()
+    part = build_superpoints(cloud, camera, np.zeros((64, 96), np.int32),
+                             np.ones((64, 96)))
+    assert fields(part, ("point_group", "superpixel_of")) == {
+        "point_group": ((0,), np.int32), "superpixel_of": ((0,), np.int32)}
+
+    grid = voxelize(cloud, (1.0, 1.0, 1.0))
+    assert fields(grid, ("coords", "point_voxel", "features")) == {
+        "coords": ((0, 3), np.int64), "point_voxel": ((0,), np.int64),
+        "features": ((0, 4), np.float64)}
+    src, dst = voxel_neighbor_pairs(grid)
+    assert (src.shape, src.dtype, dst.shape, dst.dtype) == \
+        ((0,), np.int64, (0,), np.int64)

@@ -58,6 +58,20 @@ def test_iou_empty_input_rejected():
         compute_miou([], [], 3)
 
 
+@pytest.mark.parametrize("preds,labels,num_classes", [
+    ([0, -1], [0, 1], 3), ([0, 3], [0, 1], 3), ([0, 1], [0, 3], 3), ([0], [0], 0),
+])
+def test_iou_class_id_outside_num_classes_rejected(preds, labels, num_classes):
+    with pytest.raises(LidarMoeError, match=rf"^class ids must be in \[0, "
+                                            rf"num_classes={num_classes}\)"):
+        compute_miou(preds, labels, num_classes)
+
+
+def test_iou_ignored_label_may_pair_with_any_prediction():
+    report = compute_miou([0, 9], [0, -1], 2)
+    assert report.tp.tolist() == [1, 0] and report.miou == pytest.approx(100.0)
+
+
 # -- CE / RR -----------------------------------------------------------------
 
 def test_ce_equal_baseline_is_100():
