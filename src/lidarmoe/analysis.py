@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import segment_means
 from .dataio import write_text
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
@@ -68,13 +69,9 @@ def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
             lo = edges[b]
             hi = edges[b + 1] if b + 1 < edges.size else None
             names.append(f"{lo:g}-{hi:g}m" if hi is not None else f"{lo:g}m+")
-    counts = np.zeros(ids.size, np.int64)
-    loads = np.zeros((ids.size, 3), np.float64)
-    for i, b in enumerate(ids):
-        sel = key == b
-        counts[i] = int(sel.sum())
-        loads[i] = gates[sel].astype(np.float64).mean(axis=0)
-    return RouteTable(axis, names, counts, loads)
+    bucket = np.searchsorted(ids, key)
+    loads, _ = segment_means(bucket, gates, ids.size)
+    return RouteTable(axis, names, np.bincount(bucket, minlength=ids.size), loads)
 
 
 def write_route_csv(path, table: RouteTable) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import LidarMoeError, NonFiniteError
 
 
-def _finite(data: np.ndarray, what="intermediate tensor") -> np.ndarray:
+def _finite(data: np.ndarray, what) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite value in {what}")
     return data
@@ -47,7 +47,7 @@ class Var:
     __slots__ = ("data", "grad", "parents", "bwd", "requires_grad")
 
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
-        self.data = _finite(np.asarray(data))
+        self.data = np.asarray(data)
         self.parents = parents if (requires_grad and parents) else ()
         self.bwd = bwd if (requires_grad and parents) else None
         self.requires_grad = requires_grad
@@ -68,24 +68,16 @@ class Var:
 def as_var(x) -> Var:
     if isinstance(x, Var):
         return x
-    return Var(np.asarray(x))
+    return Var(_finite(np.asarray(x), "constant"))
 
 
 def _out(data, parents, bwd):
-    req = any(p.requires_grad for p in parents)
-    try:
-        return Var(data, parents=tuple(parents), bwd=bwd, requires_grad=req)
-    except NonFiniteError:
+    if not np.all(np.isfinite(data)):
         # every primitive defines its backward closure in its own body
         primitive = bwd.__qualname__.split(".")[0]
-        raise NonFiniteError(f"non-finite value in output of {primitive}") from None
-
-
-def _leaf(data, what, requires_grad=False):
-    try:
-        return Var(data, requires_grad=requires_grad)
-    except NonFiniteError:
-        raise NonFiniteError(f"non-finite value in {what}") from None
+        raise NonFiniteError(f"non-finite value in output of {primitive}")
+    req = any(p.requires_grad for p in parents)
+    return Var(data, parents=tuple(parents), bwd=bwd, requires_grad=req)
 
 
 def _dtype_of(*vars_):
@@ -522,7 +514,7 @@ class GraphContext:
             arr = np.asarray(self._inputs[name])
             if np.issubdtype(arr.dtype, np.floating):
                 arr = arr.astype(self.dtype)
-            self._vars[key] = _leaf(arr, f"input {name}")
+            self._vars[key] = Var(_finite(arr, f"input {name}"))
         return self._vars[key]
 
     def raw_input(self, name):
@@ -536,8 +528,8 @@ class GraphContext:
                 value = self._overrides[name].astype(self.dtype)
             else:
                 value = self._params.get(name).astype(self.dtype)
-            self._vars[key] = _leaf(value, f"parameter {name}",
-                                    self._params.is_trainable(name))
+            self._vars[key] = Var(_finite(value, f"parameter {name}"),
+                                  requires_grad=self._params.is_trainable(name))
         return self._vars[key]
 
     def param_vars(self):

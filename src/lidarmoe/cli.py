@@ -11,7 +11,6 @@ reports as exit 1. Results are written as CSV/JSON under --out.
 from __future__ import annotations
 
 import argparse
-import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -212,7 +211,7 @@ def _cmd_corrupt(args, doc):
     new_manifest = DatasetManifest(num_classes=manifest.num_classes)
     getattr(new_manifest, split).extend(new_entries)
     save_manifest(out / "manifest.json", new_manifest)
-    shutil.copy(dataset / "sensors.json", out / "sensors.json")
+    write_json(out / "sensors.json", read_json(dataset / "sensors.json"))
     write_json(out / "corrupt_summary.json",
                {"kind": kind, "severity": severity, "scans": len(new_entries)})
 

@@ -5,8 +5,7 @@ of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
 little-endian. Camera renders are stored as .npz with arrays ``class_id``
 (H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
 A dataset manifest is a JSON document listing per-split scan/camera pairs.
-Every output file except the streamed training log is written through
-:func:`atomic_write`.
+Every output file is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -200,18 +199,17 @@ def resolve(base: Path, rel: str) -> Path:
 
 
 class TrainingLog:
-    """CSV stream of (step, stage, term, value) rows."""
+    """CSV of (step, stage, term, value) rows, written atomically on close."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._fh.write("step,stage,term,value\n")
+        self._rows = ["step,stage,term,value\n"]
 
     def append(self, step: int, stage: str, term: str, value: float) -> None:
-        self._fh.write(f"{step},{stage},{term},{float(value)!r}\n")
+        self._rows.append(f"{step},{stage},{term},{float(value)!r}\n")
 
     def close(self) -> None:
-        self._fh.close()
+        write_text(self.path, "".join(self._rows))
 
     def __enter__(self):
         return self

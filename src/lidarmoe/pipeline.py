@@ -211,7 +211,11 @@ class DatasetBundle:
     annotation_fraction: float
 
     def scans(self, split):
-        return self.val if split == "val" else self.train
+        """The scans of ``split``; raises LidarMoeError when it has none."""
+        scans = self.val if split == "val" else self.train
+        if not scans:
+            raise LidarMoeError(f"empty split: {split}")
+        return scans
 
 
 def load_sensors(dataset_dir):
@@ -365,7 +369,7 @@ def _accumulate(batch_grads: list) -> dict:
     return {n: (g / len(batch_grads)).astype(np.float32) for n, g in total.items()}
 
 
-def _train_epochs(config, scans, step_fn, store, peak_lr, log_path, stage_name,
+def _train_epochs(config, scans, graph_fn, store, peak_lr, log_path, stage_name,
                   on_epoch):
     """The training loop of every stage and the probe: per epoch, per
     batch of ``config.batch_size`` scans, average the grads and step the
@@ -375,37 +379,42 @@ def _train_epochs(config, scans, step_fn, store, peak_lr, log_path, stage_name,
     Callers pass only the scans they train on, so the one-cycle schedule
     spans exactly the steps taken: ``epochs x ceil(len(scans) /
     batch_size)``. ``peak_lr(name)`` is each parameter's schedule peak.
-    ``step_fn(scan_index, scan, epoch) -> (loss, grads, terms)``; ``terms``
-    are extra values logged with the step's loss. ``on_epoch(epoch)``,
-    unless None, returns values logged after the epoch's mean loss.
-    A NonFiniteError from ``step_fn`` is raised again with the stage, epoch
-    and scan name in its message. Returns per-epoch mean losses.
+    ``graph_fn(scan_index, scan, epoch) -> (build, inputs)`` gives a step's
+    graph, which the loop runs backward in train mode with the seed
+    ``_step_seed(config.seed, stage_name, epoch, scan_index)``; it logs the
+    ``loss`` output, then every other 0-d output in name order.
+    ``on_epoch(epoch)``, unless None, returns values logged after the
+    epoch's mean loss. A NonFiniteError of a step is raised again with the
+    stage, epoch and scan name in its message. Returns per-epoch mean losses.
     """
     batches = math.ceil(len(scans) / config.batch_size)
     optimizer = AdamW(store, peak_lr, max(1, config.epochs * batches))
     epoch_losses, global_step = [], 0
     with TrainingLog(log_path) as log:
         for epoch in range(config.epochs):
-            losses = []
-            pending = []
+            losses, pending = [], []
             for idx, scan in enumerate(scans):
                 try:
-                    loss, grads, terms = step_fn(idx, scan, epoch)
+                    build, inputs = graph_fn(idx, scan, epoch)
+                    outs, grads = ad.backward(
+                        Graph(build), store, inputs, train_mode=True,
+                        seed=_step_seed(config.seed, stage_name, epoch, idx))
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"{stage_name} epoch {epoch} scan "
                                          f"{scan.name}: {exc}") from exc
-                losses.append(loss)
+                del build, inputs  # free this step's views before the next step makes its own
+                losses.append(float(outs["loss"]))
                 pending.append(grads)
                 if len(pending) >= config.batch_size:
                     optimizer.step(_accumulate(pending))
                     pending = []
-                log.append(global_step, stage_name, "loss", loss)
-                for term, value in terms.items():
-                    log.append(global_step, stage_name, term, value)
+                scalars = sorted(k for k, v in outs.items() if k != "loss" and v.ndim == 0)
+                for term in ["loss"] + scalars:
+                    log.append(global_step, stage_name, term, outs[term])
                 global_step += 1
             if pending:
                 optimizer.step(_accumulate(pending))
-            mean = float(np.mean(losses)) if losses else float("nan")
+            mean = float(np.mean(losses))
             epoch_losses.append(mean)
             log.append(global_step, stage_name, "epoch_loss", mean)
             if on_epoch is not None:
@@ -457,7 +466,7 @@ def stage1_pretrain(config: RunConfig, out_dir):
     for kind in REPRESENTATIONS:
         store = init_backbone_store(kind, config, "stage1")
 
-        def step_fn(idx, scan, epoch):
+        def graph_fn(idx, scan, epoch):
             partition = partitions[scan.name]
             view_cloud = _maybe_augment(scan.cloud, config, "s1", kind, epoch, idx)
             view = make_view(kind, view_cloud, data.sensor, config, "x")
@@ -470,11 +479,9 @@ def stage1_pretrain(config: RunConfig, out_dir):
                                       config.contrastive_denominator)
                 return {"loss": loss}
 
-            outs, grads = ad.backward(Graph(build), store, view.inputs,
-                                      seed=_step_seed(config.seed, "s1", kind, epoch, idx))
-            return float(outs["loss"]), grads, {}
+            return build, view.inputs
 
-        epoch_losses = _train_epochs(config, scans, step_fn, store,
+        epoch_losses = _train_epochs(config, scans, graph_fn, store,
                                      lambda _: config.lr_stage1,
                                      out / f"stage1_{kind}_log.csv",
                                      f"stage1-{kind}", None)
@@ -514,7 +521,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
 
     final_gates = {}
 
-    def step_fn(idx, scan, epoch):
+    def graph_fn(idx, scan, epoch):
         partition = partitions[scan.name]
         specs = {kind: (kind, _maybe_augment(scan.cloud, config, "cml", kind,
                                              epoch, idx))
@@ -529,20 +536,18 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             fused, gates = build_moe(ctx, aligned["range"], aligned["voxel"],
                                      aligned["point"], noise_active=True,
                                      noise_tag="cml")
+            if epoch == config.epochs - 1:
+                final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
             k_student = build_group_mean(
                 views["student"].aligned(ctx, config.student), partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
-            return {"loss": loss, "gates": gates}
+            return {"loss": loss}
 
-        outs, grads = ad.backward(Graph(build), store, inputs,
-                                  seed=_step_seed(config.seed, "cml", epoch, idx))
-        if epoch == config.epochs - 1:
-            final_gates[scan.name] = outs["gates"]
-        return float(outs["loss"]), grads, {}
+        return build, inputs
 
-    epoch_losses = _train_epochs(config, usable, step_fn, store,
+    epoch_losses = _train_epochs(config, usable, graph_fn, store,
                                  lambda _: config.lr_cml, out / "cml_log.csv",
                                  "cml", None)
     for name, gates in sorted(final_gates.items()):
@@ -607,17 +612,16 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
+    data.scans("val")  # with no val scans, fail before training
     labeled = [s for s in data.train if np.any(s.cloud.label >= 0)]
     if not labeled:
         raise LidarMoeError("no labeled training scans")
-    frac = data.annotation_fraction
-    if frac < 1.0:
-        labeled = labeled[:max(1, int(np.ceil(frac * len(labeled))))]
+    labeled = labeled[:max(1, int(np.ceil(data.annotation_fraction * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
     store = _sms_store(config, init_ckpts, data.num_classes)
     val_history = []
 
-    def step_fn(idx, scan, epoch):
+    def graph_fn(idx, scan, epoch):
         cloud = _maybe_augment(scan.cloud, cfg, "sms", epoch, idx)
         views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS},
                                     data.sensor, cfg)
@@ -627,14 +631,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
             logits, _, fused = _sms_forward_build(ctx, views)
             total, breakdown = build_sms_total({"fused": fused, **logits},
                                                labels, LossConfig())
-            out_nodes = {"loss": total}
-            out_nodes.update(breakdown)
-            return out_nodes
+            return {"loss": total, **breakdown}
 
-        outs, grads = ad.backward(Graph(build), store, inputs, train_mode=True,
-                                  seed=_step_seed(cfg.seed, "sms", epoch, idx))
-        terms = {k: float(v) for k, v in sorted(outs.items()) if k != "loss"}
-        return float(outs["loss"]), grads, terms
+        return build, inputs
 
     def peak_lr(name):
         return config.lr_sms_backbone if _is_backbone_param(name) \
@@ -645,7 +644,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
         val_history.append({k: r.miou for k, r in reports.items()})
         return {f"val_miou_{k}": r.miou for k, r in reports.items()}
 
-    epoch_losses = _train_epochs(cfg, labeled, step_fn, store, peak_lr,
+    epoch_losses = _train_epochs(cfg, labeled, graph_fn, store, peak_lr,
                                  out / "sms_log.csv", "sms", validate)
     ckpt = out / "sms_model.ckpt"
     _save_stage(ckpt, store, config, "sms")
@@ -662,8 +661,6 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
     head, and the fused per-point predictions of each scan in split order.
     """
     scans = data.scans(split)
-    if not scans:
-        raise LidarMoeError(f"empty split: {split}")
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
     for scan in scans:
         views, inputs = _make_views({k: (k, scan.cloud) for k in REPRESENTATIONS},
@@ -701,6 +698,9 @@ def backbone_kind(store: ParameterStore, representation, source) -> str:
 
 def embed_cloud(store, config, sensor, cloud, kind):
     """Frozen-backbone per-point embeddings of one cloud."""
+    if f"{kind}.head.w" not in store.names():
+        raise LidarMoeError(f"checkpoint has no {kind} embedding head "
+                            "(an SMS checkpoint holds logit heads only)")
     view = make_view(kind, cloud, sensor, config, "x")
     graph = Graph(lambda ctx: {"out": view.aligned(ctx, kind)})
     return ad.evaluate(graph, store, view.inputs)["out"]
@@ -724,8 +724,9 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     store.freeze_all()
     before = store.copy()
     data = load_dataset(config.dataset)
+    val = data.scans("val")
     train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind)
-                    for scan in data.train]
+                    for scan in data.scans("train")]
     probe = ParameterStore()
     add_linear(probe, "probe", config.embed_dim, data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
@@ -733,19 +734,17 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     def logits(ctx):
         return linear(ctx, ctx.input("emb"), "probe")
 
-    def step_fn(idx, scan, epoch):
-        graph = Graph(lambda ctx: {"loss": build_cross_entropy(logits(ctx),
-                                                               scan.cloud.label)})
-        outs, grads = ad.backward(graph, probe, {"emb": train_embeds[idx]})
-        return float(outs["loss"]), grads, {}
+    def graph_fn(idx, scan, epoch):
+        return (lambda ctx: {"loss": build_cross_entropy(logits(ctx), scan.cloud.label)},
+                {"emb": train_embeds[idx]})
 
     _train_epochs(replace(config, epochs=config.probe_epochs), data.train,
-                  step_fn, probe, lambda _: config.probe_lr,
+                  graph_fn, probe, lambda _: config.probe_lr,
                   out / f"probe_{kind}_log.csv", "probe", None)
 
     head = Graph(lambda ctx: {"logits": logits(ctx)})
     preds, labels = [], []
-    for scan in data.val:
+    for scan in val:
         emb = embed_cloud(store, config, data.sensor, scan.cloud, kind)
         outs = ad.evaluate(head, probe, {"emb": emb})
         preds.append(np.argmax(outs["logits"], axis=1))

@@ -127,3 +127,38 @@ def test_every_exception_class_derives_from_lidarmoe_error():
     assert [name for name, cls in found.items()
             if not issubclass(cls, LidarMoeError)] == []
     assert _DATA_ERRORS == (LidarMoeError, OSError)
+
+
+def _open_mode(call):
+    """The mode string of an ``open(path, mode)`` or ``path.open(mode)``
+    call: "r" when absent, "?" when not a literal."""
+    pos = 1 if isinstance(call.func, ast.Name) else 0
+    mode = call.args[pos] if len(call.args) > pos else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) else "?"
+
+
+def test_every_file_the_package_writes_is_atomic():
+    """Only ``dataio.atomic_write`` opens a file to write; no module
+    imports shutil or calls ``.write_text`` or ``.write_bytes``."""
+    found = []
+    for module, tree in _parse().items():
+        for top in tree.body:
+            writer = (module, getattr(top, "name", None)) == ("dataio", "atomic_write")
+            for node in ast.walk(top):
+                where = f"{module}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Import) and any(
+                        a.name.split(".")[0] == "shutil" for a in node.names) \
+                        or isinstance(node, ast.ImportFrom) and node.module == "shutil":
+                    found.append(f"{where} imports shutil")
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
+                    found.append(f"{where} calls .{name}")
+                if name == "open" and not writer and set(_open_mode(node)) & set("wax+?"):
+                    found.append(f"{where} opens a file with mode {_open_mode(node)}")
+    assert found == []

@@ -624,3 +624,38 @@ def test_sms_init_checkpoint_without_that_backbone_exit_2(tmp_path, zero_epoch_c
     assert main(["sms", "--config", write_json(tmp_path / "cfg.json", doc),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: checkpoint {ckpt} has no range backbone" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["probe", "cosine-map"])
+def test_sms_checkpoint_has_no_embedding_head_exit_2(tmp_path, tiny_dataset,
+                                                     zero_epoch_ckpts, capsys, command):
+    doc = dict(zero_epoch_ckpts["run"], checkpoint=zero_epoch_ckpts["sms"],
+               representation="range",
+               cloud=str(tiny_dataset / "scans" / "val_000.lpcd"), query_id=0)
+    if command == "probe":
+        del doc["cloud"], doc["query_id"]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert "error: checkpoint has no range embedding head (an SMS checkpoint " \
+        "holds logit heads only)" in capsys.readouterr().err
+    assert not list(out.glob("*_log.csv"))
+
+
+@pytest.mark.parametrize("command,split", [("probe", "val"), ("sms", "val"),
+                                           ("probe", "train")])
+def test_empty_split_exit_2_before_training(tmp_path, capsys, command, split):
+    gen = {"n_train": 0 if split == "train" else 2, "n_val": 0 if split == "val" else 1,
+           "azimuth_steps": 64, "range_w": 64}
+    data = tmp_path / "ds"
+    assert main(["datagen", "--config", write_json(tmp_path / "gen.json", gen),
+                 "--out", str(data)]) == 0
+    doc = {"dataset": str(data), "epochs": 1, "sms_epochs": 1, "probe_epochs": 1,
+           "embed_dim": 8, "centroid_count": 8, "knn_k": 4, "random_baseline": True}
+    if command == "sms":
+        del doc["random_baseline"]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert f"error: empty split: {split}" in capsys.readouterr().err
+    assert not list(out.glob("*_log.csv"))

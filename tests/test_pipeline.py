@@ -475,13 +475,13 @@ def test_train_epochs_names_stage_epoch_and_scan_of_non_finite_error(tmp_path):
     store = ParameterStore()
     store.add("w", np.ones(2, np.float32))
 
-    def step_fn(idx, scan, epoch):
+    def graph_fn(idx, scan, epoch):
         if (epoch, idx) == (1, 1):
             raise NonFiniteError("non-finite value in gradient of parameter w")
-        return 1.0, {"w": np.ones(2, np.float32)}, {}
+        return (lambda ctx: {"loss": ad.sum_all(ctx.param("w"))}), {}
 
     with pytest.raises(NonFiniteError) as info:
-        _train_epochs(RunConfig(epochs=3), scans, step_fn, store,
+        _train_epochs(RunConfig(epochs=3), scans, graph_fn, store,
                       lambda _: 0.01, tmp_path / "log.csv", "stage1-range", None)
     assert str(info.value) == ("stage1-range epoch 1 scan train_001: "
                                "non-finite value in gradient of parameter w")
@@ -494,13 +494,37 @@ def test_train_epochs_names_the_primitive_of_a_non_finite_forward(tmp_path):
     graph = Graph(lambda ctx: {"loss": ad.sum_all(ad.sqrt(ad.mul(
         ctx.param("w"), ctx.input("x"))))})
 
-    def step_fn(idx, scan, epoch):
+    def graph_fn(idx, scan, epoch):
         x = np.full(2, -1.0 if idx == 1 else 1.0, np.float32)
-        outs, grads = ad.backward(graph, store, {"x": x})
-        return float(outs["loss"]), grads, {}
+        return graph.build, {"x": x}
 
     with pytest.raises(NonFiniteError) as info:
-        _train_epochs(RunConfig(epochs=2), scans, step_fn, store,
+        _train_epochs(RunConfig(epochs=2), scans, graph_fn, store,
                       lambda _: 0.01, tmp_path / "log.csv", "cml", None)
     assert str(info.value) == ("cml epoch 0 scan train_001: "
                                "non-finite value in output of sqrt")
+
+
+def test_train_epochs_logs_scalar_outputs_and_the_rows_before_a_failure(tmp_path):
+    """``loss`` first, then the other 0-d outputs in name order; a
+    non-scalar output is not logged. A run that fails in epoch 1 leaves a
+    complete log of epoch 0 and no temporary file."""
+    scans = [SimpleNamespace(name="train_000")]
+    store = ParameterStore()
+    store.add("w", np.ones(2, np.float32))
+
+    def graph_fn(idx, scan, epoch):
+        def build(ctx):
+            w = ctx.param("w")
+            return {"zeta": ad.sum_all(w), "vec": w, "alpha": ad.mean_all(w),
+                    "loss": ad.sum_all(ad.sqrt(ad.mul(w, ctx.input("x"))))}
+
+        return build, {"x": np.full(2, -1.0 if epoch == 1 else 1.0, np.float32)}
+
+    with pytest.raises(NonFiniteError, match="^sms epoch 1 scan train_000: "):
+        _train_epochs(RunConfig(epochs=3), scans, graph_fn, store,
+                      lambda _: 0.01, tmp_path / "log.csv", "sms", None)
+    assert (tmp_path / "log.csv").read_text().splitlines() == [
+        "step,stage,term,value", "0,sms,loss,2.0", "0,sms,alpha,1.0",
+        "0,sms,zeta,2.0", "1,sms,epoch_loss,2.0"]
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
