@@ -558,9 +558,9 @@ class Graph:
         return ctx, outputs
 
 
-def evaluate(graph, params, inputs, train_mode=False, seed=0):
-    """Run a graph forward; returns named output arrays."""
-    _, outputs = graph.run(params, inputs, train_mode=train_mode, seed=seed)
+def evaluate(graph, params, inputs):
+    """Run a graph forward in eval mode; returns named output arrays."""
+    _, outputs = graph.run(params, inputs)
     return {k: v.data for k, v in outputs.items()}
 
 
@@ -587,8 +587,25 @@ def _backprop(loss_var: Var):
                 parent.add_grad(g)
 
 
-def backward(graph, params, inputs, loss="loss", train_mode=False, seed=0):
-    """Reverse-mode gradients of a scalar output w.r.t. trainable params.
+def _param_grads(graph, params, inputs, seed, dtype):
+    """Backprop the scalar ``loss`` output of a train-mode forward; returns
+    ``(outputs, grads)``, the grads checked finite."""
+    ctx, outputs = graph.run(params, inputs, train_mode=True, seed=seed, dtype=dtype)
+    loss_var = outputs["loss"]
+    if loss_var.data.shape != ():
+        raise LidarMoeError("loss node must be scalar")
+    _backprop(loss_var)
+    grads = {}
+    for name, var in ctx.param_vars().items():
+        if var.requires_grad:
+            g = var.grad if var.grad is not None else np.zeros_like(var.data)
+            grads[name] = _finite(g, f"gradient of parameter {name}")
+    return outputs, grads
+
+
+def backward(graph, params, inputs, seed=0):
+    """Reverse-mode gradients of the scalar ``loss`` output of a train-mode
+    forward with noise seed ``seed`` w.r.t. trainable params.
 
     Returns ``(outputs, grads)``; ``grads`` maps parameter name to a
     float32 array and contains entries only for trainable parameters used
@@ -598,44 +615,24 @@ def backward(graph, params, inputs, loss="loss", train_mode=False, seed=0):
     Raises NonFiniteError naming the first parameter whose grad is not
     finite.
     """
-    ctx, outputs = graph.run(params, inputs, train_mode=train_mode, seed=seed)
-    loss_var = outputs[loss]
-    if loss_var.data.shape != ():
-        raise LidarMoeError("loss node must be scalar")
-    _backprop(loss_var)
-    grads = {}
-    for name, var in ctx.param_vars().items():
-        if not var.requires_grad:
-            continue
-        g = var.grad if var.grad is not None else np.zeros_like(var.data)
-        grads[name] = _finite(g, f"gradient of parameter {name}")
-    out_arrays = {k: v.data for k, v in outputs.items()}
-    return out_arrays, grads
+    outputs, grads = _param_grads(graph, params, inputs, seed, np.float32)
+    return {k: v.data for k, v in outputs.items()}, grads
 
 
-def grad_check(graph, params, inputs, loss="loss", eps=1e-3,
-               train_mode=False, seed=0):
-    """Max relative error of backward vs. central finite differences.
+def grad_check(graph, params, inputs, eps=1e-3, seed=0):
+    """Max relative error of :func:`backward` vs. central finite differences.
 
-    Both the analytic and numeric sides run the same graph in float64 so
-    the comparison measures the correctness of the backward formulas, not
-    float32 rounding. Relative error per scalar is
-    ``|a - n| / max(1e-8, |a| + |n|)``.
+    Both the analytic and numeric sides run the same train-mode graph with
+    noise seed ``seed`` in float64, so the comparison measures the
+    correctness of the backward formulas, not float32 rounding. Relative
+    error per scalar is ``|a - n| / max(1e-8, |a| + |n|)``.
     """
-    ctx, outputs = graph.run(params, inputs, train_mode=train_mode,
-                             seed=seed, dtype=np.float64)
-    loss_var = outputs[loss]
-    _backprop(loss_var)
-    analytic = {}
-    for name, var in ctx.param_vars().items():
-        if var.requires_grad:
-            g = var.grad if var.grad is not None else np.zeros(var.data.shape)
-            analytic[name] = np.asarray(g, dtype=np.float64)
+    _, analytic = _param_grads(graph, params, inputs, seed, np.float64)
 
     def eval_loss(overrides):
-        _, outs = graph.run(params, inputs, train_mode=train_mode,
-                            seed=seed, dtype=np.float64, overrides=overrides)
-        return float(outs[loss].data)
+        _, outs = graph.run(params, inputs, train_mode=True, seed=seed,
+                            dtype=np.float64, overrides=overrides)
+        return float(outs["loss"].data)
 
     worst = 0.0
     for name in sorted(analytic):

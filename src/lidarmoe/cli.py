@@ -242,6 +242,10 @@ def _cmd_cosine_map(args, doc):
         path = read_key(doc, "cosine-map config", "features_csv", "str")
         try:
             feats = np.loadtxt(path, delimiter=",", ndmin=2)
+            if not np.all(np.isfinite(feats)):
+                raise ValueError("non-finite value")
+            if cloud is not None and len(feats) != cloud.count:
+                raise ValueError(f"{len(feats)} rows for a cloud of {cloud.count} points")
         except ValueError as exc:
             raise LidarMoeError(f"{path}: {exc}") from exc
     else:

@@ -72,7 +72,7 @@ def read_json(path) -> dict:
 def read_csv(path, header: str, dtype) -> np.ndarray:
     """The (rows, fields) ``dtype`` array of a numeric UTF-8 CSV file whose
     first line is ``header``; raises LidarMoeError naming the file when the
-    header or a row is malformed."""
+    header or a row is malformed or a value is not finite."""
     width = header.count(",") + 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,6 +81,8 @@ def read_csv(path, header: str, dtype) -> np.ndarray:
             rows = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
         if rows.size and rows.shape[1] != width:
             raise ValueError(f"{rows.shape[1]} fields per row, want {width}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("non-finite value")
     except ValueError as exc:
         raise LidarMoeError(f"{path}: {exc}") from exc
     return rows.reshape(-1, width)

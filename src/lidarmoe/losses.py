@@ -10,31 +10,15 @@ drops the matched column instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
 from .errors import LidarMoeError
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Per-representation term weights and the ignore label of the
-    supervised composite."""
-
-    ignore: int = -1
-    weights: dict = field(default_factory=lambda: {
-        "fused": {"ce": 1.0, "lovasz": 0.0},
-        "range": {"ce": 1.0, "lovasz": 2.0},
-        "voxel": {"ce": 1.0, "lovasz": 2.0},
-        "point": {"ce": 1.0, "lovasz": 0.0},
-    })
-
-    def __post_init__(self):
-        for rep in self.weights.values():
-            if any(w < 0 for w in rep.values()):
-                raise LidarMoeError("loss weights must be >= 0")
+# (representation, term, weight) of the supervised composite, in summation order
+SMS_TERMS = (("fused", "ce", 1.0), ("range", "ce", 1.0), ("range", "lovasz", 2.0),
+             ("voxel", "ce", 1.0), ("voxel", "lovasz", 2.0), ("point", "ce", 1.0))
 
 
 def _normalize_rows(x):
@@ -64,12 +48,12 @@ def build_info_nce(k_var, q_var, temperature, denominator="all"):
     return ad.neg(ad.mean_all(ad.sub(pos, lse)))
 
 
-def build_cross_entropy(logits_var, labels, ignore=-1):
-    """Mean negative log-likelihood over non-ignored rows."""
+def build_cross_entropy(logits_var, labels):
+    """Mean negative log-likelihood over labeled rows (label >= 0)."""
     labels = np.asarray(labels, np.int64).reshape(-1)
     if labels.shape[0] != logits_var.shape[0]:
         raise LidarMoeError("labels and logits row counts disagree")
-    keep = np.flatnonzero(labels != ignore)
+    keep = np.flatnonzero(labels >= 0)
     if keep.size == 0:
         raise LidarMoeError("all labels are ignored")
     c = logits_var.shape[1]
@@ -94,7 +78,7 @@ def jaccard_extension_grad(fg_sorted: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_lovasz_softmax(probs_var, labels, ignore=-1):
+def build_lovasz_softmax(probs_var, labels):
     """Composable Lovasz-softmax over probability rows.
 
     For every class present in the labels, the per-point errors
@@ -109,7 +93,7 @@ def build_lovasz_softmax(probs_var, labels, ignore=-1):
     sums = probs_var.data.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-5):
         raise LidarMoeError("probability rows must sum to 1")
-    keep = np.flatnonzero(labels != ignore)
+    keep = np.flatnonzero(labels >= 0)
     if keep.size == 0:
         raise LidarMoeError("all labels are ignored")
     probs_kept = probs_var if keep.size == labels.size else ad.gather_rows(probs_var, keep)
@@ -127,9 +111,9 @@ def build_lovasz_softmax(probs_var, labels, ignore=-1):
     return ad.mul(terms, ad.as_var(np.float32(1.0 / present.size)))
 
 
-def build_sms_total(logits_by_rep: dict, labels_by_rep: dict,
-                    config: LossConfig):
-    """Composable supervised composite; returns (total Var, breakdown Vars).
+def build_sms_total(logits_by_rep: dict, labels_by_rep: dict):
+    """Composable supervised composite: the weighted sum of the
+    ``SMS_TERMS`` rows; returns (total Var, {"<rep>_<term>": weighted term Var}).
 
     ``logits_by_rep`` maps {fused, range, voxel, point} to logit Vars;
     ``labels_by_rep`` maps the same keys to integer label vectors in the
@@ -137,21 +121,13 @@ def build_sms_total(logits_by_rep: dict, labels_by_rep: dict,
     """
     total = None
     breakdown = {}
-    for rep in ("fused", "range", "voxel", "point"):
-        logits = logits_by_rep[rep]
-        labels = labels_by_rep[rep]
-        w = config.weights.get(rep, {"ce": 0.0, "lovasz": 0.0})
-        if w.get("ce", 0.0) > 0.0:
-            term = ad.mul(build_cross_entropy(logits, labels, config.ignore),
-                          ad.as_var(np.float32(w["ce"])))
-            breakdown[f"{rep}_ce"] = term
-            total = term if total is None else ad.add(total, term)
-        if w.get("lovasz", 0.0) > 0.0:
-            probs = ad.softmax_rows(logits)
-            term = ad.mul(build_lovasz_softmax(probs, labels, config.ignore),
-                          ad.as_var(np.float32(w["lovasz"])))
-            breakdown[f"{rep}_lovasz"] = term
-            total = term if total is None else ad.add(total, term)
-    if total is None:
-        raise LidarMoeError("all loss weights are zero")
+    for rep, term, weight in SMS_TERMS:
+        logits, labels = logits_by_rep[rep], labels_by_rep[rep]
+        if term == "ce":
+            value = build_cross_entropy(logits, labels)
+        else:
+            value = build_lovasz_softmax(ad.softmax_rows(logits), labels)
+        value = ad.mul(value, ad.as_var(np.float32(weight)))
+        breakdown[f"{rep}_{term}"] = value
+        total = value if total is None else ad.add(total, value)
     return total, breakdown

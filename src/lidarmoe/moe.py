@@ -1,7 +1,7 @@
 """Gated fusion of three aligned expert outputs.
 
 A single linear layer reduces the concatenated experts to a routing
-feature E; gate logits are E @ Z_g plus, when noise is active, elementwise
+feature E; gate logits are E @ Z_g plus, in train mode, elementwise
 standard-normal draws scaled by softplus(E @ Z_n). Row-softmax yields
 convex weights (alpha, beta, gamma) and the output is the weighted sum of
 the raw expert rows - the routing feature never enters the output.
@@ -29,9 +29,9 @@ def init_moe_params(store: ParameterStore, channels: int, rng):
     store.add("moe.z_noise", np.zeros((channels, 3), np.float32))
 
 
-def build_moe(ctx, expert_r, expert_v, expert_p, noise_active=False,
-              noise_tag="moe"):
-    """Composable fusion; returns (fused Var, gates Var)."""
+def build_moe(ctx, expert_r, expert_v, expert_p, noise_tag="moe"):
+    """Composable fusion; returns (fused Var, gates Var). The gate draws
+    noise, keyed by ``noise_tag``, exactly when ``ctx.train_mode`` is set."""
     n = expert_r.shape[0]
     if expert_v.shape != expert_r.shape or expert_p.shape != expert_r.shape:
         raise LidarMoeError("expert feature shapes disagree")
@@ -39,7 +39,7 @@ def build_moe(ctx, expert_r, expert_v, expert_p, noise_active=False,
                          ctx.param("moe.fusion.w")),
                ctx.param("moe.fusion.b"))
     logits = ad.matmul(e, ctx.param("moe.z_gate"))
-    if noise_active:
+    if ctx.train_mode:
         scale = ad.softplus(ad.matmul(e, ctx.param("moe.z_noise")))
         chi = ad.as_var(ctx.randn((n, 3), noise_tag))
         logits = ad.add(logits, ad.mul(chi, scale))

@@ -80,9 +80,9 @@ def glorot_uniform(shape, rng) -> np.ndarray:
     return rng.uniform(-a, a, size=shape).astype(np.float32)
 
 
-def add_linear(store, name, n_in, n_out, rng, trainable=True):
-    store.add(f"{name}.w", glorot_uniform((n_in, n_out), rng), trainable)
-    store.add(f"{name}.b", np.zeros(n_out, dtype=np.float32), trainable)
+def add_linear(store, name, n_in, n_out, rng):
+    store.add(f"{name}.w", glorot_uniform((n_in, n_out), rng))
+    store.add(f"{name}.b", np.zeros(n_out, dtype=np.float32))
 
 
 def save_checkpoint(path, store: ParameterStore, metadata: dict) -> None:

@@ -42,7 +42,7 @@ from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
                        voxel_neighbor_pairs)
 from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
-from .losses import LossConfig, build_cross_entropy, build_info_nce, build_sms_total
+from .losses import build_cross_entropy, build_info_nce, build_sms_total
 from .metrics import compute_miou
 from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
@@ -227,7 +227,7 @@ def load_sensors(dataset_dir):
 
 def load_dataset(dataset_dir) -> DatasetBundle:
     """The scans, sensors and manifest settings of a dataset; raises
-    LidarMoeError naming a scan that holds a label >= num_classes."""
+    LidarMoeError naming a scan that holds a label outside [-1, num_classes)."""
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
     sensor, camera = load_sensors(base)
@@ -235,10 +235,13 @@ def load_dataset(dataset_dir) -> DatasetBundle:
     def load_split(entries):
         scans = []
         for e in entries:
-            cloud = read_lpcd(resolve(base, e.scan))
-            top = int(cloud.label.max(initial=-1))
+            path = resolve(base, e.scan)
+            cloud = read_lpcd(path)
+            low, top = int(cloud.label.min(initial=-1)), int(cloud.label.max(initial=-1))
+            if low < -1:
+                raise LidarMoeError(f"scan {path} has label {low}, below -1 (unlabeled)")
             if top >= manifest.num_classes:
-                raise LidarMoeError(f"scan {resolve(base, e.scan)} has label {top}, "
+                raise LidarMoeError(f"scan {path} has label {top}, "
                                     f"but num_classes is {manifest.num_classes}")
             scan = LoadedScan(name=Path(e.scan).stem, cloud=cloud)
             if e.camera:
@@ -348,14 +351,13 @@ def _maybe_augment(cloud, config, *seed_parts):
 
 
 def _copy_prefixed(dst: ParameterStore, src: ParameterStore, src_prefix: str,
-                   dst_prefix: str, skip_embedding_head=False,
-                   trainable=True) -> None:
+                   dst_prefix: str, trunk_only=False, trainable=True) -> None:
     dot = src_prefix + "."
     for name in src.names():
         if not name.startswith(dot):
             continue
         short = name[len(dot):]
-        if skip_embedding_head and short.startswith("head."):
+        if trunk_only and short.split(".")[0] in ("head", "logit_head"):
             continue
         dst.add(f"{dst_prefix}.{short}", src.get(name).copy(), trainable)
 
@@ -397,7 +399,7 @@ def _train_epochs(config, scans, graph_fn, store, peak_lr, log_path, stage_name,
                 try:
                     build, inputs = graph_fn(idx, scan, epoch)
                     outs, grads = ad.backward(
-                        Graph(build), store, inputs, train_mode=True,
+                        Graph(build), store, inputs,
                         seed=_step_seed(config.seed, stage_name, epoch, idx))
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"{stage_name} epoch {epoch} scan "
@@ -512,6 +514,10 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     experts = {k: load_checkpoint(expert_ckpts[k])[0] for k in REPRESENTATIONS}
     store = ParameterStore()
     for kind, expert in experts.items():
+        width = expert.get(f"{kind}.head.w").shape[1]
+        if width != config.embed_dim:
+            raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} embeds {kind} in "
+                                f"{width} dims, but embed_dim is {config.embed_dim}")
         _copy_prefixed(store, expert, kind, f"expert.{kind}", trainable=False)
     student_src = experts[config.student] if config.student_init == "stage1" \
         else init_backbone_store(config.student, config, "cml-student")
@@ -534,8 +540,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             aligned = {k: views[k].aligned(ctx, f"expert.{k}")
                        for k in REPRESENTATIONS}
             fused, gates = build_moe(ctx, aligned["range"], aligned["voxel"],
-                                     aligned["point"], noise_active=True,
-                                     noise_tag="cml")
+                                     aligned["point"], noise_tag="cml")
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
@@ -578,7 +583,7 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
             backbone_kind(src, kind, src_path)
         else:
             src = init_backbone_store(kind, config, "sms")
-        _copy_prefixed(store, src, kind, kind, skip_embedding_head=True)
+        _copy_prefixed(store, src, kind, kind, trunk_only=True)
         rng = np.random.default_rng(_step_seed(config.seed, "init", "sms-head", kind))
         add_linear(store, f"{kind}.logit_head", trunk_width(kind), num_classes, rng)
     init_moe_params(store, num_classes,
@@ -594,8 +599,7 @@ def _is_backbone_param(name: str) -> bool:
 def _sms_forward_build(ctx, views):
     logits = {k: views[k].output(ctx, k, head="logit_head") for k in REPRESENTATIONS}
     aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
-    fused, _ = build_moe(ctx, aligned["range"], aligned["voxel"],
-                         aligned["point"], noise_active=ctx.train_mode,
+    fused, _ = build_moe(ctx, aligned["range"], aligned["voxel"], aligned["point"],
                          noise_tag="sms")
     return logits, aligned, fused
 
@@ -603,11 +607,12 @@ def _sms_forward_build(ctx, views):
 def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     """Fine-tune all three backbones with supervised logit fusion.
 
-    ``init_ckpts`` maps representation to a warm-start checkpoint (stage-1
-    or distilled-student); a missing entry means random init. One AdamW
-    steps every parameter: backbones peak at ``lr_sms_backbone``, logit
-    heads and the gate at ``lr_sms_other``. Validation runs after every
-    epoch with the noise switch off; the last one gives ``val_miou``.
+    ``init_ckpts`` maps representation to a warm-start checkpoint (stage-1,
+    distilled-student or SMS), whose trunk alone is copied; a missing entry
+    means random init. One AdamW steps every parameter: backbones peak at
+    ``lr_sms_backbone``, logit heads and the gate at ``lr_sms_other``.
+    Validation runs after every epoch in eval mode (no gate noise); the
+    last one gives ``val_miou``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -629,8 +634,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
 
         def build(ctx):
             logits, _, fused = _sms_forward_build(ctx, views)
-            total, breakdown = build_sms_total({"fused": fused, **logits},
-                                               labels, LossConfig())
+            total, breakdown = build_sms_total({"fused": fused, **logits}, labels)
             return {"loss": total, **breakdown}
 
         return build, inputs
@@ -728,7 +732,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind)
                     for scan in data.scans("train")]
     probe = ParameterStore()
-    add_linear(probe, "probe", config.embed_dim, data.num_classes,
+    add_linear(probe, "probe", train_embeds[0].shape[1], data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
 
     def logits(ctx):

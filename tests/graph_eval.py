@@ -1,7 +1,6 @@
 """Forward one graph builder in a single call, for tests of the ``build_*``
 functions."""
 
-from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.params import ParameterStore
 
@@ -21,8 +20,9 @@ def evaluate_builder(build, inputs, params=None, train_mode=False, seed=0):
             return out
         return dict(enumerate(out if isinstance(out, tuple) else (out,)))
 
-    arrays = ad.evaluate(Graph(named), params or ParameterStore(), inputs,
-                         train_mode=train_mode, seed=seed)
+    _, outputs = Graph(named).run(params or ParameterStore(), inputs,
+                                  train_mode=train_mode, seed=seed)
+    arrays = {k: v.data for k, v in outputs.items()}
     out = returned[0]
     if isinstance(out, dict):
         return arrays

@@ -23,7 +23,7 @@ from lidarmoe.encoders import (build_point_embed, build_range_embed,
                                init_range_params, init_voxel_params,
                                point_grouping, voxel_neighbor_pairs)
 from lidarmoe.geometry import project_to_range, range_uv_exact, voxelize
-from lidarmoe.losses import (LossConfig, build_cross_entropy, build_info_nce,
+from lidarmoe.losses import (build_cross_entropy, build_info_nce,
                              build_lovasz_softmax, build_sms_total)
 from lidarmoe.metrics import compute_mce_mrr, compute_miou
 from lidarmoe.moe import build_moe, init_moe_params, read_gate_csv
@@ -150,12 +150,12 @@ def test_criterion_1_gradient_integrity(rng):
 
         def build(ctx):
             fused, _ = build_moe(ctx, ctx.input("r"), ctx.input("v"),
-                                 ctx.input("p"), noise_active=True)
+                                 ctx.input("p"))
             err = ad.sub(fused, ad.as_var(target))
             return {"loss": ad.mean_all(ad.mul(err, err))}
 
         checks[mode] = ad.grad_check(Graph(build), store, inputs,
-                                     train_mode=True, seed=3, eps=1e-4)
+                                     seed=3, eps=1e-4)
 
     # losses over trainable logit/embedding inputs
     store = ParameterStore()
@@ -185,7 +185,7 @@ def test_criterion_1_gradient_integrity(rng):
 
     def build_sms(ctx):
         total, _ = build_sms_total({k: ctx.param(k) for k in label_map},
-                                   label_map, LossConfig())
+                                   label_map)
         return {"loss": total}
 
     checks["sms_total"] = ad.grad_check(Graph(build_sms), store, {}, eps=1e-4)
@@ -237,8 +237,7 @@ def test_criterion_2_gate_laws(rng):
 def _fuse(r, v, p, store, train_mode, seed=0):
     """(fused, gates) arrays of the gated fusion, noisy in train mode."""
     return evaluate_builder(
-        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"),
-                              noise_active=ctx.train_mode),
+        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p")),
         {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 

@@ -162,3 +162,67 @@ def test_every_file_the_package_writes_is_atomic():
                 if name == "open" and not writer and set(_open_mode(node)) & set("wax+?"):
                     found.append(f"{where} opens a file with mode {_open_mode(node)}")
     assert found == []
+
+
+# functions whose defaults serve callers outside the package, or whose
+# callers reach them through a stored reference
+UNPASSED_DEFAULTS_ALLOWED = {
+    "autodiff.grad_check",  # the tests' reference
+    "cli.main",  # argv comes from the command line
+    # called only as ``ReprView.encoder(ctx, *inputs, prefix, head)``
+    "encoders.build_range_embed", "encoders.build_voxel_embed",
+    "encoders.build_point_embed",
+}
+
+
+def _defaulted_params(trees):
+    """(qualified name, callee name, positional shift, parameter, positional
+    index or None) of every parameter with a default of a top-level function
+    or method. A method's callee name is its own, or its class for
+    ``__init__``; its positional arguments start after ``self``."""
+    found = []
+    for module, tree in trees.items():
+        scopes = [(module, None, tree.body)] + [
+            (f"{module}.{c.name}", c.name, c.body) for c in tree.body
+            if isinstance(c, ast.ClassDef)]
+        for owner, cls, body in scopes:
+            for fn in body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                qual = f"{owner}.{fn.name}"
+                callee = cls if fn.name == "__init__" else fn.name
+                shift = int(cls is not None and not any(
+                    getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+                positional = fn.args.posonlyargs + fn.args.args
+                first = len(positional) - len(fn.args.defaults)
+                found += [(qual, callee, shift, a.arg, i)
+                          for i, a in enumerate(positional) if i >= first]
+                found += [(qual, callee, shift, a.arg, None) for a, d in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def test_every_default_parameter_is_passed_by_some_src_call():
+    """A default that no call in the package overrides is one value, not an
+    argument. A call passes a parameter by name, by position, or through
+    ``*`` or ``**``; calls are matched to definitions by name alone."""
+    trees = _parse()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, param, index, shift):
+        return any(k.arg in (None, param) for k in call.keywords) \
+            or any(isinstance(a, ast.Starred) for a in call.args) \
+            or index is not None and index - shift < len(call.args)
+
+    params = _defaulted_params(trees)
+    assert UNPASSED_DEFAULTS_ALLOWED <= {qual for qual, *_ in params}
+    unpassed = sorted(
+        f"{qual}({param})" for qual, callee, shift, param, index in params
+        if qual not in UNPASSED_DEFAULTS_ALLOWED
+        and not any(passed(c, param, index, shift) for c in calls.get(callee, [])))
+    assert unpassed == []

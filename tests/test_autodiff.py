@@ -395,9 +395,9 @@ def test_evaluate_deterministic_with_noise():
         return {"out": noise}
 
     g = Graph(build)
-    a = ad.evaluate(g, ParameterStore(), {}, seed=7)["out"]
-    b = ad.evaluate(g, ParameterStore(), {}, seed=7)["out"]
-    c = ad.evaluate(g, ParameterStore(), {}, seed=8)["out"]
+    a = g.run(ParameterStore(), {}, seed=7)[1]["out"].data
+    b = g.run(ParameterStore(), {}, seed=7)[1]["out"].data
+    c = g.run(ParameterStore(), {}, seed=8)[1]["out"].data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

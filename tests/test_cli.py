@@ -10,7 +10,7 @@ import pytest
 from lidarmoe.cli import main
 from lidarmoe.dataio import read_lpcd, write_lpcd
 from lidarmoe.moe import write_gate_csv
-from lidarmoe.params import ParameterStore, save_checkpoint
+from lidarmoe.params import ParameterStore, load_checkpoint, save_checkpoint
 from lidarmoe.pointcloud import PointCloud
 
 
@@ -540,6 +540,35 @@ def _bad_input(case, tmp_path, dataset):
         return "eval", write_json(tmp_path / "cfg.json", doc), \
             f"class ids must be in [0, num_classes={classes}), got prediction {bad} " \
             f"for label {bad}"
+    if case == "scan label -2":
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        scan = copy / "scans" / "train_001.lpcd"
+        cloud = read_lpcd(scan)
+        cloud.label[3] = -2
+        write_lpcd(scan, cloud)
+        return "sms", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
+            f"scan {scan} has label -2, below -1 (unlabeled)"
+    if case == "NaN gate score":
+        cloud = dataset / "scans" / "val_000.lpcd"
+        scores = np.full((read_lpcd(cloud).count, 3), 1 / 3, np.float32)
+        scores[1, 0] = np.nan
+        gates = tmp_path / "gates.csv"
+        write_gate_csv(gates, scores)
+        doc = {"gates_csv": str(gates), "cloud": str(cloud)}
+        return "route-stats", write_json(tmp_path / "cfg.json", doc), \
+            f"{gates}: non-finite value"
+    if case.startswith("cosine-map features"):
+        cloud = dataset / "scans" / "val_000.lpcd"
+        count = read_lpcd(cloud).count
+        feats = np.ones((3 if case.endswith("3 rows") else count, 2))
+        feats[0, 1] = np.inf if case.endswith("inf") else 1.0
+        path = tmp_path / "feats.csv"
+        np.savetxt(path, feats, delimiter=",")
+        doc = {"features_csv": str(path), "cloud": str(cloud), "query_id": 0}
+        want = "3 rows for a cloud of {} points".format(count) \
+            if case.endswith("3 rows") else "non-finite value"
+        return "cosine-map", write_json(tmp_path / "cfg.json", doc), f"{path}: {want}"
     if case == "malformed pairs CSV row":
         pairs = tmp_path / "pairs.csv"
         pairs.write_text("prediction,label\n1,1\n2\n")
@@ -554,7 +583,8 @@ def _bad_input(case, tmp_path, dataset):
     "severity as a string number", "report clean_iou not a number",
     "malformed pairs CSV row", "manifest camera 5", "manifest annotation_fraction -3",
     "manifest num_classes below the labels", "pairs class 7 of 6",
-    "pairs num_classes -2",
+    "pairs num_classes -2", "scan label -2", "NaN gate score",
+    "cosine-map features of 3 rows", "cosine-map features with inf",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)
@@ -659,3 +689,31 @@ def test_empty_split_exit_2_before_training(tmp_path, capsys, command, split):
                  "--out", str(out)]) == 2
     assert f"error: empty split: {split}" in capsys.readouterr().err
     assert not list(out.glob("*_log.csv"))
+
+
+def test_sms_init_from_an_sms_checkpoint_copies_its_trunk(tmp_path, zero_epoch_ckpts):
+    doc = dict(zero_epoch_ckpts["run"], init={"range": zero_epoch_ckpts["sms"]})
+    out = tmp_path / "out"
+    assert main(["sms", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 0
+    src, _ = load_checkpoint(zero_epoch_ckpts["sms"])
+    got, _ = load_checkpoint(out / "sms_model.ckpt")
+    assert np.array_equal(got.get("range.conv1.w"), src.get("range.conv1.w"))
+
+
+def test_probe_sizes_its_head_from_the_checkpoint_embedding(tmp_path, zero_epoch_ckpts):
+    doc = dict(zero_epoch_ckpts["run"], checkpoint=zero_epoch_ckpts["stage1_point"])
+    del doc["embed_dim"]  # the default, 64, differs from the checkpoint's 8
+    assert main(["probe", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cml_names_an_expert_of_another_embedding_width(tmp_path, zero_epoch_ckpts,
+                                                        capsys):
+    stage1_dir = os.path.dirname(zero_epoch_ckpts["stage1_point"])
+    doc = dict(zero_epoch_ckpts["run"], embed_dim=16, stage1_dir=stage1_dir)
+    assert main(["cml", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    ckpt = os.path.join(stage1_dir, "stage1_range.ckpt")
+    assert f"error: checkpoint {ckpt} embeds range in 8 dims, but embed_dim is 16" \
+        in capsys.readouterr().err

@@ -8,9 +8,8 @@ import pytest
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.errors import LidarMoeError
-from lidarmoe.losses import (LossConfig, build_cross_entropy,
-                             build_info_nce, build_lovasz_softmax,
-                             build_sms_total)
+from lidarmoe.losses import (build_cross_entropy, build_info_nce,
+                             build_lovasz_softmax, build_sms_total)
 from lidarmoe.params import ParameterStore
 
 from graph_eval import evaluate_builder
@@ -35,11 +34,11 @@ def lovasz_softmax(probs, labels):
         {"probs": probs}))
 
 
-def sms_total(logits_by_rep, labels_by_rep, config=LossConfig()):
+def sms_total(logits_by_rep, labels_by_rep):
     """(total, per-term breakdown) of the supervised composite."""
     def build(ctx):
         total, breakdown = build_sms_total(
-            {rep: ctx.input(rep) for rep in logits_by_rep}, labels_by_rep, config)
+            {rep: ctx.input(rep) for rep in logits_by_rep}, labels_by_rep)
         return {"loss": total, **breakdown}
 
     outs = evaluate_builder(build, dict(logits_by_rep))
@@ -217,24 +216,6 @@ def test_sms_perfect_inputs_small():
     assert total < 1e-3
 
 
-def test_sms_fused_only_weights():
-    c = 3
-    labels = {"fused": np.array([0, 1, 2]), "point": np.array([0, 1, 2]),
-              "range": np.array([0, 1, 2]), "voxel": np.array([0, 1, 2])}
-    rng = np.random.default_rng(0)
-    logits = {k: rng.standard_normal((3, c)).astype(np.float32) for k in labels}
-    config = LossConfig(weights={
-        "fused": {"ce": 1.0, "lovasz": 0.0},
-        "range": {"ce": 0.0, "lovasz": 0.0},
-        "voxel": {"ce": 0.0, "lovasz": 0.0},
-        "point": {"ce": 0.0, "lovasz": 0.0},
-    })
-    total, breakdown = sms_total(logits, labels, config)
-    assert total == pytest.approx(cross_entropy(logits["fused"], labels["fused"]),
-                                  abs=1e-6)
-    assert set(breakdown) == {"fused_ce"}
-
-
 def test_sms_breakdown_sums_to_total(rng):
     c = 4
     labels = {"fused": rng.integers(0, c, 10), "point": rng.integers(0, c, 10),
@@ -243,7 +224,7 @@ def test_sms_breakdown_sums_to_total(rng):
               for k in labels}
     total, breakdown = sms_total(logits, labels)
     assert total == pytest.approx(sum(breakdown.values()), abs=1e-6)
-    # default weights: range and voxel carry CE + 2 * lovasz
+    # SMS_TERMS: range and voxel carry CE + 2 * lovasz
     assert {"range_ce", "range_lovasz", "voxel_ce", "voxel_lovasz",
             "fused_ce", "point_ce"} == set(breakdown)
 
@@ -258,12 +239,8 @@ def test_sms_grad_check(rng):
 
     def build(ctx):
         logits = {k: ctx.param(k) for k in labels}
-        total, _ = build_sms_total(logits, labels, LossConfig())
+        total, _ = build_sms_total(logits, labels)
         return {"loss": total}
 
     assert ad.grad_check(Graph(build), store, {}, eps=1e-4) < 1e-4
 
-
-def test_loss_config_validation():
-    with pytest.raises(LidarMoeError, match="^loss weights must be >= 0$"):
-        LossConfig(weights={"fused": {"ce": -1.0}})

@@ -23,8 +23,7 @@ def fuse(r, v, p, store, train_mode, seed=0):
     """(fused, gates) arrays of the gated fusion; noise is on in train
     mode, as in the stage-3 logit fusion."""
     return evaluate_builder(
-        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"),
-                              noise_active=ctx.train_mode),
+        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p")),
         {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 
@@ -165,13 +164,11 @@ def test_moe_grad_check(rng):
     target = rng.standard_normal((8, 4)).astype(np.float32)
 
     def build(ctx):
-        fused, _ = build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"),
-                             noise_active=True)
+        fused, _ = build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"))
         err = ad.sub(fused, ad.as_var(target))
         return {"loss": ad.mean_all(ad.mul(err, err))}
 
-    err = ad.grad_check(Graph(build), store, {"r": r, "v": v, "p": p},
-                        train_mode=True, seed=3)
+    err = ad.grad_check(Graph(build), store, {"r": r, "v": v, "p": p}, seed=3)
     assert err < 1e-4
 
 

@@ -215,7 +215,7 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     the composite.
     """
     from lidarmoe.pipeline import _make_views, _sms_store, _sms_forward_build
-    from lidarmoe.losses import LossConfig, build_sms_total
+    from lidarmoe.losses import build_sms_total
     from lidarmoe.params import ParameterStore
     from lidarmoe.geometry import project_labels
     from lidarmoe.sensors import SensorModel
@@ -243,11 +243,10 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
         logits, aligned, fused = _sms_forward_build(ctx, views)
         total, _ = build_sms_total(
             {"fused": fused, "range": logits["range"], "voxel": logits["voxel"],
-             "point": aligned["point"]}, labels, LossConfig())
+             "point": aligned["point"]}, labels)
         return {"loss": total}
 
-    err = ad.grad_check(Graph(build), store, inputs, eps=1e-5, train_mode=True,
-                        seed=5)
+    err = ad.grad_check(Graph(build), store, inputs, eps=1e-5, seed=5)
     assert err < 1e-4
 
 
