@@ -18,6 +18,13 @@ never written in place, so a closure may hand one array to two parents.
 The package-level entry points are :func:`evaluate`, :func:`backward` and
 :func:`grad_check`, which run a :class:`Graph` (a named build function over
 inputs and parameters) forward, backward, and against central differences.
+
+Finiteness is checked once per graph: :meth:`Graph.run` builds with the
+per-node checks off, then checks every output, and :func:`backward` checks
+every parameter grad. A graph that fails is built again with the checks on,
+so the error names the primitive, input or parameter that first went
+non-finite. A non-finite intermediate that reaches no output and no grad is
+not reported. A primitive called outside a graph checks its output at once.
 """
 
 from __future__ import annotations
@@ -29,8 +36,12 @@ import numpy as np
 from .errors import LidarMoeError, NonFiniteError
 
 
+# per-node finiteness checks; Graph.run turns them off and checks its outputs
+_check_nodes = True
+
+
 def _finite(data: np.ndarray, what) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if _check_nodes and not np.all(np.isfinite(data)):
         raise NonFiniteError(f"non-finite value in {what}")
     return data
 
@@ -72,7 +83,7 @@ def as_var(x) -> Var:
 
 
 def _out(data, parents, bwd):
-    if not np.all(np.isfinite(data)):
+    if _check_nodes and not np.all(np.isfinite(data)):
         # every primitive defines its backward closure in its own body
         primitive = bwd.__qualname__.split(".")[0]
         raise NonFiniteError(f"non-finite value in output of {primitive}")
@@ -173,9 +184,7 @@ def matmul(a, b):
 
 def relu(a):
     a = as_var(a)
-    mask = a.data > 0
-    return _out(np.where(mask, a.data, 0).astype(a.data.dtype, copy=False), (a,),
-                lambda g: (g * mask,))
+    return _out(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
 
 def softplus(a):
@@ -321,11 +330,7 @@ def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.int64)
     data = a.data[idx]
     n = a.data.shape[0]
-
-    def bwd(g):
-        return (scatter_add_rows(idx, g, n),)
-
-    return _out(data, (a,), bwd)
+    return _out(data, (a,), lambda g: (scatter_add_rows(idx, g, n),))
 
 
 def take_diag(a):
@@ -375,12 +380,10 @@ def segment_max(a, seg, num_segments):
     data = np.full((num_segments, d), -np.inf, dtype=a.data.dtype)
     np.maximum.at(data, seg, a.data)
 
-    winners = np.full((num_segments, d), n, dtype=np.int64)
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    hit = a.data == data[seg]
-    np.minimum.at(winners, seg, np.where(hit, rows, n))
-
     def bwd(g):
+        winners = np.full((num_segments, d), n, dtype=np.int64)
+        rows = np.arange(n, dtype=np.int64)[:, None]
+        np.minimum.at(winners, seg, np.where(a.data == data[seg], rows, n))
         # each column's winners are distinct rows, so no target repeats
         full = np.zeros((n, d), dtype=g.dtype)
         full[winners, np.arange(d)] = g
@@ -413,11 +416,7 @@ def sum_cols(a):
     a = as_var(a)
     data = _reduce_sum(a.data, axis=1, keepdims=True).astype(a.data.dtype)
     d = a.data.shape[1]
-
-    def bwd(g):
-        return (np.repeat(g, d, axis=1),)
-
-    return _out(data, (a,), bwd)
+    return _out(data, (a,), lambda g: (np.repeat(g, d, axis=1),))
 
 
 def _padded_rows(img, dtype):
@@ -553,8 +552,16 @@ class Graph:
 
     def run(self, params, inputs, train_mode=False, seed=0, dtype=np.float32,
             overrides=None):
-        ctx = GraphContext(inputs, params, train_mode, seed, dtype, overrides)
-        outputs = self.build(ctx)
+        global _check_nodes
+        args = (inputs, params, train_mode, seed, dtype, overrides)
+        checks, _check_nodes = _check_nodes, False
+        try:
+            ctx = GraphContext(*args)
+            outputs = self.build(ctx)
+        finally:
+            _check_nodes = checks
+        if not all(np.all(np.isfinite(v.data)) for v in outputs.values()):
+            self.build(GraphContext(*args))  # checked: raises at the first bad node
         return ctx, outputs
 
 
@@ -595,11 +602,12 @@ def _param_grads(graph, params, inputs, seed, dtype):
     if loss_var.data.shape != ():
         raise LidarMoeError("loss node must be scalar")
     _backprop(loss_var)
-    grads = {}
-    for name, var in ctx.param_vars().items():
-        if var.requires_grad:
-            g = var.grad if var.grad is not None else np.zeros_like(var.data)
-            grads[name] = _finite(g, f"gradient of parameter {name}")
+    grads = {name: var.grad if var.grad is not None else np.zeros_like(var.data)
+             for name, var in ctx.param_vars().items() if var.requires_grad}
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            graph.build(GraphContext(inputs, params, True, seed, dtype))  # checked
+            raise NonFiniteError(f"non-finite value in gradient of parameter {name}")
     return outputs, grads
 
 
@@ -612,8 +620,8 @@ def backward(graph, params, inputs, seed=0):
     by the graph (a used-but-unaffecting parameter gets a zero array).
     Grad arrays are not copied: two entries may share one array, and an
     entry may be a read-only view, so copy one before writing to it.
-    Raises NonFiniteError naming the first parameter whose grad is not
-    finite.
+    A non-finite grad raises NonFiniteError naming the node that first went
+    non-finite in a checked rebuild of the forward, else the parameter.
     """
     outputs, grads = _param_grads(graph, params, inputs, seed, np.float32)
     return {k: v.data for k, v in outputs.items()}, grads

@@ -97,6 +97,14 @@ def _write_metric_csv(path, report: MetricReport) -> None:
     write_text(path, "".join(rows))
 
 
+def _prediction_rows(scan: str, preds, labels) -> str:
+    """The ``scan,point_id,prediction,label`` rows of one scan, formatted
+    by one ``%`` over a repeated template."""
+    table = np.column_stack([np.arange(len(preds)), preds, labels])
+    return (scan.replace("%", "%%") + ",%d,%d,%d\n") * len(preds) \
+        % tuple(table.ravel().tolist())
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -182,11 +190,9 @@ def _cmd_eval(args, doc):
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
         _write_metric_csv(out / f"metrics_{name}.csv", report)
-    rows = ["scan,point_id,prediction,label\n"]
-    for scan, preds in zip(data.scans(split), fused):
-        rows.extend(f"{scan.name},{i},{p},{l}\n" for i, (p, l) in
-                    enumerate(zip(preds.tolist(), scan.cloud.label.tolist())))
-    write_text(out / "predictions.csv", "".join(rows))
+    write_text(out / "predictions.csv", "scan,point_id,prediction,label\n" + "".join(
+        _prediction_rows(scan.name, preds, scan.cloud.label)
+        for scan, preds in zip(data.scans(split), fused)))
     write_json(out / "eval_summary.json",
                {name: report.miou for name, report in reports.items()})
 
@@ -304,14 +310,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # a usage error, or --help
         return exc.code
     if args.command is None:
-        parser.print_help(sys.stderr)
+        _PARSER.print_help(sys.stderr)
         return USAGE_ERROR
     try:
         _COMMANDS[args.command](args, _load_config(args))

@@ -55,10 +55,18 @@ def build_moe(ctx, expert_r, expert_v, expert_p, noise_tag="moe"):
 def write_gate_csv(path, gates: np.ndarray) -> None:
     """Per-point gate export of an (N, 3) array over (range, voxel,
     point): point_id, alpha, beta, gamma."""
-    write_text(path, "point_id,alpha,beta,gamma\n" + "".join(
-        f"{i},{a!r},{b!r},{g!r}\n" for i, (a, b, g) in enumerate(gates.tolist())))
+    table = np.column_stack([np.arange(len(gates)), gates.astype(np.float64)])
+    write_text(path, "point_id,alpha,beta,gamma\n"
+               + "%d,%r,%r,%r\n" * len(gates) % tuple(table.ravel().tolist()))
 
 
 def read_gate_csv(path) -> np.ndarray:
-    """The (N, 3) float32 gate array of a gate-score CSV."""
-    return read_csv(path, "point_id,alpha,beta,gamma", np.float64)[:, 1:].astype(np.float32)
+    """The (N, 3) float32 gate array of a gate-score CSV; raises
+    LidarMoeError naming the file and the 0-based data row when a row is
+    not convex weights (an entry below 0, or a sum more than 1e-5 from 1)."""
+    gates = read_csv(path, "point_id,alpha,beta,gamma", np.float64)[:, 1:]
+    bad = np.flatnonzero(np.any(gates < 0, axis=1) | (np.abs(gates.sum(axis=1) - 1) > 1e-5))
+    if bad.size:
+        raise LidarMoeError(f"{path}: row {bad[0]} is not convex gate weights: "
+                            f"{gates[bad[0]].tolist()}")
+    return gates.astype(np.float32)

@@ -514,6 +514,9 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     experts = {k: load_checkpoint(expert_ckpts[k])[0] for k in REPRESENTATIONS}
     store = ParameterStore()
     for kind, expert in experts.items():
+        if f"{kind}.head.w" not in expert.names():
+            raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} has no {kind} embedding "
+                                f"head (a cml expert is a stage-1 {kind} checkpoint)")
         width = expert.get(f"{kind}.head.w").shape[1]
         if width != config.embed_dim:
             raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} embeds {kind} in "

@@ -202,3 +202,26 @@ def conv2d3x3_shifts(x, w, b, g):
         gxp[dy:dy + h, dx:dx + wd] += (gf @ blk.T).reshape(h, wd, cin)
         gw[t * cin:(t + 1) * cin] = shift.T @ gf
     return (out + b).reshape(h, wd, cout), gxp[1:-1, 1:-1], gw, gf.sum(axis=0)
+
+
+# -- reference forms of the bulk kernels and writers ---------------------------
+# The per-element forms that ``autodiff.relu``, ``cli._prediction_rows`` and
+# ``moe.write_gate_csv`` replaced; the new code must give the same bytes.
+
+def relu_where(x):
+    """``np.where`` relu: positive entries kept, every other entry (NaN
+    included) a zero of ``x``'s dtype."""
+    x = np.asarray(x)
+    return np.where(x > 0, x, 0).astype(x.dtype, copy=False)
+
+
+def prediction_rows_fstring(scan, preds, labels):
+    """``scan,point_id,prediction,label`` rows, one f-string per point."""
+    return "".join(f"{scan},{i},{p},{l}\n" for i, (p, l) in
+                   enumerate(zip(np.asarray(preds).tolist(), np.asarray(labels).tolist())))
+
+
+def gate_csv_fstring(gates):
+    """A gate CSV's text, one f-string of ``repr`` floats per point."""
+    return "point_id,alpha,beta,gamma\n" + "".join(
+        f"{i},{a!r},{b!r},{g!r}\n" for i, (a, b, g) in enumerate(np.asarray(gates).tolist()))

@@ -9,7 +9,7 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
-from oracles import conv2d3x3_shifts
+from oracles import conv2d3x3_shifts, relu_where
 
 
 def make_store(**arrays):
@@ -23,6 +23,22 @@ def test_relu_forward():
     g = Graph(lambda ctx: {"out": ad.relu(ctx.input("x"))})
     out = ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0, 2.0], np.float32)})
     assert np.array_equal(out["out"], [0.0, 2.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_forward_is_bit_equal_to_the_where_form(dtype):
+    """``np.maximum(x, 0)`` gives the bits of ``np.where(x > 0, x, 0)`` on
+    finite input: -0.0 and negative subnormals become +0.0, positive
+    subnormals are kept."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    edge = np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, -3 * tiny, -1.0, 1.0,
+                     np.finfo(dtype).max, -np.finfo(dtype).max], dtype)
+    fmap = np.random.default_rng(5).standard_normal((32, 192, 32)).astype(dtype)
+    fmap[0, :4, 0] = [-0.0, 0.0, tiny, -tiny]
+    for x in (edge, fmap):
+        got = ad.relu(x).data
+        assert got.dtype == dtype and got.shape == x.shape
+        assert np.array_equal(got.view(np.int32), relu_where(x).view(np.int32))
 
 
 def test_softmax_uniform():
@@ -306,6 +322,23 @@ def test_backward_runs_in_the_graph_dtype(name):
     assert ad.grad_check(graph, store, {}, eps=eps) < 1e-4
 
 
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_forward_bytes_equal_inside_and_outside_a_graph(name):
+    """Each primitive's forward, built with per-node checks off inside
+    Graph.run, gives the bytes of a direct call, which checks at once."""
+    shapes, body = POLICY_CASES[name]
+    rng = np.random.default_rng(7)
+    store = make_store(**{k: rng.uniform(0.5, 1.5, s) for k, s in shapes.items()})
+    graph = Graph(lambda ctx: {"out": body({k: ctx.param(k) for k in shapes})})
+    for dtype in (np.float32, np.float64):
+        _, outputs = graph.run(store, {}, dtype=dtype)
+        direct = body({k: ad.Var(store.get(k).astype(dtype), requires_grad=True)
+                       for k in shapes})
+        inside = outputs["out"].data
+        assert (inside.dtype, inside.shape) == (direct.data.dtype, direct.data.shape)
+        assert inside.tobytes() == direct.data.tobytes()
+
+
 def _node(body, arrays, constant=None):
     """The operand leaves (all trainable but ``constant``) and the node
     ``body`` makes over them."""
@@ -380,6 +413,58 @@ def test_non_finite_intermediate_raises():
     g = Graph(lambda ctx: {"out": ad.sqrt(ctx.input("x"))})
     with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
         ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0], np.float32)})
+
+
+@pytest.mark.parametrize("run", ["evaluate", "backward"])
+def test_non_finite_value_zeroed_by_no_primitive_names_its_source(run):
+    """relu passes NaN on, so the per-graph output check sees the NaN that
+    sqrt makes and the checked rebuild names sqrt; a relu that zeroed NaN
+    would hide it from the output check."""
+    store = make_store(p=np.ones(2))
+
+    def build(ctx):
+        hidden = ad.sum_all(ad.relu(ad.sqrt(ctx.input("x"))))
+        p = ctx.param("p")
+        return {"loss": ad.add(ad.sum_all(ad.mul(p, p)), hidden)}
+
+    inputs = {"x": np.array([-1.0, 4.0], np.float32)}
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
+        getattr(ad, run)(Graph(build), store, inputs)
+
+
+def test_non_finite_forward_value_seen_only_by_a_grad_names_its_primitive():
+    """The forward is finite (the NaN rows are gathered away) but sqrt's NaN
+    reaches p's grad: the checked rebuild of the forward names sqrt."""
+    store = make_store(p=np.ones((2, 1)))
+
+    def build(ctx):
+        p = ctx.param("p")
+        root = ad.sqrt(ad.mul(p, ctx.input("x")))
+        return {"loss": ad.add(ad.sum_all(ad.gather_rows(root, np.zeros(0, np.int64))),
+                               ad.sum_all(p))}
+
+    graph, inputs = Graph(build), {"x": np.array([[-1.0], [4.0]], np.float32)}
+    assert ad.evaluate(graph, store, inputs)["loss"] == 2.0
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"), \
+            np.errstate(invalid="ignore"):
+        ad.backward(graph, store, inputs)
+
+
+def test_non_finite_intermediate_reaching_no_output_is_not_reported():
+    """Finiteness is checked per graph: a NaN that no output and no grad
+    reads passes, where a per-node check would have raised."""
+    g = Graph(lambda ctx: {"out": ad.gather_rows(ad.sqrt(ctx.input("x")),
+                                                 np.array([1]))})
+    out = ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0, 4.0], np.float32)})
+    assert np.array_equal(out["out"], [2.0])
+
+
+def test_a_failed_build_leaves_per_node_checks_on():
+    g = Graph(lambda ctx: {"out": ad.matmul(ctx.input("a"), ctx.input("a"))})
+    with pytest.raises(LidarMoeError, match="^matmul"):
+        ad.evaluate(g, ParameterStore(), {"a": np.ones((2, 3), np.float32)})
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
+        ad.sqrt(-1)
 
 
 def test_backward_requires_scalar_loss():

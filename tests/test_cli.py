@@ -7,11 +7,13 @@ import shutil
 import numpy as np
 import pytest
 
-from lidarmoe.cli import main
+from lidarmoe.cli import _prediction_rows, main
 from lidarmoe.dataio import read_lpcd, write_lpcd
 from lidarmoe.moe import write_gate_csv
 from lidarmoe.params import ParameterStore, load_checkpoint, save_checkpoint
 from lidarmoe.pointcloud import PointCloud
+
+from oracles import prediction_rows_fstring
 
 
 def write_json(path, doc):
@@ -558,6 +560,20 @@ def _bad_input(case, tmp_path, dataset):
         doc = {"gates_csv": str(gates), "cloud": str(cloud)}
         return "route-stats", write_json(tmp_path / "cfg.json", doc), \
             f"{gates}: non-finite value"
+    if case in ("gate alpha -5", "gate row summing to 1.5"):
+        cloud = dataset / "scans" / "val_000.lpcd"
+        scores = np.full((read_lpcd(cloud).count, 3), 1 / 3, np.float32)
+        if case == "gate alpha -5":
+            scores[:, 0] = -5.0
+            row = 0
+        else:
+            scores[2] = [0.5, 0.5, 0.5]
+            row = 2
+        gates = tmp_path / "gates.csv"
+        write_gate_csv(gates, scores)
+        doc = {"gates_csv": str(gates), "cloud": str(cloud)}
+        return "route-stats", write_json(tmp_path / "cfg.json", doc), \
+            f"{gates}: row {row} is not convex gate weights"
     if case.startswith("cosine-map features"):
         cloud = dataset / "scans" / "val_000.lpcd"
         count = read_lpcd(cloud).count
@@ -583,7 +599,8 @@ def _bad_input(case, tmp_path, dataset):
     "severity as a string number", "report clean_iou not a number",
     "malformed pairs CSV row", "manifest camera 5", "manifest annotation_fraction -3",
     "manifest num_classes below the labels", "pairs class 7 of 6",
-    "pairs num_classes -2", "scan label -2", "NaN gate score",
+    "pairs num_classes -2", "scan label -2", "NaN gate score", "gate alpha -5",
+    "gate row summing to 1.5",
     "cosine-map features of 3 rows", "cosine-map features with inf",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
@@ -670,6 +687,33 @@ def test_sms_checkpoint_has_no_embedding_head_exit_2(tmp_path, tiny_dataset,
     assert "error: checkpoint has no range embedding head (an SMS checkpoint " \
         "holds logit heads only)" in capsys.readouterr().err
     assert not list(out.glob("*_log.csv"))
+
+
+@pytest.mark.parametrize("source", ["sms", "stage1_point"])
+def test_cml_expert_without_its_embedding_head_exit_2(tmp_path, zero_epoch_ckpts,
+                                                      capsys, source):
+    """An SMS checkpoint holds logit heads only, and a stage-1 point
+    checkpoint holds a point head: neither can be the range expert."""
+    stage1_dir = os.path.dirname(zero_epoch_ckpts["stage1_point"])
+    ckpts = {k: os.path.join(stage1_dir, f"stage1_{k}.ckpt") for k in ("voxel", "point")}
+    ckpts["range"] = zero_epoch_ckpts[source]
+    doc = dict(zero_epoch_ckpts["run"], expert_ckpts=ckpts)
+    assert main(["cml", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: checkpoint {ckpts['range']} has no range embedding head" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scan", ["val_000", "100%_scan"])
+def test_prediction_rows_equal_the_row_by_row_writer(scan):
+    """The bulk ``%`` template gives the bytes of one f-string per point,
+    for -1 (unlabeled) labels, a ``%`` in the scan name and empty scans."""
+    rng = np.random.default_rng(3)
+    preds = rng.integers(0, 6, 500)
+    labels = rng.integers(-1, 6, 500).astype(np.int32)
+    assert (labels == -1).any()
+    for p, l in ((preds, labels), (preds[:0], labels[:0])):
+        assert _prediction_rows(scan, p, l) == prediction_rows_fstring(scan, p, l)
 
 
 @pytest.mark.parametrize("command,split", [("probe", "val"), ("sms", "val"),

@@ -11,6 +11,7 @@ from lidarmoe.moe import (build_moe, init_moe_params, read_gate_csv,
 from lidarmoe.params import ParameterStore
 
 from graph_eval import evaluate_builder
+from oracles import gate_csv_fstring
 
 
 def fresh_params(dim, seed=0):
@@ -173,8 +174,23 @@ def test_moe_grad_check(rng):
 
 
 def test_gate_csv_roundtrip(tmp_path, rng):
-    gates = rng.uniform(0, 1, (10, 3)).astype(np.float32)
+    # rows of convex weights, as read_gate_csv requires
+    raw = rng.uniform(0, 1, (10, 3))
+    gates = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
     path = tmp_path / "gates.csv"
     write_gate_csv(path, gates)
     loaded = read_gate_csv(path)
     assert np.array_equal(loaded, gates)
+
+
+def test_gate_csv_bytes_equal_the_row_by_row_writer(tmp_path, rng):
+    """One ``%`` over a repeated template gives the bytes of one f-string
+    per point, on float32 gates whose repr needs 17 digits and on none."""
+    raw = rng.uniform(0, 1, (200, 3))
+    gates = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+    gates[0] = [0.1, 0.2, 0.7]
+    assert repr(float(gates[0, 0])) == "0.10000000149011612"
+    path = tmp_path / "gates.csv"
+    for table in (gates, gates[:0]):
+        write_gate_csv(path, table)
+        assert path.read_text() == gate_csv_fstring(table)
