@@ -29,6 +29,7 @@ not reported. A primitive called outside a graph checks its output at once.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -101,6 +102,13 @@ def _dtype_of(*vars_):
 def _reduce_sum(x, axis=None, keepdims=False):
     # float64 accumulation regardless of storage dtype
     return np.sum(x, axis=axis, keepdims=keepdims, dtype=np.float64)
+
+
+def _row_max(x):
+    """Row maxima of a 2D array, shape (N, 1): one ``np.maximum`` per column,
+    exact like ``max(axis=1)`` and ~10x faster on the narrow rows of gates
+    and class logits."""
+    return functools.reduce(np.maximum, x.T)[:, None]
 
 
 def _unbroadcast(g, shape):
@@ -209,16 +217,10 @@ def softmax_rows(a):
     if a.data.ndim != 2:
         raise LidarMoeError("softmax_rows expects 2D input")
     x = a.data.astype(np.float64)
-    x = x - x.max(axis=1, keepdims=True)
-    e = np.exp(x)
+    e = np.exp(x - _row_max(x))
     y64 = e / e.sum(axis=1, keepdims=True)
-    data = y64.astype(a.data.dtype)
-
-    def bwd(g):
-        dot = np.sum(g * y64, axis=1, keepdims=True)
-        return (y64 * (g - dot),)
-
-    return _out(data, (a,), bwd)
+    return _out(y64.astype(a.data.dtype), (a,),
+                lambda g: (y64 * (g - np.sum(g * y64, axis=1, keepdims=True)),))
 
 
 def log_softmax_rows(a):
@@ -226,7 +228,7 @@ def log_softmax_rows(a):
     if a.data.ndim != 2:
         raise LidarMoeError("log_softmax_rows expects 2D input")
     x = a.data.astype(np.float64)
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - _row_max(x)
     lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
     y64 = shifted - lse
     data = y64.astype(a.data.dtype)
@@ -243,15 +245,10 @@ def logsumexp_rows(a):
     """Row-wise log-sum-exp, shape (N, 1)."""
     a = as_var(a)
     x = a.data.astype(np.float64)
-    m = x.max(axis=1, keepdims=True)
+    m = _row_max(x)
     lse64 = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
-    data = lse64.astype(a.data.dtype)
     sm = np.exp(x - lse64)
-
-    def bwd(g):
-        return (g * sm,)
-
-    return _out(data, (a,), bwd)
+    return _out(lse64.astype(a.data.dtype), (a,), lambda g: (g * sm,))
 
 
 def concat_cols(parts):

@@ -20,6 +20,7 @@ constant for a given seed and never trained.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,11 +231,13 @@ def init_teacher_params(store: ParameterStore, num_classes: int, dim: int,
 POSITION_SCALE = 0.25
 
 
+@functools.lru_cache(maxsize=4)
 def positional_code(width: int, height: int) -> np.ndarray:
     """Sinusoidal (u, v) code per pixel, shape (H * W, 32), row-major.
 
     Scaled down so the class embedding dominates the pixel feature and
-    position acts as a tie-breaker within a class.
+    position acts as a tie-breaker within a class. Made once per image
+    size and shared, so the array is read-only.
     """
     vv, uu = np.mgrid[0:height, 0:width]
     un = (uu.ravel() + 0.5) / width
@@ -244,7 +247,9 @@ def positional_code(width: int, height: int) -> np.ndarray:
     for p in (un, vn):
         ang = p[:, None] * freqs[None, :]
         parts.extend([np.sin(ang), np.cos(ang)])
-    return (POSITION_SCALE * np.concatenate(parts, axis=1)).astype(np.float32)
+    code = (POSITION_SCALE * np.concatenate(parts, axis=1)).astype(np.float32)
+    code.flags.writeable = False
+    return code
 
 
 def teacher_features(class_image: ClassImage, params: ParameterStore,

@@ -12,6 +12,8 @@ linear probe) goes through ``_train_epochs``, which owns the run's one
 AdamW and its training log and sizes the schedule by the optimizer steps
 it takes; ``_save_stage`` writes every stage checkpoint. ``make_view`` is
 the one place a representation is chosen: its view runs its own encoder.
+Every stage gets its views through ``_scan_views``, which builds a scan's
+un-augmented view of each kind once and keeps it with the scan.
 
 Every run is a pure function of (config, dataset, seed): augmentation,
 gate noise, and initialization seeds derive deterministically from the
@@ -23,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,8 @@ from .pointcloud import PointCloud
 from .sensors import CameraModel, SensorModel, bad_field, is_number, read_key
 
 REPRESENTATIONS = ("range", "voxel", "point")
+# ``{ns: kind}`` of one view per representation, named by its kind
+_ALL_KINDS = {k: k for k in REPRESENTATIONS}
 
 
 @dataclass(frozen=True)
@@ -195,10 +199,14 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
 
 @dataclass
 class LoadedScan:
+    """One scan of a loaded dataset; ``views`` holds its un-augmented
+    views, filled by ``_scan_views``."""
+
     name: str
     cloud: PointCloud
     image: object = None
     superpixels: np.ndarray = None
+    views: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -303,6 +311,11 @@ class ReprView:
     def aligned(self, ctx, prefix):
         return self.align(self.output(ctx, prefix))
 
+    def pooled(self, ctx, prefix, partition):
+        """Encoder output averaged per superpoint of ``partition``, its
+        rows gathered straight to the assigned points by one gather."""
+        return build_group_mean(self.output(ctx, prefix), partition, self.gather)
+
     def labels(self, cloud):
         """Per-row labels of the encoder output."""
         return cloud.label if self.gather is None else project_labels(cloud, self.mapping)
@@ -326,28 +339,42 @@ def make_view(kind, cloud, sensor, config: RunConfig, ns) -> ReprView:
     raise LidarMoeError(f"unknown representation: {kind}")
 
 
-def _make_views(specs: dict, sensor, config: RunConfig):
-    """One view per ``{ns: (kind, cloud)}`` entry, plus all their graph
-    inputs merged into one dict."""
-    views = {ns: make_view(kind, cloud, sensor, config, ns)
-             for ns, (kind, cloud) in specs.items()}
+def _scan_views(scan: LoadedScan, specs: dict, sensor, config: RunConfig,
+                *seed_parts):
+    """One view of ``scan`` per ``{ns: kind}`` entry of ``specs``, all of
+    one cloud, plus all their graph inputs merged into one dict.
+
+    When ``config.augment`` is set and ``seed_parts`` name a draw, the
+    cloud is ``scan.cloud`` augmented with seed ``_step_seed(config.seed,
+    *seed_parts)`` and each view is new, its inputs named ``<ns>.*``.
+    Otherwise each view is the scan's own un-augmented one, its inputs
+    named ``<kind>.*``: built on first use and kept in ``scan.views``
+    under its kind and every setting a view reads.
+    """
+    if config.augment and seed_parts:
+        cloud = augment_cloud(scan.cloud, _step_seed(config.seed, *seed_parts))
+        views = {ns: make_view(kind, cloud, sensor, config, ns)
+                 for ns, kind in specs.items()}
+    else:
+        views = {}
+        for ns, kind in specs.items():
+            key = (kind, config.voxel_size, config.centroid_count, config.knn_k)
+            if key not in scan.views:
+                scan.views[key] = make_view(kind, scan.cloud, sensor, config, kind)
+            views[ns] = scan.views[key]
     inputs = {}
     for v in views.values():
         inputs.update(v.inputs)
     return views, inputs
 
 
-def build_group_mean(feats_var, partition):
+def build_group_mean(feats_var, partition, rows=None):
+    """Mean of the rows of ``feats_var`` per superpoint of ``partition``;
+    with ``rows``, a point's row is ``rows[point]``, else the point id."""
     keep = np.flatnonzero(partition.point_group >= 0)
     groups = partition.point_group[keep].astype(np.int64)
-    return ad.segment_mean(ad.gather_rows(feats_var, keep), groups,
-                           partition.count)
-
-
-def _maybe_augment(cloud, config, *seed_parts):
-    if not config.augment:
-        return cloud
-    return augment_cloud(cloud, _step_seed(config.seed, *seed_parts))
+    src = keep if rows is None else rows[keep]
+    return ad.segment_mean(ad.gather_rows(feats_var, src), groups, partition.count)
 
 
 def _copy_prefixed(dst: ParameterStore, src: ParameterStore, src_prefix: str,
@@ -404,7 +431,7 @@ def _train_epochs(config, scans, graph_fn, store, peak_lr, log_path, stage_name,
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"{stage_name} epoch {epoch} scan "
                                          f"{scan.name}: {exc}") from exc
-                del build, inputs  # free this step's views before the next step makes its own
+                del build, inputs  # frees an augmented step's views before the next step's
                 losses.append(float(outs["loss"]))
                 pending.append(grads)
                 if len(pending) >= config.batch_size:
@@ -469,19 +496,17 @@ def stage1_pretrain(config: RunConfig, out_dir):
         store = init_backbone_store(kind, config, "stage1")
 
         def graph_fn(idx, scan, epoch):
-            partition = partitions[scan.name]
-            view_cloud = _maybe_augment(scan.cloud, config, "s1", kind, epoch, idx)
-            view = make_view(kind, view_cloud, data.sensor, config, "x")
+            views, inputs = _scan_views(scan, {kind: kind}, data.sensor, config,
+                                        "s1", kind, epoch, idx)
 
             def build(ctx):
-                feats = view.aligned(ctx, kind)
-                k = build_group_mean(feats, partition)
+                k = views[kind].pooled(ctx, kind, partitions[scan.name])
                 loss = build_info_nce(k, ad.as_var(targets[scan.name]),
                                       config.temperature,
                                       config.contrastive_denominator)
                 return {"loss": loss}
 
-            return build, view.inputs
+            return build, inputs
 
         epoch_losses = _train_epochs(config, scans, graph_fn, store,
                                      lambda _: config.lr_stage1,
@@ -532,12 +557,14 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
 
     def graph_fn(idx, scan, epoch):
         partition = partitions[scan.name]
-        specs = {kind: (kind, _maybe_augment(scan.cloud, config, "cml", kind,
-                                             epoch, idx))
-                 for kind in REPRESENTATIONS}
-        specs["student"] = (config.student, _maybe_augment(
-            scan.cloud, config, "cml", "student", epoch, idx))
-        views, inputs = _make_views(specs, data.sensor, config)
+        views, inputs = {}, {}
+        # each view has its own augmentation draw; un-augmented, the
+        # student shares its expert's view
+        for ns, kind in {**_ALL_KINDS, "student": config.student}.items():
+            view, view_inputs = _scan_views(scan, {ns: kind}, data.sensor, config,
+                                            "cml", ns, epoch, idx)
+            views.update(view)
+            inputs.update(view_inputs)
 
         def build(ctx):
             aligned = {k: views[k].aligned(ctx, f"expert.{k}")
@@ -547,8 +574,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
-            k_student = build_group_mean(
-                views["student"].aligned(ctx, config.student), partition)
+            k_student = views["student"].pooled(ctx, config.student, partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
             return {"loss": loss}
@@ -630,10 +656,11 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     val_history = []
 
     def graph_fn(idx, scan, epoch):
-        cloud = _maybe_augment(scan.cloud, cfg, "sms", epoch, idx)
-        views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS},
-                                    data.sensor, cfg)
-        labels = {"fused": cloud.label, **{k: v.labels(cloud) for k, v in views.items()}}
+        views, inputs = _scan_views(scan, _ALL_KINDS, data.sensor, cfg,
+                                    "sms", epoch, idx)
+        # augmentation moves points only, so labels are the scan's own
+        labels = {"fused": scan.cloud.label,
+                  **{k: v.labels(scan.cloud) for k, v in views.items()}}
 
         def build(ctx):
             logits, _, fused = _sms_forward_build(ctx, views)
@@ -670,8 +697,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
     scans = data.scans(split)
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
     for scan in scans:
-        views, inputs = _make_views({k: (k, scan.cloud) for k in REPRESENTATIONS},
-                                    data.sensor, config)
+        views, inputs = _scan_views(scan, _ALL_KINDS, data.sensor, config)
 
         def build(ctx):
             _, aligned, fused = _sms_forward_build(ctx, views)

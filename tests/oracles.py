@@ -1,12 +1,16 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 These deliberately re-derive each quantity with scalar/set arithmetic so
-they share no code path with the implementations they check.
+they share no code path with the implementations they check. The
+reference forms at the end are instead the code a faster form replaced,
+kept to show that the new form gives the same bytes.
 """
 
 import math
 
 import numpy as np
+
+from lidarmoe import autodiff as ad
 
 
 def info_nce_bruteforce(k, q, tau, denominator="all"):
@@ -225,3 +229,45 @@ def gate_csv_fstring(gates):
     """A gate CSV's text, one f-string of ``repr`` floats per point."""
     return "point_id,alpha,beta,gamma\n" + "".join(
         f"{i},{a!r},{b!r},{g!r}\n" for i, (a, b, g) in enumerate(np.asarray(gates).tolist()))
+
+
+# -- reference forms of the row primitives and superpoint pooling --------------
+# The ``max(axis=1)`` row shift that ``autodiff.softmax_rows``,
+# ``log_softmax_rows`` and ``logsumexp_rows`` used, and the two-gather
+# pooling that ``ReprView.pooled`` replaced; the new code must give the
+# same bytes.
+
+def softmax_rows_max(x, g):
+    """Forward output and backward grad of the ``max(axis=1)`` softmax for
+    input ``x`` and upstream grad ``g``."""
+    x64 = np.asarray(x).astype(np.float64)
+    x64 = x64 - x64.max(axis=1, keepdims=True)
+    e = np.exp(x64)
+    y64 = e / e.sum(axis=1, keepdims=True)
+    return y64.astype(x.dtype), y64 * (g - np.sum(g * y64, axis=1, keepdims=True))
+
+
+def log_softmax_rows_max(x, g):
+    """Forward output and backward grad of the ``max(axis=1)`` log-softmax."""
+    x64 = np.asarray(x).astype(np.float64)
+    shifted = x64 - x64.max(axis=1, keepdims=True)
+    y64 = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    grad = g - np.exp(y64) * np.sum(g, axis=1, keepdims=True)
+    return y64.astype(x.dtype), grad.astype(g.dtype)
+
+
+def logsumexp_rows_max(x, g):
+    """Forward output and backward grad of the ``max(axis=1)`` log-sum-exp."""
+    x64 = np.asarray(x).astype(np.float64)
+    m = x64.max(axis=1, keepdims=True)
+    lse64 = m + np.log(np.sum(np.exp(x64 - m), axis=1, keepdims=True))
+    return lse64.astype(x.dtype), g * np.exp(x64 - lse64)
+
+
+def pooled_two_gathers(view, ctx, prefix, partition):
+    """Per-superpoint mean of a view's encoder output as two gathers: rows
+    to points (``view.align``), then points to the assigned points."""
+    keep = np.flatnonzero(partition.point_group >= 0)
+    per_point = view.align(view.output(ctx, prefix))
+    return ad.segment_mean(ad.gather_rows(per_point, keep),
+                           partition.point_group[keep].astype(np.int64), partition.count)

@@ -226,3 +226,23 @@ def test_every_default_parameter_is_passed_by_some_src_call():
         if qual not in UNPASSED_DEFAULTS_ALLOWED
         and not any(passed(c, param, index, shift) for c in calls.get(callee, [])))
     assert unpassed == []
+
+
+# the only functions that may build a view: every stage reaches its views
+# through ``_scan_views``, which keeps a scan's un-augmented ones
+MAKE_VIEW_CALLERS = {"pipeline._scan_views", "pipeline.embed_cloud"}
+
+
+def test_views_are_built_only_through_the_view_helper():
+    """No function but ``MAKE_VIEW_CALLERS`` refers to ``make_view``, by
+    call or by a stored reference, so no stage can bypass the reuse of
+    un-augmented views."""
+    found = set()
+    for module, tree in _parse().items():
+        for top in tree.body:
+            own = f"{module}.{getattr(top, 'name', '')}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "make_view" and own != "pipeline.make_view":
+                    found.add(own)
+    assert found == MAKE_VIEW_CALLERS

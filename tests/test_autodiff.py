@@ -9,7 +9,8 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
-from oracles import conv2d3x3_shifts, relu_where
+from oracles import (conv2d3x3_shifts, log_softmax_rows_max, logsumexp_rows_max,
+                     relu_where, softmax_rows_max)
 
 
 def make_store(**arrays):
@@ -39,6 +40,56 @@ def test_relu_forward_is_bit_equal_to_the_where_form(dtype):
         got = ad.relu(x).data
         assert got.dtype == dtype and got.shape == x.shape
         assert np.array_equal(got.view(np.int32), relu_where(x).view(np.int32))
+
+
+def _edge_rows(rng, dtype, width):
+    """Rows of ``width`` mixing signed zeros, infinities, values far below
+    the row max and normal draws, plus all-zero rows of both signs and a
+    row whose only maximum is -0.0."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5, -50.0, -90.0], dtype)
+    rows = pool[rng.integers(0, pool.size, (40, width))]
+    normal = rng.standard_normal((40, width)).astype(dtype)
+    rows = np.where(rng.random((40, width)) < 0.3, normal, rows)
+    zeros = np.where(rng.random((3, width)) < 0.5, -0.0, 0.0).astype(dtype)
+    lone = np.full((1, width), -90.0, dtype)
+    lone[0, width // 2] = -0.0
+    return np.concatenate([rows, zeros, lone, normal])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("prim, oracle", [(ad.softmax_rows, softmax_rows_max),
+                                          (ad.log_softmax_rows, log_softmax_rows_max),
+                                          (ad.logsumexp_rows, logsumexp_rows_max)])
+def test_row_primitives_give_the_bytes_of_the_max_axis_form(prim, oracle, dtype,
+                                                            monkeypatch):
+    """The column-wise row max leaves every forward and backward byte of
+    the ``max(axis=1)`` form, on rows of width 1-40 with signed zeros and
+    infinities. A row max of zeros may differ in sign, which no output
+    shows: the shift feeds ``exp``, or a log of a sum >= 2."""
+    monkeypatch.setattr(ad, "_check_nodes", False)  # infinities make NaNs
+    rng = np.random.default_rng(11)
+    for width in range(1, 41):
+        x = _edge_rows(rng, dtype, width)
+        g = rng.standard_normal((x.shape[0], 1 if prim is ad.logsumexp_rows else width))
+        g = g.astype(dtype)
+        with np.errstate(invalid="ignore"):
+            out = prim(ad.Var(x, requires_grad=True))
+            (got_grad,) = out.bwd(g)
+            want_out, want_grad = oracle(x, g)
+        for got, want in ((out.data, want_out), (got_grad, want_grad)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), width
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_equals_max_axis_on_nan_rows(dtype):
+    rng = np.random.default_rng(12)
+    for width in range(1, 41):
+        x = _edge_rows(rng, dtype, width)
+        x[rng.random(x.shape) < 0.2] = np.nan
+        got, want = ad._row_max(x), x.max(axis=1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.isnan(want).any() and np.array_equal(got, want, equal_nan=True)
 
 
 def test_softmax_uniform():

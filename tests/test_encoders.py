@@ -314,6 +314,25 @@ def test_teacher_single_pixel_superpixel_row():
     assert np.allclose(q, want.astype(np.float32), atol=1e-6)
 
 
+def test_positional_code_is_made_once_per_size_and_read_only():
+    """Every caller shares one array per image size, so no caller may write
+    to it; the teacher reads it without writing."""
+    from lidarmoe.encoders import positional_code
+    code = positional_code(96, 64)
+    assert positional_code(96, 64) is code and positional_code(64, 96) is not code
+    assert code.shape == (96 * 64, 32) and code.dtype == np.float32
+    with pytest.raises(ValueError, match="read-only"):
+        code[0, 0] = 1.0
+    assert code.tobytes() == positional_code.__wrapped__(96, 64).tobytes()
+    store = ParameterStore()
+    init_teacher_params(store, 6, 8, seed=9)
+    cls = np.random.default_rng(2).integers(-1, 6, (64, 96)).astype(np.int32)
+    image = ClassImage(cls, np.full((64, 96), 5.0))
+    superpixels = np.arange(64 * 96, dtype=np.int32).reshape(64, 96) // 97
+    assert teacher_features(image, store, superpixels).shape == (64, 8)
+    assert positional_code(96, 64) is code
+
+
 def test_teacher_empty_superpixels():
     store = ParameterStore()
     init_teacher_params(store, 6, 8, seed=9)

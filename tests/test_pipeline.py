@@ -17,6 +17,9 @@ from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig,
                                stage3_sms, teacher_store)
 from lidarmoe.losses import build_info_nce
 from lidarmoe.encoders import teacher_features
+from lidarmoe.geometry import SuperpointPartition
+
+from oracles import pooled_two_gathers
 
 from dataclasses import replace
 from types import SimpleNamespace
@@ -176,6 +179,129 @@ def test_make_view_rejects_an_unknown_representation(tiny_config):
         make_view("mesh", data.val[0].cloud, data.sensor, tiny_config, "x")
 
 
+@pytest.mark.parametrize("kind", REPRESENTATIONS)
+def test_pooled_gives_the_bytes_of_the_two_gather_form(kind, tiny_config):
+    """One composed gather from encoder rows to assigned points gives the
+    forward and every parameter grad of align-then-gather, in float32 and
+    in exact float64, with unassigned points and two points in one cell
+    or voxel."""
+    data = load_dataset(tiny_config.dataset)
+    cloud = data.train[0].cloud
+    cloud = cloud.select(np.r_[np.arange(0, cloud.count, cloud.count // 60)[:60], 0])
+    group = np.random.default_rng(3).integers(-1, 5, cloud.count)
+    group[[0, -1]] = 2  # point 0 twice: one cell, one voxel
+    partition = SuperpointPartition(group, np.arange(5))
+    view = make_view(kind, cloud, data.sensor, tiny_config, "x")
+    if kind != "point":
+        assert view.gather[0] == view.gather[-1]
+    store = init_backbone_store(kind, tiny_config, "pool-test")
+    weights = np.random.default_rng(4).standard_normal((5, tiny_config.embed_dim), np.float32)
+
+    def graph(pool):
+        def build(ctx):
+            pooled = pool(ctx)
+            return {"loss": ad.sum_all(ad.mul(pooled, ad.as_var(weights))),
+                    "pooled": pooled}
+        return Graph(build)
+
+    def run(graph, dtype):
+        if dtype == np.float32:
+            return ad.backward(graph, store, view.inputs)
+        outs, grads = ad._param_grads(graph, store, view.inputs, 0, dtype)  # exact mode
+        return {k: v.data for k, v in outs.items()}, grads
+
+    new = graph(lambda ctx: view.pooled(ctx, kind, partition))
+    old = graph(lambda ctx: pooled_two_gathers(view, ctx, kind, partition))
+    for dtype in (np.float32, np.float64):
+        (outs_new, grads_new), (outs_old, grads_old) = (run(g, dtype) for g in (new, old))
+        assert outs_new["pooled"].dtype == dtype
+        assert outs_new["pooled"].tobytes() == outs_old["pooled"].tobytes()
+        assert sorted(grads_new) == sorted(grads_old) == sorted(store.names())
+        for name in grads_new:
+            assert grads_new[name].dtype == grads_old[name].dtype
+            assert grads_new[name].tobytes() == grads_old[name].tobytes(), name
+
+
+def _count_views(monkeypatch):
+    """Every ``make_view`` call as (kind, id of its cloud)."""
+    import lidarmoe.pipeline as pipeline
+    calls, make = [], pipeline.make_view
+
+    def counting(kind, cloud, *args):
+        calls.append((kind, id(cloud)))
+        return make(kind, cloud, *args)
+
+    monkeypatch.setattr(pipeline, "make_view", counting)
+    return calls
+
+
+def test_unaugmented_stages_build_one_view_per_scan_and_kind(tiny_config, tmp_path,
+                                                              monkeypatch):
+    """Over 3 epochs of stage 1 and of CML, each (scan, kind) view is built
+    once, and CML's student runs on its expert's view object."""
+    import lidarmoe.pipeline as pipeline
+    from lidarmoe.pipeline import _superpoint_scans
+    cfg = replace(tiny_config, epochs=3, augment=False)
+    usable = len(_superpoint_scans(cfg, load_dataset(cfg.dataset))[0])
+    calls = _count_views(monkeypatch)
+    s1 = stage1_pretrain(cfg, tmp_path / "s1")
+    assert len(calls) == len(set(calls)) == usable * len(REPRESENTATIONS)
+
+    used = {}
+    for method in ("aligned", "pooled"):
+        def recording(view, ctx, prefix, *rest, _method=getattr(pipeline.ReprView, method)):
+            used.setdefault(prefix, set()).add(id(view))
+            return _method(view, ctx, prefix, *rest)
+        monkeypatch.setattr(pipeline.ReprView, method, recording)
+    calls.clear()
+    stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml")
+    assert len(calls) == len(set(calls)) == usable * len(REPRESENTATIONS)
+    assert len(used["voxel"]) == usable and used["voxel"] == used["expert.voxel"]
+
+
+def test_augmented_stages_keep_no_views(tiny_config, tmp_path, monkeypatch):
+    import lidarmoe.pipeline as pipeline
+    bundles = []
+
+    def loading(path):
+        bundles.append(load_dataset(path))
+        return bundles[-1]
+
+    monkeypatch.setattr(pipeline, "load_dataset", loading)
+    cfg = replace(tiny_config, epochs=1, augment=True)
+    s1 = stage1_pretrain(cfg, tmp_path / "s1")
+    stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml")
+    assert len(bundles) == 2
+    assert [s.views for b in bundles for s in b.train + b.val] == [{}] * 6
+
+
+@pytest.mark.parametrize("kind, change", [("voxel", {"voxel_size": (1.0, 1.0, 1.0)}),
+                                          ("point", {"centroid_count": 8}),
+                                          ("point", {"knn_k": 4})])
+def test_a_reused_dataset_gets_fresh_views_for_new_view_settings(kind, change, tiny_config,
+                                                                 monkeypatch):
+    from lidarmoe.pipeline import _scan_views
+    cfg = replace(tiny_config, augment=False)
+    data = load_dataset(cfg.dataset)
+    scan = data.train[0]
+    calls = _count_views(monkeypatch)
+
+    def view(config):
+        return _scan_views(scan, {"s": kind}, data.sensor, config)[0]["s"]
+
+    first = view(cfg)
+    assert view(replace(cfg, epochs=7, seed=9)) is first  # settings no view reads
+    fresh = view(replace(cfg, **change))
+    assert fresh is not first and view(replace(cfg, **change)) is fresh
+    assert view(cfg) is first and len(calls) == 2
+    assert all(name.startswith(f"{kind}.") for name in first.inputs)
+    if kind == "voxel":
+        assert fresh.mapping.count != first.mapping.count
+    else:
+        got = (fresh.mapping.count, fresh.mapping.member_rows.size)
+        assert got != (first.mapping.count, first.mapping.member_rows.size)
+
+
 def test_stage2_deterministic(tiny_config, tmp_path):
     s1 = stage1_pretrain(replace(tiny_config, epochs=1), tmp_path / "s1")
     stage2_cml(tiny_config, ckpts_of(s1), tmp_path / "a")
@@ -214,7 +340,7 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     the first conv stays trainable so a conv layer is exercised inside
     the composite.
     """
-    from lidarmoe.pipeline import _make_views, _sms_store, _sms_forward_build
+    from lidarmoe.pipeline import _sms_store, _sms_forward_build
     from lidarmoe.losses import build_sms_total
     from lidarmoe.params import ParameterStore
     from lidarmoe.geometry import project_labels
@@ -233,7 +359,8 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     store = ParameterStore()
     for name in full.names():
         store.add(name, full.get(name), not name.startswith("range.conv2."))
-    views, inputs = _make_views({k: (k, cloud) for k in REPRESENTATIONS}, sensor, cfg)
+    views = {k: make_view(k, cloud, sensor, cfg, k) for k in REPRESENTATIONS}
+    inputs = {n: a for v in views.values() for n, a in v.inputs.items()}
     labels = {"fused": np.clip(cloud.label, -1, 3),
               "point": np.clip(cloud.label, -1, 3),
               "range": np.clip(project_labels(cloud, views["range"].mapping), -1, 3),
