@@ -513,10 +513,6 @@ class GraphContext:
             self._vars[key] = Var(_finite(arr, f"input {name}"))
         return self._vars[key]
 
-    def raw_input(self, name):
-        """Non-tensor payloads (index arrays, labels, structures)."""
-        return self._inputs[name]
-
     def param(self, name) -> Var:
         key = ("p", name)
         if key not in self._vars:

@@ -28,9 +28,9 @@ from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import read_gate_csv
 from .params import load_checkpoint
 from .pipeline import (REPRESENTATIONS, RunConfig, backbone_kind, embed_cloud,
-                       evaluate_store, generate_dataset, linear_probe, load_dataset,
-                       load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
-from .sensors import read_key
+                       embedding_width, evaluate_store, generate_dataset, linear_probe,
+                       load_dataset, load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
+from .sensors import config_from_json, read_key
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -82,7 +82,8 @@ def _read_choice(doc, owner, key, choices, default):
 
 
 def _run_config(doc: dict, args) -> RunConfig:
-    cfg = RunConfig.from_json({k: v for k, v in doc.items() if k in _RUN_KEYS})
+    cfg = config_from_json(RunConfig, {k: v for k, v in doc.items() if k in _RUN_KEYS},
+                           "run config")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -263,7 +264,9 @@ def _cmd_cosine_map(args, doc):
         if cloud is None:
             raise LidarMoeError("cosine-map from a checkpoint needs a cloud")
         sensor, _ = load_sensors(cfg.dataset)
-        feats = embed_cloud(store, cfg, sensor, cloud, backbone_kind(store, rep, path))
+        kind = backbone_kind(store, rep, path)
+        embedding_width(store, kind, path)
+        feats = embed_cloud(store, cfg, sensor, cloud, kind)
     out = _out_dir(args)
     sims, degenerate = cosine_map(feats, query)
     write_cosine_csv(out / "cosine_map.csv", sims, degenerate)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
-from .sensors import CameraModel, SensorModel, bad_field, is_number
+from .sensors import CameraModel, SensorModel, check_fields, is_number
 
 CLASS_GROUND = 0
 CLASS_VEHICLE = 1
@@ -93,30 +93,13 @@ class SceneConfig:
     ground_half: float = 120.0
 
     def __post_init__(self):
-        bad = bad_field(self, (lambda v: len(v) == 2 and all(map(is_number, v)),
-                               "two numbers"))
-        if bad is not None:
-            raise LidarMoeError("scene config {} must be {}, got {!r}".format(*bad))
+        check_fields(self, "scene config", (lambda v: len(v) == 2 and all(
+            map(is_number, v)), "two numbers"))
         for name, *_ in _PLACEMENTS:
             if getattr(self, name) < 0:
                 raise LidarMoeError(f"scene config {name} must be >= 0")
         if self.x_bounds[0] > self.x_bounds[1] or self.y_bounds[0] > self.y_bounds[1]:
             raise LidarMoeError("placement bounds must have min <= max")
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__, x_bounds=list(self.x_bounds),
-                    y_bounds=list(self.y_bounds))
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SceneConfig":
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise LidarMoeError(f"unknown scene config key(s): {', '.join(unknown)}")
-        kw = dict(doc)
-        for key in ("x_bounds", "y_bounds"):
-            if isinstance(kw.get(key), list):
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
 
 
 # (count field, kind, class, size ranges) of each placed object. Each draws

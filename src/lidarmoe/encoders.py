@@ -1,6 +1,8 @@
 """Miniature representation backbones and the frozen teacher.
 
-Three small encoders preserve each representation's inductive bias:
+Three small encoders preserve each representation's inductive bias. Each
+takes graph values (its features as a ``Var``, then its index arrays), a
+parameter prefix and a head name:
 
 * range: two 3x3 convolutions (5 -> 32 -> 32) over the projection grid,
   then a per-cell linear head;
@@ -84,10 +86,10 @@ def trunk_width(kind: str) -> int:
 # range encoder
 # ---------------------------------------------------------------------------
 
-def build_range_embed(ctx, image_input: str, prefix="range", head="head"):
-    """Per-cell features: two 3x3 convolutions, then the ``head`` linear
-    layer over each of the H_r * W_r cells."""
-    x = ad.mul(ctx.input(image_input), ad.as_var(_SCALE_RANGE))
+def build_range_embed(ctx, image, prefix, head):
+    """Per-cell features of the (H_r, W_r, 5) ``image``: two 3x3
+    convolutions, then the ``head`` linear layer over each cell."""
+    x = ad.mul(image, ad.as_var(_SCALE_RANGE))
     h, w, _ = x.shape
     y = ad.relu(ad.conv2d3x3(x, ctx.param(f"{prefix}.conv1.w"),
                              ctx.param(f"{prefix}.conv1.b")))
@@ -118,14 +120,13 @@ def voxel_neighbor_pairs(grid: VoxelGrid):
     return src[order], dst[order]
 
 
-def build_voxel_embed(ctx, feat_input, pairs_input, prefix="voxel", head="head"):
-    """Per-voxel features: MLP, mean over each voxel's neighbors, MLP,
-    then the ``head`` linear layer."""
-    x = ad.mul(ctx.input(feat_input), ad.as_var(_SCALE_XYZI))
-    src, dst = ctx.raw_input(pairs_input)
-    m = x.shape[0]
+def build_voxel_embed(ctx, feats, pairs, prefix, head):
+    """Per-voxel features: MLP, mean over each voxel's ``(src, dst)``
+    neighbor ``pairs``, MLP, then the ``head`` linear layer."""
+    x = ad.mul(feats, ad.as_var(_SCALE_XYZI))
     h = ad.relu(linear(ctx, x, f"{prefix}.mlp1"))
-    agg = ad.segment_mean(ad.gather_rows(h, src), dst, m)
+    src, dst = pairs
+    agg = ad.segment_mean(ad.gather_rows(h, src), dst, x.shape[0])
     return linear(ctx, ad.relu(linear(ctx, agg, f"{prefix}.mlp2")),
                   f"{prefix}.{head}")
 
@@ -200,12 +201,10 @@ def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGroup
                          nearest)
 
 
-def build_point_embed(ctx, feat_input, grouping_input, prefix="point", head="head"):
-    """Per-point features: pointwise MLP, max-pooled per group, each
-    point's own feature beside its nearest centroid's, then the ``head``
-    linear layer."""
-    x = ad.mul(ctx.input(feat_input), ad.as_var(_SCALE_XYZI))
-    grouping: PointGrouping = ctx.raw_input(grouping_input)
+def build_point_embed(ctx, feats, grouping: PointGrouping, prefix, head):
+    """Per-point features: pointwise MLP, max-pooled per ``grouping`` group,
+    each point's own feature beside its nearest centroid's, then ``head``."""
+    x = ad.mul(feats, ad.as_var(_SCALE_XYZI))
     h = ad.relu(linear(ctx, x, f"{prefix}.mlp"))
     members = ad.gather_rows(h, grouping.member_rows)
     pooled = ad.segment_max(members, grouping.member_group, grouping.count)

@@ -74,7 +74,7 @@ class ParameterStore:
 
 def glorot_uniform(shape, rng) -> np.ndarray:
     """Uniform(-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
-    fan_in = int(shape[0]) if len(shape) > 1 else int(shape[0])
+    fan_in = int(shape[0])
     fan_out = int(shape[-1])
     a = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=shape).astype(np.float32)

@@ -12,8 +12,9 @@ linear probe) goes through ``_train_epochs``, which owns the run's one
 AdamW and its training log and sizes the schedule by the optimizer steps
 it takes; ``_save_stage`` writes every stage checkpoint. ``make_view`` is
 the one place a representation is chosen: its view runs its own encoder.
-Every stage gets its views through ``_scan_views``, which builds a scan's
-un-augmented view of each kind once and keeps it with the scan.
+Every stage gets its views through ``_scan_view``, which builds a scan's
+un-augmented view of each kind once and keeps it with the scan. A graph
+input is a view's features, named by the prefix of the encoder reading it.
 
 Every run is a pure function of (config, dataset, seed): augmentation,
 gate noise, and initialization seeds derive deterministically from the
@@ -50,11 +51,10 @@ from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
-from .sensors import CameraModel, SensorModel, bad_field, is_number, read_key
+from .sensors import (CameraModel, SensorModel, check_fields, config_from_json,
+                      config_to_json, is_number, read_key)
 
 REPRESENTATIONS = ("range", "voxel", "point")
-# ``{ns: kind}`` of one view per representation, named by its kind
-_ALL_KINDS = {k: k for k in REPRESENTATIONS}
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,8 @@ class RunConfig:
     sms_epochs: int = 30
 
     def __post_init__(self):
-        bad = bad_field(self, (lambda v: len(v) == 3 and all(
+        check_fields(self, "run config", (lambda v: len(v) == 3 and all(
             is_number(x) and x > 0 for x in v), "three positive numbers"))
-        if bad is not None:
-            raise LidarMoeError("run config {} must be {}, got {!r}".format(*bad))
         for name in ("epochs", "probe_epochs", "sms_epochs"):
             if getattr(self, name) < 0:
                 raise LidarMoeError(f"{name} must be >= 0")
@@ -104,20 +102,10 @@ class RunConfig:
         if not self.temperature > 0:
             raise LidarMoeError("temperature must be > 0")
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__, voxel_size=list(self.voxel_size))
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        kw = dict(doc)
-        if isinstance(kw.get("voxel_size"), list):
-            kw["voxel_size"] = tuple(kw["voxel_size"])
-        return cls(**kw)
-
     def digest(self) -> str:
         """Hash of every setting except where the dataset sits, so the same
         run on the same data gives the same checkpoints at any path."""
-        doc = self.to_json()
+        doc = config_to_json(self)
         del doc["dataset"]
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -135,7 +123,7 @@ def _step_seed(*parts) -> int:
 DEFAULT_DATASET_CONFIG = {
     "n_train": 5,
     "n_val": 2,
-    "scene": SceneConfig().to_json(),
+    "scene": config_to_json(SceneConfig()),
     "beam_count": 32,
     "azimuth_steps": 192,
     "fov_total_rad": float(np.deg2rad(40.0)),
@@ -174,7 +162,7 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
     merged.update(doc)
     sensor = SensorModel.from_json(merged)
     camera = CameraModel.from_json(merged)
-    scene_cfg = SceneConfig.from_json(merged["scene"])
+    scene_cfg = config_from_json(SceneConfig, merged["scene"], "scene config")
     tile = merged["superpixel_tile"]
     out = Path(out_dir)
     (out / "scans").mkdir(parents=True, exist_ok=True)
@@ -200,7 +188,7 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
 @dataclass
 class LoadedScan:
     """One scan of a loaded dataset; ``views`` holds its un-augmented
-    views, filled by ``_scan_views``."""
+    views, filled by ``_scan_view``."""
 
     name: str
     cloud: PointCloud
@@ -291,18 +279,20 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
 
 @dataclass
 class ReprView:
-    """One representation of one (possibly augmented) cloud: the named
-    graph inputs of its encoder, in the encoder's argument order, plus the
-    per-point row index into the encoder output."""
+    """One representation of one (possibly augmented) cloud: its encoder's
+    input features and index structures, in the encoder's argument order,
+    plus the per-point row index into the encoder output."""
 
-    inputs: dict
+    features: np.ndarray
+    index: tuple
     gather: np.ndarray | None
     mapping: object
     encoder: object
 
     def output(self, ctx, prefix, head="head"):
-        """Encoder output in representation space (cells / voxels / points)."""
-        return self.encoder(ctx, *self.inputs, prefix, head)
+        """Encoder output in representation space (cells / voxels / points);
+        the features are the graph input named ``prefix``."""
+        return self.encoder(ctx, ctx.input(prefix), *self.index, prefix, head)
 
     def align(self, out):
         """Encoder output rows gathered to one row per point."""
@@ -321,51 +311,43 @@ class ReprView:
         return cloud.label if self.gather is None else project_labels(cloud, self.mapping)
 
 
-def make_view(kind, cloud, sensor, config: RunConfig, ns) -> ReprView:
-    """The ``kind`` view of ``cloud``, its graph inputs named ``<ns>.*``."""
+def make_view(kind, cloud, sensor, config: RunConfig) -> ReprView:
+    """The ``kind`` view of ``cloud``."""
     if kind == "range":
         ri = project_to_range(cloud, sensor)
-        return ReprView({f"{ns}.image": ri.features}, ri.point_cell_ids(), ri,
-                        build_range_embed)
+        return ReprView(ri.features, (), ri.point_cell_ids(), ri, build_range_embed)
     if kind == "voxel":
         vg = voxelize(cloud, config.voxel_size)
-        return ReprView({f"{ns}.feats": vg.features,
-                         f"{ns}.pairs": voxel_neighbor_pairs(vg)},
-                        vg.point_voxel, vg, build_voxel_embed)
+        return ReprView(vg.features, (voxel_neighbor_pairs(vg),), vg.point_voxel, vg,
+                        build_voxel_embed)
     if kind == "point":
         grouping = point_grouping(cloud, config.centroid_count, config.knn_k)
-        return ReprView({f"{ns}.feats": cloud.features(), f"{ns}.grouping": grouping},
-                        None, grouping, build_point_embed)
+        return ReprView(cloud.features(), (grouping,), None, grouping, build_point_embed)
     raise LidarMoeError(f"unknown representation: {kind}")
 
 
-def _scan_views(scan: LoadedScan, specs: dict, sensor, config: RunConfig,
-                *seed_parts):
-    """One view of ``scan`` per ``{ns: kind}`` entry of ``specs``, all of
-    one cloud, plus all their graph inputs merged into one dict.
+def _scan_view(scan: LoadedScan, kind, sensor, config: RunConfig, *seed_parts):
+    """The ``kind`` view of ``scan``.
 
-    When ``config.augment`` is set and ``seed_parts`` name a draw, the
-    cloud is ``scan.cloud`` augmented with seed ``_step_seed(config.seed,
-    *seed_parts)`` and each view is new, its inputs named ``<ns>.*``.
-    Otherwise each view is the scan's own un-augmented one, its inputs
-    named ``<kind>.*``: built on first use and kept in ``scan.views``
-    under its kind and every setting a view reads.
+    When ``config.augment`` is set and ``seed_parts`` name a draw, it is a
+    new view of ``scan.cloud`` augmented with seed ``_step_seed(config.seed,
+    *seed_parts)``, so views asked for with the same parts see one cloud.
+    Otherwise it is the scan's own un-augmented view, built on first use
+    and kept in ``scan.views`` under its kind and every setting a view reads.
     """
     if config.augment and seed_parts:
         cloud = augment_cloud(scan.cloud, _step_seed(config.seed, *seed_parts))
-        views = {ns: make_view(kind, cloud, sensor, config, ns)
-                 for ns, kind in specs.items()}
-    else:
-        views = {}
-        for ns, kind in specs.items():
-            key = (kind, config.voxel_size, config.centroid_count, config.knn_k)
-            if key not in scan.views:
-                scan.views[key] = make_view(kind, scan.cloud, sensor, config, kind)
-            views[ns] = scan.views[key]
-    inputs = {}
-    for v in views.values():
-        inputs.update(v.inputs)
-    return views, inputs
+        return make_view(kind, cloud, sensor, config)
+    key = (kind, config.voxel_size, config.centroid_count, config.knn_k)
+    if key not in scan.views:
+        scan.views[key] = make_view(kind, scan.cloud, sensor, config)
+    return scan.views[key]
+
+
+def _inputs(views: dict) -> dict:
+    """The graph inputs of ``{prefix: view}``: each view's features, named
+    by the parameter prefix of the encoder that reads them."""
+    return {prefix: view.features for prefix, view in views.items()}
 
 
 def build_group_mean(feats_var, partition, rows=None):
@@ -496,17 +478,16 @@ def stage1_pretrain(config: RunConfig, out_dir):
         store = init_backbone_store(kind, config, "stage1")
 
         def graph_fn(idx, scan, epoch):
-            views, inputs = _scan_views(scan, {kind: kind}, data.sensor, config,
-                                        "s1", kind, epoch, idx)
+            view = _scan_view(scan, kind, data.sensor, config, "s1", kind, epoch, idx)
 
             def build(ctx):
-                k = views[kind].pooled(ctx, kind, partitions[scan.name])
+                k = view.pooled(ctx, kind, partitions[scan.name])
                 loss = build_info_nce(k, ad.as_var(targets[scan.name]),
                                       config.temperature,
                                       config.contrastive_denominator)
                 return {"loss": loss}
 
-            return build, inputs
+            return build, _inputs({kind: view})
 
         epoch_losses = _train_epochs(config, scans, graph_fn, store,
                                      lambda _: config.lr_stage1,
@@ -539,10 +520,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     experts = {k: load_checkpoint(expert_ckpts[k])[0] for k in REPRESENTATIONS}
     store = ParameterStore()
     for kind, expert in experts.items():
-        if f"{kind}.head.w" not in expert.names():
-            raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} has no {kind} embedding "
-                                f"head (a cml expert is a stage-1 {kind} checkpoint)")
-        width = expert.get(f"{kind}.head.w").shape[1]
+        width = embedding_width(expert, kind, expert_ckpts[kind])
         if width != config.embed_dim:
             raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} embeds {kind} in "
                                 f"{width} dims, but embed_dim is {config.embed_dim}")
@@ -557,29 +535,27 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
 
     def graph_fn(idx, scan, epoch):
         partition = partitions[scan.name]
-        views, inputs = {}, {}
         # each view has its own augmentation draw; un-augmented, the
         # student shares its expert's view
-        for ns, kind in {**_ALL_KINDS, "student": config.student}.items():
-            view, view_inputs = _scan_views(scan, {ns: kind}, data.sensor, config,
-                                            "cml", ns, epoch, idx)
-            views.update(view)
-            inputs.update(view_inputs)
+        views = {f"expert.{k}": _scan_view(scan, k, data.sensor, config,
+                                           "cml", k, epoch, idx)
+                 for k in REPRESENTATIONS}
+        views[config.student] = _scan_view(scan, config.student, data.sensor, config,
+                                           "cml", "student", epoch, idx)
 
         def build(ctx):
-            aligned = {k: views[k].aligned(ctx, f"expert.{k}")
-                       for k in REPRESENTATIONS}
-            fused, gates = build_moe(ctx, aligned["range"], aligned["voxel"],
-                                     aligned["point"], noise_tag="cml")
+            r, v, p = (views[f"expert.{k}"].aligned(ctx, f"expert.{k}")
+                       for k in REPRESENTATIONS)
+            fused, gates = build_moe(ctx, r, v, p, noise_tag="cml")
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
-            k_student = views["student"].pooled(ctx, config.student, partition)
+            k_student = views[config.student].pooled(ctx, config.student, partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
             return {"loss": loss}
 
-        return build, inputs
+        return build, _inputs(views)
 
     epoch_losses = _train_epochs(config, usable, graph_fn, store,
                                  lambda _: config.lr_cml, out / "cml_log.csv",
@@ -656,8 +632,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     val_history = []
 
     def graph_fn(idx, scan, epoch):
-        views, inputs = _scan_views(scan, _ALL_KINDS, data.sensor, cfg,
-                                    "sms", epoch, idx)
+        # one draw for the three views, so they see one augmented cloud
+        views = {k: _scan_view(scan, k, data.sensor, cfg, "sms", epoch, idx)
+                 for k in REPRESENTATIONS}
         # augmentation moves points only, so labels are the scan's own
         labels = {"fused": scan.cloud.label,
                   **{k: v.labels(scan.cloud) for k, v in views.items()}}
@@ -667,7 +644,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
             total, breakdown = build_sms_total({"fused": fused, **logits}, labels)
             return {"loss": total, **breakdown}
 
-        return build, inputs
+        return build, _inputs(views)
 
     def peak_lr(name):
         return config.lr_sms_backbone if _is_backbone_param(name) \
@@ -697,13 +674,13 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
     scans = data.scans(split)
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
     for scan in scans:
-        views, inputs = _scan_views(scan, _ALL_KINDS, data.sensor, config)
+        views = {k: _scan_view(scan, k, data.sensor, config) for k in REPRESENTATIONS}
 
         def build(ctx):
             _, aligned, fused = _sms_forward_build(ctx, views)
             return {"fused": fused, **aligned}
 
-        outs = ad.evaluate(Graph(build), store, inputs)
+        outs = ad.evaluate(Graph(build), store, _inputs(views))
         for k, head in preds.items():
             head.append(np.argmax(outs[k], axis=1))
     labels = np.concatenate([scan.cloud.label for scan in scans])
@@ -729,14 +706,20 @@ def backbone_kind(store: ParameterStore, representation, source) -> str:
     return representation or kinds[0]
 
 
+def embedding_width(store: ParameterStore, kind, source) -> int:
+    """The width of the ``kind`` embedding head in ``store``; raises
+    LidarMoeError naming the checkpoint ``source`` when it has none."""
+    if f"{kind}.head.w" not in store.names():
+        raise LidarMoeError(f"checkpoint {source} has no {kind} embedding head "
+                            "(only stage-1 and cml checkpoints have one)")
+    return store.get(f"{kind}.head.w").shape[1]
+
+
 def embed_cloud(store, config, sensor, cloud, kind):
     """Frozen-backbone per-point embeddings of one cloud."""
-    if f"{kind}.head.w" not in store.names():
-        raise LidarMoeError(f"checkpoint has no {kind} embedding head "
-                            "(an SMS checkpoint holds logit heads only)")
-    view = make_view(kind, cloud, sensor, config, "x")
+    view = make_view(kind, cloud, sensor, config)
     graph = Graph(lambda ctx: {"out": view.aligned(ctx, kind)})
-    return ad.evaluate(graph, store, view.inputs)["out"]
+    return ad.evaluate(graph, store, _inputs({kind: view}))["out"]
 
 
 def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=None):
@@ -754,6 +737,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     else:
         store, _ = load_checkpoint(checkpoint)
         kind = backbone_kind(store, representation, checkpoint)
+    width = embedding_width(store, kind, checkpoint)
     store.freeze_all()
     before = store.copy()
     data = load_dataset(config.dataset)
@@ -761,7 +745,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind)
                     for scan in data.scans("train")]
     probe = ParameterStore()
-    add_linear(probe, "probe", train_embeds[0].shape[1], data.num_classes,
+    add_linear(probe, "probe", width, data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
 
     def logits(ctx):

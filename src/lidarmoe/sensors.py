@@ -48,10 +48,10 @@ def read_key(doc, owner, key, what, default=_REQUIRED):
     return value
 
 
-def bad_field(config, tuple_rule):
-    """``(name, expected, value)`` of the first dataclass field of ``config``
-    whose value does not fit its annotation, else None; ``tuple_rule`` is
-    the ``(check, expected)`` pair for ``tuple`` fields."""
+def check_fields(config, owner, tuple_rule):
+    """Raise LidarMoeError naming ``owner`` (say "run config") and the first
+    dataclass field of ``config`` whose value does not fit its annotation;
+    ``tuple_rule`` is the ``(check, expected)`` pair for ``tuple`` fields."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type == "tuple":
@@ -60,8 +60,24 @@ def bad_field(config, tuple_rule):
         else:
             ok, what = FIELD_TYPES[f.type](value), f.type
         if not ok:
-            return f.name, what, value
-    return None
+            raise LidarMoeError(f"{owner} {f.name} must be {what}, got {value!r}")
+
+
+def config_to_json(config) -> dict:
+    """Dataclass ``config`` as a JSON object, ``tuple`` fields as lists."""
+    return {f.name: list(getattr(config, f.name)) if f.type == "tuple"
+            else getattr(config, f.name) for f in fields(config)}
+
+
+def config_from_json(cls, doc: dict, owner):
+    """A ``cls`` from a JSON object, lists made tuples for ``tuple`` fields;
+    raises LidarMoeError naming ``owner`` and every key that is no field."""
+    tuples = {f.name: f.type == "tuple" for f in fields(cls)}
+    unknown = sorted(set(doc) - set(tuples))
+    if unknown:
+        raise LidarMoeError(f"unknown {owner} key(s): {', '.join(unknown)}")
+    return cls(**{k: tuple(v) if tuples[k] and isinstance(v, list) else v
+                  for k, v in doc.items()})
 
 
 @dataclass(frozen=True)

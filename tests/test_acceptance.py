@@ -33,7 +33,7 @@ from lidarmoe.pipeline import (RunConfig, generate_dataset, linear_probe,
                                load_dataset, stage1_pretrain, stage2_cml,
                                stage3_sms)
 from lidarmoe.pointcloud import PointCloud
-from lidarmoe.sensors import SensorModel
+from lidarmoe.sensors import SensorModel, config_to_json
 
 from graph_eval import evaluate_builder
 from oracles import info_nce_bruteforce, lovasz_bruteforce, range_uv_scalar
@@ -112,8 +112,9 @@ def test_criterion_1_gradient_integrity(rng):
                            np.random.default_rng(2).uniform(0, 1, (6, 8, 1)),
                            np.random.default_rng(3).uniform(5, 40, (6, 8, 1))],
                           axis=2).astype(np.float32)
-    g = Graph(lambda ctx: {"loss": ad.mean_all(
-        ad.mul(build_range_embed(ctx, "x"), build_range_embed(ctx, "x")))})
+    def range_embed(ctx):
+        return build_range_embed(ctx, ctx.input("x"), "range", "head")
+    g = Graph(lambda ctx: {"loss": ad.mean_all(ad.mul(range_embed(ctx), range_embed(ctx)))})
     checks["encoder_range"] = ad.grad_check(g, store, {"x": grid}, eps=1e-5)
 
     # voxel encoder
@@ -121,20 +122,20 @@ def test_criterion_1_gradient_integrity(rng):
     init_voxel_params(store, d, np.random.default_rng(4))
     vg = voxelize(cloud(), (4.0, 4.0, 4.0))
     pairs = voxel_neighbor_pairs(vg)
-    g = Graph(lambda ctx: {"loss": ad.mean_all(
-        ad.mul(build_voxel_embed(ctx, "x", "p"), build_voxel_embed(ctx, "x", "p")))})
-    checks["encoder_voxel"] = ad.grad_check(g, store, {"x": vg.features,
-                                                       "p": pairs}, eps=1e-5)
+    def voxel_embed(ctx):
+        return build_voxel_embed(ctx, ctx.input("x"), pairs, "voxel", "head")
+    g = Graph(lambda ctx: {"loss": ad.mean_all(ad.mul(voxel_embed(ctx), voxel_embed(ctx)))})
+    checks["encoder_voxel"] = ad.grad_check(g, store, {"x": vg.features}, eps=1e-5)
 
     # point encoder
     store = ParameterStore()
     init_point_params(store, d, np.random.default_rng(5))
     pc = cloud()
     grouping = point_grouping(pc, 5, 4)
-    g = Graph(lambda ctx: {"loss": ad.mean_all(
-        ad.mul(build_point_embed(ctx, "x", "g"), build_point_embed(ctx, "x", "g")))})
-    checks["encoder_point"] = ad.grad_check(g, store, {"x": pc.features(),
-                                                       "g": grouping}, eps=1e-5)
+    def point_embed(ctx):
+        return build_point_embed(ctx, ctx.input("x"), grouping, "point", "head")
+    g = Graph(lambda ctx: {"loss": ad.mean_all(ad.mul(point_embed(ctx), point_embed(ctx)))})
+    checks["encoder_point"] = ad.grad_check(g, store, {"x": pc.features()}, eps=1e-5)
 
     # gated fusion, feature and logit mode
     for mode, width in (("moe_fuse", d), ("moe_fuse_logits", c)):
@@ -436,7 +437,7 @@ def test_criterion_9_route_analysis(reference_runs, reference_dataset, tmp_path)
 # -- criterion 10: end-to-end determinism ------------------------------------------
 
 def test_criterion_10_determinism(reference_dataset, tmp_path):
-    run_doc = reference_config(reference_dataset, seed=77).to_json()
+    run_doc = config_to_json(reference_config(reference_dataset, seed=77))
     run_doc.update(epochs=3, sms_epochs=2)
 
     def chain(root):

@@ -169,9 +169,6 @@ def test_every_file_the_package_writes_is_atomic():
 UNPASSED_DEFAULTS_ALLOWED = {
     "autodiff.grad_check",  # the tests' reference
     "cli.main",  # argv comes from the command line
-    # called only as ``ReprView.encoder(ctx, *inputs, prefix, head)``
-    "encoders.build_range_embed", "encoders.build_voxel_embed",
-    "encoders.build_point_embed",
 }
 
 
@@ -229,8 +226,8 @@ def test_every_default_parameter_is_passed_by_some_src_call():
 
 
 # the only functions that may build a view: every stage reaches its views
-# through ``_scan_views``, which keeps a scan's un-augmented ones
-MAKE_VIEW_CALLERS = {"pipeline._scan_views", "pipeline.embed_cloud"}
+# through ``_scan_view``, which keeps a scan's un-augmented ones
+MAKE_VIEW_CALLERS = {"pipeline._scan_view", "pipeline.embed_cloud"}
 
 
 def test_views_are_built_only_through_the_view_helper():
@@ -246,3 +243,12 @@ def test_views_are_built_only_through_the_view_helper():
                 if name == "make_view" and own != "pipeline.make_view":
                     found.add(own)
     assert found == MAKE_VIEW_CALLERS
+
+
+def test_encoders_read_only_the_values_they_are_handed():
+    """No function of ``encoders`` calls ``.input``: an encoder takes its
+    features as a graph value, and the caller names the graph input after
+    the encoder's parameter prefix."""
+    found = [f"encoders:{node.lineno}" for node in ast.walk(_parse()["encoders"])
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "input"]
+    assert found == []

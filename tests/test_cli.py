@@ -684,8 +684,8 @@ def test_sms_checkpoint_has_no_embedding_head_exit_2(tmp_path, tiny_dataset,
     out = tmp_path / "out"
     assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
                  "--out", str(out)]) == 2
-    assert "error: checkpoint has no range embedding head (an SMS checkpoint " \
-        "holds logit heads only)" in capsys.readouterr().err
+    assert f"error: checkpoint {zero_epoch_ckpts['sms']} has no range embedding head " \
+        "(only stage-1 and cml checkpoints have one)" in capsys.readouterr().err
     assert not list(out.glob("*_log.csv"))
 
 

@@ -27,22 +27,25 @@ def small_sensor(w=16):
 
 def range_embed(ri, store):
     """Per-cell range embeddings, shape (H_r * W_r, D)."""
-    return evaluate_builder(lambda ctx: build_range_embed(ctx, "image"),
-                            {"image": ri.features}, store)
+    return evaluate_builder(
+        lambda ctx: build_range_embed(ctx, ctx.input("image"), "range", "head"),
+        {"image": ri.features}, store)
 
 
 def voxel_embed(grid, store):
     """Per-voxel embeddings, shape (M, D)."""
-    return evaluate_builder(lambda ctx: build_voxel_embed(ctx, "feats", "pairs"),
-                            {"feats": grid.features,
-                             "pairs": voxel_neighbor_pairs(grid)}, store)
+    pairs = voxel_neighbor_pairs(grid)
+    return evaluate_builder(
+        lambda ctx: build_voxel_embed(ctx, ctx.input("feats"), pairs, "voxel", "head"),
+        {"feats": grid.features}, store)
 
 
 def point_embed(cloud, store, centroid_count, k):
     """Per-point embeddings, shape (N, D)."""
     grouping = point_grouping(cloud, centroid_count, k)
-    return evaluate_builder(lambda ctx: build_point_embed(ctx, "feats", "grouping"),
-                            {"feats": cloud.features(), "grouping": grouping}, store)
+    return evaluate_builder(
+        lambda ctx: build_point_embed(ctx, ctx.input("feats"), grouping, "point", "head"),
+        {"feats": cloud.features()}, store)
 
 
 def make_cloud(rng, n=30):
@@ -89,7 +92,8 @@ def test_range_column_shift_equivariance(rng):
     shifted = np.roll(grid, 1, axis=1)
 
     def run(image):
-        g = Graph(lambda ctx: {"out": build_range_embed(ctx, "img")})
+        g = Graph(lambda ctx: {"out": build_range_embed(ctx, ctx.input("img"),
+                                                        "range", "head")})
         return ad.evaluate(g, store, {"img": image})["out"].reshape(8, 16, 4)
 
     out_a = run(grid)
@@ -123,8 +127,9 @@ def test_voxel_identical_isolated_voxels_identical_embeddings(rng):
     feats = grid.features.copy()
     feats[:, 0] = 0.25
     pairs = voxel_neighbor_pairs(grid)
-    g = Graph(lambda ctx: {"out": build_voxel_embed(ctx, "f", "p")})
-    out = ad.evaluate(g, store, {"f": feats, "p": pairs})["out"]
+    g = Graph(lambda ctx: {"out": build_voxel_embed(ctx, ctx.input("f"), pairs,
+                                                    "voxel", "head")})
+    out = ad.evaluate(g, store, {"f": feats})["out"]
     assert np.allclose(out[0], out[1], atol=1e-7)
 
 
@@ -357,17 +362,19 @@ def test_encoder_grad_check(kind, rng):
                                rng.uniform(5, 40, (8, 8, 1))],
                               axis=2).astype(np.float32)
         inputs = {"x": grid}
-        build_out = lambda ctx: build_range_embed(ctx, "x")
+        build_out = lambda ctx: build_range_embed(ctx, ctx.input("x"), "range", "head")
     elif kind == "voxel":
         init_voxel_params(store, 4, rng)
         grid = voxelize(cloud, (4.0, 4.0, 4.0))
-        inputs = {"x": grid.features, "p": voxel_neighbor_pairs(grid)}
-        build_out = lambda ctx: build_voxel_embed(ctx, "x", "p")
+        inputs, pairs = {"x": grid.features}, voxel_neighbor_pairs(grid)
+        build_out = lambda ctx: build_voxel_embed(ctx, ctx.input("x"), pairs, "voxel",
+                                                  "head")
     else:
         init_point_params(store, 4, rng)
         grouping = point_grouping(cloud, 4, 3)
-        inputs = {"x": cloud.features(), "g": grouping}
-        build_out = lambda ctx: build_point_embed(ctx, "x", "g")
+        inputs = {"x": cloud.features()}
+        build_out = lambda ctx: build_point_embed(ctx, ctx.input("x"), grouping, "point",
+                                                  "head")
 
     def build(ctx):
         out = build_out(ctx)

@@ -242,7 +242,7 @@ def test_wall_scene_assigns_points_bruteforce():
 # partition) is checked against the point-by-point oracles.
 
 def aligned(feats, kind, cloud, sensor=None):
-    view = make_view(kind, cloud, sensor, RunConfig(voxel_size=(1.0, 1.0, 1.0)), "x")
+    view = make_view(kind, cloud, sensor, RunConfig(voxel_size=(1.0, 1.0, 1.0)))
     out = evaluate_builder(lambda ctx: view.align(ctx.input("f")), {"f": feats})
     assert np.array_equal(out, align_to_points(feats, view.mapping))
     return out

@@ -9,7 +9,7 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.dataio import load_manifest
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
-from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig,
+from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig, _inputs,
                                _train_epochs, build_group_mean,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
@@ -18,6 +18,7 @@ from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig,
 from lidarmoe.losses import build_info_nce
 from lidarmoe.encoders import teacher_features
 from lidarmoe.geometry import SuperpointPartition
+from lidarmoe.sensors import config_from_json, config_to_json
 
 from oracles import pooled_two_gathers
 
@@ -94,7 +95,7 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
     q = teacher_features(scan.image, teacher, scan.superpixels)
     target = q[partition.superpixel_of]
     store = init_backbone_store("point", cfg, "gradtest")
-    view = make_view("point", cloud, data.sensor, cfg, "x")
+    view = make_view("point", cloud, data.sensor, cfg)
 
     def build(ctx):
         feats = view.aligned(ctx, "point")
@@ -103,7 +104,7 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
 
     # eps=1e-5: ground points share near-identical coordinates, so wider
     # steps cross relu/max kinks; differences still run in float64
-    assert ad.grad_check(Graph(build), store, view.inputs, eps=1e-5) < 1e-4
+    assert ad.grad_check(Graph(build), store, _inputs({"point": view}), eps=1e-5) < 1e-4
 
 
 def test_stage2_zero_epochs_student_equals_warm_start(tiny_config, tmp_path):
@@ -115,6 +116,21 @@ def test_stage2_zero_epochs_student_equals_warm_start(tiny_config, tmp_path):
     for name in expert.names():
         assert np.array_equal(student.get(name), expert.get(name))
     assert meta["student"] == "voxel"
+
+
+def test_stage2_zero_epochs_random_student_equals_its_fresh_init(tiny_config, tmp_path):
+    """With ``student_init`` random, the student starts from its own fresh
+    backbone, not from the stage-1 checkpoint, and the experts stay frozen."""
+    s1 = stage1_pretrain(replace(tiny_config, epochs=1), tmp_path / "s1")
+    cfg = replace(tiny_config, epochs=0, student_init="random")
+    result = stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml")
+    student, _ = load_checkpoint(result["checkpoint"])
+    fresh = init_backbone_store(cfg.student, cfg, "cml-student")
+    stage1, _ = load_checkpoint(s1[cfg.student]["checkpoint"])
+    for name in fresh.names():
+        assert np.array_equal(student.get(name), fresh.get(name))
+    assert any(not np.array_equal(student.get(n), stage1.get(n)) for n in stage1.names())
+    assert result["experts_frozen"]
 
 
 def test_stage2_freezes_experts_and_reports(tiny_config, tmp_path):
@@ -176,7 +192,7 @@ def test_stage2_exports_the_student_and_gate_it_trained(tiny_config, tmp_path):
 def test_make_view_rejects_an_unknown_representation(tiny_config):
     data = load_dataset(tiny_config.dataset)
     with pytest.raises(LidarMoeError, match="unknown representation: mesh"):
-        make_view("mesh", data.val[0].cloud, data.sensor, tiny_config, "x")
+        make_view("mesh", data.val[0].cloud, data.sensor, tiny_config)
 
 
 @pytest.mark.parametrize("kind", REPRESENTATIONS)
@@ -191,7 +207,7 @@ def test_pooled_gives_the_bytes_of_the_two_gather_form(kind, tiny_config):
     group = np.random.default_rng(3).integers(-1, 5, cloud.count)
     group[[0, -1]] = 2  # point 0 twice: one cell, one voxel
     partition = SuperpointPartition(group, np.arange(5))
-    view = make_view(kind, cloud, data.sensor, tiny_config, "x")
+    view = make_view(kind, cloud, data.sensor, tiny_config)
     if kind != "point":
         assert view.gather[0] == view.gather[-1]
     store = init_backbone_store(kind, tiny_config, "pool-test")
@@ -206,8 +222,9 @@ def test_pooled_gives_the_bytes_of_the_two_gather_form(kind, tiny_config):
 
     def run(graph, dtype):
         if dtype == np.float32:
-            return ad.backward(graph, store, view.inputs)
-        outs, grads = ad._param_grads(graph, store, view.inputs, 0, dtype)  # exact mode
+            return ad.backward(graph, store, _inputs({kind: view}))
+        outs, grads = ad._param_grads(graph, store, _inputs({kind: view}), 0,
+                                      dtype)  # exact mode
         return {k: v.data for k, v in outs.items()}, grads
 
     new = graph(lambda ctx: view.pooled(ctx, kind, partition))
@@ -259,6 +276,55 @@ def test_unaugmented_stages_build_one_view_per_scan_and_kind(tiny_config, tmp_pa
     assert len(used["voxel"]) == usable and used["voxel"] == used["expert.voxel"]
 
 
+@pytest.mark.parametrize("augment", [False, True])
+def test_every_graph_input_is_read_under_its_encoders_prefix(augment, tiny_config,
+                                                             tmp_path, monkeypatch):
+    """Each graph of stage 1, CML, SMS and ``evaluate_store`` reads every
+    input handed to ``ad.backward``/``ad.evaluate``, and an encoder's
+    features are the input named by its parameter prefix."""
+    import lidarmoe.pipeline as pipeline
+    cfg = replace(tiny_config, epochs=1, sms_epochs=1, student="voxel",
+                  augment=augment, sms_augment=augment)
+    runs, read = [], []
+
+    def recording(run):
+        def wrapped(graph, store, inputs, **kwargs):
+            read.clear()
+            outs = run(graph, store, inputs, **kwargs)
+            runs.append((sorted(inputs), sorted(set(read))))
+            return outs
+        return wrapped
+
+    def reading(ctx, name, _input=ad.GraphContext.input):
+        read.append(name)
+        return _input(ctx, name)
+
+    for name in ("backward", "evaluate"):
+        monkeypatch.setattr(ad, name, recording(getattr(ad, name)))
+    monkeypatch.setattr(ad.GraphContext, "input", reading)
+    for name in ("build_range_embed", "build_voxel_embed", "build_point_embed"):
+        def checked(ctx, feats, *rest, _encoder=getattr(pipeline, name)):
+            assert feats is ctx.input(rest[-2])  # rest ends with (prefix, head)
+            return _encoder(ctx, feats, *rest)
+        monkeypatch.setattr(pipeline, name, checked)
+
+    def inputs_of(run_stage):
+        runs.clear()
+        result = run_stage()
+        assert runs and all(handed == got for handed, got in runs)
+        return result, {tuple(handed) for handed, _ in runs}
+
+    s1, names = inputs_of(lambda: stage1_pretrain(cfg, tmp_path / "s1"))
+    assert names == {(k,) for k in REPRESENTATIONS}
+    _, names = inputs_of(lambda: stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml"))
+    assert names == {("expert.point", "expert.range", "expert.voxel", "voxel")}
+    result, names = inputs_of(lambda: stage3_sms(cfg, {}, tmp_path / "sms"))
+    assert names == {tuple(sorted(REPRESENTATIONS))}
+    store, _ = load_checkpoint(result["checkpoint"])
+    _, names = inputs_of(lambda: evaluate_store(store, cfg, load_dataset(cfg.dataset)))
+    assert names == {tuple(sorted(REPRESENTATIONS))}
+
+
 def test_augmented_stages_keep_no_views(tiny_config, tmp_path, monkeypatch):
     import lidarmoe.pipeline as pipeline
     bundles = []
@@ -280,21 +346,20 @@ def test_augmented_stages_keep_no_views(tiny_config, tmp_path, monkeypatch):
                                           ("point", {"knn_k": 4})])
 def test_a_reused_dataset_gets_fresh_views_for_new_view_settings(kind, change, tiny_config,
                                                                  monkeypatch):
-    from lidarmoe.pipeline import _scan_views
+    from lidarmoe.pipeline import _scan_view
     cfg = replace(tiny_config, augment=False)
     data = load_dataset(cfg.dataset)
     scan = data.train[0]
     calls = _count_views(monkeypatch)
 
     def view(config):
-        return _scan_views(scan, {"s": kind}, data.sensor, config)[0]["s"]
+        return _scan_view(scan, kind, data.sensor, config)
 
     first = view(cfg)
     assert view(replace(cfg, epochs=7, seed=9)) is first  # settings no view reads
     fresh = view(replace(cfg, **change))
     assert fresh is not first and view(replace(cfg, **change)) is fresh
     assert view(cfg) is first and len(calls) == 2
-    assert all(name.startswith(f"{kind}.") for name in first.inputs)
     if kind == "voxel":
         assert fresh.mapping.count != first.mapping.count
     else:
@@ -359,8 +424,8 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     store = ParameterStore()
     for name in full.names():
         store.add(name, full.get(name), not name.startswith("range.conv2."))
-    views = {k: make_view(k, cloud, sensor, cfg, k) for k in REPRESENTATIONS}
-    inputs = {n: a for v in views.values() for n, a in v.inputs.items()}
+    views = {k: make_view(k, cloud, sensor, cfg) for k in REPRESENTATIONS}
+    inputs = _inputs(views)
     labels = {"fused": np.clip(cloud.label, -1, 3),
               "point": np.clip(cloud.label, -1, 3),
               "range": np.clip(project_labels(cloud, views["range"].mapping), -1, 3),
@@ -557,8 +622,8 @@ def test_evaluate_perfect_predictions(tiny_config):
 
 def test_run_config_roundtrip_and_digest():
     cfg = RunConfig(dataset="x", seed=3, epochs=7)
-    doc = cfg.to_json()
-    again = RunConfig.from_json(doc)
+    doc = config_to_json(cfg)
+    again = config_from_json(RunConfig, doc, "run config")
     assert again == cfg
     assert cfg.digest() == again.digest()
     assert cfg.digest() != replace(cfg, seed=4).digest()
@@ -590,10 +655,11 @@ def test_run_config_rejects_bad_field_naming_it(field, value):
 
 
 def test_run_config_accepts_ints_for_floats_and_json_voxel_lists():
-    cfg = RunConfig.from_json({"lr_cml": 1, "temperature": 1, "voxel_size": [2, 2, 2]})
+    cfg = config_from_json(RunConfig, {"lr_cml": 1, "temperature": 1,
+                                       "voxel_size": [2, 2, 2]}, "run config")
     assert cfg.voxel_size == (2, 2, 2) and cfg.lr_cml == 1
     with pytest.raises(LidarMoeError, match="voxel_size"):
-        RunConfig.from_json({"voxel_size": 5})
+        config_from_json(RunConfig, {"voxel_size": 5}, "run config")
 
 
 def test_train_epochs_names_stage_epoch_and_scan_of_non_finite_error(tmp_path):
