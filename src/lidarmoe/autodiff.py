@@ -7,9 +7,10 @@ is differentiable.
 The graph's dtype is the one compute dtype, in the forward and the backward
 pass: storage, elementwise operations, matrix products and gradient buffers
 all use it. It is float32 in normal mode and float64 in exact mode
-(``Graph.run(dtype=np.float64)``), which :func:`grad_check` uses. Sums and
-scatter-adds (reductions, segment pooling, softmax normalisers) accumulate
-in float64 and round back to the graph dtype.
+(``Graph.run(dtype=np.float64)``), which :func:`grad_check` uses. It is set at
+the leaves: inputs and parameters are cast to it, constants are float32, and
+numpy's type promotion carries it through. Sums and scatter-adds (reductions,
+segment pooling, softmax normalisers) accumulate in float64, then round to it.
 
 A backward closure computes a grad only for an operand whose
 ``requires_grad`` is set and returns None for the others. Gradients are
@@ -92,13 +93,6 @@ def _out(data, parents, bwd):
     return Var(data, parents=tuple(parents), bwd=bwd, requires_grad=req)
 
 
-def _dtype_of(*vars_):
-    for v in vars_:
-        if v.data.dtype == np.float64:
-            return np.float64
-    return np.float32
-
-
 def _reduce_sum(x, axis=None, keepdims=False):
     # float64 accumulation regardless of storage dtype
     return np.sum(x, axis=axis, keepdims=keepdims, dtype=np.float64)
@@ -127,7 +121,7 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data + b.data).astype(_dtype_of(a, b), copy=False)
+    data = a.data + b.data
 
     def bwd(g):
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
@@ -138,7 +132,7 @@ def add(a, b):
 
 def sub(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data - b.data).astype(_dtype_of(a, b), copy=False)
+    data = a.data - b.data
 
     def bwd(g):
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
@@ -154,7 +148,7 @@ def neg(a):
 
 def mul(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data * b.data).astype(_dtype_of(a, b), copy=False)
+    data = a.data * b.data
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -166,7 +160,7 @@ def mul(a, b):
 
 def div(a, b):
     a, b = as_var(a), as_var(b)
-    data = (a.data / b.data).astype(_dtype_of(a, b), copy=False)
+    data = a.data / b.data
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -180,7 +174,7 @@ def matmul(a, b):
     a, b = as_var(a), as_var(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise LidarMoeError(f"matmul {a.data.shape} @ {b.data.shape}")
-    data = (a.data @ b.data).astype(_dtype_of(a, b), copy=False)
+    data = a.data @ b.data
     ad, bd = a.data, b.data
 
     def bwd(g):
@@ -447,7 +441,7 @@ def conv2d3x3(x, w, b):
     if w.data.shape[0] != 9 * cin:
         raise LidarMoeError(f"conv2d3x3 weight rows {w.data.shape[0]} != 9*{cin}")
     cout = w.data.shape[1]
-    dtype = _dtype_of(x, w, b)
+    dtype = np.result_type(x.data, w.data, b.data)
     row = wd + 2
     n = h * row
     starts = [dy * row + dx for dy, dx in (divmod(t, 3) for t in range(9))]

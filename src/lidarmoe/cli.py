@@ -27,9 +27,10 @@ from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (REPRESENTATIONS, RunConfig, backbone_kind, embed_cloud,
-                       embedding_width, evaluate_store, generate_dataset, linear_probe,
-                       load_dataset, load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
+from .pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig, backbone_kind,
+                       embed_cloud, embedding_width, evaluate_store, generate_dataset,
+                       linear_probe, load_dataset, load_sensors, stage1_pretrain,
+                       stage2_cml, stage3_sms)
 from .sensors import config_from_json, read_key
 
 USAGE_ERROR = 1
@@ -44,20 +45,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"usage error: {message}\n")
 
 
-# the keys each subcommand reads (datagen checks its own document)
 _RUN_KEYS = frozenset(RunConfig.__dataclass_fields__)
-_KEYS = {
-    "pretrain": _RUN_KEYS,
-    "cml": _RUN_KEYS | {"expert_ckpts", "stage1_dir"},
-    "sms": _RUN_KEYS | {"init"},
-    "probe": _RUN_KEYS | {"checkpoint", "random_baseline", "representation"},
-    "eval": _RUN_KEYS | {"checkpoint", "pairs_csv", "split", "num_classes"},
-    "cosine-map": _RUN_KEYS | {"features_csv", "checkpoint", "cloud", "query_id",
-                               "representation"},
-    "corrupt": {"dataset", "kind", "severity", "split", "seed"},
-    "route-stats": {"gates_csv", "cloud", "axis", "distance_edges"},
-    "report": {"model_ious", "baseline_ious", "clean_iou"},
-}
 
 
 def _load_config(args) -> dict:
@@ -65,7 +53,7 @@ def _load_config(args) -> dict:
     if args.config is None:
         return {}
     doc = read_json(args.config)
-    unknown = sorted(set(doc) - _KEYS.get(args.command, set(doc)))
+    unknown = sorted(set(doc) - _COMMANDS[args.command][1])
     if unknown:
         raise LidarMoeError(f"unknown {args.command} config key(s): "
                             f"{', '.join(unknown)}")
@@ -186,7 +174,12 @@ def _cmd_eval(args, doc):
     if "checkpoint" not in doc:
         raise LidarMoeError("eval config needs checkpoint or pairs_csv")
     split = _read_choice(doc, "eval config", "split", ("train", "val"), "val")
-    store, _ = load_checkpoint(read_key(doc, "eval config", "checkpoint", "str"))
+    path = read_key(doc, "eval config", "checkpoint", "str")
+    store, _ = load_checkpoint(path)
+    for kind in REPRESENTATIONS:
+        if f"{kind}.logit_head.w" not in store.names():
+            raise LidarMoeError(f"checkpoint {path} has no {kind} logit head "
+                                "(only sms checkpoints have one)")
     data = load_dataset(cfg.dataset)
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
@@ -288,17 +281,19 @@ def _cmd_report(args, doc):
     write_json(out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
 
 
+# each subcommand's handler and the config keys it accepts
 _COMMANDS = {
-    "datagen": _cmd_datagen,
-    "pretrain": _cmd_pretrain,
-    "cml": _cmd_cml,
-    "sms": _cmd_sms,
-    "probe": _cmd_probe,
-    "eval": _cmd_eval,
-    "corrupt": _cmd_corrupt,
-    "route-stats": _cmd_route_stats,
-    "cosine-map": _cmd_cosine_map,
-    "report": _cmd_report,
+    "datagen": (_cmd_datagen, frozenset(DEFAULT_DATASET_CONFIG)),
+    "pretrain": (_cmd_pretrain, _RUN_KEYS),
+    "cml": (_cmd_cml, _RUN_KEYS | {"expert_ckpts", "stage1_dir"}),
+    "sms": (_cmd_sms, _RUN_KEYS | {"init"}),
+    "probe": (_cmd_probe, _RUN_KEYS | {"checkpoint", "random_baseline", "representation"}),
+    "eval": (_cmd_eval, _RUN_KEYS | {"checkpoint", "pairs_csv", "split", "num_classes"}),
+    "corrupt": (_cmd_corrupt, {"dataset", "kind", "severity", "split", "seed"}),
+    "route-stats": (_cmd_route_stats, {"gates_csv", "cloud", "axis", "distance_edges"}),
+    "cosine-map": (_cmd_cosine_map, _RUN_KEYS | {"features_csv", "checkpoint", "cloud",
+                                                 "query_id", "representation"}),
+    "report": (_cmd_report, {"model_ious", "baseline_ious", "clean_iou"}),
 }
 
 
@@ -325,7 +320,7 @@ def main(argv=None) -> int:
         _PARSER.print_help(sys.stderr)
         return USAGE_ERROR
     try:
-        _COMMANDS[args.command](args, _load_config(args))
+        _COMMANDS[args.command][0](args, _load_config(args))
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -15,9 +15,9 @@ parameter prefix and a head name:
   k points by ascending distance to the centroid, ties to the smaller
   point id.
 
-The teacher maps a rendered class image to per-superpixel embeddings via
-a frozen random class embedding plus a sinusoidal positional code; it is
-constant for a given seed and never trained.
+The frozen teacher is two weight arrays drawn from a fixed seed, a class
+embedding and a projection: a pixel's class embedding plus a sinusoidal
+positional code, projected, then averaged per superpixel.
 """
 
 from __future__ import annotations
@@ -216,15 +216,11 @@ def build_point_embed(ctx, feats, grouping: PointGrouping, prefix, head):
 # frozen teacher
 # ---------------------------------------------------------------------------
 
-def init_teacher_params(store: ParameterStore, num_classes: int, dim: int,
-                        seed: int):
-    """Create the frozen ``teacher.*`` weights from a fixed seed."""
+def teacher_weights(num_classes: int, dim: int, seed: int):
+    """The teacher's (num_classes, 32) class embedding and (32, dim) projection."""
     rng = np.random.default_rng(seed)
-    store.add("teacher.emb", glorot_uniform((num_classes, TEACHER_CH), rng),
-              trainable=False)
-    store.add("teacher.proj.w", glorot_uniform((TEACHER_CH, dim), rng),
-              trainable=False)
-    store.add("teacher.proj.b", np.zeros(dim, np.float32), trainable=False)
+    return (glorot_uniform((num_classes, TEACHER_CH), rng),
+            glorot_uniform((TEACHER_CH, dim), rng))
 
 
 POSITION_SCALE = 0.25
@@ -251,23 +247,21 @@ def positional_code(width: int, height: int) -> np.ndarray:
     return code
 
 
-def teacher_features(class_image: ClassImage, params: ParameterStore,
+def teacher_features(class_image: ClassImage, weights,
                      superpixel_map: np.ndarray) -> np.ndarray:
-    """Per-superpixel teacher embeddings Q, shape (S, D).
+    """Per-superpixel embeddings Q, shape (S, D), of the teacher ``weights``.
 
     Per-pixel feature = one-hot(class) @ class embedding + positional
     code, through the frozen projection; Q is the superpixel mean. Class
     -1 pixels contribute only their positional code.
     """
-    emb = params.get("teacher.emb").astype(np.float64)
-    proj_w = params.get("teacher.proj.w").astype(np.float64)
-    proj_b = params.get("teacher.proj.b").astype(np.float64)
+    emb, proj = (w.astype(np.float64) for w in weights)
     cls = class_image.class_id.ravel().astype(np.int64)
     h, w = class_image.class_id.shape
     feat = positional_code(w, h).astype(np.float64)
     labeled = cls >= 0
     feat[labeled] += emb[cls[labeled]]
-    pix = feat @ proj_w + proj_b
+    pix = feat @ proj
 
     sp = superpixel_map.ravel().astype(np.int64)
     means, _ = ad.segment_means(sp, pix, int(sp.max(initial=-1)) + 1)

@@ -40,9 +40,8 @@ from .dataio import (DatasetManifest, ScanEntry, TrainingLog, load_manifest,
                      read_camera_npz, read_json, read_lpcd, resolve,
                      save_manifest, write_camera_npz, write_json, write_lpcd)
 from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
-                       init_encoder_params, init_teacher_params, linear,
-                       point_grouping, teacher_features, trunk_width,
-                       voxel_neighbor_pairs)
+                       init_encoder_params, linear, point_grouping, teacher_features,
+                       teacher_weights, trunk_width, voxel_neighbor_pairs)
 from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import build_cross_entropy, build_info_nce, build_sms_total
@@ -451,13 +450,6 @@ def init_backbone_store(kind, config: RunConfig, seed_tag) -> ParameterStore:
     return store
 
 
-def teacher_store(config: RunConfig, num_classes) -> ParameterStore:
-    store = ParameterStore()
-    init_teacher_params(store, num_classes, config.embed_dim,
-                        _step_seed(config.seed, "teacher"))
-    return store
-
-
 def stage1_pretrain(config: RunConfig, out_dir):
     """Train each representation encoder against the frozen teacher.
 
@@ -467,7 +459,8 @@ def stage1_pretrain(config: RunConfig, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
-    teacher = teacher_store(config, data.num_classes)
+    teacher = teacher_weights(data.num_classes, config.embed_dim,
+                              _step_seed(config.seed, "teacher"))
     scans, partitions = _superpoint_scans(config, data)
     targets = {scan.name: teacher_features(
         scan.image, teacher, scan.superpixels)[partitions[scan.name].superpixel_of]
@@ -569,7 +562,8 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     ckpt = out / "cml_student.ckpt"
     _save_stage(ckpt, export, config, "cml", student=config.student)
     frozen_ok = all(np.array_equal(store.get(f"expert.{n}"), expert.get(n))
-                    for expert in experts.values() for n in expert.names())
+                    for kind, expert in experts.items() for n in expert.names()
+                    if n.startswith(kind + "."))
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
             "skipped": len(data.train) - len(usable), "experts_frozen": frozen_ok,
             "usable_scans": len(usable)}
@@ -651,7 +645,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
             else config.lr_sms_other
 
     def validate(epoch):
-        reports, _ = evaluate_store(store, config, data, split="val")
+        reports, _ = evaluate_store(store, config, data, split="val", keep_views=True)
         val_history.append({k: r.miou for k, r in reports.items()})
         return {f"val_miou_{k}": r.miou for k, r in reports.items()}
 
@@ -665,11 +659,13 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
             "val_history": val_history, "val_miou": val_miou}
 
 
-def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
+def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
+                   keep_views=False):
     """Inference forward (noise off) over one split, one pass per scan.
 
     Returns per-class IoU reports for the fused head and each single
     head, and the fused per-point predictions of each scan in split order.
+    A scan's views are dropped once it is scored, unless ``keep_views``.
     """
     scans = data.scans(split)
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
@@ -683,6 +679,8 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val"):
         outs = ad.evaluate(Graph(build), store, _inputs(views))
         for k, head in preds.items():
             head.append(np.argmax(outs[k], axis=1))
+        if not keep_views:
+            scan.views.clear()
     labels = np.concatenate([scan.cloud.label for scan in scans])
     reports = {k: compute_miou(np.concatenate(v), labels, data.num_classes)
                for k, v in preds.items()}

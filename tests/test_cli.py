@@ -243,7 +243,9 @@ def test_nonpositive_temperature_exit_2(tmp_path, tiny_dataset, capsys):
     assert "temperature must be > 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key,value", [("epochs", "3"), ("centroid_count", 0)])
+@pytest.mark.parametrize("key,value", [("epochs", "3"), ("centroid_count", 0),
+                                       ("student_init", "pretrained"),
+                                       ("contrastive_denominator", "none")])
 def test_bad_run_config_value_exit_2(tmp_path, tiny_dataset, capsys, key, value):
     cfg = write_json(tmp_path / "cfg.json",
                      {"dataset": str(tiny_dataset), "epochs": 1, key: value})
@@ -274,6 +276,26 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
     ({"n_train": 1, "n_val": 0, "max_range_m": "60"},
      "datagen config max_range_m must be float, got '60'"),
     ({"n_train": 1, "n_val": -1}, "datagen config n_val must be >= 0"),
+    ({"n_train": 1, "n_val": 0, "fov_down_rad": 0.8}, "need 0 < fov_down < fov_total"),
+    ({"n_train": 1, "n_val": 0, "range_h": 0}, "range image resolution must be >= 1"),
+    ({"n_train": 1, "n_val": 0, "beam_count": 0},
+     "beam_count and azimuth_steps must be >= 1"),
+    ({"n_train": 1, "n_val": 0, "max_range_m": -1.0}, "max_range must be positive"),
+    ({"n_train": 1, "n_val": 0,
+      "cam_intrinsics": [[64.0, 0.0, 48.0], [1.0, 64.0, 32.0], [0.0, 0.0, 1.0]]},
+     "intrinsics must be upper-triangular"),
+    ({"n_train": 1, "n_val": 0,
+      "cam_intrinsics": [[0.0, 0.0, 48.0], [0.0, 64.0, 32.0], [0.0, 0.0, 1.0]]},
+     "focal lengths must be positive"),
+    ({"n_train": 1, "n_val": 0,
+      "cam_extrinsics": [[0.0, -2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.2],
+                         [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]},
+     "extrinsic rotation block must be orthonormal"),
+    ({"n_train": 1, "n_val": 0,
+      "cam_extrinsics": [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.2],
+                         [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]},
+     "extrinsics bottom row must be [0,0,0,1]"),
+    ({"n_train": 1, "n_val": 0, "cam_w": 0}, "image size must be >= 1"),
 ])
 def test_datagen_bad_value_exit_2(tmp_path, capsys, doc, message):
     cfg = write_json(tmp_path / "cfg.json", doc)
@@ -331,8 +353,12 @@ def test_mistyped_sensors_json_exit_2(tmp_path, tiny_dataset, capsys, command,
     sensors = json.loads((dataset / "sensors.json").read_text())
     sensors[key] = value
     write_json(dataset / "sensors.json", sensors)
-    ckpt = tmp_path / "empty.ckpt"
-    save_checkpoint(ckpt, ParameterStore(), {"student": "voxel"})
+    # eval checks the checkpoint's logit heads before it reads the dataset
+    store = ParameterStore()
+    for kind in ("range", "voxel", "point"):
+        store.add(f"{kind}.logit_head.w", np.zeros((1, 1)))
+    ckpt = tmp_path / "heads.ckpt"
+    save_checkpoint(ckpt, store, {"student": "voxel"})
     doc = {"dataset": str(dataset), "checkpoint": str(ckpt)}
     if command == "cosine-map":
         doc.update(query_id=0, cloud=str(dataset / "scans" / "val_000.lpcd"))
@@ -590,6 +616,91 @@ def _bad_input(case, tmp_path, dataset):
         pairs.write_text("prediction,label\n1,1\n2\n")
         return "eval", write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)}), \
             f"{pairs}: "
+    if case.startswith("pairs CSV "):
+        pairs = tmp_path / "pairs.csv"
+        text, want = {
+            "pairs CSV header pred,label": ("pred,label\n1,1\n",
+                                            f"{pairs}: first line must be prediction,label"),
+            "pairs CSV of three fields": ("prediction,label\n1,1,1\n",
+                                          f"{pairs}: 3 fields per row, want 2"),
+            "pairs CSV labels all -1": ("prediction,label\n1,-1\n2,-1\n",
+                                        "all labels ignored"),
+        }[case]
+        pairs.write_text(text)
+        return "eval", write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)}), want
+    if case.endswith("with neither source"):
+        command = case.split()[0]
+        want = {"cml": "cml config needs expert_ckpts or stage1_dir",
+                "probe": "probe config needs checkpoint or random_baseline",
+                "eval": "eval config needs checkpoint or pairs_csv"}[command]
+        return command, write_json(tmp_path / "cfg.json", run), want
+    if case == "eval given no --config":
+        return "eval", None, "eval config needs checkpoint or pairs_csv"
+    if case == "cosine-map checkpoint without cloud":
+        ckpt = tmp_path / "empty.ckpt"
+        save_checkpoint(ckpt, ParameterStore(), {})
+        doc = dict(run, checkpoint=str(ckpt), query_id=0)
+        return "cosine-map", write_json(tmp_path / "cfg.json", doc), \
+            "cosine-map from a checkpoint needs a cloud"
+    if case == "lpcd version 2":
+        scan = tmp_path / "v2.lpcd"
+        raw = bytearray((dataset / "scans" / "val_000.lpcd").read_bytes())
+        raw[4:8] = (2).to_bytes(4, "little")
+        scan.write_bytes(bytes(raw))
+        gates = tmp_path / "gates.csv"
+        write_gate_csv(gates, np.ones((5, 3), np.float32) / 3)
+        doc = {"gates_csv": str(gates), "cloud": str(scan)}
+        return "route-stats", write_json(tmp_path / "cfg.json", doc), \
+            f"unsupported LPCD version 2 in {scan}"
+    if case.startswith("checkpoint manifest"):
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, ParameterStore(), {})
+        raw = ckpt.read_bytes()
+        if case == "checkpoint manifest dtype f16":
+            assert raw.count(b'"f32"') == 1
+            ckpt.write_bytes(raw.replace(b'"f32"', b'"f16"'))
+            want = f"unsupported dtype tag in {ckpt}"
+        else:
+            blob = b"not json"
+            ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob)
+            want = f"corrupt manifest in {ckpt}"
+        doc = dict(run, checkpoint=str(ckpt))
+        return "eval", write_json(tmp_path / "cfg.json", doc), want
+    if case == "corrupt severity 4":
+        doc = {"dataset": str(dataset), "kind": "jitter", "severity": 4}
+        return "corrupt", write_json(tmp_path / "cfg.json", doc), \
+            "severity must be 1, 2, or 3"
+    if case == "decreasing distance_edges":
+        cloud = dataset / "scans" / "val_000.lpcd"
+        gates = tmp_path / "gates.csv"
+        write_gate_csv(gates, np.full((read_lpcd(cloud).count, 3), 1 / 3, np.float32))
+        doc = {"gates_csv": str(gates), "cloud": str(cloud), "axis": "distance-bin",
+               "distance_edges": [10.0, 5.0]}
+        return "route-stats", write_json(tmp_path / "cfg.json", doc), \
+            "distance edges must be increasing"
+    if case.startswith("report "):
+        ious = {"beam": [60.0, 50.0, 40.0]}
+        doc, want = {
+            "report clean_iou 0": ({"model_ious": ious, "baseline_ious": ious,
+                                    "clean_iou": 0.0}, "clean IoU must be positive"),
+            "report corruption sets differ": (
+                {"model_ious": ious, "baseline_ious": {"fog": [60.0, 50.0, 40.0]},
+                 "clean_iou": 70.0}, "model and baseline corruption sets disagree"),
+            "report two severities": (
+                {"model_ious": {"beam": [60.0, 50.0]}, "baseline_ious": {"beam": [6.0, 5.0]},
+                 "clean_iou": 70.0}, "corruption beam needs exactly three severity IoUs"),
+        }[case]
+        return "report", write_json(tmp_path / "cfg.json", doc), want
+    if case == "val point at the sensor origin":
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        scan = copy / "scans" / "val_000.lpcd"
+        cloud = read_lpcd(scan)
+        cloud.xyz[0] = 0.0
+        write_lpcd(scan, cloud)
+        doc = dict(run, dataset=str(copy), sms_epochs=0)
+        return "sms", write_json(tmp_path / "cfg.json", doc), \
+            "points must have positive depth"
     raise AssertionError(case)
 
 
@@ -602,11 +713,33 @@ def _bad_input(case, tmp_path, dataset):
     "pairs num_classes -2", "scan label -2", "NaN gate score", "gate alpha -5",
     "gate row summing to 1.5",
     "cosine-map features of 3 rows", "cosine-map features with inf",
+    "pairs CSV header pred,label", "pairs CSV of three fields", "pairs CSV labels all -1",
+    "cml with neither source", "probe with neither source", "eval with neither source",
+    "eval given no --config", "cosine-map checkpoint without cloud", "lpcd version 2",
+    "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
+    "decreasing distance_edges", "report clean_iou 0", "report corruption sets differ",
+    "report two severities", "val point at the sensor origin",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    config = [] if cfg is None else ["--config", cfg]
+    assert main([command, *config, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_seed_flag_overrides_the_run_config_seed(tmp_path, tiny_dataset):
+    """``--seed 3`` over a config seed of 0 writes the bytes of a run whose
+    config sets seed 3."""
+    run = {"dataset": str(tiny_dataset), "epochs": 1, "embed_dim": 8,
+           "centroid_count": 8, "knn_k": 4}
+    flag, config = tmp_path / "flag", tmp_path / "config"
+    assert main(["pretrain", "--config", write_json(tmp_path / "a.json", dict(run, seed=0)),
+                 "--seed", "3", "--out", str(flag)]) == 0
+    assert main(["pretrain", "--config", write_json(tmp_path / "b.json", dict(run, seed=3)),
+                 "--out", str(config)]) == 0
+    for kind in ("range", "voxel", "point"):
+        name = f"stage1_{kind}.ckpt"
+        assert (flag / name).read_bytes() == (config / name).read_bytes()
 
 
 def test_internal_key_error_is_not_a_data_error(tmp_path, monkeypatch):
@@ -636,7 +769,12 @@ def zero_epoch_ckpts(tiny_dataset, tmp_path_factory):
                  "--out", str(root / "s1")]) == 0
     assert main(["sms", "--config", write_json(root / "sms.json", run),
                  "--out", str(root / "sms")]) == 0
+    cml = dict(run, stage1_dir=str(root / "s1"))
+    assert main(["cml", "--config", write_json(root / "cml.json", cml),
+                 "--out", str(root / "cml")]) == 0
     return {"run": run, "stage1_point": str(root / "s1" / "stage1_point.ckpt"),
+            "stage1_range": str(root / "s1" / "stage1_range.ckpt"),
+            "cml": str(root / "cml" / "cml_student.ckpt"),
             "sms": str(root / "sms" / "sms_model.ckpt")}
 
 
@@ -687,6 +825,31 @@ def test_sms_checkpoint_has_no_embedding_head_exit_2(tmp_path, tiny_dataset,
     assert f"error: checkpoint {zero_epoch_ckpts['sms']} has no range embedding head " \
         "(only stage-1 and cml checkpoints have one)" in capsys.readouterr().err
     assert not list(out.glob("*_log.csv"))
+
+
+@pytest.mark.parametrize("source,kind", [("stage1_range", "range"), ("cml", "range")])
+def test_eval_on_a_checkpoint_without_logit_heads_exit_2(tmp_path, zero_epoch_ckpts,
+                                                         capsys, source, kind):
+    """Only an SMS checkpoint has logit heads; eval names any other before it
+    reads the dataset, which here does not exist."""
+    doc = dict(zero_epoch_ckpts["run"], checkpoint=zero_epoch_ckpts[source],
+               dataset=str(tmp_path / "no_dataset"))
+    assert main(["eval", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: checkpoint {zero_epoch_ckpts[source]} has no {kind} logit head " \
+        "(only sms checkpoints have one)" in capsys.readouterr().err
+
+
+def test_cml_takes_a_cml_student_checkpoint_as_an_expert(tmp_path, zero_epoch_ckpts):
+    """A CML student checkpoint holds the voxel embedding head beside its
+    gate; CML copies and compares only its ``voxel.*`` entries."""
+    ckpts = {k: zero_epoch_ckpts[f"stage1_{k}"] for k in ("range", "point")}
+    ckpts["voxel"] = zero_epoch_ckpts["cml"]
+    doc = dict(zero_epoch_ckpts["run"], epochs=1, expert_ckpts=ckpts)
+    out = tmp_path / "out"
+    assert main(["cml", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "cml_results.json").read_text())["experts_frozen"] is True
 
 
 @pytest.mark.parametrize("source", ["sms", "stage1_point"])

@@ -9,9 +9,8 @@ from lidarmoe.autodiff import Graph
 from lidarmoe.datagen import ClassImage
 from lidarmoe.encoders import (build_point_embed, build_range_embed,
                                build_voxel_embed, init_point_params, init_range_params,
-                               init_teacher_params, init_voxel_params,
-                               point_grouping, teacher_features,
-                               voxel_neighbor_pairs)
+                               init_voxel_params, point_grouping, teacher_features,
+                               teacher_weights, voxel_neighbor_pairs)
 from lidarmoe.geometry import project_to_range, voxelize
 from lidarmoe.params import ParameterStore
 from lidarmoe.pointcloud import PointCloud
@@ -269,25 +268,17 @@ def _image(rng, h=16, w=16, classes=3):
 
 
 def test_teacher_constant_across_calls(rng):
-    store = ParameterStore()
-    init_teacher_params(store, 6, 8, seed=5)
+    weights = teacher_weights(6, 8, seed=5)
     image = _image(rng)
     superpixels = np.arange(256, dtype=np.int32).reshape(16, 16) // 16
-    a = teacher_features(image, store, superpixels)
-    b = teacher_features(image, store, superpixels)
+    a = teacher_features(image, weights, superpixels)
+    b = teacher_features(image, weights, superpixels)
     assert np.array_equal(a, b)
     assert a.shape == (16, 8)
 
 
-def test_teacher_frozen_flags():
-    store = ParameterStore()
-    init_teacher_params(store, 6, 8, seed=5)
-    assert store.trainable_names() == []
-
-
 def test_teacher_same_class_same_position_pattern_equal_rows():
-    store = ParameterStore()
-    init_teacher_params(store, 6, 8, seed=5)
+    weights = teacher_weights(6, 8, seed=5)
     # two separate superpixels covering identical (u, v) column patterns:
     # same class, mirrored rows around the image center so the positional
     # sets match exactly is hard; instead use two single-pixel superpixels
@@ -296,26 +287,25 @@ def test_teacher_same_class_same_position_pattern_equal_rows():
     image = ClassImage(cls, np.full((4, 4), 5.0))
     sp_a = np.zeros((4, 4), np.int32)
     sp_a[0, 0] = 1
-    a = teacher_features(image, store, sp_a)
+    a = teacher_features(image, weights, sp_a)
     sp_b = np.zeros((4, 4), np.int32)
     sp_b[0, 0] = 1
-    b = teacher_features(image, store, sp_b)
+    b = teacher_features(image, weights, sp_b)
     assert np.allclose(a[1], b[1])
 
 
 def test_teacher_single_pixel_superpixel_row():
-    store = ParameterStore()
-    init_teacher_params(store, 6, 8, seed=9)
+    weights = teacher_weights(6, 8, seed=9)
     cls = np.full((2, 2), 1, np.int32)
     image = ClassImage(cls, np.full((2, 2), 5.0))
     superpixels = np.array([[0, 1], [2, 3]], np.int32)
-    q = teacher_features(image, store, superpixels)
+    q = teacher_features(image, weights, superpixels)
     # mean over a single pixel equals the pixel feature: recompute directly
     from lidarmoe.encoders import positional_code
     pix = positional_code(2, 2).astype(np.float64)
-    pix += store.get("teacher.emb").astype(np.float64)[1]
-    want = pix @ store.get("teacher.proj.w").astype(np.float64) \
-        + store.get("teacher.proj.b").astype(np.float64)
+    emb, proj = weights
+    pix += emb.astype(np.float64)[1]
+    want = pix @ proj.astype(np.float64)
     assert np.allclose(q, want.astype(np.float32), atol=1e-6)
 
 
@@ -329,20 +319,18 @@ def test_positional_code_is_made_once_per_size_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         code[0, 0] = 1.0
     assert code.tobytes() == positional_code.__wrapped__(96, 64).tobytes()
-    store = ParameterStore()
-    init_teacher_params(store, 6, 8, seed=9)
+    weights = teacher_weights(6, 8, seed=9)
     cls = np.random.default_rng(2).integers(-1, 6, (64, 96)).astype(np.int32)
     image = ClassImage(cls, np.full((64, 96), 5.0))
     superpixels = np.arange(64 * 96, dtype=np.int32).reshape(64, 96) // 97
-    assert teacher_features(image, store, superpixels).shape == (64, 8)
+    assert teacher_features(image, weights, superpixels).shape == (64, 8)
     assert positional_code(96, 64) is code
 
 
 def test_teacher_empty_superpixels():
-    store = ParameterStore()
-    init_teacher_params(store, 6, 8, seed=9)
+    weights = teacher_weights(6, 8, seed=9)
     image = ClassImage(np.full((0, 4), -1, np.int32), np.full((0, 4), np.inf))
-    q = teacher_features(image, store, np.zeros((0, 4), np.int32))
+    q = teacher_features(image, weights, np.zeros((0, 4), np.int32))
     assert q.shape == (0, 8)
 
 

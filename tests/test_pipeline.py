@@ -9,14 +9,14 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.dataio import load_manifest
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
-from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig, _inputs,
+from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig, _inputs, _step_seed,
                                _train_epochs, build_group_mean,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
                                make_view, stage1_pretrain, stage2_cml,
-                               stage3_sms, teacher_store)
+                               stage3_sms)
 from lidarmoe.losses import build_info_nce
-from lidarmoe.encoders import teacher_features
+from lidarmoe.encoders import teacher_features, teacher_weights
 from lidarmoe.geometry import SuperpointPartition
 from lidarmoe.sensors import config_from_json, config_to_json
 
@@ -91,7 +91,8 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
                                   scan.image.depth,
                                   tolerance=cfg.superpoint_tolerance)
     assert partition.count >= 2
-    teacher = teacher_store(cfg, data.num_classes)
+    teacher = teacher_weights(data.num_classes, cfg.embed_dim,
+                              _step_seed(cfg.seed, "teacher"))
     q = teacher_features(scan.image, teacher, scan.superpixels)
     target = q[partition.superpixel_of]
     store = init_backbone_store("point", cfg, "gradtest")
@@ -339,6 +340,32 @@ def test_augmented_stages_keep_no_views(tiny_config, tmp_path, monkeypatch):
     stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml")
     assert len(bundles) == 2
     assert [s.views for b in bundles for s in b.train + b.val] == [{}] * 6
+
+
+def test_evaluation_keeps_views_only_for_sms_validation(tiny_config, tmp_path,
+                                                       monkeypatch):
+    """Over 3 SMS epochs each val (scan, kind) view is built once; a single
+    evaluation pass, SMS's own at 0 epochs included, leaves no scan a view."""
+    import lidarmoe.pipeline as pipeline
+    bundles = []
+
+    def loading(path):
+        bundles.append(load_dataset(path))
+        return bundles[-1]
+
+    monkeypatch.setattr(pipeline, "load_dataset", loading)
+    calls = _count_views(monkeypatch)
+    result = stage3_sms(replace(tiny_config, sms_epochs=3), {}, tmp_path / "a")
+    val_clouds = {id(scan.cloud) for scan in bundles[0].val}
+    val_calls = [call for call in calls if call[1] in val_clouds]
+    assert len(val_calls) == len(set(val_calls)) == len(val_clouds) * len(REPRESENTATIONS)
+
+    stage3_sms(replace(tiny_config, sms_epochs=0), {}, tmp_path / "b")
+    store, _ = load_checkpoint(result["checkpoint"])
+    data = load_dataset(tiny_config.dataset)
+    for split in ("train", "val"):
+        evaluate_store(store, tiny_config, data, split=split)
+    assert [s.views for s in bundles[1].val + data.train + data.val] == [{}] * 4
 
 
 @pytest.mark.parametrize("kind, change", [("voxel", {"voxel_size": (1.0, 1.0, 1.0)}),
