@@ -58,7 +58,7 @@ def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
     else:
         edges = np.asarray(distance_edges, np.float64)
         if edges.size < 1 or np.any(np.diff(edges) <= 0):
-            raise LidarMoeError("distance edges must be increasing")
+            raise LidarMoeError("distance_edges must be increasing")
         d = cloud.depth()
         key = np.searchsorted(edges, d, side="right") - 1
         mask = key >= 0

@@ -31,7 +31,7 @@ from .pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig, backb
                        embed_cloud, embedding_width, evaluate_store, generate_dataset,
                        linear_probe, load_dataset, load_sensors, stage1_pretrain,
                        stage2_cml, stage3_sms)
-from .sensors import config_from_json, read_key
+from .sensors import config_from_json, read_key, reject_unknown
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -53,10 +53,7 @@ def _load_config(args) -> dict:
     if args.config is None:
         return {}
     doc = read_json(args.config)
-    unknown = sorted(set(doc) - _COMMANDS[args.command][1])
-    if unknown:
-        raise LidarMoeError(f"unknown {args.command} config key(s): "
-                            f"{', '.join(unknown)}")
+    reject_unknown(doc, _COMMANDS[args.command][1], f"{args.command} config")
     return doc
 
 
@@ -70,8 +67,7 @@ def _read_choice(doc, owner, key, choices, default):
 
 
 def _run_config(doc: dict, args) -> RunConfig:
-    cfg = config_from_json(RunConfig, {k: v for k, v in doc.items() if k in _RUN_KEYS},
-                           "run config")
+    cfg = config_from_json(RunConfig, doc, "run config")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -163,8 +159,10 @@ def _cmd_probe(args, doc):
 def _cmd_eval(args, doc):
     out = _out_dir(args)
     if "pairs_csv" in doc:
-        pairs = read_csv(read_key(doc, "eval config", "pairs_csv", "str"),
-                         "prediction,label", np.int64)
+        path = read_key(doc, "eval config", "pairs_csv", "str")
+        pairs = read_csv(path, "prediction,label", np.int64)
+        if pairs.size and np.all(pairs[:, 1] < 0):
+            raise LidarMoeError(f"{path}: every label is -1 (unlabeled)")
         report = compute_miou(pairs[:, 0], pairs[:, 1],
                               read_key(doc, "eval config", "num_classes", "int", 6))
         _write_metric_csv(out / "metrics.csv", report)

@@ -25,7 +25,7 @@ CLASS_BUILDING = 4
 CLASS_BARRIER = 5
 NUM_CLASSES = 6
 
-# intensity = base(class) * (1 - range / max_range), clamped to [0, 1]
+# intensity = base(class) * (1 - range / max_range_m), clamped to [0, 1]
 INTENSITY_BASE = {
     CLASS_GROUND: 0.30,
     CLASS_VEHICLE: 0.80,
@@ -240,7 +240,7 @@ def simulate_lidar(scene: Scene, sensor: SensorModel) -> PointCloud:
     """Cast one ray per (beam, azimuth) pair from the origin.
 
     Points are emitted in (beam, azimuth)-sorted order; rays with no hit
-    within ``max_range`` produce no point. Intensity is the class base
+    within ``max_range_m`` produce no point. Intensity is the class base
     reflectance with linear range falloff.
     """
     elev = sensor.beam_elevations()
@@ -252,11 +252,11 @@ def simulate_lidar(scene: Scene, sensor: SensorModel) -> PointCloud:
     dirs = np.stack([ce * np.cos(azim[aa]), ce * np.sin(azim[aa]), se], axis=1)
     origins = np.zeros_like(dirs)
     t, cls = cast_rays(scene, origins, dirs)
-    hit = np.isfinite(t) & (t <= sensor.max_range)
+    hit = np.isfinite(t) & (t <= sensor.max_range_m)
     t, cls, bb = t[hit], cls[hit], bb[hit]
     xyz = dirs[hit] * t[:, None]
     base = np.array([INTENSITY_BASE[c] for c in cls.tolist()])
-    intensity = np.clip(base * (1.0 - t / sensor.max_range), 0.0, 1.0)
+    intensity = np.clip(base * (1.0 - t / sensor.max_range_m), 0.0, 1.0)
     return PointCloud(xyz, intensity, bb.astype(np.int32), cls)
 
 
@@ -293,12 +293,12 @@ def render_camera(scene: Scene, camera: CameraModel, tile: int = 16):
     Returns ``(ClassImage, superpixel_map)``; the superpixel map is the
     tile-then-class partition of the class map.
     """
-    h, w = camera.height, camera.width
+    h, w = camera.cam_h, camera.cam_w
     vv, uu = np.mgrid[0:h, 0:w]
     pix = np.stack([uu.ravel() + 0.5, vv.ravel() + 0.5, np.ones(h * w)], axis=0)
-    k_inv = np.linalg.inv(camera.intrinsics)
+    k_inv = np.linalg.inv(camera.cam_intrinsics)
     cam_dirs = k_inv @ pix
-    r = camera.extrinsics[:3, :3]
+    r = camera.cam_extrinsics[:3, :3]
     dirs = (r.T @ cam_dirs).T
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     center = camera.center_in_lidar()

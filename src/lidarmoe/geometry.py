@@ -6,7 +6,7 @@ All functions are pure over immutable inputs. The range projection maps a
 point (x, y, z) with depth d to
 
     u = 0.5 * (1 - atan2(y, x) / pi) * W_r
-    v = (1 - (asin(z / d) + fov_down) / fov_total) * H_r
+    v = (1 - (asin(z / d) + fov_down_rad) / fov_total_rad) * H_r
 
 floored to integers and clamped to the grid; a point is flagged invalid
 iff clamping moved its row index. Cell collisions keep the minimum-depth
@@ -63,7 +63,7 @@ def range_uv_exact(xyz, sensor: SensorModel):
     if np.any(d <= 0):
         raise LidarMoeError("points must have positive depth")
     u = 0.5 * (1.0 - np.arctan2(xyz[:, 1], xyz[:, 0]) / np.pi) * sensor.range_w
-    v = (1.0 - (np.arcsin(xyz[:, 2] / d) + sensor.fov_down) / sensor.fov_total) * sensor.range_h
+    v = (1.0 - (np.arcsin(xyz[:, 2] / d) + sensor.fov_down_rad) / sensor.fov_total_rad) * sensor.range_h
     return u, v, d
 
 
@@ -161,12 +161,12 @@ def project_to_image(cloud: PointCloud, camera: CameraModel):
     """
     xyz = cloud.xyz.astype(np.float64)
     hom = np.concatenate([xyz, np.ones((cloud.count, 1))], axis=1)
-    cam = (camera.extrinsics @ hom.T)[:3]
+    cam = (camera.cam_extrinsics @ hom.T)[:3]
     z = cam[2]
     safe_z = np.where(np.abs(z) > 1e-12, z, 1e-12)
-    proj = camera.intrinsics @ (cam / safe_z)
+    proj = camera.cam_intrinsics @ (cam / safe_z)
     u, v = proj[0], proj[1]
-    in_frustum = (z > 0) & (u >= 0) & (u < camera.width) & (v >= 0) & (v < camera.height)
+    in_frustum = (z > 0) & (u >= 0) & (u < camera.cam_w) & (v >= 0) & (v < camera.cam_h)
     return u, v, in_frustum
 
 

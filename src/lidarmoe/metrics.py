@@ -73,7 +73,7 @@ def compute_mce_mrr(model_ious: dict, baseline_ious: dict, clean_iou: float):
     percentages; returns (mCE, mRR, per-corruption dict), all percent.
     """
     if clean_iou <= 0:
-        raise LidarMoeError("clean IoU must be positive")
+        raise LidarMoeError("clean_iou must be positive")
     if set(model_ious) != set(baseline_ious):
         raise LidarMoeError("model and baseline corruption sets disagree")
     per = {}

@@ -51,7 +51,7 @@ from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
 from .sensors import (CameraModel, SensorModel, check_fields, config_from_json,
-                      config_to_json, is_number, read_key)
+                      config_to_json, is_number, read_key, reject_unknown)
 
 REPRESENTATIONS = ("range", "voxel", "point")
 
@@ -146,22 +146,19 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
     """Render scans + camera files and write manifest/sensor documents.
 
     ``doc`` overrides keys of ``DEFAULT_DATASET_CONFIG`` with values of the
-    default's type; any other key or value raises LidarMoeError naming it."""
-    doc = doc or {}
-    unknown = sorted(set(doc) - set(DEFAULT_DATASET_CONFIG))
-    if unknown:
-        raise LidarMoeError(f"unknown datagen config key(s): {', '.join(unknown)}")
-    for key in doc:
-        read_key(doc, "datagen config", key, type(DEFAULT_DATASET_CONFIG[key]).__name__)
+    default's type; any other key, type or range raises LidarMoeError
+    naming the key."""
+    merged = dict(DEFAULT_DATASET_CONFIG, **(doc or {}))
+    reject_unknown(merged, DEFAULT_DATASET_CONFIG, "datagen config")
+    sensor = config_from_json(SensorModel, merged, "sensor config")
+    camera = config_from_json(CameraModel, merged, "camera config")
     for key, low in (("n_train", 0), ("n_val", 0), ("superpixel_tile", 1),
                      ("num_classes", NUM_CLASSES)):
-        if doc.get(key, low) < low:
+        if read_key(merged, "datagen config", key, "int") < low:
             raise LidarMoeError(f"datagen config {key} must be >= {low}")
-    merged = dict(DEFAULT_DATASET_CONFIG)
-    merged.update(doc)
-    sensor = SensorModel.from_json(merged)
-    camera = CameraModel.from_json(merged)
-    scene_cfg = config_from_json(SceneConfig, merged["scene"], "scene config")
+    scene_doc = read_key(merged, "datagen config", "scene", "dict")
+    reject_unknown(scene_doc, SceneConfig.__dataclass_fields__, "scene config")
+    scene_cfg = config_from_json(SceneConfig, scene_doc, "scene config")
     tile = merged["superpixel_tile"]
     out = Path(out_dir)
     (out / "scans").mkdir(parents=True, exist_ok=True)
@@ -217,12 +214,14 @@ def load_sensors(dataset_dir):
     """``(SensorModel, CameraModel)`` of a dataset, read from its
     ``sensors.json`` alone."""
     sdoc = read_json(Path(dataset_dir) / "sensors.json")
-    return SensorModel.from_json(sdoc), CameraModel.from_json(sdoc)
+    return (config_from_json(SensorModel, sdoc, "sensor config"),
+            config_from_json(CameraModel, sdoc, "camera config"))
 
 
 def load_dataset(dataset_dir) -> DatasetBundle:
     """The scans, sensors and manifest settings of a dataset; raises
-    LidarMoeError naming a scan that holds a label outside [-1, num_classes)."""
+    LidarMoeError naming a scan with a label outside [-1, num_classes) or a
+    point at the sensor origin, or a camera render not (cam_h, cam_w)."""
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
     sensor, camera = load_sensors(base)
@@ -238,10 +237,18 @@ def load_dataset(dataset_dir) -> DatasetBundle:
             if top >= manifest.num_classes:
                 raise LidarMoeError(f"scan {path} has label {top}, "
                                     f"but num_classes is {manifest.num_classes}")
+            origin = np.flatnonzero(cloud.depth() == 0)
+            if origin.size:
+                raise LidarMoeError(f"scan {path} has point {origin[0]} at the sensor origin")
             scan = LoadedScan(name=Path(e.scan).stem, cloud=cloud)
             if e.camera:
-                scan.image, scan.superpixels = read_camera_npz(
-                    resolve(base, e.camera))
+                cam_path = resolve(base, e.camera)
+                scan.image, scan.superpixels = read_camera_npz(cam_path)
+                for name, arr in (("class_id", scan.image.class_id),
+                                  ("depth", scan.image.depth), ("superpixel", scan.superpixels)):
+                    if arr.shape != (camera.cam_h, camera.cam_w):
+                        raise LidarMoeError(f"{cam_path}: {name} has shape {arr.shape}, "
+                                            f"want {(camera.cam_h, camera.cam_w)}")
             scans.append(scan)
         return scans
 

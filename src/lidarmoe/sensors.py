@@ -1,9 +1,12 @@
-"""Spinning-LiDAR and pinhole-camera models, read from JSON documents."""
+"""Spinning-LiDAR and pinhole-camera models, and the one reader of JSON
+config documents: each config class names its fields as its JSON keys, is
+built by ``config_from_json`` and checks its values through
+``check_fields``, so every type or range error names the key."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -35,7 +38,7 @@ _REQUIRED = object()
 def read_key(doc, owner, key, what, default=_REQUIRED):
     """``doc[key]`` checked with ``FIELD_TYPES[what]``, or ``default`` when
     given and the key is absent; raises LidarMoeError naming ``owner``
-    (the document, say "sensor config") and the key."""
+    (the document, say "eval config") and the key."""
     if not isinstance(doc, dict):
         raise LidarMoeError(f"{owner} must be a JSON object")
     if key not in doc:
@@ -48,7 +51,15 @@ def read_key(doc, owner, key, what, default=_REQUIRED):
     return value
 
 
-def check_fields(config, owner, tuple_rule):
+def reject_unknown(doc, accepted, owner):
+    """Raise LidarMoeError naming ``owner`` and every key of ``doc`` that is
+    not in ``accepted``."""
+    unknown = sorted(set(doc) - set(accepted))
+    if unknown:
+        raise LidarMoeError(f"unknown {owner} key(s): {', '.join(unknown)}")
+
+
+def check_fields(config, owner, tuple_rule=None):
     """Raise LidarMoeError naming ``owner`` (say "run config") and the first
     dataclass field of ``config`` whose value does not fit its annotation;
     ``tuple_rule`` is the ``(check, expected)`` pair for ``tuple`` fields."""
@@ -70,112 +81,94 @@ def config_to_json(config) -> dict:
 
 
 def config_from_json(cls, doc: dict, owner):
-    """A ``cls`` from a JSON object, lists made tuples for ``tuple`` fields;
-    raises LidarMoeError naming ``owner`` and every key that is no field."""
-    tuples = {f.name: f.type == "tuple" for f in fields(cls)}
-    unknown = sorted(set(doc) - set(tuples))
-    if unknown:
-        raise LidarMoeError(f"unknown {owner} key(s): {', '.join(unknown)}")
-    return cls(**{k: tuple(v) if tuples[k] and isinstance(v, list) else v
-                  for k, v in doc.items()})
+    """A ``cls`` from the keys of ``doc`` named as its fields, lists made
+    tuples for ``tuple`` fields; other keys are ignored. Raises
+    LidarMoeError naming ``owner`` and a missing key that has no default;
+    ``cls`` checks the values it is given."""
+    values = {}
+    for f in fields(cls):
+        if f.name in doc:
+            value = doc[f.name]
+            values[f.name] = tuple(value) if f.type == "tuple" and isinstance(value, list) \
+                else value
+        elif f.default is MISSING:
+            raise LidarMoeError(f"{owner} missing key {f.name!r}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
 class SensorModel:
     """Spinning LiDAR with evenly spaced beams and azimuth steps.
 
-    ``fov_total`` is the vertical field of view in radians, ``fov_down``
-    the part of it below horizontal. Beam elevations are cell-centered and
-    evenly spaced inside [-fov_down, fov_total - fov_down], beam 0 lowest;
-    azimuths are cell-centered in [-pi, pi). ``range_h``/``range_w`` give
-    the spherical-projection grid resolution.
+    ``fov_total_rad`` is the vertical field of view, ``fov_down_rad`` the
+    part of it below horizontal. Beam elevations are cell-centered and
+    evenly spaced inside [-fov_down_rad, fov_total_rad - fov_down_rad],
+    beam 0 lowest; azimuths are cell-centered in [-pi, pi).
+    ``range_h``/``range_w`` give the spherical-projection grid resolution.
     """
 
     beam_count: int
     azimuth_steps: int
-    fov_total: float
-    fov_down: float
-    max_range: float
+    fov_total_rad: float
+    fov_down_rad: float
+    max_range_m: float
     range_h: int
     range_w: int
 
     def __post_init__(self):
-        if not (0.0 < self.fov_down < self.fov_total):
-            raise LidarMoeError("need 0 < fov_down < fov_total")
-        if self.range_h < 1 or self.range_w < 1:
-            raise LidarMoeError("range image resolution must be >= 1")
-        if self.beam_count < 1 or self.azimuth_steps < 1:
-            raise LidarMoeError("beam_count and azimuth_steps must be >= 1")
-        if self.max_range <= 0:
-            raise LidarMoeError("max_range must be positive")
+        check_fields(self, "sensor config")
+        if not 0.0 < self.fov_down_rad < self.fov_total_rad:
+            raise LidarMoeError("sensor config fov_down_rad must be in (0, fov_total_rad)")
+        for name in ("beam_count", "azimuth_steps", "range_h", "range_w"):
+            if getattr(self, name) < 1:
+                raise LidarMoeError(f"sensor config {name} must be >= 1")
+        if self.max_range_m <= 0:
+            raise LidarMoeError("sensor config max_range_m must be positive")
 
     def beam_elevations(self) -> np.ndarray:
         b = self.beam_count
-        return (-self.fov_down
-                + self.fov_total * (np.arange(b) + 0.5) / b).astype(np.float64)
+        return -self.fov_down_rad + self.fov_total_rad * (np.arange(b) + 0.5) / b
 
     def azimuths(self) -> np.ndarray:
         a = self.azimuth_steps
         return (-np.pi + 2.0 * np.pi * (np.arange(a) + 0.5) / a).astype(np.float64)
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "SensorModel":
-        def read(key, what):
-            return read_key(doc, "sensor config", key, what)
-
-        return cls(
-            beam_count=read("beam_count", "int"),
-            azimuth_steps=read("azimuth_steps", "int"),
-            fov_total=float(read("fov_total_rad", "float")),
-            fov_down=float(read("fov_down_rad", "float")),
-            max_range=float(read("max_range_m", "float")),
-            range_h=read("range_h", "int"),
-            range_w=read("range_w", "int"),
-        )
-
 
 @dataclass(frozen=True)
 class CameraModel:
     """Pinhole camera: 3x3 intrinsics and a 4x4 rigid LiDAR-to-camera
-    transform. Camera frame convention: +z forward, +x right, +y down."""
+    transform, each given as a list of rows and held as a float64 array.
+    Camera frame convention: +z forward, +x right, +y down."""
 
-    intrinsics: np.ndarray
-    extrinsics: np.ndarray
-    width: int
-    height: int
+    cam_intrinsics: matrix
+    cam_extrinsics: matrix
+    cam_w: int
+    cam_h: int
 
     def __post_init__(self):
-        k = np.asarray(self.intrinsics, dtype=np.float64).reshape(3, 3)
-        t = np.asarray(self.extrinsics, dtype=np.float64).reshape(4, 4)
-        object.__setattr__(self, "intrinsics", k)
-        object.__setattr__(self, "extrinsics", t)
+        check_fields(self, "camera config")
+        for name, n in (("cam_intrinsics", 3), ("cam_extrinsics", 4)):
+            rows = getattr(self, name)
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise LidarMoeError(f"camera config {name} must be {n}x{n}, got {rows!r}")
+            object.__setattr__(self, name, np.asarray(rows, dtype=np.float64))
+        k, t = self.cam_intrinsics, self.cam_extrinsics
         if k[1, 0] != 0 or k[2, 0] != 0 or k[2, 1] != 0:
-            raise LidarMoeError("intrinsics must be upper-triangular")
+            raise LidarMoeError("camera config cam_intrinsics must be upper-triangular")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
-            raise LidarMoeError("focal lengths must be positive")
+            raise LidarMoeError("camera config cam_intrinsics focal lengths must be positive")
         r = t[:3, :3]
         if np.linalg.norm(r.T @ r - np.eye(3)) >= 1e-6:
-            raise LidarMoeError("extrinsic rotation block must be orthonormal")
+            raise LidarMoeError("camera config cam_extrinsics rotation block must be "
+                                "orthonormal")
         if not np.allclose(t[3], [0, 0, 0, 1]):
-            raise LidarMoeError("extrinsics bottom row must be [0,0,0,1]")
-        if self.width < 1 or self.height < 1:
-            raise LidarMoeError("image size must be >= 1")
+            raise LidarMoeError("camera config cam_extrinsics bottom row must be [0,0,0,1]")
+        for name in ("cam_w", "cam_h"):
+            if getattr(self, name) < 1:
+                raise LidarMoeError(f"camera config {name} must be >= 1")
 
     def center_in_lidar(self) -> np.ndarray:
         """Camera optical center expressed in the LiDAR frame."""
-        r = self.extrinsics[:3, :3]
-        t = self.extrinsics[:3, 3]
+        r = self.cam_extrinsics[:3, :3]
+        t = self.cam_extrinsics[:3, 3]
         return -r.T @ t
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CameraModel":
-        def read(key, what):
-            return read_key(doc, "camera config", key, what)
-
-        return cls(
-            intrinsics=np.asarray(read("cam_intrinsics", "matrix"), dtype=np.float64),
-            extrinsics=np.asarray(read("cam_extrinsics", "matrix"), dtype=np.float64),
-            width=read("cam_w", "int"),
-            height=read("cam_h", "int"),
-        )
-

@@ -20,4 +20,5 @@ def forward_camera(offset=(0.0, 0.0, 0.2), fx=64.0, fy=64.0,
     t[:3, :3] = r
     t[:3, 3] = -r @ np.asarray(offset, dtype=np.float64)
     k = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
-    return CameraModel(intrinsics=k, extrinsics=t, width=width, height=height)
+    return CameraModel(cam_intrinsics=k.tolist(), cam_extrinsics=t.tolist(),
+                       cam_w=width, cam_h=height)

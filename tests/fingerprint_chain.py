@@ -1,0 +1,67 @@
+"""Fingerprint every file that a reduced end-to-end CLI chain writes.
+
+Runs datagen and then the chain of acceptance criterion 10 at reduced
+length (pretrain, cml, probe, sms, eval, route-stats) in a temporary
+directory, and prints ``sha256  relpath`` for every file there, sorted by
+path. Every path the chain is given is relative, so no output holds the
+temporary directory's name. Two source trees write byte-identical outputs
+exactly when their fingerprints agree:
+
+    git worktree add ../lidarmoe-parent HEAD~1
+    diff <(PYTHONPATH=../lidarmoe-parent/src python tests/fingerprint_chain.py) \\
+         <(PYTHONPATH=src python tests/fingerprint_chain.py)
+
+Its name does not start with ``test_``, so pytest does not collect it.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from lidarmoe.cli import main
+
+# the reference dataset and criterion 10's run config, probe epochs cut to 3
+DATAGEN = {}
+RUN = {"dataset": "data", "seed": 77, "epochs": 3, "sms_epochs": 2, "probe_epochs": 3,
+       "augment": False, "sms_augment": True, "lr_cml": 0.005, "student_init": "stage1"}
+# (subcommand, config, output directory), run in order
+CHAIN = [
+    ("datagen", DATAGEN, "data"),
+    ("pretrain", RUN, "s1"),
+    ("cml", dict(RUN, stage1_dir="s1"), "cml"),
+    ("probe", dict(RUN, checkpoint="cml/cml_student.ckpt"), "probe"),
+    ("sms", dict(RUN, init={"voxel": "cml/cml_student.ckpt",
+                            "range": "s1/stage1_range.ckpt",
+                            "point": "s1/stage1_point.ckpt"}), "sms"),
+    ("eval", dict(RUN, checkpoint="sms/sms_model.ckpt"), "eval"),
+    ("route-stats", {"gates_csv": "cml/cml_gates_train_000.csv",
+                     "cloud": "data/scans/train_000.lpcd", "axis": "beam"}, "route"),
+]
+
+
+def fingerprints(root: Path) -> list:
+    """``sha256  relpath`` of every file under ``root``, sorted by path."""
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(root)}"
+            for p in sorted(root.rglob("*")) if p.is_file()]
+
+
+def run_chain(root: Path) -> None:
+    """Run ``CHAIN`` with ``root`` as the working directory."""
+    (root / "configs").mkdir()
+    os.chdir(root)
+    for command, doc, out in CHAIN:
+        cfg = Path("configs") / f"{command}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        if main([command, "--config", str(cfg), "--out", out]) != 0:
+            sys.exit(f"{command} failed")
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        run_chain(Path(tmp))
+        os.chdir(home)
+        print("\n".join(fingerprints(Path(tmp))))

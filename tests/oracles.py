@@ -78,7 +78,7 @@ def range_uv_scalar(x, y, z, sensor):
     """Scalar-math spherical projection of one point."""
     d = math.sqrt(x * x + y * y + z * z)
     u = 0.5 * (1.0 - math.atan2(y, x) / math.pi) * sensor.range_w
-    v = (1.0 - (math.asin(z / d) + sensor.fov_down) / sensor.fov_total) * sensor.range_h
+    v = (1.0 - (math.asin(z / d) + sensor.fov_down_rad) / sensor.fov_total_rad) * sensor.range_h
     return u, v
 
 

@@ -253,12 +253,12 @@ def _logit_params():
 # -- criterion 3: projection round trips ---------------------------------------
 
 def test_criterion_3_projection_roundtrips(rng):
-    sensor = SensorModel(beam_count=32, azimuth_steps=256, fov_total=0.7,
-                         fov_down=0.45, max_range=80.0, range_h=32, range_w=256)
+    sensor = SensorModel(beam_count=32, azimuth_steps=256, fov_total_rad=0.7,
+                         fov_down_rad=0.45, max_range_m=80.0, range_h=32, range_w=256)
     n = 100_000
     azim = rng.uniform(-np.pi, np.pi, n)
-    elev = rng.uniform(-sensor.fov_down + 1e-4,
-                       sensor.fov_total - sensor.fov_down - 1e-4, n)
+    elev = rng.uniform(-sensor.fov_down_rad + 1e-4,
+                       sensor.fov_total_rad - sensor.fov_down_rad - 1e-4, n)
     radius = rng.uniform(1.0, 60.0, n)
     xyz = np.stack([radius * np.cos(elev) * np.cos(azim),
                     radius * np.cos(elev) * np.sin(azim),

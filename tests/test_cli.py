@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from lidarmoe.cli import _prediction_rows, main
-from lidarmoe.dataio import read_lpcd, write_lpcd
+from lidarmoe.datagen import ClassImage
+from lidarmoe.dataio import read_camera_npz, read_lpcd, write_camera_npz, write_lpcd
 from lidarmoe.moe import write_gate_csv
 from lidarmoe.params import ParameterStore, load_checkpoint, save_checkpoint
 from lidarmoe.pointcloud import PointCloud
@@ -274,13 +275,13 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
      "scene config n_poles must be >= 0"),
     ({"n_train": 1.9, "n_val": 0}, "datagen config n_train must be int, got 1.9"),
     ({"n_train": 1, "n_val": 0, "max_range_m": "60"},
-     "datagen config max_range_m must be float, got '60'"),
+     "sensor config max_range_m must be float, got '60'"),
     ({"n_train": 1, "n_val": -1}, "datagen config n_val must be >= 0"),
-    ({"n_train": 1, "n_val": 0, "fov_down_rad": 0.8}, "need 0 < fov_down < fov_total"),
-    ({"n_train": 1, "n_val": 0, "range_h": 0}, "range image resolution must be >= 1"),
-    ({"n_train": 1, "n_val": 0, "beam_count": 0},
-     "beam_count and azimuth_steps must be >= 1"),
-    ({"n_train": 1, "n_val": 0, "max_range_m": -1.0}, "max_range must be positive"),
+    ({"n_train": 1, "n_val": 0, "fov_down_rad": 0.8},
+     "sensor config fov_down_rad must be in (0, fov_total_rad)"),
+    ({"n_train": 1, "n_val": 0, "range_h": 0}, "sensor config range_h must be >= 1"),
+    ({"n_train": 1, "n_val": 0, "beam_count": 0}, "sensor config beam_count must be >= 1"),
+    ({"n_train": 1, "n_val": 0, "max_range_m": -1.0}, "sensor config max_range_m must be positive"),
     ({"n_train": 1, "n_val": 0,
       "cam_intrinsics": [[64.0, 0.0, 48.0], [1.0, 64.0, 32.0], [0.0, 0.0, 1.0]]},
      "intrinsics must be upper-triangular"),
@@ -290,12 +291,14 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
     ({"n_train": 1, "n_val": 0,
       "cam_extrinsics": [[0.0, -2.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.2],
                          [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]},
-     "extrinsic rotation block must be orthonormal"),
+     "camera config cam_extrinsics rotation block must be orthonormal"),
     ({"n_train": 1, "n_val": 0,
       "cam_extrinsics": [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.2],
                          [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]},
      "extrinsics bottom row must be [0,0,0,1]"),
-    ({"n_train": 1, "n_val": 0, "cam_w": 0}, "image size must be >= 1"),
+    ({"n_train": 1, "n_val": 0, "cam_w": 0}, "camera config cam_w must be >= 1"),
+    ({"n_train": 1, "n_val": 0, "cam_intrinsics": [[64.0, 0.0], [0.0, 64.0]]},
+     "camera config cam_intrinsics must be 3x3"),
 ])
 def test_datagen_bad_value_exit_2(tmp_path, capsys, doc, message):
     cfg = write_json(tmp_path / "cfg.json", doc)
@@ -344,6 +347,8 @@ def test_interrupted_predictions_write_keeps_previous_file(tmp_path, tiny_datase
     ("cam_w", 96.0, "camera config cam_w must be int, got 96.0"),
     ("cam_intrinsics", [["80", 0, 48], [0, 80, 32], [0, 0, 1]],
      "camera config cam_intrinsics must be matrix"),
+    ("cam_extrinsics", [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "camera config cam_extrinsics must be 4x4"),
 ])
 def test_mistyped_sensors_json_exit_2(tmp_path, tiny_dataset, capsys, command,
                                       key, value, message):
@@ -559,7 +564,7 @@ def _bad_input(case, tmp_path, dataset):
                    "but num_classes is 3"
         write_json(path, manifest)
         return "sms", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), want
-    if case.startswith("pairs "):
+    if case in ("pairs class 7 of 6", "pairs num_classes -2"):
         # the first row outside [0, num_classes) is (bad, bad)
         bad, classes = (7, 6) if case == "pairs class 7 of 6" else (1, -2)
         pairs = tmp_path / "pairs.csv"
@@ -624,7 +629,7 @@ def _bad_input(case, tmp_path, dataset):
             "pairs CSV of three fields": ("prediction,label\n1,1,1\n",
                                           f"{pairs}: 3 fields per row, want 2"),
             "pairs CSV labels all -1": ("prediction,label\n1,-1\n2,-1\n",
-                                        "all labels ignored"),
+                                        f"{pairs}: every label is -1 (unlabeled)"),
         }[case]
         pairs.write_text(text)
         return "eval", write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)}), want
@@ -677,12 +682,12 @@ def _bad_input(case, tmp_path, dataset):
         doc = {"gates_csv": str(gates), "cloud": str(cloud), "axis": "distance-bin",
                "distance_edges": [10.0, 5.0]}
         return "route-stats", write_json(tmp_path / "cfg.json", doc), \
-            "distance edges must be increasing"
+            "distance_edges must be increasing"
     if case.startswith("report "):
         ious = {"beam": [60.0, 50.0, 40.0]}
         doc, want = {
             "report clean_iou 0": ({"model_ious": ious, "baseline_ious": ious,
-                                    "clean_iou": 0.0}, "clean IoU must be positive"),
+                                    "clean_iou": 0.0}, "clean_iou must be positive"),
             "report corruption sets differ": (
                 {"model_ious": ious, "baseline_ious": {"fog": [60.0, 50.0, 40.0]},
                  "clean_iou": 70.0}, "model and baseline corruption sets disagree"),
@@ -700,7 +705,18 @@ def _bad_input(case, tmp_path, dataset):
         write_lpcd(scan, cloud)
         doc = dict(run, dataset=str(copy), sms_epochs=0)
         return "sms", write_json(tmp_path / "cfg.json", doc), \
-            "points must have positive depth"
+            f"scan {scan} has point 0 at the sensor origin"
+    if case == "camera render cut to 40 rows":
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        cam = copy / "cams" / "train_000.npz"
+        image, superpixels = read_camera_npz(cam)
+        write_camera_npz(cam, ClassImage(image.class_id[:40], image.depth[:40]),
+                         superpixels[:40])
+        sensors = json.loads((copy / "sensors.json").read_text())
+        want = (sensors["cam_h"], sensors["cam_w"])
+        return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
+            f"{cam}: class_id has shape {(40, want[1])}, want {want}"
     raise AssertionError(case)
 
 
@@ -719,6 +735,7 @@ def _bad_input(case, tmp_path, dataset):
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
     "decreasing distance_edges", "report clean_iou 0", "report corruption sets differ",
     "report two severities", "val point at the sensor origin",
+    "camera render cut to 40 rows",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)

@@ -15,8 +15,8 @@ from cameras import forward_camera
 
 
 def small_sensor(**kw):
-    args = dict(beam_count=16, azimuth_steps=64, fov_total=np.deg2rad(40.0),
-                fov_down=np.deg2rad(25.0), max_range=60.0, range_h=16,
+    args = dict(beam_count=16, azimuth_steps=64, fov_total_rad=np.deg2rad(40.0),
+                fov_down_rad=np.deg2rad(25.0), max_range_m=60.0, range_h=16,
                 range_w=64)
     args.update(kw)
     return SensorModel(**args)
@@ -88,7 +88,7 @@ def test_points_within_range_and_labeled():
     sensor = small_sensor()
     cloud = simulate_lidar(scene, sensor)
     assert cloud.count > 0
-    assert np.all(cloud.depth() <= sensor.max_range + 1e-9)
+    assert np.all(cloud.depth() <= sensor.max_range_m + 1e-9)
     assert np.all(cloud.label >= 0)
     assert np.all(cloud.beam < sensor.beam_count)
     assert np.all((cloud.intensity >= 0) & (cloud.intensity <= 1))

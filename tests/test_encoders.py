@@ -20,8 +20,8 @@ from graph_eval import evaluate_builder
 
 
 def small_sensor(w=16):
-    return SensorModel(beam_count=8, azimuth_steps=w, fov_total=0.6,
-                       fov_down=0.3, max_range=60.0, range_h=8, range_w=w)
+    return SensorModel(beam_count=8, azimuth_steps=w, fov_total_rad=0.6,
+                       fov_down_rad=0.3, max_range_m=60.0, range_h=8, range_w=w)
 
 
 def range_embed(ri, store):

@@ -23,8 +23,8 @@ from oracles import align_to_points, group_mean
 
 
 def sensor_1024():
-    return SensorModel(beam_count=32, azimuth_steps=1024, fov_total=0.5236,
-                       fov_down=0.2618, max_range=100.0, range_h=32,
+    return SensorModel(beam_count=32, azimuth_steps=1024, fov_total_rad=0.5236,
+                       fov_down_rad=0.2618, max_range_m=100.0, range_h=32,
                        range_w=1024)
 
 
@@ -46,7 +46,7 @@ def test_forward_axis_point_uv():
 
 def test_fov_top_edge_row_zero():
     s = sensor_1024()
-    elev = s.fov_total - s.fov_down
+    elev = s.fov_total_rad - s.fov_down_rad
     xyz = [[np.cos(elev), 0.0, np.sin(elev)]]
     _, v, _ = range_uv_exact(xyz, s)
     assert v[0] == pytest.approx(0.0, abs=1e-9)
@@ -56,12 +56,12 @@ def test_fov_top_edge_row_zero():
 
 
 def test_uv_recomputation_oracle():
-    s = SensorModel(beam_count=16, azimuth_steps=128, fov_total=0.7,
-                    fov_down=0.4, max_range=80.0, range_h=16, range_w=128)
+    s = SensorModel(beam_count=16, azimuth_steps=128, fov_total_rad=0.7,
+                    fov_down_rad=0.4, max_range_m=80.0, range_h=16, range_w=128)
     rng = np.random.default_rng(0)
     n = 2000
     azim = rng.uniform(-np.pi, np.pi, n)
-    elev = rng.uniform(-s.fov_down + 1e-3, s.fov_total - s.fov_down - 1e-3, n)
+    elev = rng.uniform(-s.fov_down_rad + 1e-3, s.fov_total_rad - s.fov_down_rad - 1e-3, n)
     r = rng.uniform(1.0, 50.0, n)
     xyz = np.stack([r * np.cos(elev) * np.cos(azim),
                     r * np.cos(elev) * np.sin(azim),
@@ -71,7 +71,7 @@ def test_uv_recomputation_oracle():
         x, y, z = (float(xyz[i, 0]), float(xyz[i, 1]), float(xyz[i, 2]))
         d = math.sqrt(x * x + y * y + z * z)
         ue = 0.5 * (1.0 - math.atan2(y, x) / math.pi) * s.range_w
-        ve = (1.0 - (math.asin(z / d) + s.fov_down) / s.fov_total) * s.range_h
+        ve = (1.0 - (math.asin(z / d) + s.fov_down_rad) / s.fov_total_rad) * s.range_h
         assert abs(u[i] - ue) <= 1e-9 * max(1.0, abs(ue))
         assert abs(v[i] - ve) <= 1e-9 * max(1.0, abs(ve))
 
@@ -102,8 +102,8 @@ def test_out_of_fov_clamped_and_flagged():
 
 
 def test_pixel_map_total_and_in_bounds(rng):
-    s = SensorModel(beam_count=8, azimuth_steps=32, fov_total=0.6,
-                    fov_down=0.3, max_range=100.0, range_h=8, range_w=32)
+    s = SensorModel(beam_count=8, azimuth_steps=32, fov_total_rad=0.6,
+                    fov_down_rad=0.3, max_range_m=100.0, range_h=8, range_w=32)
     xyz = rng.standard_normal((500, 3)) * 10 + [0, 0, -1]
     xyz = xyz[np.linalg.norm(xyz, axis=1) > 0.1]
     ri = project_to_range(cloud_from_xyz(xyz), s)
@@ -153,8 +153,8 @@ def test_voxel_mean_matches_bruteforce(rng):
 # -- camera projection -------------------------------------------------------
 
 def test_optical_axis_projection():
-    cam = CameraModel(intrinsics=[[50.0, 0, 32.0], [0, 50.0, 24.0], [0, 0, 1]],
-                      extrinsics=np.eye(4), width=64, height=48)
+    cam = CameraModel(cam_intrinsics=[[50.0, 0, 32.0], [0, 50.0, 24.0], [0, 0, 1]],
+                      cam_extrinsics=np.eye(4).tolist(), cam_w=64, cam_h=48)
     u, v, ok = project_to_image(cloud_from_xyz([[0.0, 0.0, 4.0]]), cam)
     assert u[0] == pytest.approx(32.0)
     assert v[0] == pytest.approx(24.0)
@@ -162,8 +162,8 @@ def test_optical_axis_projection():
 
 
 def test_behind_camera_not_in_frustum():
-    cam = CameraModel(intrinsics=[[50.0, 0, 32.0], [0, 50.0, 24.0], [0, 0, 1]],
-                      extrinsics=np.eye(4), width=64, height=48)
+    cam = CameraModel(cam_intrinsics=[[50.0, 0, 32.0], [0, 50.0, 24.0], [0, 0, 1]],
+                      cam_extrinsics=np.eye(4).tolist(), cam_w=64, cam_h=48)
     _, _, ok = project_to_image(cloud_from_xyz([[0.0, 0.0, -4.0]]), cam)
     assert not ok[0]
 
@@ -185,8 +185,8 @@ def test_projective_ray_invariance():
 def test_no_in_frustum_points_gives_empty_partition():
     cam = forward_camera()
     cloud = cloud_from_xyz([[-5.0, 0.0, 0.0]])  # behind the camera
-    depth = np.full((cam.height, cam.width), np.inf)
-    superpixels = np.zeros((cam.height, cam.width), np.int32)
+    depth = np.full((cam.cam_h, cam.cam_w), np.inf)
+    superpixels = np.zeros((cam.cam_h, cam.cam_w), np.int32)
     part = build_superpoints(cloud, cam, superpixels, depth)
     assert part.count == 0
     assert part.point_group[0] == -1
@@ -195,8 +195,8 @@ def test_no_in_frustum_points_gives_empty_partition():
 def test_occluded_point_excluded():
     cam = forward_camera()
     cloud = cloud_from_xyz([[10.0, 0.0, 0.2]])
-    superpixels = np.zeros((cam.height, cam.width), np.int32)
-    depth = np.full((cam.height, cam.width), 2.0)  # wall at 2 m
+    superpixels = np.zeros((cam.cam_h, cam.cam_w), np.int32)
+    depth = np.full((cam.cam_h, cam.cam_w), 2.0)  # wall at 2 m
     part = build_superpoints(cloud, cam, superpixels, depth, tolerance=0.1)
     assert part.point_group[0] == -1
 
@@ -210,8 +210,8 @@ def test_wall_scene_assigns_points_bruteforce():
         Primitive("box", (8.0, 0.0, 0.0, 0.0), (0.5, 60.0, 60.0), 4),
     ))
     cam = forward_camera()
-    sensor = SensorModel(beam_count=8, azimuth_steps=64, fov_total=0.4,
-                         fov_down=0.2, max_range=60.0, range_h=8, range_w=64)
+    sensor = SensorModel(beam_count=8, azimuth_steps=64, fov_total_rad=0.4,
+                         fov_down_rad=0.2, max_range_m=60.0, range_h=8, range_w=64)
     cloud = simulate_lidar(scene, sensor)
     image, superpixels = render_camera(scene, cam, tile=16)
     part = build_superpoints(cloud, cam, superpixels, image.depth)
@@ -256,8 +256,8 @@ def pooled(feats, partition):
 
 
 def test_align_range_single_point(rng):
-    s = SensorModel(beam_count=4, azimuth_steps=8, fov_total=0.6, fov_down=0.3,
-                    max_range=50.0, range_h=4, range_w=8)
+    s = SensorModel(beam_count=4, azimuth_steps=8, fov_total_rad=0.6, fov_down_rad=0.3,
+                    max_range_m=50.0, range_h=4, range_w=8)
     cloud = cloud_from_xyz([[5.0, 0.0, 0.0]])
     ri = project_to_range(cloud, s)
     feats = rng.standard_normal((4 * 8, 3)).astype(np.float32)
@@ -288,8 +288,8 @@ def test_align_range_collision_shares_kept_feature(rng):
 def test_range_roundtrip_kept_points_get_own_feature(rng):
     """Unprojecting the range grid returns each point its cell's feature;
     for a cell's kept point that is its own (x, y, z, i, d) vector."""
-    s = SensorModel(beam_count=8, azimuth_steps=32, fov_total=0.6,
-                    fov_down=0.3, max_range=100.0, range_h=8, range_w=32)
+    s = SensorModel(beam_count=8, azimuth_steps=32, fov_total_rad=0.6,
+                    fov_down_rad=0.3, max_range_m=100.0, range_h=8, range_w=32)
     xyz = rng.standard_normal((200, 3)) * 10 + [0, 0, -1]
     xyz = xyz[np.linalg.norm(xyz, axis=1) > 0.5]
     cloud = cloud_from_xyz(xyz, intensity=rng.uniform(0, 1, xyz.shape[0]))
@@ -371,8 +371,8 @@ def test_empty_inputs_give_empty_fields_of_the_general_shapes_and_dtypes():
     def fields(obj, names):
         return {n: (getattr(obj, n).shape, getattr(obj, n).dtype) for n in names}
 
-    sensor = SensorModel(beam_count=8, azimuth_steps=32, fov_total=0.6,
-                         fov_down=0.3, max_range=1.0, range_h=8, range_w=32)
+    sensor = SensorModel(beam_count=8, azimuth_steps=32, fov_total_rad=0.6,
+                         fov_down_rad=0.3, max_range_m=1.0, range_h=8, range_w=32)
     no_objects = SceneConfig(n_boxes=0, n_pedestrians=0, n_poles=0,
                              n_buildings=0, n_barriers=0)
     # the ground lies 1.8 m below the sensor, beyond the 1 m max range

@@ -1,6 +1,8 @@
 """Stage contracts: initialization equality at zero epochs, determinism,
 freeze guarantees, warm starts, gradient integrity, and evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.dataio import load_manifest
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
-from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig, _inputs, _step_seed,
-                               _train_epochs, build_group_mean,
+from lidarmoe.pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig,
+                               _inputs, _step_seed, _train_epochs, build_group_mean,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
                                make_view, stage1_pretrain, stage2_cml,
@@ -18,11 +20,11 @@ from lidarmoe.pipeline import (REPRESENTATIONS, RunConfig, _inputs, _step_seed,
 from lidarmoe.losses import build_info_nce
 from lidarmoe.encoders import teacher_features, teacher_weights
 from lidarmoe.geometry import SuperpointPartition
-from lidarmoe.sensors import config_from_json, config_to_json
+from lidarmoe.sensors import CameraModel, SensorModel, config_from_json, config_to_json
 
 from oracles import pooled_two_gathers
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 
@@ -440,8 +442,8 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     # seed picked so no relu/max kink sits within eps of a crossing
     cfg = replace(tiny_config, seed=7, embed_dim=4, centroid_count=5, knn_k=3)
     data = load_dataset(cfg.dataset)
-    sensor = SensorModel(beam_count=4, azimuth_steps=8, fov_total=0.7,
-                         fov_down=0.45, max_range=60.0, range_h=4, range_w=8)
+    sensor = SensorModel(beam_count=4, azimuth_steps=8, fov_total_rad=0.7,
+                         fov_down_rad=0.45, max_range_m=60.0, range_h=4, range_w=8)
     scan = data.train[0]
     # a 32-point slice keeps the finite-difference sweep quick
     cloud = scan.cloud.select(np.arange(0, scan.cloud.count,
@@ -687,6 +689,39 @@ def test_run_config_accepts_ints_for_floats_and_json_voxel_lists():
     assert cfg.voxel_size == (2, 2, 2) and cfg.lr_cml == 1
     with pytest.raises(LidarMoeError, match="voxel_size"):
         config_from_json(RunConfig, {"voxel_size": 5}, "run config")
+
+
+def test_config_from_json_reads_the_field_keys_and_names_a_missing_one():
+    """The sensor and camera models read their keys from one flat document
+    and ignore the others; a missing key is named."""
+    doc = dict(DEFAULT_DATASET_CONFIG)
+    sensor = config_from_json(SensorModel, doc, "sensor config")
+    camera = config_from_json(CameraModel, doc, "camera config")
+    assert sensor.fov_down_rad == doc["fov_down_rad"] and camera.cam_w == doc["cam_w"]
+    assert camera.cam_extrinsics.tolist() == doc["cam_extrinsics"]
+    del doc["max_range_m"]
+    with pytest.raises(LidarMoeError, match="^sensor config missing key 'max_range_m'$"):
+        config_from_json(SensorModel, doc, "sensor config")
+
+
+@pytest.mark.parametrize("cls,key,value,message", [
+    (SensorModel, "beam_count", 32.0, "sensor config beam_count must be int, got 32.0"),
+    (SensorModel, "fov_total_rad", "0.7", "sensor config fov_total_rad must be float"),
+    (CameraModel, "cam_intrinsics", np.eye(3),
+     "camera config cam_intrinsics must be matrix"),
+    (CameraModel, "cam_h", True, "camera config cam_h must be int, got True"),
+    (CameraModel, "cam_intrinsics", [[64, 0, 48], [1, 64, 32], [0, 0, 1]],
+     "camera config cam_intrinsics must be upper-triangular"),
+    (CameraModel, "cam_intrinsics", [[64, 0, 48], [0, -1, 32], [0, 0, 1]],
+     "camera config cam_intrinsics focal lengths must be positive"),
+    (CameraModel, "cam_extrinsics", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],
+     "camera config cam_extrinsics bottom row must be [0,0,0,1]"),
+])
+def test_sensor_and_camera_models_check_each_key_on_construction(cls, key, value, message):
+    """Every type and range error names the key, also without JSON."""
+    doc = dict(DEFAULT_DATASET_CONFIG, **{key: value})
+    with pytest.raises(LidarMoeError, match=f"^{re.escape(message)}"):
+        cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def test_train_epochs_names_stage_epoch_and_scan_of_non_finite_error(tmp_path):
