@@ -212,10 +212,15 @@ class DatasetBundle:
 
 def load_sensors(dataset_dir):
     """``(SensorModel, CameraModel)`` of a dataset, read from its
-    ``sensors.json`` alone."""
-    sdoc = read_json(Path(dataset_dir) / "sensors.json")
-    return (config_from_json(SensorModel, sdoc, "sensor config"),
-            config_from_json(CameraModel, sdoc, "camera config"))
+    ``sensors.json`` alone; a bad key raises LidarMoeError naming that
+    file."""
+    path = Path(dataset_dir) / "sensors.json"
+    sdoc = read_json(path)
+    try:
+        return (config_from_json(SensorModel, sdoc, "sensor config"),
+                config_from_json(CameraModel, sdoc, "camera config"))
+    except LidarMoeError as exc:
+        raise LidarMoeError(f"{path}: {exc}") from exc
 
 
 def load_dataset(dataset_dir) -> DatasetBundle:
