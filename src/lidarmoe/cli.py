@@ -2,10 +2,10 @@
 
 Subcommands: datagen, pretrain, cml, sms, probe, eval, corrupt,
 route-stats, cosine-map, report. Global flags: --config <path>,
---seed <u64>, --out <dir>. Exit codes: 0 success, 1 usage error, 2 bad
-input: a LidarMoeError or OSError (bad config, dataset, checkpoint or
-file). An internal bug propagates with its traceback, which Python
-reports as exit 1. Results are written as CSV/JSON under --out.
+--seed <non-negative int>, --out <dir>. Exit codes: 0 success, 1 usage
+error, 2 bad input: a LidarMoeError or OSError (bad config, dataset,
+checkpoint or file). An internal bug propagates with its traceback, which
+Python reports as exit 1. Results are written as CSV/JSON under --out.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import (DEFAULT_DISTANCE_EDGES, ROUTE_AXES, cosine_map, route_stats,
                        route_bars_svg, scatter_svg, write_cosine_csv, write_route_csv)
+from .datagen import CORRUPTION_KINDS, CORRUPTION_SEVERITIES
 from .datagen import corrupt as corrupt_cloud
 from .dataio import (DatasetManifest, ScanEntry, load_manifest, read_csv,
                      read_json, read_lpcd, resolve, save_manifest, write_json,
@@ -32,7 +33,7 @@ from .pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig, backb
                        embed_cloud, embedding_width, evaluate_store, generate_dataset,
                        linear_probe, load_dataset, load_sensors, stage1_pretrain,
                        stage2_cml, stage3_sms)
-from .sensors import config_from_json, read_key, reject_unknown
+from .sensors import POSITIVE, at_least, config_from_json, one_of, read_key, reject_unknown
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -59,6 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _RUN_KEYS = frozenset(RunConfig.__dataclass_fields__)
+_SPLITS = one_of(("train", "val"))
+_KINDS = one_of(REPRESENTATIONS)
 
 
 def _keep_freed_memory() -> None:
@@ -95,15 +98,6 @@ def _load_config(args) -> dict:
     doc = read_json(args.config)
     reject_unknown(doc, _COMMANDS[args.command][1], f"{args.command} config")
     return doc
-
-
-def _read_choice(doc, owner, key, choices, default):
-    """``doc[key]``, one of the strings ``choices``, or ``default`` if absent."""
-    value = read_key(doc, owner, key, "str", default)
-    if value != default and value not in choices:
-        raise LidarMoeError(f"{owner} {key} must be {'|'.join(choices)}, "
-                            f"got {value!r}")
-    return value
 
 
 def _run_config(doc: dict, args) -> RunConfig:
@@ -183,7 +177,7 @@ def _cmd_sms(args, doc):
 def _cmd_probe(args, doc):
     cfg = _run_config(doc, args)
     out = _out_dir(args)
-    rep = _read_choice(doc, "probe config", "representation", REPRESENTATIONS, None)
+    rep = read_key(doc, "probe config", "representation", "str", None, _KINDS)
     baseline = read_key(doc, "probe config", "random_baseline", "bool", False)
     if "checkpoint" not in doc and not baseline:
         raise LidarMoeError("probe config needs checkpoint or random_baseline")
@@ -200,9 +194,7 @@ def _cmd_eval(args, doc):
     out = _out_dir(args)
     if "pairs_csv" in doc:
         path = read_key(doc, "eval config", "pairs_csv", "str")
-        num_classes = read_key(doc, "eval config", "num_classes", "int", 6)
-        if num_classes < 1:
-            raise LidarMoeError(f"eval config num_classes must be >= 1, got {num_classes}")
+        num_classes = read_key(doc, "eval config", "num_classes", "int", 6, at_least(1))
         pairs = read_csv(path, "prediction,label", np.int64)
         if pairs.size and np.all(pairs[:, 1] < 0):
             raise LidarMoeError(f"{path}: every label is -1 (unlabeled)")
@@ -213,7 +205,7 @@ def _cmd_eval(args, doc):
     cfg = _run_config(doc, args)
     if "checkpoint" not in doc:
         raise LidarMoeError("eval config needs checkpoint or pairs_csv")
-    split = _read_choice(doc, "eval config", "split", ("train", "val"), "val")
+    split = read_key(doc, "eval config", "split", "str", "val", _SPLITS)
     path = read_key(doc, "eval config", "checkpoint", "str")
     store, _ = load_checkpoint(path)
     for kind in REPRESENTATIONS:
@@ -233,11 +225,12 @@ def _cmd_eval(args, doc):
 
 def _cmd_corrupt(args, doc):
     dataset = Path(read_key(doc, "corrupt config", "dataset", "str"))
-    kind = read_key(doc, "corrupt config", "kind", "str")
-    severity = read_key(doc, "corrupt config", "severity", "int")
-    split = _read_choice(doc, "corrupt config", "split", ("train", "val"), "val")
-    seed = args.seed if args.seed is not None else \
-        read_key(doc, "corrupt config", "seed", "int", 0)
+    kind = read_key(doc, "corrupt config", "kind", "str", rule=one_of(CORRUPTION_KINDS))
+    severity = read_key(doc, "corrupt config", "severity", "int",
+                        rule=one_of(CORRUPTION_SEVERITIES))
+    split = read_key(doc, "corrupt config", "split", "str", "val", _SPLITS)
+    seed = read_key(doc, "corrupt config", "seed", "int", 0, at_least(0))
+    seed = seed if args.seed is None else args.seed
     out = _out_dir(args)
     manifest = load_manifest(dataset / "manifest.json")
     (out / "scans").mkdir(parents=True, exist_ok=True)
@@ -259,8 +252,8 @@ def _cmd_corrupt(args, doc):
 def _cmd_route_stats(args, doc):
     gates = read_gate_csv(read_key(doc, "route-stats config", "gates_csv", "str"))
     cloud = read_lpcd(read_key(doc, "route-stats config", "cloud", "str"))
+    axis = read_key(doc, "route-stats config", "axis", "str", "beam", one_of(ROUTE_AXES))
     out = _out_dir(args)
-    axis = _read_choice(doc, "route-stats config", "axis", ROUTE_AXES, "beam")
     edges = read_key(doc, "route-stats config", "distance_edges", "numbers",
                      DEFAULT_DISTANCE_EDGES)
     table = route_stats(gates, cloud, axis, edges)
@@ -275,7 +268,7 @@ def _cmd_route_stats(args, doc):
 
 
 def _cmd_cosine_map(args, doc):
-    query = read_key(doc, "cosine-map config", "query_id", "int")
+    query = read_key(doc, "cosine-map config", "query_id", "int", rule=at_least(0))
     cloud = read_key(doc, "cosine-map config", "cloud", "str", None)
     cloud = None if cloud is None else read_lpcd(cloud)
     if "features_csv" in doc:
@@ -290,8 +283,7 @@ def _cmd_cosine_map(args, doc):
             raise LidarMoeError(f"{path}: {exc}") from exc
     else:
         cfg = _run_config(doc, args)
-        rep = _read_choice(doc, "cosine-map config", "representation",
-                           REPRESENTATIONS, None)
+        rep = read_key(doc, "cosine-map config", "representation", "str", None, _KINDS)
         path = read_key(doc, "cosine-map config", "checkpoint", "str")
         store, _ = load_checkpoint(path)
         if cloud is None:
@@ -314,7 +306,7 @@ def _cmd_report(args, doc):
     mce, mrr, per = compute_mce_mrr(
         read_key(doc, "report config", "model_ious", "dict"),
         read_key(doc, "report config", "baseline_ious", "dict"),
-        float(read_key(doc, "report config", "clean_iou", "float")))
+        float(read_key(doc, "report config", "clean_iou", "float", rule=POSITIVE)))
     out = _out_dir(args)
     write_text(out / "robustness.csv", "corruption,ce,rr\n" + "".join(
         f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n" for name in sorted(per)))
@@ -337,13 +329,20 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative decimal integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lidarmoe", description=__doc__)
     sub = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", default=None)
     return parser
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
-from .sensors import CameraModel, SensorModel, check_fields, is_number
+from .sensors import CameraModel, SensorModel, at_least, check_fields, is_number
 
 CLASS_GROUND = 0
 CLASS_VEHICLE = 1
@@ -93,11 +93,9 @@ class SceneConfig:
     ground_half: float = 120.0
 
     def __post_init__(self):
-        check_fields(self, "scene config", (lambda v: len(v) == 2 and all(
-            map(is_number, v)), "two numbers"))
-        for name, *_ in _PLACEMENTS:
-            if getattr(self, name) < 0:
-                raise LidarMoeError(f"scene config {name} must be >= 0")
+        bounds = (lambda v: len(v) == 2 and all(map(is_number, v))), "two numbers"
+        check_fields(self, "scene config", dict(
+            {name: at_least(0) for name, *_ in _PLACEMENTS}, x_bounds=bounds, y_bounds=bounds))
         if self.x_bounds[0] > self.x_bounds[1] or self.y_bounds[0] > self.y_bounds[1]:
             raise LidarMoeError("placement bounds must have min <= max")
 
@@ -352,6 +350,7 @@ def augment(cloud: PointCloud, seed: int) -> PointCloud:
 
 
 CORRUPTION_KINDS = ("beam-missing", "jitter", "range-cut")
+CORRUPTION_SEVERITIES = (1, 2, 3)
 _JITTER_SIGMA = {1: 0.02, 2: 0.05, 3: 0.10}
 _RANGE_LIMIT = {1: 40.0, 2: 30.0, 3: 20.0}
 
@@ -374,7 +373,7 @@ def corrupt(cloud: PointCloud, kind: str, severity: int, seed: int) -> PointClou
     """Simplified sensor-corruption analogues, deterministic per seed."""
     if kind not in CORRUPTION_KINDS:
         raise LidarMoeError(f"unknown corruption kind: {kind}")
-    if severity not in (1, 2, 3):
+    if severity not in CORRUPTION_SEVERITIES:
         raise LidarMoeError("severity must be 1, 2, or 3")
     if kind == "beam-missing":
         gone = dropped_beams(int(cloud.beam.max(initial=-1)) + 1, severity)

@@ -50,10 +50,25 @@ from .moe import build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
-from .sensors import (CameraModel, SensorModel, check_fields, config_from_json,
-                      config_to_json, is_number, read_key, reject_unknown)
+from .sensors import (POSITIVE, CameraModel, SensorModel, at_least, check_fields,
+                      config_from_json, config_to_json, is_number, one_of, read_key,
+                      reject_unknown)
 
 REPRESENTATIONS = ("range", "voxel", "point")
+
+# the range or choices of each RunConfig field that has one
+_RUN_RULES = {
+    "seed": at_least(0), "epochs": at_least(0), "batch_size": at_least(1),
+    "embed_dim": at_least(1), "temperature": POSITIVE,
+    "contrastive_denominator": one_of(("all", "exclude_positive")),
+    "lr_stage1": POSITIVE, "lr_cml": POSITIVE, "lr_sms_backbone": POSITIVE,
+    "lr_sms_other": POSITIVE, "student": one_of(REPRESENTATIONS),
+    "student_init": one_of(("stage1", "random")),
+    "voxel_size": ((lambda v: len(v) == 3 and all(is_number(x) and x > 0 for x in v)),
+                   "three positive numbers"),
+    "centroid_count": at_least(1), "knn_k": at_least(1), "superpoint_tolerance": at_least(0),
+    "probe_epochs": at_least(0), "probe_lr": POSITIVE, "sms_epochs": at_least(0),
+}
 
 
 @dataclass(frozen=True)
@@ -84,22 +99,7 @@ class RunConfig:
     sms_epochs: int = 30
 
     def __post_init__(self):
-        check_fields(self, "run config", (lambda v: len(v) == 3 and all(
-            is_number(x) and x > 0 for x in v), "three positive numbers"))
-        for name in ("epochs", "probe_epochs", "sms_epochs"):
-            if getattr(self, name) < 0:
-                raise LidarMoeError(f"{name} must be >= 0")
-        for name in ("batch_size", "embed_dim", "centroid_count", "knn_k"):
-            if getattr(self, name) < 1:
-                raise LidarMoeError(f"{name} must be >= 1")
-        if self.student not in REPRESENTATIONS:
-            raise LidarMoeError(f"unknown student representation: {self.student}")
-        if self.student_init not in ("stage1", "random"):
-            raise LidarMoeError("student_init must be stage1|random")
-        if self.contrastive_denominator not in ("all", "exclude_positive"):
-            raise LidarMoeError("bad contrastive_denominator")
-        if not self.temperature > 0:
-            raise LidarMoeError("temperature must be > 0")
+        check_fields(self, "run config", _RUN_RULES)
 
     def digest(self) -> str:
         """Hash of every setting except where the dataset sits, so the same
@@ -154,8 +154,7 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
     camera = config_from_json(CameraModel, merged, "camera config")
     for key, low in (("n_train", 0), ("n_val", 0), ("superpixel_tile", 1),
                      ("num_classes", NUM_CLASSES)):
-        if read_key(merged, "datagen config", key, "int") < low:
-            raise LidarMoeError(f"datagen config {key} must be >= {low}")
+        read_key(merged, "datagen config", key, "int", rule=at_least(low))
     scene_doc = read_key(merged, "datagen config", "scene", "dict")
     reject_unknown(scene_doc, SceneConfig.__dataclass_fields__, "scene config")
     scene_cfg = config_from_json(SceneConfig, scene_doc, "scene config")

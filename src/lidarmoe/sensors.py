@@ -1,7 +1,7 @@
 """Spinning-LiDAR and pinhole-camera models, and the one reader of JSON
 config documents: each config class names its fields as its JSON keys, is
-built by ``config_from_json`` and checks its values through
-``check_fields``, so every type or range error names the key."""
+built by ``config_from_json`` and checks its values by type and by rule
+(``at_least``, ``POSITIVE``, ``one_of``), as ``read_key`` checks a CLI key."""
 
 from __future__ import annotations
 
@@ -29,16 +29,31 @@ FIELD_TYPES = {
     "dict": lambda v: isinstance(v, dict),
     "numbers": lambda v: isinstance(v, list) and all(map(is_number, v)),
     "matrix": lambda v: isinstance(v, list) and all(map(FIELD_TYPES["numbers"], v)),
+    "tuple": lambda v: isinstance(v, tuple),
 }
+
+
+def at_least(low):
+    """The rule ``value >= low``, a ``(check, expected)`` pair."""
+    return (lambda v: v >= low), f">= {low}"
+
+
+POSITIVE = (lambda v: v > 0), "> 0"
+
+
+def one_of(choices):
+    """The rule ``value in choices``, written ``a|b|c``."""
+    return (lambda v: v in choices), "|".join(map(str, choices))
 
 
 _REQUIRED = object()
 
 
-def read_key(doc, owner, key, what, default=_REQUIRED):
-    """``doc[key]`` checked with ``FIELD_TYPES[what]``, or ``default`` when
-    given and the key is absent; raises LidarMoeError naming ``owner``
-    (the document, say "eval config") and the key."""
+def read_key(doc, owner, key, what, default=_REQUIRED, rule=None):
+    """``doc[key]`` checked with ``FIELD_TYPES[what]`` and then ``rule``, or
+    ``default`` when given and the key is absent. Raises LidarMoeError
+    naming ``owner`` (say "eval config") and the key, as in ``<owner> <key>
+    must be <expected>, got <value>``."""
     if not isinstance(doc, dict):
         raise LidarMoeError(f"{owner} must be a JSON object")
     if key not in doc:
@@ -48,6 +63,8 @@ def read_key(doc, owner, key, what, default=_REQUIRED):
     value = doc[key]
     if not FIELD_TYPES[what](value):
         raise LidarMoeError(f"{owner} {key} must be {what}, got {value!r}")
+    if rule is not None and not rule[0](value):
+        raise LidarMoeError(f"{owner} {key} must be {rule[1]}, got {value!r}")
     return value
 
 
@@ -59,19 +76,11 @@ def reject_unknown(doc, accepted, owner):
         raise LidarMoeError(f"unknown {owner} key(s): {', '.join(unknown)}")
 
 
-def check_fields(config, owner, tuple_rule=None):
-    """Raise LidarMoeError naming ``owner`` (say "run config") and the first
-    dataclass field of ``config`` whose value does not fit its annotation;
-    ``tuple_rule`` is the ``(check, expected)`` pair for ``tuple`` fields."""
+def check_fields(config, owner, rules):
+    """``read_key`` of each dataclass field of ``config`` by its annotation
+    and its rule in ``rules`` (field name -> ``(check, expected)``)."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "tuple":
-            check, what = tuple_rule
-            ok = isinstance(value, tuple) and check(value)
-        else:
-            ok, what = FIELD_TYPES[f.type](value), f.type
-        if not ok:
-            raise LidarMoeError(f"{owner} {f.name} must be {what}, got {value!r}")
+        read_key(vars(config), owner, f.name, f.type, rule=rules.get(f.name))
 
 
 def config_to_json(config) -> dict:
@@ -116,14 +125,11 @@ class SensorModel:
     range_w: int
 
     def __post_init__(self):
-        check_fields(self, "sensor config")
+        check_fields(self, "sensor config", {
+            "beam_count": at_least(1), "azimuth_steps": at_least(1),
+            "max_range_m": POSITIVE, "range_h": at_least(1), "range_w": at_least(1)})
         if not 0.0 < self.fov_down_rad < self.fov_total_rad:
             raise LidarMoeError("sensor config fov_down_rad must be in (0, fov_total_rad)")
-        for name in ("beam_count", "azimuth_steps", "range_h", "range_w"):
-            if getattr(self, name) < 1:
-                raise LidarMoeError(f"sensor config {name} must be >= 1")
-        if self.max_range_m <= 0:
-            raise LidarMoeError("sensor config max_range_m must be positive")
 
     def beam_elevations(self) -> np.ndarray:
         b = self.beam_count
@@ -146,7 +152,7 @@ class CameraModel:
     cam_h: int
 
     def __post_init__(self):
-        check_fields(self, "camera config")
+        check_fields(self, "camera config", {"cam_w": at_least(1), "cam_h": at_least(1)})
         for name, n in (("cam_intrinsics", 3), ("cam_extrinsics", 4)):
             rows = getattr(self, name)
             if len(rows) != n or any(len(row) != n for row in rows):
@@ -163,9 +169,6 @@ class CameraModel:
                                 "orthonormal")
         if not np.allclose(t[3], [0, 0, 0, 1]):
             raise LidarMoeError("camera config cam_extrinsics bottom row must be [0,0,0,1]")
-        for name in ("cam_w", "cam_h"):
-            if getattr(self, name) < 1:
-                raise LidarMoeError(f"camera config {name} must be >= 1")
 
     def center_in_lidar(self) -> np.ndarray:
         """Camera optical center expressed in the LiDAR frame."""

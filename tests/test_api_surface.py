@@ -256,16 +256,16 @@ def test_encoders_read_only_the_values_they_are_handed():
 
 def _doc_reads(fn):
     """The config keys a ``cli`` handler reads from its ``doc``: through
-    ``read_key`` or ``_read_choice`` on ``doc``, ``"<key>" in doc``, or, for
-    the whole document handed to ``generate_dataset``, every datagen key;
-    and whether it reads the run config through ``_run_config``."""
+    ``read_key`` on ``doc``, ``"<key>" in doc``, or, for the whole document
+    handed to ``generate_dataset``, every datagen key; and whether it reads
+    the run config through ``_run_config``."""
     from lidarmoe.pipeline import DEFAULT_DATASET_CONFIG
     reads, run_config = set(), False
     for node in ast.walk(fn):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None)
             on_doc = bool(node.args) and getattr(node.args[0], "id", None) == "doc"
-            if name in ("read_key", "_read_choice") and on_doc:
+            if name == "read_key" and on_doc:
                 reads.add(node.args[2].value)
             elif name == "generate_dataset" and on_doc:
                 reads |= set(DEFAULT_DATASET_CONFIG)

@@ -40,6 +40,13 @@ def test_bad_flag_exit_1():
     assert main(["eval", "--bogus"]) == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_seed_flag_not_a_non_negative_integer_exit_1(capsys, seed):
+    assert main(["corrupt", "--seed", seed]) == 1
+    assert ("usage error: argument --seed: must be a non-negative integer, "
+            f"got {seed!r}") in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_2(tmp_path):
     assert main(["eval", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
@@ -275,7 +282,7 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
     ({"n_train": 1, "n_val": 0, "scene": {"n_boxes": "3"}},
      "scene config n_boxes must be int, got '3'"),
     ({"n_train": 1, "n_val": 0, "scene": {"x_bounds": 4}},
-     "scene config x_bounds must be two numbers, got 4"),
+     "scene config x_bounds must be tuple, got 4"),
     ({"n_train": 1, "n_val": 0, "scene": {"n_poles": -1}},
      "scene config n_poles must be >= 0"),
     ({"n_train": 1.9, "n_val": 0}, "datagen config n_train must be int, got 1.9"),
@@ -286,7 +293,7 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
      "sensor config fov_down_rad must be in (0, fov_total_rad)"),
     ({"n_train": 1, "n_val": 0, "range_h": 0}, "sensor config range_h must be >= 1"),
     ({"n_train": 1, "n_val": 0, "beam_count": 0}, "sensor config beam_count must be >= 1"),
-    ({"n_train": 1, "n_val": 0, "max_range_m": -1.0}, "sensor config max_range_m must be positive"),
+    ({"n_train": 1, "n_val": 0, "max_range_m": -1.0}, "sensor config max_range_m must be > 0, got -1.0"),
     ({"n_train": 1, "n_val": 0,
       "cam_intrinsics": [[64.0, 0.0, 48.0], [1.0, 64.0, 32.0], [0.0, 0.0, 1.0]]},
      "intrinsics must be upper-triangular"),
@@ -474,9 +481,13 @@ def test_unknown_key_of_a_plain_subcommand_exit_2(tmp_path, tiny_dataset, capsys
     ("eval", "split", "vla", "train|val, got 'vla'"),
     ("eval", "split", 1, "str, got 1"),
     ("corrupt", "split", "trian", "train|val, got 'trian'"),
+    ("corrupt", "kind", "fog", "beam-missing|jitter|range-cut, got 'fog'"),
+    ("corrupt", "severity", 9, "1|2|3, got 9"),
+    ("corrupt", "seed", -5, ">= 0, got -5"),
     ("probe", "representation", "mesh", "range|voxel|point, got 'mesh'"),
     ("probe", "random_baseline", "yes", "bool, got 'yes'"),
     ("cosine-map", "representation", "mesh", "range|voxel|point, got 'mesh'"),
+    ("cosine-map", "query_id", -1, ">= 0, got -1"),
     ("route-stats", "axis", "colour", "beam|distance-bin|class, got 'colour'"),
 ])
 def test_bad_choice_exit_2_naming_key_and_value(tmp_path, tiny_dataset, capsys,
@@ -502,6 +513,13 @@ def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset):
     assert [e["scan"] for e in manifest["splits"]["train"]] == \
         ["scans/train_000.lpcd", "scans/train_001.lpcd"]
     assert manifest["splits"]["val"] == []
+    # a bad kind or severity exits 2 on the empty val split too, writing nothing
+    for bad in ({"kind": "fog"}, {"severity": 9}):
+        doc = dict({"dataset": str(out), "kind": "jitter", "severity": 1}, **bad)
+        again = tmp_path / "again"
+        assert main(["corrupt", "--config", write_json(tmp_path / "bad.json", doc),
+                     "--out", str(again)]) == 2
+        assert not again.exists()
 
 
 def _bad_input(case, tmp_path, dataset):
@@ -681,7 +699,7 @@ def _bad_input(case, tmp_path, dataset):
     if case == "corrupt severity 4":
         doc = {"dataset": str(dataset), "kind": "jitter", "severity": 4}
         return "corrupt", write_json(tmp_path / "cfg.json", doc), \
-            "severity must be 1, 2, or 3"
+            "corrupt config severity must be 1|2|3, got 4"
     if case == "decreasing distance_edges":
         cloud = dataset / "scans" / "val_000.lpcd"
         gates = tmp_path / "gates.csv"
@@ -693,8 +711,8 @@ def _bad_input(case, tmp_path, dataset):
     if case.startswith("report "):
         ious = {"beam": [60.0, 50.0, 40.0]}
         doc, want = {
-            "report clean_iou 0": ({"model_ious": ious, "baseline_ious": ious,
-                                    "clean_iou": 0.0}, "clean_iou must be positive"),
+            "report clean_iou 0": ({"model_ious": ious, "baseline_ious": ious, "clean_iou": 0.0},
+                                   "report config clean_iou must be > 0, got 0.0"),
             "report corruption sets differ": (
                 {"model_ious": ious, "baseline_ious": {"fog": [60.0, 50.0, 40.0]},
                  "clean_iou": 70.0}, "model and baseline corruption sets disagree"),

@@ -660,11 +660,12 @@ def test_run_config_roundtrip_and_digest():
 
 
 def test_run_config_validation():
-    with pytest.raises(LidarMoeError, match="^unknown student representation: mesh$"):
+    with pytest.raises(LidarMoeError, match="^" + re.escape(
+            "run config student must be range|voxel|point, got 'mesh'") + "$"):
         RunConfig(student="mesh")
-    with pytest.raises(LidarMoeError, match="^temperature must be > 0$"):
+    with pytest.raises(LidarMoeError, match="^run config temperature must be > 0, got 0.0$"):
         RunConfig(temperature=0.0)
-    with pytest.raises(LidarMoeError, match="^batch_size must be >= 1$"):
+    with pytest.raises(LidarMoeError, match="^run config batch_size must be >= 1, got 0$"):
         RunConfig(batch_size=0)
 
 
@@ -676,7 +677,9 @@ def test_run_config_validation():
     ("voxel_size", (1.0, 0.0, 1.0)), ("voxel_size", (1.0, "1", 1.0)),
     ("voxel_size", [1.0, 1.0, 1.0]), ("voxel_size", 1.5),
     ("centroid_count", 0), ("knn_k", 0), ("embed_dim", 0),
-    ("probe_epochs", -1), ("sms_epochs", -1), ("epochs", -1),
+    ("probe_epochs", -1), ("sms_epochs", -1), ("epochs", -1), ("seed", -1),
+    ("lr_stage1", -1.0), ("lr_cml", 0.0), ("lr_sms_backbone", -0.001),
+    ("lr_sms_other", 0.0), ("probe_lr", -5.0), ("superpoint_tolerance", -1.0),
 ])
 def test_run_config_rejects_bad_field_naming_it(field, value):
     with pytest.raises(LidarMoeError, match=field):
