@@ -5,7 +5,10 @@ route-stats, cosine-map, report. Global flags: --config <path>,
 --seed <non-negative int>, --out <dir>. Exit codes: 0 success, 1 usage
 error, 2 bad input: a LidarMoeError or OSError (bad config, dataset,
 checkpoint or file). An internal bug propagates with its traceback, which
-Python reports as exit 1. Results are written as CSV/JSON under --out.
+Python reports as exit 1. Results are written as CSV/JSON under --out
+(default: the working directory), which the first write makes, so a command
+that rejects its input writes nothing; one that fails later keeps what it
+wrote. An --out that is an existing file is rejected before any work.
 """
 
 from __future__ import annotations
@@ -124,34 +127,24 @@ def _prediction_rows(scan: str, preds, labels) -> str:
         % tuple(table.ravel().tolist())
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_datagen(args, doc):
-    out = _out_dir(args)
-    generate_dataset(doc, out, args.seed if args.seed is not None else 0)
-    manifest = load_manifest(out / "manifest.json")
-    write_json(out / "datagen_summary.json",
+    generate_dataset(doc, args.out, args.seed if args.seed is not None else 0)
+    manifest = load_manifest(args.out / "manifest.json")
+    write_json(args.out / "datagen_summary.json",
                {"train_scans": len(manifest.train), "val_scans": len(manifest.val)})
 
 
 def _cmd_pretrain(args, doc):
-    cfg = _run_config(doc, args)
-    out = _out_dir(args)
-    results = stage1_pretrain(cfg, out)
-    write_json(out / "stage1_results.json", results)
+    results = stage1_pretrain(_run_config(doc, args), args.out)
+    write_json(args.out / "stage1_results.json", results)
 
 
 def _cmd_cml(args, doc):
     cfg = _run_config(doc, args)
-    out = _out_dir(args)
     if "expert_ckpts" in doc:
         given = read_key(doc, "cml config", "expert_ckpts", "dict")
         ckpts = {k: read_key(given, "cml config expert_ckpts", k, "str")
@@ -161,37 +154,34 @@ def _cmd_cml(args, doc):
         ckpts = {k: str(d / f"stage1_{k}.ckpt") for k in REPRESENTATIONS}
     else:
         raise LidarMoeError("cml config needs expert_ckpts or stage1_dir")
-    results = stage2_cml(cfg, ckpts, out)
-    write_json(out / "cml_results.json", results)
+    results = stage2_cml(cfg, ckpts, args.out)
+    write_json(args.out / "cml_results.json", results)
 
 
 def _cmd_sms(args, doc):
     cfg = _run_config(doc, args)
-    out = _out_dir(args)
     init = read_key(doc, "sms config", "init", "dict", {})
     init = {k: read_key(init, "sms config init", k, "str") for k in init}
-    results = stage3_sms(cfg, init, out)
-    write_json(out / "sms_results.json", results)
+    results = stage3_sms(cfg, init, args.out)
+    write_json(args.out / "sms_results.json", results)
 
 
 def _cmd_probe(args, doc):
     cfg = _run_config(doc, args)
-    out = _out_dir(args)
     rep = read_key(doc, "probe config", "representation", "str", None, _KINDS)
     baseline = read_key(doc, "probe config", "random_baseline", "bool", False)
     if "checkpoint" not in doc and not baseline:
         raise LidarMoeError("probe config needs checkpoint or random_baseline")
     result = linear_probe(
-        cfg, out, checkpoint=read_key(doc, "probe config", "checkpoint", "str", None),
+        cfg, args.out, checkpoint=read_key(doc, "probe config", "checkpoint", "str", None),
         representation=rep)
-    _write_metric_csv(out / "probe_metrics.csv", result["report"])
-    write_json(out / "probe_summary.json",
+    _write_metric_csv(args.out / "probe_metrics.csv", result["report"])
+    write_json(args.out / "probe_summary.json",
                {"miou": result["report"].miou,
                 "backbone_intact": bool(result["backbone_intact"])})
 
 
 def _cmd_eval(args, doc):
-    out = _out_dir(args)
     if "pairs_csv" in doc:
         path = read_key(doc, "eval config", "pairs_csv", "str")
         num_classes = read_key(doc, "eval config", "num_classes", "int", 6, at_least(1))
@@ -199,8 +189,8 @@ def _cmd_eval(args, doc):
         if pairs.size and np.all(pairs[:, 1] < 0):
             raise LidarMoeError(f"{path}: every label is -1 (unlabeled)")
         report = compute_miou(pairs[:, 0], pairs[:, 1], num_classes)
-        _write_metric_csv(out / "metrics.csv", report)
-        write_json(out / "eval_summary.json", {"miou": report.miou})
+        _write_metric_csv(args.out / "metrics.csv", report)
+        write_json(args.out / "eval_summary.json", {"miou": report.miou})
         return
     cfg = _run_config(doc, args)
     if "checkpoint" not in doc:
@@ -215,11 +205,11 @@ def _cmd_eval(args, doc):
     data = load_dataset(cfg.dataset)
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
-        _write_metric_csv(out / f"metrics_{name}.csv", report)
-    write_text(out / "predictions.csv", "scan,point_id,prediction,label\n" + "".join(
+        _write_metric_csv(args.out / f"metrics_{name}.csv", report)
+    write_text(args.out / "predictions.csv", "scan,point_id,prediction,label\n" + "".join(
         _prediction_rows(scan.name, preds, scan.cloud.label)
         for scan, preds in zip(data.scans(split), fused)))
-    write_json(out / "eval_summary.json",
+    write_json(args.out / "eval_summary.json",
                {name: report.miou for name, report in reports.items()})
 
 
@@ -231,36 +221,38 @@ def _cmd_corrupt(args, doc):
     split = read_key(doc, "corrupt config", "split", "str", "val", _SPLITS)
     seed = read_key(doc, "corrupt config", "seed", "int", 0, at_least(0))
     seed = seed if args.seed is None else args.seed
-    out = _out_dir(args)
     manifest = load_manifest(dataset / "manifest.json")
-    (out / "scans").mkdir(parents=True, exist_ok=True)
-    new_entries = []
-    for i, entry in enumerate(getattr(manifest, split)):
-        cloud = read_lpcd(resolve(dataset, entry.scan))
-        bad = corrupt_cloud(cloud, kind, severity, seed=seed + i)
-        rel = f"scans/{split}_{i:03d}.lpcd"
-        write_lpcd(out / rel, bad)
-        new_entries.append(ScanEntry(scan=rel, camera=None))
+    sensors = read_json(dataset / "sensors.json")
+    # every input is read and corrupted before the first write
+    bad = [corrupt_cloud(read_lpcd(resolve(dataset, entry.scan)), kind, severity,
+                         seed=seed + i)
+           for i, entry in enumerate(getattr(manifest, split))]
     new_manifest = DatasetManifest(num_classes=manifest.num_classes)
-    getattr(new_manifest, split).extend(new_entries)
-    save_manifest(out / "manifest.json", new_manifest)
-    write_json(out / "sensors.json", read_json(dataset / "sensors.json"))
-    write_json(out / "corrupt_summary.json",
-               {"kind": kind, "severity": severity, "scans": len(new_entries)})
+    for i, cloud in enumerate(bad):
+        rel = f"scans/{split}_{i:03d}.lpcd"
+        write_lpcd(args.out / rel, cloud)
+        getattr(new_manifest, split).append(ScanEntry(scan=rel))
+    save_manifest(args.out / "manifest.json", new_manifest)
+    write_json(args.out / "sensors.json", sensors)
+    write_json(args.out / "corrupt_summary.json",
+               {"kind": kind, "severity": severity, "scans": len(bad)})
 
 
 def _cmd_route_stats(args, doc):
-    gates = read_gate_csv(read_key(doc, "route-stats config", "gates_csv", "str"))
-    cloud = read_lpcd(read_key(doc, "route-stats config", "cloud", "str"))
+    gates_path = read_key(doc, "route-stats config", "gates_csv", "str")
+    cloud_path = read_key(doc, "route-stats config", "cloud", "str")
+    gates, cloud = read_gate_csv(gates_path), read_lpcd(cloud_path)
+    if len(gates) != cloud.count:
+        raise LidarMoeError(f"{gates_path}: {len(gates)} rows for a cloud of "
+                            f"{cloud.count} points ({cloud_path})")
     axis = read_key(doc, "route-stats config", "axis", "str", "beam", one_of(ROUTE_AXES))
-    out = _out_dir(args)
     edges = read_key(doc, "route-stats config", "distance_edges", "numbers",
                      DEFAULT_DISTANCE_EDGES)
     table = route_stats(gates, cloud, axis, edges)
-    write_route_csv(out / f"route_{axis}.csv", table)
-    route_bars_svg(out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
+    write_route_csv(args.out / f"route_{axis}.csv", table)
+    route_bars_svg(args.out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
     load = table.global_load()
-    write_json(out / "route_summary.json", {
+    write_json(args.out / "route_summary.json", {
         "axis": axis,
         "global_load": load.tolist(),
         "non_degenerate": bool(np.all(load >= 0.05)),
@@ -292,13 +284,15 @@ def _cmd_cosine_map(args, doc):
         kind = backbone_kind(store, rep, path)
         embedding_width(store, kind, path)
         feats = embed_cloud(store, cfg, sensor, cloud, kind)
-    out = _out_dir(args)
+    if query >= len(feats):
+        raise LidarMoeError(f"cosine-map config query_id must be < {len(feats)} "
+                            f"(feature rows), got {query}")
     sims, degenerate = cosine_map(feats, query)
-    write_cosine_csv(out / "cosine_map.csv", sims, degenerate)
+    write_cosine_csv(args.out / "cosine_map.csv", sims, degenerate)
     if cloud is not None:
-        scatter_svg(out / "cosine_map.svg", cloud.xyz[:, :2], sims,
+        scatter_svg(args.out / "cosine_map.svg", cloud.xyz[:, :2], sims,
                     title=f"cosine similarity vs point {query}")
-    write_json(out / "cosine_summary.json",
+    write_json(args.out / "cosine_summary.json",
                {"query_id": query, "zero_norm_rows": int(degenerate.sum())})
 
 
@@ -307,10 +301,9 @@ def _cmd_report(args, doc):
         read_key(doc, "report config", "model_ious", "dict"),
         read_key(doc, "report config", "baseline_ious", "dict"),
         float(read_key(doc, "report config", "clean_iou", "float", rule=POSITIVE)))
-    out = _out_dir(args)
-    write_text(out / "robustness.csv", "corruption,ce,rr\n" + "".join(
+    write_text(args.out / "robustness.csv", "corruption,ce,rr\n" + "".join(
         f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n" for name in sorted(per)))
-    write_json(out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
+    write_json(args.out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
 
 
 # each subcommand's handler and the config keys it accepts
@@ -343,7 +336,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=_seed, default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", type=Path, default=".")
     return parser
 
 
@@ -360,6 +353,8 @@ def main(argv=None) -> int:
         _PARSER.print_help(sys.stderr)
         return USAGE_ERROR
     try:
+        if args.out.exists() and not args.out.is_dir():
+            raise LidarMoeError(f"--out {args.out} exists and is not a directory")
         _COMMANDS[args.command][0](args, _load_config(args))
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

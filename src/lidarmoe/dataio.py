@@ -5,7 +5,8 @@ of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
 little-endian. Camera renders are stored as .npz with arrays ``class_id``
 (H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
 A dataset manifest is a JSON document listing per-split scan/camera pairs.
-Every output file is written through :func:`atomic_write`.
+Every output file is written through :func:`atomic_write`, which makes its
+directory: a command that fails before its first write leaves nothing.
 """
 
 from __future__ import annotations
@@ -22,18 +23,20 @@ import numpy as np
 from .datagen import ClassImage
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
-from .sensors import read_key
+from .sensors import at_least, read_key
 
 LPCD_MAGIC = b"LPCD"
 LPCD_VERSION = 1
 _RECORD = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
                     ("intensity", "<f4"), ("beam", "<u2"), ("label", "<i4")])
+_FRACTION = (lambda v: 0 < v <= 1), "in (0, 1]"
 
 
 def atomic_write(path, write) -> None:
     """Call ``write(fh)`` on a binary file beside ``path``, then rename it
     over ``path``, so an interrupted write never leaves a partial file at
-    ``path``."""
+    ``path``. Makes ``path``'s missing parent directories first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -187,12 +190,10 @@ def load_manifest(path) -> DatasetManifest:
                           read_key(e, where, "camera", "str or null", None))
                 for e in read_key(splits, owner, split, "list", [])]
 
-    fraction = float(read_key(doc, owner, "annotation_fraction", "float", 1.0))
-    if not 0.0 < fraction <= 1.0:
-        raise LidarMoeError(f"{owner} annotation_fraction must be in (0, 1], "
-                            f"got {fraction!r}")
-    return DatasetManifest(entries("train"), entries("val"),
-                           read_key(doc, owner, "num_classes", "int", 6), fraction)
+    return DatasetManifest(
+        entries("train"), entries("val"),
+        read_key(doc, owner, "num_classes", "int", 6, at_least(1)),
+        float(read_key(doc, owner, "annotation_fraction", "float", 1.0, _FRACTION)))
 
 
 def resolve(base: Path, rel: str) -> Path:

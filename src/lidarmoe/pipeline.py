@@ -160,8 +160,6 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
     scene_cfg = config_from_json(SceneConfig, scene_doc, "scene config")
     tile = merged["superpixel_tile"]
     out = Path(out_dir)
-    (out / "scans").mkdir(parents=True, exist_ok=True)
-    (out / "cams").mkdir(parents=True, exist_ok=True)
 
     manifest = DatasetManifest(num_classes=merged["num_classes"])
     for split, count in (("train", merged["n_train"]), ("val", merged["n_val"])):
@@ -281,6 +279,16 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
     if not usable:
         raise LidarMoeError("no train scan has at least two superpoints")
     return usable, partitions
+
+
+def _labeled_scans(data: DatasetBundle) -> list:
+    """The train scans with a labeled point, which SMS and the probe train
+    on; raises LidarMoeError when the train split is empty or no scan has
+    a label."""
+    labeled = [s for s in data.scans("train") if np.any(s.cloud.label >= 0)]
+    if not labeled:
+        raise LidarMoeError("no labeled training scans")
+    return labeled
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +476,6 @@ def stage1_pretrain(config: RunConfig, out_dir):
     {representation: {checkpoint, epoch_losses, skipped}}.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
     teacher = teacher_weights(data.num_classes, config.embed_dim,
                               _step_seed(config.seed, "teacher"))
@@ -517,7 +524,6 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     a loss log, and per-scan gate-score CSVs from the final epoch.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
     usable, partitions = _superpoint_scans(config, data)
 
@@ -625,12 +631,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     last one gives ``val_miou``.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     data = load_dataset(config.dataset)
     data.scans("val")  # with no val scans, fail before training
-    labeled = [s for s in data.train if np.any(s.cloud.label >= 0)]
-    if not labeled:
-        raise LidarMoeError("no labeled training scans")
+    labeled = _labeled_scans(data)
     labeled = labeled[:max(1, int(np.ceil(data.annotation_fraction * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
     store = _sms_store(config, init_ckpts, data.num_classes)
@@ -732,14 +735,14 @@ def embed_cloud(store, config, sensor, cloud, kind):
 
 
 def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=None):
-    """Train a linear head on frozen per-point embeddings; report val mIoU.
+    """Train a linear head on frozen per-point embeddings of the labeled
+    train scans; report val mIoU.
 
     The backbone comes from ``checkpoint``, picked by ``backbone_kind``,
     or, without a checkpoint, is a fresh ``representation`` backbone
     (default ``config.student``): the random baseline.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if checkpoint is None:
         kind = representation or config.student
         store = init_backbone_store(kind, config, "probe-baseline")
@@ -751,8 +754,9 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     before = store.copy()
     data = load_dataset(config.dataset)
     val = data.scans("val")
+    train = _labeled_scans(data)
     train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind)
-                    for scan in data.scans("train")]
+                    for scan in train]
     probe = ParameterStore()
     add_linear(probe, "probe", width, data.num_classes,
                np.random.default_rng(_step_seed(config.seed, "probe-init")))
@@ -764,7 +768,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
         return (lambda ctx: {"loss": build_cross_entropy(logits(ctx), scan.cloud.label)},
                 {"emb": train_embeds[idx]})
 
-    _train_epochs(replace(config, epochs=config.probe_epochs), data.train,
+    _train_epochs(replace(config, epochs=config.probe_epochs), train,
                   graph_fn, probe, lambda _: config.probe_lr,
                   out / f"probe_{kind}_log.csv", "probe", None)
 

@@ -225,24 +225,39 @@ def test_every_default_parameter_is_passed_by_some_src_call():
     assert unpassed == []
 
 
-# the only functions that may build a view: every stage reaches its views
-# through ``_scan_view``, which keeps a scan's un-augmented ones
-MAKE_VIEW_CALLERS = {"pipeline._scan_view", "pipeline.embed_cloud"}
-
-
-def test_views_are_built_only_through_the_view_helper():
-    """No function but ``MAKE_VIEW_CALLERS`` refers to ``make_view``, by
-    call or by a stored reference, so no stage can bypass the reuse of
-    un-augmented views."""
+def _referrers(names):
+    """``module.name`` of each top-level function or class of the package
+    that refers to one of ``names``, by call or by a stored reference."""
     found = set()
     for module, tree in _parse().items():
         for top in tree.body:
             own = f"{module}.{getattr(top, 'name', '')}"
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name == "make_view" and own != "pipeline.make_view":
+                if name in names:
                     found.add(own)
-    assert found == MAKE_VIEW_CALLERS
+    return found
+
+
+# the only functions that may build a view: every stage reaches its views
+# through ``_scan_view``, which keeps a scan's un-augmented ones
+MAKE_VIEW_CALLERS = {"pipeline._scan_view", "pipeline.embed_cloud"}
+
+
+def test_views_are_built_only_through_the_view_helper():
+    """No function but ``MAKE_VIEW_CALLERS`` refers to ``make_view``, so no
+    stage can bypass the reuse of un-augmented views."""
+    assert _referrers({"make_view"}) - {"pipeline.make_view"} == MAKE_VIEW_CALLERS
+
+
+# the only function that makes a directory: an output directory is made by
+# the first write into it, so a command that fails before writing leaves none
+MKDIR_CALLERS = {"dataio.atomic_write"}
+
+
+def test_directories_are_made_only_by_the_atomic_write():
+    """No function but ``MKDIR_CALLERS`` refers to ``mkdir`` or ``makedirs``."""
+    assert _referrers({"mkdir", "makedirs"}) == MKDIR_CALLERS
 
 
 def test_encoders_read_only_the_values_they_are_handed():

@@ -246,7 +246,7 @@ def test_unknown_run_config_key_exit_2(tmp_path, tiny_dataset, capsys, command, 
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"unknown {command} config key(s): {key}" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_nonpositive_temperature_exit_2(tmp_path, tiny_dataset, capsys):
@@ -317,7 +317,7 @@ def test_datagen_bad_value_exit_2(tmp_path, capsys, doc, message):
     out = tmp_path / "out"
     assert main(["datagen", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_interrupted_predictions_write_keeps_previous_file(tmp_path, tiny_dataset,
@@ -579,7 +579,10 @@ def _bad_input(case, tmp_path, dataset):
             want = f"manifest {path} train entry camera must be str or null, got 5"
         elif case == "manifest annotation_fraction -3":
             manifest["annotation_fraction"] = -3
-            want = f"manifest {path} annotation_fraction must be in (0, 1], got -3.0"
+            want = f"manifest {path} annotation_fraction must be in (0, 1], got -3"
+        elif case in ("manifest num_classes 0", "manifest num_classes -3"):
+            manifest["num_classes"] = int(case.split()[-1])
+            want = f"manifest {path} num_classes must be >= 1, got {case.split()[-1]}"
         else:
             manifest["num_classes"] = 3
             top = read_lpcd(copy / "scans" / "train_000.lpcd").label.max()
@@ -630,6 +633,16 @@ def _bad_input(case, tmp_path, dataset):
         doc = {"gates_csv": str(gates), "cloud": str(cloud)}
         return "route-stats", write_json(tmp_path / "cfg.json", doc), \
             f"{gates}: row {row} is not convex gate weights"
+    if case == "gates of 1 row for the whole cloud":
+        cloud = dataset / "scans" / "val_000.lpcd"
+        doc = {"gates_csv": _write_gates(tmp_path, 1), "cloud": str(cloud)}
+        return "route-stats", write_json(tmp_path / "cfg.json", doc), \
+            f"{doc['gates_csv']}: 1 rows for a cloud of {read_lpcd(cloud).count} points " \
+            f"({cloud})"
+    if case == "cosine-map query_id past the last row":
+        doc = {"features_csv": _write_features(tmp_path, 4), "query_id": 7}
+        return "cosine-map", write_json(tmp_path / "cfg.json", doc), \
+            "cosine-map config query_id must be < 4 (feature rows), got 7"
     if case.startswith("cosine-map features"):
         cloud = dataset / "scans" / "val_000.lpcd"
         count = read_lpcd(cloud).count
@@ -696,6 +709,19 @@ def _bad_input(case, tmp_path, dataset):
             want = f"corrupt manifest in {ckpt}"
         doc = dict(run, checkpoint=str(ckpt))
         return "eval", write_json(tmp_path / "cfg.json", doc), want
+    if case in ("corrupt of a truncated second scan", "corrupt without sensors.json"):
+        # corrupt reads every input before its first write: no half-dataset
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        doc = {"dataset": str(copy), "kind": "jitter", "severity": 1, "split": "train"}
+        if case == "corrupt without sensors.json":
+            (copy / "sensors.json").unlink()
+            want = f"[Errno 2] No such file or directory: '{copy / 'sensors.json'}'"
+        else:
+            scan = copy / "scans" / "train_001.lpcd"
+            scan.write_bytes(scan.read_bytes()[:100])
+            want = f"truncated file {scan}"
+        return "corrupt", write_json(tmp_path / "cfg.json", doc), want
     if case == "corrupt severity 4":
         doc = {"dataset": str(dataset), "kind": "jitter", "severity": 4}
         return "corrupt", write_json(tmp_path / "cfg.json", doc), \
@@ -750,14 +776,17 @@ def _bad_input(case, tmp_path, dataset):
     "manifest entry without scan", "config document [1]", "severity not an int",
     "severity as a string number", "report clean_iou not a number",
     "malformed pairs CSV row", "manifest camera 5", "manifest annotation_fraction -3",
-    "manifest num_classes below the labels", "pairs class 7 of 6",
+    "manifest num_classes below the labels", "manifest num_classes 0",
+    "manifest num_classes -3", "pairs class 7 of 6",
     "pairs num_classes -2", "scan label -2", "NaN gate score", "gate alpha -5",
-    "gate row summing to 1.5",
-    "cosine-map features of 3 rows", "cosine-map features with inf",
+    "gate row summing to 1.5", "gates of 1 row for the whole cloud",
+    "cosine-map query_id past the last row", "cosine-map features of 3 rows",
+    "cosine-map features with inf",
     "pairs CSV header pred,label", "pairs CSV of three fields", "pairs CSV labels all -1",
     "cml with neither source", "probe with neither source", "eval with neither source",
     "eval given no --config", "cosine-map checkpoint without cloud", "lpcd version 2",
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
+    "corrupt of a truncated second scan", "corrupt without sensors.json",
     "decreasing distance_edges", "report clean_iou 0", "report corruption sets differ",
     "report two severities", "val point at the sensor origin",
     "camera render cut to 40 rows",
@@ -767,6 +796,87 @@ def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, cas
     config = [] if cfg is None else ["--config", cfg]
     assert main([command, *config, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _rejected_input(command, tmp_path, dataset):
+    """(config document, text stderr must hold) of one input ``command``
+    rejects before its first write."""
+    run = {"dataset": str(dataset), "epochs": 1, "embed_dim": 8,
+           "centroid_count": 8, "knn_k": 4}
+    missing = str(tmp_path / "missing")
+    cloud = str(dataset / "scans" / "val_000.lpcd")
+    ious = {"beam": [60.0, 50.0, 40.0]}
+    return {
+        "datagen": ({"n_train": 1, "n_val": -1}, "datagen config n_val must be >= 0"),
+        "pretrain": (dict(run, dataset=missing), missing),
+        "cml": (dict(run, stage1_dir=missing), missing),
+        "sms": (dict(run, dataset=missing), missing),
+        "probe": (dict(run, checkpoint=missing), missing),
+        "eval": (dict(run, checkpoint=missing), missing),
+        "corrupt": ({"dataset": missing, "kind": "jitter", "severity": 1}, missing),
+        "route-stats": ({"gates_csv": _write_gates(tmp_path, 1), "cloud": cloud},
+                        "1 rows for a cloud of"),
+        "cosine-map": ({"features_csv": _write_features(tmp_path, 2), "query_id": 2},
+                       "query_id must be < 2 (feature rows), got 2"),
+        "report": ({"model_ious": ious, "baseline_ious": ious, "clean_iou": 0.0},
+                   "clean_iou must be > 0"),
+    }[command]
+
+
+def _write_features(tmp_path, rows):
+    path = tmp_path / "feats.csv"
+    np.savetxt(path, np.ones((rows, 2)), delimiter=",")
+    return str(path)
+
+
+def _write_gates(tmp_path, rows):
+    path = tmp_path / "gates.csv"
+    write_gate_csv(path, np.full((rows, 3), 1 / 3, np.float32))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["datagen", "pretrain", "cml", "sms", "probe", "eval",
+                                     "corrupt", "route-stats", "cosine-map", "report"])
+def test_rejected_input_writes_no_out(tmp_path, tiny_dataset, capsys, command):
+    """A command that fails before its first write leaves no ``--out``."""
+    doc, message = _rejected_input(command, tmp_path, tiny_dataset)
+    out = tmp_path / "out" / "sub"
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_exit_2_before_any_work(tmp_path, capsys):
+    """An ``--out`` that is an existing file is rejected before the config
+    is read, not at the first write after training."""
+    out = tmp_path / "out.txt"
+    out.write_text("kept")
+    assert main(["pretrain", "--config", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 2
+    assert f"error: --out {out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+def test_probe_trains_on_the_labeled_scans_that_sms_accepts(tmp_path, tiny_dataset):
+    """A train scan whose labels are all -1 is skipped by the probe as by
+    SMS: one probe step per epoch for each of the other train scans."""
+    data = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, data)
+    scans = sorted((data / "scans").glob("train_*.lpcd"))
+    cloud = read_lpcd(scans[0])
+    cloud.label[:] = -1
+    write_lpcd(scans[0], cloud)
+    run = {"dataset": str(data), "epochs": 1, "embed_dim": 8, "centroid_count": 8,
+           "knn_k": 4, "sms_epochs": 1, "probe_epochs": 2}
+    assert main(["sms", "--config", write_json(tmp_path / "sms.json", run),
+                 "--out", str(tmp_path / "sms")]) == 0
+    doc = dict(run, random_baseline=True, representation="range")
+    assert main(["probe", "--config", write_json(tmp_path / "probe.json", doc),
+                 "--out", str(tmp_path / "probe")]) == 0
+    rows = (tmp_path / "probe" / "probe_range_log.csv").read_text().splitlines()[1:]
+    assert sum(r.split(",")[2] == "loss" for r in rows) == 2 * (len(scans) - 1)
 
 
 def test_seed_flag_overrides_the_run_config_seed(tmp_path, tiny_dataset):
