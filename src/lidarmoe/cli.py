@@ -49,11 +49,15 @@ _DATA_ERRORS = (LidarMoeError, OSError)
 # eval run at the chain_ref benchmark settings (one BLAS thread, 2-core
 # x86_64, glibc 2.36) took 76-120k minor page faults and 0.19-0.41 s of
 # system time under glibc's defaults, and 223-554 faults and at most 0.06 s
-# with these.
+# with these. One arena: evaluation's view-building thread would otherwise
+# get a malloc arena of its own, which took the robust_eval benchmark's peak
+# RSS from 72.4 to 76.2 MB (medians); sharing the main arena, to 73.1 MB.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 256 << 20
+_ARENA_MAX = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,6 +80,8 @@ def _keep_freed_memory() -> None:
     and ``M_TRIM_THRESHOLD`` keeps those pages resident for the next
     allocation. Both are set, because setting either one turns off glibc's
     dynamic thresholds and leaves the other at its 128 KiB default.
+    ``M_ARENA_MAX`` 1 makes every thread allocate from the one main arena,
+    so evaluation's view-building thread keeps no heap of its own.
 
     Only the CLI calls this: importing ``lidarmoe`` leaves a host process's
     allocator alone, and a direct caller of ``pipeline`` keeps the default
@@ -92,6 +98,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def _load_config(args) -> dict:

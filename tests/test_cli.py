@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -947,6 +948,24 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
     cfg = write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)})
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "eval_summary.json").exists()
+
+
+def test_cli_sets_the_heap_thresholds_and_one_arena(tmp_path, monkeypatch):
+    """main sets M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX, in
+    that order, through the C library's mallopt."""
+    import lidarmoe.cli as cli
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("prediction,label\n1,1\n2,2\n")
+    cfg = write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)})
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
 
 
 @pytest.fixture(scope="module")

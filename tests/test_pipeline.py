@@ -2,6 +2,7 @@
 freeze guarantees, warm starts, gradient integrity, and evaluation."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from lidarmoe.dataio import load_manifest
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
 from lidarmoe.pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig,
-                               _inputs, _step_seed, _train_epochs, build_group_mean,
+                               _inputs, _sms_store, _step_seed, _train_epochs,
+                               build_group_mean,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
                                make_view, stage1_pretrain, stage2_cml,
@@ -368,6 +370,64 @@ def test_evaluation_keeps_views_only_for_sms_validation(tiny_config, tmp_path,
     for split in ("train", "val"):
         evaluate_store(store, tiny_config, data, split=split)
     assert [s.views for s in bundles[1].val + data.train + data.val] == [{}] * 4
+
+
+def _eval_setup(small_dataset):
+    """A run config, a loaded dataset (3 train scans) and a fresh SMS store."""
+    cfg = RunConfig(dataset=str(small_dataset), seed=1, embed_dim=8, centroid_count=8,
+                    knn_k=4)
+    data = load_dataset(cfg.dataset)
+    return cfg, data, _sms_store(cfg, {}, data.num_classes)
+
+
+@pytest.mark.parametrize("keep_views", [False, True])
+def test_evaluating_a_split_gives_each_scans_own_results(keep_views, small_dataset):
+    """With the next scan's views built on a worker thread, a split's fused
+    predictions are byte for byte each scan's own, its confusion counts
+    are the sums of the scans', and no thread outlives the call."""
+    cfg, data, store = _eval_setup(small_dataset)
+    threads = threading.active_count()
+    reports, preds = evaluate_store(store, cfg, data, split="train", keep_views=keep_views)
+    assert threading.active_count() == threads
+    assert [bool(scan.views) for scan in data.train] == [keep_views] * 3
+
+    alone = load_dataset(cfg.dataset)
+    singles = [evaluate_store(store, cfg, replace(alone, train=[scan]), split="train")
+               for scan in alone.train]
+    assert len(preds) == len(singles) == 3
+    for got, (_, want) in zip(preds, singles):
+        assert got.dtype == want[0].dtype and got.tobytes() == want[0].tobytes()
+    for head, report in reports.items():
+        for count in ("tp", "fp", "fn"):
+            want = sum(getattr(single[head], count) for single, _ in singles)
+            assert np.array_equal(getattr(report, count), want), (head, count)
+
+
+def test_a_view_error_of_the_next_scan_is_raised_after_this_scans_forward(
+        small_dataset, monkeypatch):
+    import lidarmoe.pipeline as pipeline
+    cfg, data, store = _eval_setup(small_dataset)
+    bad = data.train[1].cloud
+    make, evaluate, forwards = pipeline.make_view, ad.evaluate, []
+
+    def failing(kind, cloud, *args):
+        if cloud is bad:
+            raise LidarMoeError(f"no {kind} view of the second scan")
+        return make(kind, cloud, *args)
+
+    def counting(graph, params, inputs):
+        forwards.append(inputs["point"])
+        return evaluate(graph, params, inputs)
+
+    monkeypatch.setattr(pipeline, "make_view", failing)
+    monkeypatch.setattr(ad, "evaluate", counting)
+    threads = threading.active_count()
+    with pytest.raises(LidarMoeError) as err:
+        evaluate_store(store, cfg, data, split="train")
+    assert str(err.value) == "no range view of the second scan"
+    assert len(forwards) == 1
+    assert forwards[0].tobytes() == data.train[0].cloud.features().tobytes()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("kind, change", [("voxel", {"voxel_size": (1.0, 1.0, 1.0)}),
