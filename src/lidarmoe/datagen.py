@@ -25,18 +25,13 @@ CLASS_BUILDING = 4
 CLASS_BARRIER = 5
 NUM_CLASSES = 6
 
-# intensity = base(class) * (1 - range / max_range_m), clamped to [0, 1]
-INTENSITY_BASE = {
-    CLASS_GROUND: 0.30,
-    CLASS_VEHICLE: 0.80,
-    CLASS_PEDESTRIAN: 0.55,
-    CLASS_POLE: 0.95,
-    CLASS_BUILDING: 0.65,
-    CLASS_BARRIER: 0.45,
-}
+# intensity = base(class) * (1 - range / max_range_m), clamped to [0, 1];
+# indexed by class id: ground, vehicle, pedestrian, pole, building, barrier
+INTENSITY_BASE = np.array([0.30, 0.80, 0.55, 0.95, 0.65, 0.45])
 
 _RAY_EPS = 1e-9
-PRIMITIVE_KINDS = ("ground-plane", "box", "vertical-cylinder")
+# (pose length, extents length) of each kind, as laid out in Primitive's docstring
+_PRIMITIVE_SHAPES = {"ground-plane": (3, 3), "box": (4, 3), "vertical-cylinder": (3, 2)}
 
 
 @dataclass(frozen=True)
@@ -55,9 +50,14 @@ class Primitive:
     class_id: int
 
     def __post_init__(self):
-        if self.kind not in PRIMITIVE_KINDS:
+        if self.kind not in _PRIMITIVE_SHAPES:
             raise LidarMoeError(f"unknown primitive kind: {self.kind}")
-        if any(e <= 0 for e in self.extents[:2]):
+        n_pose, n_extents = _PRIMITIVE_SHAPES[self.kind]
+        if len(self.pose) != n_pose or len(self.extents) != n_extents:
+            raise LidarMoeError(f"a {self.kind} takes {n_pose} pose and {n_extents} extents "
+                                f"values, got {len(self.pose)} and {len(self.extents)}")
+        sized = self.extents[:2] if self.kind == "ground-plane" else self.extents
+        if any(e <= 0 for e in sized):
             raise LidarMoeError("extents must be strictly positive")
         if not 0 <= self.class_id < NUM_CLASSES:
             raise LidarMoeError(f"class_id must be in [0, {NUM_CLASSES})")
@@ -132,35 +132,44 @@ def build_scene(config: SceneConfig, seed: int) -> Scene:
 # ray casting
 # ---------------------------------------------------------------------------
 
-def _ray_plane_rect(origins, dirs, prim):
-    px, py, pz = prim.pose[:3]
+def _ray_plane_rect(origin, dirs, prim):
+    px, py, pz = prim.pose
     hx, hy = prim.extents[0], prim.extents[1]
     dz = dirs[:, 2]
     t = np.full(dirs.shape[0], np.inf)
     moving = np.abs(dz) > _RAY_EPS
-    tt = (pz - origins[:, 2]) / np.where(moving, dz, 1.0)
-    x = origins[:, 0] + tt * dirs[:, 0]
-    y = origins[:, 1] + tt * dirs[:, 1]
+    tt = (pz - origin[2]) / np.where(moving, dz, 1.0)
+    x = origin[0] + tt * dirs[:, 0]
+    y = origin[1] + tt * dirs[:, 1]
     ok = moving & (tt > _RAY_EPS) & (np.abs(x - px) <= hx) & (np.abs(y - py) <= hy)
     t[ok] = tt[ok]
     return t
 
 
-def _ray_obb(origins, dirs, prim):
+def _rotate(rows, rot):
+    """``rows @ rot.T``, rounded alike for every row count: numpy computes a
+    one-row product by GEMV, which rounds unlike the GEMM of two or more
+    rows, so one row is taken from a two-row product."""
+    if len(rows) == 1:
+        return (np.repeat(rows, 2, axis=0) @ rot.T)[:1]
+    return rows @ rot.T
+
+
+def _ray_obb(origin, dirs, prim):
     cx, cy, cz, yaw = prim.pose
     hx, hy, hz = prim.extents
     c, s = np.cos(yaw), np.sin(yaw)
     # world -> box frame
     rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    o = (origins - np.array([cx, cy, cz])) @ rot.T
-    d = dirs @ rot.T
+    o = _rotate((origin - np.array([cx, cy, cz]))[None], rot)[0]
+    d = _rotate(dirs, rot)
     half = np.array([hx, hy, hz])
     t_near = np.full(dirs.shape[0], -np.inf)
     t_far = np.full(dirs.shape[0], np.inf)
     ok = np.ones(dirs.shape[0], dtype=bool)
     for ax in range(3):
         da = d[:, ax]
-        oa = o[:, ax]
+        oa = o[ax]
         parallel = np.abs(da) <= _RAY_EPS
         ok &= ~(parallel & (np.abs(oa) > half[ax]))
         safe = np.where(parallel, 1.0, da)
@@ -175,13 +184,13 @@ def _ray_obb(origins, dirs, prim):
     return t
 
 
-def _ray_cylinder(origins, dirs, prim):
-    cx, cy, zb = prim.pose[:3]
-    r, h = prim.extents[0], prim.extents[1]
+def _ray_cylinder(origin, dirs, prim):
+    cx, cy, zb = prim.pose
+    r, h = prim.extents
     zt = zb + h
-    ox = origins[:, 0] - cx
-    oy = origins[:, 1] - cy
-    oz = origins[:, 2]
+    ox = origin[0] - cx
+    oy = origin[1] - cy
+    oz = origin[2]
     dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     n = dirs.shape[0]
     best = np.full(n, np.inf)
@@ -208,29 +217,79 @@ def _ray_cylinder(origins, dirs, prim):
     return best
 
 
+def _box_sphere(prim):
+    return prim.pose[:3], float(np.linalg.norm(prim.extents))
+
+
+def _cylinder_sphere(prim):
+    (x, y, zb), (r, h) = prim.pose, prim.extents
+    return (x, y, zb + h / 2), float(np.sqrt(r * r + h * h / 4))
+
+
+def _unbounded(prim):
+    return prim.pose, np.inf
+
+
+# (intersector, bounding sphere) of each kind; a sphere is (center, radius)
+# and holds every point of the primitive
 _INTERSECTORS = {
-    "ground-plane": _ray_plane_rect,
-    "box": _ray_obb,
-    "vertical-cylinder": _ray_cylinder,
+    "ground-plane": (_ray_plane_rect, _unbounded),
+    "box": (_ray_obb, _box_sphere),
+    "vertical-cylinder": (_ray_cylinder, _cylinder_sphere),
 }
 
+# A ray can hit a primitive only inside its bounding sphere's cone. The cone
+# test widens the radius by _CULL_PAD_M metres and scales its cosine bound by
+# _CULL_COS: a float64 intersector places a surface to ~1e-14 m at scene
+# scale and the cone test's dot products round at ~1e-16 relative, so both
+# margins are orders of magnitude wider than any rounding and culling never
+# drops a ray the full test would hit.
+_CULL_PAD_M = 1e-6
+_CULL_COS = 1.0 - 1e-9
+# Candidate rows are padded to a multiple of this by repeating the last one.
+# numpy keeps up to 7 freed blocks of each size under 1 KiB for reuse, so
+# temporaries of hundreds of distinct small row counts stay allocated (about
+# 0.7 MB over one reference dataset); with few distinct counts they do not.
+_CULL_ROW_BLOCK = 64
 
-def cast_rays(scene: Scene, origins, dirs):
-    """Nearest-hit distances and class ids for a batch of rays.
 
-    Returns ``(t, class_id)`` with ``t = inf`` and class -1 for misses.
-    Ties go to the earlier primitive in scene order.
+def cast_rays(scene: Scene, origin, dirs):
+    """Nearest-hit distances and class ids for rays ``origin + t * dirs``.
+
+    ``origin`` is one (3,) point shared by every ray; ``dirs`` need not be
+    unit length, and ``t`` is in units of each ray's ``|dirs|``. Returns
+    ``(t, class_id)`` with ``t = inf`` and class -1 for misses. Ties go to
+    the earlier primitive in scene order.
+
+    Each primitive is tested only on the rays inside the cone its bounding
+    sphere (center ``c``, radius ``r``) subtends from the origin: with
+    ``v = c - origin``, ``L = |v|`` and ``r' = r + _CULL_PAD_M``, a ray is
+    kept when ``dirs @ v >= _CULL_COS * sqrt(L**2 - r'**2) * |dirs|``, and
+    every ray is kept when ``L <= r'``. The margins only widen the cone, so
+    the result is the full test's, bit for bit.
     """
-    origins = np.asarray(origins, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     n = dirs.shape[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
     best_t = np.full(n, np.inf)
     best_c = np.full(n, -1, dtype=np.int32)
     for prim in scene.primitives:
-        t = _INTERSECTORS[prim.kind](origins, dirs, prim)
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_c = np.where(closer, prim.class_id, best_c)
+        intersect, sphere = _INTERSECTORS[prim.kind]
+        center, radius = sphere(prim)
+        v = np.asarray(center, dtype=np.float64) - origin
+        reach_sq = v @ v - (radius + _CULL_PAD_M) ** 2
+        if reach_sq > 0.0:
+            rows = np.flatnonzero(dirs @ v >= _CULL_COS * np.sqrt(reach_sq) * norms)
+        else:
+            rows = np.arange(n)
+        # a repeated row gets the same t and writes the same value
+        rows = np.append(rows, np.repeat(rows[-1:], -len(rows) % _CULL_ROW_BLOCK))
+        t = intersect(origin, dirs[rows], prim)
+        closer = t < best_t[rows]
+        hit = rows[closer]
+        best_t[hit] = t[closer]
+        best_c[hit] = prim.class_id
     return best_t, best_c
 
 
@@ -248,13 +307,11 @@ def simulate_lidar(scene: Scene, sensor: SensorModel) -> PointCloud:
     bb, aa = bb.ravel(), aa.ravel()
     ce, se = np.cos(elev[bb]), np.sin(elev[bb])
     dirs = np.stack([ce * np.cos(azim[aa]), ce * np.sin(azim[aa]), se], axis=1)
-    origins = np.zeros_like(dirs)
-    t, cls = cast_rays(scene, origins, dirs)
+    t, cls = cast_rays(scene, np.zeros(3), dirs)
     hit = np.isfinite(t) & (t <= sensor.max_range_m)
     t, cls, bb = t[hit], cls[hit], bb[hit]
     xyz = dirs[hit] * t[:, None]
-    base = np.array([INTENSITY_BASE[c] for c in cls.tolist()])
-    intensity = np.clip(base * (1.0 - t / sensor.max_range_m), 0.0, 1.0)
+    intensity = np.clip(INTENSITY_BASE[cls] * (1.0 - t / sensor.max_range_m), 0.0, 1.0)
     return PointCloud(xyz, intensity, bb.astype(np.int32), cls)
 
 
@@ -280,8 +337,9 @@ def _tile_superpixels(class_map: np.ndarray, tile: int) -> np.ndarray:
     vv, uu = np.mgrid[0:h, 0:w]
     n_tx = (w + tile - 1) // tile
     tile_id = (vv // tile) * n_tx + (uu // tile)
-    keys = np.stack([tile_id.ravel(), class_map.ravel()], axis=1)
-    _, inverse = np.unique(keys, axis=0, return_inverse=True)
+    # one int64 key orders pixels by (tile, class) as the pair would
+    keys = tile_id.astype(np.int64) * (NUM_CLASSES + 1) + class_map + 1
+    _, inverse = np.unique(keys.ravel(), return_inverse=True)
     return inverse.reshape(h, w).astype(np.int32)
 
 
@@ -299,9 +357,7 @@ def render_camera(scene: Scene, camera: CameraModel, tile: int = 16):
     r = camera.cam_extrinsics[:3, :3]
     dirs = (r.T @ cam_dirs).T
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    center = camera.center_in_lidar()
-    origins = np.broadcast_to(center, dirs.shape)
-    t, cls = cast_rays(scene, origins, dirs)
+    t, cls = cast_rays(scene, camera.center_in_lidar(), dirs)
     class_map = cls.reshape(h, w)
     depth = t.reshape(h, w)
     return ClassImage(class_map, depth), _tile_superpixels(class_map, tile)

@@ -1,8 +1,9 @@
 """Fingerprint every file that a reduced end-to-end CLI chain writes.
 
 Runs datagen and then the chain of acceptance criterion 10 at reduced
-length (pretrain, cml, probe, sms, eval, route-stats) in a temporary
-directory, and prints ``sha256  relpath`` for every file there, sorted by
+length (pretrain, cml, probe, sms, eval, route-stats), plus a one-scan
+datagen on the 64 x 512 sensor of the ``chain_dense_aug`` benchmark
+workload, in a temporary directory, and prints ``sha256  relpath`` for every file there, sorted by
 path. Every path the chain is given is relative, so no output holds the
 temporary directory's name. Two source trees write byte-identical outputs
 exactly when their fingerprints agree:
@@ -25,6 +26,8 @@ from lidarmoe.cli import main
 
 # the reference dataset and criterion 10's run config, probe epochs cut to 3
 DATAGEN = {}
+DENSE_DATAGEN = {"n_train": 1, "n_val": 0, "beam_count": 64, "azimuth_steps": 512,
+                 "range_h": 64, "range_w": 512}
 RUN = {"dataset": "data", "seed": 77, "epochs": 3, "sms_epochs": 2, "probe_epochs": 3,
        "augment": False, "sms_augment": True, "lr_cml": 0.005, "student_init": "stage1"}
 # (subcommand, config, output directory), run in order
@@ -39,6 +42,7 @@ CHAIN = [
     ("eval", dict(RUN, checkpoint="sms/sms_model.ckpt"), "eval"),
     ("route-stats", {"gates_csv": "cml/cml_gates_train_000.csv",
                      "cloud": "data/scans/train_000.lpcd", "axis": "beam"}, "route"),
+    ("datagen", DENSE_DATAGEN, "data_dense"),
 ]
 
 
@@ -53,7 +57,7 @@ def run_chain(root: Path) -> None:
     (root / "configs").mkdir()
     os.chdir(root)
     for command, doc, out in CHAIN:
-        cfg = Path("configs") / f"{command}.json"
+        cfg = Path("configs") / f"{out}.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         if main([command, "--config", str(cfg), "--out", out]) != 0:
             sys.exit(f"{command} failed")

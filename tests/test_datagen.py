@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from lidarmoe.datagen import (AugmentParams, CLASS_GROUND, Primitive, Scene,
+import lidarmoe.datagen as dg
+from lidarmoe.datagen import (AugmentParams, CLASS_BARRIER, CLASS_BUILDING, CLASS_GROUND,
+                              CLASS_POLE, CLASS_VEHICLE, NUM_CLASSES, Primitive, Scene,
                               SceneConfig, apply_augment, augment, build_scene,
                               cast_rays, corrupt, dropped_beams, render_camera,
                               simulate_lidar)
@@ -60,6 +62,26 @@ def test_invalid_bounds_rejected():
         SceneConfig(x_bounds=(10.0, 5.0))
 
 
+@pytest.mark.parametrize("kind, pose, extents, message", [
+    ("box", (5.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.0), "^extents must be strictly positive$"),
+    ("box", (5.0, 0.0, 0.0, 0.0), (1.0, 1.0, -0.5), "^extents must be strictly positive$"),
+    ("vertical-cylinder", (5.0, 0.0, 0.0), (1.0, 0.0), "^extents must be strictly positive$"),
+    ("box", (5.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+     "^a box takes 4 pose and 3 extents values, got 3 and 3$"),
+    ("box", (5.0, 0.0, 0.0, 0.0), (1.0, 1.0),
+     "^a box takes 4 pose and 3 extents values, got 4 and 2$"),
+    ("vertical-cylinder", (5.0, 0.0, 0.0, 0.0), (1.0, 2.0),
+     "^a vertical-cylinder takes 3 pose and 2 extents values, got 4 and 2$"),
+    ("vertical-cylinder", (5.0, 0.0, 0.0), (1.0, 2.0, 3.0),
+     "^a vertical-cylinder takes 3 pose and 2 extents values, got 3 and 3$"),
+    ("ground-plane", (0.0, 0.0), (9.0, 9.0, 1.0),
+     "^a ground-plane takes 3 pose and 3 extents values, got 2 and 3$"),
+])
+def test_primitive_rejects_a_shape_its_kind_cannot_have(kind, pose, extents, message):
+    with pytest.raises(LidarMoeError, match=message):
+        Primitive(kind, pose, extents, 1)
+
+
 def test_scene_requires_exactly_one_ground():
     with pytest.raises(LidarMoeError, match="^scene must contain exactly one ground plane$"):
         Scene(primitives=())
@@ -69,7 +91,7 @@ def test_scene_requires_exactly_one_ground():
 
 def test_horizontal_ray_misses_ground_plane():
     scene = ground_only_scene(z=-2.0)
-    t, cls = cast_rays(scene, np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
+    t, cls = cast_rays(scene, np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
     assert np.isinf(t[0]) and cls[0] == -1
 
 
@@ -78,9 +100,110 @@ def test_cylinder_closed_form_hit():
         Primitive("ground-plane", (0, 0, -50.0), (500.0, 500.0, 1.0), 0),
         Primitive("vertical-cylinder", (5.0, 0.0, -2.0), (1.0, 4.0), 3),
     ))
-    t, cls = cast_rays(scene, np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
+    t, cls = cast_rays(scene, np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
     assert t[0] == pytest.approx(4.0, abs=1e-12)
     assert cls[0] == 3
+
+
+FAR_GROUND = Primitive("ground-plane", (0.0, 0.0, -500.0), (0.1, 0.1, 1.0), CLASS_GROUND)
+
+
+@pytest.mark.parametrize("first, second", [(CLASS_VEHICLE, CLASS_BARRIER),
+                                           (CLASS_BARRIER, CLASS_VEHICLE)])
+def test_coincident_boxes_tie_to_the_earlier_primitive(first, second):
+    boxes = tuple(Primitive("box", (6.0, 0.5, 0.0, 0.3), (1.0, 1.5, 1.0), c)
+                  for c in (first, second))
+    yaw, pitch = np.meshgrid(np.linspace(-0.4, 0.5, 40), np.linspace(-0.3, 0.3, 20))
+    dirs = np.stack([np.cos(yaw).ravel(), np.sin(yaw).ravel(), np.tan(pitch).ravel()], axis=1)
+    t, cls = cast_rays(Scene((FAR_GROUND,) + boxes), np.zeros(3), dirs)
+    hit = np.isfinite(t)
+    assert hit.sum() > 100 and not hit.all()
+    assert np.all(cls[hit] == first)
+
+
+def brute_force_cast(scene, origin, dirs):
+    """Every intersector on every ray; the nearest hit wins by a strict <."""
+    origin = np.asarray(origin, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    best_t = np.full(len(dirs), np.inf)
+    best_c = np.full(len(dirs), -1, dtype=np.int32)
+    for prim in scene.primitives:
+        intersect, _ = dg._INTERSECTORS[prim.kind]
+        t = intersect(origin, dirs, prim)
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        best_c = np.where(closer, prim.class_id, best_c)
+    return best_t, best_c
+
+
+def assert_cast_is_brute_force(scene, origin, dirs):
+    t, cls = cast_rays(scene, origin, dirs)
+    ref_t, ref_c = brute_force_cast(scene, origin, dirs)
+    assert np.array_equal(t, ref_t)
+    assert np.array_equal(cls, ref_c)
+    return t, cls
+
+
+def test_culled_cast_is_brute_force_on_built_scenes(monkeypatch):
+    # the near window puts the camera center inside some bounding spheres
+    calls = []
+    monkeypatch.setattr(dg, "cast_rays", lambda *args: calls.append(args) or cast_rays(*args))
+    for cfg in (SceneConfig(), SceneConfig(x_bounds=(1.0, 8.0), y_bounds=(-4.0, 4.0))):
+        for seed in range(10):
+            scene = build_scene(cfg, seed)
+            simulate_lidar(scene, small_sensor())
+            render_camera(scene, forward_camera())
+    assert len(calls) == 40
+    for scene, origin, dirs in calls:
+        assert_cast_is_brute_force(scene, origin, dirs)
+
+
+def test_culled_cast_is_brute_force_at_the_cone_edges(rng):
+    near_box = Primitive("box", (0.0, 2.0, 0.0, 0.4), (1.5, 0.3, 1.5), CLASS_BUILDING)
+    far_box = Primitive("box", (15.0, 4.0, -1.0, 1.1), (2.0, 0.9, 0.8), CLASS_VEHICLE)
+    pole = Primitive("vertical-cylinder", (6.0, -3.0, -1.8), (0.5, 3.0), CLASS_POLE)
+    scene = Scene((Primitive("ground-plane", (0.0, 0.0, -1.8), (120.0, 120.0, 1.0),
+                             CLASS_GROUND), near_box, far_box, pole))
+    # rays through the far box's corners and the pole's rims, which lie on
+    # their bounding spheres, and rays tangent to the pole's side
+    cx, cy, cz, yaw = far_box.pose
+    rot = np.array([[np.cos(yaw), -np.sin(yaw), 0.0], [np.sin(yaw), np.cos(yaw), 0.0],
+                    [0.0, 0.0, 1.0]])
+    signs = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).reshape(3, -1).T
+    corners = (signs * far_box.extents) @ rot.T + (cx, cy, cz)
+    phi = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    (px, py, zb), (r, h) = pole.pose, pole.extents
+    rims = np.concatenate([np.stack([px + r * np.cos(phi), py + r * np.sin(phi),
+                                     np.full(phi.size, z)], axis=1) for z in (zb, zb + h)])
+    targets = np.repeat(np.concatenate([corners, rims]), 30, axis=0)
+    targets *= 1.0 + rng.uniform(-1e-12, 1e-12, targets.shape)
+    side = np.repeat([-1.0, 1.0], 200) + rng.uniform(-1e-12, 1e-12, 400)
+    # origins inside the near box's bounding sphere (the LiDAR's and the
+    # camera's), inside the near box itself, and outside every sphere but
+    # the ground's
+    for origin in (np.zeros(3), np.array([0.0, 0.0, 0.2]), np.array([0.1, 2.05, 0.3]),
+                   np.array([-3.0, 9.0, 0.0])):
+        vx, vy = px - origin[0], py - origin[1]
+        bearing = np.arctan2(vy, vx) + side * np.arcsin(r / np.hypot(vx, vy))
+        slope = rng.uniform(zb - origin[2], zb + h - origin[2], 400) / np.hypot(vx, vy)
+        tangent = np.stack([np.cos(bearing), np.sin(bearing), slope], axis=1)
+        dirs = np.concatenate([targets - origin, tangent, rng.standard_normal((600, 3))])
+        dirs *= 10.0 ** rng.uniform(-3.0, 3.0, (len(dirs), 1))  # non-unit lengths
+        t, cls = assert_cast_is_brute_force(scene, origin, dirs)
+        assert {CLASS_GROUND, CLASS_VEHICLE, CLASS_POLE} <= set(cls.tolist())
+        for i in np.flatnonzero(cls > CLASS_GROUND)[::40]:  # a one-ray cast is the same row
+            one_t, one_c = cast_rays(scene, origin, dirs[i:i + 1])
+            assert one_t[0] == t[i] and one_c[0] == cls[i]
+
+
+def test_a_one_row_rotation_rounds_like_a_many_row_one(rng):
+    # the box frame of a shared origin must round as one row of the batch did
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    rows = rng.standard_normal((200, 3)) * 20.0
+    many = dg._rotate(rows, rot)
+    for i in range(len(rows)):
+        assert np.array_equal(dg._rotate(rows[i:i + 1], rot), many[i:i + 1])
 
 
 def test_points_within_range_and_labeled():
@@ -100,7 +223,7 @@ def test_points_lie_on_primitive_surfaces():
     # re-cast along each point direction: surface distance equals point depth
     d = cloud.depth()
     dirs = cloud.xyz.astype(np.float64) / d[:, None]
-    t, _ = cast_rays(scene, np.zeros_like(dirs), dirs)
+    t, _ = cast_rays(scene, np.zeros(3), dirs)
     assert np.all(np.abs(t - d) < 1e-4)
 
 
@@ -151,6 +274,17 @@ def test_superpixels_partition_and_single_class():
     for sp in range(s):
         classes = np.unique(image.class_id[superpixels == sp])
         assert classes.size == 1
+
+
+def test_tile_superpixels_number_tile_class_pairs_in_order(rng):
+    h, w, tile = 37, 53, 8
+    class_map = rng.integers(-1, NUM_CLASSES, size=(h, w)).astype(np.int32)
+    vv, uu = np.mgrid[0:h, 0:w]
+    pairs = np.stack([(vv // tile) * 7 + uu // tile, class_map], axis=-1).reshape(-1, 2)
+    _, ref = np.unique(pairs, axis=0, return_inverse=True)
+    sp = dg._tile_superpixels(class_map, tile)
+    assert sp.dtype == np.int32
+    assert np.array_equal(sp, ref.reshape(h, w))
 
 
 def test_calibration_consistency():
