@@ -10,6 +10,7 @@ import numpy as np
 from .autodiff import segment_means
 from .dataio import write_text
 from .errors import LidarMoeError
+from .moe import REPRESENTATIONS
 from .pointcloud import PointCloud
 
 ROUTE_AXES = ("beam", "distance-bin", "class")
@@ -27,10 +28,7 @@ class RouteTable:
 
     def global_load(self) -> np.ndarray:
         """Count-weighted mean load over all buckets."""
-        total = self.counts.sum()
-        if total == 0:
-            return np.full(3, np.nan)
-        return (self.loads * self.counts[:, None]).sum(axis=0) / total
+        return (self.loads * self.counts[:, None]).sum(axis=0) / self.counts.sum()
 
 
 def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
@@ -38,37 +36,32 @@ def route_stats(gates: np.ndarray, cloud: PointCloud, axis: str,
     """Bucket the per-point (N, 3) gate weights by beam, distance bin, or
     class.
 
-    Distance bins are [e0,e1), ..., [e_last, max); the class axis uses
-    point labels (ignore-labeled points are dropped).
+    Buckets are named ``beam<id>``, ``class<id>`` and, for distance bins
+    [e0,e1), ..., [e_last, max), ``<e0>-<e1>m`` ... ``<e_last>m+``. Points
+    below the first edge and ignore-labeled points (label -1) fall in no
+    bucket; raises LidarMoeError when no point falls in one.
     """
     if axis not in ROUTE_AXES:
         raise LidarMoeError(f"unknown axis: {axis}")
     if gates.shape[0] != cloud.count:
         raise LidarMoeError("gate rows and point count disagree")
-    if axis == "beam":
-        key = cloud.beam.astype(np.int64)
-        ids = np.unique(key)
-        names = [f"beam{int(b)}" for b in ids]
-    elif axis == "class":
-        key = cloud.label.astype(np.int64)
-        mask = key >= 0
-        key, gates = key[mask], gates[mask]
-        ids = np.unique(key)
-        names = [f"class{int(c)}" for c in ids]
-    else:
+    if axis == "distance-bin":
         edges = np.asarray(distance_edges, np.float64)
         if edges.size < 1 or np.any(np.diff(edges) <= 0):
             raise LidarMoeError("distance_edges must be increasing")
-        d = cloud.depth()
-        key = np.searchsorted(edges, d, side="right") - 1
-        mask = key >= 0
-        key, gates = key[mask], gates[mask]
-        ids = np.unique(key)
-        names = []
-        for b in ids:
-            lo = edges[b]
-            hi = edges[b + 1] if b + 1 < edges.size else None
-            names.append(f"{lo:g}-{hi:g}m" if hi is not None else f"{lo:g}m+")
+        key = np.searchsorted(edges, cloud.depth(), side="right") - 1
+    else:
+        key = (cloud.beam if axis == "beam" else cloud.label).astype(np.int64)
+    mask = key >= 0
+    key, gates = key[mask], gates[mask]
+    if key.size == 0:
+        raise LidarMoeError(f"no point falls in any {axis} bucket")
+    ids = np.unique(key)
+    if axis == "distance-bin":
+        bounds = [f"-{hi:g}m" for hi in edges[1:]] + ["m+"]
+        names = [f"{edges[b]:g}{bounds[b]}" for b in ids]
+    else:
+        names = [f"{axis}{b}" for b in ids.tolist()]
     bucket = np.searchsorted(ids, key)
     loads, _ = segment_means(bucket, gates, ids.size)
     return RouteTable(axis, names, np.bincount(bucket, minlength=ids.size), loads)
@@ -145,7 +138,6 @@ def scatter_svg(path, xy: np.ndarray, values: np.ndarray, title="") -> None:
 
 
 _EXPERT_COLORS = ("#2ca02c", "#d62728", "#1f77b4")
-_EXPERT_NAMES = ("range", "voxel", "point")
 
 
 def route_bars_svg(path, table: RouteTable, title="") -> None:
@@ -168,7 +160,7 @@ def route_bars_svg(path, table: RouteTable, title="") -> None:
                          f'height="{h:.2f}" fill="{color}"/>')
         parts.append(f'<text x="{x + bar_w / 2:.2f}" y="{height - pad + 14}" '
                      f'fill="#111111" font-size="9" text-anchor="middle">{name}</text>')
-    for j, (nm, color) in enumerate(zip(_EXPERT_NAMES, _EXPERT_COLORS)):
+    for j, (nm, color) in enumerate(zip(REPRESENTATIONS, _EXPERT_COLORS)):
         parts.append(f'<rect x="{pad + j * 90}" y="{height - 14}" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{pad + j * 90 + 14}" y="{height - 5}" fill="#111111" font-size="10">{nm}</text>')
     parts.append("</svg>")

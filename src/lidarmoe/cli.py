@@ -30,12 +30,11 @@ from .dataio import (DatasetManifest, ScanEntry, load_manifest, read_csv,
                      write_lpcd, write_text)
 from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
-from .moe import read_gate_csv
+from .moe import REPRESENTATIONS, read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig, backbone_kind,
-                       embed_cloud, embedding_width, evaluate_store, generate_dataset,
-                       linear_probe, load_dataset, load_sensors, stage1_pretrain,
-                       stage2_cml, stage3_sms)
+from .pipeline import (DEFAULT_DATASET_CONFIG, RunConfig, backbone_kind, embed_cloud,
+                       embedding_width, evaluate_store, generate_dataset, linear_probe,
+                       load_dataset, load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
 from .sensors import POSITIVE, at_least, config_from_json, one_of, read_key, reject_unknown
 
 USAGE_ERROR = 1
@@ -43,15 +42,9 @@ DATA_ERROR = 2
 
 _DATA_ERRORS = (LidarMoeError, OSError)
 
-# glibc's mallopt parameters (malloc.h) and the values the CLI sets. A block
-# below 32 MiB comes from the heap, and up to 256 MiB of free heap top stays
-# mapped. A repeated in-process datagen + pretrain -> cml -> probe -> sms ->
-# eval run at the chain_ref benchmark settings (one BLAS thread, 2-core
-# x86_64, glibc 2.36) took 76-120k minor page faults and 0.19-0.41 s of
-# system time under glibc's defaults, and 223-554 faults and at most 0.06 s
-# with these. One arena: evaluation's view-building thread would otherwise
-# get a malloc arena of its own, which took the robust_eval benchmark's peak
-# RSS from 72.4 to 76.2 MB (medians); sharing the main arena, to 73.1 MB.
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets: a block
+# below 32 MiB comes from the heap, up to 256 MiB of free heap top stays
+# mapped, and every thread shares one arena (see _keep_freed_memory)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
@@ -205,11 +198,12 @@ def _cmd_eval(args, doc):
     split = read_key(doc, "eval config", "split", "str", "val", _SPLITS)
     path = read_key(doc, "eval config", "checkpoint", "str")
     store, _ = load_checkpoint(path)
-    for kind in REPRESENTATIONS:
-        if f"{kind}.logit_head.w" not in store.names():
-            raise LidarMoeError(f"checkpoint {path} has no {kind} logit head "
-                                "(only sms checkpoints have one)")
+    classes = {k: embedding_width(store, k, path, "logit_head") for k in REPRESENTATIONS}
     data = load_dataset(cfg.dataset)
+    for kind, count in classes.items():
+        if count != data.num_classes:
+            raise LidarMoeError(f"checkpoint {path} scores {count} classes in its {kind} "
+                                f"logit head, but dataset {cfg.dataset} has {data.num_classes}")
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
         _write_metric_csv(args.out / f"metrics_{name}.csv", report)
@@ -255,7 +249,10 @@ def _cmd_route_stats(args, doc):
     axis = read_key(doc, "route-stats config", "axis", "str", "beam", one_of(ROUTE_AXES))
     edges = read_key(doc, "route-stats config", "distance_edges", "numbers",
                      DEFAULT_DISTANCE_EDGES)
-    table = route_stats(gates, cloud, axis, edges)
+    try:
+        table = route_stats(gates, cloud, axis, edges)
+    except LidarMoeError as exc:
+        raise LidarMoeError(f"route-stats of {cloud_path}: {exc}") from exc
     write_route_csv(args.out / f"route_{axis}.csv", table)
     route_bars_svg(args.out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
     load = table.global_load()

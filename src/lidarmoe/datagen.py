@@ -30,8 +30,6 @@ NUM_CLASSES = 6
 INTENSITY_BASE = np.array([0.30, 0.80, 0.55, 0.95, 0.65, 0.45])
 
 _RAY_EPS = 1e-9
-# (pose length, extents length) of each kind, as laid out in Primitive's docstring
-_PRIMITIVE_SHAPES = {"ground-plane": (3, 3), "box": (4, 3), "vertical-cylinder": (3, 2)}
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,9 @@ class Primitive:
     class_id: int
 
     def __post_init__(self):
-        if self.kind not in _PRIMITIVE_SHAPES:
+        if self.kind not in _PRIMITIVE_KINDS:
             raise LidarMoeError(f"unknown primitive kind: {self.kind}")
-        n_pose, n_extents = _PRIMITIVE_SHAPES[self.kind]
+        n_pose, n_extents, _, _ = _PRIMITIVE_KINDS[self.kind]
         if len(self.pose) != n_pose or len(self.extents) != n_extents:
             raise LidarMoeError(f"a {self.kind} takes {n_pose} pose and {n_extents} extents "
                                 f"values, got {len(self.pose)} and {len(self.extents)}")
@@ -230,12 +228,13 @@ def _unbounded(prim):
     return prim.pose, np.inf
 
 
-# (intersector, bounding sphere) of each kind; a sphere is (center, radius)
-# and holds every point of the primitive
-_INTERSECTORS = {
-    "ground-plane": (_ray_plane_rect, _unbounded),
-    "box": (_ray_obb, _box_sphere),
-    "vertical-cylinder": (_ray_cylinder, _cylinder_sphere),
+# (pose length, extents length, intersector, bounding sphere) of each kind;
+# the lengths are those of Primitive's docstring, and a sphere is (center,
+# radius) and holds every point of the primitive
+_PRIMITIVE_KINDS = {
+    "ground-plane": (3, 3, _ray_plane_rect, _unbounded),
+    "box": (4, 3, _ray_obb, _box_sphere),
+    "vertical-cylinder": (3, 2, _ray_cylinder, _cylinder_sphere),
 }
 
 # A ray can hit a primitive only inside its bounding sphere's cone. The cone
@@ -275,7 +274,7 @@ def cast_rays(scene: Scene, origin, dirs):
     best_t = np.full(n, np.inf)
     best_c = np.full(n, -1, dtype=np.int32)
     for prim in scene.primitives:
-        intersect, sphere = _INTERSECTORS[prim.kind]
+        _, _, intersect, sphere = _PRIMITIVE_KINDS[prim.kind]
         center, radius = sphere(prim)
         v = np.asarray(center, dtype=np.float64) - origin
         reach_sq = v @ v - (radius + _CULL_PAD_M) ** 2

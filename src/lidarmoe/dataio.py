@@ -55,16 +55,22 @@ def write_text(path, text: str) -> None:
 
 
 def write_json(path, doc) -> None:
-    """Indented, key-sorted JSON plus a final newline, written atomically."""
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Indented, key-sorted JSON plus a final newline, written atomically;
+    a NaN or infinity raises ValueError, as JSON has no such number."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _non_finite(token):
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def read_json(path) -> dict:
     """The JSON object in a UTF-8 file; raises LidarMoeError naming ``path``
-    when the file is not UTF-8, not JSON or not an object."""
+    when the file is not UTF-8, not JSON (``NaN`` and ``Infinity`` are not)
+    or not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_non_finite)
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise LidarMoeError(f"{path} is not a UTF-8 JSON document: {exc}") from exc
     if not isinstance(doc, dict):

@@ -57,10 +57,8 @@ def linear(ctx, x, name):
 # ---------------------------------------------------------------------------
 
 def init_range_params(store: ParameterStore, dim: int, rng):
-    store.add("range.conv1.w", glorot_uniform((9 * 5, TRUNK_CH), rng))
-    store.add("range.conv1.b", np.zeros(TRUNK_CH, np.float32))
-    store.add("range.conv2.w", glorot_uniform((9 * TRUNK_CH, TRUNK_CH), rng))
-    store.add("range.conv2.b", np.zeros(TRUNK_CH, np.float32))
+    add_linear(store, "range.conv1", 9 * 5, TRUNK_CH, rng)
+    add_linear(store, "range.conv2", 9 * TRUNK_CH, TRUNK_CH, rng)
     add_linear(store, "range.head", TRUNK_CH, dim, rng)
 
 

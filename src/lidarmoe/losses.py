@@ -48,19 +48,27 @@ def build_info_nce(k_var, q_var, temperature, denominator="all"):
     return ad.neg(ad.mean_all(ad.sub(pos, lse)))
 
 
-def build_cross_entropy(logits_var, labels):
-    """Mean negative log-likelihood over labeled rows (label >= 0)."""
+def _labeled_rows(rows_var, labels, what):
+    """The rows of ``rows_var`` (named ``what``) with a label >= 0, gathered
+    only when some row has none, and their labels; raises LidarMoeError when
+    the row counts disagree or no row is labeled."""
     labels = np.asarray(labels, np.int64).reshape(-1)
-    if labels.shape[0] != logits_var.shape[0]:
-        raise LidarMoeError("labels and logits row counts disagree")
+    if labels.shape[0] != rows_var.shape[0]:
+        raise LidarMoeError(f"labels and {what} row counts disagree")
     keep = np.flatnonzero(labels >= 0)
     if keep.size == 0:
         raise LidarMoeError("all labels are ignored")
-    c = logits_var.shape[1]
-    kept = logits_var if keep.size == labels.size else ad.gather_rows(logits_var, keep)
+    if keep.size == labels.size:
+        return rows_var, labels
+    return ad.gather_rows(rows_var, keep), labels[keep]
+
+
+def build_cross_entropy(logits_var, labels):
+    """Mean negative log-likelihood over labeled rows (label >= 0)."""
+    kept, labels = _labeled_rows(logits_var, labels, "logits")
     logp = ad.log_softmax_rows(kept)
-    onehot = np.zeros((keep.size, c), np.float32)
-    onehot[np.arange(keep.size), labels[keep]] = 1.0
+    onehot = np.zeros(kept.shape, np.float32)
+    onehot[np.arange(labels.size), labels] = 1.0
     picked = ad.sum_cols(ad.mul(logp, ad.as_var(onehot)))
     return ad.neg(ad.mean_all(picked))
 
@@ -87,17 +95,10 @@ def build_lovasz_softmax(probs_var, labels):
     over present classes. The sort order is treated as constant, so
     gradients flow through the error values.
     """
-    labels = np.asarray(labels, np.int64).reshape(-1)
-    if labels.shape[0] != probs_var.shape[0]:
-        raise LidarMoeError("labels and probability row counts disagree")
+    probs_kept, kept_labels = _labeled_rows(probs_var, labels, "probability")
     sums = probs_var.data.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-5):
         raise LidarMoeError("probability rows must sum to 1")
-    keep = np.flatnonzero(labels >= 0)
-    if keep.size == 0:
-        raise LidarMoeError("all labels are ignored")
-    probs_kept = probs_var if keep.size == labels.size else ad.gather_rows(probs_var, keep)
-    kept_labels = labels[keep]
     present = np.unique(kept_labels)
     terms = None
     for c in present.tolist():

@@ -19,6 +19,8 @@ from .dataio import read_csv, write_text
 from .errors import LidarMoeError
 from .params import ParameterStore, glorot_uniform
 
+REPRESENTATIONS = ("range", "voxel", "point")  # the experts, in gate column order
+
 
 def init_moe_params(store: ParameterStore, channels: int, rng):
     """Fusion linear (3*channels -> channels) plus zero gate/noise weights,
@@ -29,26 +31,23 @@ def init_moe_params(store: ParameterStore, channels: int, rng):
     store.add("moe.z_noise", np.zeros((channels, 3), np.float32))
 
 
-def build_moe(ctx, expert_r, expert_v, expert_p, noise_tag="moe"):
-    """Composable fusion; returns (fused Var, gates Var). The gate draws
-    noise, keyed by ``noise_tag``, exactly when ``ctx.train_mode`` is set."""
-    n = expert_r.shape[0]
-    if expert_v.shape != expert_r.shape or expert_p.shape != expert_r.shape:
+def build_moe(ctx, experts, noise_tag):
+    """Composable fusion of ``experts``, aligned Vars in ``REPRESENTATIONS``
+    order; returns (fused Var, gates Var). The gate draws noise, keyed by
+    ``noise_tag``, exactly when ``ctx.train_mode`` is set."""
+    if len({e.shape for e in experts}) != 1:
         raise LidarMoeError("expert feature shapes disagree")
-    e = ad.add(ad.matmul(ad.concat_cols([expert_r, expert_v, expert_p]),
-                         ctx.param("moe.fusion.w")),
+    e = ad.add(ad.matmul(ad.concat_cols(experts), ctx.param("moe.fusion.w")),
                ctx.param("moe.fusion.b"))
     logits = ad.matmul(e, ctx.param("moe.z_gate"))
     if ctx.train_mode:
         scale = ad.softplus(ad.matmul(e, ctx.param("moe.z_noise")))
-        chi = ad.as_var(ctx.randn((n, 3), noise_tag))
+        chi = ad.as_var(ctx.randn(logits.shape, noise_tag))
         logits = ad.add(logits, ad.mul(chi, scale))
     gates = ad.softmax_rows(logits)
-    alpha = ad.slice_cols(gates, 0, 1)
-    beta = ad.slice_cols(gates, 1, 2)
-    gamma = ad.slice_cols(gates, 2, 3)
-    fused = ad.add(ad.add(ad.mul(alpha, expert_r), ad.mul(beta, expert_v)),
-                   ad.mul(gamma, expert_p))
+    fused = ad.mul(ad.slice_cols(gates, 0, 1), experts[0])
+    for i in range(1, len(experts)):
+        fused = ad.add(fused, ad.mul(ad.slice_cols(gates, i, i + 1), experts[i]))
     return fused, gates
 
 

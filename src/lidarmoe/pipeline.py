@@ -47,15 +47,13 @@ from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import build_cross_entropy, build_info_nce, build_sms_total
 from .metrics import compute_miou
-from .moe import build_moe, init_moe_params, write_gate_csv
+from .moe import REPRESENTATIONS, build_moe, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
 from .sensors import (POSITIVE, CameraModel, SensorModel, at_least, check_fields,
                       config_from_json, config_to_json, is_number, one_of, read_key,
                       reject_unknown)
-
-REPRESENTATIONS = ("range", "voxel", "point")
 
 # the range or choices of each RunConfig field that has one
 _RUN_RULES = {
@@ -224,10 +222,13 @@ def load_sensors(dataset_dir):
 def load_dataset(dataset_dir) -> DatasetBundle:
     """The scans, sensors and manifest settings of a dataset; raises
     LidarMoeError naming a scan with a label outside [-1, num_classes) or a
-    point at the sensor origin, or a camera render not (cam_h, cam_w)."""
+    point at the sensor origin, or a camera file whose arrays are not
+    (cam_h, cam_w), with a class_id outside [-1, num_classes) or a
+    superpixel id outside [0, cam_h * cam_w)."""
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
     sensor, camera = load_sensors(base)
+    shape = (camera.cam_h, camera.cam_w)
 
     def load_split(entries):
         scans = []
@@ -249,9 +250,16 @@ def load_dataset(dataset_dir) -> DatasetBundle:
                 scan.image, scan.superpixels = read_camera_npz(cam_path)
                 for name, arr in (("class_id", scan.image.class_id),
                                   ("depth", scan.image.depth), ("superpixel", scan.superpixels)):
-                    if arr.shape != (camera.cam_h, camera.cam_w):
+                    if arr.shape != shape:
                         raise LidarMoeError(f"{cam_path}: {name} has shape {arr.shape}, "
-                                            f"want {(camera.cam_h, camera.cam_w)}")
+                                            f"want {shape}")
+                for name, arr, low, top in (
+                        ("class_id", scan.image.class_id, -1, manifest.num_classes),
+                        ("superpixel", scan.superpixels, 0, camera.cam_h * camera.cam_w)):
+                    bad = arr[(arr < low) | (arr >= top)]
+                    if bad.size:
+                        raise LidarMoeError(f"{cam_path}: {name} has value {bad[0]}, "
+                                            f"want one in [{low}, {top})")
             scans.append(scan)
         return scans
 
@@ -555,9 +563,8 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
                                            "cml", "student", epoch, idx)
 
         def build(ctx):
-            r, v, p = (views[f"expert.{k}"].aligned(ctx, f"expert.{k}")
-                       for k in REPRESENTATIONS)
-            fused, gates = build_moe(ctx, r, v, p, noise_tag="cml")
+            fused, gates = build_moe(ctx, [views[f"expert.{k}"].aligned(ctx, f"expert.{k}")
+                                           for k in REPRESENTATIONS], "cml")
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
@@ -616,8 +623,7 @@ def _is_backbone_param(name: str) -> bool:
 def _sms_forward_build(ctx, views):
     logits = {k: views[k].output(ctx, k, head="logit_head") for k in REPRESENTATIONS}
     aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
-    fused, _ = build_moe(ctx, aligned["range"], aligned["voxel"], aligned["point"],
-                         noise_tag="sms")
+    fused, _ = build_moe(ctx, list(aligned.values()), "sms")
     return logits, aligned, fused
 
 
@@ -737,13 +743,15 @@ def backbone_kind(store: ParameterStore, representation, source) -> str:
     return representation or kinds[0]
 
 
-def embedding_width(store: ParameterStore, kind, source) -> int:
-    """The width of the ``kind`` embedding head in ``store``; raises
-    LidarMoeError naming the checkpoint ``source`` when it has none."""
-    if f"{kind}.head.w" not in store.names():
-        raise LidarMoeError(f"checkpoint {source} has no {kind} embedding head "
-                            "(only stage-1 and cml checkpoints have one)")
-    return store.get(f"{kind}.head.w").shape[1]
+def embedding_width(store: ParameterStore, kind, source, head="head") -> int:
+    """The width of the ``kind`` backbone's ``head`` in ``store``, its
+    embedding ``head`` or its ``logit_head``; raises LidarMoeError naming
+    the checkpoint ``source`` when it has none."""
+    if f"{kind}.{head}.w" not in store.names():
+        what, holders = ("embedding", "stage-1 and cml") if head == "head" else ("logit", "sms")
+        raise LidarMoeError(f"checkpoint {source} has no {kind} {what} head "
+                            f"(only {holders} checkpoints have one)")
+    return store.get(f"{kind}.{head}.w").shape[1]
 
 
 def embed_cloud(store, config, sensor, cloud, kind):

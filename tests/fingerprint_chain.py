@@ -1,12 +1,13 @@
 """Fingerprint every file that a reduced end-to-end CLI chain writes.
 
 Runs datagen and then the chain of acceptance criterion 10 at reduced
-length (pretrain, cml, probe, sms, eval, route-stats), plus a one-scan
-datagen on the 64 x 512 sensor of the ``chain_dense_aug`` benchmark
-workload, in a temporary directory, and prints ``sha256  relpath`` for every file there, sorted by
-path. Every path the chain is given is relative, so no output holds the
-temporary directory's name. Two source trees write byte-identical outputs
-exactly when their fingerprints agree:
+length (pretrain, cml, probe, sms, eval, route-stats on each axis), plus
+a one-scan datagen on the 64 x 512 sensor of the ``chain_dense_aug``
+benchmark workload, in a temporary directory, and prints ``sha256
+relpath`` for every file there, sorted by path. Every path the chain is
+given is relative, so no output holds the temporary directory's name. Two
+source trees write byte-identical outputs exactly when their fingerprints
+agree:
 
     git worktree add ../lidarmoe-parent HEAD~1
     diff <(PYTHONPATH=../lidarmoe-parent/src python tests/fingerprint_chain.py) \\
@@ -30,6 +31,7 @@ DENSE_DATAGEN = {"n_train": 1, "n_val": 0, "beam_count": 64, "azimuth_steps": 51
                  "range_h": 64, "range_w": 512}
 RUN = {"dataset": "data", "seed": 77, "epochs": 3, "sms_epochs": 2, "probe_epochs": 3,
        "augment": False, "sms_augment": True, "lr_cml": 0.005, "student_init": "stage1"}
+ROUTE = {"gates_csv": "cml/cml_gates_train_000.csv", "cloud": "data/scans/train_000.lpcd"}
 # (subcommand, config, output directory), run in order
 CHAIN = [
     ("datagen", DATAGEN, "data"),
@@ -40,8 +42,9 @@ CHAIN = [
                             "range": "s1/stage1_range.ckpt",
                             "point": "s1/stage1_point.ckpt"}), "sms"),
     ("eval", dict(RUN, checkpoint="sms/sms_model.ckpt"), "eval"),
-    ("route-stats", {"gates_csv": "cml/cml_gates_train_000.csv",
-                     "cloud": "data/scans/train_000.lpcd", "axis": "beam"}, "route"),
+    ("route-stats", dict(ROUTE, axis="beam"), "route"),
+    ("route-stats", dict(ROUTE, axis="class"), "route_class"),
+    ("route-stats", dict(ROUTE, axis="distance-bin"), "route_distance"),
     ("datagen", DENSE_DATAGEN, "data_dense"),
 ]
 

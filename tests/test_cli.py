@@ -727,14 +727,25 @@ def _bad_input(case, tmp_path, dataset):
         doc = {"dataset": str(dataset), "kind": "jitter", "severity": 4}
         return "corrupt", write_json(tmp_path / "cfg.json", doc), \
             "corrupt config severity must be 1|2|3, got 4"
-    if case == "decreasing distance_edges":
+    route = {
+        "decreasing distance_edges": ({"axis": "distance-bin", "distance_edges": [10.0, 5.0]},
+                                      "distance_edges must be increasing"),
+        "distance_edges past every point": ({"axis": "distance-bin", "distance_edges": [500.0]},
+                                            "no point falls in any distance-bin bucket"),
+        "class axis of an unlabeled cloud": ({"axis": "class"},
+                                             "no point falls in any class bucket"),
+    }
+    if case in route:
+        doc, want = route[case]
         cloud = dataset / "scans" / "val_000.lpcd"
-        gates = tmp_path / "gates.csv"
-        write_gate_csv(gates, np.full((read_lpcd(cloud).count, 3), 1 / 3, np.float32))
-        doc = {"gates_csv": str(gates), "cloud": str(cloud), "axis": "distance-bin",
-               "distance_edges": [10.0, 5.0]}
+        if case == "class axis of an unlabeled cloud":
+            unlabeled = read_lpcd(cloud)
+            unlabeled.label[:] = -1
+            cloud = tmp_path / "unlabeled.lpcd"
+            write_lpcd(cloud, unlabeled)
+        doc.update(gates_csv=_write_gates(tmp_path, read_lpcd(cloud).count), cloud=str(cloud))
         return "route-stats", write_json(tmp_path / "cfg.json", doc), \
-            "distance_edges must be increasing"
+            f"route-stats of {cloud}: {want}"
     if case.startswith("report "):
         ious = {"beam": [60.0, 50.0, 40.0]}
         doc, want = {
@@ -758,17 +769,27 @@ def _bad_input(case, tmp_path, dataset):
         doc = dict(run, dataset=str(copy), sms_epochs=0)
         return "sms", write_json(tmp_path / "cfg.json", doc), \
             f"scan {scan} has point 0 at the sensor origin"
-    if case == "camera render cut to 40 rows":
+    if case.startswith("camera "):
         copy = tmp_path / "ds"
         shutil.copytree(dataset, copy)
         cam = copy / "cams" / "train_000.npz"
         image, superpixels = read_camera_npz(cam)
-        write_camera_npz(cam, ClassImage(image.class_id[:40], image.depth[:40]),
-                         superpixels[:40])
         sensors = json.loads((copy / "sensors.json").read_text())
-        want = (sensors["cam_h"], sensors["cam_w"])
+        shape = (sensors["cam_h"], sensors["cam_w"])
+        class_id, depth = image.class_id.copy(), image.depth
+        if case == "camera render cut to 40 rows":
+            class_id, depth, superpixels = class_id[:40], depth[:40], superpixels[:40]
+            want = f"class_id has shape {(40, shape[1])}, want {shape}"
+        elif case == "camera superpixel -5":
+            superpixels = superpixels.copy()
+            superpixels[3, 4] = -5
+            want = f"superpixel has value -5, want one in [0, {shape[0] * shape[1]})"
+        else:
+            class_id[3, 4] = 9
+            want = "class_id has value 9, want one in [-1, 6)"
+        write_camera_npz(cam, ClassImage(class_id, depth), superpixels)
         return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
-            f"{cam}: class_id has shape {(40, want[1])}, want {want}"
+            f"{cam}: {want}"
     raise AssertionError(case)
 
 
@@ -788,9 +809,11 @@ def _bad_input(case, tmp_path, dataset):
     "eval given no --config", "cosine-map checkpoint without cloud", "lpcd version 2",
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
     "corrupt of a truncated second scan", "corrupt without sensors.json",
-    "decreasing distance_edges", "report clean_iou 0", "report corruption sets differ",
-    "report two severities", "val point at the sensor origin",
-    "camera render cut to 40 rows",
+    "decreasing distance_edges", "distance_edges past every point",
+    "class axis of an unlabeled cloud", "report clean_iou 0",
+    "report corruption sets differ", "report two severities",
+    "val point at the sensor origin", "camera render cut to 40 rows",
+    "camera superpixel -5", "camera class_id 9",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)
@@ -1048,6 +1071,33 @@ def test_eval_on_a_checkpoint_without_logit_heads_exit_2(tmp_path, zero_epoch_ck
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: checkpoint {zero_epoch_ckpts[source]} has no {kind} logit head " \
         "(only sms checkpoints have one)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ckpt_classes,data_classes", [(6, 8), (8, 6)])
+def test_eval_on_a_dataset_of_another_class_count_exit_2(tmp_path, tiny_dataset,
+                                                         zero_epoch_ckpts, capsys,
+                                                         ckpt_classes, data_classes):
+    """Eval compares the checkpoint's logit heads with the dataset's class
+    count before the forward, in both directions."""
+    eight = tmp_path / "ds8"
+    shutil.copytree(tiny_dataset, eight)
+    manifest = json.loads((eight / "manifest.json").read_text())
+    (eight / "manifest.json").write_text(json.dumps(dict(manifest, num_classes=8)))
+    datasets = {6: str(tiny_dataset), 8: str(eight)}
+    ckpt = zero_epoch_ckpts["sms"]
+    if ckpt_classes == 8:
+        run = dict(zero_epoch_ckpts["run"], dataset=datasets[8])
+        assert main(["sms", "--config", write_json(tmp_path / "sms.json", run),
+                     "--out", str(tmp_path / "sms")]) == 0
+        ckpt = str(tmp_path / "sms" / "sms_model.ckpt")
+    doc = dict(zero_epoch_ckpts["run"], checkpoint=ckpt, dataset=datasets[data_classes])
+    out = tmp_path / "out"
+    assert main(["eval", "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert f"error: checkpoint {ckpt} scores {ckpt_classes} classes in its range logit " \
+        f"head, but dataset {datasets[data_classes]} has {data_classes}" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cml_takes_a_cml_student_checkpoint_as_an_expert(tmp_path, zero_epoch_ckpts):

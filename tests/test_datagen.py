@@ -128,7 +128,7 @@ def brute_force_cast(scene, origin, dirs):
     best_t = np.full(len(dirs), np.inf)
     best_c = np.full(len(dirs), -1, dtype=np.int32)
     for prim in scene.primitives:
-        intersect, _ = dg._INTERSECTORS[prim.kind]
+        _, _, intersect, _ = dg._PRIMITIVE_KINDS[prim.kind]
         t = intersect(origin, dirs, prim)
         closer = t < best_t
         best_t = np.where(closer, t, best_t)

@@ -11,7 +11,7 @@ from lidarmoe.datagen import ClassImage
 from lidarmoe.dataio import (DatasetManifest, ScanEntry,
                              TrainingLog, load_manifest, read_camera_npz,
                              read_json, read_lpcd, save_manifest,
-                             write_camera_npz, write_lpcd)
+                             write_camera_npz, write_json, write_lpcd)
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.pointcloud import PointCloud
 
@@ -181,6 +181,8 @@ def test_corrupt_camera_npz_is_a_package_error(tmp_path, rng, cut):
 @pytest.mark.parametrize("raw,message", [
     (b"\xff\xfe{}", "is not a UTF-8 JSON document"),
     (b'{"a": ', "is not a UTF-8 JSON document"),
+    (b'{"a": [1.0, NaN]}', "is not a UTF-8 JSON document: NaN is not a JSON number"),
+    (b'{"a": -Infinity}', "is not a UTF-8 JSON document: -Infinity is not a JSON number"),
     (b"[1]", "must hold a JSON object, got list"),
     (b'"x"', "must hold a JSON object, got str"),
 ])
@@ -189,6 +191,13 @@ def test_read_json_rejects_what_is_not_a_json_object(tmp_path, raw, message):
     path.write_bytes(raw)
     with pytest.raises(LidarMoeError, match=f"^{re.escape(str(path))} {message}"):
         read_json(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_a_non_finite_number_and_writes_nothing(tmp_path, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "doc.json", {"load": [0.5, value]})
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("edit,message", [

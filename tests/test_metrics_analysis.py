@@ -145,6 +145,19 @@ def test_route_distance_binning():
     assert table.counts.tolist() == [1, 1, 1, 1]
 
 
+def test_route_buckets_of_every_axis():
+    """A beam or class bucket is named by its id, a distance bin by its
+    edges; unlabeled points and points below the first edge fall in none."""
+    cloud = make_cloud(5, [2, 0, 2, 5, 0], [-1, 3, 1, 3, 3], [5.0, 15.0, 45.0, 2.0, 0.5])
+    gates = np.full((5, 3), 1.0 / 3.0, np.float32)
+    want = {"beam": (["beam0", "beam2", "beam5"], [2, 2, 1]),
+            "class": (["class1", "class3"], [1, 3]),
+            "distance-bin": (["1-10m", "10-20m", "40m+"], [2, 1, 1])}
+    for axis, (names, counts) in want.items():
+        table = route_stats(gates, cloud, axis, distance_edges=(1.0, 10.0, 20.0, 30.0, 40.0))
+        assert (table.buckets, table.counts.tolist()) == (names, counts)
+
+
 def test_route_global_load_equals_whole_cloud_mean(rng):
     n = 500
     gates = rng.dirichlet(np.ones(3), n).astype(np.float32)

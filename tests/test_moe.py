@@ -24,7 +24,7 @@ def fuse(r, v, p, store, train_mode, seed=0):
     """(fused, gates) arrays of the gated fusion; noise is on in train
     mode, as in the stage-3 logit fusion."""
     return evaluate_builder(
-        lambda ctx: build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p")),
+        lambda ctx: build_moe(ctx, [ctx.input(k) for k in "rvp"], "moe"),
         {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 
@@ -165,7 +165,7 @@ def test_moe_grad_check(rng):
     target = rng.standard_normal((8, 4)).astype(np.float32)
 
     def build(ctx):
-        fused, _ = build_moe(ctx, ctx.input("r"), ctx.input("v"), ctx.input("p"))
+        fused, _ = build_moe(ctx, [ctx.input(k) for k in "rvp"], "moe")
         err = ad.sub(fused, ad.as_var(target))
         return {"loss": ad.mean_all(ad.mul(err, err))}
 
