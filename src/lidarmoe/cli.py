@@ -25,17 +25,18 @@ from .analysis import (DEFAULT_DISTANCE_EDGES, ROUTE_AXES, cosine_map, route_sta
                        route_bars_svg, scatter_svg, write_cosine_csv, write_route_csv)
 from .datagen import CORRUPTION_KINDS, CORRUPTION_SEVERITIES
 from .datagen import corrupt as corrupt_cloud
-from .dataio import (DatasetManifest, ScanEntry, load_manifest, read_csv,
+from .dataio import (DatasetManifest, ScanEntry, atomic_write, load_manifest, read_csv,
                      read_json, read_lpcd, resolve, save_manifest, write_json,
                      write_lpcd, write_text)
 from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import REPRESENTATIONS, read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (DEFAULT_DATASET_CONFIG, RunConfig, backbone_kind, embed_cloud,
+from .pipeline import (RunConfig, backbone_kind, embed_cloud,
                        embedding_width, evaluate_store, generate_dataset, linear_probe,
                        load_dataset, load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
-from .sensors import POSITIVE, at_least, config_from_json, one_of, read_key, reject_unknown
+from .sensors import (POSITIVE, REQUIRED, at_least, config_from_json, one_of, read_key,
+                      reject_unknown)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -59,7 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"usage error: {message}\n")
 
 
-_RUN_KEYS = frozenset(RunConfig.__dataclass_fields__)
 _SPLITS = one_of(("train", "val"))
 _KINDS = one_of(REPRESENTATIONS)
 
@@ -94,20 +94,32 @@ def _keep_freed_memory() -> None:
     mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
-def _load_config(args) -> dict:
-    """The --config document; every subcommand rejects unknown keys."""
-    if args.config is None:
-        return {}
-    doc = read_json(args.config)
-    reject_unknown(doc, _COMMANDS[args.command][1], f"{args.command} config")
-    return doc
-
-
-def _run_config(doc: dict, args) -> RunConfig:
-    cfg = config_from_json(RunConfig, doc, "run config")
-    if args.seed is not None:
+def _read_config(args):
+    """``(run config, keys)`` of the --config document, checked by the
+    subcommand's ``_COMMANDS`` row before its handler starts: unknown keys
+    are rejected, the run config is built where the row asks for one (else
+    None), and each of the row's keys is read in row order. Datagen's row
+    has no keys: its whole document is returned for ``generate_dataset``."""
+    _, run, keys = _COMMANDS[args.command]
+    doc = {} if args.config is None else read_json(args.config)
+    if keys is None:
+        return None, doc
+    owner = f"{args.command} config"
+    reject_unknown(doc, [*keys, *(RunConfig.__dataclass_fields__ if run else ())], owner)
+    cfg = config_from_json(RunConfig, doc, "run config") if run else None
+    if cfg is not None and args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    return cfg
+    return cfg, {key: read_key(doc, owner, key, *spec) for key, spec in keys.items()}
+
+
+def _source(command, opts, a, b):
+    """``a`` or ``b``, whichever of a subcommand's two alternative sources
+    ``opts`` gives; raises LidarMoeError when it gives both or neither."""
+    given = [key for key in (a, b) if opts[key] not in (None, False)]
+    if len(given) != 1:
+        raise LidarMoeError(f"{command} config takes {a} or {b}, not both" if given
+                            else f"{command} config needs {a} or {b}")
+    return given[0]
 
 
 def _write_metric_csv(path, report: MetricReport) -> None:
@@ -131,72 +143,51 @@ def _prediction_rows(scan: str, preds, labels) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_datagen(args, doc):
-    generate_dataset(doc, args.out, args.seed if args.seed is not None else 0)
-    manifest = load_manifest(args.out / "manifest.json")
+def _cmd_datagen(args, _, doc):
+    manifest = generate_dataset(doc, args.out, args.seed or 0)
     write_json(args.out / "datagen_summary.json",
                {"train_scans": len(manifest.train), "val_scans": len(manifest.val)})
 
 
-def _cmd_pretrain(args, doc):
-    results = stage1_pretrain(_run_config(doc, args), args.out)
-    write_json(args.out / "stage1_results.json", results)
+def _cmd_pretrain(args, cfg, _):
+    write_json(args.out / "stage1_results.json", stage1_pretrain(cfg, args.out))
 
 
-def _cmd_cml(args, doc):
-    cfg = _run_config(doc, args)
-    if "expert_ckpts" in doc:
-        given = read_key(doc, "cml config", "expert_ckpts", "dict")
-        ckpts = {k: read_key(given, "cml config expert_ckpts", k, "str")
+def _cmd_cml(args, cfg, opts):
+    if _source("cml", opts, "expert_ckpts", "stage1_dir") == "expert_ckpts":
+        ckpts = {k: read_key(opts["expert_ckpts"], "cml config expert_ckpts", k, "str")
                  for k in REPRESENTATIONS}
-    elif "stage1_dir" in doc:
-        d = Path(read_key(doc, "cml config", "stage1_dir", "str"))
-        ckpts = {k: str(d / f"stage1_{k}.ckpt") for k in REPRESENTATIONS}
     else:
-        raise LidarMoeError("cml config needs expert_ckpts or stage1_dir")
-    results = stage2_cml(cfg, ckpts, args.out)
-    write_json(args.out / "cml_results.json", results)
+        ckpts = {k: str(Path(opts["stage1_dir"]) / f"stage1_{k}.ckpt")
+                 for k in REPRESENTATIONS}
+    write_json(args.out / "cml_results.json", stage2_cml(cfg, ckpts, args.out))
 
 
-def _cmd_sms(args, doc):
-    cfg = _run_config(doc, args)
-    init = read_key(doc, "sms config", "init", "dict", {})
-    init = {k: read_key(init, "sms config init", k, "str") for k in init}
-    results = stage3_sms(cfg, init, args.out)
-    write_json(args.out / "sms_results.json", results)
+def _cmd_sms(args, cfg, opts):
+    init = {k: read_key(opts["init"], "sms config init", k, "str") for k in opts["init"]}
+    write_json(args.out / "sms_results.json", stage3_sms(cfg, init, args.out))
 
 
-def _cmd_probe(args, doc):
-    cfg = _run_config(doc, args)
-    rep = read_key(doc, "probe config", "representation", "str", None, _KINDS)
-    baseline = read_key(doc, "probe config", "random_baseline", "bool", False)
-    if "checkpoint" not in doc and not baseline:
-        raise LidarMoeError("probe config needs checkpoint or random_baseline")
-    result = linear_probe(
-        cfg, args.out, checkpoint=read_key(doc, "probe config", "checkpoint", "str", None),
-        representation=rep)
+def _cmd_probe(args, cfg, opts):
+    _source("probe", opts, "checkpoint", "random_baseline")
+    result = linear_probe(cfg, args.out, checkpoint=opts["checkpoint"],
+                          representation=opts["representation"])
     _write_metric_csv(args.out / "probe_metrics.csv", result["report"])
-    write_json(args.out / "probe_summary.json",
-               {"miou": result["report"].miou,
-                "backbone_intact": bool(result["backbone_intact"])})
+    write_json(args.out / "probe_summary.json", {
+        "miou": result["report"].miou, "backbone_intact": bool(result["backbone_intact"])})
 
 
-def _cmd_eval(args, doc):
-    if "pairs_csv" in doc:
-        path = read_key(doc, "eval config", "pairs_csv", "str")
-        num_classes = read_key(doc, "eval config", "num_classes", "int", 6, at_least(1))
+def _cmd_eval(args, cfg, opts):
+    if _source("eval", opts, "checkpoint", "pairs_csv") == "pairs_csv":
+        path = opts["pairs_csv"]
         pairs = read_csv(path, "prediction,label", np.int64)
         if pairs.size and np.all(pairs[:, 1] < 0):
             raise LidarMoeError(f"{path}: every label is -1 (unlabeled)")
-        report = compute_miou(pairs[:, 0], pairs[:, 1], num_classes)
+        report = compute_miou(pairs[:, 0], pairs[:, 1], opts["num_classes"])
         _write_metric_csv(args.out / "metrics.csv", report)
         write_json(args.out / "eval_summary.json", {"miou": report.miou})
         return
-    cfg = _run_config(doc, args)
-    if "checkpoint" not in doc:
-        raise LidarMoeError("eval config needs checkpoint or pairs_csv")
-    split = read_key(doc, "eval config", "split", "str", "val", _SPLITS)
-    path = read_key(doc, "eval config", "checkpoint", "str")
+    split, path = opts["split"], opts["checkpoint"]
     store, _ = load_checkpoint(path)
     classes = {k: embedding_width(store, k, path, "logit_head") for k in REPRESENTATIONS}
     data = load_dataset(cfg.dataset)
@@ -214,16 +205,13 @@ def _cmd_eval(args, doc):
                {name: report.miou for name, report in reports.items()})
 
 
-def _cmd_corrupt(args, doc):
-    dataset = Path(read_key(doc, "corrupt config", "dataset", "str"))
-    kind = read_key(doc, "corrupt config", "kind", "str", rule=one_of(CORRUPTION_KINDS))
-    severity = read_key(doc, "corrupt config", "severity", "int",
-                        rule=one_of(CORRUPTION_SEVERITIES))
-    split = read_key(doc, "corrupt config", "split", "str", "val", _SPLITS)
-    seed = read_key(doc, "corrupt config", "seed", "int", 0, at_least(0))
-    seed = seed if args.seed is None else args.seed
+def _cmd_corrupt(args, _, opts):
+    dataset, split = Path(opts["dataset"]), opts["split"]
+    kind, severity = opts["kind"], opts["severity"]
+    seed = opts["seed"] if args.seed is None else args.seed
     manifest = load_manifest(dataset / "manifest.json")
-    sensors = read_json(dataset / "sensors.json")
+    load_sensors(dataset)  # checked here, copied byte for byte below
+    sensors = (dataset / "sensors.json").read_bytes()
     # every input is read and corrupted before the first write
     bad = [corrupt_cloud(read_lpcd(resolve(dataset, entry.scan)), kind, severity,
                          seed=seed + i)
@@ -234,41 +222,38 @@ def _cmd_corrupt(args, doc):
         write_lpcd(args.out / rel, cloud)
         getattr(new_manifest, split).append(ScanEntry(scan=rel))
     save_manifest(args.out / "manifest.json", new_manifest)
-    write_json(args.out / "sensors.json", sensors)
+    atomic_write(args.out / "sensors.json", lambda fh: fh.write(sensors))
     write_json(args.out / "corrupt_summary.json",
                {"kind": kind, "severity": severity, "scans": len(bad)})
 
 
-def _cmd_route_stats(args, doc):
-    gates_path = read_key(doc, "route-stats config", "gates_csv", "str")
-    cloud_path = read_key(doc, "route-stats config", "cloud", "str")
+def _cmd_route_stats(args, _, opts):
+    gates_path, cloud_path, axis = opts["gates_csv"], opts["cloud"], opts["axis"]
     gates, cloud = read_gate_csv(gates_path), read_lpcd(cloud_path)
     if len(gates) != cloud.count:
         raise LidarMoeError(f"{gates_path}: {len(gates)} rows for a cloud of "
                             f"{cloud.count} points ({cloud_path})")
-    axis = read_key(doc, "route-stats config", "axis", "str", "beam", one_of(ROUTE_AXES))
-    edges = read_key(doc, "route-stats config", "distance_edges", "numbers",
-                     DEFAULT_DISTANCE_EDGES)
     try:
-        table = route_stats(gates, cloud, axis, edges)
+        table = route_stats(gates, cloud, axis, opts["distance_edges"])
     except LidarMoeError as exc:
         raise LidarMoeError(f"route-stats of {cloud_path}: {exc}") from exc
     write_route_csv(args.out / f"route_{axis}.csv", table)
     route_bars_svg(args.out / f"route_{axis}.svg", table, title=f"expert load by {axis}")
     load = table.global_load()
-    write_json(args.out / "route_summary.json", {
-        "axis": axis,
-        "global_load": load.tolist(),
-        "non_degenerate": bool(np.all(load >= 0.05)),
-    })
+    write_json(args.out / "route_summary.json", {"axis": axis, "global_load": load.tolist(),
+                                                 "non_degenerate": bool(np.all(load >= 0.05))})
 
 
-def _cmd_cosine_map(args, doc):
-    query = read_key(doc, "cosine-map config", "query_id", "int", rule=at_least(0))
-    cloud = read_key(doc, "cosine-map config", "cloud", "str", None)
-    cloud = None if cloud is None else read_lpcd(cloud)
-    if "features_csv" in doc:
-        path = read_key(doc, "cosine-map config", "features_csv", "str")
+def _cmd_cosine_map(args, cfg, opts):
+    if opts["features_csv"] is None and opts["checkpoint"] is None:
+        raise LidarMoeError("cosine-map config missing key 'checkpoint'")
+    from_csv = _source("cosine-map", opts, "features_csv", "checkpoint") == "features_csv"
+    if not from_csv and opts["cloud"] is None:
+        raise LidarMoeError("cosine-map from a checkpoint needs a cloud")
+    query = opts["query_id"]
+    cloud = None if opts["cloud"] is None else read_lpcd(opts["cloud"])
+    if from_csv:
+        path = opts["features_csv"]
         try:
             feats = np.loadtxt(path, delimiter=",", ndmin=2)
             if not np.all(np.isfinite(feats)):
@@ -278,14 +263,10 @@ def _cmd_cosine_map(args, doc):
         except ValueError as exc:
             raise LidarMoeError(f"{path}: {exc}") from exc
     else:
-        cfg = _run_config(doc, args)
-        rep = read_key(doc, "cosine-map config", "representation", "str", None, _KINDS)
-        path = read_key(doc, "cosine-map config", "checkpoint", "str")
+        path = opts["checkpoint"]
         store, _ = load_checkpoint(path)
-        if cloud is None:
-            raise LidarMoeError("cosine-map from a checkpoint needs a cloud")
         sensor, _ = load_sensors(cfg.dataset)
-        kind = backbone_kind(store, rep, path)
+        kind = backbone_kind(store, opts["representation"], path)
         embedding_width(store, kind, path)
         feats = embed_cloud(store, cfg, sensor, cloud, kind)
     if query >= len(feats):
@@ -300,29 +281,43 @@ def _cmd_cosine_map(args, doc):
                {"query_id": query, "zero_norm_rows": int(degenerate.sum())})
 
 
-def _cmd_report(args, doc):
-    mce, mrr, per = compute_mce_mrr(
-        read_key(doc, "report config", "model_ious", "dict"),
-        read_key(doc, "report config", "baseline_ious", "dict"),
-        float(read_key(doc, "report config", "clean_iou", "float", rule=POSITIVE)))
+def _cmd_report(args, _, opts):
+    mce, mrr, per = compute_mce_mrr(opts["model_ious"], opts["baseline_ious"],
+                                    float(opts["clean_iou"]))
     write_text(args.out / "robustness.csv", "corruption,ce,rr\n" + "".join(
         f"{name},{per[name]['ce']!r},{per[name]['rr']!r}\n" for name in sorted(per)))
     write_json(args.out / "robustness_summary.json", {"mce": mce, "mrr": mrr})
 
 
-# each subcommand's handler and the config keys it accepts
+# each subcommand's handler, whether it reads a run config, and its own config
+# keys, {key: read_key's (type[, default[, rule]])}: every key is read in row
+# order before the handler starts. Datagen's document goes whole to
+# generate_dataset, its one checker.
 _COMMANDS = {
-    "datagen": (_cmd_datagen, frozenset(DEFAULT_DATASET_CONFIG)),
-    "pretrain": (_cmd_pretrain, _RUN_KEYS),
-    "cml": (_cmd_cml, _RUN_KEYS | {"expert_ckpts", "stage1_dir"}),
-    "sms": (_cmd_sms, _RUN_KEYS | {"init"}),
-    "probe": (_cmd_probe, _RUN_KEYS | {"checkpoint", "random_baseline", "representation"}),
-    "eval": (_cmd_eval, _RUN_KEYS | {"checkpoint", "pairs_csv", "split", "num_classes"}),
-    "corrupt": (_cmd_corrupt, {"dataset", "kind", "severity", "split", "seed"}),
-    "route-stats": (_cmd_route_stats, {"gates_csv", "cloud", "axis", "distance_edges"}),
-    "cosine-map": (_cmd_cosine_map, _RUN_KEYS | {"features_csv", "checkpoint", "cloud",
-                                                 "query_id", "representation"}),
-    "report": (_cmd_report, {"model_ious", "baseline_ious", "clean_iou"}),
+    "datagen": (_cmd_datagen, False, None),
+    "pretrain": (_cmd_pretrain, True, {}),
+    "cml": (_cmd_cml, True, {"expert_ckpts": ("dict", None), "stage1_dir": ("str", None)}),
+    "sms": (_cmd_sms, True, {"init": ("dict", {})}),
+    "probe": (_cmd_probe, True, {"representation": ("str", None, _KINDS),
+                                 "random_baseline": ("bool", False),
+                                 "checkpoint": ("str", None)}),
+    "eval": (_cmd_eval, True, {"pairs_csv": ("str", None),
+                               "num_classes": ("int", 6, at_least(1)),
+                               "checkpoint": ("str", None),
+                               "split": ("str", "val", _SPLITS)}),
+    "corrupt": (_cmd_corrupt, False, {
+        "dataset": ("str",), "kind": ("str", REQUIRED, one_of(CORRUPTION_KINDS)),
+        "severity": ("int", REQUIRED, one_of(CORRUPTION_SEVERITIES)),
+        "split": ("str", "val", _SPLITS), "seed": ("int", 0, at_least(0))}),
+    "route-stats": (_cmd_route_stats, False, {
+        "gates_csv": ("str",), "cloud": ("str",), "axis": ("str", "beam", one_of(ROUTE_AXES)),
+        "distance_edges": ("numbers", DEFAULT_DISTANCE_EDGES)}),
+    "cosine-map": (_cmd_cosine_map, True, {
+        "query_id": ("int", REQUIRED, at_least(0)), "cloud": ("str", None),
+        "features_csv": ("str", None), "representation": ("str", None, _KINDS),
+        "checkpoint": ("str", None)}),
+    "report": (_cmd_report, False, {"model_ious": ("dict",), "baseline_ious": ("dict",),
+                                    "clean_iou": ("float", REQUIRED, POSITIVE)}),
 }
 
 
@@ -359,7 +354,7 @@ def main(argv=None) -> int:
     try:
         if args.out.exists() and not args.out.is_dir():
             raise LidarMoeError(f"--out {args.out} exists and is not a directory")
-        _COMMANDS[args.command][0](args, _load_config(args))
+        _COMMANDS[args.command][0](args, *_read_config(args))
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

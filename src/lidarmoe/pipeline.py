@@ -141,8 +141,9 @@ DEFAULT_DATASET_CONFIG = {
 }
 
 
-def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
-    """Render scans + camera files and write manifest/sensor documents.
+def generate_dataset(doc: dict, out_dir, seed: int) -> DatasetManifest:
+    """Render scans + camera files and write manifest/sensor documents;
+    returns the manifest written.
 
     ``doc`` overrides keys of ``DEFAULT_DATASET_CONFIG`` with values of the
     default's type; any other key, type or range raises LidarMoeError
@@ -174,7 +175,7 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> Path:
             (manifest.train if split == "train" else manifest.val).append(entry)
     save_manifest(out / "manifest.json", manifest)
     write_json(out / "sensors.json", merged)
-    return out
+    return manifest
 
 
 @dataclass
@@ -223,8 +224,9 @@ def load_dataset(dataset_dir) -> DatasetBundle:
     """The scans, sensors and manifest settings of a dataset; raises
     LidarMoeError naming a scan with a label outside [-1, num_classes) or a
     point at the sensor origin, or a camera file whose arrays are not
-    (cam_h, cam_w), with a class_id outside [-1, num_classes) or a
-    superpixel id outside [0, cam_h * cam_w)."""
+    (cam_h, cam_w), whose class_id or superpixel array is not of an integer
+    dtype, with a class_id outside [-1, num_classes) or a superpixel id
+    outside [0, cam_h * cam_w)."""
     base = Path(dataset_dir)
     manifest = load_manifest(base / "manifest.json")
     sensor, camera = load_sensors(base)
@@ -256,6 +258,9 @@ def load_dataset(dataset_dir) -> DatasetBundle:
                 for name, arr, low, top in (
                         ("class_id", scan.image.class_id, -1, manifest.num_classes),
                         ("superpixel", scan.superpixels, 0, camera.cam_h * camera.cam_w)):
+                    if arr.dtype.kind not in "iu":
+                        raise LidarMoeError(f"{cam_path}: {name} has dtype {arr.dtype}, "
+                                            "want an integer one")
                     bad = arr[(arr < low) | (arr >= top)]
                     if bad.size:
                         raise LidarMoeError(f"{cam_path}: {name} has value {bad[0]}, "

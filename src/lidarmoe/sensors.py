@@ -46,10 +46,10 @@ def one_of(choices):
     return (lambda v: v in choices), "|".join(map(str, choices))
 
 
-_REQUIRED = object()
+REQUIRED = object()
 
 
-def read_key(doc, owner, key, what, default=_REQUIRED, rule=None):
+def read_key(doc, owner, key, what, default=REQUIRED, rule=None):
     """``doc[key]`` checked with ``FIELD_TYPES[what]`` and then ``rule``, or
     ``default`` when given and the key is absent. Raises LidarMoeError
     naming ``owner`` (say "eval config") and the key, as in ``<owner> <key>
@@ -57,7 +57,7 @@ def read_key(doc, owner, key, what, default=_REQUIRED, rule=None):
     if not isinstance(doc, dict):
         raise LidarMoeError(f"{owner} must be a JSON object")
     if key not in doc:
-        if default is _REQUIRED:
+        if default is REQUIRED:
             raise LidarMoeError(f"{owner} missing key {key!r}")
         return default
     value = doc[key]

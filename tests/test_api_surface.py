@@ -268,44 +268,3 @@ def test_encoders_read_only_the_values_they_are_handed():
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "input"]
     assert found == []
 
-
-def _doc_reads(fn):
-    """The config keys a ``cli`` handler reads from its ``doc``: through
-    ``read_key`` on ``doc``, ``"<key>" in doc``, or, for the whole document
-    handed to ``generate_dataset``, every datagen key; and whether it reads
-    the run config through ``_run_config``."""
-    from lidarmoe.pipeline import DEFAULT_DATASET_CONFIG
-    reads, run_config = set(), False
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "id", None)
-            on_doc = bool(node.args) and getattr(node.args[0], "id", None) == "doc"
-            if name == "read_key" and on_doc:
-                reads.add(node.args[2].value)
-            elif name == "generate_dataset" and on_doc:
-                reads |= set(DEFAULT_DATASET_CONFIG)
-            run_config |= name == "_run_config"
-        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant) \
-                and isinstance(node.ops[0], (ast.In, ast.NotIn)) \
-                and getattr(node.comparators[0], "id", None) == "doc":
-            reads.add(node.left.value)
-    return reads, run_config
-
-
-def test_each_subcommand_accepts_exactly_the_keys_its_handler_reads():
-    """Every key a handler reads is in its ``_COMMANDS`` key set, and every
-    key in the set is read by the handler, the run-config fields through
-    ``_run_config``, so the one table cannot drift from its handlers."""
-    from lidarmoe.cli import _COMMANDS
-    from lidarmoe.pipeline import RunConfig
-    run_fields = set(RunConfig.__dataclass_fields__)
-    handlers = {fn.name: fn for fn in _parse()["cli"].body
-                if isinstance(fn, ast.FunctionDef)}
-    drift = {}
-    for command, (handler, accepted) in _COMMANDS.items():
-        reads, run_config = _doc_reads(handlers[handler.__name__])
-        if run_config:
-            reads |= run_fields
-        if reads != set(accepted):
-            drift[command] = (sorted(reads - set(accepted)), sorted(set(accepted) - reads))
-    assert drift == {}

@@ -352,7 +352,7 @@ def test_interrupted_predictions_write_keeps_previous_file(tmp_path, tiny_datase
     assert not any(p.name.endswith(".tmp") for p in out.iterdir())
 
 
-@pytest.mark.parametrize("command", ["eval", "cosine-map"])
+@pytest.mark.parametrize("command", ["eval", "cosine-map", "corrupt"])
 @pytest.mark.parametrize("key,value,message", [
     ("beam_count", 32.7, "sensor config beam_count must be int, got 32.7"),
     ("range_h", "32", "sensor config range_h must be int, got '32'"),
@@ -365,7 +365,8 @@ def test_interrupted_predictions_write_keeps_previous_file(tmp_path, tiny_datase
 ])
 def test_mistyped_sensors_json_exit_2(tmp_path, tiny_dataset, capsys, command,
                                       key, value, message):
-    """A hand-edited sensors.json is type-checked on read, not coerced."""
+    """A hand-edited sensors.json is type-checked on read, not coerced, and
+    corrupt checks it before its first write."""
     dataset = tmp_path / "ds"
     shutil.copytree(tiny_dataset, dataset)
     sensors = json.loads((dataset / "sensors.json").read_text())
@@ -380,9 +381,24 @@ def test_mistyped_sensors_json_exit_2(tmp_path, tiny_dataset, capsys, command,
     doc = {"dataset": str(dataset), "checkpoint": str(ckpt)}
     if command == "cosine-map":
         doc.update(query_id=0, cloud=str(dataset / "scans" / "val_000.lpcd"))
+    if command == "corrupt":
+        doc = {"dataset": str(dataset), "kind": "jitter", "severity": 1}
     cfg = write_json(tmp_path / "cfg.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"error: {dataset / 'sensors.json'}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_corrupt_copies_sensors_json_byte_for_byte(tmp_path, tiny_dataset):
+    dataset = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, dataset)
+    # compact JSON, unlike the indented form the package writes
+    write_json(dataset / "sensors.json", json.loads((dataset / "sensors.json").read_text()))
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"dataset": str(dataset), "kind": "jitter", "severity": 1})
+    assert main(["corrupt", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "sensors.json").read_bytes() == \
+        (dataset / "sensors.json").read_bytes()
 
 
 def test_eval_one_forward_per_scan_and_fused_predictions(small_dataset, tmp_path,
@@ -502,6 +518,45 @@ def test_bad_choice_exit_2_naming_key_and_value(tmp_path, tiny_dataset, capsys,
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"error: {command} config {key} must be {want}" in capsys.readouterr().err
     assert not (out / "scans").exists()
+
+
+def _docs_naming_missing_files(tmp_path):
+    """A config document per subcommand with keys of its own, whose keys are
+    well typed and whose every file or directory is missing."""
+    missing = str(tmp_path / "missing")
+    return {
+        "cml": {"dataset": missing}, "sms": {"dataset": missing},
+        "probe": {"dataset": missing}, "eval": {"dataset": missing},
+        "corrupt": {"dataset": missing, "kind": "jitter", "severity": 1},
+        "route-stats": {"gates_csv": missing, "cloud": missing},
+        "cosine-map": {"dataset": missing, "query_id": 0},
+        "report": {"model_ious": {}, "baseline_ious": {}, "clean_iou": 70.0},
+    }
+
+
+# a value of another JSON type per config key type
+_MISTYPED = {"str": 5, "int": "1", "float": "70", "bool": "yes", "dict": [1],
+             "numbers": "10"}
+
+
+def _table_keys():
+    from lidarmoe.cli import _COMMANDS
+    return [(command, key, spec[0]) for command, (_, _, keys) in _COMMANDS.items()
+            for key, spec in (keys or {}).items()]
+
+
+@pytest.mark.parametrize("command,key,what", _table_keys())
+def test_mistyped_key_exit_2_before_any_file_is_read(tmp_path, capsys, command, key, what):
+    """Every key of a subcommand's row is type-checked before the handler
+    starts, so a mistyped key is named even when no file of the document
+    exists."""
+    doc = dict(_docs_naming_missing_files(tmp_path)[command], **{key: _MISTYPED[what]})
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {command} config {key} must be {what}, got {_MISTYPED[what]!r}" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset):
@@ -678,6 +733,29 @@ def _bad_input(case, tmp_path, dataset):
                 "probe": "probe config needs checkpoint or random_baseline",
                 "eval": "eval config needs checkpoint or pairs_csv"}[command]
         return command, write_json(tmp_path / "cfg.json", run), want
+    if case.endswith("with both sources"):
+        # every file is missing: the two sources are rejected before any is read
+        command = case.split()[0]
+        a, b = {"cml": ("expert_ckpts", "stage1_dir"), "probe": ("checkpoint", "random_baseline"),
+                "eval": ("checkpoint", "pairs_csv"),
+                "cosine-map": ("features_csv", "checkpoint")}[command]
+        missing = str(tmp_path / "missing")
+        given = {"expert_ckpts": {"range": missing}, "random_baseline": True}
+        doc = dict(_docs_naming_missing_files(tmp_path)[command],
+                   **{k: given.get(k, missing) for k in (a, b)})
+        return command, write_json(tmp_path / "cfg.json", doc), \
+            f"{command} config takes {a} or {b}, not both"
+    if case.endswith("mode with epochs -1"):
+        # a mode that reads no run config key still checks the run config
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("prediction,label\n1,1\n")
+        command, doc = {
+            "pairs_csv mode with epochs -1": ("eval", {"pairs_csv": str(pairs)}),
+            "features_csv mode with epochs -1": (
+                "cosine-map", {"features_csv": _write_features(tmp_path, 2), "query_id": 0}),
+        }[case]
+        return command, write_json(tmp_path / "cfg.json", dict(doc, epochs=-1)), \
+            "run config epochs must be >= 0, got -1"
     if case == "eval given no --config":
         return "eval", None, "eval config needs checkpoint or pairs_csv"
     if case == "cosine-map checkpoint without cloud":
@@ -777,6 +855,14 @@ def _bad_input(case, tmp_path, dataset):
         sensors = json.loads((copy / "sensors.json").read_text())
         shape = (sensors["cam_h"], sensors["cam_w"])
         class_id, depth = image.class_id.copy(), image.depth
+        if case.endswith("of float ids"):
+            # written past write_camera_npz, which would cast the ids back to int32
+            arrays = {"class_id": class_id, "depth": depth, "superpixel": superpixels}
+            name = case.split()[1]
+            arrays[name] = arrays[name] + 0.5
+            np.savez(cam, **arrays)
+            return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
+                f"{cam}: {name} has dtype float64, want an integer one"
         if case == "camera render cut to 40 rows":
             class_id, depth, superpixels = class_id[:40], depth[:40], superpixels[:40]
             want = f"class_id has shape {(40, shape[1])}, want {shape}"
@@ -806,6 +892,9 @@ def _bad_input(case, tmp_path, dataset):
     "cosine-map features with inf",
     "pairs CSV header pred,label", "pairs CSV of three fields", "pairs CSV labels all -1",
     "cml with neither source", "probe with neither source", "eval with neither source",
+    "cml with both sources", "probe with both sources", "eval with both sources",
+    "cosine-map with both sources", "pairs_csv mode with epochs -1",
+    "features_csv mode with epochs -1",
     "eval given no --config", "cosine-map checkpoint without cloud", "lpcd version 2",
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
     "corrupt of a truncated second scan", "corrupt without sensors.json",
@@ -813,7 +902,8 @@ def _bad_input(case, tmp_path, dataset):
     "class axis of an unlabeled cloud", "report clean_iou 0",
     "report corruption sets differ", "report two severities",
     "val point at the sensor origin", "camera render cut to 40 rows",
-    "camera superpixel -5", "camera class_id 9",
+    "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
+    "camera class_id of float ids",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)

@@ -40,10 +40,11 @@ def test_dataset_generation_deterministic(tmp_path):
     doc.update(n_train=1, n_val=1, azimuth_steps=64, range_w=64)
     a = tmp_path / "a"
     b = tmp_path / "b"
-    generate_dataset(doc, a, seed=3)
+    written = generate_dataset(doc, a, seed=3)
     generate_dataset(doc, b, seed=3)
     for rel in ("scans/train_000.lpcd", "scans/val_000.lpcd", "manifest.json"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
+    assert written == load_manifest(a / "manifest.json")
 
 
 def test_manifest_counts(tiny_dataset):
