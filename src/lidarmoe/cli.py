@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import (DEFAULT_DISTANCE_EDGES, ROUTE_AXES, cosine_map, route_stats,
                        route_bars_svg, scatter_svg, write_cosine_csv, write_route_csv)
-from .datagen import CORRUPTION_KINDS, CORRUPTION_SEVERITIES
+from .datagen import CORRUPTION_KINDS, CORRUPTION_SEVERITIES, NUM_CLASSES
 from .datagen import corrupt as corrupt_cloud
 from .dataio import (DatasetManifest, ScanEntry, atomic_write, load_manifest, read_csv,
                      read_json, read_lpcd, resolve, save_manifest, write_json,
@@ -62,6 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 _SPLITS = one_of(("train", "val"))
 _KINDS = one_of(REPRESENTATIONS)
+_PATH = (lambda v: v != ""), "a non-empty path"
 
 
 def _keep_freed_memory() -> None:
@@ -122,6 +123,15 @@ def _source(command, opts, a, b):
     return given[0]
 
 
+def _checkpoint_map(command, opts, key, kinds=None):
+    """The ``opts[key]`` map of representation to checkpoint path, read at
+    ``kinds`` (default: its own keys); raises LidarMoeError on a key that
+    is no representation or a path that is not a non-empty string."""
+    owner = f"{command} config {key}"
+    reject_unknown(opts[key], REPRESENTATIONS, owner)
+    return {k: read_key(opts[key], owner, k, "str", rule=_PATH) for k in kinds or opts[key]}
+
+
 def _write_metric_csv(path, report: MetricReport) -> None:
     rows = ["class,tp,fp,fn,iou\n"]
     for c in range(report.tp.shape[0]):
@@ -155,8 +165,7 @@ def _cmd_pretrain(args, cfg, _):
 
 def _cmd_cml(args, cfg, opts):
     if _source("cml", opts, "expert_ckpts", "stage1_dir") == "expert_ckpts":
-        ckpts = {k: read_key(opts["expert_ckpts"], "cml config expert_ckpts", k, "str")
-                 for k in REPRESENTATIONS}
+        ckpts = _checkpoint_map("cml", opts, "expert_ckpts", REPRESENTATIONS)
     else:
         ckpts = {k: str(Path(opts["stage1_dir"]) / f"stage1_{k}.ckpt")
                  for k in REPRESENTATIONS}
@@ -164,8 +173,8 @@ def _cmd_cml(args, cfg, opts):
 
 
 def _cmd_sms(args, cfg, opts):
-    init = {k: read_key(opts["init"], "sms config init", k, "str") for k in opts["init"]}
-    write_json(args.out / "sms_results.json", stage3_sms(cfg, init, args.out))
+    write_json(args.out / "sms_results.json",
+               stage3_sms(cfg, _checkpoint_map("sms", opts, "init"), args.out))
 
 
 def _cmd_probe(args, cfg, opts):
@@ -302,7 +311,7 @@ _COMMANDS = {
                                  "random_baseline": ("bool", False),
                                  "checkpoint": ("str", None)}),
     "eval": (_cmd_eval, True, {"pairs_csv": ("str", None),
-                               "num_classes": ("int", 6, at_least(1)),
+                               "num_classes": ("int", NUM_CLASSES, at_least(1)),
                                "checkpoint": ("str", None),
                                "split": ("str", "val", _SPLITS)}),
     "corrupt": (_cmd_corrupt, False, {

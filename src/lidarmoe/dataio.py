@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import ClassImage
+from .datagen import NUM_CLASSES, ClassImage
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
 from .sensors import at_least, read_key
@@ -167,7 +167,7 @@ class DatasetManifest:
 
     train: list = field(default_factory=list)
     val: list = field(default_factory=list)
-    num_classes: int = 6
+    num_classes: int = NUM_CLASSES
     annotation_fraction: float = 1.0
 
     def to_json(self) -> dict:
@@ -198,7 +198,7 @@ def load_manifest(path) -> DatasetManifest:
 
     return DatasetManifest(
         entries("train"), entries("val"),
-        read_key(doc, owner, "num_classes", "int", 6, at_least(1)),
+        read_key(doc, owner, "num_classes", "int", NUM_CLASSES, at_least(1)),
         float(read_key(doc, owner, "annotation_fraction", "float", 1.0, _FRACTION)))
 
 

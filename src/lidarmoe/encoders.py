@@ -34,11 +34,10 @@ from . import autodiff as ad
 from .errors import LidarMoeError
 from .datagen import ClassImage
 from .geometry import VoxelGrid, lexicographic_keys
-from .params import ParameterStore, add_linear, glorot_uniform
+from .params import add_linear, glorot_uniform
 from .pointcloud import PointCloud
 
 TRUNK_CH = 32
-POINT_CONCAT_CH = 2 * TRUNK_CH
 TEACHER_CH = 32
 
 # metric inputs (coordinates, depth) are divided by this before the first
@@ -56,31 +55,26 @@ def linear(ctx, x, name):
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def init_range_params(store: ParameterStore, dim: int, rng):
-    add_linear(store, "range.conv1", 9 * 5, TRUNK_CH, rng)
-    add_linear(store, "range.conv2", 9 * TRUNK_CH, TRUNK_CH, rng)
-    add_linear(store, "range.head", TRUNK_CH, dim, rng)
-
-
-def init_voxel_params(store: ParameterStore, dim: int, rng):
-    add_linear(store, "voxel.mlp1", 4, TRUNK_CH, rng)
-    add_linear(store, "voxel.mlp2", TRUNK_CH, TRUNK_CH, rng)
-    add_linear(store, "voxel.head", TRUNK_CH, dim, rng)
-
-
-def init_point_params(store: ParameterStore, dim: int, rng):
-    add_linear(store, "point.mlp", 4, TRUNK_CH, rng)
-    add_linear(store, "point.head", POINT_CONCAT_CH, dim, rng)
+# each backbone's linear layers, (name, fan-in), in draw order: every layer
+# but the last maps to TRUNK_CH, the last is the head; the point head reads
+# each point's own feature beside its nearest centroid's
+_LAYERS = {
+    "range": (("conv1", 9 * 5), ("conv2", 9 * TRUNK_CH), ("head", TRUNK_CH)),
+    "voxel": (("mlp1", 4), ("mlp2", TRUNK_CH), ("head", TRUNK_CH)),
+    "point": (("mlp", 4), ("head", 2 * TRUNK_CH)),
+}
 
 
 def init_encoder_params(store, kind, dim, rng):
     """The ``kind`` backbone's parameters, named ``<kind>.*``."""
-    {"range": init_range_params, "voxel": init_voxel_params,
-     "point": init_point_params}[kind](store, dim, rng)
+    *trunk, (head, head_in) = _LAYERS[kind]
+    for name, fan_in in trunk:
+        add_linear(store, f"{kind}.{name}", fan_in, TRUNK_CH, rng)
+    add_linear(store, f"{kind}.{head}", head_in, dim, rng)
 
 
 def trunk_width(kind: str) -> int:
-    return POINT_CONCAT_CH if kind == "point" else TRUNK_CH
+    return _LAYERS[kind][-1][1]
 
 
 # ---------------------------------------------------------------------------

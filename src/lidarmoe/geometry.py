@@ -8,9 +8,9 @@ point (x, y, z) with depth d to
     u = 0.5 * (1 - atan2(y, x) / pi) * W_r
     v = (1 - (asin(z / d) + fov_down_rad) / fov_total_rad) * H_r
 
-floored to integers and clamped to the grid; a point is flagged invalid
-iff clamping moved its row index. Cell collisions keep the minimum-depth
-point, but every point retains its pixel so unprojection stays total.
+floored to integers and clamped to the grid. Cell collisions keep the
+minimum-depth point, but every point retains its pixel so unprojection
+stays total.
 """
 
 from __future__ import annotations
@@ -32,15 +32,13 @@ class RangeImage:
     ``features`` is (H_r, W_r, 5) float32 carrying (x, y, z, intensity,
     depth) of each cell's kept point, zeros where empty. ``kept_index``
     is (H_r, W_r) int32 with the kept point id or -1. ``pixel_u`` /
-    ``pixel_v`` map every input point to its cell; ``valid`` is False
-    where row clamping moved the point.
+    ``pixel_v`` map every input point to its cell.
     """
 
     features: np.ndarray
     kept_index: np.ndarray
     pixel_u: np.ndarray
     pixel_v: np.ndarray
-    valid: np.ndarray
 
     @property
     def height(self):
@@ -70,11 +68,8 @@ def range_uv_exact(xyz, sensor: SensorModel):
 def project_to_range(cloud: PointCloud, sensor: SensorModel) -> RangeImage:
     h, w = sensor.range_h, sensor.range_w
     u, v, d = range_uv_exact(cloud.xyz, sensor)
-    ui = np.floor(u).astype(np.int64)
-    vi = np.floor(v).astype(np.int64)
-    uc = np.clip(ui, 0, w - 1)
-    vc = np.clip(vi, 0, h - 1)
-    valid = vi == vc
+    uc = np.clip(np.floor(u).astype(np.int64), 0, w - 1)
+    vc = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
 
     cell = vc * w + uc
     # min-depth point per cell, ties to the lower point id: sort by
@@ -91,7 +86,7 @@ def project_to_range(cloud: PointCloud, sensor: SensorModel) -> RangeImage:
         cloud.xyz[src], cloud.intensity[src, None],
         d[src, None].astype(np.float32)], axis=1)
     return RangeImage(features, kept.astype(np.int32),
-                      uc.astype(np.int32), vc.astype(np.int32), valid)
+                      uc.astype(np.int32), vc.astype(np.int32))
 
 
 @dataclass(frozen=True)

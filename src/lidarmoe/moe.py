@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .dataio import read_csv, write_text
 from .errors import LidarMoeError
-from .params import ParameterStore, glorot_uniform
+from .params import ParameterStore, add_linear
 
 REPRESENTATIONS = ("range", "voxel", "point")  # the experts, in gate column order
 
@@ -25,10 +25,10 @@ REPRESENTATIONS = ("range", "voxel", "point")  # the experts, in gate column ord
 def init_moe_params(store: ParameterStore, channels: int, rng):
     """Fusion linear (3*channels -> channels) plus zero gate/noise weights,
     named ``moe.*``."""
-    store.add("moe.fusion.w", glorot_uniform((3 * channels, channels), rng))
-    store.add("moe.fusion.b", np.zeros(channels, np.float32))
-    store.add("moe.z_gate", np.zeros((channels, 3), np.float32))
-    store.add("moe.z_noise", np.zeros((channels, 3), np.float32))
+    experts = len(REPRESENTATIONS)
+    add_linear(store, "moe.fusion", experts * channels, channels, rng)
+    store.add("moe.z_gate", np.zeros((channels, experts), np.float32))
+    store.add("moe.z_noise", np.zeros((channels, experts), np.float32))
 
 
 def build_moe(ctx, experts, noise_tag):

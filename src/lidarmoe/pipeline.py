@@ -813,5 +813,4 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
         labels.append(scan.cloud.label)
     report = compute_miou(np.concatenate(preds), np.concatenate(labels),
                           data.num_classes)
-    return {"report": report, "probe": probe,
-            "backbone_intact": store.state_equal(before)}
+    return {"report": report, "backbone_intact": store.state_equal(before)}

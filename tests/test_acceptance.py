@@ -19,8 +19,7 @@ from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.cli import main as cli_main
 from lidarmoe.encoders import (build_point_embed, build_range_embed,
-                               build_voxel_embed, init_point_params,
-                               init_range_params, init_voxel_params,
+                               build_voxel_embed, init_encoder_params,
                                point_grouping, voxel_neighbor_pairs)
 from lidarmoe.geometry import project_to_range, range_uv_exact, voxelize
 from lidarmoe.losses import (build_cross_entropy, build_info_nce,
@@ -107,7 +106,7 @@ def test_criterion_1_gradient_integrity(rng):
     # range encoder (dense grid at realistic magnitudes; empty cells sit
     # exactly on the relu kink where central differences are undefined)
     store = ParameterStore()
-    init_range_params(store, d, np.random.default_rng(0))
+    init_encoder_params(store, "range", d, np.random.default_rng(0))
     grid = np.concatenate([np.random.default_rng(1).standard_normal((6, 8, 3)) * 15,
                            np.random.default_rng(2).uniform(0, 1, (6, 8, 1)),
                            np.random.default_rng(3).uniform(5, 40, (6, 8, 1))],
@@ -119,7 +118,7 @@ def test_criterion_1_gradient_integrity(rng):
 
     # voxel encoder
     store = ParameterStore()
-    init_voxel_params(store, d, np.random.default_rng(4))
+    init_encoder_params(store, "voxel", d, np.random.default_rng(4))
     vg = voxelize(cloud(), (4.0, 4.0, 4.0))
     pairs = voxel_neighbor_pairs(vg)
     def voxel_embed(ctx):
@@ -129,7 +128,7 @@ def test_criterion_1_gradient_integrity(rng):
 
     # point encoder
     store = ParameterStore()
-    init_point_params(store, d, np.random.default_rng(5))
+    init_encoder_params(store, "point", d, np.random.default_rng(5))
     pc = cloud()
     grouping = point_grouping(pc, 5, 4)
     def point_embed(ctx):

@@ -268,3 +268,33 @@ def test_encoders_read_only_the_values_they_are_handed():
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "input"]
     assert found == []
 
+
+
+# config classes: ``check_fields`` and ``config_to_json`` read their fields
+# by name, not as attributes
+CONFIG_CLASSES = {"RunConfig", "SensorModel", "CameraModel", "SceneConfig"}
+
+
+def _dataclass_fields(trees):
+    """``module.Class.field`` of every annotated field of a ``@dataclass``."""
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                found += [(module, node.name, item.target.id) for item in node.body
+                          if isinstance(item, ast.AnnAssign)]
+    return found
+
+
+def test_every_dataclass_field_is_read_by_src():
+    """Each field of a ``src`` dataclass outside ``CONFIG_CLASSES`` is read
+    as an attribute somewhere in the package, so no value is kept that
+    nothing reads."""
+    trees = _parse()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = _dataclass_fields(trees)
+    assert {cls for _, cls, _ in fields} >= CONFIG_CLASSES
+    assert [f"{m}.{c}.{f}" for m, c, f in fields
+            if c not in CONFIG_CLASSES and f not in read] == []

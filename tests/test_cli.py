@@ -745,6 +745,19 @@ def _bad_input(case, tmp_path, dataset):
                    **{k: given.get(k, missing) for k in (a, b)})
         return command, write_json(tmp_path / "cfg.json", doc), \
             f"{command} config takes {a} or {b}, not both"
+    if case in ("sms init of a misspelt kind", "sms init of an empty path"):
+        # at a zero-epoch sms on a real dataset, so that only the map is wrong
+        init, want = {"sms init of a misspelt kind": (
+            {"rnage": str(tmp_path / "missing")}, "unknown sms config init key(s): rnage"),
+            "sms init of an empty path": (
+                {"range": ""}, "sms config init range must be a non-empty path, got ''")}[case]
+        return "sms", write_json(tmp_path / "cfg.json", dict(run, sms_epochs=0, init=init)), \
+            want
+    if case == "cml expert_ckpts of an extra kind":
+        # every checkpoint is missing: the map is checked before any is read
+        ckpts = {k: str(tmp_path / "missing") for k in ("range", "voxel", "point", "camera")}
+        return "cml", write_json(tmp_path / "cfg.json", dict(run, expert_ckpts=ckpts)), \
+            "unknown cml config expert_ckpts key(s): camera"
     if case.endswith("mode with epochs -1"):
         # a mode that reads no run config key still checks the run config
         pairs = tmp_path / "pairs.csv"
@@ -894,7 +907,8 @@ def _bad_input(case, tmp_path, dataset):
     "cml with neither source", "probe with neither source", "eval with neither source",
     "cml with both sources", "probe with both sources", "eval with both sources",
     "cosine-map with both sources", "pairs_csv mode with epochs -1",
-    "features_csv mode with epochs -1",
+    "features_csv mode with epochs -1", "sms init of a misspelt kind",
+    "sms init of an empty path", "cml expert_ckpts of an extra kind",
     "eval given no --config", "cosine-map checkpoint without cloud", "lpcd version 2",
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
     "corrupt of a truncated second scan", "corrupt without sensors.json",

@@ -7,12 +7,13 @@ import pytest
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.datagen import ClassImage
-from lidarmoe.encoders import (build_point_embed, build_range_embed,
-                               build_voxel_embed, init_point_params, init_range_params,
-                               init_voxel_params, point_grouping, teacher_features,
-                               teacher_weights, voxel_neighbor_pairs)
+from lidarmoe.encoders import (TRUNK_CH, build_point_embed, build_range_embed,
+                               build_voxel_embed, init_encoder_params, point_grouping,
+                               teacher_features, teacher_weights, trunk_width,
+                               voxel_neighbor_pairs)
 from lidarmoe.geometry import project_to_range, voxelize
-from lidarmoe.params import ParameterStore
+from lidarmoe.moe import init_moe_params
+from lidarmoe.params import ParameterStore, add_linear, glorot_uniform
 from lidarmoe.pointcloud import PointCloud
 from lidarmoe.sensors import SensorModel
 
@@ -57,16 +58,59 @@ def make_cloud(rng, n=30):
                       rng.integers(0, 6, n))
 
 
+# -- parameter layout --------------------------------------------------------
+
+# each backbone's linear layers as explicit (name, fan-in, fan-out) calls in
+# draw order; None stands for the embedding width
+EXPLICIT_LAYERS = {
+    "range": [("conv1", 9 * 5, TRUNK_CH), ("conv2", 9 * TRUNK_CH, TRUNK_CH),
+              ("head", TRUNK_CH, None)],
+    "voxel": [("mlp1", 4, TRUNK_CH), ("mlp2", TRUNK_CH, TRUNK_CH), ("head", TRUNK_CH, None)],
+    "point": [("mlp", 4, TRUNK_CH), ("head", 2 * TRUNK_CH, None)],
+}
+
+
+def assert_same_store(got, want):
+    assert got.names() == want.names()
+    for name in want.names():
+        assert got.get(name).shape == want.get(name).shape, name
+        assert np.array_equal(got.get(name), want.get(name)), name
+
+
+@pytest.mark.parametrize("kind", sorted(EXPLICIT_LAYERS))
+def test_encoder_params_match_explicit_add_linear_calls(kind):
+    dim = 7
+    got, want = ParameterStore(), ParameterStore()
+    init_encoder_params(got, kind, dim, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    for name, n_in, n_out in EXPLICIT_LAYERS[kind]:
+        add_linear(want, f"{kind}.{name}", n_in, n_out or dim, rng)
+    assert_same_store(got, want)
+    assert trunk_width(kind) == EXPLICIT_LAYERS[kind][-1][1]
+
+
+def test_moe_params_match_glorot_draw_plus_zeros():
+    channels = 5
+    got, want = ParameterStore(), ParameterStore()
+    init_moe_params(got, channels, np.random.default_rng(12))
+    want.add("moe.fusion.w", glorot_uniform((3 * channels, channels),
+                                            np.random.default_rng(12)))
+    want.add("moe.fusion.b", np.zeros(channels, np.float32))
+    want.add("moe.z_gate", np.zeros((channels, 3), np.float32))
+    want.add("moe.z_noise", np.zeros((channels, 3), np.float32))
+    assert_same_store(got, want)
+
+
 # -- range -------------------------------------------------------------------
 
 def test_range_zero_image_zero_head_gives_zero(rng):
     store = ParameterStore()
-    init_range_params(store, 4, rng)
+    init_encoder_params(store, "range", 4, rng)
     store.set("range.head.w", np.zeros((32, 4), np.float32))
     from lidarmoe.geometry import RangeImage
     ri = RangeImage(np.zeros((8, 16, 5), np.float32),
                     np.full((8, 16), -1, np.int32), np.zeros(0, np.int32),
-                    np.zeros(0, np.int32), np.zeros(0, bool))
+                    np.zeros(0, np.int32))
     out = range_embed(ri, store)
     assert out.shape == (8 * 16, 4)
     assert np.all(out == 0)
@@ -74,7 +118,7 @@ def test_range_zero_image_zero_head_gives_zero(rng):
 
 def test_range_output_shape(rng):
     store = ParameterStore()
-    init_range_params(store, 6, rng)
+    init_encoder_params(store, "range", 6, rng)
     cloud = make_cloud(rng)
     ri = project_to_range(cloud, small_sensor())
     out = range_embed(ri, store)
@@ -86,7 +130,7 @@ def test_range_column_shift_equivariance(rng):
     """Shifting the grid one azimuth column shifts outputs one column,
     away from the padding boundary."""
     store = ParameterStore()
-    init_range_params(store, 4, rng)
+    init_encoder_params(store, "range", 4, rng)
     grid = rng.standard_normal((8, 16, 5)).astype(np.float32)
     shifted = np.roll(grid, 1, axis=1)
 
@@ -106,7 +150,7 @@ def test_range_column_shift_equivariance(rng):
 
 def test_voxel_single_voxel_neighborhood_is_self(rng):
     store = ParameterStore()
-    init_voxel_params(store, 4, rng)
+    init_encoder_params(store, "voxel", 4, rng)
     cloud = PointCloud(np.array([[0.5, 0.5, 0.5]], np.float32), [0.3], [0], [0])
     grid = voxelize(cloud, (1, 1, 1))
     out = voxel_embed(grid, store)
@@ -116,7 +160,7 @@ def test_voxel_single_voxel_neighborhood_is_self(rng):
 
 def test_voxel_identical_isolated_voxels_identical_embeddings(rng):
     store = ParameterStore()
-    init_voxel_params(store, 4, rng)
+    init_encoder_params(store, "voxel", 4, rng)
     # two far-apart voxels with identical local content
     xyz = np.array([[0.25, 0.25, 0.25], [10.25, 0.25, 0.25]], np.float32)
     cloud = PointCloud(xyz, [0.5, 0.5], [0, 0], [0, 0])
@@ -134,7 +178,7 @@ def test_voxel_identical_isolated_voxels_identical_embeddings(rng):
 
 def test_voxel_neighbor_means_match_bruteforce(rng):
     store = ParameterStore()
-    init_voxel_params(store, 4, rng)
+    init_encoder_params(store, "voxel", 4, rng)
     xyz = np.array([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5], [2.5, 0.5, 0.5]],
                    np.float32)
     cloud = PointCloud(xyz, [0.2, 0.4, 0.6], [0, 0, 0], [0, 0, 0])
@@ -170,7 +214,7 @@ def test_voxel_neighbor_means_match_bruteforce(rng):
 
 def test_voxel_permutation_equivariance(rng):
     store = ParameterStore()
-    init_voxel_params(store, 5, rng)
+    init_encoder_params(store, "voxel", 5, rng)
     cloud = make_cloud(rng, 50)
     grid = voxelize(cloud, (2.0, 2.0, 2.0))
     out = voxel_embed(grid, store)
@@ -207,7 +251,7 @@ def test_fps_clips_to_n():
 
 def test_point_single_point(rng):
     store = ParameterStore()
-    init_point_params(store, 4, rng)
+    init_encoder_params(store, "point", 4, rng)
     cloud = PointCloud(np.array([[1.0, 2.0, 3.0]], np.float32), [0.5], [0], [0])
     out = point_embed(cloud, store, centroid_count=4, k=3)
     assert out.shape == (1, 4)
@@ -216,7 +260,7 @@ def test_point_single_point(rng):
 
 def test_point_duplicate_points_identical(rng):
     store = ParameterStore()
-    init_point_params(store, 4, rng)
+    init_encoder_params(store, "point", 4, rng)
     xyz = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [4.0, 0.0, 0.0]],
                    np.float32)
     cloud = PointCloud(xyz, [0.5, 0.5, 0.1], [0, 0, 0], [0, 0, 0])
@@ -226,7 +270,7 @@ def test_point_duplicate_points_identical(rng):
 
 def test_point_global_pool_matches_bruteforce_max(rng):
     store = ParameterStore()
-    init_point_params(store, 4, rng)
+    init_encoder_params(store, "point", 4, rng)
     cloud = make_cloud(rng, 20)
     grouping = point_grouping(cloud, 1, cloud.count)
     assert grouping.count == 1
@@ -249,7 +293,7 @@ def test_point_global_pool_matches_bruteforce_max(rng):
 
 def test_point_permutation_equivariance_fixing_start(rng):
     store = ParameterStore()
-    init_point_params(store, 6, rng)
+    init_encoder_params(store, "point", 6, rng)
     cloud = make_cloud(rng, 40)
     out = point_embed(cloud, store, centroid_count=8, k=4)
     perm = np.concatenate([[0], 1 + rng.permutation(cloud.count - 1)])
@@ -341,7 +385,7 @@ def test_encoder_grad_check(kind, rng):
     store = ParameterStore()
     cloud = make_cloud(rng, 25)
     if kind == "range":
-        init_range_params(store, 4, rng)
+        init_encoder_params(store, "range", 4, rng)
         # dense grid at realistic magnitudes: empty cells would put conv
         # pre-activations exactly on the relu kink, where central
         # differences are undefined
@@ -352,13 +396,13 @@ def test_encoder_grad_check(kind, rng):
         inputs = {"x": grid}
         build_out = lambda ctx: build_range_embed(ctx, ctx.input("x"), "range", "head")
     elif kind == "voxel":
-        init_voxel_params(store, 4, rng)
+        init_encoder_params(store, "voxel", 4, rng)
         grid = voxelize(cloud, (4.0, 4.0, 4.0))
         inputs, pairs = {"x": grid.features}, voxel_neighbor_pairs(grid)
         build_out = lambda ctx: build_voxel_embed(ctx, ctx.input("x"), pairs, "voxel",
                                                   "head")
     else:
-        init_point_params(store, 4, rng)
+        init_encoder_params(store, "point", 4, rng)
         grouping = point_grouping(cloud, 4, 3)
         inputs = {"x": cloud.features()}
         build_out = lambda ctx: build_point_embed(ctx, ctx.input("x"), grouping, "point",

@@ -52,7 +52,6 @@ def test_fov_top_edge_row_zero():
     assert v[0] == pytest.approx(0.0, abs=1e-9)
     ri = project_to_range(cloud_from_xyz(xyz), s)
     assert ri.pixel_v[0] == 0
-    assert ri.valid[0]
 
 
 def test_uv_recomputation_oracle():
@@ -90,15 +89,14 @@ def test_min_depth_collision_rule():
     assert feats[4] == pytest.approx(3.0)
 
 
-def test_out_of_fov_clamped_and_flagged():
+def test_out_of_fov_row_clamped():
     s = sensor_1024()
     below = [[1.0, 0.0, -1.0]]  # far below the FoV
     ri = project_to_range(cloud_from_xyz(below), s)
     assert ri.pixel_v[0] == s.range_h - 1
-    assert not ri.valid[0]
     inside = [[1.0, 0.0, 0.0]]
     ri2 = project_to_range(cloud_from_xyz(inside), s)
-    assert ri2.valid[0]
+    assert ri2.pixel_v[0] == 16  # the unclamped row of test_forward_axis_point_uv
 
 
 def test_pixel_map_total_and_in_bounds(rng):
@@ -382,10 +380,9 @@ def test_empty_inputs_give_empty_fields_of_the_general_shapes_and_dtypes():
         "beam": ((0,), np.int32), "label": ((0,), np.int32)}
 
     ri = project_to_range(cloud, sensor)
-    assert fields(ri, ("features", "kept_index", "pixel_u", "pixel_v", "valid")) == {
+    assert fields(ri, ("features", "kept_index", "pixel_u", "pixel_v")) == {
         "features": ((8, 32, 5), np.float32), "kept_index": ((8, 32), np.int32),
-        "pixel_u": ((0,), np.int32), "pixel_v": ((0,), np.int32),
-        "valid": ((0,), np.bool_)}
+        "pixel_u": ((0,), np.int32), "pixel_v": ((0,), np.int32)}
     assert not ri.features.any() and (ri.kept_index == -1).all()
 
     camera = forward_camera()
