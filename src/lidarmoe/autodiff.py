@@ -52,9 +52,10 @@ class Var:
     """One node of the recorded computation.
 
     ``data`` is a numpy array (float32 in normal mode, float64 in exact
-    mode). Leaf nodes carry ``requires_grad`` per their role (trainable
-    parameter vs. constant input); interior nodes require grad iff any
-    parent does.
+    mode). A parameter leaf requires grad exactly in a train-mode run;
+    inputs and constants never do. Interior nodes require grad iff any
+    parent does, so an eval-mode run records no parents and no backward
+    closures.
     """
 
     __slots__ = ("data", "grad", "parents", "bwd", "requires_grad")
@@ -515,7 +516,7 @@ class GraphContext:
             else:
                 value = self._params.get(name).astype(self.dtype)
             self._vars[key] = Var(_finite(value, f"parameter {name}"),
-                                  requires_grad=self._params.is_trainable(name))
+                                  requires_grad=self.train_mode)
         return self._vars[key]
 
     def param_vars(self):
@@ -590,7 +591,7 @@ def _param_grads(graph, params, inputs, seed, dtype):
         raise LidarMoeError("loss node must be scalar")
     _backprop(loss_var)
     grads = {name: var.grad if var.grad is not None else np.zeros_like(var.data)
-             for name, var in ctx.param_vars().items() if var.requires_grad}
+             for name, var in ctx.param_vars().items()}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             graph.build(GraphContext(inputs, params, True, seed, dtype))  # checked
@@ -600,11 +601,11 @@ def _param_grads(graph, params, inputs, seed, dtype):
 
 def backward(graph, params, inputs, seed=0):
     """Reverse-mode gradients of the scalar ``loss`` output of a train-mode
-    forward with noise seed ``seed`` w.r.t. trainable params.
+    forward with noise seed ``seed`` w.r.t. the params the graph reads.
 
     Returns ``(outputs, grads)``; ``grads`` maps parameter name to a
-    float32 array and contains entries only for trainable parameters used
-    by the graph (a used-but-unaffecting parameter gets a zero array).
+    float32 array and has an entry for every parameter the graph reads
+    (a used-but-unaffecting parameter gets a zero array).
     Grad arrays are not copied: two entries may share one array, and an
     entry may be a read-only view, so copy one before writing to it.
     A non-finite grad raises NonFiniteError naming the node that first went

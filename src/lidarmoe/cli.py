@@ -32,9 +32,9 @@ from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import REPRESENTATIONS, read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (RunConfig, backbone_kind, embed_cloud,
-                       embedding_width, evaluate_store, generate_dataset, linear_probe,
-                       load_dataset, load_sensors, stage1_pretrain, stage2_cml, stage3_sms)
+from .pipeline import (RunConfig, backbone_kind, embed_view, embedding_width,
+                       evaluate_store, generate_dataset, linear_probe, load_dataset,
+                       load_sensors, make_view, stage1_pretrain, stage2_cml, stage3_sms)
 from .sensors import (POSITIVE, REQUIRED, at_least, config_from_json, one_of, read_key,
                       reject_unknown)
 
@@ -277,7 +277,7 @@ def _cmd_cosine_map(args, cfg, opts):
         sensor, _ = load_sensors(cfg.dataset)
         kind = backbone_kind(store, opts["representation"], path)
         embedding_width(store, kind, path)
-        feats = embed_cloud(store, cfg, sensor, cloud, kind)
+        feats = embed_view(store, make_view(kind, cloud, sensor, cfg), kind)
     if query >= len(feats):
         raise LidarMoeError(f"cosine-map config query_id must be < {len(feats)} "
                             f"(feature rows), got {query}")

@@ -2,8 +2,9 @@
 
 LPCD point-cloud file: magic "LPCD", u32 version=1, u64 N, then N records
 of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
-little-endian. Camera renders are stored as .npz with arrays ``class_id``
-(H, W) int32, ``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
+little-endian; the reader rejects a record whose floats are not finite.
+Camera renders are stored as .npz with arrays ``class_id`` (H, W) int32,
+``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
 A dataset manifest is a JSON document listing per-split scan/camera pairs.
 Every output file is written through :func:`atomic_write`, which makes its
 directory: a command that fails before its first write leaves nothing.
@@ -128,6 +129,11 @@ def read_lpcd(path) -> PointCloud:
         if version != LPCD_VERSION:
             raise LidarMoeError(f"unsupported LPCD version {version} in {path}")
         rec = np.frombuffer(read_exact(fh, n * _RECORD.itemsize, path), dtype=_RECORD)
+    for name in ("x", "y", "z", "intensity"):
+        bad = np.flatnonzero(~np.isfinite(rec[name]))
+        if bad.size:
+            raise LidarMoeError(f"{path}: record {bad[0]} has {name} {rec[name][bad[0]]}, "
+                                "want a finite number")
     xyz = np.stack([rec["x"], rec["y"], rec["z"]], axis=1)
     return PointCloud(xyz, rec["intensity"], rec["beam"].astype(np.int32),
                       rec["label"])
@@ -187,14 +193,22 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """The manifest at ``path``; raises LidarMoeError naming it on a bad key
+    or a split that lists two scans of one file stem, a scan's name."""
     doc, owner = read_json(path), f"manifest {path}"
     splits = read_key(doc, owner, "splits", "dict", {})
 
     def entries(split):
         where = f"{owner} {split} entry"
-        return [ScanEntry(read_key(e, where, "scan", "str"),
-                          read_key(e, where, "camera", "str or null", None))
-                for e in read_key(splits, owner, split, "list", [])]
+        listed = [ScanEntry(read_key(e, where, "scan", "str"),
+                            read_key(e, where, "camera", "str or null", None))
+                  for e in read_key(splits, owner, split, "list", [])]
+        seen = set()
+        for stem in (Path(e.scan).stem for e in listed):
+            if stem in seen:
+                raise LidarMoeError(f"{owner} {split} lists two scans named {stem}")
+            seen.add(stem)
+        return listed
 
     return DatasetManifest(
         entries("train"), entries("val"),

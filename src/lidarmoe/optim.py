@@ -26,13 +26,13 @@ def one_cycle_lr(step: int, total_steps: int, peak: float) -> float:
 
 
 class AdamW:
-    """Per-parameter moment estimates over a ParameterStore's trainables.
+    """Per-parameter moment estimates over a ParameterStore.
 
     ``peak_lr(name)`` gives each parameter's schedule peak; every
     parameter follows the same one-cycle shape over ``total_steps``.
-    Frozen parameters are never touched. The update uses ``BETA1``,
-    ``BETA2`` and ``EPS`` with bias correction and decoupled weight decay
-    ``WEIGHT_DECAY``.
+    A step updates exactly the parameters it has gradients for. The update
+    uses ``BETA1``, ``BETA2`` and ``EPS`` with bias correction and
+    decoupled weight decay ``WEIGHT_DECAY``.
     """
 
     def __init__(self, store, peak_lr, total_steps):
@@ -45,10 +45,6 @@ class AdamW:
 
     def step(self, grads: dict) -> None:
         """Apply one update from ``grads`` (name -> array)."""
-        trainable = set(self.store.trainable_names())
-        extra = set(grads) - trainable
-        if extra:
-            raise ValueError(f"gradients for non-trainable parameters: {sorted(extra)}")
         t = self.step_count + 1
         for name in sorted(grads):
             lr = one_cycle_lr(self.step_count, self.total_steps,

@@ -1,10 +1,14 @@
 """Named parameter storage and checkpoint files.
 
-A :class:`ParameterStore` maps unique names to float32 arrays with a
-per-parameter trainable flag. Checkpoints serialize a store to a single
-file: an 8-byte magic, a JSON manifest (names, shapes, dtype tag, stage
-metadata, format version), then the raw little-endian row-major values in
-manifest order. Loading reproduces every tensor bit-exactly.
+A :class:`ParameterStore` maps unique names to float32 arrays. A store
+carries no freeze flag: a graph's parameters take gradients exactly when
+the graph runs in train mode, so a frozen network is one that is only
+evaluated. Checkpoints serialize a store to a single file: an 8-byte
+magic, a JSON manifest (names, shapes, dtype tag, stage metadata, format
+version), then the raw little-endian row-major values in manifest order.
+Loading reproduces every tensor bit-exactly. Each manifest entry also
+holds ``"trainable": true``, which version-1 files have always carried;
+the reader rejects any other value.
 """
 
 from __future__ import annotations
@@ -22,17 +26,15 @@ CHECKPOINT_VERSION = 1
 
 
 class ParameterStore:
-    """Uniquely named float32 tensors with trainable flags."""
+    """Uniquely named float32 tensors."""
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> None:
+    def add(self, name: str, value) -> None:
         if name in self._values:
             raise ValueError(f"duplicate parameter name: {name}")
         self._values[name] = np.ascontiguousarray(value, dtype=np.float32)
-        self._trainable[name] = bool(trainable)
 
     def get(self, name: str) -> np.ndarray:
         try:
@@ -46,23 +48,13 @@ class ParameterStore:
             raise ValueError(f"shape mismatch for {name}")
         self._values[name] = arr
 
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
-
-    def freeze_all(self) -> None:
-        for name in self._trainable:
-            self._trainable[name] = False
-
     def names(self):
         return list(self._values)
-
-    def trainable_names(self):
-        return [n for n, f in self._trainable.items() if f]
 
     def copy(self) -> "ParameterStore":
         dup = ParameterStore()
         for name in self.names():
-            dup.add(name, self._values[name].copy(), self._trainable[name])
+            dup.add(name, self._values[name].copy())
         return dup
 
     def state_equal(self, other: "ParameterStore") -> bool:
@@ -91,8 +83,7 @@ def save_checkpoint(path, store: ParameterStore, metadata: dict) -> None:
         "format_version": CHECKPOINT_VERSION,
         "dtype": "f32",
         "params": [
-            {"name": n, "shape": list(store.get(n).shape),
-             "trainable": store.is_trainable(n)}
+            {"name": n, "shape": list(store.get(n).shape), "trainable": True}
             for n in names
         ],
         "metadata": metadata,
@@ -113,7 +104,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns ``(ParameterStore, metadata)``.
 
     A magic, version, dtype, manifest or length problem raises
-    :class:`CheckpointError` naming ``path``.
+    :class:`CheckpointError` naming ``path``; so does an entry whose
+    ``trainable`` is anything but ``true``.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != CHECKPOINT_MAGIC:
@@ -135,7 +127,9 @@ def load_checkpoint(path):
                 shape = tuple(entry["shape"])
                 raw = read_exact(fh, 4 * int(np.prod(shape)), path, CheckpointError)
                 arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-                store.add(entry["name"], arr, entry["trainable"])
+                if entry["trainable"] is not True:
+                    raise ValueError(f"trainable must be true, got {entry['trainable']!r}")
+                store.add(entry["name"], arr)
             metadata = manifest["metadata"]
         except (KeyError, TypeError, ValueError) as exc:  # a duplicate name too
             raise CheckpointError(f"malformed manifest in {path}: {exc!r}") from exc

@@ -1,8 +1,8 @@
 """Three-stage training orchestration plus linear probing and evaluation.
 
 Stage 1 trains each representation encoder against the frozen teacher
-with the grouped contrastive loss. Stage 2 freezes the three stage-1
-experts, fuses their aligned features through the noisy gate, and
+with the grouped contrastive loss. Stage 2 evaluates the three frozen
+stage-1 experts, fuses their aligned features through the noisy gate, and
 distills the fusion into a single student network. Stage 3 fine-tunes all
 three backbones with fresh logit heads under the supervised composite,
 fusing logits through a train-only noisy gate.
@@ -391,16 +391,15 @@ def build_group_mean(feats_var, partition, rows=None):
     return ad.segment_mean(ad.gather_rows(feats_var, src), groups, partition.count)
 
 
-def _copy_prefixed(dst: ParameterStore, src: ParameterStore, src_prefix: str,
-                   dst_prefix: str, trunk_only=False, trainable=True) -> None:
-    dot = src_prefix + "."
+def _copy_prefixed(dst: ParameterStore, src: ParameterStore, prefix: str,
+                   trunk_only=False) -> None:
+    dot = prefix + "."
     for name in src.names():
         if not name.startswith(dot):
             continue
-        short = name[len(dot):]
-        if trunk_only and short.split(".")[0] in ("head", "logit_head"):
+        if trunk_only and name[len(dot):].split(".")[0] in ("head", "logit_head"):
             continue
-        dst.add(f"{dst_prefix}.{short}", src.get(name).copy(), trainable)
+        dst.add(name, src.get(name).copy())
 
 
 def _accumulate(batch_grads: list) -> dict:
@@ -533,25 +532,30 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     """Distill the gated expert fusion into a single student network.
 
     ``expert_ckpts`` maps each representation to its stage-1 checkpoint.
-    Experts stay frozen; the student (per ``config.student``) warm-starts
-    from its own stage-1 checkpoint. Writes the student+gate checkpoint,
-    a loss log, and per-scan gate-score CSVs from the final epoch.
+    The experts are frozen by being only evaluated: each step, every
+    expert's per-point features are an array from ``embed_view``, which
+    the trained graph fuses as constants. The trained store holds the
+    student's ``<kind>.*`` backbone, which warm-starts from its stage-1
+    checkpoint (per ``config.student_init``), and the gate's ``moe.*``.
+    Writes that store as the checkpoint, a loss log, and per-scan
+    gate-score CSVs from the final epoch. ``experts_frozen`` says whether
+    every expert store still equals its copy taken at load.
     """
     out = Path(out_dir)
     data = load_dataset(config.dataset)
     usable, partitions = _superpoint_scans(config, data)
 
     experts = {k: load_checkpoint(expert_ckpts[k])[0] for k in REPRESENTATIONS}
-    store = ParameterStore()
     for kind, expert in experts.items():
         width = embedding_width(expert, kind, expert_ckpts[kind])
         if width != config.embed_dim:
             raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} embeds {kind} in "
                                 f"{width} dims, but embed_dim is {config.embed_dim}")
-        _copy_prefixed(store, expert, kind, f"expert.{kind}", trainable=False)
+    loaded = {k: experts[k].copy() for k in REPRESENTATIONS}
+    store = ParameterStore()
     student_src = experts[config.student] if config.student_init == "stage1" \
         else init_backbone_store(config.student, config, "cml-student")
-    _copy_prefixed(store, student_src, config.student, config.student)
+    _copy_prefixed(store, student_src, config.student)
     init_moe_params(store, config.embed_dim,
                     np.random.default_rng(_step_seed(config.seed, "init", "moe")))
 
@@ -561,24 +565,23 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
         partition = partitions[scan.name]
         # each view has its own augmentation draw; un-augmented, the
         # student shares its expert's view
-        views = {f"expert.{k}": _scan_view(scan, k, data.sensor, config,
-                                           "cml", k, epoch, idx)
-                 for k in REPRESENTATIONS}
-        views[config.student] = _scan_view(scan, config.student, data.sensor, config,
-                                           "cml", "student", epoch, idx)
+        features = [embed_view(experts[k], _scan_view(scan, k, data.sensor, config,
+                                                      "cml", k, epoch, idx), k)
+                    for k in REPRESENTATIONS]
+        student = _scan_view(scan, config.student, data.sensor, config,
+                             "cml", "student", epoch, idx)
 
         def build(ctx):
-            fused, gates = build_moe(ctx, [views[f"expert.{k}"].aligned(ctx, f"expert.{k}")
-                                           for k in REPRESENTATIONS], "cml")
+            fused, gates = build_moe(ctx, [ad.as_var(f) for f in features], "cml")
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
-            k_student = views[config.student].pooled(ctx, config.student, partition)
+            k_student = student.pooled(ctx, config.student, partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
             return {"loss": loss}
 
-        return build, _inputs(views)
+        return build, _inputs({config.student: student})
 
     epoch_losses = _train_epochs(config, usable, graph_fn, store,
                                  lambda _: config.lr_cml, out / "cml_log.csv",
@@ -586,14 +589,9 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     for name, gates in sorted(final_gates.items()):
         write_gate_csv(out / f"cml_gates_{name}.csv", gates)
 
-    export = ParameterStore()
-    for name in store.trainable_names():
-        export.add(name, store.get(name))
     ckpt = out / "cml_student.ckpt"
-    _save_stage(ckpt, export, config, "cml", student=config.student)
-    frozen_ok = all(np.array_equal(store.get(f"expert.{n}"), expert.get(n))
-                    for kind, expert in experts.items() for n in expert.names()
-                    if n.startswith(kind + "."))
+    _save_stage(ckpt, store, config, "cml", student=config.student)
+    frozen_ok = all(experts[k].state_equal(loaded[k]) for k in REPRESENTATIONS)
     return {"checkpoint": str(ckpt), "epoch_losses": epoch_losses,
             "skipped": len(data.train) - len(usable), "experts_frozen": frozen_ok,
             "usable_scans": len(usable)}
@@ -612,7 +610,7 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
             backbone_kind(src, kind, src_path)
         else:
             src = init_backbone_store(kind, config, "sms")
-        _copy_prefixed(store, src, kind, kind, trunk_only=True)
+        _copy_prefixed(store, src, kind, trunk_only=True)
         rng = np.random.default_rng(_step_seed(config.seed, "init", "sms-head", kind))
         add_linear(store, f"{kind}.logit_head", trunk_width(kind), num_classes, rng)
     init_moe_params(store, num_classes,
@@ -759,16 +757,17 @@ def embedding_width(store: ParameterStore, kind, source, head="head") -> int:
     return store.get(f"{kind}.{head}.w").shape[1]
 
 
-def embed_cloud(store, config, sensor, cloud, kind):
-    """Frozen-backbone per-point embeddings of one cloud."""
-    view = make_view(kind, cloud, sensor, config)
+def embed_view(store, view: ReprView, kind):
+    """Per-point embeddings of ``view`` by the ``kind`` backbone of
+    ``store``: an evaluated array, so no gradient ever reaches ``store``."""
     graph = Graph(lambda ctx: {"out": view.aligned(ctx, kind)})
     return ad.evaluate(graph, store, _inputs({kind: view}))["out"]
 
 
 def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=None):
-    """Train a linear head on frozen per-point embeddings of the labeled
-    train scans; report val mIoU.
+    """Train a linear head on the per-point embeddings (``embed_view``) of
+    the labeled train scans; report val mIoU. The backbone is only
+    evaluated, so it stays frozen; ``backbone_intact`` checks that it does.
 
     The backbone comes from ``checkpoint``, picked by ``backbone_kind``,
     or, without a checkpoint, is a fresh ``representation`` backbone
@@ -782,12 +781,11 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
         store, _ = load_checkpoint(checkpoint)
         kind = backbone_kind(store, representation, checkpoint)
     width = embedding_width(store, kind, checkpoint)
-    store.freeze_all()
     before = store.copy()
     data = load_dataset(config.dataset)
     val = data.scans("val")
     train = _labeled_scans(data)
-    train_embeds = [embed_cloud(store, config, data.sensor, scan.cloud, kind)
+    train_embeds = [embed_view(store, _scan_view(scan, kind, data.sensor, config), kind)
                     for scan in train]
     probe = ParameterStore()
     add_linear(probe, "probe", width, data.num_classes,
@@ -807,7 +805,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     head = Graph(lambda ctx: {"logits": logits(ctx)})
     preds, labels = [], []
     for scan in val:
-        emb = embed_cloud(store, config, data.sensor, scan.cloud, kind)
+        emb = embed_view(store, _scan_view(scan, kind, data.sensor, config), kind)
         outs = ad.evaluate(head, probe, {"emb": emb})
         preds.append(np.argmax(outs["logits"], axis=1))
         labels.append(scan.cloud.label)

@@ -1,7 +1,8 @@
 """Fingerprint every file that a reduced end-to-end CLI chain writes.
 
 Runs datagen and then the chain of acceptance criterion 10 at reduced
-length (pretrain, cml, probe, sms, eval, route-stats on each axis), plus
+length (pretrain, cml, probe, sms, eval, route-stats on each axis), a cml
+with a randomly initialised range student, a random-baseline probe, plus
 a one-scan datagen on the 64 x 512 sensor of the ``chain_dense_aug``
 benchmark workload, in a temporary directory, and prints ``sha256
 relpath`` for every file there, sorted by path. Every path the chain is
@@ -45,6 +46,9 @@ CHAIN = [
     ("route-stats", dict(ROUTE, axis="beam"), "route"),
     ("route-stats", dict(ROUTE, axis="class"), "route_class"),
     ("route-stats", dict(ROUTE, axis="distance-bin"), "route_distance"),
+    ("cml", dict(RUN, stage1_dir="s1", student="range", student_init="random"),
+     "cml_range"),
+    ("probe", dict(RUN, random_baseline=True), "probe_random"),
     ("datagen", DENSE_DATAGEN, "data_dense"),
 ]
 

@@ -240,8 +240,9 @@ def _referrers(names):
 
 
 # the only functions that may build a view: every stage reaches its views
-# through ``_scan_view``, which keeps a scan's un-augmented ones
-MAKE_VIEW_CALLERS = {"pipeline._scan_view", "pipeline.embed_cloud"}
+# through ``_scan_view``, which keeps a scan's un-augmented ones; cosine-map
+# embeds one cloud that belongs to no scan
+MAKE_VIEW_CALLERS = {"pipeline._scan_view", "cli._cmd_cosine_map"}
 
 
 def test_views_are_built_only_through_the_view_helper():

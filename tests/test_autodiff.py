@@ -135,12 +135,35 @@ def test_unused_parameter_gets_zero_gradient():
     assert np.array_equal(grads["unused"], np.zeros(3, np.float32))
 
 
-def test_frozen_parameter_has_no_gradient_entry():
-    store = ParameterStore()
-    store.add("w", np.ones(2, np.float32), trainable=False)
-    g = Graph(lambda ctx: {"loss": ad.sum_all(ctx.param("w"))})
-    _, grads = ad.backward(g, store, {})
-    assert "w" not in grads
+def test_parameters_require_grad_exactly_in_train_mode():
+    """A parameter leaf, and every node built on it, requires grad in a
+    train-mode run and not in an eval-mode one; an input never does."""
+    store = make_store(w=np.ones((2, 2)))
+    g = Graph(lambda ctx: {"y": ad.matmul(ctx.input("x"), ctx.param("w"))})
+    x = {"x": np.ones((3, 2), np.float32)}
+    for train_mode in (True, False):
+        ctx, outs = g.run(store, x, train_mode=train_mode)
+        assert ctx.param("w").requires_grad is train_mode
+        assert outs["y"].requires_grad is train_mode
+        assert ctx.input("x").requires_grad is False
+
+
+def test_evaluate_records_no_parents_and_no_backward_closure(monkeypatch):
+    """Every output of the eval-mode run behind ``ad.evaluate`` keeps no
+    parents and no backward closure, so it holds no graph alive."""
+    store = make_store(w=np.ones((2, 2)), b=np.zeros(2))
+    g = Graph(lambda ctx: {"y": ad.relu(ad.add(ad.matmul(ctx.input("x"), ctx.param("w")),
+                                               ctx.param("b")))})
+    runs = []
+
+    def recording(graph, *args, _run=Graph.run, **kwargs):
+        runs.append(_run(graph, *args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(Graph, "run", recording)
+    ad.evaluate(g, store, {"x": np.ones((3, 2), np.float32)})
+    (_, outs), = runs
+    assert outs["y"].parents == () and outs["y"].bwd is None
 
 
 def test_grad_check_linear_least_squares(rng):
@@ -293,13 +316,13 @@ def test_non_finite_input_names_itself():
         ad.evaluate(g, ParameterStore(), {"x": np.array([np.nan], np.float32)})
 
 
-@pytest.mark.parametrize("trainable", [True, False])
-def test_non_finite_parameter_names_itself(trainable):
+@pytest.mark.parametrize("train_mode", [True, False])
+def test_non_finite_parameter_names_itself(train_mode):
     store = ParameterStore()
-    store.add("enc.w", np.array([1.0, np.inf], np.float32), trainable)
+    store.add("enc.w", np.array([1.0, np.inf], np.float32))
     g = Graph(lambda ctx: {"out": ad.relu(ctx.param("enc.w"))})
     with pytest.raises(NonFiniteError, match="^non-finite value in parameter enc.w$"):
-        ad.evaluate(g, store, {})
+        g.run(store, {}, train_mode=train_mode)
 
 
 # every public autodiff function that makes a graph node
@@ -363,7 +386,7 @@ def test_backward_runs_in_the_graph_dtype(name):
 
     graph = Graph(build)
     for dtype in (np.float32, np.float64):
-        ctx, outputs = graph.run(store, {}, dtype=dtype)
+        ctx, outputs = graph.run(store, {}, train_mode=True, dtype=dtype)
         ad._backprop(outputs["loss"])
         for pname, var in ctx.param_vars().items():
             assert var.grad is not None, pname

@@ -860,6 +860,27 @@ def _bad_input(case, tmp_path, dataset):
         doc = dict(run, dataset=str(copy), sms_epochs=0)
         return "sms", write_json(tmp_path / "cfg.json", doc), \
             f"scan {scan} has point 0 at the sensor origin"
+    if case == "train and val x NaN":
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        for split in ("train", "val"):
+            scan = copy / "scans" / f"{split}_000.lpcd"
+            cloud = read_lpcd(scan)
+            cloud.xyz[3, 0] = np.nan
+            write_lpcd(scan, cloud)
+        doc = dict(run, dataset=str(copy), sms_epochs=0)
+        return "sms", write_json(tmp_path / "cfg.json", doc), \
+            f"{copy / 'scans' / 'train_000.lpcd'}: record 3 has x nan, want a finite number"
+    if case == "two train scans of one stem":
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        (copy / "other").mkdir()
+        shutil.copy(copy / "scans" / "train_001.lpcd", copy / "other" / "train_000.lpcd")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["splits"]["train"][1]["scan"] = "other/train_000.lpcd"
+        write_json(copy / "manifest.json", manifest)
+        return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
+            f"manifest {copy / 'manifest.json'} train lists two scans named train_000"
     if case.startswith("camera "):
         copy = tmp_path / "ds"
         shutil.copytree(dataset, copy)
@@ -917,7 +938,7 @@ def _bad_input(case, tmp_path, dataset):
     "report corruption sets differ", "report two severities",
     "val point at the sensor origin", "camera render cut to 40 rows",
     "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
-    "camera class_id of float ids",
+    "camera class_id of float ids", "train and val x NaN", "two train scans of one stem",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)

@@ -68,6 +68,24 @@ def test_lpcd_truncated_rejected(tmp_path, rng):
         read_lpcd(path)
 
 
+@pytest.mark.parametrize("field", ["x", "y", "z", "intensity"])
+def test_lpcd_non_finite_record_names_file_record_and_field(tmp_path, rng, field):
+    """A NaN or infinite float of a record is rejected when the file is
+    read, naming the record: NaN first, then -inf at a lower record."""
+    cloud = sample_cloud(rng, 10)
+    column = cloud.intensity if field == "intensity" else cloud.xyz[:, "xyz".index(field)]
+    column[7] = np.nan
+    path = tmp_path / "scan.lpcd"
+    write_lpcd(path, cloud)
+    with pytest.raises(LidarMoeError, match=f"^{re.escape(str(path))}: record 7 has "
+                       f"{field} nan, want a finite number$"):
+        read_lpcd(path)
+    column[2] = -np.inf
+    write_lpcd(path, cloud)
+    with pytest.raises(LidarMoeError, match=f"record 2 has {field} -inf"):
+        read_lpcd(path)
+
+
 def test_camera_npz_roundtrip(tmp_path, rng):
     cls = rng.integers(-1, 6, (8, 12)).astype(np.int32)
     depth = np.where(cls >= 0, rng.uniform(1, 30, (8, 12)), np.inf)
@@ -216,3 +234,19 @@ def test_malformed_manifest_names_file_and_key(tmp_path, edit, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(LidarMoeError, match=f"^manifest {re.escape(str(path))} {message}"):
         load_manifest(path)
+
+
+def test_manifest_split_listing_one_stem_twice_names_it(tmp_path):
+    """A scan is known by its file stem, so a split may not list two files
+    of one stem; another split may reuse it."""
+    path = tmp_path / "manifest.json"
+    save_manifest(path, DatasetManifest(
+        train=[ScanEntry("scans/a.lpcd", "cams/a.npz"), ScanEntry("scans/b.lpcd"),
+               ScanEntry("other/a.lpcd")],
+        val=[ScanEntry("scans/a.lpcd")]))
+    with pytest.raises(LidarMoeError, match=f"^manifest {re.escape(str(path))} train "
+                       "lists two scans named a$"):
+        load_manifest(path)
+    save_manifest(path, DatasetManifest(train=[ScanEntry("scans/a.lpcd")],
+                                        val=[ScanEntry("scans/a.lpcd")]))
+    assert len(load_manifest(path).val) == 1

@@ -1,4 +1,4 @@
-"""Optimizer schedule, freeze semantics, and checkpoint round-trips."""
+"""Optimizer schedule, updates, and checkpoint round-trips."""
 
 import json
 import re
@@ -47,30 +47,12 @@ def test_zero_gradient_applies_only_the_fixed_decay():
     assert np.all(store.get("w").ravel()[1:] < np.arange(1, 6))
 
 
-def test_frozen_parameters_never_move():
-    store = ParameterStore()
-    store.add("w", np.ones((2, 2), np.float32), trainable=True)
-    store.add("frozen", np.full((3,), 7.0, np.float32), trainable=False)
-    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=4)
-    before = store.get("frozen").copy()
-    for _ in range(4):
-        opt.step({"w": np.ones((2, 2), np.float32)})
-    assert np.array_equal(store.get("frozen"), before)
-    assert not np.array_equal(store.get("w"), np.ones((2, 2), np.float32))
-
-
-def test_gradient_for_frozen_parameter_rejected():
-    store = ParameterStore()
-    store.add("w", np.ones(2, np.float32), trainable=False)
-    opt = AdamW(store, peak_lr=lambda _: 0.1, total_steps=1)
-    with pytest.raises(ValueError):
-        opt.step({"w": np.ones(2, np.float32)})
-
-
 def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
+    """Values, names and metadata survive a round trip, and every manifest
+    entry holds ``"trainable": true``, as version-1 files always have."""
     store = ParameterStore()
     store.add("a.w", rng.standard_normal((4, 5)).astype(np.float32))
-    store.add("a.b", rng.standard_normal(5).astype(np.float32), trainable=False)
+    store.add("a.b", rng.standard_normal(5).astype(np.float32))
     meta = {"stage": "stage1-range", "config_digest": "abc123", "seed": 42}
     path = tmp_path / "test.ckpt"
     save_checkpoint(path, store, meta)
@@ -79,7 +61,11 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert loaded.names() == store.names()
     for name in store.names():
         assert np.array_equal(loaded.get(name), store.get(name))
-        assert loaded.is_trainable(name) == store.is_trainable(name)
+    raw = path.read_bytes()
+    (size,) = struct.unpack("<Q", raw[8:16])
+    assert json.loads(raw[16:16 + size])["params"] == [
+        {"name": "a.w", "shape": [4, 5], "trainable": True},
+        {"name": "a.b", "shape": [5], "trainable": True}]
 
 
 def test_checkpoint_magic_validated(tmp_path):
@@ -111,6 +97,11 @@ def _raw_checkpoint(path, manifest, blob=b""):
 
 @pytest.mark.parametrize("params,metadata,message", [
     ([{"name": "w", "shape": [2]}], {}, "KeyError\\('trainable'\\)"),
+    ([{"name": "w", "shape": [2], "trainable": False}], {},
+     "trainable must be true, got False"),
+    ([{"name": "w", "shape": [2], "trainable": 1}], {}, "trainable must be true, got 1"),
+    ([{"name": "w", "shape": [2], "trainable": "true"}], {},
+     "trainable must be true, got 'true'"),
     ([{"name": "w", "shape": "ab", "trainable": True}], {}, "TypeError"),
     ([{"name": "w", "shape": [1], "trainable": True}] * 2, {},
      "duplicate parameter name: w"),

@@ -185,7 +185,7 @@ def test_gather_rows_backward_through_graph_matches_add_at():
             ad.gather_rows(ctx.param("p"), idx), ctx.input("w")))})
         store = ParameterStore()
         store.add("p", p)
-        ctx, outputs = graph.run(store, {"w": w}, dtype=dtype)
+        ctx, outputs = graph.run(store, {"w": w}, train_mode=True, dtype=dtype)
         ad._backprop(outputs["loss"])
         got = ctx.param_vars()["p"].grad
         want = scatter_add_rows_at(idx, w.astype(dtype).astype(np.float64), 50)
