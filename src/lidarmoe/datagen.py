@@ -3,8 +3,9 @@ and corruption generators.
 
 Scenes are compositions of three primitive kinds on a fixed 6-class palette:
 ground plane (0), vehicle box (1), pedestrian cylinder (2), pole cylinder
-(3), building box (4), barrier box (5). All generators are pure functions
-of their inputs and an integer seed.
+(3), building box (4), barrier box (5). A camera image is one
+``CameraRender``, its class, depth and superpixel arrays. All generators are
+pure functions of their inputs and an integer seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
-from .sensors import CameraModel, SensorModel, at_least, check_fields, is_number
+from .sensors import POSITIVE, CameraModel, SensorModel, at_least, check_fields, is_number
 
 CLASS_GROUND = 0
 CLASS_VEHICLE = 1
@@ -76,8 +77,10 @@ class SceneConfig:
     """Placement recipe for random scenes.
 
     Counts per kind plus an (x, y) placement window. Object centers are
-    drawn uniformly inside the window; the window must not contain the
-    sensor origin so primitives never embed it.
+    drawn uniformly inside the window, and nothing keeps an object off the
+    sensor origin: a building box of the default window can hold it
+    (``generate_dataset`` seed 0, scenes ``train_340`` and ``val_247``).
+    A ray cast from inside a box does not hit that box.
     """
 
     n_boxes: int = 7
@@ -93,7 +96,8 @@ class SceneConfig:
     def __post_init__(self):
         bounds = (lambda v: len(v) == 2 and all(map(is_number, v))), "two numbers"
         check_fields(self, "scene config", dict(
-            {name: at_least(0) for name, *_ in _PLACEMENTS}, x_bounds=bounds, y_bounds=bounds))
+            {name: at_least(0) for name, *_ in _PLACEMENTS}, x_bounds=bounds, y_bounds=bounds,
+            ground_half=POSITIVE))
         if self.x_bounds[0] > self.x_bounds[1] or self.y_bounds[0] > self.y_bounds[1]:
             raise LidarMoeError("placement bounds must have min <= max")
 
@@ -315,15 +319,19 @@ def simulate_lidar(scene: Scene, sensor: SensorModel) -> PointCloud:
 
 
 @dataclass(frozen=True)
-class ClassImage:
-    """Per-pixel semantic class (-1 for no hit) and hit depth.
+class CameraRender:
+    """One camera image's (H, W) arrays: per-pixel semantic class (-1 for no
+    hit), hit depth and superpixel id.
 
     ``depth`` is the Euclidean distance from the camera center to the hit
-    surface, +inf where nothing is hit.
+    surface, +inf where nothing is hit. ``superpixel`` is the tile-then-class
+    partition of ``class_id``. ``dataio.CAMERA_ARRAYS`` stores one array per
+    field, in field order.
     """
 
     class_id: np.ndarray
     depth: np.ndarray
+    superpixel: np.ndarray
 
 
 def _tile_superpixels(class_map: np.ndarray, tile: int) -> np.ndarray:
@@ -342,12 +350,9 @@ def _tile_superpixels(class_map: np.ndarray, tile: int) -> np.ndarray:
     return inverse.reshape(h, w).astype(np.int32)
 
 
-def render_camera(scene: Scene, camera: CameraModel, tile: int = 16):
-    """Ray-cast the scene through every pixel center.
-
-    Returns ``(ClassImage, superpixel_map)``; the superpixel map is the
-    tile-then-class partition of the class map.
-    """
+def render_camera(scene: Scene, camera: CameraModel, tile: int = 16) -> CameraRender:
+    """Ray-cast the scene through every pixel center; superpixels are
+    ``tile`` x ``tile`` tiles split by class."""
     h, w = camera.cam_h, camera.cam_w
     vv, uu = np.mgrid[0:h, 0:w]
     pix = np.stack([uu.ravel() + 0.5, vv.ravel() + 0.5, np.ones(h * w)], axis=0)
@@ -358,8 +363,7 @@ def render_camera(scene: Scene, camera: CameraModel, tile: int = 16):
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     t, cls = cast_rays(scene, camera.center_in_lidar(), dirs)
     class_map = cls.reshape(h, w)
-    depth = t.reshape(h, w)
-    return ClassImage(class_map, depth), _tile_superpixels(class_map, tile)
+    return CameraRender(class_map, t.reshape(h, w), _tile_superpixels(class_map, tile))
 
 
 # ---------------------------------------------------------------------------

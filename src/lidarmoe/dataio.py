@@ -3,9 +3,11 @@
 LPCD point-cloud file: magic "LPCD", u32 version=1, u64 N, then N records
 of {f32 x, f32 y, f32 z, f32 intensity, u16 beam, i32 label},
 little-endian; the reader rejects a record whose floats are not finite.
-Camera renders are stored as .npz with arrays ``class_id`` (H, W) int32,
-``depth`` (H, W) float64, and ``superpixel`` (H, W) int32.
-A dataset manifest is a JSON document listing per-split scan/camera pairs.
+A camera render, one ``datagen.CameraRender``, is stored as .npz with one
+(H, W) array per field, named and typed by ``CAMERA_ARRAYS``: ``class_id``
+int32, ``depth`` float64 and ``superpixel`` int32.
+A dataset manifest is a JSON document listing per-split scan/camera pairs;
+``save_manifest`` writes what ``load_manifest`` reads.
 Every output file is written through :func:`atomic_write`, which makes its
 directory: a command that fails before its first write leaves nothing.
 """
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datagen import NUM_CLASSES, ClassImage
+from .datagen import NUM_CLASSES, CameraRender
 from .errors import LidarMoeError
 from .pointcloud import PointCloud
 from .sensors import at_least, read_key
@@ -31,6 +33,8 @@ LPCD_VERSION = 1
 _RECORD = np.dtype([("x", "<f4"), ("y", "<f4"), ("z", "<f4"),
                     ("intensity", "<f4"), ("beam", "<u2"), ("label", "<i4")])
 _FRACTION = (lambda v: 0 < v <= 1), "in (0, 1]"
+# the stored dtype of each CameraRender field, in field order
+CAMERA_ARRAYS = {"class_id": np.int32, "depth": np.float64, "superpixel": np.int32}
 
 
 def atomic_write(path, write) -> None:
@@ -139,21 +143,18 @@ def read_lpcd(path) -> PointCloud:
                       rec["label"])
 
 
-def write_camera_npz(path, image: ClassImage, superpixel_map: np.ndarray) -> None:
-    atomic_write(path, lambda fh: np.savez(
-        fh, class_id=image.class_id.astype(np.int32),
-        depth=image.depth.astype(np.float64),
-        superpixel=superpixel_map.astype(np.int32)))
+def write_camera_npz(path, render: CameraRender) -> None:
+    atomic_write(path, lambda fh: np.savez(fh, **{
+        name: getattr(render, name).astype(dtype) for name, dtype in CAMERA_ARRAYS.items()}))
 
 
-def read_camera_npz(path):
+def read_camera_npz(path) -> CameraRender:
+    """The render stored at ``path``, each array in the dtype it was stored in."""
     try:
         with np.load(path) as data:
-            image = ClassImage(data["class_id"], data["depth"])
-            superpixel = data["superpixel"]
+            return CameraRender(*(data[name] for name in CAMERA_ARRAYS))
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise LidarMoeError(f"corrupt camera file {path}: {exc}") from exc
-    return image, superpixel
 
 
 @dataclass
@@ -176,20 +177,14 @@ class DatasetManifest:
     num_classes: int = NUM_CLASSES
     annotation_fraction: float = 1.0
 
-    def to_json(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "annotation_fraction": self.annotation_fraction,
-            "splits": {
-                "train": [{"scan": e.scan, "camera": e.camera} for e in self.train],
-                "val": [{"scan": e.scan, "camera": e.camera} for e in self.val],
-            },
-            "counts": {"train": len(self.train), "val": len(self.val)},
-        }
-
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
-    write_json(path, manifest.to_json())
+    """The document ``load_manifest`` reads, plus each split's scan count."""
+    splits = {split: [{"scan": e.scan, "camera": e.camera} for e in getattr(manifest, split)]
+              for split in ("train", "val")}
+    write_json(path, {"num_classes": manifest.num_classes,
+                      "annotation_fraction": manifest.annotation_fraction,
+                      "splits": splits, "counts": {k: len(v) for k, v in splits.items()}})
 
 
 def load_manifest(path) -> DatasetManifest:

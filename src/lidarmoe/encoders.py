@@ -15,6 +15,9 @@ parameter prefix and a head name:
   k points by ascending distance to the centroid, ties to the smaller
   point id.
 
+A backbone's parameter names come from its ``_LAYERS`` rows (``param_names``),
+so no other module parses a name to tell its trunk from its head.
+
 The frozen teacher is two weight arrays drawn from a fixed seed, a class
 embedding and a projection: a pixel's class embedding plus a sinusoidal
 positional code, projected, then averaged per superpixel. It reads the
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import LidarMoeError
-from .datagen import ClassImage
+from .datagen import CameraRender
 from .geometry import VoxelGrid, lexicographic_keys
 from .params import add_linear, glorot_uniform
 from .pointcloud import PointCloud
@@ -75,6 +78,13 @@ def init_encoder_params(store, kind, dim, rng):
 
 def trunk_width(kind: str) -> int:
     return _LAYERS[kind][-1][1]
+
+
+def param_names(kind: str):
+    """``(trunk, head)``: the ``kind`` backbone's parameter names in draw
+    order, split before its last ``_LAYERS`` row, the head."""
+    *trunk, head = ([f"{kind}.{layer}.w", f"{kind}.{layer}.b"] for layer, _ in _LAYERS[kind])
+    return sum(trunk, []), head
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +252,7 @@ def positional_code(width: int, height: int) -> np.ndarray:
     return code
 
 
-def teacher_features(class_image: ClassImage, weights,
-                     superpixel_map: np.ndarray) -> np.ndarray:
+def teacher_features(render: CameraRender, weights) -> np.ndarray:
     """Per-superpixel embeddings Q, shape (S, D), of the teacher ``weights``.
 
     Per-pixel feature = one-hot(class) @ class embedding + positional
@@ -251,13 +260,13 @@ def teacher_features(class_image: ClassImage, weights,
     -1 pixels contribute only their positional code.
     """
     emb, proj = (w.astype(np.float64) for w in weights)
-    cls = class_image.class_id.ravel().astype(np.int64)
-    h, w = class_image.class_id.shape
+    cls = render.class_id.ravel().astype(np.int64)
+    h, w = render.class_id.shape
     feat = positional_code(w, h).astype(np.float64)
     labeled = cls >= 0
     feat[labeled] += emb[cls[labeled]]
     pix = feat @ proj
 
-    sp = superpixel_map.ravel().astype(np.int64)
+    sp = render.superpixel.ravel().astype(np.int64)
     means, _ = ad.segment_means(sp, pix, int(sp.max(initial=-1)) + 1)
     return means.astype(np.float32)

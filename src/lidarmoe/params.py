@@ -105,7 +105,8 @@ def load_checkpoint(path):
 
     A magic, version, dtype, manifest or length problem raises
     :class:`CheckpointError` naming ``path``; so does an entry whose
-    ``trainable`` is anything but ``true``.
+    ``name`` is not a string or whose ``trainable`` is anything but
+    ``true``.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != CHECKPOINT_MAGIC:
@@ -129,6 +130,8 @@ def load_checkpoint(path):
                 arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
                 if entry["trainable"] is not True:
                     raise ValueError(f"trainable must be true, got {entry['trainable']!r}")
+                if not isinstance(entry["name"], str):
+                    raise ValueError(f"name must be a string, got {entry['name']!r}")
                 store.add(entry["name"], arr)
             metadata = manifest["metadata"]
         except (KeyError, TypeError, ValueError) as exc:  # a duplicate name too

@@ -10,7 +10,8 @@ fusing logits through a train-only noisy gate.
 Every training run (stage 1 per representation, stage 2, stage 3, the
 linear probe) goes through ``_train_epochs``, which owns the run's one
 AdamW and its training log and sizes the schedule by the optimizer steps
-it takes; ``_save_stage`` writes every stage checkpoint. ``make_view`` is
+it takes; ``_save_stage`` writes every stage checkpoint, and a stage reads
+a backbone's parameters by their ``encoders.param_names``. ``make_view`` is
 the one place a representation is chosen: its view runs its own encoder.
 Every stage gets its views through ``_scan_view``, which builds a scan's
 un-augmented view of each kind once and keeps it with the scan. A graph
@@ -34,15 +35,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Graph
-from .datagen import (NUM_CLASSES, SceneConfig, build_scene,
+from .datagen import (NUM_CLASSES, CameraRender, SceneConfig, build_scene,
                       render_camera, simulate_lidar)
 from .datagen import augment as augment_cloud
-from .dataio import (DatasetManifest, ScanEntry, TrainingLog, load_manifest,
-                     read_camera_npz, read_json, read_lpcd, resolve,
+from .dataio import (CAMERA_ARRAYS, DatasetManifest, ScanEntry, TrainingLog,
+                     load_manifest, read_camera_npz, read_json, read_lpcd, resolve,
                      save_manifest, write_camera_npz, write_json, write_lpcd)
 from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
-                       init_encoder_params, linear, point_grouping, teacher_features,
-                       teacher_weights, trunk_width, voxel_neighbor_pairs)
+                       init_encoder_params, linear, param_names, point_grouping,
+                       teacher_features, teacher_weights, trunk_width, voxel_neighbor_pairs)
 from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import build_cross_entropy, build_info_nce, build_sms_total
@@ -165,12 +166,10 @@ def generate_dataset(doc: dict, out_dir, seed: int) -> DatasetManifest:
     for split, count in (("train", merged["n_train"]), ("val", merged["n_val"])):
         for i in range(count):
             scene = build_scene(scene_cfg, _step_seed(seed, split, i))
-            cloud = simulate_lidar(scene, sensor)
-            image, superpixels = render_camera(scene, camera, tile)
             scan_rel = f"scans/{split}_{i:03d}.lpcd"
             cam_rel = f"cams/{split}_{i:03d}.npz"
-            write_lpcd(out / scan_rel, cloud)
-            write_camera_npz(out / cam_rel, image, superpixels)
+            write_lpcd(out / scan_rel, simulate_lidar(scene, sensor))
+            write_camera_npz(out / cam_rel, render_camera(scene, camera, tile))
             entry = ScanEntry(scan=scan_rel, camera=cam_rel)
             (manifest.train if split == "train" else manifest.val).append(entry)
     save_manifest(out / "manifest.json", manifest)
@@ -185,8 +184,7 @@ class LoadedScan:
 
     name: str
     cloud: PointCloud
-    image: object = None
-    superpixels: np.ndarray = None
+    render: CameraRender | None = None
     views: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -231,6 +229,8 @@ def load_dataset(dataset_dir) -> DatasetBundle:
     manifest = load_manifest(base / "manifest.json")
     sensor, camera = load_sensors(base)
     shape = (camera.cam_h, camera.cam_w)
+    # the [low, top) range of each id array of a camera render
+    ids = {"class_id": (-1, manifest.num_classes), "superpixel": (0, shape[0] * shape[1])}
 
     def load_split(entries):
         scans = []
@@ -249,15 +249,14 @@ def load_dataset(dataset_dir) -> DatasetBundle:
             scan = LoadedScan(name=Path(e.scan).stem, cloud=cloud)
             if e.camera:
                 cam_path = resolve(base, e.camera)
-                scan.image, scan.superpixels = read_camera_npz(cam_path)
-                for name, arr in (("class_id", scan.image.class_id),
-                                  ("depth", scan.image.depth), ("superpixel", scan.superpixels)):
+                scan.render = read_camera_npz(cam_path)
+                arrays = {name: getattr(scan.render, name) for name in CAMERA_ARRAYS}
+                for name, arr in arrays.items():
                     if arr.shape != shape:
                         raise LidarMoeError(f"{cam_path}: {name} has shape {arr.shape}, "
                                             f"want {shape}")
-                for name, arr, low, top in (
-                        ("class_id", scan.image.class_id, -1, manifest.num_classes),
-                        ("superpixel", scan.superpixels, 0, camera.cam_h * camera.cam_w)):
+                for name, (low, top) in ids.items():
+                    arr = arrays[name]
                     if arr.dtype.kind not in "iu":
                         raise LidarMoeError(f"{cam_path}: {name} has dtype {arr.dtype}, "
                                             "want an integer one")
@@ -282,11 +281,10 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
     """
     usable, partitions = [], {}
     for scan in data.train:
-        if scan.image is None:
+        if scan.render is None:
             raise LidarMoeError(f"train scan {scan.name} lacks camera pairing")
-        partition = build_superpoints(scan.cloud, data.camera, scan.superpixels,
-                                      scan.image.depth,
-                                      tolerance=config.superpoint_tolerance)
+        partition = build_superpoints(scan.cloud, data.camera, scan.render.superpixel,
+                                      scan.render.depth, tolerance=config.superpoint_tolerance)
         if partition.count >= 2:
             usable.append(scan)
             partitions[scan.name] = partition
@@ -391,17 +389,6 @@ def build_group_mean(feats_var, partition, rows=None):
     return ad.segment_mean(ad.gather_rows(feats_var, src), groups, partition.count)
 
 
-def _copy_prefixed(dst: ParameterStore, src: ParameterStore, prefix: str,
-                   trunk_only=False) -> None:
-    dot = prefix + "."
-    for name in src.names():
-        if not name.startswith(dot):
-            continue
-        if trunk_only and name[len(dot):].split(".")[0] in ("head", "logit_head"):
-            continue
-        dst.add(name, src.get(name).copy())
-
-
 def _accumulate(batch_grads: list) -> dict:
     total = {}
     for grads in batch_grads:
@@ -493,9 +480,8 @@ def stage1_pretrain(config: RunConfig, out_dir):
     teacher = teacher_weights(data.num_classes, config.embed_dim,
                               _step_seed(config.seed, "teacher"))
     scans, partitions = _superpoint_scans(config, data)
-    targets = {scan.name: teacher_features(
-        scan.image, teacher, scan.superpixels)[partitions[scan.name].superpixel_of]
-        for scan in scans}
+    targets = {scan.name: teacher_features(scan.render, teacher)[
+        partitions[scan.name].superpixel_of] for scan in scans}
 
     results = {}
     for kind in REPRESENTATIONS:
@@ -535,7 +521,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     The experts are frozen by being only evaluated: each step, every
     expert's per-point features are an array from ``embed_view``, which
     the trained graph fuses as constants. The trained store holds the
-    student's ``<kind>.*`` backbone, which warm-starts from its stage-1
+    student's backbone (``param_names``), which warm-starts from its stage-1
     checkpoint (per ``config.student_init``), and the gate's ``moe.*``.
     Writes that store as the checkpoint, a loss log, and per-scan
     gate-score CSVs from the final epoch. ``experts_frozen`` says whether
@@ -548,6 +534,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     experts = {k: load_checkpoint(expert_ckpts[k])[0] for k in REPRESENTATIONS}
     for kind, expert in experts.items():
         width = embedding_width(expert, kind, expert_ckpts[kind])
+        backbone_kind(expert, kind, expert_ckpts[kind])
         if width != config.embed_dim:
             raise LidarMoeError(f"checkpoint {expert_ckpts[kind]} embeds {kind} in "
                                 f"{width} dims, but embed_dim is {config.embed_dim}")
@@ -555,7 +542,8 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
     store = ParameterStore()
     student_src = experts[config.student] if config.student_init == "stage1" \
         else init_backbone_store(config.student, config, "cml-student")
-    _copy_prefixed(store, student_src, config.student)
+    for name in sum(param_names(config.student), []):
+        store.add(name, student_src.get(name).copy())
     init_moe_params(store, config.embed_dim,
                     np.random.default_rng(_step_seed(config.seed, "init", "moe")))
 
@@ -610,17 +598,13 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
             backbone_kind(src, kind, src_path)
         else:
             src = init_backbone_store(kind, config, "sms")
-        _copy_prefixed(store, src, kind, trunk_only=True)
+        for name in param_names(kind)[0]:
+            store.add(name, src.get(name).copy())
         rng = np.random.default_rng(_step_seed(config.seed, "init", "sms-head", kind))
         add_linear(store, f"{kind}.logit_head", trunk_width(kind), num_classes, rng)
     init_moe_params(store, num_classes,
                     np.random.default_rng(_step_seed(config.seed, "init", "sms-moe")))
     return store
-
-
-def _is_backbone_param(name: str) -> bool:
-    kind = name.split(".", 1)[0]
-    return kind in REPRESENTATIONS and ".logit_head." not in name
 
 
 def _sms_forward_build(ctx, views):
@@ -635,8 +619,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
 
     ``init_ckpts`` maps representation to a warm-start checkpoint (stage-1,
     distilled-student or SMS), whose trunk alone is copied; a missing entry
-    means random init. One AdamW steps every parameter: backbones peak at
-    ``lr_sms_backbone``, logit heads and the gate at ``lr_sms_other``.
+    means random init. One AdamW steps every parameter: the trunks
+    (``param_names``) peak at ``lr_sms_backbone``, logit heads and the gate
+    at ``lr_sms_other``.
     Validation runs after every epoch in eval mode (no gate noise); the
     last one gives ``val_miou``.
     """
@@ -647,6 +632,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     labeled = labeled[:max(1, int(np.ceil(data.annotation_fraction * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
     store = _sms_store(config, init_ckpts, data.num_classes)
+    trunks = {name for kind in REPRESENTATIONS for name in param_names(kind)[0]}
     val_history = []
 
     def graph_fn(idx, scan, epoch):
@@ -665,8 +651,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
         return build, _inputs(views)
 
     def peak_lr(name):
-        return config.lr_sms_backbone if _is_backbone_param(name) \
-            else config.lr_sms_other
+        return config.lr_sms_backbone if name in trunks else config.lr_sms_other
 
     def validate(epoch):
         reports, _ = evaluate_store(store, config, data, split="val", keep_views=True)
@@ -736,14 +721,20 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
 def backbone_kind(store: ParameterStore, representation, source) -> str:
     """``representation`` if ``store`` holds its ``<kind>.*`` parameters,
     else, when it is None, the one backbone kind the store holds; raises
-    LidarMoeError naming the checkpoint ``source`` otherwise."""
-    kinds = [k for k in REPRESENTATIONS if any(n.startswith(k + ".") for n in store.names())]
+    LidarMoeError naming the checkpoint ``source`` otherwise, or naming it
+    and the first trunk parameter of that kind it lacks."""
+    names = store.names()
+    kinds = [k for k in REPRESENTATIONS if any(n.startswith(k + ".") for n in names)]
     if representation is not None and representation not in kinds:
         raise LidarMoeError(f"checkpoint {source} has no {representation} backbone")
     if representation is None and len(kinds) != 1:
         raise LidarMoeError(f"checkpoint {source} holds {len(kinds)} backbones "
                             f"({', '.join(kinds)}); set representation to pick one")
-    return representation or kinds[0]
+    kind = representation or kinds[0]
+    missing = [n for n in param_names(kind)[0] if n not in names]
+    if missing:
+        raise LidarMoeError(f"checkpoint {source} lacks parameter {missing[0]}")
+    return kind
 
 
 def embedding_width(store: ParameterStore, kind, source, head="head") -> int:

@@ -14,8 +14,9 @@ import pytest
 
 import lidarmoe
 from lidarmoe.cli import _prediction_rows, main
-from lidarmoe.datagen import ClassImage
+from lidarmoe.datagen import CameraRender
 from lidarmoe.dataio import read_camera_npz, read_lpcd, write_camera_npz, write_lpcd
+from lidarmoe.encoders import init_encoder_params
 from lidarmoe.moe import write_gate_csv
 from lidarmoe.params import ParameterStore, load_checkpoint, save_checkpoint
 from lidarmoe.pointcloud import PointCloud
@@ -286,6 +287,8 @@ def test_datagen_unknown_top_level_key_exit_2(tmp_path, capsys):
      "scene config x_bounds must be tuple, got 4"),
     ({"n_train": 1, "n_val": 0, "scene": {"n_poles": -1}},
      "scene config n_poles must be >= 0"),
+    ({"n_train": 1, "n_val": 0, "scene": {"ground_half": -1}},
+     "scene config ground_half must be > 0, got -1"),
     ({"n_train": 1.9, "n_val": 0}, "datagen config n_train must be int, got 1.9"),
     ({"n_train": 1, "n_val": 0, "max_range_m": "60"},
      "sensor config max_range_m must be float, got '60'"),
@@ -753,6 +756,24 @@ def _bad_input(case, tmp_path, dataset):
                 {"range": ""}, "sms config init range must be a non-empty path, got ''")}[case]
         return "sms", write_json(tmp_path / "cfg.json", dict(run, sms_epochs=0, init=init)), \
             want
+    if case in ("sms init lacking range.conv2", "cml expert lacking range.conv2"):
+        # the one bad parameter set is checked before any file is written
+        ckpts = {}
+        for kind in ("range", "voxel", "point"):
+            store = ParameterStore()
+            init_encoder_params(store, kind, run["embed_dim"], np.random.default_rng(5))
+            if kind == "range":
+                stripped = ParameterStore()
+                for name in store.names():
+                    if not name.startswith("range.conv2."):
+                        stripped.add(name, store.get(name))
+                store = stripped
+            ckpts[kind] = str(tmp_path / f"{kind}.ckpt")
+            save_checkpoint(ckpts[kind], store, {})
+        doc = dict(run, init={"range": ckpts["range"]}) if case.startswith("sms") \
+            else dict(run, expert_ckpts=ckpts)
+        return case.split()[0], write_json(tmp_path / "cfg.json", doc), \
+            f"checkpoint {ckpts['range']} lacks parameter range.conv2.w"
     if case == "cml expert_ckpts of an extra kind":
         # every checkpoint is missing: the map is checked before any is read
         ckpts = {k: str(tmp_path / "missing") for k in ("range", "voxel", "point", "camera")}
@@ -885,10 +906,10 @@ def _bad_input(case, tmp_path, dataset):
         copy = tmp_path / "ds"
         shutil.copytree(dataset, copy)
         cam = copy / "cams" / "train_000.npz"
-        image, superpixels = read_camera_npz(cam)
+        render = read_camera_npz(cam)
         sensors = json.loads((copy / "sensors.json").read_text())
         shape = (sensors["cam_h"], sensors["cam_w"])
-        class_id, depth = image.class_id.copy(), image.depth
+        class_id, depth, superpixels = render.class_id.copy(), render.depth, render.superpixel
         if case.endswith("of float ids"):
             # written past write_camera_npz, which would cast the ids back to int32
             arrays = {"class_id": class_id, "depth": depth, "superpixel": superpixels}
@@ -907,7 +928,7 @@ def _bad_input(case, tmp_path, dataset):
         else:
             class_id[3, 4] = 9
             want = "class_id has value 9, want one in [-1, 6)"
-        write_camera_npz(cam, ClassImage(class_id, depth), superpixels)
+        write_camera_npz(cam, CameraRender(class_id, depth, superpixels))
         return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
             f"{cam}: {want}"
     raise AssertionError(case)
@@ -930,6 +951,7 @@ def _bad_input(case, tmp_path, dataset):
     "cosine-map with both sources", "pairs_csv mode with epochs -1",
     "features_csv mode with epochs -1", "sms init of a misspelt kind",
     "sms init of an empty path", "cml expert_ckpts of an extra kind",
+    "sms init lacking range.conv2", "cml expert lacking range.conv2",
     "eval given no --config", "cosine-map checkpoint without cloud", "lpcd version 2",
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
     "corrupt of a truncated second scan", "corrupt without sensors.json",

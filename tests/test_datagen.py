@@ -242,10 +242,10 @@ def test_empty_scene_renders_all_sky_one_superpixel_per_tile():
         Primitive("ground-plane", (0.0, 0.0, -500.0), (0.1, 0.1, 1.0), 0),
     ))
     cam = forward_camera(width=32, height=32)
-    image, superpixels = render_camera(scene, cam, tile=16)
-    assert np.all(image.class_id == -1)
-    assert np.all(np.isinf(image.depth))
-    assert superpixels.max() + 1 == 4  # 2x2 tiles, one class each
+    render = render_camera(scene, cam, tile=16)
+    assert np.all(render.class_id == -1)
+    assert np.all(np.isinf(render.depth))
+    assert render.superpixel.max() + 1 == 4  # 2x2 tiles, one class each
 
 
 def test_box_covering_tile_is_single_superpixel():
@@ -255,8 +255,9 @@ def test_box_covering_tile_is_single_superpixel():
         Primitive("box", (5.0, 0.0, 0.0, 0.0), (0.5, 50.0, 50.0), 4),
     ))
     cam = forward_camera(width=32, height=32)
-    image, superpixels = render_camera(scene, cam, tile=16)
-    assert np.all(image.class_id == 4)
+    render = render_camera(scene, cam, tile=16)
+    superpixels = render.superpixel
+    assert np.all(render.class_id == 4)
     # brute-force: every tile single class -> superpixel count = tile count
     assert superpixels.max() + 1 == 4
     for ty in range(2):
@@ -268,11 +269,12 @@ def test_box_covering_tile_is_single_superpixel():
 def test_superpixels_partition_and_single_class():
     scene = build_scene(SceneConfig(), seed=2)
     cam = forward_camera()
-    image, superpixels = render_camera(scene, cam, tile=16)
+    render = render_camera(scene, cam, tile=16)
+    superpixels = render.superpixel
     s = superpixels.max() + 1
     assert np.array_equal(np.unique(superpixels), np.arange(s))
     for sp in range(s):
-        classes = np.unique(image.class_id[superpixels == sp])
+        classes = np.unique(render.class_id[superpixels == sp])
         assert classes.size == 1
 
 
@@ -295,7 +297,7 @@ def test_calibration_consistency():
     sensor = small_sensor(azimuth_steps=128, range_w=128)
     cloud = simulate_lidar(scene, sensor)
     cam = forward_camera()
-    image, _ = render_camera(scene, cam)
+    image = render_camera(scene, cam)
     u, v, ok = project_to_image(cloud, cam)
     ui, vi = np.floor(u).astype(int), np.floor(v).astype(int)
     center = cam.center_in_lidar()

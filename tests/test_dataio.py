@@ -1,5 +1,6 @@
 """Serialization round-trips for point clouds, camera renders, manifests."""
 
+import dataclasses
 import json
 import os
 import re
@@ -7,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from lidarmoe.datagen import ClassImage
-from lidarmoe.dataio import (DatasetManifest, ScanEntry,
+from lidarmoe.datagen import CameraRender
+from lidarmoe.dataio import (CAMERA_ARRAYS, DatasetManifest, ScanEntry,
                              TrainingLog, load_manifest, read_camera_npz,
                              read_json, read_lpcd, save_manifest,
                              write_camera_npz, write_json, write_lpcd)
@@ -91,11 +92,30 @@ def test_camera_npz_roundtrip(tmp_path, rng):
     depth = np.where(cls >= 0, rng.uniform(1, 30, (8, 12)), np.inf)
     sp = rng.integers(0, 5, (8, 12)).astype(np.int32)
     path = tmp_path / "cam.npz"
-    write_camera_npz(path, ClassImage(cls, depth), sp)
-    image, sp2 = read_camera_npz(path)
-    assert np.array_equal(image.class_id, cls)
-    assert np.array_equal(image.depth, depth)
-    assert np.array_equal(sp2, sp)
+    write_camera_npz(path, CameraRender(cls, depth, sp))
+    render = read_camera_npz(path)
+    assert np.array_equal(render.class_id, cls)
+    assert np.array_equal(render.depth, depth)
+    assert np.array_equal(render.superpixel, sp)
+
+
+def test_camera_arrays_name_the_render_fields_in_order():
+    assert list(CAMERA_ARRAYS) == [f.name for f in dataclasses.fields(CameraRender)]
+
+
+def test_camera_npz_roundtrip_stores_each_array_in_its_table_dtype(tmp_path):
+    """Whatever dtypes a render holds, the file holds ``CAMERA_ARRAYS``'
+    under the table's names, and reading gives them back as they are."""
+    render = CameraRender(np.array([[0, -1]], np.int64), np.array([[2.5, np.inf]], np.float32),
+                          np.array([[1, 0]], np.uint8))
+    path = tmp_path / "cam.npz"
+    write_camera_npz(path, render)
+    with np.load(path) as data:
+        assert data.files == list(CAMERA_ARRAYS)
+    back = read_camera_npz(path)
+    for name, dtype in CAMERA_ARRAYS.items():
+        assert getattr(back, name).dtype == dtype
+        assert np.array_equal(getattr(back, name), getattr(render, name))
 
 
 def test_failed_camera_npz_write_leaves_no_file(tmp_path, monkeypatch):
@@ -110,10 +130,10 @@ def test_failed_camera_npz_write_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "savez", dies_halfway)
     cls = np.zeros((4, 6), np.int32)
     with pytest.raises(OSError, match="disk full"):
-        write_camera_npz(tmp_path / "cam.npz", ClassImage(cls, np.ones((4, 6))), cls)
+        write_camera_npz(tmp_path / "cam.npz", CameraRender(cls, np.ones((4, 6)), cls))
     assert os.listdir(tmp_path) == []
     monkeypatch.setattr(np, "savez", savez)
-    write_camera_npz(tmp_path / "cam.npz", ClassImage(cls, np.ones((4, 6))), cls)
+    write_camera_npz(tmp_path / "cam.npz", CameraRender(cls, np.ones((4, 6)), cls))
     assert os.listdir(tmp_path) == ["cam.npz"]
 
 
@@ -184,7 +204,7 @@ def test_lpcd_point_count_past_the_end_is_truncation(tmp_path):
 def test_corrupt_camera_npz_is_a_package_error(tmp_path, rng, cut):
     path = tmp_path / "cam.npz"
     cls = rng.integers(-1, 6, (8, 12)).astype(np.int32)
-    write_camera_npz(path, ClassImage(cls, np.ones((8, 12))), cls)
+    write_camera_npz(path, CameraRender(cls, np.ones((8, 12)), cls))
     if cut == "half":
         path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
     elif cut == "missing array":

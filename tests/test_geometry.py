@@ -211,7 +211,8 @@ def test_wall_scene_assigns_points_bruteforce():
     sensor = SensorModel(beam_count=8, azimuth_steps=64, fov_total_rad=0.4,
                          fov_down_rad=0.2, max_range_m=60.0, range_h=8, range_w=64)
     cloud = simulate_lidar(scene, sensor)
-    image, superpixels = render_camera(scene, cam, tile=16)
+    image = render_camera(scene, cam, tile=16)
+    superpixels = image.superpixel
     part = build_superpoints(cloud, cam, superpixels, image.depth)
     u, v, ok = project_to_image(cloud, cam)
     center = cam.center_in_lidar()

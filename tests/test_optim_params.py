@@ -105,6 +105,7 @@ def _raw_checkpoint(path, manifest, blob=b""):
     ([{"name": "w", "shape": "ab", "trainable": True}], {}, "TypeError"),
     ([{"name": "w", "shape": [1], "trainable": True}] * 2, {},
      "duplicate parameter name: w"),
+    ([{"name": 5, "shape": [1], "trainable": True}], {}, "name must be a string, got 5"),
     ([], None, "KeyError\\('metadata'\\)"),
 ])
 def test_malformed_checkpoint_manifest_is_a_checkpoint_error(tmp_path, params,

@@ -20,7 +20,7 @@ from lidarmoe.pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfi
                                make_view, stage1_pretrain, stage2_cml,
                                stage3_sms)
 from lidarmoe.losses import build_info_nce
-from lidarmoe.encoders import teacher_features, teacher_weights
+from lidarmoe.encoders import param_names, teacher_features, teacher_weights
 from lidarmoe.geometry import SuperpointPartition
 from lidarmoe.sensors import CameraModel, SensorModel, config_from_json, config_to_json
 
@@ -32,6 +32,9 @@ from types import SimpleNamespace
 
 def ckpts_of(results):
     return {k: v["checkpoint"] for k, v in results.items()}
+
+
+MOE_NAMES = ["moe.fusion.w", "moe.fusion.b", "moe.z_gate", "moe.z_noise"]
 
 
 def test_dataset_generation_deterministic(tmp_path):
@@ -88,17 +91,17 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
     cfg = replace(tiny_config, embed_dim=6, centroid_count=6, knn_k=4)
     data = load_dataset(cfg.dataset)
     scan = data.train[0]
-    whole = build_superpoints(scan.cloud, data.camera, scan.superpixels,
-                              scan.image.depth, tolerance=cfg.superpoint_tolerance)
+    whole = build_superpoints(scan.cloud, data.camera, scan.render.superpixel,
+                              scan.render.depth, tolerance=cfg.superpoint_tolerance)
     assigned = np.flatnonzero(whole.point_group >= 0)
     cloud = scan.cloud.select(assigned[:: max(1, assigned.size // 48)][:48])
-    partition = build_superpoints(cloud, data.camera, scan.superpixels,
-                                  scan.image.depth,
+    partition = build_superpoints(cloud, data.camera, scan.render.superpixel,
+                                  scan.render.depth,
                                   tolerance=cfg.superpoint_tolerance)
     assert partition.count >= 2
     teacher = teacher_weights(data.num_classes, cfg.embed_dim,
                               _step_seed(cfg.seed, "teacher"))
-    q = teacher_features(scan.image, teacher, scan.superpixels)
+    q = teacher_features(scan.render, teacher)
     target = q[partition.superpixel_of]
     store = init_backbone_store("point", cfg, "gradtest")
     view = make_view("point", cloud, data.sensor, cfg)
@@ -201,6 +204,7 @@ def test_stage2_backprops_only_the_student_and_gate(student, student_init, tiny_
     result = stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml")
     saved, _ = load_checkpoint(result["checkpoint"])
     assert {n.split(".")[0] for n in saved.names()} == {student, "moe"}
+    assert saved.names() == sum(param_names(student), []) + MOE_NAMES
     assert len(handed) == 2 * result["usable_scans"]
     assert all(names == saved.names() for names in handed)
 
@@ -210,8 +214,8 @@ def test_stage2_exports_the_student_and_gate_it_trained(tiny_config, tmp_path):
     result = stage2_cml(replace(tiny_config, epochs=1), ckpts_of(s1), tmp_path / "cml")
     student, meta = load_checkpoint(result["checkpoint"])
     expert, _ = load_checkpoint(s1["voxel"]["checkpoint"])
-    moe = ["moe.fusion.w", "moe.fusion.b", "moe.z_gate", "moe.z_noise"]
-    assert student.names() == expert.names() + moe
+    assert student.names() == expert.names() + MOE_NAMES
+    assert student.names() == sum(param_names("voxel"), []) + MOE_NAMES
     assert any(not np.array_equal(student.get(n), expert.get(n))
                for n in expert.names())
     assert (meta["stage"], meta["student"], meta["seed"]) == ("cml", "voxel", 1)
@@ -588,7 +592,7 @@ def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_pat
                                                             monkeypatch):
     # overwrite one train camera with an all-sky render: no superpoints
     import shutil
-    from lidarmoe.datagen import ClassImage
+    from lidarmoe.datagen import CameraRender
     from lidarmoe.dataio import write_camera_npz
     from lidarmoe.optim import AdamW
     src = tiny_config.dataset
@@ -597,9 +601,9 @@ def test_stage1_skips_and_counts_scans_with_few_superpoints(tiny_config, tmp_pat
     import json
     sdoc = json.loads((dst / "sensors.json").read_text())
     h, w = sdoc["cam_h"], sdoc["cam_w"]
-    sky = ClassImage(np.full((h, w), -1, np.int32), np.full((h, w), np.inf))
-    write_camera_npz(dst / "cams" / "train_000.npz", sky,
-                     np.zeros((h, w), np.int32))
+    sky = CameraRender(np.full((h, w), -1, np.int32), np.full((h, w), np.inf),
+                       np.zeros((h, w), np.int32))
+    write_camera_npz(dst / "cams" / "train_000.npz", sky)
     schedules = []
     original = AdamW.step
 
@@ -648,15 +652,16 @@ def test_stage1_and_cml_reject_dataset_without_two_superpoints(tiny_config,
     # every train camera an all-sky render: no scan has a superpoint
     import json
     import shutil
-    from lidarmoe.datagen import ClassImage
+    from lidarmoe.datagen import CameraRender
     from lidarmoe.dataio import write_camera_npz
     dst = tmp_path / "sky"
     shutil.copytree(tiny_config.dataset, dst)
     sdoc = json.loads((dst / "sensors.json").read_text())
     h, w = sdoc["cam_h"], sdoc["cam_w"]
-    sky = ClassImage(np.full((h, w), -1, np.int32), np.full((h, w), np.inf))
+    sky = CameraRender(np.full((h, w), -1, np.int32), np.full((h, w), np.inf),
+                       np.zeros((h, w), np.int32))
     for cam in (dst / "cams").glob("train_*.npz"):
-        write_camera_npz(cam, sky, np.zeros((h, w), np.int32))
+        write_camera_npz(cam, sky)
     errors = _stage1_and_cml_errors(tiny_config, dst, tmp_path)
     assert errors == ["no train scan has at least two superpoints"] * 2
 
@@ -680,6 +685,30 @@ def test_sms_honors_annotation_fraction(tiny_config, tmp_path):
     terms = {l.split(",")[2] for l in log[1:]}
     assert {"range_ce", "range_lovasz", "voxel_ce", "voxel_lovasz",
             "point_ce", "fused_ce"} <= terms
+
+
+def test_sms_store_is_each_trunk_and_logit_head_and_peaks_lr_by_trunk(tiny_config, tmp_path,
+                                                                    monkeypatch):
+    """From stage-1 checkpoints, which also hold embedding heads, an SMS
+    store is each kind's trunk and then its logit head, then the gate; the
+    trunk names, and no others, peak at ``lr_sms_backbone``."""
+    import lidarmoe.pipeline as pipeline
+    s1 = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "s1")
+    peaks, train = {}, pipeline._train_epochs
+
+    def recording(config, scans, graph_fn, store, peak_lr, *rest):
+        peaks.update((name, peak_lr(name)) for name in store.names())
+        return train(config, scans, graph_fn, store, peak_lr, *rest)
+
+    monkeypatch.setattr(pipeline, "_train_epochs", recording)
+    cfg = replace(tiny_config, sms_epochs=0)
+    stage3_sms(cfg, ckpts_of(s1), tmp_path / "sms")
+    trunks = [name for kind in REPRESENTATIONS for name in param_names(kind)[0]]
+    assert list(peaks) == [name for kind in REPRESENTATIONS for name in param_names(kind)[0]
+                           + [f"{kind}.logit_head.w", f"{kind}.logit_head.b"]] + MOE_NAMES
+    assert [n for n, lr in peaks.items() if lr == cfg.lr_sms_backbone] == trunks
+    assert {lr for n, lr in peaks.items() if n not in trunks} == {cfg.lr_sms_other}
+    assert cfg.lr_sms_backbone != cfg.lr_sms_other
 
 
 def test_stage3_honors_batch_size(small_dataset, monkeypatch, tmp_path):
