@@ -1,8 +1,21 @@
 """Minimal reverse-mode differentiation engine.
 
-Values are held in ``Var`` nodes that record their parents and a backward
-closure as operations are applied, so any composition of the primitives below
-is differentiable.
+A train-mode run records a tape: one entry (a :class:`Var`) per primitive
+output that depends on a parameter, linked to the entries of its operands
+and holding the backward closure that maps the output's grad to theirs. So
+any composition of the primitives below is differentiable.
+
+A tape entry holds no array. A primitive output on the tape is a
+:class:`Value`, a handle that holds the output array and its entry, so the
+array lives only while the build code holds the handle or a backward
+closure saved it. Each closure saves exactly the arrays, shapes and flags
+its grads read, and never a ``Var`` or a ``Value``; ``relu``, for one,
+saves its boolean mask, not its input. :func:`_backprop` releases each
+entry's grad, closure and parent links once its backward has run, so a
+saved array dies with the last closure that reads it. Leaves (inputs,
+parameters, constants) are ``Var`` objects that hold their arrays and are
+their own entries; a parameter leaf keeps its grad. An eval-mode run
+records no tape: every output is a leaf.
 
 The graph's dtype is the one compute dtype, in the forward and the backward
 pass: storage, elementwise operations, matrix products and gradient buffers
@@ -49,38 +62,84 @@ def _finite(data: np.ndarray, what) -> np.ndarray:
 
 
 class Var:
-    """One node of the recorded computation.
+    """One tape entry: its operands' entries ``parents``, its backward
+    closure ``bwd``, its summed ``grad`` and the ``dtype`` that grad is
+    kept in.
 
-    ``data`` is a numpy array (float32 in normal mode, float64 in exact
+    A leaf (an input, a parameter or a constant) is its own entry and also
+    holds its array, ``data`` (float32 in normal mode, float64 in exact
     mode). A parameter leaf requires grad exactly in a train-mode run;
-    inputs and constants never do. Interior nodes require grad iff any
-    parent does, so an eval-mode run records no parents and no backward
-    closures.
+    inputs and constants never do. A primitive output requires grad iff
+    an operand does: then it is a :class:`Value` whose entry holds no
+    array (``data`` is None), else a leaf, so an eval-mode run records no
+    parents and no backward closures. :func:`_backprop` empties an
+    interior entry's ``grad``, ``bwd`` and ``parents`` once its backward
+    has run; a leaf keeps its grad.
     """
 
-    __slots__ = ("data", "grad", "parents", "bwd", "requires_grad")
+    __slots__ = ("data", "dtype", "grad", "parents", "bwd", "requires_grad")
 
-    def __init__(self, data, parents=(), bwd=None, requires_grad=False):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
-        self.parents = parents if (requires_grad and parents) else ()
-        self.bwd = bwd if (requires_grad and parents) else None
+        self.dtype = self.data.dtype
         self.requires_grad = requires_grad
-        self.grad = None
+        self.grad, self.parents, self.bwd = None, (), None
+
+    @classmethod
+    def _interior(cls, dtype, parents, bwd):
+        """The entry of a primitive output that requires grad."""
+        entry = cls.__new__(cls)
+        entry.data, entry.dtype, entry.requires_grad = None, dtype, True
+        entry.grad, entry.parents, entry.bwd = None, parents, bwd
+        return entry
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def entry(self):
+        return self
+
     def add_grad(self, g):
         # never written in place: a closure may hand one array to two parents
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False)
+            self.grad = g.astype(self.dtype, copy=False)
         else:
-            self.grad = (self.grad + g).astype(self.data.dtype, copy=False)
+            self.grad = (self.grad + g).astype(self.dtype, copy=False)
 
 
-def as_var(x) -> Var:
-    if isinstance(x, Var):
+class Value:
+    """A primitive output that requires grad: its array ``data`` and its
+    tape ``entry``. The entry does not hold the array, so the array is
+    freed once the build code drops this handle, unless a backward closure
+    saved it."""
+
+    __slots__ = ("data", "entry")
+    requires_grad = True
+
+    def __init__(self, data, entry):
+        self.data, self.entry = data, entry
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def parents(self):
+        return self.entry.parents
+
+    @property
+    def bwd(self):
+        return self.entry.bwd
+
+    @bwd.setter
+    def bwd(self, fn):
+        self.entry.bwd = fn
+
+
+def as_var(x):
+    if isinstance(x, (Var, Value)):
         return x
     return Var(_finite(np.asarray(x), "constant"))
 
@@ -90,8 +149,16 @@ def _out(data, parents, bwd):
         # every primitive defines its backward closure in its own body
         primitive = bwd.__qualname__.split(".")[0]
         raise NonFiniteError(f"non-finite value in output of {primitive}")
-    req = any(p.requires_grad for p in parents)
-    return Var(data, parents=tuple(parents), bwd=bwd, requires_grad=req)
+    if not any(p.requires_grad for p in parents):
+        return Var(data)
+    data = np.asarray(data)
+    return Value(data, Var._interior(data.dtype, tuple(p.entry for p in parents), bwd))
+
+
+def _saved(var, value):
+    """``value`` if ``var`` takes a grad, else None: a closure saves what an
+    operand's grad reads only for an operand that takes one."""
+    return value if var.requires_grad else None
 
 
 def _reduce_sum(x, axis=None, keepdims=False):
@@ -122,24 +189,24 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = as_var(a), as_var(b)
-    data = a.data + b.data
+    sa, sb = _saved(a, a.shape), _saved(b, b.shape)
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
-    return _out(data, (a, b), bwd)
+    return _out(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = as_var(a), as_var(b)
-    data = a.data - b.data
+    sa, sb = _saved(a, a.shape), _saved(b, b.shape)
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(-g, sb))
 
-    return _out(data, (a, b), bwd)
+    return _out(a.data - b.data, (a, b), bwd)
 
 
 def neg(a):
@@ -149,45 +216,48 @@ def neg(a):
 
 def mul(a, b):
     a, b = as_var(a), as_var(b)
-    data = a.data * b.data
-    ad, bd = a.data, b.data
+    # each operand's grad reads the other operand
+    ad, bd = _saved(b, a.data), _saved(a, b.data)
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
-                _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
-    return _out(data, (a, b), bwd)
+    return _out(a.data * b.data, (a, b), bwd)
 
 
 def div(a, b):
     a, b = as_var(a), as_var(b)
-    data = a.data / b.data
-    ad, bd = a.data, b.data
+    # both grads read the divisor; only the divisor's reads the dividend
+    ad, bd, take_a = _saved(b, a.data), b.data, a.requires_grad
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g / bd, ad.shape) if a.requires_grad else None,
-                _unbroadcast(-g * ad / (bd * bd), bd.shape) if b.requires_grad else None)
+        return (_unbroadcast(g / bd, sa) if take_a else None,
+                None if ad is None else _unbroadcast(-g * ad / (bd * bd), sb))
 
-    return _out(data, (a, b), bwd)
+    return _out(a.data / b.data, (a, b), bwd)
 
 
 def matmul(a, b):
     a, b = as_var(a), as_var(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise LidarMoeError(f"matmul {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-    ad, bd = a.data, b.data
+    # each operand's grad reads the other operand
+    ad, bd = _saved(b, a.data), _saved(a, b.data)
 
     def bwd(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return (None if bd is None else g @ bd.T,
+                None if ad is None else ad.T @ g)
 
-    return _out(data, (a, b), bwd)
+    return _out(a.data @ b.data, (a, b), bwd)
 
 
 def relu(a):
     a = as_var(a)
-    return _out(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
+    mask = a.data > 0 if a.requires_grad else None
+    return _out(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def softplus(a):
@@ -252,12 +322,12 @@ def concat_cols(parts):
     if len(rows) != 1:
         raise LidarMoeError(f"concat_cols row mismatch: {sorted(rows)}")
     data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.data.shape[1] for p in parts]
+    widths = [(p.data.shape[1], p.requires_grad) for p in parts]
 
     def bwd(g):
         grads, j = [], 0
-        for p, w in zip(parts, widths):
-            grads.append(g[:, j:j + w] if p.requires_grad else None)
+        for w, take in widths:
+            grads.append(g[:, j:j + w] if take else None)
             j += w
         return tuple(grads)
 
@@ -369,13 +439,14 @@ def segment_max(a, seg, num_segments):
     counts = np.bincount(seg, minlength=num_segments)
     if np.any(counts == 0):
         raise LidarMoeError("segment_max requires all segments non-empty")
-    data = np.full((num_segments, d), -np.inf, dtype=a.data.dtype)
-    np.maximum.at(data, seg, a.data)
+    x = a.data
+    data = np.full((num_segments, d), -np.inf, dtype=x.dtype)
+    np.maximum.at(data, seg, x)
 
     def bwd(g):
         winners = np.full((num_segments, d), n, dtype=np.int64)
         rows = np.arange(n, dtype=np.int64)[:, None]
-        np.minimum.at(winners, seg, np.where(a.data == data[seg], rows, n))
+        np.minimum.at(winners, seg, np.where(x == data[seg], rows, n))
         # each column's winners are distinct rows, so no target repeats
         full = np.zeros((n, d), dtype=g.dtype)
         full[winners, np.arange(d)] = g
@@ -455,19 +526,21 @@ def conv2d3x3(x, w, b):
         acc += xflat[s:s + n] @ tap
     acc += b.data
     data = acc.reshape(h, row, cout)[:, :wd]
+    # the image grad reads the taps, the weight grad the padded image
+    taps, xflat, take_b = _saved(x, taps), _saved(w, xflat), b.requires_grad
 
     def bwd(g):
         gflat = _padded_rows(g, dtype)
         gx = gw = gb = None
-        if x.requires_grad:
+        if taps is not None:
             gacc = gflat[starts[8]:starts[8] + n] @ taps[0].T
             for s, tap in zip(starts[7::-1], taps[1:]):
                 gacc += gflat[s:s + n] @ tap.T
             gx = gacc.reshape(h, row, cin)[:, :wd]
-        if w.requires_grad:
+        if xflat is not None:
             centre = gflat[row + 1:row + 1 + n]
             gw = np.concatenate([xflat[s:s + n].T @ centre for s in starts])
-        if b.requires_grad:
+        if take_b:
             gb = _reduce_sum(g, axis=(0, 1))
         return gx, gw, gb
 
@@ -559,8 +632,13 @@ def evaluate(graph, params, inputs):
     return {k: v.data for k, v in outputs.items()}
 
 
-def _backprop(loss_var: Var):
-    topo, visited, stack = [], set(), [(loss_var, False)]
+def _backprop(loss_var):
+    """Accumulate the grads of the scalar ``loss_var`` into every entry it
+    depends on. Once an entry's backward has run, its grad, closure and
+    parent links are released, so each array a closure saved dies with the
+    last closure that reads it; parameter leaves keep their grads."""
+    root = loss_var.entry
+    topo, visited, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -573,13 +651,14 @@ def _backprop(loss_var: Var):
         for p in node.parents:
             stack.append((p, False))
 
-    loss_var.grad = np.ones(loss_var.data.shape, dtype=loss_var.data.dtype)
+    root.grad = np.ones(loss_var.data.shape, dtype=loss_var.data.dtype)
     for node in reversed(topo):
-        if node.bwd is None or node.grad is None:
-            continue
-        for parent, g in zip(node.parents, node.bwd(node.grad)):
-            if parent.requires_grad:
-                parent.add_grad(g)
+        if node.bwd is not None and node.grad is not None:
+            for parent, g in zip(node.parents, node.bwd(node.grad)):
+                if parent.requires_grad:
+                    parent.add_grad(g)
+        if node.parents:
+            node.grad, node.bwd, node.parents = None, None, ()
 
 
 def _param_grads(graph, params, inputs, seed, dtype):

@@ -1,5 +1,8 @@
 """Differentiation-core contracts: forward values, reverse-mode gradients
-against central differences, determinism, and error handling."""
+against central differences, determinism, value lifetimes, and error
+handling."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -472,6 +475,83 @@ def test_grad_array_shared_by_two_parents_is_not_overwritten(shared_first):
     _, grads = ad.backward(Graph(build), store, {})
     assert np.array_equal(grads["a"], w1 + w2)
     assert np.array_equal(grads["b"], w1)
+
+
+# -- value lifetimes -----------------------------------------------------------
+
+def _captured(values):
+    """``values`` with every list and tuple in them unpacked."""
+    found = []
+    for value in values:
+        found += _captured(value) if isinstance(value, (list, tuple)) else [value]
+    return found
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_backward_closures_save_no_graph_value(name):
+    """A closure saves arrays, shapes and flags, never a ``Var`` or a
+    ``Value``, so it keeps no operand's array alive that its grads do not
+    read."""
+    shapes, body = POLICY_CASES[name]
+    out = body({k: ad.Var(np.ones(s), requires_grad=True) for k, s in shapes.items()})
+    saved = _captured(cell.cell_contents for cell in out.bwd.__closure__ or ())
+    assert not [v for v in saved if isinstance(v, (ad.Var, ad.Value))]
+
+
+def _lifetime_graph(refs):
+    """loss = sum(relu(add(mul(p, x), c)) @ w), with weak references to the
+    arrays of the ``mul``, ``add`` and ``relu`` outputs. ``add`` saves
+    shapes, ``relu`` its mask, and ``matmul`` its operand ``r`` for
+    ``w``'s grad."""
+    def build(ctx):
+        m = ad.mul(ctx.param("p"), ctx.input("x"))
+        h = ad.add(m, ctx.input("c"))
+        r = ad.relu(h)
+        refs.update(mul=weakref.ref(m.data), add=weakref.ref(h.data),
+                    relu=weakref.ref(r.data))
+        return {"loss": ad.sum_all(ad.matmul(r, ctx.param("w")))}
+
+    rng = np.random.default_rng(21)
+    store = make_store(p=rng.standard_normal((6, 4)), w=rng.standard_normal((4, 3)))
+    inputs = {k: rng.standard_normal((6, 4)).astype(np.float32) for k in ("x", "c")}
+    return Graph(build), store, inputs
+
+
+def test_an_intermediate_only_the_build_held_is_freed_by_the_forward():
+    refs = {}
+    graph, store, inputs = _lifetime_graph(refs)
+    _, outputs = graph.run(store, inputs, train_mode=True)
+    assert refs["mul"]() is None and refs["add"]() is None
+    assert outputs["loss"].data.shape == ()
+
+
+def test_a_saved_array_lives_until_its_backward_has_run():
+    refs = {}
+    graph, store, inputs = _lifetime_graph(refs)
+    _, outputs = graph.run(store, inputs, train_mode=True)
+    assert refs["relu"]() is not None
+    ad._backprop(outputs["loss"])
+    assert refs["relu"]() is None
+
+
+def test_backprop_releases_every_interior_entry_and_keeps_parameter_grads():
+    graph, store, inputs = _lifetime_graph({})
+    ctx, outputs = graph.run(store, inputs, train_mode=True)
+    root = getattr(outputs["loss"], "entry", outputs["loss"])
+    interior, stack = [], [root]
+    while stack:
+        entry = stack.pop()
+        if entry.parents and all(entry is not e for e in interior):
+            interior.append(entry)
+            stack.extend(entry.parents)
+    assert len(interior) == 5  # mul, add, relu, matmul, sum_all
+    ad._backprop(outputs["loss"])
+    assert all((e.grad, e.bwd, e.parents) == (None, None, ()) for e in interior)
+    grads = {name: var.grad for name, var in ctx.param_vars().items()}
+    assert sorted(grads) == ["p", "w"]
+    _, want = ad.backward(graph, store, inputs)
+    for name, g in grads.items():
+        assert g.tobytes() == want[name].tobytes(), name
 
 
 def test_shape_validation():
