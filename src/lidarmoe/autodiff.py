@@ -563,10 +563,9 @@ class GraphContext:
     given noise draw is a pure function of the run seed and its tag.
     """
 
-    def __init__(self, inputs, params, train_mode, seed, dtype, overrides=None):
+    def __init__(self, inputs, params, train_mode, seed, dtype):
         self._inputs = inputs
         self._params = params
-        self._overrides = overrides or {}
         self._vars = {}
         self.train_mode = train_mode
         self.seed = seed
@@ -584,10 +583,7 @@ class GraphContext:
     def param(self, name) -> Var:
         key = ("p", name)
         if key not in self._vars:
-            if name in self._overrides:
-                value = self._overrides[name].astype(self.dtype)
-            else:
-                value = self._params.get(name).astype(self.dtype)
+            value = self._params.get(name).astype(self.dtype)
             self._vars[key] = Var(_finite(value, f"parameter {name}"),
                                   requires_grad=self.train_mode)
         return self._vars[key]
@@ -611,10 +607,9 @@ class Graph:
     def __init__(self, build):
         self.build = build
 
-    def run(self, params, inputs, train_mode=False, seed=0, dtype=np.float32,
-            overrides=None):
+    def run(self, params, inputs, train_mode=False, seed=0, dtype=np.float32):
         global _check_nodes
-        args = (inputs, params, train_mode, seed, dtype, overrides)
+        args = (inputs, params, train_mode, seed, dtype)
         checks, _check_nodes = _check_nodes, False
         try:
             ctx = GraphContext(*args)
@@ -703,22 +698,23 @@ def grad_check(graph, params, inputs, eps=1e-3, seed=0):
     error per scalar is ``|a - n| / max(1e-8, |a| + |n|)``.
     """
     _, analytic = _param_grads(graph, params, inputs, seed, np.float64)
+    # float64 copies of the params the graph reads, perturbed in place: a
+    # graph reads its params through ``get`` alone
+    values = {name: params.get(name).astype(np.float64) for name in analytic}
 
-    def eval_loss(overrides):
-        _, outs = graph.run(params, inputs, train_mode=True, seed=seed,
-                            dtype=np.float64, overrides=overrides)
+    def eval_loss():
+        _, outs = graph.run(values, inputs, train_mode=True, seed=seed, dtype=np.float64)
         return float(outs["loss"].data)
 
     worst = 0.0
     for name in sorted(analytic):
-        base = params.get(name).astype(np.float64)
-        flat = base.ravel()
+        flat = values[name].ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = eval_loss({name: base})
+            lp = eval_loss()
             flat[i] = orig - eps
-            lm = eval_loss({name: base})
+            lm = eval_loss()
             flat[i] = orig
             numeric = (lp - lm) / (2.0 * eps)
             a = analytic[name].ravel()[i]

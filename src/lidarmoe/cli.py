@@ -254,8 +254,6 @@ def _cmd_route_stats(args, _, opts):
 
 
 def _cmd_cosine_map(args, cfg, opts):
-    if opts["features_csv"] is None and opts["checkpoint"] is None:
-        raise LidarMoeError("cosine-map config missing key 'checkpoint'")
     from_csv = _source("cosine-map", opts, "features_csv", "checkpoint") == "features_csv"
     if not from_csv and opts["cloud"] is None:
         raise LidarMoeError("cosine-map from a checkpoint needs a cloud")

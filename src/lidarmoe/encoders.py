@@ -13,7 +13,8 @@ parameter prefix and a head name:
   shared pointwise MLP (4 -> 32) max-pooled per group, and a per-point
   head over (own feature || nearest centroid feature). A group lists its
   k points by ascending distance to the centroid, ties to the smaller
-  point id.
+  point id. Grouping is one pass over the centroids and builds no
+  distance matrix.
 
 A backbone's parameter names come from its ``_LAYERS`` rows (``param_names``),
 so no other module parses a name to tell its trunk from its head.
@@ -140,33 +141,6 @@ def build_voxel_embed(ctx, feats, pairs, prefix, head):
 # point encoder
 # ---------------------------------------------------------------------------
 
-def _fps_sq_dist(xyz: np.ndarray, count: int):
-    """Greedy farthest-point centroid ids, starting from point 0 (distance
-    ties resolve to the smallest id), plus the (count, N) float64 squared
-    distances from each centroid to every point."""
-    n = xyz.shape[0]
-    count = min(count, n)
-    if count < 1:
-        raise LidarMoeError("need at least one point and one centroid")
-    x, y, z = (xyz[:, j].astype(np.float64) for j in range(3))
-    chosen = np.zeros(count, np.int64)
-    d2 = np.empty((count, n), np.float64)
-    dist = None
-    for i in range(count):
-        if i:
-            chosen[i] = int(np.argmax(dist))
-        c = chosen[i]
-        dx, dy, dz = x - x[c], y - y[c], z - z[c]
-        row = d2[i]
-        np.multiply(dx, dx, out=row)
-        row += dy * dy
-        row += dz * dz
-        # the running minimum compares Euclidean distances, as sqrt can
-        # merge nearly equal squared distances into one tie
-        dist = np.sqrt(row) if dist is None else np.minimum(dist, np.sqrt(row))
-    return chosen, d2
-
-
 @dataclass(frozen=True)
 class PointGrouping:
     """Sampled centroids plus their k-NN membership and the per-point
@@ -185,25 +159,38 @@ class PointGrouping:
 def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGrouping:
     """FPS centroids, each centroid's k nearest points in ascending squared
     distance (ties to the smaller point id), and each point's nearest
-    centroid (ties to the earlier centroid)."""
-    if cloud.count < 1 or k < 1:
+    centroid (ties to the earlier centroid), in one pass over the centroids
+    that reads each centroid's distance row once and keeps no (count, N)
+    matrix."""
+    n = cloud.count
+    if n < 1 or k < 1:
         raise LidarMoeError("need at least one point and k >= 1")
-    centroids, d2 = _fps_sq_dist(cloud.xyz, centroid_count)
-    count, k_eff = centroids.shape[0], min(k, cloud.count)
-    kth = np.partition(d2, k_eff - 1, axis=1)[:, k_eff - 1].copy()
-    # every row has >= k_eff candidates at or below its k-th distance;
-    # ordering them by (row, distance, point id) puts each row's k nearest
-    # first
-    rows, cols = np.nonzero(d2 <= kth[:, None])
-    order = np.lexsort((cols, d2[rows, cols], rows))
-    rows, cols = rows[order], cols[order]
-    starts = np.searchsorted(rows, np.arange(count))
-    first_k = (starts[:, None] + np.arange(k_eff)).ravel()
-    nearest = np.argmin(d2, axis=0).astype(np.int64)
-    return PointGrouping(centroids,
-                         cols[first_k].astype(np.int64),
-                         np.repeat(np.arange(count, dtype=np.int64), k_eff),
-                         nearest)
+    count, k_eff = min(centroid_count, n), min(k, n)
+    if count < 1:
+        raise LidarMoeError("need at least one point and one centroid")
+    x, y, z = (cloud.xyz[:, j].astype(np.float64) for j in range(3))
+    centroids = np.zeros(count, np.int64)
+    members = np.empty((count, k_eff), np.int64)
+    nearest = np.zeros(n, np.int64)
+    # all infinite, so the first argmax is point 0 and the first row is
+    # every point's nearest
+    dist, best = np.full(n, np.inf), np.full(n, np.inf)
+    for i in range(count):
+        c = centroids[i] = np.argmax(dist)
+        dx, dy, dz = x - x[c], y - y[c], z - z[c]
+        row = dx * dx
+        row += dy * dy
+        row += dz * dz
+        # the running minimum compares Euclidean distances, as sqrt can
+        # merge nearly equal squared distances into one tie
+        np.minimum(dist, np.sqrt(row), out=dist)
+        nearest[row < best] = i  # strict: a tie keeps the earlier centroid
+        np.minimum(best, row, out=best)
+        kth = np.partition(row, k_eff - 1)[k_eff - 1]
+        near = np.flatnonzero(row <= kth)
+        members[i] = near[np.lexsort((near, row[near]))[:k_eff]]
+    return PointGrouping(centroids, members.ravel(),
+                         np.repeat(np.arange(count, dtype=np.int64), k_eff), nearest)
 
 
 def build_point_embed(ctx, feats, grouping: PointGrouping, prefix, head):

@@ -4,13 +4,13 @@ Runs datagen and then the chain of acceptance criterion 10 at reduced
 length (pretrain, cml, probe, sms, eval, route-stats on each axis), a cml
 with a randomly initialised range student, a random-baseline probe, a
 one-scan datagen on the 64 x 512 sensor of the ``chain_dense_aug``
-benchmark workload, plus a beam-missing corrupt of the val split and an
-eval of the sms checkpoint on that camera-less copy (what the
-``robust_eval`` workload times), in a temporary directory, and prints
-``sha256 relpath`` for every file there, sorted by path. Every path the chain is
-given is relative, so no output holds the temporary directory's name. Two
-source trees write byte-identical outputs exactly when their fingerprints
-agree:
+benchmark workload and a one-epoch augmented pretrain on it, plus a
+beam-missing corrupt of the val split and an eval of the sms checkpoint
+on that camera-less copy (what the ``robust_eval`` workload times), in a
+temporary directory, and prints ``sha256 relpath`` for every file there,
+sorted by path. Every path the chain is given is relative, so no output
+holds the temporary directory's name. Two source trees write
+byte-identical outputs exactly when their fingerprints agree:
 
     git worktree add ../lidarmoe-parent HEAD~1
     diff <(PYTHONPATH=../lidarmoe-parent/src python tests/fingerprint_chain.py) \\
@@ -52,6 +52,7 @@ CHAIN = [
      "cml_range"),
     ("probe", dict(RUN, random_baseline=True), "probe_random"),
     ("datagen", DENSE_DATAGEN, "data_dense"),
+    ("pretrain", dict(RUN, dataset="data_dense", epochs=1, augment=True), "s1_dense"),
     ("corrupt", {"dataset": "data", "kind": "beam-missing", "severity": 2, "split": "val"},
      "data_beam"),
     ("eval", dict(RUN, dataset="data_beam", checkpoint="sms/sms_model.ckpt"), "eval_beam"),

@@ -468,7 +468,7 @@ def _full_docs(tmp_path, dataset):
 @pytest.mark.parametrize("command,key", [
     ("corrupt", "dataset"), ("corrupt", "kind"), ("corrupt", "severity"),
     ("route-stats", "gates_csv"), ("route-stats", "cloud"),
-    ("cosine-map", "query_id"), ("cosine-map", "checkpoint"),
+    ("cosine-map", "query_id"),
     ("report", "model_ious"), ("report", "baseline_ious"), ("report", "clean_iou"),
 ])
 def test_missing_config_key_exit_2_naming_it(tmp_path, tiny_dataset, capsys,
@@ -734,8 +734,10 @@ def _bad_input(case, tmp_path, dataset):
         command = case.split()[0]
         want = {"cml": "cml config needs expert_ckpts or stage1_dir",
                 "probe": "probe config needs checkpoint or random_baseline",
-                "eval": "eval config needs checkpoint or pairs_csv"}[command]
-        return command, write_json(tmp_path / "cfg.json", run), want
+                "eval": "eval config needs checkpoint or pairs_csv",
+                "cosine-map": "cosine-map config needs features_csv or checkpoint"}[command]
+        doc = dict(run, query_id=0) if command == "cosine-map" else run
+        return command, write_json(tmp_path / "cfg.json", doc), want
     if case.endswith("with both sources"):
         # every file is missing: the two sources are rejected before any is read
         command = case.split()[0]
@@ -947,6 +949,7 @@ def _bad_input(case, tmp_path, dataset):
     "cosine-map features with inf",
     "pairs CSV header pred,label", "pairs CSV of three fields", "pairs CSV labels all -1",
     "cml with neither source", "probe with neither source", "eval with neither source",
+    "cosine-map with neither source",
     "cml with both sources", "probe with both sources", "eval with both sources",
     "cosine-map with both sources", "pairs_csv mode with epochs -1",
     "features_csv mode with epochs -1", "sms init of a misspelt kind",

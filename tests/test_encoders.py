@@ -1,6 +1,8 @@
 """Backbone contracts: shapes, equivariances, pooling oracles, teacher
 constancy, and micro-scale gradient checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,22 @@ def test_fps_starts_at_point_zero_and_spreads():
 def test_fps_clips_to_n():
     xyz = np.zeros((3, 3))
     assert fps_ids(xyz, 10).shape[0] == 3
+
+
+def test_point_grouping_holds_no_centroid_by_point_matrix():
+    # at 48 centroids a (48, N) float64 distance matrix alone is 7.7 MB;
+    # a pass that keeps one distance row per centroid peaks near 2 MB
+    rng = np.random.default_rng(11)
+    n = 20000
+    xyz = rng.uniform(-40.0, 40.0, (n, 3)).astype(np.float32)
+    cloud = PointCloud(xyz, np.zeros(n), np.zeros(n), np.zeros(n))
+    tracemalloc.start()
+    try:
+        point_grouping(cloud, 48, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_point_single_point(rng):

@@ -1,7 +1,8 @@
 """The whole-array view geometry and scatter-adds against the reference
 loop/dict/``np.add.at`` implementations in ``oracles``: equal dtype, shape
-and values on reference scans, augmented copies, tie-heavy and tiny
-clouds, negative coordinates and zero-row inputs."""
+and values on reference scans, augmented copies, an augmented 64 x 512
+scan, tie-heavy and tiny clouds, negative coordinates and zero-row
+inputs."""
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ def reference_clouds(tmp_path_factory):
     return clouds
 
 
+@pytest.fixture(scope="module")
+def dense_cloud(tmp_path_factory):
+    """One augmented scan of a 64 x 512 sensor, about 21k points."""
+    out = tmp_path_factory.mktemp("oracle_dense")
+    generate_dataset({"n_train": 1, "n_val": 0, "beam_count": 64, "azimuth_steps": 512,
+                      "range_h": 64, "range_w": 512}, out, seed=0)
+    return augment(load_dataset(out).train[0].cloud, 5)
+
+
 def tie_heavy_clouds():
     rng = np.random.default_rng(7)
     base = rng.uniform(-20.0, 20.0, (300, 3))
@@ -91,9 +101,9 @@ def check_view_geometry(cloud, centroid_count, k, sizes):
         assert_same(got, ref)
 
 
-def test_view_geometry_matches_oracles_on_reference_scans(reference_clouds):
+def test_view_geometry_matches_oracles_on_reference_scans(reference_clouds, dense_cloud):
     assert len(reference_clouds) == 28
-    for cloud in reference_clouds:
+    for cloud in [*reference_clouds, dense_cloud]:
         check_view_geometry(cloud, REF.centroid_count, REF.knn_k, REF.voxel_size)
 
 
