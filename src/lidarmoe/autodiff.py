@@ -292,12 +292,14 @@ def log_softmax_rows(a):
     a = as_var(a)
     if a.data.ndim != 2:
         raise LidarMoeError("log_softmax_rows expects 2D input")
-    x = a.data.astype(np.float64)
-    shifted = x - _row_max(x)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    y64 = shifted - lse
-    data = y64.astype(a.data.dtype)
+    # one float64 buffer shifted and normalised in place; the saved
+    # softmax is computed into the exp buffer
+    y64 = a.data.astype(np.float64)
+    y64 -= _row_max(y64)
     sm = np.exp(y64)
+    y64 -= np.log(np.sum(sm, axis=1, keepdims=True))
+    data = y64.astype(a.data.dtype)
+    np.exp(y64, out=sm)
 
     def bwd(g):
         # rounded once to the graph dtype before any sum with other grads
@@ -576,7 +578,7 @@ class GraphContext:
         if key not in self._vars:
             arr = np.asarray(self._inputs[name])
             if np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype(self.dtype)
+                arr = arr.astype(self.dtype, copy=False)
             self._vars[key] = Var(_finite(arr, f"input {name}"))
         return self._vars[key]
 

@@ -187,9 +187,14 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
                       "splits": splits, "counts": {k: len(v) for k, v in splits.items()}})
 
 
+_CSV_UNSAFE = frozenset(',"\r\n')
+
+
 def load_manifest(path) -> DatasetManifest:
-    """The manifest at ``path``; raises LidarMoeError naming it on a bad key
-    or a split that lists two scans of one file stem, a scan's name."""
+    """The manifest at ``path``; raises LidarMoeError naming it on a bad key,
+    on a split that lists two scans of one file stem, a scan's name, or on
+    a stem that a CSV field cannot hold unquoted (a comma, a double quote,
+    CR or LF), since output rows begin with it."""
     doc, owner = read_json(path), f"manifest {path}"
     splits = read_key(doc, owner, "splits", "dict", {})
 
@@ -199,7 +204,10 @@ def load_manifest(path) -> DatasetManifest:
                             read_key(e, where, "camera", "str or null", None))
                   for e in read_key(splits, owner, split, "list", [])]
         seen = set()
-        for stem in (Path(e.scan).stem for e in listed):
+        for i, stem in enumerate(Path(e.scan).stem for e in listed):
+            if not _CSV_UNSAFE.isdisjoint(stem):
+                raise LidarMoeError(f"{where} {i}: scan name {stem!r} holds a comma, "
+                                    "a double quote or a line break")
             if stem in seen:
                 raise LidarMoeError(f"{owner} {split} lists two scans named {stem}")
             seen.add(stem)

@@ -1,10 +1,12 @@
 """Gated fusion of three aligned expert outputs.
 
-A single linear layer reduces the concatenated experts to a routing
-feature E; gate logits are E @ Z_g plus, in train mode, elementwise
-standard-normal draws scaled by softplus(E @ Z_n). Row-softmax yields
-convex weights (alpha, beta, gamma) and the output is the weighted sum of
-the raw expert rows - the routing feature never enters the output.
+The experts arrive side by side, as one (N, 3*D) value whose column
+blocks are the aligned range, voxel and point outputs. A single linear
+layer reduces that value to a routing feature E; gate logits are E @ Z_g
+plus, in train mode, elementwise standard-normal draws scaled by
+softplus(E @ Z_n). Row-softmax yields convex weights (alpha, beta, gamma)
+and the output is the weighted sum of the raw expert rows, each a column
+block of that one value - the routing feature never enters the output.
 
 Z_g and Z_n start at zero, so a fresh layer routes uniformly and outputs
 the plain expert average.
@@ -31,23 +33,34 @@ def init_moe_params(store: ParameterStore, channels: int, rng):
     store.add("moe.z_noise", np.zeros((channels, experts), np.float32))
 
 
-def build_moe(ctx, experts, noise_tag):
-    """Composable fusion of ``experts``, aligned Vars in ``REPRESENTATIONS``
-    order; returns (fused Var, gates Var). The gate draws noise, keyed by
+def build_moe(ctx, stacked, noise_tag):
+    """Composable fusion of ``stacked``, the experts side by side: one
+    (N, E*D) value whose column blocks are the aligned (N, D) expert outputs
+    in ``REPRESENTATIONS`` order. Returns (fused Var, gates Var). The fusion
+    linear reads ``stacked`` itself, and each gated term a column slice of
+    it, so no expert is held twice. The gate draws noise, keyed by
     ``noise_tag``, exactly when ``ctx.train_mode`` is set."""
-    if len({e.shape for e in experts}) != 1:
-        raise LidarMoeError("expert feature shapes disagree")
-    e = ad.add(ad.matmul(ad.concat_cols(experts), ctx.param("moe.fusion.w")),
-               ctx.param("moe.fusion.b"))
+    stacked = ad.as_var(stacked)
+    experts, width = len(REPRESENTATIONS), stacked.shape[1]
+    if width % experts:
+        raise LidarMoeError(f"{width} expert columns do not split into "
+                            f"{experts} equal blocks")
+    d = width // experts
+    e = ad.add(ad.matmul(stacked, ctx.param("moe.fusion.w")), ctx.param("moe.fusion.b"))
     logits = ad.matmul(e, ctx.param("moe.z_gate"))
     if ctx.train_mode:
         scale = ad.softplus(ad.matmul(e, ctx.param("moe.z_noise")))
         chi = ad.as_var(ctx.randn(logits.shape, noise_tag))
         logits = ad.add(logits, ad.mul(chi, scale))
     gates = ad.softmax_rows(logits)
-    fused = ad.mul(ad.slice_cols(gates, 0, 1), experts[0])
-    for i in range(1, len(experts)):
-        fused = ad.add(fused, ad.mul(ad.slice_cols(gates, i, i + 1), experts[i]))
+
+    def term(i):
+        return ad.mul(ad.slice_cols(gates, i, i + 1),
+                      ad.slice_cols(stacked, i * d, (i + 1) * d))
+
+    fused = term(0)
+    for i in range(1, experts):
+        fused = ad.add(fused, term(i))
     return fused, gates
 
 

@@ -519,10 +519,11 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
 
     ``expert_ckpts`` maps each representation to its stage-1 checkpoint.
     The experts are frozen by being only evaluated: each step, every
-    expert's per-point features are an array from ``embed_view``, which
-    the trained graph fuses as constants. The trained store holds the
-    student's backbone (``param_names``), which warm-starts from its stage-1
-    checkpoint (per ``config.student_init``), and the gate's ``moe.*``.
+    expert's per-point features are an array from ``embed_view``, and the
+    trained graph fuses the three side by side, as one constant. The
+    trained store holds the student's backbone (``param_names``), which
+    warm-starts from its stage-1 checkpoint (per ``config.student_init``),
+    and the gate's ``moe.*``.
     Writes that store as the checkpoint, a loss log, and per-scan
     gate-score CSVs from the final epoch. ``experts_frozen`` says whether
     every expert store still equals its copy taken at load.
@@ -553,14 +554,15 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
         partition = partitions[scan.name]
         # each view has its own augmentation draw; un-augmented, the
         # student shares its expert's view
-        features = [embed_view(experts[k], _scan_view(scan, k, data.sensor, config,
-                                                      "cml", k, epoch, idx), k)
-                    for k in REPRESENTATIONS]
+        features = np.concatenate(
+            [embed_view(experts[k], _scan_view(scan, k, data.sensor, config,
+                                               "cml", k, epoch, idx), k)
+             for k in REPRESENTATIONS], axis=1)
         student = _scan_view(scan, config.student, data.sensor, config,
                              "cml", "student", epoch, idx)
 
         def build(ctx):
-            fused, gates = build_moe(ctx, [ad.as_var(f) for f in features], "cml")
+            fused, gates = build_moe(ctx, features, "cml")
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
@@ -610,7 +612,7 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
 def _sms_forward_build(ctx, views):
     logits = {k: views[k].output(ctx, k, head="logit_head") for k in REPRESENTATIONS}
     aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
-    fused, _ = build_moe(ctx, list(aligned.values()), "sms")
+    fused, _ = build_moe(ctx, ad.concat_cols(list(aligned.values())), "sms")
     return logits, aligned, fused
 
 

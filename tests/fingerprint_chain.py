@@ -10,11 +10,14 @@ on that camera-less copy (what the ``robust_eval`` workload times), in a
 temporary directory, and prints ``sha256 relpath`` for every file there,
 sorted by path. Every path the chain is given is relative, so no output
 holds the temporary directory's name. Two source trees write
-byte-identical outputs exactly when their fingerprints agree:
+byte-identical outputs exactly when their fingerprints agree at one BLAS
+thread count; OpenBLAS splits a product differently at another count, so
+29 of the hashes change between 1 and 2 threads on any tree:
 
     git worktree add ../lidarmoe-parent HEAD~1
-    diff <(PYTHONPATH=../lidarmoe-parent/src python tests/fingerprint_chain.py) \\
-         <(PYTHONPATH=src python tests/fingerprint_chain.py)
+    diff <(OPENBLAS_NUM_THREADS=1 PYTHONPATH=../lidarmoe-parent/src \\
+           python tests/fingerprint_chain.py) \\
+         <(OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/fingerprint_chain.py)
 
 Its name does not start with ``test_``, so pytest does not collect it.
 """

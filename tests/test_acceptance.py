@@ -149,7 +149,7 @@ def test_criterion_1_gradient_integrity(rng):
         target = rng.standard_normal((n, width)).astype(np.float32)
 
         def build(ctx):
-            fused, _ = build_moe(ctx, [ctx.input(k) for k in "rvp"], "moe")
+            fused, _ = build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe")
             err = ad.sub(fused, ad.as_var(target))
             return {"loss": ad.mean_all(ad.mul(err, err))}
 
@@ -236,7 +236,7 @@ def test_criterion_2_gate_laws(rng):
 def _fuse(r, v, p, store, train_mode, seed=0):
     """(fused, gates) arrays of the gated fusion, noisy in train mode."""
     return evaluate_builder(
-        lambda ctx: build_moe(ctx, [ctx.input(k) for k in "rvp"], "moe"),
+        lambda ctx: build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe"),
         {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 

@@ -554,6 +554,20 @@ def test_backprop_releases_every_interior_entry_and_keeps_parameter_grads():
         assert g.tobytes() == want[name].tobytes(), name
 
 
+def test_an_input_already_in_the_graph_dtype_is_not_copied():
+    x = np.ones((4, 3), np.float32)
+    seen = []
+
+    def build(ctx):
+        seen.append(ctx.input("x").data)
+        return {"out": ad.relu(ctx.input("x"))}
+
+    Graph(build).run(ParameterStore(), {"x": x})
+    Graph(build).run(ParameterStore(), {"x": x}, dtype=np.float64)
+    assert seen[0] is x
+    assert seen[1].dtype == np.float64 and np.array_equal(seen[1], x)
+
+
 def test_shape_validation():
     g = Graph(lambda ctx: {"out": ad.matmul(ctx.input("a"), ctx.input("b"))})
     with pytest.raises(LidarMoeError, match=r"^matmul \(2, 3\) @ \(2, 3\)$"):

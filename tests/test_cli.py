@@ -904,6 +904,17 @@ def _bad_input(case, tmp_path, dataset):
         write_json(copy / "manifest.json", manifest)
         return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
             f"manifest {copy / 'manifest.json'} train lists two scans named train_000"
+    if case == "val scan name with a comma":
+        # its predictions.csv rows would gain a field
+        copy = tmp_path / "ds"
+        shutil.copytree(dataset, copy)
+        (copy / "scans" / "val_000.lpcd").rename(copy / "scans" / "val,000.lpcd")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        manifest["splits"]["val"][0]["scan"] = "scans/val,000.lpcd"
+        write_json(copy / "manifest.json", manifest)
+        return "pretrain", write_json(tmp_path / "cfg.json", dict(run, dataset=str(copy))), \
+            (f"manifest {copy / 'manifest.json'} val entry 0: scan name 'val,000' holds "
+             "a comma, a double quote or a line break")
     if case.startswith("camera "):
         copy = tmp_path / "ds"
         shutil.copytree(dataset, copy)
@@ -964,6 +975,7 @@ def _bad_input(case, tmp_path, dataset):
     "val point at the sensor origin", "camera render cut to 40 rows",
     "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
     "camera class_id of float ids", "train and val x NaN", "two train scans of one stem",
+    "val scan name with a comma",
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)

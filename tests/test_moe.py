@@ -24,7 +24,7 @@ def fuse(r, v, p, store, train_mode, seed=0):
     """(fused, gates) arrays of the gated fusion; noise is on in train
     mode, as in the stage-3 logit fusion."""
     return evaluate_builder(
-        lambda ctx: build_moe(ctx, [ctx.input(k) for k in "rvp"], "moe"),
+        lambda ctx: build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe"),
         {"r": r, "v": v, "p": p}, store, train_mode=train_mode, seed=seed)
 
 
@@ -107,8 +107,17 @@ def test_row_count_mismatch_rejected(rng):
     store = fresh_params(4)
     r = rng.standard_normal((5, 4)).astype(np.float32)
     v = rng.standard_normal((6, 4)).astype(np.float32)
-    with pytest.raises(LidarMoeError, match="^expert feature shapes disagree$"):
+    with pytest.raises(LidarMoeError, match=r"^concat_cols row mismatch: \[5, 6\]$"):
         fuse(r, v, r, store, train_mode=False)
+
+
+def test_columns_that_do_not_split_into_three_experts_rejected(rng):
+    store = fresh_params(4)
+    stacked = rng.standard_normal((5, 13)).astype(np.float32)
+    with pytest.raises(LidarMoeError,
+                       match="^13 expert columns do not split into 3 equal blocks$"):
+        evaluate_builder(lambda ctx: build_moe(ctx, ctx.input("s"), "moe"),
+                         {"s": stacked}, store, train_mode=False)
 
 
 def test_logits_zeta_zero_bit_identical(rng):
@@ -165,7 +174,7 @@ def test_moe_grad_check(rng):
     target = rng.standard_normal((8, 4)).astype(np.float32)
 
     def build(ctx):
-        fused, _ = build_moe(ctx, [ctx.input(k) for k in "rvp"], "moe")
+        fused, _ = build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe")
         err = ad.sub(fused, ad.as_var(target))
         return {"loss": ad.mean_all(ad.mul(err, err))}
 
