@@ -494,6 +494,48 @@ def _padded_rows(img, dtype):
     return flat
 
 
+# rows per block of a nine-tap sum: enough that the sliced operand holds
+# _TAP_BLOCK_ELEMS values, and at least _TAP_BLOCK_MIN_ROWS, so 3,276 rows
+# at 5 channels and 512 at 32; a block's product and running sum stay in
+# cache. Per call on a 64 x 512 image (medians of 30-40 interleaved rounds,
+# one BLAS thread, 2-core x86_64 VM with 2 MiB of L2 a core): the forward at
+# C_in 5 took 7.4-7.6 ms over the whole image, 2.5-2.6 at 3,276 rows,
+# 2.6-2.8 at 2,048 and 4.8-5.1 at 8,192; at C_in 32 15.5-15.8 ms whole,
+# 10.9 at 512 rows and 13.2-13.9 at 1,024-4,096; the image grad at C_in 32
+# 13.5 ms whole, 8.7 at 512 rows and 10.0-10.8 at 1,024-2,048. Fewer rows
+# cost more in per-call overhead (256 rows: 5.0-6.8 ms at C_in 5).
+_TAP_BLOCK_ELEMS = 16384
+_TAP_BLOCK_MIN_ROWS = 512
+
+
+def _tap_block_rows(channels: int) -> int:
+    """Rows per block of a nine-tap sum over an operand of ``channels``
+    columns."""
+    return max(_TAP_BLOCK_MIN_ROWS, _TAP_BLOCK_ELEMS // (channels or 1))
+
+
+def _tap_sum(src, starts, taps, n, bias=None):
+    """The (n, C_out) sum of ``src[s:s + n] @ tap`` over ``zip(starts,
+    taps)``, in that order, plus ``bias`` last when given. It is summed one
+    row block at a time into one preallocated output, through one
+    block-sized buffer, so no tap makes an n-row temporary; each output
+    row gets the same products added in the same order as a whole-image
+    sum would give it."""
+    step = _tap_block_rows(src.shape[1])
+    out = np.empty((n, taps[0].shape[1]), src.dtype)
+    part = np.empty((min(step, n), out.shape[1]), src.dtype)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        acc, buf = out[r0:r1], part[:r1 - r0]
+        np.matmul(src[starts[0] + r0:starts[0] + r1], taps[0], out=acc)
+        for s, tap in zip(starts[1:], taps[1:]):
+            np.matmul(src[s + r0:s + r1], tap, out=buf)
+            acc += buf
+        if bias is not None:
+            acc += bias
+    return out
+
+
 def conv2d3x3(x, w, b):
     """3x3 same-padding convolution on an HWC image.
 
@@ -503,10 +545,14 @@ def conv2d3x3(x, w, b):
     :func:`_padded_rows`): tap (dy, dx) starts at row ``dy * (W + 2) + dx``
     and covers H * (W + 2) rows, so output pixel (i, j) is row
     ``i * (W + 2) + j`` of the nine-tap sum, and a view drops the two junk
-    columns of each image row. The backward runs the same way: the weight
-    grad of a tap is its slice transposed times the centre slice of the
-    zero-padded grad, and the image grad sums nine products over slices of
-    that padded grad with the taps flipped.
+    columns of each image row. The nine products are summed one row block
+    at a time (:func:`_tap_sum`), so the sum stays in cache and no tap
+    makes a full-image temporary. The backward runs the same way: the
+    image grad sums nine products over slices of the zero-padded grad with
+    the taps flipped, by the same blocked sum, and the weight grad of a tap
+    is its slice transposed times the centre slice of that padded grad,
+    over the whole image, since splitting its rows would split its sum
+    over pixels.
     """
     x, w, b = as_var(x), as_var(w), as_var(b)
     if x.data.ndim != 3:
@@ -515,6 +561,8 @@ def conv2d3x3(x, w, b):
     if w.data.shape[0] != 9 * cin:
         raise LidarMoeError(f"conv2d3x3 weight rows {w.data.shape[0]} != 9*{cin}")
     cout = w.data.shape[1]
+    if b.data.shape != (cout,):
+        raise LidarMoeError(f"conv2d3x3 bias shape {b.data.shape} != ({cout},)")
     dtype = np.result_type(x.data, w.data, b.data)
     row = wd + 2
     n = h * row
@@ -523,11 +571,7 @@ def conv2d3x3(x, w, b):
     taps = [wmat[t * cin:(t + 1) * cin] for t in range(9)]
 
     xflat = _padded_rows(x.data, dtype)
-    acc = xflat[:n] @ taps[0]
-    for s, tap in zip(starts[1:], taps[1:]):
-        acc += xflat[s:s + n] @ tap
-    acc += b.data
-    data = acc.reshape(h, row, cout)[:, :wd]
+    data = _tap_sum(xflat, starts, taps, n, b.data).reshape(h, row, cout)[:, :wd]
     # the image grad reads the taps, the weight grad the padded image
     taps, xflat, take_b = _saved(x, taps), _saved(w, xflat), b.requires_grad
 
@@ -535,10 +579,13 @@ def conv2d3x3(x, w, b):
         gflat = _padded_rows(g, dtype)
         gx = gw = gb = None
         if taps is not None:
-            gacc = gflat[starts[8]:starts[8] + n] @ taps[0].T
-            for s, tap in zip(starts[7::-1], taps[1:]):
-                gacc += gflat[s:s + n] @ tap.T
-            gx = gacc.reshape(h, row, cin)[:, :wd]
+            # each tap.T copied to C order. With a strided 32 x 32 tap.T,
+            # OpenBLAS rounds a product of at most 37 rows by another kernel,
+            # so a short last block would change bytes; a C-order tap rounds
+            # each row alike in any block, gives the strided tap.T's bytes at
+            # C_in 32 on more rows, and is faster at 512 rows
+            flipped = [np.ascontiguousarray(tap.T) for tap in taps]
+            gx = _tap_sum(gflat, starts[::-1], flipped, n).reshape(h, row, cin)[:, :wd]
         if xflat is not None:
             centre = gflat[row + 1:row + 1 + n]
             gw = np.concatenate([xflat[s:s + n].T @ centre for s in starts])

@@ -30,11 +30,12 @@ from .dataio import (DatasetManifest, ScanEntry, atomic_write, load_manifest, re
                      write_lpcd, write_text)
 from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
-from .moe import REPRESENTATIONS, read_gate_csv
+from .moe import REPRESENTATIONS, moe_shapes, read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (RunConfig, backbone_kind, embed_view, embedding_width,
-                       evaluate_store, generate_dataset, linear_probe, load_dataset,
-                       load_sensors, make_view, stage1_pretrain, stage2_cml, stage3_sms)
+from .pipeline import (RunConfig, backbone_kind, check_param_shapes, embed_view,
+                       embedding_width, evaluate_store, generate_dataset, linear_probe,
+                       load_dataset, load_sensors, make_view, stage1_pretrain, stage2_cml,
+                       stage3_sms)
 from .sensors import (POSITIVE, REQUIRED, at_least, config_from_json, one_of, read_key,
                       reject_unknown)
 
@@ -199,11 +200,14 @@ def _cmd_eval(args, cfg, opts):
     split, path = opts["split"], opts["checkpoint"]
     store, _ = load_checkpoint(path)
     classes = {k: embedding_width(store, k, path, "logit_head") for k in REPRESENTATIONS}
+    for kind in REPRESENTATIONS:
+        backbone_kind(store, kind, path)
     data = load_dataset(cfg.dataset)
     for kind, count in classes.items():
         if count != data.num_classes:
             raise LidarMoeError(f"checkpoint {path} scores {count} classes in its {kind} "
                                 f"logit head, but dataset {cfg.dataset} has {data.num_classes}")
+    check_param_shapes(store, moe_shapes(data.num_classes), path)
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
         _write_metric_csv(args.out / f"metrics_{name}.csv", report)

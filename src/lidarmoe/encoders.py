@@ -17,7 +17,9 @@ parameter prefix and a head name:
   distance matrix.
 
 A backbone's parameter names come from its ``_LAYERS`` rows (``param_names``),
-so no other module parses a name to tell its trunk from its head.
+so no other module parses a name to tell its trunk from its head; so do its
+trunk's shapes (``trunk_shapes``), against which a loaded checkpoint is
+checked.
 
 The frozen teacher is two weight arrays drawn from a fixed seed, a class
 embedding and a projection: a pixel's class embedding plus a sinusoidal
@@ -79,6 +81,15 @@ def init_encoder_params(store, kind, dim, rng):
 
 def trunk_width(kind: str) -> int:
     return _LAYERS[kind][-1][1]
+
+
+def trunk_shapes(kind: str) -> dict:
+    """``{name: shape}`` of the ``kind`` backbone's trunk parameters in draw
+    order: each ``_LAYERS`` row before the head maps its fan-in to
+    TRUNK_CH."""
+    *trunk, _ = _LAYERS[kind]
+    return {f"{kind}.{layer}.{part}": shape for layer, fan_in in trunk
+            for part, shape in (("w", (fan_in, TRUNK_CH)), ("b", (TRUNK_CH,)))}
 
 
 def param_names(kind: str):

@@ -19,18 +19,26 @@ import numpy as np
 from . import autodiff as ad
 from .dataio import read_csv, write_text
 from .errors import LidarMoeError
-from .params import ParameterStore, add_linear
+from .params import ParameterStore, glorot_uniform
 
 REPRESENTATIONS = ("range", "voxel", "point")  # the experts, in gate column order
 
 
-def init_moe_params(store: ParameterStore, channels: int, rng):
-    """Fusion linear (3*channels -> channels) plus zero gate/noise weights,
-    named ``moe.*``."""
+def moe_shapes(channels: int) -> dict:
+    """``{name: shape}`` of the ``moe.*`` parameters that fuse
+    ``channels``-wide experts, in the order :func:`init_moe_params` adds
+    them."""
     experts = len(REPRESENTATIONS)
-    add_linear(store, "moe.fusion", experts * channels, channels, rng)
-    store.add("moe.z_gate", np.zeros((channels, experts), np.float32))
-    store.add("moe.z_noise", np.zeros((channels, experts), np.float32))
+    return {"moe.fusion.w": (experts * channels, channels), "moe.fusion.b": (channels,),
+            "moe.z_gate": (channels, experts), "moe.z_noise": (channels, experts)}
+
+
+def init_moe_params(store: ParameterStore, channels: int, rng):
+    """Fusion linear (3*channels -> channels), its weight a Glorot draw,
+    plus zero bias and gate/noise weights, named ``moe.*``."""
+    for name, shape in moe_shapes(channels).items():
+        store.add(name, glorot_uniform(shape, rng) if name == "moe.fusion.w"
+                  else np.zeros(shape, np.float32))
 
 
 def build_moe(ctx, stacked, noise_tag):
@@ -65,11 +73,14 @@ def build_moe(ctx, stacked, noise_tag):
 
 
 def write_gate_csv(path, gates: np.ndarray) -> None:
-    """Per-point gate export of an (N, 3) array over (range, voxel,
-    point): point_id, alpha, beta, gamma."""
+    """Per-point gate export of an (N, 3) float32 array over (range, voxel,
+    point): point_id, alpha, beta, gamma. Each weight is written to 9
+    significant digits (``%.9g``), the fewest that round-trip every float32
+    (C11 ``FLT_DECIMAL_DIG``), so :func:`read_gate_csv` returns the gate's
+    own float32 bits."""
     table = np.column_stack([np.arange(len(gates)), gates.astype(np.float64)])
     write_text(path, "point_id,alpha,beta,gamma\n"
-               + "%d,%r,%r,%r\n" * len(gates) % tuple(table.ravel().tolist()))
+               + "%d,%.9g,%.9g,%.9g\n" * len(gates) % tuple(table.ravel().tolist()))
 
 
 def read_gate_csv(path) -> np.ndarray:

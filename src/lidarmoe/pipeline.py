@@ -43,7 +43,8 @@ from .dataio import (CAMERA_ARRAYS, DatasetManifest, ScanEntry, TrainingLog,
                      save_manifest, write_camera_npz, write_json, write_lpcd)
 from .encoders import (build_point_embed, build_range_embed, build_voxel_embed,
                        init_encoder_params, linear, param_names, point_grouping,
-                       teacher_features, teacher_weights, trunk_width, voxel_neighbor_pairs)
+                       teacher_features, teacher_weights, trunk_shapes, trunk_width,
+                       voxel_neighbor_pairs)
 from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import build_cross_entropy, build_info_nce, build_sms_total
@@ -724,7 +725,8 @@ def backbone_kind(store: ParameterStore, representation, source) -> str:
     """``representation`` if ``store`` holds its ``<kind>.*`` parameters,
     else, when it is None, the one backbone kind the store holds; raises
     LidarMoeError naming the checkpoint ``source`` otherwise, or naming it
-    and the first trunk parameter of that kind it lacks."""
+    and the first trunk parameter of that kind it lacks or holds in
+    another shape than its ``encoders._LAYERS`` row gives."""
     names = store.names()
     kinds = [k for k in REPRESENTATIONS if any(n.startswith(k + ".") for n in names)]
     if representation is not None and representation not in kinds:
@@ -733,21 +735,36 @@ def backbone_kind(store: ParameterStore, representation, source) -> str:
         raise LidarMoeError(f"checkpoint {source} holds {len(kinds)} backbones "
                             f"({', '.join(kinds)}); set representation to pick one")
     kind = representation or kinds[0]
-    missing = [n for n in param_names(kind)[0] if n not in names]
-    if missing:
-        raise LidarMoeError(f"checkpoint {source} lacks parameter {missing[0]}")
+    check_param_shapes(store, trunk_shapes(kind), source)
     return kind
 
 
 def embedding_width(store: ParameterStore, kind, source, head="head") -> int:
     """The width of the ``kind`` backbone's ``head`` in ``store``, its
     embedding ``head`` or its ``logit_head``; raises LidarMoeError naming
-    the checkpoint ``source`` when it has none."""
+    the checkpoint ``source`` when it has none, or when the head's weight
+    does not read the trunk's width or its bias is not one per column."""
     if f"{kind}.{head}.w" not in store.names():
         what, holders = ("embedding", "stage-1 and cml") if head == "head" else ("logit", "sms")
         raise LidarMoeError(f"checkpoint {source} has no {kind} {what} head "
                             f"(only {holders} checkpoints have one)")
-    return store.get(f"{kind}.{head}.w").shape[1]
+    w = store.get(f"{kind}.{head}.w")
+    check_param_shapes(store, {f"{kind}.{head}.w": (trunk_width(kind), *w.shape[-1:]),
+                               f"{kind}.{head}.b": w.shape[1:]}, source)
+    return w.shape[1]
+
+
+def check_param_shapes(store: ParameterStore, wanted: dict, source) -> None:
+    """Raises LidarMoeError naming the checkpoint ``source`` and the first
+    parameter of ``wanted`` (``{name: shape}``, in order) that ``store``
+    lacks or holds in another shape, with both shapes."""
+    names = set(store.names())
+    for name, shape in wanted.items():
+        if name not in names:
+            raise LidarMoeError(f"checkpoint {source} lacks parameter {name}")
+        if store.get(name).shape != shape:
+            raise LidarMoeError(f"checkpoint {source} parameter {name} has shape "
+                                f"{store.get(name).shape}, want {shape}")
 
 
 def embed_view(store, view: ReprView, kind):

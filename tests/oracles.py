@@ -210,7 +210,8 @@ def conv2d3x3_shifts(x, w, b, g):
 
 # -- reference forms of the bulk kernels and writers ---------------------------
 # The per-element forms that ``autodiff.relu``, ``cli._prediction_rows`` and
-# ``moe.write_gate_csv`` replaced; the new code must give the same bytes.
+# ``moe.write_gate_csv`` replaced, and the whole-image tap sum of
+# ``autodiff.conv2d3x3``; the new code must give the same bytes.
 
 def relu_where(x):
     """``np.where`` relu: positive entries kept, every other entry (NaN
@@ -226,9 +227,39 @@ def prediction_rows_fstring(scan, preds, labels):
 
 
 def gate_csv_fstring(gates):
-    """A gate CSV's text, one f-string of ``repr`` floats per point."""
+    """A gate CSV's text, one f-string per point, each weight to 9
+    significant digits."""
     return "point_id,alpha,beta,gamma\n" + "".join(
-        f"{i},{a!r},{b!r},{g!r}\n" for i, (a, b, g) in enumerate(np.asarray(gates).tolist()))
+        f"{i},{a:.9g},{b:.9g},{g:.9g}\n"
+        for i, (a, b, g) in enumerate(np.asarray(gates).tolist()))
+
+
+def conv2d3x3_whole_image(x, w, b, g):
+    """Output and image grad of ``autodiff.conv2d3x3`` for upstream grad
+    ``g``, each of the nine taps one whole-image product added into one
+    whole-image sum, the bias last: the form the row-blocked tap sum
+    replaced. The image grad runs the taps flipped, as ``tap.T``."""
+    x, w, b, g = (np.asarray(a) for a in (x, w, b, g))
+    h, wd, cin = x.shape
+    cout, row = w.shape[1], wd + 2
+    n = h * row
+    starts = [dy * row + dx for dy, dx in (divmod(t, 3) for t in range(9))]
+    taps = [w[t * cin:(t + 1) * cin] for t in range(9)]
+
+    def padded(img):
+        flat = np.zeros(((h + 2) * row + 2, img.shape[2]), img.dtype)
+        flat[:-2].reshape(h + 2, row, img.shape[2])[1:-1, 1:-1] = img
+        return flat
+
+    xflat, gflat = padded(x), padded(g)
+    acc = xflat[:n] @ taps[0]
+    for s, tap in zip(starts[1:], taps[1:]):
+        acc += xflat[s:s + n] @ tap
+    acc += b
+    gacc = gflat[starts[8]:starts[8] + n] @ taps[0].T
+    for s, tap in zip(starts[7::-1], taps[1:]):
+        gacc += gflat[s:s + n] @ tap.T
+    return acc.reshape(h, row, cout)[:, :wd], gacc.reshape(h, row, cin)[:, :wd]
 
 
 # -- reference forms of the row primitives and superpoint pooling --------------

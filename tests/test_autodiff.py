@@ -2,6 +2,7 @@
 against central differences, determinism, value lifetimes, and error
 handling."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,8 +13,8 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
-from oracles import (conv2d3x3_shifts, log_softmax_rows_max, logsumexp_rows_max,
-                     relu_where, softmax_rows_max)
+from oracles import (conv2d3x3_shifts, conv2d3x3_whole_image, log_softmax_rows_max,
+                     logsumexp_rows_max, relu_where, softmax_rows_max)
 
 
 def make_store(**arrays):
@@ -295,6 +296,93 @@ def test_conv2d3x3_matches_nine_shift_oracle(h, w, cin, cout, dtype, tol):
                 continue
             assert have.shape == ref.shape, name
             assert np.max(np.abs(have - ref)) <= tol * np.max(np.abs(ref)), name
+
+
+def _tap_block_shapes(cin):
+    """(H, W) images whose H * (W + 2) flattened rows fall at the edges of
+    the row blocks a C_in-channel forward is summed in, by case."""
+    step = ad._tap_block_rows(cin)
+    return {"several blocks, ragged last": (5, step // 2),
+            "a last block of 20 rows": (1, step + 18),
+            "exactly one block": (2, step // 2 - 2),
+            "fewer rows than one block": (3, 30),
+            "64 x 512": (64, 512)}
+
+
+@pytest.mark.parametrize("case", ["several blocks, ragged last", "a last block of 20 rows",
+                                  "exactly one block", "fewer rows than one block",
+                                  "64 x 512"])
+@pytest.mark.parametrize("cin", [5, 32])
+def test_conv2d3x3_row_blocks_give_the_whole_image_bytes(cin, case):
+    """The row-blocked tap sum gives the bits of the whole-image sum in the
+    forward (C_in 5 and 32, 32 output columns) and in the image grad at
+    C_in 32. At C_in 5 the image grad is 5 columns wide, where OpenBLAS
+    may round a row block differently; the program never computes it (the
+    first conv reads a graph input), so it is held to a tolerance. Every
+    image here has more than 37 flattened rows: up to that OpenBLAS rounds
+    a product with a strided ``tap.T``, as the whole-image form takes it,
+    by another kernel than one with the C-order taps of ``conv2d3x3``; a
+    last block of 20 rows shows that blocks of any size keep the bytes."""
+    h, w = _tap_block_shapes(cin)[case]
+    step, n = ad._tap_block_rows(cin), h * (w + 2)
+    assert {"several blocks, ragged last": 2 * step < n < 3 * step,
+            "a last block of 20 rows": n == step + 20,
+            "exactly one block": n == step, "fewer rows than one block": n < step,
+            "64 x 512": True}[case]
+    rng = np.random.default_rng(cin + h)
+    x, weight, bias, g = (rng.standard_normal(shape).astype(np.float32) for shape in
+                          ((h, w, cin), (9 * cin, 32), (32,), (h, w, 32)))
+    want_out, want_gx = conv2d3x3_whole_image(x, weight, bias, g)
+    out = ad.conv2d3x3(ad.Var(x, requires_grad=True), ad.Var(weight, requires_grad=True),
+                       bias)
+    gx = out.bwd(g)[0]
+    assert out.data.dtype == gx.dtype == np.float32
+    assert np.array_equal(out.data, want_out)
+    if cin == 32:
+        assert np.array_equal(gx, want_gx)
+    else:
+        assert np.max(np.abs(gx - want_gx)) <= 1e-5 * np.max(np.abs(want_gx))
+
+
+def test_conv2d3x3_of_an_image_with_no_rows():
+    x = np.zeros((0, 6, 5), np.float32)
+    weight, bias = np.ones((45, 32), np.float32), np.ones(32, np.float32)
+    out = ad.conv2d3x3(*(ad.Var(a, requires_grad=True) for a in (x, weight, bias)))
+    assert out.data.shape == (0, 6, 32)
+    gx, gw, gb = out.bwd(np.zeros((0, 6, 32), np.float32))
+    assert gx.shape == (0, 6, 5)
+    assert np.array_equal(gw, np.zeros((45, 32))) and np.array_equal(gb, np.zeros(32))
+
+
+def test_conv2d3x3_forward_makes_no_full_image_temporary():
+    """One 64 x 512 x 32 forward: what it allocates beyond the output it
+    returns (4.2 MB) was 8.6 MB with a full-image product per tap (the
+    padded image and one tap's product) and is 4.4 MB with row blocks (the
+    padded image and one block's product)."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((64, 512, 32)).astype(np.float32)
+    weight = rng.standard_normal((288, 32)).astype(np.float32)
+    bias = np.zeros(32, np.float32)
+    tracemalloc.start()
+    try:
+        out = ad.conv2d3x3(x, weight, bias)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (64, 512, 32)
+    assert peak - retained < 6e6
+
+
+@pytest.mark.parametrize("wshape,bshape,message", [
+    ((44, 32), (32,), r"conv2d3x3 weight rows 44 != 9\*5"),
+    ((45, 32), (31,), r"conv2d3x3 bias shape \(31,\) != \(32,\)"),
+    ((45, 32), (1,), r"conv2d3x3 bias shape \(1,\) != \(32,\)"),
+    ((45, 32), (1, 32), r"conv2d3x3 bias shape \(1, 32\) != \(32,\)"),
+])
+def test_conv2d3x3_rejects_a_weight_or_bias_of_the_wrong_shape(wshape, bshape, message):
+    with pytest.raises(LidarMoeError, match=message):
+        ad.conv2d3x3(np.ones((3, 4, 5), np.float32), np.ones(wshape, np.float32),
+                     np.ones(bshape, np.float32))
 
 
 def test_non_finite_gradient_names_the_parameter():

@@ -14,11 +14,11 @@ import pytest
 
 import lidarmoe
 from lidarmoe.cli import _prediction_rows, main
-from lidarmoe.datagen import CameraRender
+from lidarmoe.datagen import NUM_CLASSES, CameraRender
 from lidarmoe.dataio import read_camera_npz, read_lpcd, write_camera_npz, write_lpcd
-from lidarmoe.encoders import init_encoder_params
-from lidarmoe.moe import write_gate_csv
-from lidarmoe.params import ParameterStore, load_checkpoint, save_checkpoint
+from lidarmoe.encoders import init_encoder_params, trunk_width
+from lidarmoe.moe import REPRESENTATIONS, init_moe_params, write_gate_csv
+from lidarmoe.params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from lidarmoe.pointcloud import PointCloud
 
 from oracles import prediction_rows_fstring
@@ -375,12 +375,9 @@ def test_mistyped_sensors_json_exit_2(tmp_path, tiny_dataset, capsys, command,
     sensors = json.loads((dataset / "sensors.json").read_text())
     sensors[key] = value
     write_json(dataset / "sensors.json", sensors)
-    # eval checks the checkpoint's logit heads before it reads the dataset
-    store = ParameterStore()
-    for kind in ("range", "voxel", "point"):
-        store.add(f"{kind}.logit_head.w", np.zeros((1, 1)))
+    # eval checks the checkpoint before it reads the dataset, so it is whole
     ckpt = tmp_path / "heads.ckpt"
-    save_checkpoint(ckpt, store, {"student": "voxel"})
+    save_checkpoint(ckpt, _sms_shaped_store(8), {"student": "voxel"})
     doc = {"dataset": str(dataset), "checkpoint": str(ckpt)}
     if command == "cosine-map":
         doc.update(query_id=0, cloud=str(dataset / "scans" / "val_000.lpcd"))
@@ -581,6 +578,38 @@ def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset):
         assert not again.exists()
 
 
+def _sms_shaped_store(embed_dim):
+    """Every parameter of an sms checkpoint, each in its layer's shape, with
+    an embedding head of ``embed_dim`` on each backbone."""
+    store, rng = ParameterStore(), np.random.default_rng(5)
+    for kind in REPRESENTATIONS:
+        init_encoder_params(store, kind, embed_dim, rng)
+        add_linear(store, f"{kind}.logit_head", trunk_width(kind), NUM_CLASSES, rng)
+    init_moe_params(store, NUM_CLASSES, rng)
+    return store
+
+
+# (command, parameter, its wrong shape) of a checkpoint that command reads:
+# a stage-1 checkpoint of that one backbone for probe, sms and cosine-map, all
+# three for cml, and an sms checkpoint for eval (embed_dim 8, 6 classes)
+_MISSHAPEN = {
+    "probe range.conv1.b of (31,)": ("probe", "range.conv1.b", (31,)),
+    "probe range.conv2.w of (288, 31)": ("probe", "range.conv2.w", (288, 31)),
+    "probe range.head.w of (31, 8)": ("probe", "range.head.w", (31, 8)),
+    "probe range.head.b of (7,)": ("probe", "range.head.b", (7,)),
+    "probe voxel.mlp1.b of (31,)": ("probe", "voxel.mlp1.b", (31,)),
+    "probe voxel.mlp2.w of (32, 31)": ("probe", "voxel.mlp2.w", (32, 31)),
+    "eval range.conv1.b of (31,)": ("eval", "range.conv1.b", (31,)),
+    "eval point.mlp.b of (31,)": ("eval", "point.mlp.b", (31,)),
+    "eval voxel.logit_head.b of (5,)": ("eval", "voxel.logit_head.b", (5,)),
+    "eval moe.fusion.b of (5,)": ("eval", "moe.fusion.b", (5,)),
+    "eval moe.z_gate of (6, 2)": ("eval", "moe.z_gate", (6, 2)),
+    "sms init range.conv1.b of (31,)": ("sms", "range.conv1.b", (31,)),
+    "cml expert point.mlp.w of (4, 31)": ("cml", "point.mlp.w", (4, 31)),
+    "cosine-map range.conv1.w of (45, 31)": ("cosine-map", "range.conv1.w", (45, 31)),
+}
+
+
 def _bad_input(case, tmp_path, dataset):
     """(command, config path, text stderr must hold) of one bad input."""
     run = {"dataset": str(dataset), "epochs": 1, "embed_dim": 8,
@@ -776,6 +805,28 @@ def _bad_input(case, tmp_path, dataset):
             else dict(run, expert_ckpts=ckpts)
         return case.split()[0], write_json(tmp_path / "cfg.json", doc), \
             f"checkpoint {ckpts['range']} lacks parameter range.conv2.w"
+    if case in _MISSHAPEN:
+        # one parameter of an otherwise whole checkpoint has the wrong shape
+        command, name, shape = _MISSHAPEN[case]
+        if command == "eval":
+            store = _sms_shaped_store(run["embed_dim"])
+        else:
+            store = ParameterStore()
+            for kind in REPRESENTATIONS if command == "cml" else (name.split(".")[0],):
+                init_encoder_params(store, kind, run["embed_dim"], np.random.default_rng(5))
+        want = store.get(name).shape
+        bad = ParameterStore()
+        for key in store.names():
+            bad.add(key, np.zeros(shape, np.float32) if key == name else store.get(key))
+        ckpt = str(tmp_path / "bad.ckpt")
+        save_checkpoint(ckpt, bad, {})
+        doc = {"sms": dict(run, init={"range": ckpt}),
+               "cml": dict(run, expert_ckpts={k: ckpt for k in REPRESENTATIONS}),
+               "cosine-map": dict(run, checkpoint=ckpt, query_id=0,
+                                  cloud=str(dataset / "scans" / "val_000.lpcd"))
+               }.get(command, dict(run, checkpoint=ckpt))
+        return command, write_json(tmp_path / "cfg.json", doc), \
+            f"checkpoint {ckpt} parameter {name} has shape {shape}, want {want}"
     if case == "cml expert_ckpts of an extra kind":
         # every checkpoint is missing: the map is checked before any is read
         ckpts = {k: str(tmp_path / "missing") for k in ("range", "voxel", "point", "camera")}
@@ -975,7 +1026,7 @@ def _bad_input(case, tmp_path, dataset):
     "val point at the sensor origin", "camera render cut to 40 rows",
     "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
     "camera class_id of float ids", "train and val x NaN", "two train scans of one stem",
-    "val scan name with a comma",
+    "val scan name with a comma", *_MISSHAPEN,
 ])
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)

@@ -183,23 +183,32 @@ def test_moe_grad_check(rng):
 
 
 def test_gate_csv_roundtrip(tmp_path, rng):
-    # rows of convex weights, as read_gate_csv requires
-    raw = rng.uniform(0, 1, (10, 3))
-    gates = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
+    """``read_gate_csv`` returns the written float32 bits: at 0, 1, 1/3,
+    0.1, at weights below 1e-4, which are written in exponent form, down
+    to the smallest subnormal, and on 200 random rows of convex weights."""
+    edge = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3],
+                     [0.1, 0.2, 0.7], [1e-5, 3.7e-7, 1 - 1e-5 - 3.7e-7],
+                     [np.finfo(np.float32).smallest_subnormal, 1e-38, 1.0]], np.float32)
+    raw = rng.uniform(0, 1, (200, 3))
+    gates = np.concatenate([edge, (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)])
     path = tmp_path / "gates.csv"
     write_gate_csv(path, gates)
+    assert "\n4,9.99999975e-06,3.70000009e-07,0.999989629\n" in path.read_text()
     loaded = read_gate_csv(path)
-    assert np.array_equal(loaded, gates)
+    assert loaded.dtype == np.float32
+    assert np.array_equal(loaded.view(np.uint32), gates.view(np.uint32))
 
 
 def test_gate_csv_bytes_equal_the_row_by_row_writer(tmp_path, rng):
     """One ``%`` over a repeated template gives the bytes of one f-string
-    per point, on float32 gates whose repr needs 17 digits and on none."""
+    per point, each weight to 9 significant digits (a float32 gate's
+    ``repr`` as a float64 would take up to 17)."""
     raw = rng.uniform(0, 1, (200, 3))
     gates = (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
     gates[0] = [0.1, 0.2, 0.7]
-    assert repr(float(gates[0, 0])) == "0.10000000149011612"
     path = tmp_path / "gates.csv"
+    write_gate_csv(path, gates[:1])
+    assert path.read_text() == "point_id,alpha,beta,gamma\n0,0.100000001,0.200000003,0.699999988\n"
     for table in (gates, gates[:0]):
         write_gate_csv(path, table)
         assert path.read_text() == gate_csv_fstring(table)
