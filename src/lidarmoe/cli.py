@@ -32,10 +32,10 @@ from .errors import LidarMoeError
 from .metrics import MetricReport, compute_mce_mrr, compute_miou
 from .moe import REPRESENTATIONS, moe_shapes, read_gate_csv
 from .params import load_checkpoint
-from .pipeline import (RunConfig, backbone_kind, check_param_shapes, embed_view,
-                       embedding_width, evaluate_store, generate_dataset, linear_probe,
-                       load_dataset, load_sensors, make_view, stage1_pretrain, stage2_cml,
-                       stage3_sms)
+from .pipeline import (RunConfig, backbone_kind, check_off_origin, check_param_shapes,
+                       embed_view, embedding_width, evaluate_store, generate_dataset,
+                       linear_probe, load_dataset, load_sensors, make_view, stage1_pretrain,
+                       stage2_cml, stage3_sms)
 from .sensors import (POSITIVE, REQUIRED, at_least, config_from_json, one_of, read_key,
                       reject_unknown)
 
@@ -191,7 +191,9 @@ def _cmd_eval(args, cfg, opts):
     if _source("eval", opts, "checkpoint", "pairs_csv") == "pairs_csv":
         path = opts["pairs_csv"]
         pairs = read_csv(path, "prediction,label", np.int64)
-        if pairs.size and np.all(pairs[:, 1] < 0):
+        if not pairs.size:
+            raise LidarMoeError(f"{path}: no prediction,label row")
+        if np.all(pairs[:, 1] < 0):
             raise LidarMoeError(f"{path}: every label is -1 (unlabeled)")
         report = compute_miou(pairs[:, 0], pairs[:, 1], opts["num_classes"])
         _write_metric_csv(args.out / "metrics.csv", report)
@@ -275,6 +277,7 @@ def _cmd_cosine_map(args, cfg, opts):
             raise LidarMoeError(f"{path}: {exc}") from exc
     else:
         path = opts["checkpoint"]
+        check_off_origin(cloud, f"cloud {opts['cloud']}")
         store, _ = load_checkpoint(path)
         sensor, _ = load_sensors(cfg.dataset)
         kind = backbone_kind(store, opts["representation"], path)

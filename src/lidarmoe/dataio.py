@@ -85,14 +85,17 @@ def read_json(path) -> dict:
 
 def read_csv(path, header: str, dtype) -> np.ndarray:
     """The (rows, fields) ``dtype`` array of a numeric UTF-8 CSV file whose
-    first line is ``header``; raises LidarMoeError naming the file when the
-    header or a row is malformed or a value is not finite."""
+    first line is ``header``, (0, fields) for a file with no row below it;
+    raises LidarMoeError naming the file when the header or a row is
+    malformed or a value is not finite."""
     width = header.count(",") + 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().strip() != header:
                 raise ValueError(f"first line must be {header}")
-            rows = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2)
+            lines = [line for line in fh if line.strip()]
+        rows = np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=2) if lines \
+            else np.empty((0, width), dtype)
         if rows.size and rows.shape[1] != width:
             raise ValueError(f"{rows.shape[1]} fields per row, want {width}")
         if not np.all(np.isfinite(rows)):

@@ -72,6 +72,19 @@ def build_moe(ctx, stacked, noise_tag):
     return fused, gates
 
 
+def gate_terms(gates: np.ndarray) -> dict:
+    """The per-step gate terms of an (N, 3) gate array, as 0-d graph
+    constants a step graph returns for its training log: ``gate_load_<kind>``,
+    the mean weight of each column in ``REPRESENTATIONS`` order, and
+    ``gate_entropy``, the mean row entropy in nats, with 0 log 0 taken as 0."""
+    rows = gates.astype(np.float64)
+    logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
+    terms = {f"gate_load_{k}": rows[:, i].mean() for i, k in enumerate(REPRESENTATIONS)}
+    # 0.0 - x rather than -x, so that one-hot rows log 0.0, not -0.0
+    terms["gate_entropy"] = 0.0 - np.sum(rows * logs, axis=1).mean()
+    return {name: ad.as_var(value) for name, value in terms.items()}
+
+
 def write_gate_csv(path, gates: np.ndarray) -> None:
     """Per-point gate export of an (N, 3) float32 array over (range, voxel,
     point): point_id, alpha, beta, gamma. Each weight is written to 9

@@ -49,7 +49,7 @@ from .errors import LidarMoeError, NonFiniteError
 from .geometry import build_superpoints, project_labels, project_to_range, voxelize
 from .losses import build_cross_entropy, build_info_nce, build_sms_total
 from .metrics import compute_miou
-from .moe import REPRESENTATIONS, build_moe, init_moe_params, write_gate_csv
+from .moe import REPRESENTATIONS, build_moe, gate_terms, init_moe_params, write_gate_csv
 from .optim import AdamW
 from .params import ParameterStore, add_linear, load_checkpoint, save_checkpoint
 from .pointcloud import PointCloud
@@ -244,9 +244,7 @@ def load_dataset(dataset_dir) -> DatasetBundle:
             if top >= manifest.num_classes:
                 raise LidarMoeError(f"scan {path} has label {top}, "
                                     f"but num_classes is {manifest.num_classes}")
-            origin = np.flatnonzero(cloud.depth() == 0)
-            if origin.size:
-                raise LidarMoeError(f"scan {path} has point {origin[0]} at the sensor origin")
+            check_off_origin(cloud, f"scan {path}")
             scan = LoadedScan(name=Path(e.scan).stem, cloud=cloud)
             if e.camera:
                 cam_path = resolve(base, e.camera)
@@ -271,6 +269,25 @@ def load_dataset(dataset_dir) -> DatasetBundle:
     return DatasetBundle(load_split(manifest.train), load_split(manifest.val),
                          sensor, camera, manifest.num_classes,
                          manifest.annotation_fraction)
+
+
+def check_off_origin(cloud: PointCloud, source) -> None:
+    """Raises LidarMoeError naming ``source`` and the first point of
+    ``cloud`` at the sensor origin, which has no direction to project."""
+    origin = np.flatnonzero(cloud.depth() == 0)
+    if origin.size:
+        raise LidarMoeError(f"{source} has point {origin[0]} at the sensor origin")
+
+
+def _scored_scans(config: RunConfig, data: DatasetBundle, split) -> list:
+    """The scans of ``split``, which a score reads; raises LidarMoeError
+    when the split is empty or, naming the dataset and the split, when it
+    holds no labeled point, so a run fails before any work."""
+    scans = data.scans(split)
+    if not any(np.any(scan.cloud.label >= 0) for scan in scans):
+        raise LidarMoeError(f"dataset {config.dataset} has no labeled point "
+                            f"in its {split} split")
+    return scans
 
 
 def _superpoint_scans(config: RunConfig, data: DatasetBundle):
@@ -570,7 +587,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             k_student = student.pooled(ctx, config.student, partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
-            return {"loss": loss}
+            return {"loss": loss, **gate_terms(gates.data)}
 
         return build, _inputs({config.student: student})
 
@@ -613,8 +630,8 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
 def _sms_forward_build(ctx, views):
     logits = {k: views[k].output(ctx, k, head="logit_head") for k in REPRESENTATIONS}
     aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
-    fused, _ = build_moe(ctx, ad.concat_cols(list(aligned.values())), "sms")
-    return logits, aligned, fused
+    fused, gates = build_moe(ctx, ad.concat_cols(list(aligned.values())), "sms")
+    return logits, aligned, fused, gates
 
 
 def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
@@ -630,7 +647,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     """
     out = Path(out_dir)
     data = load_dataset(config.dataset)
-    data.scans("val")  # with no val scans, fail before training
+    _scored_scans(config, data, "val")  # fail before training
     labeled = _labeled_scans(data)
     labeled = labeled[:max(1, int(np.ceil(data.annotation_fraction * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
@@ -647,9 +664,9 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
                   **{k: v.labels(scan.cloud) for k, v in views.items()}}
 
         def build(ctx):
-            logits, _, fused = _sms_forward_build(ctx, views)
+            logits, _, fused, gates = _sms_forward_build(ctx, views)
             total, breakdown = build_sms_total({"fused": fused, **logits}, labels)
-            return {"loss": total, **breakdown}
+            return {"loss": total, **breakdown, **gate_terms(gates.data)}
 
         return build, _inputs(views)
 
@@ -678,6 +695,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
     Returns per-class IoU reports for the fused head and each single
     head, and the fused per-point predictions of each scan in split order.
     A scan's views are dropped once it is scored, unless ``keep_views``.
+    A split with no labeled point raises LidarMoeError before any forward.
 
     One worker thread builds the next scan's views while this thread runs
     the current scan's graph, so without ``keep_views`` at most two scans'
@@ -689,7 +707,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
     ``Graph.run`` flips: its one autodiff call, ``segment_means``, is not a
     primitive.
     """
-    scans = data.scans(split)
+    scans = _scored_scans(config, data, split)
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
 
     def scan_views(scan):
@@ -702,7 +720,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
             upcoming = worker.submit(scan_views, scans[i + 1]) if i + 1 < len(scans) else None
 
             def build(ctx):
-                _, aligned, fused = _sms_forward_build(ctx, views)
+                _, aligned, fused, _ = _sms_forward_build(ctx, views)
                 return {"fused": fused, **aligned}
 
             outs = ad.evaluate(Graph(build), store, _inputs(views))
@@ -793,7 +811,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     width = embedding_width(store, kind, checkpoint)
     before = store.copy()
     data = load_dataset(config.dataset)
-    val = data.scans("val")
+    val = _scored_scans(config, data, "val")
     train = _labeled_scans(data)
     train_embeds = [embed_view(store, _scan_view(scan, kind, data.sensor, config), kind)
                     for scan in train]

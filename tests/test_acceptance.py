@@ -1,23 +1,23 @@
 """Acceptance suite.
 
 Each criterion runs at its stated tolerance and prints one pass/fail
-line. Criteria 6-9 share one reference-pipeline fixture: the default
-synthetic dataset (5 train / 2 val scenes, ~4096 points per scan, 64-dim
+line. Criteria 6-9 share one reference-pipeline fixture, which runs the
+reference protocol of ``chain.py`` through the CLI: the default synthetic
+dataset (5 train / 2 val scenes, ~4096 points per scan, 64-dim
 embeddings, 6 classes) trained for 50 epochs in stages 1-2 and 50
-supervised epochs, for three fixed seeds.
+supervised epochs, for three fixed seeds. Criterion 10 runs the chain of
+``fingerprint_chain.py`` twice and compares every file it writes.
 """
 
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
-from lidarmoe.cli import main as cli_main
 from lidarmoe.encoders import (build_point_embed, build_range_embed,
                                build_voxel_embed, init_encoder_params,
                                point_grouping, voxel_neighbor_pairs)
@@ -25,19 +25,18 @@ from lidarmoe.geometry import project_to_range, range_uv_exact, voxelize
 from lidarmoe.losses import (build_cross_entropy, build_info_nce,
                              build_lovasz_softmax, build_sms_total)
 from lidarmoe.metrics import compute_mce_mrr, compute_miou
-from lidarmoe.moe import build_moe, init_moe_params, read_gate_csv
+from lidarmoe.moe import REPRESENTATIONS, build_moe, init_moe_params, read_gate_csv
 from lidarmoe.analysis import route_stats, write_route_csv, route_bars_svg
 from lidarmoe.params import ParameterStore
-from lidarmoe.pipeline import (RunConfig, generate_dataset, linear_probe,
-                               load_dataset, stage1_pretrain, stage2_cml,
-                               stage3_sms)
+from lidarmoe.pipeline import load_dataset
 from lidarmoe.pointcloud import PointCloud
-from lidarmoe.sensors import SensorModel, config_to_json
+from lidarmoe.sensors import SensorModel
 
+import fingerprint_chain
+from chain import (SEEDS, baseline_probe, datagen, fingerprints, reference_chain,
+                   run_config, run_steps)
 from graph_eval import evaluate_builder
 from oracles import info_nce_bruteforce, lovasz_bruteforce, range_uv_scalar
-
-REFERENCE_SEEDS = (101, 303, 505)
 
 
 def report(criterion, ok, detail):
@@ -47,46 +46,28 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def reference_dataset(tmp_path_factory):
-    out = tmp_path_factory.mktemp("reference_ds")
-    generate_dataset({}, out, seed=0)
-    return out
-
-
-def reference_config(dataset, seed):
-    return RunConfig(dataset=str(dataset), seed=seed, epochs=50,
-                     augment=False, sms_augment=True, sms_epochs=50,
-                     lr_cml=0.005, student_init="stage1")
+    root = tmp_path_factory.mktemp("reference_ds")
+    run_steps(root, [datagen("data")])
+    return root / "data"
 
 
 @pytest.fixture(scope="module")
 def reference_runs(reference_dataset, tmp_path_factory):
-    """Full three-stage chain plus probes for each reference seed."""
+    """Each seed's results of the reference chain plus the random-baseline
+    probe, by output directory, with the seed, run root and probe seconds."""
     work = tmp_path_factory.mktemp("reference_runs")
     records = []
-    for seed in REFERENCE_SEEDS:
-        cfg = reference_config(reference_dataset, seed)
-        base = work / f"seed{seed}"
-        t0 = time.time()
-        s1 = stage1_pretrain(cfg, base / "s1")
-        cml = stage2_cml(cfg, {k: v["checkpoint"] for k, v in s1.items()},
-                         base / "cml")
-        probe_cml = linear_probe(cfg, base / "probe", checkpoint=cml["checkpoint"])
-        probe_rand = linear_probe(cfg, base / "probe0", representation=cfg.student)
-        probe_seconds = time.time() - t0
-        sms = stage3_sms(cfg, {"voxel": cml["checkpoint"],
-                               "range": s1["range"]["checkpoint"],
-                               "point": s1["point"]["checkpoint"]},
-                         base / "sms")
-        records.append({
-            "seed": seed,
-            "stage1": s1,
-            "cml": cml,
-            "cml_dir": base / "cml",
-            "probe_cml": probe_cml["report"].miou,
-            "probe_rand": probe_rand["report"].miou,
-            "probe_seconds": probe_seconds,
-            "sms": sms,
-        })
+    for seed in SEEDS:
+        run, base = run_config(reference_dataset, seed), work / f"seed{seed}"
+        steps = reference_chain(run) + [baseline_probe(run)]
+        seconds = dict(zip([out for _, _, out in steps], run_steps(base, steps)))
+        record = {out: json.loads((base / out / name).read_text()) for out, name in (
+            ("s1", "stage1_results.json"), ("cml", "cml_results.json"),
+            ("probe", "probe_summary.json"), ("probe_random", "probe_summary.json"),
+            ("sms", "sms_results.json"))}
+        record.update(seed=seed, base=base, probe_seconds=sum(
+            seconds[k] for k in ("s1", "cml", "probe", "probe_random")))
+        records.append(record)
     return records
 
 
@@ -359,7 +340,7 @@ def test_criterion_5_metric_formulas():
 # -- criteria 6-8: reference pipeline trends -------------------------------------
 
 def test_criterion_6_pretraining_helps(reference_runs):
-    gaps = [r["probe_cml"] - r["probe_rand"] for r in reference_runs]
+    gaps = [r["probe"]["miou"] - r["probe_random"]["miou"] for r in reference_runs]
     seconds = sum(r["probe_seconds"] for r in reference_runs)
     gap = float(np.mean(gaps))
     ok = gap >= 5.0 and seconds < 600.0
@@ -379,15 +360,30 @@ def test_criterion_7_fusion_helps(reference_runs):
     every_ok = all(m >= -0.5 for m in margins)
     mean_ok = float(np.mean(means)) >= 0.0
     ok = every_ok and mean_ok
+    gate_rows = [np.round(last_epoch_gate_row(r["base"] / "sms" / "sms_log.csv"), 3).tolist()
+                 for r in reference_runs]
     report(7, ok, f"fused-vs-best margins {[f'{m:+.2f}' for m in margins]} "
-                  f"(each >= -0.5), fused-minus-mean avg {np.mean(means):+.2f} (>= 0)")
+                  f"(each >= -0.5), fused-minus-mean avg {np.mean(means):+.2f} (>= 0), "
+                  f"per-seed SMS gate mean row over the last epoch {gate_rows} "
+                  f"({', '.join(REPRESENTATIONS)})")
+
+
+def last_epoch_gate_row(log):
+    """Each ``gate_load_<kind>`` term of a training log averaged over the
+    steps of its last epoch, in ``REPRESENTATIONS`` order."""
+    rows = [line.split(",") for line in log.read_text().splitlines()[1:]]
+    ends = [int(step) for step, _, term, _ in rows if term == "epoch_loss"]
+    start = ends[-2] if len(ends) > 1 else 0
+    return [float(np.mean([float(value) for step, _, term, value in rows
+                           if term == f"gate_load_{kind}" and int(step) >= start]))
+            for kind in REPRESENTATIONS]
 
 
 def test_criterion_8_convergence(reference_runs):
     ratios = {}
     for r in reference_runs:
         seed = r["seed"]
-        for kind, res in r["stage1"].items():
+        for kind, res in r["s1"].items():
             losses = res["epoch_losses"]
             ratios[f"s1-{kind}@{seed}"] = losses[-1] / losses[0]
         cml = r["cml"]["epoch_losses"]
@@ -401,7 +397,7 @@ def test_criterion_8_convergence(reference_runs):
 
 def test_criterion_9_route_analysis(reference_runs, reference_dataset, tmp_path):
     record = reference_runs[0]
-    gates_files = sorted(Path(record["cml_dir"]).glob("cml_gates_*.csv"))
+    gates_files = sorted((record["base"] / "cml").glob("cml_gates_*.csv"))
     assert gates_files, "reference CML run produced no gate exports"
     data = load_dataset(reference_dataset)
     scan = data.train[0]
@@ -434,55 +430,10 @@ def test_criterion_9_route_analysis(reference_runs, reference_dataset, tmp_path)
 
 # -- criterion 10: end-to-end determinism ------------------------------------------
 
-def test_criterion_10_determinism(reference_dataset, tmp_path):
-    run_doc = config_to_json(reference_config(reference_dataset, seed=77))
-    run_doc.update(epochs=3, sms_epochs=2)
-
-    def chain(root):
-        root.mkdir()
-        cfg = tmp_path / f"{root.name}.json"
-        s1 = root / "s1"
-        cfg.write_text(json.dumps(run_doc))
-        assert cli_main(["pretrain", "--config", str(cfg), "--out", str(s1)]) == 0
-        cml_doc = dict(run_doc, stage1_dir=str(s1))
-        cml_cfg = tmp_path / f"{root.name}_cml.json"
-        cml_cfg.write_text(json.dumps(cml_doc))
-        assert cli_main(["cml", "--config", str(cml_cfg),
-                         "--out", str(root / "cml")]) == 0
-        sms_doc = dict(run_doc, init={
-            "voxel": str(root / "cml" / "cml_student.ckpt"),
-            "range": str(s1 / "stage1_range.ckpt"),
-            "point": str(s1 / "stage1_point.ckpt")})
-        sms_cfg = tmp_path / f"{root.name}_sms.json"
-        sms_cfg.write_text(json.dumps(sms_doc))
-        assert cli_main(["sms", "--config", str(sms_cfg),
-                         "--out", str(root / "sms")]) == 0
-        eval_doc = dict(run_doc, checkpoint=str(root / "sms" / "sms_model.ckpt"))
-        eval_cfg = tmp_path / f"{root.name}_eval.json"
-        eval_cfg.write_text(json.dumps(eval_doc))
-        assert cli_main(["eval", "--config", str(eval_cfg),
-                         "--out", str(root / "eval")]) == 0
-        gates = sorted((root / "cml").glob("cml_gates_*.csv"))[0]
-        rs_doc = {"gates_csv": str(gates),
-                  "cloud": str(Path(reference_dataset) / "scans" / "train_000.lpcd"),
-                  "axis": "beam"}
-        rs_cfg = tmp_path / f"{root.name}_rs.json"
-        rs_cfg.write_text(json.dumps(rs_doc))
-        assert cli_main(["route-stats", "--config", str(rs_cfg),
-                         "--out", str(root / "route")]) == 0
-
-    chain(tmp_path / "a")
-    chain(tmp_path / "b")
-
-    compared = []
-    for rel in ["s1/stage1_range.ckpt", "s1/stage1_voxel.ckpt",
-                "s1/stage1_point.ckpt", "cml/cml_student.ckpt",
-                "sms/sms_model.ckpt", "eval/metrics_fused.csv",
-                "eval/metrics_range.csv", "eval/predictions.csv",
-                "route/route_beam.csv"]:
-        a = (tmp_path / "a" / rel).read_bytes()
-        b = (tmp_path / "b" / rel).read_bytes()
-        compared.append((rel, a == b))
-    ok = all(same for _, same in compared)
-    report(10, ok, f"{len(compared)} artifacts bit-identical across two runs: "
-                   f"{[r for r, same in compared if not same] or 'all'}")
+def test_criterion_10_determinism(tmp_path):
+    for root in ("a", "b"):
+        run_steps(tmp_path / root, fingerprint_chain.STEPS)
+    a, b = fingerprints(tmp_path / "a"), fingerprints(tmp_path / "b")
+    differ = sorted({line.split("  ", 1)[1] for line in set(a) ^ set(b)})
+    report(10, a == b, f"{len(a)} files of the fingerprint chain bit-identical "
+                       f"across two runs: {differ or 'all'}")

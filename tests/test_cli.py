@@ -924,13 +924,21 @@ def _bad_input(case, tmp_path, dataset):
                  "clean_iou": 70.0}, "corruption beam needs exactly three severity IoUs"),
         }[case]
         return "report", write_json(tmp_path / "cfg.json", doc), want
-    if case == "val point at the sensor origin":
+    if case.endswith("point at the sensor origin"):
         copy = tmp_path / "ds"
         shutil.copytree(dataset, copy)
         scan = copy / "scans" / "val_000.lpcd"
         cloud = read_lpcd(scan)
         cloud.xyz[0] = 0.0
         write_lpcd(scan, cloud)
+        if case.startswith("cosine-map"):
+            store = ParameterStore()
+            init_encoder_params(store, "range", run["embed_dim"], np.random.default_rng(5))
+            save_checkpoint(tmp_path / "range.ckpt", store, {})
+            doc = dict(run, checkpoint=str(tmp_path / "range.ckpt"), cloud=str(scan),
+                       query_id=0)
+            return "cosine-map", write_json(tmp_path / "cfg.json", doc), \
+                f"cloud {scan} has point 0 at the sensor origin"
         doc = dict(run, dataset=str(copy), sms_epochs=0)
         return "sms", write_json(tmp_path / "cfg.json", doc), \
             f"scan {scan} has point 0 at the sensor origin"
@@ -1023,7 +1031,8 @@ def _bad_input(case, tmp_path, dataset):
     "decreasing distance_edges", "distance_edges past every point",
     "class axis of an unlabeled cloud", "report clean_iou 0",
     "report corruption sets differ", "report two severities",
-    "val point at the sensor origin", "camera render cut to 40 rows",
+    "val point at the sensor origin", "cosine-map cloud point at the sensor origin",
+    "camera render cut to 40 rows",
     "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
     "camera class_id of float ids", "train and val x NaN", "two train scans of one stem",
     "val scan name with a comma", *_MISSHAPEN,
@@ -1397,3 +1406,41 @@ def test_cml_names_an_expert_of_another_embedding_width(tmp_path, zero_epoch_ckp
     ckpt = os.path.join(stage1_dir, "stage1_range.ckpt")
     assert f"error: checkpoint {ckpt} embeds range in 8 dims, but embed_dim is 16" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sms", "probe", "eval"])
+def test_scored_split_without_a_labeled_point_exit_2_before_any_work(
+        tmp_path, tiny_dataset, zero_epoch_ckpts, capsys, command):
+    """A val split whose every point is unlabeled is rejected before sms or
+    the probe trains and before eval runs a forward, naming the dataset and
+    the split."""
+    copy = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, copy)
+    scan = copy / "scans" / "val_000.lpcd"
+    cloud = read_lpcd(scan)
+    write_lpcd(scan, PointCloud(cloud.xyz, cloud.intensity, cloud.beam,
+                                np.full(cloud.count, -1)))
+    doc = dict(zero_epoch_ckpts["run"], dataset=str(copy), epochs=1, sms_epochs=1,
+               probe_epochs=1)
+    doc.update({"sms": {}, "probe": {"random_baseline": True},
+                "eval": {"checkpoint": zero_epoch_ckpts["sms"]}}[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert f"error: dataset {copy} has no labeled point in its val split" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_a_header_only_pairs_csv_exit_2_naming_it_without_a_warning(tmp_path):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("prediction,label\n")
+    cfg = write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)})
+    env = dict(os.environ, PYTHONPATH=str(Path(lidarmoe.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "lidarmoe.cli", "eval", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {pairs}: no prediction,label row\n"
+    assert not (tmp_path / "out").exists()
+

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from lidarmoe.datagen import CameraRender
 from lidarmoe.dataio import (CAMERA_ARRAYS, DatasetManifest, ScanEntry,
                              TrainingLog, load_manifest, read_camera_npz,
-                             read_json, read_lpcd, save_manifest,
+                             read_csv, read_json, read_lpcd, save_manifest,
                              write_camera_npz, write_json, write_lpcd)
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.pointcloud import PointCloud
@@ -270,3 +271,13 @@ def test_manifest_split_listing_one_stem_twice_names_it(tmp_path):
     save_manifest(path, DatasetManifest(train=[ScanEntry("scans/a.lpcd")],
                                         val=[ScanEntry("scans/a.lpcd")]))
     assert len(load_manifest(path).val) == 1
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n", "a,b,c", "a,b,c\n\n \n"])
+def test_read_csv_of_a_header_only_file_is_empty_without_a_warning(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = read_csv(path, "a,b,c", np.int64)
+    assert rows.shape == (0, 3) and rows.dtype == np.int64

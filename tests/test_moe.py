@@ -6,7 +6,7 @@ import pytest
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph
 from lidarmoe.errors import LidarMoeError
-from lidarmoe.moe import (build_moe, init_moe_params, read_gate_csv,
+from lidarmoe.moe import (build_moe, gate_terms, init_moe_params, read_gate_csv,
                           write_gate_csv)
 from lidarmoe.params import ParameterStore
 
@@ -212,3 +212,17 @@ def test_gate_csv_bytes_equal_the_row_by_row_writer(tmp_path, rng):
     for table in (gates, gates[:0]):
         write_gate_csv(path, table)
         assert path.read_text() == gate_csv_fstring(table)
+
+
+def test_gate_terms_are_column_means_and_mean_row_entropy():
+    gates = np.array([[1, 0, 0], [0.5, 0.5, 0], [0.25, 0.25, 0.5]], np.float32)
+    terms = {name: var.data for name, var in gate_terms(gates).items()}
+    assert list(terms) == ["gate_load_range", "gate_load_voxel", "gate_load_point",
+                           "gate_entropy"]
+    assert all(v.shape == () for v in terms.values())
+    assert [float(terms[f"gate_load_{k}"]) for k in ("range", "voxel", "point")] == \
+        pytest.approx([1.75 / 3, 0.75 / 3, 0.5 / 3], abs=1e-15)
+    # rows of 0, log 2 and 1.5 log 2 nats: 0 log 0 is 0
+    assert float(terms["gate_entropy"]) == pytest.approx(2.5 * np.log(2) / 3, abs=1e-15)
+    one_hot = gate_terms(np.eye(3, dtype=np.float32))["gate_entropy"].data
+    assert str(float(one_hot)) == "0.0"

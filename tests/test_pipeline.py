@@ -11,6 +11,7 @@ import pytest
 from lidarmoe import autodiff as ad
 from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.dataio import load_manifest
+from lidarmoe.moe import read_gate_csv
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
 from lidarmoe.pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig,
@@ -220,6 +221,27 @@ def test_stage2_exports_the_student_and_gate_it_trained(tiny_config, tmp_path):
     assert any(not np.array_equal(student.get(n), expert.get(n))
                for n in expert.names())
     assert (meta["stage"], meta["student"], meta["seed"]) == ("cml", "voxel", 1)
+
+
+def test_cml_logs_the_gate_terms_of_the_gates_it_exports(tiny_config, tmp_path):
+    """Each step of the last CML epoch logs the column means and mean row
+    entropy of the train-mode gates that the gate CSV of its scan holds."""
+    s1 = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "s1")
+    stage2_cml(replace(tiny_config, epochs=2), ckpts_of(s1), tmp_path / "cml")
+    rows = [line.split(",") for line in
+            (tmp_path / "cml" / "cml_log.csv").read_text().splitlines()[1:]]
+    last = int(next(step for step, _, term, _ in rows if term == "epoch_loss"))
+    logged = sorted(tuple(float(value) for step, _, term, value in rows
+                          if int(step) == s and term.startswith("gate_"))
+                    for s in range(last, 2 * last))
+    exported = []
+    for path in (tmp_path / "cml").glob("cml_gates_*.csv"):
+        gates = read_gate_csv(path).astype(np.float64)
+        logs = np.log(gates, out=np.zeros_like(gates), where=gates > 0)
+        # log rows are in term-name order: entropy, then load point, range, voxel
+        exported.append((-np.sum(gates * logs, axis=1).mean(), *gates.mean(axis=0)[[2, 0, 1]]))
+    assert len(logged) == 2
+    np.testing.assert_allclose(logged, sorted(exported), rtol=1e-12)
 
 
 def test_make_view_rejects_an_unknown_representation(tiny_config):
@@ -588,7 +610,7 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
               "voxel": np.clip(project_labels(cloud, views["voxel"].mapping), -1, 3)}
 
     def build(ctx):
-        logits, aligned, fused = _sms_forward_build(ctx, views)
+        logits, aligned, fused, _ = _sms_forward_build(ctx, views)
         total, _ = build_sms_total(
             {"fused": fused, "range": logits["range"], "voxel": logits["voxel"],
              "point": aligned["point"]}, labels)
@@ -710,8 +732,8 @@ def test_sms_honors_annotation_fraction(tiny_config, tmp_path):
     assert len(steps) == 1
     # per-term breakdown rows accompany every step
     terms = {l.split(",")[2] for l in log[1:]}
-    assert {"range_ce", "range_lovasz", "voxel_ce", "voxel_lovasz",
-            "point_ce", "fused_ce"} <= terms
+    assert {"range_ce", "range_lovasz", "voxel_ce", "voxel_lovasz", "point_ce", "fused_ce",
+            "gate_load_range", "gate_load_voxel", "gate_load_point", "gate_entropy"} <= terms
 
 
 def test_sms_store_is_each_trunk_and_logit_head_and_peaks_lr_by_trunk(tiny_config, tmp_path,
