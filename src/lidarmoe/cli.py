@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -268,7 +269,12 @@ def _cmd_cosine_map(args, cfg, opts):
     if from_csv:
         path = opts["features_csv"]
         try:
-            feats = np.loadtxt(path, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a file of no rows is reported below, not by numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                feats = np.loadtxt(path, delimiter=",", ndmin=2)
+            if not len(feats):
+                raise ValueError("no feature row")
             if not np.all(np.isfinite(feats)):
                 raise ValueError("non-finite value")
             if cloud is not None and len(feats) != cloud.count:

@@ -154,17 +154,21 @@ def build_voxel_embed(ctx, feats, pairs, prefix, head):
 
 @dataclass(frozen=True)
 class PointGrouping:
-    """Sampled centroids plus their k-NN membership and the per-point
-    nearest centroid, all precomputed from geometry."""
+    """Sampled centroids plus their k-NN membership, ``k`` point rows per
+    centroid laid out centroid by centroid, and the per-point nearest
+    centroid, all precomputed from geometry."""
 
     centroid_ids: np.ndarray
     member_rows: np.ndarray
-    member_group: np.ndarray
     nearest_centroid: np.ndarray
 
     @property
     def count(self):
         return self.centroid_ids.shape[0]
+
+    @property
+    def k(self):
+        return self.member_rows.shape[0] // self.count
 
 
 def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGrouping:
@@ -200,8 +204,7 @@ def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGroup
         kth = np.partition(row, k_eff - 1)[k_eff - 1]
         near = np.flatnonzero(row <= kth)
         members[i] = near[np.lexsort((near, row[near]))[:k_eff]]
-    return PointGrouping(centroids, members.ravel(),
-                         np.repeat(np.arange(count, dtype=np.int64), k_eff), nearest)
+    return PointGrouping(centroids, members.ravel(), nearest)
 
 
 def build_point_embed(ctx, feats, grouping: PointGrouping, prefix, head):
@@ -210,7 +213,7 @@ def build_point_embed(ctx, feats, grouping: PointGrouping, prefix, head):
     x = ad.mul(feats, ad.as_var(_SCALE_XYZI))
     h = ad.relu(linear(ctx, x, f"{prefix}.mlp"))
     members = ad.gather_rows(h, grouping.member_rows)
-    pooled = ad.segment_max(members, grouping.member_group, grouping.count)
+    pooled = ad.segment_max(members, grouping.k)
     per_point = ad.gather_rows(pooled, grouping.nearest_centroid)
     return linear(ctx, ad.concat_cols([h, per_point]), f"{prefix}.{head}")
 

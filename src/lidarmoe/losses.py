@@ -48,68 +48,36 @@ def build_info_nce(k_var, q_var, temperature, denominator="all"):
     return ad.neg(ad.mean_all(ad.sub(pos, lse)))
 
 
-def _labeled_rows(rows_var, labels, what):
-    """The rows of ``rows_var`` (named ``what``) with a label >= 0, gathered
-    only when some row has none, and their labels; raises LidarMoeError when
-    the row counts disagree or no row is labeled."""
+def _checked_labels(rows_var, labels, what):
+    """``labels`` as an int64 vector, one per row of ``rows_var`` (named
+    ``what``); raises LidarMoeError when the row counts disagree or no
+    label is >= 0 (labeled)."""
     labels = np.asarray(labels, np.int64).reshape(-1)
     if labels.shape[0] != rows_var.shape[0]:
         raise LidarMoeError(f"labels and {what} row counts disagree")
-    keep = np.flatnonzero(labels >= 0)
-    if keep.size == 0:
+    if not np.any(labels >= 0):
         raise LidarMoeError("all labels are ignored")
-    if keep.size == labels.size:
-        return rows_var, labels
-    return ad.gather_rows(rows_var, keep), labels[keep]
+    return labels
 
 
 def build_cross_entropy(logits_var, labels):
-    """Mean negative log-likelihood over labeled rows (label >= 0)."""
-    kept, labels = _labeled_rows(logits_var, labels, "logits")
-    logp = ad.log_softmax_rows(kept)
-    onehot = np.zeros(kept.shape, np.float32)
+    """Mean negative log-likelihood over labeled rows (label >= 0); the
+    labeled rows are gathered only when some row has no label."""
+    labels = _checked_labels(logits_var, labels, "logits")
+    keep = np.flatnonzero(labels >= 0)
+    if keep.size < labels.size:
+        logits_var, labels = ad.gather_rows(logits_var, keep), labels[keep]
+    logp = ad.log_softmax_rows(logits_var)
+    onehot = np.zeros(logp.shape, np.float32)
     onehot[np.arange(labels.size), labels] = 1.0
     picked = ad.sum_cols(ad.mul(logp, ad.as_var(onehot)))
     return ad.neg(ad.mean_all(picked))
 
 
-def jaccard_extension_grad(fg_sorted: np.ndarray) -> np.ndarray:
-    """Discrete gradient of the Jaccard-loss extension along a sorted
-    error prefix (first differences of the prefix Jaccard losses)."""
-    fg = fg_sorted.astype(np.float64)
-    gts = fg.sum()
-    intersection = gts - np.cumsum(fg)
-    union = gts + np.cumsum(1.0 - fg)
-    jaccard = 1.0 - intersection / union
-    out = jaccard.copy()
-    out[1:] = jaccard[1:] - jaccard[:-1]
-    return out
-
-
 def build_lovasz_softmax(probs_var, labels):
-    """Composable Lovasz-softmax over probability rows.
-
-    For every class present in the labels, the per-point errors
-    (1 - p for the class's points, p elsewhere) are sorted descending and
-    dotted with the Jaccard-extension gradient; the result is averaged
-    over present classes. The sort order is treated as constant, so
-    gradients flow through the error values.
-    """
-    probs_kept, kept_labels = _labeled_rows(probs_var, labels, "probability")
-    sums = probs_var.data.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-5):
-        raise LidarMoeError("probability rows must sum to 1")
-    present = np.unique(kept_labels)
-    terms = None
-    for c in present.tolist():
-        p_c = ad.slice_cols(probs_kept, c, c + 1)
-        fg = (kept_labels == c).astype(np.float32)[:, None]
-        errors = ad.add(ad.mul(p_c, ad.as_var(1.0 - 2.0 * fg)), ad.as_var(fg))
-        order = np.argsort(-errors.data[:, 0], kind="stable")
-        grad = jaccard_extension_grad(fg[order, 0]).astype(np.float32)[:, None]
-        term = ad.sum_all(ad.mul(ad.gather_rows(errors, order), ad.as_var(grad)))
-        terms = term if terms is None else ad.add(terms, term)
-    return ad.mul(terms, ad.as_var(np.float32(1.0 / present.size)))
+    """Composable Lovasz-softmax over probability rows and their labels
+    (label >= 0 labeled): one ``autodiff.lovasz_softmax`` node."""
+    return ad.lovasz_softmax(probs_var, _checked_labels(probs_var, labels, "probability"))
 
 
 def build_sms_total(logits_by_rep: dict, labels_by_rep: dict):

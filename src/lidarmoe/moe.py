@@ -81,7 +81,7 @@ def gate_terms(gates: np.ndarray) -> dict:
     logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
     terms = {f"gate_load_{k}": rows[:, i].mean() for i, k in enumerate(REPRESENTATIONS)}
     # 0.0 - x rather than -x, so that one-hot rows log 0.0, not -0.0
-    terms["gate_entropy"] = 0.0 - np.sum(rows * logs, axis=1).mean()
+    terms["gate_entropy"] = 0.0 - ad._row_sums(rows * logs)[:, 0].mean()
     return {name: ad.as_var(value) for name, value in terms.items()}
 
 

@@ -197,12 +197,14 @@ class DatasetBundle:
     camera: CameraModel
     num_classes: int
     annotation_fraction: float
+    path: str
 
     def scans(self, split):
-        """The scans of ``split``; raises LidarMoeError when it has none."""
+        """The scans of ``split``; raises LidarMoeError naming the dataset
+        and the split when it has none."""
         scans = self.val if split == "val" else self.train
         if not scans:
-            raise LidarMoeError(f"empty split: {split}")
+            raise LidarMoeError(f"dataset {self.path} has an empty {split} split")
         return scans
 
 
@@ -268,7 +270,7 @@ def load_dataset(dataset_dir) -> DatasetBundle:
 
     return DatasetBundle(load_split(manifest.train), load_split(manifest.val),
                          sensor, camera, manifest.num_classes,
-                         manifest.annotation_fraction)
+                         manifest.annotation_fraction, str(dataset_dir))
 
 
 def check_off_origin(cloud: PointCloud, source) -> None:
@@ -313,11 +315,11 @@ def _superpoint_scans(config: RunConfig, data: DatasetBundle):
 
 def _labeled_scans(data: DatasetBundle) -> list:
     """The train scans with a labeled point, which SMS and the probe train
-    on; raises LidarMoeError when the train split is empty or no scan has
-    a label."""
+    on; raises LidarMoeError naming the dataset when the train split is
+    empty or no scan has a label."""
     labeled = [s for s in data.scans("train") if np.any(s.cloud.label >= 0)]
     if not labeled:
-        raise LidarMoeError("no labeled training scans")
+        raise LidarMoeError(f"dataset {data.path} has no labeled training scan")
     return labeled
 
 

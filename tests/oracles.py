@@ -128,19 +128,17 @@ def farthest_point_sample_loop(xyz, count):
 
 
 def point_grouping_loop(xyz, centroid_count, k):
-    """(centroid_ids, member_rows, member_group, nearest_centroid) with one
-    stable argsort of the squared distances per centroid."""
+    """(centroid_ids, member_rows, nearest_centroid) with one stable argsort
+    of the squared distances per centroid; ``member_rows`` holds each
+    centroid's k nearest in turn."""
     xyz = np.asarray(xyz).astype(np.float64)
     centroids = farthest_point_sample_loop(xyz, centroid_count)
     d2 = ((xyz[centroids][:, None, :] - xyz[None, :, :]) ** 2).sum(axis=2)
     k_eff = min(k, xyz.shape[0])
-    member_rows, member_group = [], []
-    for g in range(centroids.shape[0]):
-        member_rows.append(np.argsort(d2[g], kind="stable")[:k_eff])
-        member_group.append(np.full(k_eff, g, np.int64))
+    member_rows = [np.argsort(d2[g], kind="stable")[:k_eff]
+                   for g in range(centroids.shape[0])]
     nearest = np.argmin(d2, axis=0).astype(np.int64)
-    return (centroids, np.concatenate(member_rows),
-            np.concatenate(member_group), nearest)
+    return centroids, np.concatenate(member_rows), nearest
 
 
 def voxelize_unique_rows(xyz, intensity, sizes):
@@ -302,3 +300,59 @@ def pooled_two_gathers(view, ctx, prefix, partition):
     per_point = view.align(view.output(ctx, prefix))
     return ad.segment_mean(ad.gather_rows(per_point, keep),
                            partition.point_group[keep].astype(np.int64), partition.count)
+
+
+# -- reference forms of the supervised loss kernels ------------------------------
+# The per-class Lovasz-softmax graph that ``autodiff.lovasz_softmax``
+# replaced, and the ``np.maximum.at`` segment max that the block form of
+# ``autodiff.segment_max`` replaced; the new code must give the same bytes.
+
+def jaccard_extension_grad(fg_sorted):
+    """Discrete gradient of the Jaccard-loss extension along a sorted
+    error prefix (first differences of the prefix Jaccard losses)."""
+    fg = fg_sorted.astype(np.float64)
+    gts = fg.sum()
+    intersection = gts - np.cumsum(fg)
+    union = gts + np.cumsum(1.0 - fg)
+    jaccard = 1.0 - intersection / union
+    out = jaccard.copy()
+    out[1:] = jaccard[1:] - jaccard[:-1]
+    return out
+
+
+def lovasz_softmax_per_class(probs_var, labels):
+    """The Lovasz-softmax as a graph of about seven nodes per present class:
+    the labeled rows gathered (when some row has none), then per class a
+    column slice, its errors, a gather by their sort order, a product with
+    the Jaccard weights and a sum, the class terms added in class order and
+    scaled by one over the class count."""
+    labels = np.asarray(labels, np.int64).reshape(-1)
+    keep = np.flatnonzero(labels >= 0)
+    probs_kept = probs_var if keep.size == labels.size else ad.gather_rows(probs_var, keep)
+    kept_labels = labels[keep]
+    present = np.unique(kept_labels)
+    terms = None
+    for c in present.tolist():
+        p_c = ad.slice_cols(probs_kept, c, c + 1)
+        fg = (kept_labels == c).astype(np.float32)[:, None]
+        errors = ad.add(ad.mul(p_c, ad.as_var(1.0 - 2.0 * fg)), ad.as_var(fg))
+        order = np.argsort(-errors.data[:, 0], kind="stable")
+        grad = jaccard_extension_grad(fg[order, 0]).astype(np.float32)[:, None]
+        term = ad.sum_all(ad.mul(ad.gather_rows(errors, order), ad.as_var(grad)))
+        terms = term if terms is None else ad.add(terms, term)
+    return ad.mul(terms, ad.as_var(np.float32(1.0 / present.size)))
+
+
+def segment_max_at(x, seg, num_segments, g):
+    """Forward output and backward grad of the per-segment column max by
+    ``np.maximum.at``, the grad routed to the first attaining row by
+    ``np.minimum.at`` over row numbers."""
+    n, d = x.shape
+    data = np.full((num_segments, d), -np.inf, dtype=x.dtype)
+    np.maximum.at(data, seg, x)
+    winners = np.full((num_segments, d), n, dtype=np.int64)
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    np.minimum.at(winners, seg, np.where(x == data[seg], rows, n))
+    full = np.zeros((n, d), dtype=g.dtype)
+    full[winners, np.arange(d)] = g
+    return data, full

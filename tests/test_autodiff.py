@@ -96,6 +96,24 @@ def test_row_max_equals_max_axis_on_nan_rows(dtype):
         assert np.isnan(want).any() and np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("acc", [None, np.float64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_sums_give_the_bytes_of_numpy_sum(dtype, acc):
+    """Column-by-column row sums give the bytes of ``np.sum(axis=1)``, signed
+    zeros included, on rows of width 1-12 with C, Fortran and broadcast
+    strides."""
+    rng = np.random.default_rng(13)
+    for width in range(1, 13):
+        x = _edge_rows(rng, dtype, width)
+        x[:, ::2] *= dtype(10.0) ** rng.integers(-8, 8, x[:, ::2].shape).astype(dtype)
+        for rows in (x, np.asfortranarray(x), np.broadcast_to(x[-44:-43], x.shape)):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = ad._row_sums(rows, acc)
+                want = np.sum(rows, axis=1, keepdims=True, dtype=acc)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), width
+
+
 def test_softmax_uniform():
     g = Graph(lambda ctx: {"out": ad.softmax_rows(ctx.input("x"))})
     out = ad.evaluate(g, ParameterStore(), {"x": np.zeros((1, 3), np.float32)})
@@ -237,7 +255,7 @@ def test_grad_check_each_primitive(op, rng):
         if op == "segment_mean":
             return ad.segment_mean(h, seg, 3)
         if op == "segment_max":
-            return ad.segment_max(h, seg, 3)
+            return ad.segment_max(ad.gather_rows(h, np.array([0, 2, 1, 3, 4, 1])), 2)
         return ad.sum_cols(h)
 
     def build(ctx):
@@ -448,10 +466,12 @@ POLICY_CASES = {
                     lambda p: ad.gather_rows(p["a"], np.array([0, 0, 2, 4]))),
     "take_diag": ({"a": (4, 4)}, lambda p: ad.take_diag(p["a"])),
     "segment_mean": ({"a": (5, 4)}, lambda p: ad.segment_mean(p["a"], SEG, 3)),
-    "segment_max": ({"a": (5, 4)}, lambda p: ad.segment_max(p["a"], SEG, 3)),
+    "segment_max": ({"a": (6, 4)}, lambda p: ad.segment_max(p["a"], 2)),
     "sum_all": ({"a": (5, 4)}, lambda p: ad.sum_all(p["a"])),
     "mean_all": ({"a": (5, 4)}, lambda p: ad.mean_all(p["a"])),
     "sum_cols": ({"a": (5, 4)}, lambda p: ad.sum_cols(p["a"])),
+    "lovasz_softmax": ({"a": (5, 4)}, lambda p: ad.lovasz_softmax(
+        ad.softmax_rows(p["a"]), np.array([0, 3, -1, 3, 1]))),
     "conv2d3x3": ({"x": (3, 4, 2), "w": (18, 3), "b": (3,)},
                   lambda p: ad.conv2d3x3(p["x"], p["w"], p["b"])),
 }
@@ -757,7 +777,7 @@ def test_segment_mean_matches_bruteforce(rng):
 def test_segment_max_matches_bruteforce(rng):
     x = rng.standard_normal((12, 4)).astype(np.float32)
     seg = np.repeat(np.arange(3), 4)
-    g = Graph(lambda ctx: {"out": ad.segment_max(ctx.input("x"), seg, 3)})
+    g = Graph(lambda ctx: {"out": ad.segment_max(ctx.input("x"), 4)})
     out = ad.evaluate(g, ParameterStore(), {"x": x})["out"]
     for s in range(3):
         assert np.allclose(out[s], x[seg == s].max(axis=0), atol=1e-7)

@@ -727,6 +727,11 @@ def _bad_input(case, tmp_path, dataset):
         return "route-stats", write_json(tmp_path / "cfg.json", doc), \
             f"{doc['gates_csv']}: 1 rows for a cloud of {read_lpcd(cloud).count} points " \
             f"({cloud})"
+    if case == "cosine-map features file empty":
+        path = tmp_path / "feats.csv"
+        path.write_text("")
+        doc = {"features_csv": str(path), "query_id": 0}
+        return "cosine-map", write_json(tmp_path / "cfg.json", doc), f"{path}: no feature row"
     if case == "cosine-map query_id past the last row":
         doc = {"features_csv": _write_features(tmp_path, 4), "query_id": 7}
         return "cosine-map", write_json(tmp_path / "cfg.json", doc), \
@@ -1016,7 +1021,7 @@ def _bad_input(case, tmp_path, dataset):
     "pairs num_classes -2", "scan label -2", "NaN gate score", "gate alpha -5",
     "gate row summing to 1.5", "gates of 1 row for the whole cloud",
     "cosine-map query_id past the last row", "cosine-map features of 3 rows",
-    "cosine-map features with inf",
+    "cosine-map features with inf", "cosine-map features file empty",
     "pairs CSV header pred,label", "pairs CSV of three fields", "pairs CSV labels all -1",
     "cml with neither source", "probe with neither source", "eval with neither source",
     "cosine-map with neither source",
@@ -1037,6 +1042,7 @@ def _bad_input(case, tmp_path, dataset):
     "camera class_id of float ids", "train and val x NaN", "two train scans of one stem",
     "val scan name with a comma", *_MISSHAPEN,
 ])
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
     command, cfg, message = _bad_input(case, tmp_path, tiny_dataset)
     config = [] if cfg is None else ["--config", cfg]
@@ -1376,7 +1382,7 @@ def test_empty_split_exit_2_before_training(tmp_path, capsys, command, split):
     out = tmp_path / "out"
     assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
                  "--out", str(out)]) == 2
-    assert f"error: empty split: {split}" in capsys.readouterr().err
+    assert f"error: dataset {data} has an empty {split} split" in capsys.readouterr().err
     assert not list(out.glob("*_log.csv"))
 
 

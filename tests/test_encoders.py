@@ -312,7 +312,7 @@ def test_point_global_pool_matches_bruteforce_max(rng):
         x = ad.mul(ctx.input("f"), ad.as_var(_SCALE_XYZI))
         hh = ad.relu(linear(ctx, x, "point.mlp"))
         members = ad.gather_rows(hh, grouping.member_rows)
-        return {"pooled": ad.segment_max(members, grouping.member_group, 1)}
+        return {"pooled": ad.segment_max(members, grouping.k)}
 
     pooled = ad.evaluate(Graph(build), store, {"f": cloud.features()})["pooled"]
     assert np.allclose(pooled[0], want, atol=1e-5)

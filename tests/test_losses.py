@@ -13,7 +13,7 @@ from lidarmoe.losses import (build_cross_entropy, build_info_nce,
 from lidarmoe.params import ParameterStore
 
 from graph_eval import evaluate_builder
-from oracles import info_nce_bruteforce, lovasz_bruteforce
+from oracles import info_nce_bruteforce, lovasz_bruteforce, lovasz_softmax_per_class
 
 
 def info_nce(k, q, temperature, denominator="all"):
@@ -195,6 +195,54 @@ def test_lovasz_grad_check(rng):
         return {"loss": build_lovasz_softmax(probs, labels)}
 
     assert ad.grad_check(Graph(build), store, {}, eps=1e-4) < 1e-4
+
+
+def _lovasz_cases():
+    """{case: (probability rows, labels)} over 6 classes: unlabeled rows,
+    one present class, tied errors (rows repeat), every class present."""
+    rng = np.random.default_rng(21)
+    n, c = 300, 6
+
+    def probs(logits):
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+    every = rng.integers(0, c, n)
+    unlabeled = np.where(rng.random(n) < 0.3, -1, every)
+    spread = probs(3.0 * rng.standard_normal((n, c)))
+    tied = probs(rng.integers(-1, 2, (n, c)).astype(np.float64))
+    return {"unlabeled rows": (spread, unlabeled), "one present class": (spread, np.full(n, 2)),
+            "tied errors": (tied, every), "every class present": (spread, every)}
+
+
+LOVASZ_CASES = _lovasz_cases()
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0, -0.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(LOVASZ_CASES))
+def test_lovasz_node_gives_the_bytes_of_the_per_class_graph(case, dtype, scale):
+    """Loss and probability grad of the one-node Lovasz-softmax are bit for
+    bit those of the per-class graph, in float32 and float64. An upstream
+    grad of +0.0 or -0.0 makes the -0.0 grads that the per-class graph kept
+    for one present class and no unlabeled row, and turned into +0.0
+    otherwise; of -0.0, on the other rows than +0.0 does."""
+    probs, labels = LOVASZ_CASES[case]
+    assert case != "tied errors" or np.unique(probs, axis=0).shape[0] < probs.shape[0]
+    store = ParameterStore()
+    store.add("probs", probs)
+    got = []
+    for loss_fn in (build_lovasz_softmax, lovasz_softmax_per_class):
+        graph = Graph(lambda ctx: {"loss": ad.mul(loss_fn(ctx.param("probs"), labels),
+                                                  ad.as_var(np.float32(scale)))})
+        ctx, outputs = graph.run(store, {}, train_mode=True, dtype=dtype)
+        ad._backprop(outputs["loss"])
+        got.append((outputs["loss"].data, ctx.param_vars()["probs"].grad))
+    (loss, grad), (want_loss, want_grad) = got
+    assert loss.dtype == want_loss.dtype == dtype and loss.tobytes() == want_loss.tobytes()
+    assert grad.dtype == want_grad.dtype == dtype and grad.tobytes() == want_grad.tobytes()
+    negative_zeros = np.any((grad == 0) & np.signbit(grad))
+    assert negative_zeros == (case == "one present class" and scale == 0.0)
 
 
 # -- sms composite -----------------------------------------------------------

@@ -620,6 +620,41 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
     assert err < 1e-4
 
 
+def _tape_entries(value):
+    """The tape entries (primitive outputs that depend on a parameter)
+    that the graph value ``value`` is computed from, itself included."""
+    seen, stack = set(), [value.entry]
+    while stack:
+        entry = stack.pop()
+        if id(entry) not in seen and entry.parents:
+            seen.add(id(entry))
+            stack.extend(entry.parents)
+    return len(seen)
+
+
+# tape entries of one SMS training step on reference scan train_000, whose
+# range and voxel heads each see all 6 classes; with the Lovasz-softmax
+# spread over per-class nodes it was 167
+SMS_STEP_TAPE_ENTRIES = 84
+
+
+def test_one_sms_step_holds_one_tape_entry_per_lovasz_term(tmp_path, monkeypatch):
+    import lidarmoe.pipeline as pipeline
+    generate_dataset(dict(DEFAULT_DATASET_CONFIG), tmp_path / "data", seed=0)
+    step, train = {}, pipeline._train_epochs
+
+    def capturing(config, scans, graph_fn, store, *rest):
+        step.update(scan=scans[0], graph_fn=graph_fn, store=store)
+        return train(config, scans, graph_fn, store, *rest)
+
+    monkeypatch.setattr(pipeline, "_train_epochs", capturing)
+    stage3_sms(RunConfig(dataset=str(tmp_path / "data"), sms_epochs=0), {}, tmp_path / "sms")
+    assert step["scan"].name == "train_000"
+    build, inputs = step["graph_fn"](0, step["scan"], 0)
+    _, outputs = Graph(build).run(step["store"], inputs, train_mode=True)
+    assert _tape_entries(outputs["loss"]) == SMS_STEP_TAPE_ENTRIES
+
+
 def test_stage3_refuses_unlabeled_dataset(tiny_config, tmp_path):
     # strip labels from a copied dataset
     import shutil
@@ -633,7 +668,8 @@ def test_stage3_refuses_unlabeled_dataset(tiny_config, tmp_path):
         stripped.label[:] = -1
         write_lpcd(scan, stripped)
     cfg = replace(tiny_config, dataset=str(dst))
-    with pytest.raises(LidarMoeError, match="^no labeled training scans$"):
+    with pytest.raises(LidarMoeError,
+                       match=f"^dataset {re.escape(str(dst))} has no labeled training scan$"):
         stage3_sms(cfg, {}, tmp_path / "out")
 
 

@@ -17,7 +17,7 @@ from lidarmoe.pipeline import RunConfig, generate_dataset, load_dataset
 from lidarmoe.pointcloud import PointCloud
 
 from oracles import (farthest_point_sample_loop, point_grouping_loop,
-                     scatter_add_rows_at, voxel_neighbor_pairs_dict,
+                     scatter_add_rows_at, segment_max_at, voxel_neighbor_pairs_dict,
                      voxelize_unique_rows)
 
 REF = RunConfig()
@@ -88,8 +88,8 @@ def check_view_geometry(cloud, centroid_count, k, sizes):
     # the first oracle output is farthest_point_sample_loop's centroids
     g = point_grouping(cloud, centroid_count, k)
     want = point_grouping_loop(cloud.xyz, centroid_count, k)
-    for got, ref in zip((g.centroid_ids, g.member_rows, g.member_group,
-                         g.nearest_centroid), want):
+    assert g.k == min(k, cloud.count)
+    for got, ref in zip((g.centroid_ids, g.member_rows, g.nearest_centroid), want):
         assert_same(got, ref)
 
     grid = voxelize(cloud, sizes)
@@ -230,13 +230,36 @@ def test_segment_mean_zero_rows(num_segments):
     assert_same(out.data, np.zeros((num_segments, 5), np.float32))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_segment_max_gives_the_bytes_of_the_add_at_form(dtype):
+    """Forward and backward bytes of the block max equal the
+    ``np.maximum.at`` form over the same blocks, on tie-heavy rows with
+    zeros of both signs, a block of zeros only and single-row blocks."""
+    rng = np.random.default_rng(8)
+    for groups, k, d in ((1, 1, 3), (7, 1, 4), (5, 3, 8), (40, 16, 32), (3, 40, 5)):
+        x = np.round(rng.standard_normal((groups * k, d)), 1).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[:k] = np.where(rng.random((k, d)) < 0.5, -0.0, 0.0)
+        g = rng.standard_normal((groups, d)).astype(dtype)
+        out = ad.segment_max(ad.Var(x, requires_grad=True), k)
+        want, want_grad = segment_max_at(x, np.repeat(np.arange(groups), k), groups, g)
+        for got, ref in ((out.data, want), (out.bwd(g)[0], want_grad)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (groups, k, d)
+
+
+def test_segment_max_rejects_rows_that_do_not_fill_its_blocks():
+    with pytest.raises(LidarMoeError, match="7 rows do not split into blocks of 3"):
+        ad.segment_max(ad.Var(np.zeros((7, 2), np.float32)), 3)
+
+
 def test_segment_max_backward_routes_to_first_winner():
     rng = np.random.default_rng(6)
     a = np.round(rng.standard_normal((200, 8)), 1).astype(np.float32)  # ties
-    seg = np.sort(rng.integers(0, 20, 200))
-    seg[:20] = np.arange(20)
+    seg = np.repeat(np.arange(20), 10)
     leaf = ad.Var(a, requires_grad=True)
-    out = ad.segment_max(leaf, seg, 20)
+    out = ad.segment_max(leaf, 10)
     g = rng.standard_normal(out.shape)
     want = np.zeros(a.shape)
     for s in range(20):
