@@ -37,7 +37,7 @@ from .pipeline import (RunConfig, backbone_kind, check_off_origin, check_param_s
                        embed_view, embedding_width, evaluate_store, generate_dataset,
                        linear_probe, load_dataset, load_sensors, make_view, stage1_pretrain,
                        stage2_cml, stage3_sms)
-from .sensors import (POSITIVE, REQUIRED, at_least, config_from_json, one_of, read_key,
+from .sensors import (REQUIRED, at_least, config_from_json, one_of, read_key,
                       reject_unknown)
 
 USAGE_ERROR = 1
@@ -46,14 +46,12 @@ DATA_ERROR = 2
 _DATA_ERRORS = (LidarMoeError, OSError)
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI sets: a block
-# below 32 MiB comes from the heap, up to 256 MiB of free heap top stays
-# mapped, and every thread shares one arena (see _keep_freed_memory)
+# below 32 MiB comes from the heap, and up to 256 MiB of free heap top stays
+# mapped (see _keep_freed_memory)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 256 << 20
-_ARENA_MAX = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +63,7 @@ class _Parser(argparse.ArgumentParser):
 _SPLITS = one_of(("train", "val"))
 _KINDS = one_of(REPRESENTATIONS)
 _PATH = (lambda v: v != ""), "a non-empty path"
+_CLEAN_IOU = (lambda v: 0 < v <= 100), "in (0, 100]"
 
 
 def _keep_freed_memory() -> None:
@@ -76,8 +75,6 @@ def _keep_freed_memory() -> None:
     and ``M_TRIM_THRESHOLD`` keeps those pages resident for the next
     allocation. Both are set, because setting either one turns off glibc's
     dynamic thresholds and leaves the other at its 128 KiB default.
-    ``M_ARENA_MAX`` 1 makes every thread allocate from the one main arena,
-    so evaluation's view-building thread keeps no heap of its own.
 
     Only the CLI calls this: importing ``lidarmoe`` leaves a host process's
     allocator alone, and a direct caller of ``pipeline`` keeps the default
@@ -94,7 +91,6 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
-    mallopt(_M_ARENA_MAX, _ARENA_MAX)
 
 
 def _read_config(args):
@@ -228,10 +224,13 @@ def _cmd_corrupt(args, _, opts):
     manifest = load_manifest(dataset / "manifest.json")
     load_sensors(dataset)  # checked here, copied byte for byte below
     sensors = (dataset / "sensors.json").read_bytes()
+    entries = getattr(manifest, split)
+    if not entries:
+        raise LidarMoeError(f"dataset {dataset} has an empty {split} split")
     # every input is read and corrupted before the first write
     bad = [corrupt_cloud(read_lpcd(resolve(dataset, entry.scan)), kind, severity,
                          seed=seed + i)
-           for i, entry in enumerate(getattr(manifest, split))]
+           for i, entry in enumerate(entries)]
     new_manifest = DatasetManifest(num_classes=manifest.num_classes)
     for i, cloud in enumerate(bad):
         rel = f"scans/{split}_{i:03d}.lpcd"
@@ -337,7 +336,7 @@ _COMMANDS = {
         "features_csv": ("str", None), "representation": ("str", None, _KINDS),
         "checkpoint": ("str", None)}),
     "report": (_cmd_report, False, {"model_ious": ("dict",), "baseline_ious": ("dict",),
-                                    "clean_iou": ("float", REQUIRED, POSITIVE)}),
+                                    "clean_iou": ("float", REQUIRED, _CLEAN_IOU)}),
 }
 
 

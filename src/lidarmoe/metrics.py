@@ -70,19 +70,25 @@ def compute_mce_mrr(model_ious: dict, baseline_ious: dict, clean_iou: float):
     """Robustness aggregates from per-corruption severity-1..3 IoUs.
 
     ``model_ious`` and ``baseline_ious`` map corruption name to three IoU
-    percentages; returns (mCE, mRR, per-corruption dict), all percent.
+    percentages in [0, 100]; returns (mCE, mRR, per-corruption dict), all
+    percent. Raises LidarMoeError when they name no corruption.
     """
-    if clean_iou <= 0:
-        raise LidarMoeError("clean_iou must be positive")
+    if not 0 < clean_iou <= 100:
+        raise LidarMoeError(f"clean_iou must be in (0, 100], got {clean_iou!r}")
     if set(model_ious) != set(baseline_ious):
         raise LidarMoeError("model and baseline corruption sets disagree")
+    if not model_ious:
+        raise LidarMoeError("model_ious and baseline_ious name no corruption")
     per = {}
     ces, rrs = [], []
     for name in sorted(model_ious):
         rows = [model_ious[name], baseline_ious[name]]
         if not (FIELD_TYPES["matrix"](rows) and all(len(r) == 3 for r in rows)):
             raise LidarMoeError(f"corruption {name} needs exactly three severity IoUs")
-        m, b = np.asarray(rows, np.float64) / 100.0
+        ious = np.asarray(rows, np.float64)
+        if not np.all((ious >= 0) & (ious <= 100)):
+            raise LidarMoeError(f"corruption {name} has an IoU outside [0, 100]")
+        m, b = ious / 100.0
         base_err = np.sum(1.0 - b)
         if base_err == 0:
             raise LidarMoeError(f"baseline corruption error is zero for {name}")

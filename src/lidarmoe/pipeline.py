@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -698,39 +697,21 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
     head, and the fused per-point predictions of each scan in split order.
     A scan's views are dropped once it is scored, unless ``keep_views``.
     A split with no labeled point raises LidarMoeError before any forward.
-
-    One worker thread builds the next scan's views while this thread runs
-    the current scan's graph, so without ``keep_views`` at most two scans'
-    views are live at once. The forwards, their order and every view are
-    those of a one-scan-at-a-time pass, so the outputs are byte-identical.
-    An error building a scan's views is raised after the previous scan's
-    forward, and the worker is joined before this returns or raises. The
-    worker reads no autodiff state, such as the per-node check switch that
-    ``Graph.run`` flips: its one autodiff call, ``segment_means``, is not a
-    primitive.
     """
     scans = _scored_scans(config, data, split)
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
+    for scan in scans:
+        views = {k: _scan_view(scan, k, data.sensor, config) for k in REPRESENTATIONS}
 
-    def scan_views(scan):
-        return {k: _scan_view(scan, k, data.sensor, config) for k in REPRESENTATIONS}
+        def build(ctx):
+            _, aligned, fused, _ = _sms_forward_build(ctx, views)
+            return {"fused": fused, **aligned}
 
-    # the executor starts its thread on the first submit: a one-scan split starts none
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        views = scan_views(scans[0])
-        for i, scan in enumerate(scans):
-            upcoming = worker.submit(scan_views, scans[i + 1]) if i + 1 < len(scans) else None
-
-            def build(ctx):
-                _, aligned, fused, _ = _sms_forward_build(ctx, views)
-                return {"fused": fused, **aligned}
-
-            outs = ad.evaluate(Graph(build), store, _inputs(views))
-            for k, head in preds.items():
-                head.append(np.argmax(outs[k], axis=1))
-            if not keep_views:
-                scan.views.clear()
-            views = None if upcoming is None else upcoming.result()
+        outs = ad.evaluate(Graph(build), store, _inputs(views))
+        for k, head in preds.items():
+            head.append(np.argmax(outs[k], axis=1))
+        if not keep_views:
+            scan.views.clear()
     labels = np.concatenate([scan.cloud.label for scan in scans])
     reports = {k: compute_miou(np.concatenate(v), labels, data.num_classes)
                for k, v in preds.items()}

@@ -559,7 +559,7 @@ def test_mistyped_key_exit_2_before_any_file_is_read(tmp_path, capsys, command, 
     assert not out.exists()
 
 
-def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset):
+def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset, capsys):
     cfg = write_json(tmp_path / "cfg.json", {"dataset": str(tiny_dataset),
                                              "kind": "jitter", "severity": 1,
                                              "split": "train"})
@@ -569,12 +569,15 @@ def test_corrupt_train_split_writes_train_entries(tmp_path, tiny_dataset):
     assert [e["scan"] for e in manifest["splits"]["train"]] == \
         ["scans/train_000.lpcd", "scans/train_001.lpcd"]
     assert manifest["splits"]["val"] == []
-    # a bad kind or severity exits 2 on the empty val split too, writing nothing
-    for bad in ({"kind": "fog"}, {"severity": 9}):
-        doc = dict({"dataset": str(out), "kind": "jitter", "severity": 1}, **bad)
+    # a bad kind or severity of the corrupted train split exits 2 naming the
+    # key, writing nothing
+    for bad, key in (({"kind": "fog"}, "kind"), ({"severity": 9}, "severity")):
+        doc = dict({"dataset": str(out), "kind": "jitter", "severity": 1, "split": "train"},
+                   **bad)
         again = tmp_path / "again"
         assert main(["corrupt", "--config", write_json(tmp_path / "bad.json", doc),
                      "--out", str(again)]) == 2
+        assert f"error: corrupt config {key} must be" in capsys.readouterr().err
         assert not again.exists()
 
 
@@ -893,6 +896,14 @@ def _bad_input(case, tmp_path, dataset):
             scan.write_bytes(scan.read_bytes()[:100])
             want = f"truncated file {scan}"
         return "corrupt", write_json(tmp_path / "cfg.json", doc), want
+    if case == "corrupt of an empty val split":
+        empty = tmp_path / "ds"
+        assert main(["datagen", "--config", write_json(tmp_path / "gen.json",
+                                                       {"n_train": 1, "n_val": 0}),
+                     "--out", str(empty)]) == 0
+        doc = {"dataset": str(empty), "kind": "jitter", "severity": 1, "split": "val"}
+        return "corrupt", write_json(tmp_path / "cfg.json", doc), \
+            f"dataset {empty} has an empty val split"
     if case == "corrupt severity 4":
         doc = {"dataset": str(dataset), "kind": "jitter", "severity": 4}
         return "corrupt", write_json(tmp_path / "cfg.json", doc), \
@@ -920,7 +931,19 @@ def _bad_input(case, tmp_path, dataset):
         ious = {"beam": [60.0, 50.0, 40.0]}
         doc, want = {
             "report clean_iou 0": ({"model_ious": ious, "baseline_ious": ious, "clean_iou": 0.0},
-                                   "report config clean_iou must be > 0, got 0.0"),
+                                   "report config clean_iou must be in (0, 100], got 0.0"),
+            "report clean_iou 500": (
+                {"model_ious": ious, "baseline_ious": ious, "clean_iou": 500.0},
+                "report config clean_iou must be in (0, 100], got 500.0"),
+            "report of no corruption": (
+                {"model_ious": {}, "baseline_ious": {}, "clean_iou": 50.0},
+                "model_ious and baseline_ious name no corruption"),
+            "report baseline IoU -500": (
+                {"model_ious": ious, "baseline_ious": {"beam": [-500.0, 100.0, 100.0]},
+                 "clean_iou": 70.0}, "corruption beam has an IoU outside [0, 100]"),
+            "report model IoU 100.5": (
+                {"model_ious": {"beam": [100.5, 50.0, 40.0]}, "baseline_ious": ious,
+                 "clean_iou": 70.0}, "corruption beam has an IoU outside [0, 100]"),
             "report corruption sets differ": (
                 {"model_ious": ious, "baseline_ious": {"fog": [60.0, 50.0, 40.0]},
                  "clean_iou": 70.0}, "model and baseline corruption sets disagree"),
@@ -1034,8 +1057,10 @@ def _bad_input(case, tmp_path, dataset):
     "checkpoint manifest dtype f16", "checkpoint manifest not JSON", "corrupt severity 4",
     "corrupt of a truncated second scan", "corrupt without sensors.json",
     "decreasing distance_edges", "distance_edges past every point",
-    "class axis of an unlabeled cloud", "report clean_iou 0",
-    "report corruption sets differ", "report two severities",
+    "corrupt of an empty val split",
+    "class axis of an unlabeled cloud", "report clean_iou 0", "report clean_iou 500",
+    "report corruption sets differ", "report two severities", "report of no corruption",
+    "report baseline IoU -500", "report model IoU 100.5",
     "val point at the sensor origin", "cosine-map cloud point at the sensor origin",
     "camera render cut to 40 rows",
     "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
@@ -1072,7 +1097,7 @@ def _rejected_input(command, tmp_path, dataset):
         "cosine-map": ({"features_csv": _write_features(tmp_path, 2), "query_id": 2},
                        "query_id must be < 2 (feature rows), got 2"),
         "report": ({"model_ious": ious, "baseline_ious": ious, "clean_iou": 0.0},
-                   "clean_iou must be > 0"),
+                   "clean_iou must be in (0, 100]"),
     }[command]
 
 
@@ -1201,9 +1226,9 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "eval_summary.json").exists()
 
 
-def test_cli_sets_the_heap_thresholds_and_one_arena(tmp_path, monkeypatch):
-    """main sets M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX, in
-    that order, through the C library's mallopt."""
+def test_cli_sets_the_heap_thresholds(tmp_path, monkeypatch):
+    """main sets M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD, through the C
+    library's mallopt, and no other mallopt parameter."""
     import lidarmoe.cli as cli
     calls = []
 
@@ -1216,7 +1241,7 @@ def test_cli_sets_the_heap_thresholds_and_one_arena(tmp_path, monkeypatch):
     pairs.write_text("prediction,label\n1,1\n2,2\n")
     cfg = write_json(tmp_path / "cfg.json", {"pairs_csv": str(pairs)})
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert calls == [(-3, 32 << 20), (-1, 256 << 20), (-8, 1)]
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
 
 
 @pytest.fixture(scope="module")

@@ -436,9 +436,9 @@ def _eval_setup(small_dataset):
 
 @pytest.mark.parametrize("keep_views", [False, True])
 def test_evaluating_a_split_gives_each_scans_own_results(keep_views, small_dataset):
-    """With the next scan's views built on a worker thread, a split's fused
-    predictions are byte for byte each scan's own, its confusion counts
-    are the sums of the scans', and no thread outlives the call."""
+    """A split's fused predictions are byte for byte each scan's own, its
+    confusion counts are the sums of the scans', and the call leaves no
+    thread behind."""
     cfg, data, store = _eval_setup(small_dataset)
     threads = threading.active_count()
     reports, preds = evaluate_store(store, cfg, data, split="train", keep_views=keep_views)
@@ -457,8 +457,25 @@ def test_evaluating_a_split_gives_each_scans_own_results(keep_views, small_datas
             assert np.array_equal(getattr(report, count), want), (head, count)
 
 
+def test_every_view_of_an_evaluated_split_is_built_on_the_calling_thread(
+        small_dataset, monkeypatch):
+    import lidarmoe.pipeline as pipeline
+    cfg, data, store = _eval_setup(small_dataset)
+    make, builders = pipeline.make_view, []
+
+    def recording(*args):
+        builders.append(threading.get_ident())
+        return make(*args)
+
+    monkeypatch.setattr(pipeline, "make_view", recording)
+    evaluate_store(store, cfg, data, split="train")
+    assert builders == [threading.get_ident()] * (3 * len(REPRESENTATIONS))
+
+
 def test_a_view_error_of_the_next_scan_is_raised_after_this_scans_forward(
         small_dataset, monkeypatch):
+    """An error building the second scan's views is raised after the first
+    scan's forward, and no later forward runs."""
     import lidarmoe.pipeline as pipeline
     cfg, data, store = _eval_setup(small_dataset)
     bad = data.train[1].cloud
