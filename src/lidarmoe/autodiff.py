@@ -39,6 +39,8 @@ every parameter grad. A graph that fails is built again with the checks on,
 so the error names the primitive, input or parameter that first went
 non-finite. A non-finite intermediate that reaches no output and no grad is
 not reported. A primitive called outside a graph checks its output at once.
+Graph builds and backprops run with numpy's overflow, invalid and
+divide warnings off, so a non-finite step reports only that error.
 """
 
 from __future__ import annotations
@@ -189,10 +191,23 @@ def _row_max(x):
     return functools.reduce(np.maximum, x.T)[:, None]
 
 
+def _column_sums(g):
+    """float64 sums of ``g`` over every axis but the last, with the bits of
+    ``np.sum`` over those axes. numpy adds the rows of a C-contiguous array
+    one after another, and so does ``np.einsum("ij->j")``, in about half
+    the time; a one-column or strided ``g`` takes ``np.sum``, which sums a
+    single column pairwise."""
+    if g.flags.c_contiguous and g.ndim > 1 and g.shape[-1] > 1:
+        return np.einsum("ij->j", g.reshape(-1, g.shape[-1]), dtype=np.float64)
+    return _reduce_sum(g, axis=tuple(range(g.ndim - 1)))
+
+
 def _unbroadcast(g, shape):
     """Sum gradient ``g`` down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
         return g
+    if g.ndim == 2 and shape == g.shape[1:]:
+        return _column_sums(g).astype(g.dtype)
     extra = g.ndim - len(shape)
     axes = tuple(range(extra)) + tuple(
         extra + i for i, s in enumerate(shape) if s == 1 and g.shape[extra + i] != 1)
@@ -268,6 +283,36 @@ def matmul(a, b):
                 None if ad is None else ad.T @ g)
 
     return _out(a.data @ b.data, (a, b), bwd)
+
+
+def linear(x, w, b):
+    """``x @ w + b`` for a bias ``b`` of one entry per column of ``w``, as
+    one node with the bits of ``add(matmul(x, w), b)``: the bias is added
+    into the product in place, out of place only when numpy's type
+    promotion would widen the product. ``add`` passed its grad straight to
+    ``matmul``, so the grads are matmul's two (in the product's dtype) and
+    the bias grad, the column sums of the output grad."""
+    x, w, b = as_var(x), as_var(w), as_var(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise LidarMoeError(f"linear {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise LidarMoeError(f"linear bias shape {b.data.shape} != ({w.data.shape[1]},)")
+    data = x.data @ w.data
+    dtype = data.dtype
+    if np.result_type(data, b.data) == dtype:
+        data += b.data
+    else:
+        data = data + b.data
+    # each operand's grad reads the other operand
+    xd, wd, sb = _saved(w, x.data), _saved(x, w.data), _saved(b, b.shape)
+
+    def bwd(g):
+        gp = g.astype(dtype, copy=False)
+        return (None if wd is None else gp @ wd.T,
+                None if xd is None else xd.T @ gp,
+                None if sb is None else _unbroadcast(g, sb))
+
+    return _out(data, (x, w, b), bwd)
 
 
 def relu(a):
@@ -352,17 +397,45 @@ def concat_cols(parts):
     return _out(data, tuple(parts), bwd)
 
 
-def slice_cols(a, j0, j1):
-    a = as_var(a)
-    data = a.data[:, j0:j1]
-    shape = a.data.shape
+def gated_sum(gates, stacked):
+    """The gate-weighted sum of column blocks: for (N, K) ``gates`` and
+    (N, K * D) ``stacked``, the (N, D) sum over i of ``gates[:, i:i+1] *
+    stacked[:, i*D:(i+1)*D]``, added in block order.
+
+    One node with the bits of a graph of a column slice per operand, a
+    product per block and an add per later block. Each block's grad, the
+    output grad times its gate column, is written into one array, and
+    each gate column's grad is the float64 row sum of the output grad
+    times its block. The three zero-filled slice grads that such a graph
+    summed into each operand's grad turned a -0.0 into +0.0, so the block
+    grads get + 0.0; a row sum starts from +0.0, so it is never -0.0."""
+    gates, stacked = as_var(gates), as_var(stacked)
+    n, k = gates.data.shape
+    if stacked.data.ndim != 2 or stacked.data.shape[0] != n or stacked.data.shape[1] % k:
+        raise LidarMoeError(f"gated_sum: {stacked.data.shape} does not split into "
+                            f"{k} column blocks of {n} rows")
+    d = stacked.data.shape[1] // k
+    blocks = [slice(i * d, (i + 1) * d) for i in range(k)]
+    data = gates.data[:, :1] * stacked.data[:, blocks[0]]
+    for i in range(1, k):
+        data += gates.data[:, i:i + 1] * stacked.data[:, blocks[i]]
+    # each operand's grad reads the other operand
+    gd, sd = _saved(stacked, gates.data), _saved(gates, stacked.data)
 
     def bwd(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[:, j0:j1] = g
-        return (full,)
+        g_gates = g_stacked = None
+        if sd is not None:
+            g_gates = np.empty((n, k), g.dtype)
+            for i, cols in enumerate(blocks):
+                g_gates[:, i] = _row_sums(g * sd[:, cols], np.float64)[:, 0]
+        if gd is not None:
+            g_stacked = np.empty((n, k * d), g.dtype)
+            for i, cols in enumerate(blocks):
+                np.multiply(g, gd[:, i:i + 1], out=g_stacked[:, cols])
+            g_stacked += 0.0
+        return g_gates, g_stacked
 
-    return _out(data, (a,), bwd)
+    return _out(data, (gates, stacked), bwd)
 
 
 def reshape(a, shape):
@@ -510,6 +583,27 @@ def _jaccard_grads(fg):
     return out
 
 
+def _descending_order(errors):
+    """Per row of the 2D ``errors``, the column order of
+    ``np.argsort(-errors, axis=1, kind="stable")``: descending, ties to the
+    lower column. A float32 row is sorted as one uint64 key per error, the
+    error's order-preserving bits inverted above its column index (+ 0.0
+    first, so -0.0 ties with +0.0). Keys are unique, so any sort gives the
+    stable order, and ``np.sort`` of uint64 runs numpy's SIMD sort. A
+    float64 error and an index do not fit in 64 bits, so float64 rows take
+    the stable ``argsort``."""
+    if errors.dtype != np.float32:
+        return np.argsort(-errors, axis=1, kind="stable")
+    bits = (errors + np.float32(0.0)).view(np.int32)
+    # a non-negative error's bits flipped below the sign bit, a negative's
+    # kept: the keys then ascend as the errors descend
+    bits ^= ~(bits >> 31) & np.int32(0x7FFFFFFF)
+    keys = bits.view(np.uint32).astype(np.uint64) << np.uint64(32)
+    keys |= np.arange(errors.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    return (keys & np.uint64(0xFFFFFFFF)).astype(np.intp)
+
+
 def lovasz_softmax(probs, labels):
     """Lovasz-softmax (Berman et al. 2018) of probability rows ``probs``
     against one integer label per row, a negative label marking a row that
@@ -519,12 +613,13 @@ def lovasz_softmax(probs, labels):
     order. The order is a constant, so the grad flows through the errors.
 
     One node for all classes: the (classes, rows) error matrix is built
-    once and one stable ``argsort`` gives every class's order. It gives the
-    bits of a graph of slice, sort-gather, product and sum nodes per class:
-    float32 Jaccard weights, float64 sums rounded to the graph dtype, the
-    class terms added in class order. Its grad has the same bits, signed
-    zeros included: there the scatter-adds and grad sums turn a -0.0 grad
-    into +0.0 unless one class is present and no row is left out.
+    once and one sort (:func:`_descending_order`) gives every class's
+    order. It gives the bits of a graph of slice, sort-gather, product and
+    sum nodes per class: float32 Jaccard weights, float64 sums rounded to
+    the graph dtype, the class terms added in class order. Its grad has the
+    same bits, signed zeros included: there the scatter-adds and grad sums
+    turn a -0.0 grad into +0.0 unless one class is present and no row is
+    left out.
     """
     a = as_var(probs)
     x = a.data
@@ -536,7 +631,7 @@ def lovasz_softmax(probs, labels):
     fg = (labels[keep] == present[:, None]).astype(np.float32)
     sign = 1.0 - 2.0 * fg
     errors = x.T[present[:, None], keep] * sign + fg
-    order = np.argsort(-errors, axis=1, kind="stable")
+    order = _descending_order(errors)
     weights = _jaccard_grads(np.take_along_axis(fg, order, axis=1)).astype(np.float32)
     sums = np.sum(np.take_along_axis(errors, order, axis=1) * weights, axis=1,
                   dtype=np.float64).astype(x.dtype)
@@ -667,7 +762,7 @@ def conv2d3x3(x, w, b):
             centre = gflat[row + 1:row + 1 + n]
             gw = np.concatenate([xflat[s:s + n].T @ centre for s in starts])
         if take_b:
-            gb = _reduce_sum(g, axis=(0, 1))
+            gb = _column_sums(g)
         return gx, gw, gb
 
     return _out(data, (x, w, b), bwd)
@@ -676,6 +771,11 @@ def conv2d3x3(x, w, b):
 # ---------------------------------------------------------------------------
 # graph execution
 # ---------------------------------------------------------------------------
+
+# builds and backprops: the finiteness checks name a non-finite node, so
+# numpy's overflow, invalid and divide warnings would only repeat them
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 def _hash_tag(tag: str) -> int:
     return zlib.crc32(tag.encode("utf-8"))
@@ -733,6 +833,7 @@ class Graph:
     def __init__(self, build):
         self.build = build
 
+    @_quiet
     def run(self, params, inputs, train_mode=False, seed=0, dtype=np.float32):
         global _check_nodes
         args = (inputs, params, train_mode, seed, dtype)
@@ -778,10 +879,12 @@ def _backprop(loss_var):
             for parent, g in zip(node.parents, node.bwd(node.grad)):
                 if parent.requires_grad:
                     parent.add_grad(g)
+            g = None  # so the last grad is freed before the next backward runs
         if node.parents:
             node.grad, node.bwd, node.parents = None, None, ()
 
 
+@_quiet
 def _param_grads(graph, params, inputs, seed, dtype):
     """Backprop the scalar ``loss`` output of a train-mode forward; returns
     ``(outputs, grads)``, the grads checked finite."""

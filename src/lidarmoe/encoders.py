@@ -54,7 +54,7 @@ _SCALE_RANGE = np.array([1.0, 1.0, 1.0, COORD_SCALE, 1.0], np.float32) / COORD_S
 
 
 def linear(ctx, x, name):
-    return ad.add(ad.matmul(x, ctx.param(f"{name}.w")), ctx.param(f"{name}.b"))
+    return ad.linear(x, ctx.param(f"{name}.w"), ctx.param(f"{name}.b"))
 
 
 # ---------------------------------------------------------------------------

@@ -45,31 +45,22 @@ def build_moe(ctx, stacked, noise_tag):
     """Composable fusion of ``stacked``, the experts side by side: one
     (N, E*D) value whose column blocks are the aligned (N, D) expert outputs
     in ``REPRESENTATIONS`` order. Returns (fused Var, gates Var). The fusion
-    linear reads ``stacked`` itself, and each gated term a column slice of
-    it, so no expert is held twice. The gate draws noise, keyed by
-    ``noise_tag``, exactly when ``ctx.train_mode`` is set."""
+    linear and the gated sum (:func:`autodiff.gated_sum`) both read
+    ``stacked`` itself, so no expert is held twice. The gate draws noise,
+    keyed by ``noise_tag``, exactly when ``ctx.train_mode`` is set."""
     stacked = ad.as_var(stacked)
     experts, width = len(REPRESENTATIONS), stacked.shape[1]
     if width % experts:
         raise LidarMoeError(f"{width} expert columns do not split into "
                             f"{experts} equal blocks")
-    d = width // experts
-    e = ad.add(ad.matmul(stacked, ctx.param("moe.fusion.w")), ctx.param("moe.fusion.b"))
+    e = ad.linear(stacked, ctx.param("moe.fusion.w"), ctx.param("moe.fusion.b"))
     logits = ad.matmul(e, ctx.param("moe.z_gate"))
     if ctx.train_mode:
         scale = ad.softplus(ad.matmul(e, ctx.param("moe.z_noise")))
         chi = ad.as_var(ctx.randn(logits.shape, noise_tag))
         logits = ad.add(logits, ad.mul(chi, scale))
     gates = ad.softmax_rows(logits)
-
-    def term(i):
-        return ad.mul(ad.slice_cols(gates, i, i + 1),
-                      ad.slice_cols(stacked, i * d, (i + 1) * d))
-
-    fused = term(0)
-    for i in range(1, experts):
-        fused = ad.add(fused, term(i))
-    return fused, gates
+    return ad.gated_sum(gates, stacked), gates
 
 
 def gate_terms(gates: np.ndarray) -> dict:

@@ -366,9 +366,12 @@ def make_view(kind, cloud, sensor, config: RunConfig) -> ReprView:
         ri = project_to_range(cloud, sensor)
         return ReprView(ri.features, (), ri.point_cell_ids(), ri, build_range_embed)
     if kind == "voxel":
-        vg = voxelize(cloud, config.voxel_size)
-        return ReprView(vg.features, (voxel_neighbor_pairs(vg),), vg.point_voxel, vg,
-                        build_voxel_embed)
+        try:
+            vg = voxelize(cloud, config.voxel_size)
+            pairs = voxel_neighbor_pairs(vg)
+        except LidarMoeError as err:  # the key to fix is voxel_size
+            raise LidarMoeError(f"voxel_size {list(config.voxel_size)}: {err}") from None
+        return ReprView(vg.features, (pairs,), vg.point_voxel, vg, build_voxel_embed)
     if kind == "point":
         grouping = point_grouping(cloud, config.centroid_count, config.knn_k)
         return ReprView(cloud.features(), (grouping,), None, grouping, build_point_embed)

@@ -333,7 +333,7 @@ def lovasz_softmax_per_class(probs_var, labels):
     present = np.unique(kept_labels)
     terms = None
     for c in present.tolist():
-        p_c = ad.slice_cols(probs_kept, c, c + 1)
+        p_c = slice_cols(probs_kept, c, c + 1)
         fg = (kept_labels == c).astype(np.float32)[:, None]
         errors = ad.add(ad.mul(p_c, ad.as_var(1.0 - 2.0 * fg)), ad.as_var(fg))
         order = np.argsort(-errors.data[:, 0], kind="stable")
@@ -356,3 +356,43 @@ def segment_max_at(x, seg, num_segments, g):
     full = np.zeros((n, d), dtype=g.dtype)
     full[winners, np.arange(d)] = g
     return data, full
+
+
+# -- reference forms of the layer nodes ------------------------------------------
+# The column-slice primitive, the ``add(matmul(x, w), b)`` pair that
+# ``autodiff.linear`` replaced and the slice/mul/add graph that
+# ``autodiff.gated_sum`` replaced; the new nodes must give the same bytes.
+
+def slice_cols(a, j0, j1):
+    """Columns ``j0:j1`` of a 2D value as a graph node; its grad is the
+    output grad written into zeros of the operand's shape."""
+    a = ad.as_var(a)
+    shape = a.data.shape
+
+    def bwd(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[:, j0:j1] = g
+        return (full,)
+
+    return ad._out(a.data[:, j0:j1], (a,), bwd)
+
+
+def linear_add_matmul(x, w, b):
+    """``x @ w + b`` as a ``matmul`` node and an ``add`` node."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def gated_sum_slices(gates, stacked):
+    """The gate-weighted sum of ``stacked``'s column blocks as a graph: per
+    block, a slice of each operand and their product, the products added
+    in block order."""
+    k = gates.data.shape[1]
+    d = stacked.data.shape[1] // k
+
+    def term(i):
+        return ad.mul(slice_cols(gates, i, i + 1), slice_cols(stacked, i * d, (i + 1) * d))
+
+    fused = term(0)
+    for i in range(1, k):
+        fused = ad.add(fused, term(i))
+    return fused

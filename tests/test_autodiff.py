@@ -13,8 +13,9 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
-from oracles import (conv2d3x3_shifts, conv2d3x3_whole_image, log_softmax_rows_max,
-                     logsumexp_rows_max, relu_where, softmax_rows_max)
+from oracles import (conv2d3x3_shifts, conv2d3x3_whole_image, gated_sum_slices,
+                     linear_add_matmul, log_softmax_rows_max, logsumexp_rows_max,
+                     relu_where, softmax_rows_max)
 
 
 def make_store(**arrays):
@@ -224,7 +225,7 @@ def test_grad_check_softplus_chain(rng):
 
 @pytest.mark.parametrize("op", ["softmax", "log_softmax", "logsumexp", "div",
                                 "sqrt", "transpose", "diag",
-                                "concat", "slice", "gather", "segment_mean",
+                                "concat", "gather", "segment_mean",
                                 "segment_max", "sum_cols"])
 def test_grad_check_each_primitive(op, rng):
     store = make_store(w=rng.standard_normal((4, 4)))
@@ -248,8 +249,6 @@ def test_grad_check_each_primitive(op, rng):
             return ad.take_diag(ad.matmul(h, ad.transpose(h)))
         if op == "concat":
             return ad.concat_cols([h, ad.mul(h, h)])
-        if op == "slice":
-            return ad.slice_cols(h, 1, 3)
         if op == "gather":
             return ad.gather_rows(h, np.array([0, 0, 2, 4]))
         if op == "segment_mean":
@@ -450,6 +449,8 @@ POLICY_CASES = {
     "mul": ({"a": (5, 4), "b": (4,)}, lambda p: ad.mul(p["a"], p["b"])),
     "div": ({"a": (5, 4), "b": (5, 4)}, lambda p: ad.div(p["a"], p["b"])),
     "matmul": ({"a": (5, 4), "b": (4, 3)}, lambda p: ad.matmul(p["a"], p["b"])),
+    "linear": ({"x": (5, 4), "w": (4, 3), "b": (3,)},
+               lambda p: ad.linear(p["x"], p["w"], p["b"])),
     "relu": ({"a": (5, 4), "b": (4,)}, lambda p: ad.relu(ad.sub(p["a"], p["b"]))),
     "softplus": ({"a": (5, 4), "b": (4,)},
                  lambda p: ad.softplus(ad.sub(p["a"], p["b"]))),
@@ -459,7 +460,7 @@ POLICY_CASES = {
     "logsumexp_rows": ({"a": (5, 4)}, lambda p: ad.logsumexp_rows(p["a"])),
     "concat_cols": ({"a": (5, 4), "b": (5, 2)},
                     lambda p: ad.concat_cols([p["a"], p["b"]])),
-    "slice_cols": ({"a": (5, 4)}, lambda p: ad.slice_cols(p["a"], 1, 3)),
+    "gated_sum": ({"g": (5, 3), "s": (5, 6)}, lambda p: ad.gated_sum(p["g"], p["s"])),
     "reshape": ({"a": (5, 4)}, lambda p: ad.reshape(p["a"], (4, 5))),
     "transpose": ({"a": (5, 4)}, lambda p: ad.transpose(p["a"])),
     "gather_rows": ({"a": (5, 4)},
@@ -545,8 +546,8 @@ MULTI_OPERAND = [name for name, (shapes, body) in POLICY_CASES.items()
 
 
 def test_multi_operand_cases_are_the_binary_primitives():
-    assert MULTI_OPERAND == ["add", "sub", "mul", "div", "matmul", "concat_cols",
-                             "conv2d3x3"]
+    assert MULTI_OPERAND == ["add", "sub", "mul", "div", "matmul", "linear",
+                             "concat_cols", "gated_sum", "conv2d3x3"]
 
 
 @pytest.mark.parametrize("name", MULTI_OPERAND)
@@ -781,3 +782,147 @@ def test_segment_max_matches_bruteforce(rng):
     out = ad.evaluate(g, ParameterStore(), {"x": x})["out"]
     for s in range(3):
         assert np.allclose(out[s], x[seg == s].max(axis=0), atol=1e-7)
+
+
+# -- layer nodes against the graphs they replaced ------------------------------
+
+UPSTREAM = [2.0, 0.0, -0.0, "random"]
+
+
+def _node_run(node, arrays, takes, upstream, dtype):
+    """Output bytes and leaf grads of ``node`` over leaves of ``arrays`` in
+    ``dtype`` (one for all, or one per name), the names in ``takes``
+    taking a grad, backpropagated from ``sum_all(node * upstream)``, so
+    the node's output grad is ``upstream``: one value everywhere, or
+    standard normals with a third of them -0.0."""
+    dtypes = dtype if isinstance(dtype, dict) else dict.fromkeys(arrays, dtype)
+    leaves = {k: ad.Var(v.astype(dtypes[k]), requires_grad=k in takes)
+              for k, v in arrays.items()}
+    out = node(**leaves)
+    if isinstance(upstream, str):
+        rng = np.random.default_rng(31)
+        up = rng.standard_normal(out.shape)
+        up[rng.random(out.shape) < 0.33] = -0.0
+    else:
+        up = np.full(out.shape, upstream)
+    if takes:
+        ad._backprop(ad.sum_all(ad.mul(out, ad.as_var(up.astype(out.data.dtype)))))
+    return out.data, {k: v.grad for k, v in leaves.items()}
+
+
+def _assert_same_node_bytes(new, old):
+    (new_out, new_grads), (old_out, old_grads) = new, old
+    assert (new_out.dtype, new_out.tobytes()) == (old_out.dtype, old_out.tobytes())
+    for k, want in old_grads.items():
+        got = new_grads[k]
+        if want is None:
+            assert got is None, k
+        else:
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), k
+
+
+def _spread(rng, shape, zeros=0.1):
+    """Standard normals scaled by 2**[-20, 20), some of them +-0.0."""
+    x = rng.standard_normal(shape) * 2.0 ** rng.integers(-20, 20, shape)
+    x[rng.random(shape) < zeros] = 0.0
+    x[rng.random(shape) < zeros] = -0.0
+    return x
+
+
+# a float64 bias widens a float32 product: the output and its grad are
+# float64, and matmul's grads are taken in float32, as ``add`` handed them on
+WIDENED = {"x": np.float32, "w": np.float32, "b": np.float64}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, WIDENED])
+@pytest.mark.parametrize("upstream", UPSTREAM)
+@pytest.mark.parametrize("takes", ["xwb", "wb", "x", "b", ""])
+def test_linear_gives_the_bytes_of_add_of_matmul(dtype, upstream, takes):
+    rng = np.random.default_rng(32)
+    arrays = {"x": _spread(rng, (37, 9)), "w": _spread(rng, (9, 5)), "b": _spread(rng, (5,))}
+    _assert_same_node_bytes(
+        _node_run(ad.linear, arrays, takes, upstream, dtype),
+        _node_run(linear_add_matmul, arrays, takes, upstream, dtype))
+
+
+@pytest.mark.parametrize("bshape", [(4, 1), (1, 4), (3,)])
+def test_linear_rejects_a_bias_not_of_one_entry_per_column(bshape):
+    with pytest.raises(LidarMoeError, match=r"^linear bias shape"):
+        ad.linear(np.ones((3, 2)), np.ones((2, 4)), np.ones(bshape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("upstream", UPSTREAM)
+@pytest.mark.parametrize("takes", [("gates", "stacked"), ("gates",), ("stacked",), ()])
+@pytest.mark.parametrize("width", [1, 6, 9])
+def test_gated_sum_gives_the_bytes_of_the_slice_graph(dtype, upstream, takes, width):
+    """Gates only, stacked only, both or neither taking a grad, at block
+    widths below and above the 8 columns where row sums change method."""
+    rng = np.random.default_rng(33)
+    gates = rng.random((41, 3))
+    gates[::5, 1] = 0.0
+    arrays = {"gates": gates, "stacked": _spread(rng, (41, 3 * width))}
+    _assert_same_node_bytes(_node_run(ad.gated_sum, arrays, takes, upstream, dtype),
+                            _node_run(gated_sum_slices, arrays, takes, upstream, dtype))
+
+
+def test_gated_sum_rejects_columns_that_do_not_split_into_blocks():
+    with pytest.raises(LidarMoeError, match=r"^gated_sum: \(4, 7\) does not split"):
+        ad.gated_sum(np.ones((4, 3)), np.ones((4, 7)))
+
+
+def _tied_errors(rng, dtype, shape):
+    """Errors drawn from ties, +-0.0, exact 0 and 1, subnormals and
+    negative values, a third of them uniform in [0, 1)."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    pool = np.array([0.0, -0.0, 1.0, 0.5, 0.25, -0.5, -2.0, tiny, -tiny, 2 * tiny,
+                     np.finfo(dtype).tiny], dtype)
+    e = rng.choice(pool, shape)
+    e[:, ::3] = rng.random((shape[0], (shape[1] + 2) // 3))
+    return e
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_descending_order_is_the_stable_argsort(dtype):
+    rng = np.random.default_rng(34)
+    for trial in range(60):
+        e = _tied_errors(rng, dtype, (int(rng.integers(1, 7)), int(rng.integers(0, 400))))
+        got, want = ad._descending_order(e), np.argsort(-e, axis=1, kind="stable")
+        assert got.shape == want.shape and np.array_equal(got, want), trial
+
+
+def test_only_float64_errors_take_the_stable_argsort(monkeypatch):
+    argsort, calls = np.argsort, []
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recorded)
+    ad._descending_order(np.zeros((2, 3), np.float32))
+    assert calls == []
+    ad._descending_order(np.zeros((2, 3), np.float64))
+    assert calls == [{"axis": 1, "kind": "stable"}]
+
+
+@pytest.mark.parametrize("layout", ["C", "one column", "strided", "3D"])
+def test_column_sums_give_the_bytes_of_numpy_sum(layout):
+    """float32 values with exponents spread +-40 and signed zeros: einsum
+    on a C-contiguous grad, ``np.sum`` on one column or a strided grad."""
+    rng = np.random.default_rng(35)
+    for trial in range(40):
+        rows, cols = int(rng.integers(0, 3000)), int(rng.integers(2, 70))
+        g = (rng.standard_normal((rows, cols))
+             * 2.0 ** rng.integers(-40, 40, (rows, cols))).astype(np.float32)
+        g[rng.random(g.shape) < 0.05] = -0.0
+        if layout == "one column":
+            g = np.ascontiguousarray(g[:, :1])
+        elif layout == "strided":
+            g = g[:, ::2]
+        elif layout == "3D":
+            g = g[: rows - rows % 4].reshape(4, -1, cols)
+        axes = tuple(range(g.ndim - 1))
+        got, want = ad._column_sums(g), np.sum(g, axis=axes, dtype=np.float64)
+        assert got.tobytes() == want.tobytes(), trial
+        if g.ndim == 2:
+            assert ad._unbroadcast(g, g.shape[1:]).tobytes() == want.astype(g.dtype).tobytes()

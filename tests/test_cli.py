@@ -813,6 +813,14 @@ def _bad_input(case, tmp_path, dataset):
             else dict(run, expert_ckpts=ckpts)
         return case.split()[0], write_json(tmp_path / "cfg.json", doc), \
             f"checkpoint {ckpts['range']} lacks parameter range.conv2.w"
+    if case == "eval voxel_size 1e-9":
+        # voxels this small give keys past int64; eval builds its views
+        # before its first write
+        ckpt = tmp_path / "heads.ckpt"
+        save_checkpoint(ckpt, _sms_shaped_store(run["embed_dim"]), {})
+        doc = dict(run, checkpoint=str(ckpt), voxel_size=[1e-9, 1e-9, 1e-9])
+        return "eval", write_json(tmp_path / "cfg.json", doc), \
+            "voxel_size [1e-09, 1e-09, 1e-09]: voxel coordinate range too large for int64 keys"
     if case in _MISSHAPEN:
         # one parameter of an otherwise whole checkpoint has the wrong shape
         command, name, shape = _MISSHAPEN[case]
@@ -1065,7 +1073,7 @@ def _bad_input(case, tmp_path, dataset):
     "camera render cut to 40 rows",
     "camera superpixel -5", "camera class_id 9", "camera superpixel of float ids",
     "camera class_id of float ids", "train and val x NaN", "two train scans of one stem",
-    "val scan name with a comma", *_MISSHAPEN,
+    "val scan name with a comma", "eval voxel_size 1e-9", *_MISSHAPEN,
 ])
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_bad_input_exit_2_naming_file_or_key(tmp_path, tiny_dataset, capsys, case):
@@ -1409,6 +1417,23 @@ def test_empty_split_exit_2_before_training(tmp_path, capsys, command, split):
                  "--out", str(out)]) == 2
     assert f"error: dataset {data} has an empty {split} split" in capsys.readouterr().err
     assert not list(out.glob("*_log.csv"))
+
+
+@pytest.mark.parametrize("command,key,node", [("sms", "lr_sms_other", "linear"),
+                                              ("pretrain", "lr_stage1", "conv2d3x3")])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_step_prints_its_error_and_no_numpy_warning(tmp_path, tiny_dataset,
+                                                                 capsys, command, key, node):
+    """A learning rate of 1e30 makes the second step's forward overflow:
+    the run prints the one error that names the node, and numpy warns of
+    nothing on the way (a warning is an error here)."""
+    doc = {"dataset": str(tiny_dataset), "epochs": 1, "sms_epochs": 1, "embed_dim": 8,
+           "centroid_count": 8, "knn_k": 4, key: 1e30}
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Warning" not in err
+    assert f"scan train_001: non-finite value in output of {node}\n" in err
 
 
 def test_sms_init_from_an_sms_checkpoint_copies_its_trunk(tmp_path, zero_epoch_ckpts):

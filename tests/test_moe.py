@@ -11,7 +11,7 @@ from lidarmoe.moe import (build_moe, gate_terms, init_moe_params, read_gate_csv,
 from lidarmoe.params import ParameterStore
 
 from graph_eval import evaluate_builder
-from oracles import gate_csv_fstring
+from oracles import gate_csv_fstring, gated_sum_slices, linear_add_matmul
 
 
 def fresh_params(dim, seed=0):
@@ -58,18 +58,57 @@ def test_forced_large_gate_logit(rng):
     def build(ctx):
         logits = ad.as_var(np.array([[10.0, 0.0, 0.0]] * 4, np.float32))
         gates = ad.softmax_rows(logits)
-        alpha = ad.slice_cols(gates, 0, 1)
-        beta = ad.slice_cols(gates, 1, 2)
-        gamma = ad.slice_cols(gates, 2, 3)
-        fused = ad.add(ad.add(ad.mul(alpha, ctx.input("r")),
-                              ad.mul(beta, ctx.input("v"))),
-                       ad.mul(gamma, ctx.input("p")))
-        return {"fused": fused, "gates": gates}
+        stacked = ad.concat_cols([ctx.input(k) for k in "rvp"])
+        return {"fused": ad.gated_sum(gates, stacked), "gates": gates}
 
     outs = ad.evaluate(Graph(build), ParameterStore(), {"r": r, "v": v, "p": p})
-    assert outs["gates"][0, 0] == pytest.approx(0.999909, abs=1e-6)
+    gates = outs["gates"]
+    assert gates[0, 0] == pytest.approx(0.999909, abs=1e-6)
+    want = gates[:, :1] * r + gates[:, 1:2] * v + gates[:, 2:] * p
+    assert outs["fused"].tobytes() == want.tobytes()
     scale = max(np.abs(np.concatenate([r, v, p])).max(), 1.0)
     assert np.all(np.abs(outs["fused"] - r) < 1e-4 * scale * 10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train_mode", [True, False])
+def test_build_moe_gives_the_bytes_of_the_slice_graph(rng, monkeypatch, dtype, train_mode):
+    """The fusion of ``linear`` and ``gated_sum`` nodes, whose ``stacked``
+    operand feeds both, gives the outputs and the grads (parameters and
+    experts) of the ``add(matmul)`` and slice/mul/add graph."""
+    store = fresh_params(6, seed=5)
+    for name in ("moe.z_gate", "moe.z_noise", "moe.fusion.b"):
+        store.set(name, rng.standard_normal(store.get(name).shape).astype(np.float32))
+    experts = {k: rng.standard_normal((30, 6)).astype(np.float32) for k in "rvp"}
+    upstream = rng.standard_normal((30, 6))
+    upstream[::4] = -0.0
+
+    def run():
+        leaves = {k: ad.Var(v.astype(dtype), requires_grad=train_mode)
+                  for k, v in experts.items()}
+
+        def build(ctx):
+            fused, gates = build_moe(ctx, ad.concat_cols(list(leaves.values())), "moe")
+            weighted = ad.mul(fused, ad.as_var(upstream.astype(dtype)))
+            return {"loss": ad.sum_all(weighted), "fused": fused, "gates": gates}
+
+        ctx, outs = Graph(build).run(store, {}, train_mode=train_mode, seed=3, dtype=dtype)
+        if train_mode:
+            ad._backprop(outs["loss"])
+        grads = {k: v.grad for k, v in {**leaves, **ctx.param_vars()}.items()}
+        return {k: v.data for k, v in outs.items()}, grads
+
+    new = run()
+    monkeypatch.setattr(ad, "linear", linear_add_matmul)
+    monkeypatch.setattr(ad, "gated_sum", gated_sum_slices)
+    old = run()
+    for got, want in zip(new, old):
+        assert got.keys() == want.keys()
+        for k in want:
+            if want[k] is None:
+                assert got[k] is None, k
+            else:
+                assert (got[k].dtype, got[k].tobytes()) == (want[k].dtype, want[k].tobytes()), k
 
 
 def test_gate_rows_sum_to_one_with_noise(rng):
