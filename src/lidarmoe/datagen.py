@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LidarMoeError
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, row_norms
 from .sensors import POSITIVE, CameraModel, SensorModel, at_least, check_fields, is_number
 
 CLASS_GROUND = 0
@@ -360,7 +360,7 @@ def render_camera(scene: Scene, camera: CameraModel, tile: int = 16) -> CameraRe
     cam_dirs = k_inv @ pix
     r = camera.cam_extrinsics[:3, :3]
     dirs = (r.T @ cam_dirs).T
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = dirs / row_norms(dirs)[:, None]
     t, cls = cast_rays(scene, camera.center_in_lidar(), dirs)
     class_map = cls.reshape(h, w)
     return CameraRender(class_map, t.reshape(h, w), _tile_superpixels(class_map, tile))

@@ -119,22 +119,23 @@ def build_range_embed(ctx, image, prefix, head):
 # voxel encoder
 # ---------------------------------------------------------------------------
 
-_NEIGHBOR_OFFSETS = np.array([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                              (0, -1, 0), (0, 0, 1), (0, 0, -1)], np.int64)
+# in lexicographic order, so their key steps ascend
+_NEIGHBOR_OFFSETS = np.array([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 0),
+                              (0, 0, 1), (0, 1, 0), (1, 0, 0)], np.int64)
 
 
 def voxel_neighbor_pairs(grid: VoxelGrid):
     """(src, dst) voxel-id pairs for the 6-connected existing neighbors of
     every voxel, self included, sorted by (dst, src)."""
-    # grid.coords are in lexicographic order, so their keys are sorted
+    # grid.coords are in lexicographic order, so their keys are sorted;
+    # each voxel's row of wanted keys ascends with the offsets, so its hits
+    # ascend too and the pairs come out sorted with no sort
     keys, steps = lexicographic_keys(grid.coords, pad=1)
-    dst = np.tile(np.arange(grid.count, dtype=np.int64), len(_NEIGHBOR_OFFSETS))
-    wanted = (keys[None, :] + (_NEIGHBOR_OFFSETS @ np.array(steps))[:, None]).ravel()
+    wanted = (keys[:, None] + _NEIGHBOR_OFFSETS @ np.array(steps)).ravel()
     src = np.minimum(np.searchsorted(keys, wanted), grid.count - 1)
     hit = keys[src] == wanted
-    src, dst = src[hit].astype(np.int64), dst[hit]
-    order = np.lexsort((src, dst))
-    return src[order], dst[order]
+    dst = np.repeat(np.arange(grid.count, dtype=np.int64), len(_NEIGHBOR_OFFSETS))
+    return src[hit], dst[hit]
 
 
 def build_voxel_embed(ctx, feats, pairs, prefix, head):
@@ -187,22 +188,30 @@ def point_grouping(cloud: PointCloud, centroid_count: int, k: int) -> PointGroup
     centroids = np.zeros(count, np.int64)
     members = np.empty((count, k_eff), np.int64)
     nearest = np.zeros(n, np.int64)
-    # all infinite, so the first argmax is point 0 and the first row is
-    # every point's nearest
+    # best is each point's squared distance to its nearest centroid so far,
+    # dist its Euclidean one: FPS takes the argmax of dist, as sqrt can
+    # merge nearly equal squared distances into one tie. A correctly
+    # rounded sqrt is monotone, so dist is sqrt(best) and changes only
+    # where best does. All infinite, so the first argmax is point 0 and
+    # the first row is every point's nearest.
     dist, best = np.full(n, np.inf), np.full(n, np.inf)
+    row, sq = np.empty(n), np.empty(n)
     for i in range(count):
-        c = centroids[i] = np.argmax(dist)
-        dx, dy, dz = x - x[c], y - y[c], z - z[c]
-        row = dx * dx
-        row += dy * dy
-        row += dz * dz
-        # the running minimum compares Euclidean distances, as sqrt can
-        # merge nearly equal squared distances into one tie
-        np.minimum(dist, np.sqrt(row), out=dist)
-        nearest[row < best] = i  # strict: a tie keeps the earlier centroid
-        np.minimum(best, row, out=best)
-        kth = np.partition(row, k_eff - 1)[k_eff - 1]
-        near = np.flatnonzero(row <= kth)
+        c = centroids[i] = dist.argmax()
+        np.subtract(x, x[c], out=row)
+        np.multiply(row, row, out=row)
+        for axis in (y, z):
+            np.subtract(axis, axis[c], out=sq)
+            np.multiply(sq, sq, out=sq)
+            row += sq
+        closer = (row < best).nonzero()[0]  # strict: a tie keeps the earlier centroid
+        nearest[closer] = i
+        best[closer] = won = row[closer]
+        dist[closer] = np.sqrt(won)
+        sq[:] = row
+        sq.partition(k_eff - 1)
+        kth = sq[k_eff - 1]
+        near = (row <= kth).nonzero()[0]
         members[i] = near[np.lexsort((near, row[near]))[:k_eff]]
     return PointGrouping(centroids, members.ravel(), nearest)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import segment_means
 from .errors import LidarMoeError
-from .pointcloud import PointCloud
+from .pointcloud import PointCloud, row_norms
 from .sensors import CameraModel, SensorModel
 
 
@@ -56,12 +56,13 @@ class RangeImage:
 
 def range_uv_exact(xyz, sensor: SensorModel):
     """Pre-floor (u, v) coordinates of the spherical projection, float64."""
-    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-    d = np.linalg.norm(xyz, axis=1)
+    xyz = np.asarray(xyz).reshape(-1, 3)
+    d = row_norms(xyz)
     if np.any(d <= 0):
         raise LidarMoeError("points must have positive depth")
-    u = 0.5 * (1.0 - np.arctan2(xyz[:, 1], xyz[:, 0]) / np.pi) * sensor.range_w
-    v = (1.0 - (np.arcsin(xyz[:, 2] / d) + sensor.fov_down_rad) / sensor.fov_total_rad) * sensor.range_h
+    x, y, z = (xyz[:, j].astype(np.float64) for j in range(3))
+    u = 0.5 * (1.0 - np.arctan2(y, x) / np.pi) * sensor.range_w
+    v = (1.0 - (np.arcsin(z / d) + sensor.fov_down_rad) / sensor.fov_total_rad) * sensor.range_h
     return u, v, d
 
 
@@ -72,20 +73,23 @@ def project_to_range(cloud: PointCloud, sensor: SensorModel) -> RangeImage:
     vc = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
 
     cell = vc * w + uc
-    # min-depth point per cell, ties to the lower point id: sort by
-    # (depth, id) and write in reverse so the best entry lands last
-    order = np.lexsort((np.arange(cloud.count), d))
-    flat = np.full(h * w, -1, np.int64)
-    flat[cell[order[::-1]]] = order[::-1]
-    kept = flat.reshape(h, w)
+    # min-depth point per cell, ties to the lower point id: each cell's
+    # minimum depth, then the points at it written in reverse id order so
+    # the lowest id lands last; no sort
+    min_depth = np.full(h * w, np.inf)
+    np.minimum.at(min_depth, cell, d)
+    win = (d == min_depth[cell]).nonzero()[0][::-1]
+    kept = np.full(h * w, -1, np.int32)
+    kept[cell[win]] = win
 
-    features = np.zeros((h, w, 5), np.float32)
-    have = kept >= 0
-    src = kept[have]
-    features[have] = np.concatenate([
-        cloud.xyz[src], cloud.intensity[src, None],
-        d[src, None].astype(np.float32)], axis=1)
-    return RangeImage(features, kept.astype(np.int32),
+    # filled by flat cell, one column block at a time
+    cells = (kept >= 0).nonzero()[0]
+    src = kept[cells]
+    features = np.zeros((h * w, 5), np.float32)
+    features[cells, :3] = np.take(cloud.xyz, src, axis=0)
+    features[cells, 3] = cloud.intensity[src]
+    features[cells, 4] = d[src]
+    return RangeImage(features.reshape(h, w, 5), kept.reshape(h, w),
                       uc.astype(np.int32), vc.astype(np.int32))
 
 
@@ -135,13 +139,18 @@ def voxelize(cloud: PointCloud, sizes) -> VoxelGrid:
     sx, sy, sz = sizes
     if sx <= 0 or sy <= 0 or sz <= 0:
         raise LidarMoeError("voxel sizes must be positive")
-    idx = np.floor(cloud.xyz.astype(np.float64) / np.array([sx, sy, sz])).astype(np.int64)
+    # column by column: an (N, 3) divide and floor is ~2x slower
+    idx = np.empty((cloud.count, 3), np.int64)
+    for j, size in enumerate((sx, sy, sz)):
+        idx[:, j] = np.floor(cloud.xyz[:, j].astype(np.float64) / size)
     # unique keys sort like the coordinate rows, so voxel ids follow the
     # lexicographic order of their coordinates
     uniq, inverse = np.unique(lexicographic_keys(idx)[0], return_inverse=True)
     m, inverse = uniq.shape[0], inverse.astype(np.int64)
-    coords = np.empty((m, 3), np.int64)
-    coords[inverse] = idx
+    # any member point's row gives its voxel's coordinates
+    member = np.empty(m, np.int64)
+    member[inverse] = np.arange(cloud.count)
+    coords = np.take(idx, member, axis=0)
     # float64 so pooled means stay exact; consumers cast on entry
     feats, _ = segment_means(inverse, cloud.features(), m)
     return VoxelGrid(coords, inverse, feats)
@@ -195,7 +204,7 @@ def build_superpoints(cloud: PointCloud, camera: CameraModel,
     u, v, ok = project_to_image(cloud, camera)
     ui = np.floor(u).astype(np.int64)
     vi = np.floor(v).astype(np.int64)
-    dist = np.linalg.norm(cloud.xyz.astype(np.float64) - camera.center_in_lidar(), axis=1)
+    dist = row_norms(cloud.xyz.astype(np.float64) - camera.center_in_lidar())
     sel = np.flatnonzero(ok)
     agree = np.abs(dist[sel] - pixel_depth[vi[sel], ui[sel]]) <= tolerance
     sel = sel[agree]

@@ -282,9 +282,14 @@ def check_off_origin(cloud: PointCloud, source) -> None:
 
 def _scored_scans(config: RunConfig, data: DatasetBundle, split) -> list:
     """The scans of ``split``, which a score reads; raises LidarMoeError
-    when the split is empty or, naming the dataset and the split, when it
-    holds no labeled point, so a run fails before any work."""
+    when the split is empty or, naming the dataset and the split, when a
+    scan holds no point (naming the scan too) or the split holds no
+    labeled point, so a run fails before any work."""
     scans = data.scans(split)
+    for scan in scans:
+        if not scan.cloud.count:
+            raise LidarMoeError(f"dataset {config.dataset} has no point in "
+                                f"{split} scan {scan.name}")
     if not any(np.any(scan.cloud.label >= 0) for scan in scans):
         raise LidarMoeError(f"dataset {config.dataset} has no labeled point "
                             f"in its {split} split")

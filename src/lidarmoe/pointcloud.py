@@ -7,6 +7,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def row_norms(xyz) -> np.ndarray:
+    """float64 Euclidean norm of each row of an (N, 3) array, with the bits
+    of ``np.linalg.norm(xyz.astype(np.float64), axis=1)``. numpy adds a
+    3-wide row of squares left to right, so the squares are summed here one
+    column at a time in that order, without the (N, 3) float64 copy and
+    numpy's per-row loop."""
+    xyz = np.asarray(xyz)
+    acc = np.square(xyz[:, 0], dtype=np.float64)
+    acc += np.square(xyz[:, 1], dtype=np.float64)
+    acc += np.square(xyz[:, 2], dtype=np.float64)
+    return np.sqrt(acc, out=acc)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """N points with coordinates, intensity, beam index, and class label.
@@ -36,7 +49,7 @@ class PointCloud:
 
     def depth(self) -> np.ndarray:
         """Per-point distance to the sensor origin, float64."""
-        return np.linalg.norm(self.xyz.astype(np.float64), axis=1)
+        return row_norms(self.xyz)
 
     def features(self) -> np.ndarray:
         """Per-point (x, y, z, intensity) matrix, float32."""

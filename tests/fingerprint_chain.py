@@ -5,15 +5,16 @@ length (pretrain, cml, probe, sms, eval), route-stats on each axis, a cml
 with a randomly initialised range student, a random-baseline probe, a
 one-scan datagen on the 64 x 512 sensor of the ``chain_dense_aug``
 benchmark workload and a one-epoch augmented pretrain on it, plus a
-beam-missing corrupt of the val split and an eval of the sms checkpoint
-on that camera-less copy (what the ``robust_eval`` workload times).
+beam-missing, a jitter and a range-cut corrupt of the val split, each
+followed by an eval of the sms checkpoint on that camera-less copy (what
+the ``robust_eval`` workload times; range-cut reads ``PointCloud.depth``).
 Acceptance criterion 10 runs it twice and compares every file. Run as a
 script, it runs the steps in a temporary directory and prints ``sha256
 relpath`` for every file there, sorted by path. Every path a step is given
 is relative, so no output holds the temporary directory's name. Two source
 trees write byte-identical outputs exactly when their fingerprints agree
 at one BLAS thread count; OpenBLAS splits a product differently at another
-count, so 29 of the hashes change between 1 and 2 threads on any tree:
+count, so 29 of its 128 hashes change between 1 and 2 threads on any tree:
 
     git worktree add ../lidarmoe-parent HEAD~1
     diff <(OPENBLAS_NUM_THREADS=1 PYTHONPATH=../lidarmoe-parent/src \\
@@ -46,6 +47,12 @@ STEPS = [
     ("corrupt", {"dataset": "data", "kind": "beam-missing", "severity": 2, "split": "val"},
      "data_beam"),
     ("eval", dict(RUN, dataset="data_beam", checkpoint="sms/sms_model.ckpt"), "eval_beam"),
+    ("corrupt", {"dataset": "data", "kind": "jitter", "severity": 1, "split": "val"},
+     "data_jitter"),
+    ("eval", dict(RUN, dataset="data_jitter", checkpoint="sms/sms_model.ckpt"), "eval_jitter"),
+    ("corrupt", {"dataset": "data", "kind": "range-cut", "severity": 3, "split": "val"},
+     "data_range"),
+    ("eval", dict(RUN, dataset="data_range", checkpoint="sms/sms_model.ckpt"), "eval_range"),
 ]
 
 

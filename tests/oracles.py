@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from lidarmoe import autodiff as ad
+from lidarmoe.geometry import lexicographic_keys
 
 
 def info_nce_bruteforce(k, q, tau, denominator="all"):
@@ -396,3 +397,99 @@ def gated_sum_slices(gates, stacked):
     for i in range(1, k):
         fused = ad.add(fused, term(i))
     return fused
+
+
+# -- reference forms of the view kernels -----------------------------------------
+# The forms that ``encoders.point_grouping``, ``geometry.project_to_range``,
+# ``geometry.voxelize``, ``encoders.voxel_neighbor_pairs`` and the narrow path
+# of ``autodiff.scatter_add_rows`` replaced: full passes over the points, a
+# two-key ``lexsort`` and a flat ``row * width + col`` index. The new forms
+# must give the same bytes.
+
+def point_grouping_full_pass(xyz, centroid_count, k):
+    """(centroid_ids, member_rows, nearest_centroid), updating every point's
+    running minima for every centroid."""
+    n = xyz.shape[0]
+    count, k_eff = min(centroid_count, n), min(k, n)
+    x, y, z = (xyz[:, j].astype(np.float64) for j in range(3))
+    centroids = np.zeros(count, np.int64)
+    members = np.empty((count, k_eff), np.int64)
+    nearest = np.zeros(n, np.int64)
+    dist, best = np.full(n, np.inf), np.full(n, np.inf)
+    for i in range(count):
+        c = centroids[i] = np.argmax(dist)
+        dx, dy, dz = x - x[c], y - y[c], z - z[c]
+        row = dx * dx
+        row += dy * dy
+        row += dz * dz
+        np.minimum(dist, np.sqrt(row), out=dist)
+        nearest[row < best] = i
+        np.minimum(best, row, out=best)
+        kth = np.partition(row, k_eff - 1)[k_eff - 1]
+        near = np.flatnonzero(row <= kth)
+        members[i] = near[np.lexsort((near, row[near]))[:k_eff]]
+    return centroids, members.ravel(), nearest
+
+
+def project_to_range_lexsort(cloud, sensor):
+    """(features, kept_index, pixel_u, pixel_v) from a ``lexsort`` of
+    (depth, id) and a 2D boolean-mask fill of ``np.linalg.norm`` depths."""
+    h, w = sensor.range_h, sensor.range_w
+    xyz = cloud.xyz.astype(np.float64)
+    d = np.linalg.norm(xyz, axis=1)
+    u = 0.5 * (1.0 - np.arctan2(xyz[:, 1], xyz[:, 0]) / np.pi) * sensor.range_w
+    v = (1.0 - (np.arcsin(xyz[:, 2] / d) + sensor.fov_down_rad)
+         / sensor.fov_total_rad) * sensor.range_h
+    uc = np.clip(np.floor(u).astype(np.int64), 0, w - 1)
+    vc = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
+    cell = vc * w + uc
+    order = np.lexsort((np.arange(cloud.count), d))
+    flat = np.full(h * w, -1, np.int64)
+    flat[cell[order[::-1]]] = order[::-1]
+    kept = flat.reshape(h, w)
+    features = np.zeros((h, w, 5), np.float32)
+    have = kept >= 0
+    src = kept[have]
+    features[have] = np.concatenate([
+        cloud.xyz[src], cloud.intensity[src, None],
+        d[src, None].astype(np.float32)], axis=1)
+    return features, kept.astype(np.int32), uc.astype(np.int32), vc.astype(np.int32)
+
+
+def voxelize_full_divide(cloud, sizes):
+    """(coords, point_voxel, features) from one (N, 3) divide and a 2D
+    scatter of every point's coordinates."""
+    idx = np.floor(cloud.xyz.astype(np.float64) / np.array(sizes)).astype(np.int64)
+    uniq, inverse = np.unique(lexicographic_keys(idx)[0], return_inverse=True)
+    m, inverse = uniq.shape[0], inverse.astype(np.int64)
+    coords = np.empty((m, 3), np.int64)
+    coords[inverse] = idx
+    feats, _ = ad.segment_means(inverse, cloud.features(), m)
+    return coords, inverse, feats
+
+
+def voxel_neighbor_pairs_lexsort(coords):
+    """(src, dst) pairs from offset-major lookups and a ``lexsort`` by
+    (dst, src)."""
+    offsets = np.array([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                        (0, -1, 0), (0, 0, 1), (0, 0, -1)], np.int64)
+    count = coords.shape[0]
+    keys, steps = lexicographic_keys(coords, pad=1)
+    dst = np.tile(np.arange(count, dtype=np.int64), len(offsets))
+    wanted = (keys[None, :] + (offsets @ np.array(steps))[:, None]).ravel()
+    src = np.minimum(np.searchsorted(keys, wanted), count - 1)
+    hit = keys[src] == wanted
+    src, dst = src[hit].astype(np.int64), dst[hit]
+    order = np.lexsort((src, dst))
+    return src[order], dst[order]
+
+
+def scatter_add_rows_flat(idx, values, num_rows):
+    """float64 row sums from one ``np.bincount`` of the flat
+    ``row * width + col`` index."""
+    values = np.asarray(values)
+    tail = values.shape[1:]
+    width = int(np.prod(tail, dtype=np.int64))
+    flat = (np.asarray(idx, np.int64)[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
+    return sums.astype(np.float64, copy=False).reshape((num_rows,) + tail)

@@ -1488,6 +1488,29 @@ def test_scored_split_without_a_labeled_point_exit_2_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sms", "probe", "eval"])
+def test_scored_scan_without_a_point_exit_2_before_any_work(
+        tmp_path, small_dataset, zero_epoch_ckpts, capsys, command):
+    """An empty val scan beside a labeled one is rejected before sms or the
+    probe trains and before eval runs a forward, naming the dataset, the
+    split and the scan."""
+    copy = tmp_path / "ds"
+    shutil.copytree(small_dataset, copy)
+    empty = np.zeros(0)
+    write_lpcd(copy / "scans" / "val_000.lpcd",
+               PointCloud(np.zeros((0, 3)), empty, empty, empty))
+    doc = dict(zero_epoch_ckpts["run"], dataset=str(copy), epochs=1, sms_epochs=1,
+               probe_epochs=1)
+    doc.update({"sms": {}, "probe": {"random_baseline": True},
+                "eval": {"checkpoint": zero_epoch_ckpts["sms"]}}[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", write_json(tmp_path / "cfg.json", doc),
+                 "--out", str(out)]) == 2
+    assert f"error: dataset {copy} has no point in val scan val_000\n" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_of_a_header_only_pairs_csv_exit_2_naming_it_without_a_warning(tmp_path):
     pairs = tmp_path / "pairs.csv"
     pairs.write_text("prediction,label\n")

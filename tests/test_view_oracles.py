@@ -1,8 +1,8 @@
 """The whole-array view geometry and scatter-adds against the reference
-loop/dict/``np.add.at`` implementations in ``oracles``: equal dtype, shape
-and values on reference scans, augmented copies, an augmented 64 x 512
-scan, tie-heavy and tiny clouds, negative coordinates and zero-row
-inputs."""
+loop/dict/``np.add.at`` implementations in ``oracles``, and the view
+kernels against the forms they replaced: equal dtype, shape and values on
+reference scans, augmented copies, a 64 x 512 scan and its augmentation,
+tie-heavy and tiny clouds, negative coordinates and zero-row inputs."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,15 @@ from lidarmoe import autodiff as ad
 from lidarmoe.datagen import augment
 from lidarmoe.encoders import point_grouping, voxel_neighbor_pairs
 from lidarmoe.errors import LidarMoeError
-from lidarmoe.geometry import project_labels, voxelize
+from lidarmoe.geometry import project_labels, project_to_range, voxelize
 from lidarmoe.params import ParameterStore
 from lidarmoe.pipeline import RunConfig, generate_dataset, load_dataset
-from lidarmoe.pointcloud import PointCloud
+from lidarmoe.pointcloud import PointCloud, row_norms
 
-from oracles import (farthest_point_sample_loop, point_grouping_loop,
-                     scatter_add_rows_at, segment_max_at, voxel_neighbor_pairs_dict,
+from oracles import (farthest_point_sample_loop, point_grouping_full_pass,
+                     point_grouping_loop, project_to_range_lexsort, scatter_add_rows_at,
+                     scatter_add_rows_flat, segment_max_at, voxel_neighbor_pairs_dict,
+                     voxel_neighbor_pairs_lexsort, voxelize_full_divide,
                      voxelize_unique_rows)
 
 REF = RunConfig()
@@ -39,8 +41,9 @@ def make_cloud(xyz, seed=0):
 
 
 @pytest.fixture(scope="module")
-def reference_clouds(tmp_path_factory):
-    """Every scan of the reference dataset plus 3 augmented copies each."""
+def reference_data(tmp_path_factory):
+    """Every scan of the reference dataset plus 3 augmented copies each, and
+    the reference sensor."""
     out = tmp_path_factory.mktemp("oracle_ds")
     generate_dataset({}, out, seed=0)
     data = load_dataset(out)
@@ -48,16 +51,29 @@ def reference_clouds(tmp_path_factory):
     for i, scan in enumerate(data.train + data.val):
         clouds.append(scan.cloud)
         clouds.extend(augment(scan.cloud, 1000 * i + j) for j in range(3))
-    return clouds
+    return clouds, data.sensor
 
 
 @pytest.fixture(scope="module")
-def dense_cloud(tmp_path_factory):
-    """One augmented scan of a 64 x 512 sensor, about 21k points."""
+def reference_clouds(reference_data):
+    return reference_data[0]
+
+
+@pytest.fixture(scope="module")
+def dense_data(tmp_path_factory):
+    """One scan of a 64 x 512 sensor, about 21k points, then its
+    augmentation, and that sensor."""
     out = tmp_path_factory.mktemp("oracle_dense")
     generate_dataset({"n_train": 1, "n_val": 0, "beam_count": 64, "azimuth_steps": 512,
                       "range_h": 64, "range_w": 512}, out, seed=0)
-    return augment(load_dataset(out).train[0].cloud, 5)
+    data = load_dataset(out)
+    cloud = data.train[0].cloud
+    return [cloud, augment(cloud, 5)], data.sensor
+
+
+@pytest.fixture(scope="module")
+def dense_cloud(dense_data):
+    return dense_data[0][1]
 
 
 def tie_heavy_clouds():
@@ -120,6 +136,87 @@ def test_view_geometry_matches_oracles_on_small_and_negative_clouds(
         centroid_count, k, sizes):
     for cloud in small_and_negative_clouds():
         check_view_geometry(cloud, centroid_count, k, sizes)
+
+
+# -- view kernels against the forms they replaced ---------------------------------
+
+def check_view_kernels(cloud, sensor, centroid_count, k, sizes):
+    g = point_grouping(cloud, centroid_count, k)
+    want = point_grouping_full_pass(cloud.xyz, centroid_count, k)
+    for got, ref in zip((g.centroid_ids, g.member_rows, g.nearest_centroid), want):
+        assert_same(got, ref)
+    if np.all(np.any(cloud.xyz != 0, axis=1)):  # the range view needs depth > 0
+        image = project_to_range(cloud, sensor)
+        want = project_to_range_lexsort(cloud, sensor)
+        for got, ref in zip((image.features, image.kept_index, image.pixel_u,
+                             image.pixel_v), want):
+            assert_same(got, ref)
+        assert_same(cloud.depth(), np.linalg.norm(cloud.xyz.astype(np.float64), axis=1))
+    grid = voxelize(cloud, sizes)
+    coords, inverse, feats = voxelize_full_divide(cloud, sizes)
+    for got, ref in ((grid.coords, coords), (grid.point_voxel, inverse),
+                     (grid.features, feats)):
+        assert_same(got, ref)
+    for got, ref in zip(voxel_neighbor_pairs(grid), voxel_neighbor_pairs_lexsort(coords)):
+        assert_same(got, ref)
+
+
+def test_view_kernels_give_the_replaced_bytes_on_reference_and_dense_scans(
+        reference_data, dense_data):
+    for clouds, sensor in (reference_data, dense_data):
+        for cloud in clouds:
+            check_view_kernels(cloud, sensor, REF.centroid_count, REF.knn_k, REF.voxel_size)
+
+
+@pytest.mark.parametrize("centroid_count,k,sizes", [
+    (48, 12, (1.5, 1.5, 1.5)), (16, 8, (0.1, 0.1, 0.1)), (5, 40, (1.0, 2.0, 0.5)),
+    (3, 1, (0.5, 0.5, 0.5)), (1, 6, (4.0, 4.0, 4.0)), (2000, 2000, (1.0, 1.0, 1.0))])
+def test_view_kernels_give_the_replaced_bytes_on_ties_and_small_clouds(
+        reference_data, centroid_count, k, sizes):
+    """Duplicate points, equal distances, ``k`` and ``centroid_count`` at or
+    above N, and a one-point cloud."""
+    for cloud in tie_heavy_clouds() + small_and_negative_clouds():
+        check_view_kernels(cloud, reference_data[1], centroid_count, k, sizes)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_scatter_add_rows_gives_the_flat_index_bytes(width):
+    """Per-column sums of narrow rows and the flat sums of wide rows match
+    the flat-index form bit for bit, zeros of both signs and float32 rows
+    included, and so does an empty index."""
+    rng = np.random.default_rng(width)
+    idx = rng.integers(0, 300, 2000)
+    values = np.round(rng.standard_normal((2000, width)), 1)
+    values[rng.random(values.shape) < 0.3] = -0.0
+    values[:50] = -0.0
+    idx[:50] = 299  # a row of -0.0 sums only
+    for v in (values, values.astype(np.float32), -values):
+        got, want = ad.scatter_add_rows(idx, v, 310), scatter_add_rows_flat(idx, v, 310)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    empty = np.zeros((0, width))
+    for rows in (0, 4):
+        got = ad.scatter_add_rows(np.zeros(0, np.int64), empty, rows)
+        want = scatter_add_rows_flat(np.zeros(0, np.int64), empty, rows)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-160, 1e-20, 1.0, 30.0, 1e20, 1e150])
+def test_row_norms_give_the_bits_of_linalg_norm(scale):
+    """float64 and float32 rows, zeros of both signs, at scales from
+    subnormal to 1e150."""
+    rng = np.random.default_rng(int(np.log2(scale)) + 2000)
+    xyz = rng.standard_normal((20000, 3)) * scale
+    xyz[rng.random(xyz.shape) < 0.1] = 0.0
+    xyz[rng.random(xyz.shape) < 0.1] = -0.0
+    rows = [xyz]
+    if 1e-30 < scale < 1e30:
+        rows.append(xyz.astype(np.float32))
+    for a in rows:
+        got, want = row_norms(a), np.linalg.norm(a.astype(np.float64), axis=1)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_fps_ties_on_euclidean_not_squared_distance():
