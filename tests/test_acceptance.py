@@ -6,7 +6,7 @@ reference protocol of ``chain.py`` through the CLI: the default synthetic
 dataset (5 train / 2 val scenes, ~4096 points per scan, 64-dim
 embeddings, 6 classes) trained for 50 epochs in stages 1-2 and 50
 supervised epochs, for three fixed seeds. Criterion 10 runs the chain of
-``fingerprint_chain.py`` twice and compares every file it writes (128
+``fingerprint_chain.py`` twice and compares every file it writes (143
 files).
 """
 
