@@ -8,7 +8,8 @@ checkpoint or file). An internal bug propagates with its traceback, which
 Python reports as exit 1. Results are written as CSV/JSON under --out
 (default: the working directory), which the first write makes, so a command
 that rejects its input writes nothing; one that fails later keeps what it
-wrote. An --out that is an existing file is rejected before any work.
+wrote. An --out that is, or lies below, an existing file is rejected before
+any work, and so is a corrupt --out that is the dataset it reads.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def _cmd_eval(args, cfg, opts):
     for kind, count in classes.items():
         if count != data.num_classes:
             raise LidarMoeError(f"checkpoint {path} scores {count} classes in its {kind} "
-                                f"logit head, but dataset {cfg.dataset} has {data.num_classes}")
+                                f"logit head, but dataset {data.path} has {data.num_classes}")
     check_param_shapes(store, moe_shapes(data.num_classes), path)
     reports, fused = evaluate_store(store, cfg, data, split=split)
     for name, report in reports.items():
@@ -219,6 +220,8 @@ def _cmd_eval(args, cfg, opts):
 
 def _cmd_corrupt(args, _, opts):
     dataset, split = Path(opts["dataset"]), opts["split"]
+    if args.out.resolve() == dataset.resolve():
+        raise LidarMoeError(f"corrupt --out {args.out} is the dataset {dataset} it reads")
     kind, severity = opts["kind"], opts["severity"]
     seed = opts["seed"] if args.seed is None else args.seed
     manifest = load_manifest(dataset / "manifest.json")
@@ -287,7 +290,7 @@ def _cmd_cosine_map(args, cfg, opts):
         sensor, _ = load_sensors(cfg.dataset)
         kind = backbone_kind(store, opts["representation"], path)
         embedding_width(store, kind, path)
-        feats = embed_view(store, make_view(kind, cloud, sensor, cfg), kind)
+        feats = embed_view(store, make_view(kind, cloud, sensor, cfg))
     if query >= len(feats):
         raise LidarMoeError(f"cosine-map config query_id must be < {len(feats)} "
                             f"(feature rows), got {query}")
@@ -371,8 +374,10 @@ def main(argv=None) -> int:
         _PARSER.print_help(sys.stderr)
         return USAGE_ERROR
     try:
-        if args.out.exists() and not args.out.is_dir():
-            raise LidarMoeError(f"--out {args.out} exists and is not a directory")
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        if not existing.is_dir():
+            where = "" if existing == args.out else f" lies below {existing}, which"
+            raise LidarMoeError(f"--out {args.out}{where} exists and is not a directory")
         _COMMANDS[args.command][0](args, *_read_config(args))
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

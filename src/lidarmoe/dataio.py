@@ -228,14 +228,15 @@ def resolve(base: Path, rel: str) -> Path:
 
 
 class TrainingLog:
-    """CSV of (step, stage, term, value) rows, written atomically on close."""
+    """One stage's CSV of (step, stage, term, value) rows, written atomically on close."""
 
-    def __init__(self, path):
+    def __init__(self, path, stage: str):
         self.path = Path(path)
+        self.stage = stage
         self._rows = ["step,stage,term,value\n"]
 
-    def append(self, step: int, stage: str, term: str, value: float) -> None:
-        self._rows.append(f"{step},{stage},{term},{float(value)!r}\n")
+    def append(self, step: int, term: str, value: float) -> None:
+        self._rows.append(f"{step},{self.stage},{term},{float(value)!r}\n")
 
     def close(self) -> None:
         write_text(self.path, "".join(self._rows))

@@ -14,8 +14,8 @@ it takes; ``_save_stage`` writes every stage checkpoint, and a stage reads
 a backbone's parameters by their ``encoders.param_names``. ``make_view`` is
 the one place a representation is chosen: its view runs its own encoder.
 Every stage gets its views through ``_scan_view``, which builds a scan's
-un-augmented view of each kind once and keeps it with the scan. A graph
-input is a view's features, named by the prefix of the encoder reading it.
+un-augmented view of each kind once and keeps it with the scan. A view
+carries its kind, which names its graph input and its encoder's parameters.
 
 Every run is a pure function of (config, dataset, seed): augmentation,
 gate noise, and initialization seeds derive deterministically from the
@@ -280,7 +280,7 @@ def check_off_origin(cloud: PointCloud, source) -> None:
         raise LidarMoeError(f"{source} has point {origin[0]} at the sensor origin")
 
 
-def _scored_scans(config: RunConfig, data: DatasetBundle, split) -> list:
+def _scored_scans(data: DatasetBundle, split) -> list:
     """The scans of ``split``, which a score reads; raises LidarMoeError
     when the split is empty or, naming the dataset and the split, when a
     scan holds no point (naming the scan too) or the split holds no
@@ -288,10 +288,10 @@ def _scored_scans(config: RunConfig, data: DatasetBundle, split) -> list:
     scans = data.scans(split)
     for scan in scans:
         if not scan.cloud.count:
-            raise LidarMoeError(f"dataset {config.dataset} has no point in "
+            raise LidarMoeError(f"dataset {data.path} has no point in "
                                 f"{split} scan {scan.name}")
     if not any(np.any(scan.cloud.label >= 0) for scan in scans):
-        raise LidarMoeError(f"dataset {config.dataset} has no labeled point "
+        raise LidarMoeError(f"dataset {data.path} has no labeled point "
                             f"in its {split} split")
     return scans
 
@@ -333,32 +333,30 @@ def _labeled_scans(data: DatasetBundle) -> list:
 
 @dataclass
 class ReprView:
-    """One representation of one (possibly augmented) cloud: its encoder's
-    input features and index structures, in the encoder's argument order,
-    plus the per-point row index into the encoder output."""
+    """One representation of one (possibly augmented) cloud: its kind, which
+    names its graph input and its encoder's parameters, the encoder's input
+    features and index structures, in the encoder's argument order, plus
+    the per-point row index into the encoder output."""
 
+    kind: str
     features: np.ndarray
     index: tuple
     gather: np.ndarray | None
     mapping: object
     encoder: object
 
-    def output(self, ctx, prefix, head="head"):
-        """Encoder output in representation space (cells / voxels / points);
-        the features are the graph input named ``prefix``."""
-        return self.encoder(ctx, ctx.input(prefix), *self.index, prefix, head)
+    def output(self, ctx, head="head"):
+        """Encoder output in representation space (cells / voxels / points)."""
+        return self.encoder(ctx, ctx.input(self.kind), *self.index, self.kind, head)
 
     def align(self, out):
         """Encoder output rows gathered to one row per point."""
         return out if self.gather is None else ad.gather_rows(out, self.gather)
 
-    def aligned(self, ctx, prefix):
-        return self.align(self.output(ctx, prefix))
-
-    def pooled(self, ctx, prefix, partition):
+    def pooled(self, ctx, partition):
         """Encoder output averaged per superpoint of ``partition``, its
         rows gathered straight to the assigned points by one gather."""
-        return build_group_mean(self.output(ctx, prefix), partition, self.gather)
+        return build_group_mean(self.output(ctx), partition, self.gather)
 
     def labels(self, cloud):
         """Per-row labels of the encoder output."""
@@ -369,17 +367,17 @@ def make_view(kind, cloud, sensor, config: RunConfig) -> ReprView:
     """The ``kind`` view of ``cloud``."""
     if kind == "range":
         ri = project_to_range(cloud, sensor)
-        return ReprView(ri.features, (), ri.point_cell_ids(), ri, build_range_embed)
+        return ReprView(kind, ri.features, (), ri.point_cell_ids(), ri, build_range_embed)
     if kind == "voxel":
         try:
             vg = voxelize(cloud, config.voxel_size)
             pairs = voxel_neighbor_pairs(vg)
         except LidarMoeError as err:  # the key to fix is voxel_size
             raise LidarMoeError(f"voxel_size {list(config.voxel_size)}: {err}") from None
-        return ReprView(vg.features, (pairs,), vg.point_voxel, vg, build_voxel_embed)
+        return ReprView(kind, vg.features, (pairs,), vg.point_voxel, vg, build_voxel_embed)
     if kind == "point":
         grouping = point_grouping(cloud, config.centroid_count, config.knn_k)
-        return ReprView(cloud.features(), (grouping,), None, grouping, build_point_embed)
+        return ReprView(kind, cloud.features(), (grouping,), None, grouping, build_point_embed)
     raise LidarMoeError(f"unknown representation: {kind}")
 
 
@@ -401,10 +399,9 @@ def _scan_view(scan: LoadedScan, kind, sensor, config: RunConfig, *seed_parts):
     return scan.views[key]
 
 
-def _inputs(views: dict) -> dict:
-    """The graph inputs of ``{prefix: view}``: each view's features, named
-    by the parameter prefix of the encoder that reads them."""
-    return {prefix: view.features for prefix, view in views.items()}
+def _inputs(views) -> dict:
+    """The graph inputs of ``views``: each view's features, named by its kind."""
+    return {view.kind: view.features for view in views}
 
 
 def build_group_mean(feats_var, partition, rows=None):
@@ -446,7 +443,7 @@ def _train_epochs(config, scans, graph_fn, store, peak_lr, log_path, stage_name,
     batches = math.ceil(len(scans) / config.batch_size)
     optimizer = AdamW(store, peak_lr, max(1, config.epochs * batches))
     epoch_losses, global_step = [], 0
-    with TrainingLog(log_path) as log:
+    with TrainingLog(log_path, stage_name) as log:
         for epoch in range(config.epochs):
             losses, pending = [], []
             for idx, scan in enumerate(scans):
@@ -466,16 +463,16 @@ def _train_epochs(config, scans, graph_fn, store, peak_lr, log_path, stage_name,
                     pending = []
                 scalars = sorted(k for k, v in outs.items() if k != "loss" and v.ndim == 0)
                 for term in ["loss"] + scalars:
-                    log.append(global_step, stage_name, term, outs[term])
+                    log.append(global_step, term, outs[term])
                 global_step += 1
             if pending:
                 optimizer.step(_accumulate(pending))
             mean = float(np.mean(losses))
             epoch_losses.append(mean)
-            log.append(global_step, stage_name, "epoch_loss", mean)
+            log.append(global_step, "epoch_loss", mean)
             if on_epoch is not None:
                 for term, value in on_epoch(epoch).items():
-                    log.append(global_step, stage_name, term, value)
+                    log.append(global_step, term, value)
     return epoch_losses
 
 
@@ -518,13 +515,13 @@ def stage1_pretrain(config: RunConfig, out_dir):
             view = _scan_view(scan, kind, data.sensor, config, "s1", kind, epoch, idx)
 
             def build(ctx):
-                k = view.pooled(ctx, kind, partitions[scan.name])
+                k = view.pooled(ctx, partitions[scan.name])
                 loss = build_info_nce(k, ad.as_var(targets[scan.name]),
                                       config.temperature,
                                       config.contrastive_denominator)
                 return {"loss": loss}
 
-            return build, _inputs({kind: view})
+            return build, _inputs([view])
 
         epoch_losses = _train_epochs(config, scans, graph_fn, store,
                                      lambda _: config.lr_stage1,
@@ -583,7 +580,7 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
         # student shares its expert's view
         features = np.concatenate(
             [embed_view(experts[k], _scan_view(scan, k, data.sensor, config,
-                                               "cml", k, epoch, idx), k)
+                                               "cml", k, epoch, idx))
              for k in REPRESENTATIONS], axis=1)
         student = _scan_view(scan, config.student, data.sensor, config,
                              "cml", "student", epoch, idx)
@@ -593,12 +590,12 @@ def stage2_cml(config: RunConfig, expert_ckpts: dict, out_dir):
             if epoch == config.epochs - 1:
                 final_gates[scan.name] = gates.data
             k_moe = build_group_mean(fused, partition)
-            k_student = student.pooled(ctx, config.student, partition)
+            k_student = student.pooled(ctx, partition)
             loss = build_info_nce(k_student, k_moe, config.temperature,
                                   config.contrastive_denominator)
             return {"loss": loss, **gate_terms(gates.data)}
 
-        return build, _inputs({config.student: student})
+        return build, _inputs([student])
 
     epoch_losses = _train_epochs(config, usable, graph_fn, store,
                                  lambda _: config.lr_cml, out / "cml_log.csv",
@@ -637,7 +634,7 @@ def _sms_store(config: RunConfig, init_ckpts: dict, num_classes) -> ParameterSto
 
 
 def _sms_forward_build(ctx, views):
-    logits = {k: views[k].output(ctx, k, head="logit_head") for k in REPRESENTATIONS}
+    logits = {k: views[k].output(ctx, head="logit_head") for k in REPRESENTATIONS}
     aligned = {k: views[k].align(logits[k]) for k in REPRESENTATIONS}
     fused, gates = build_moe(ctx, ad.concat_cols(list(aligned.values())), "sms")
     return logits, aligned, fused, gates
@@ -656,7 +653,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
     """
     out = Path(out_dir)
     data = load_dataset(config.dataset)
-    _scored_scans(config, data, "val")  # fail before training
+    _scored_scans(data, "val")  # fail before training
     labeled = _labeled_scans(data)
     labeled = labeled[:max(1, int(np.ceil(data.annotation_fraction * len(labeled))))]
     cfg = replace(config, epochs=config.sms_epochs, augment=config.sms_augment)
@@ -677,7 +674,7 @@ def stage3_sms(config: RunConfig, init_ckpts: dict, out_dir):
             total, breakdown = build_sms_total({"fused": fused, **logits}, labels)
             return {"loss": total, **breakdown, **gate_terms(gates.data)}
 
-        return build, _inputs(views)
+        return build, _inputs(views.values())
 
     def peak_lr(name):
         return config.lr_sms_backbone if name in trunks else config.lr_sms_other
@@ -706,7 +703,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
     A scan's views are dropped once it is scored, unless ``keep_views``.
     A split with no labeled point raises LidarMoeError before any forward.
     """
-    scans = _scored_scans(config, data, split)
+    scans = _scored_scans(data, split)
     preds = {k: [] for k in ("fused",) + REPRESENTATIONS}
     for scan in scans:
         views = {k: _scan_view(scan, k, data.sensor, config) for k in REPRESENTATIONS}
@@ -715,7 +712,7 @@ def evaluate_store(store, config: RunConfig, data: DatasetBundle, split="val",
             _, aligned, fused, _ = _sms_forward_build(ctx, views)
             return {"fused": fused, **aligned}
 
-        outs = ad.evaluate(Graph(build), store, _inputs(views))
+        outs = ad.evaluate(Graph(build), store, _inputs(views.values()))
         for k, head in preds.items():
             head.append(np.argmax(outs[k], axis=1))
         if not keep_views:
@@ -776,11 +773,11 @@ def check_param_shapes(store: ParameterStore, wanted: dict, source) -> None:
                                 f"{store.get(name).shape}, want {shape}")
 
 
-def embed_view(store, view: ReprView, kind):
-    """Per-point embeddings of ``view`` by the ``kind`` backbone of
+def embed_view(store, view: ReprView):
+    """Per-point embeddings of ``view`` by the backbone of its kind in
     ``store``: an evaluated array, so no gradient ever reaches ``store``."""
-    graph = Graph(lambda ctx: {"out": view.aligned(ctx, kind)})
-    return ad.evaluate(graph, store, _inputs({kind: view}))["out"]
+    graph = Graph(lambda ctx: {"out": view.align(view.output(ctx))})
+    return ad.evaluate(graph, store, _inputs([view]))["out"]
 
 
 def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=None):
@@ -802,9 +799,9 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     width = embedding_width(store, kind, checkpoint)
     before = store.copy()
     data = load_dataset(config.dataset)
-    val = _scored_scans(config, data, "val")
+    val = _scored_scans(data, "val")
     train = _labeled_scans(data)
-    train_embeds = [embed_view(store, _scan_view(scan, kind, data.sensor, config), kind)
+    train_embeds = [embed_view(store, _scan_view(scan, kind, data.sensor, config))
                     for scan in train]
     probe = ParameterStore()
     add_linear(probe, "probe", width, data.num_classes,
@@ -824,7 +821,7 @@ def linear_probe(config: RunConfig, out_dir, checkpoint=None, representation=Non
     head = Graph(lambda ctx: {"logits": logits(ctx)})
     preds, labels = [], []
     for scan in val:
-        emb = embed_view(store, _scan_view(scan, kind, data.sensor, config), kind)
+        emb = embed_view(store, _scan_view(scan, kind, data.sensor, config))
         outs = ad.evaluate(head, probe, {"emb": emb})
         preds.append(np.argmax(outs["logits"], axis=1))
         labels.append(scan.cloud.label)

@@ -294,11 +294,11 @@ def logsumexp_rows_max(x, g):
     return lse64.astype(x.dtype), g * np.exp(x64 - lse64)
 
 
-def pooled_two_gathers(view, ctx, prefix, partition):
+def pooled_two_gathers(view, ctx, partition):
     """Per-superpoint mean of a view's encoder output as two gathers: rows
     to points (``view.align``), then points to the assigned points."""
     keep = np.flatnonzero(partition.point_group >= 0)
-    per_point = view.align(view.output(ctx, prefix))
+    per_point = view.align(view.output(ctx))
     return ad.segment_mean(ad.gather_rows(per_point, keep),
                            partition.point_group[keep].astype(np.int64), partition.count)
 

@@ -265,7 +265,7 @@ def test_directories_are_made_only_by_the_atomic_write():
 def test_encoders_read_only_the_values_they_are_handed():
     """No function of ``encoders`` calls ``.input``: an encoder takes its
     features as a graph value, and the caller names the graph input after
-    the encoder's parameter prefix."""
+    the view's kind."""
     found = [f"encoders:{node.lineno}" for node in ast.walk(_parse()["encoders"])
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "input"]
     assert found == []

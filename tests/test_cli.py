@@ -1144,6 +1144,43 @@ def test_out_naming_a_file_exit_2_before_any_work(tmp_path, capsys):
     assert out.read_text() == "kept"
 
 
+@pytest.mark.parametrize("below", ["run", "a/b"])
+def test_out_below_a_file_exit_2_before_the_handler(tmp_path, tiny_dataset, capsys,
+                                                    monkeypatch, below):
+    """An ``--out`` whose nearest existing ancestor is a file is rejected
+    before the subcommand's handler runs, naming that file, not at the
+    first write after training."""
+    import lidarmoe.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "stage1_pretrain", lambda *args: calls.append(args) or {})
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / below
+    cfg = write_json(tmp_path / "cfg.json", {"dataset": str(tiny_dataset), "epochs": 1})
+    assert main(["pretrain", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert f"error: --out {out} lies below {afile}, which exists and is not a directory" \
+        in capsys.readouterr().err
+    assert afile.read_text() == "kept"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_corrupt_onto_its_own_dataset_exit_2_before_any_write(tmp_path, tiny_dataset,
+                                                              capsys, spelling):
+    """A corrupt whose ``--out`` resolves to the dataset it reads exits 2
+    naming both paths, and leaves the dataset's manifest as it was."""
+    ds = tmp_path / "ds"
+    shutil.copytree(tiny_dataset, ds)
+    manifest = (ds / "manifest.json").read_bytes()
+    out = ds if spelling == "same" else ds / "scans" / ".."
+    cfg = write_json(tmp_path / "cfg.json", {"dataset": str(ds), "kind": "jitter",
+                                             "severity": 1})
+    assert main(["corrupt", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: corrupt --out {out} is the dataset {ds} it reads" \
+        in capsys.readouterr().err
+    assert (ds / "manifest.json").read_bytes() == manifest
+
+
 def test_probe_trains_on_the_labeled_scans_that_sms_accepts(tmp_path, tiny_dataset):
     """A train scan whose labels are all -1 is skipped by the probe as by
     SMS: one probe step per epoch for each of the other train scans."""

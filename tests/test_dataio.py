@@ -173,9 +173,9 @@ def test_interrupted_manifest_write_keeps_previous_file(tmp_path, monkeypatch):
 
 def test_training_log_format(tmp_path):
     path = tmp_path / "log.csv"
-    with TrainingLog(path) as log:
-        log.append(0, "stage1-range", "loss", 3.25)
-        log.append(1, "stage1-range", "loss", 3.0)
+    with TrainingLog(path, "stage1-range") as log:
+        log.append(0, "loss", 3.25)
+        log.append(1, "loss", 3.0)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "step,stage,term,value"
     assert lines[1] == "0,stage1-range,loss,3.25"

@@ -16,7 +16,7 @@ from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore, load_checkpoint
 from lidarmoe.pipeline import (DEFAULT_DATASET_CONFIG, REPRESENTATIONS, RunConfig,
                                _inputs, _sms_store, _step_seed, _train_epochs,
-                               build_group_mean,
+                               build_group_mean, embed_view,
                                evaluate_store, generate_dataset,
                                init_backbone_store, linear_probe, load_dataset,
                                make_view, stage1_pretrain, stage2_cml,
@@ -109,13 +109,13 @@ def test_stage1_single_step_gradient_matches_fd(tiny_config):
     view = make_view("point", cloud, data.sensor, cfg)
 
     def build(ctx):
-        feats = view.aligned(ctx, "point")
+        feats = view.align(view.output(ctx))
         k = build_group_mean(feats, partition)
         return {"loss": build_info_nce(k, ad.as_var(target), cfg.temperature)}
 
     # eps=1e-5: ground points share near-identical coordinates, so wider
     # steps cross relu/max kinks; differences still run in float64
-    assert ad.grad_check(Graph(build), store, _inputs({"point": view}), eps=1e-5) < 1e-4
+    assert ad.grad_check(Graph(build), store, _inputs([view]), eps=1e-5) < 1e-4
 
 
 def test_stage2_zero_epochs_student_equals_warm_start(tiny_config, tmp_path):
@@ -176,15 +176,46 @@ def test_stage2_reports_an_expert_changed_during_training(tiny_config, tmp_path,
     import lidarmoe.pipeline as pipeline
     s1 = stage1_pretrain(replace(tiny_config, epochs=0), tmp_path / "s1")
 
-    def embed_and_touch_expert(store, view, kind, _embed=pipeline.embed_view):
-        out = _embed(store, view, kind)
-        if kind == "point":
+    def embed_and_touch_expert(store, view, _embed=pipeline.embed_view):
+        out = _embed(store, view)
+        if view.kind == "point":
             store.set("point.head.b", store.get("point.head.b") + 1.0)
         return out
 
     monkeypatch.setattr(pipeline, "embed_view", embed_and_touch_expert)
     result = stage2_cml(replace(tiny_config, epochs=1), ckpts_of(s1), tmp_path / "cml")
     assert result["experts_frozen"] is False
+
+
+@pytest.mark.parametrize("kind", REPRESENTATIONS)
+def test_a_view_runs_under_its_own_kind(kind, tiny_config, monkeypatch):
+    """A view that ``make_view`` builds for ``kind`` names its graph input
+    by that kind, and ``embed_view`` of it, on a store holding all three
+    backbones, reads only that kind's parameters and gives the bytes of a
+    store holding that backbone alone."""
+    data = load_dataset(tiny_config.dataset)
+    cloud = data.train[0].cloud
+    view = make_view(kind, cloud, data.sensor, tiny_config)
+    inputs = _inputs([view])
+    assert list(inputs) == [kind] and inputs[kind] is view.features
+    alone = init_backbone_store(kind, tiny_config, "own-kind")
+    every = ParameterStore()
+    for k in REPRESENTATIONS:
+        src = alone if k == kind else init_backbone_store(k, tiny_config, "own-kind")
+        for name in src.names():
+            every.add(name, src.get(name))
+    read = []
+
+    def reading(ctx, name, _param=ad.GraphContext.param):
+        read.append(name)
+        return _param(ctx, name)
+
+    monkeypatch.setattr(ad.GraphContext, "param", reading)
+    emb = embed_view(every, view)
+    trunk, head = param_names(kind)
+    assert sorted(set(read)) == sorted(trunk + head)
+    assert emb.shape == (cloud.count, tiny_config.embed_dim)
+    assert emb.tobytes() == embed_view(alone, view).tobytes()
 
 
 @pytest.mark.parametrize("student,student_init", [("voxel", "stage1"),
@@ -277,13 +308,13 @@ def test_pooled_gives_the_bytes_of_the_two_gather_form(kind, tiny_config):
 
     def run(graph, dtype):
         if dtype == np.float32:
-            return ad.backward(graph, store, _inputs({kind: view}))
-        outs, grads = ad._param_grads(graph, store, _inputs({kind: view}), 0,
+            return ad.backward(graph, store, _inputs([view]))
+        outs, grads = ad._param_grads(graph, store, _inputs([view]), 0,
                                       dtype)  # exact mode
         return {k: v.data for k, v in outs.items()}, grads
 
-    new = graph(lambda ctx: view.pooled(ctx, kind, partition))
-    old = graph(lambda ctx: pooled_two_gathers(view, ctx, kind, partition))
+    new = graph(lambda ctx: view.pooled(ctx, partition))
+    old = graph(lambda ctx: pooled_two_gathers(view, ctx, partition))
     for dtype in (np.float32, np.float64):
         (outs_new, grads_new), (outs_old, grads_old) = (run(g, dtype) for g in (new, old))
         assert outs_new["pooled"].dtype == dtype
@@ -311,7 +342,7 @@ def test_unaugmented_stages_build_one_view_per_scan_and_kind(tiny_config, tmp_pa
                                                               monkeypatch):
     """Over 3 epochs of stage 1 and of CML, each (scan, kind) view is built
     once, and CML's student (pooled) runs on its expert's (aligned) view
-    object."""
+    object; both are recorded by the view's own kind."""
     import lidarmoe.pipeline as pipeline
     from lidarmoe.pipeline import _superpoint_scans
     cfg = replace(tiny_config, epochs=3, augment=False)
@@ -321,17 +352,18 @@ def test_unaugmented_stages_build_one_view_per_scan_and_kind(tiny_config, tmp_pa
     assert len(calls) == len(set(calls)) == usable * len(REPRESENTATIONS)
 
     used = {}
-    for method in ("aligned", "pooled"):
-        def recording(view, ctx, prefix, *rest, _method=getattr(pipeline.ReprView, method),
-                      _name=method):
-            used.setdefault((_name, prefix), set()).add(id(view))
-            return _method(view, ctx, prefix, *rest)
+    for method in ("align", "pooled"):
+        def recording(view, *args, _method=getattr(pipeline.ReprView, method), _name=method):
+            used.setdefault((_name, view.kind), set()).add(id(view))
+            return _method(view, *args)
         monkeypatch.setattr(pipeline.ReprView, method, recording)
     calls.clear()
     stage2_cml(cfg, ckpts_of(s1), tmp_path / "cml")
     assert len(calls) == len(set(calls)) == usable * len(REPRESENTATIONS)
+    assert {kind for _, kind in used} == set(REPRESENTATIONS)
     student = used[("pooled", "voxel")]
-    assert len(student) == usable and student == used[("aligned", "voxel")]
+    assert len(student) == usable and student == used[("align", "voxel")]
+    assert all(len(used[("align", kind)]) == usable for kind in REPRESENTATIONS)
 
 
 @pytest.mark.parametrize("augment", [False, True])
@@ -620,7 +652,7 @@ def test_stage3_single_step_gradient_matches_fd(tiny_config):
 
     views = {k: make_view(k, cloud, sensor, cfg) for k in REPRESENTATIONS}
     views["range"].encoder = range_embed_conv2_held
-    inputs = _inputs(views)
+    inputs = _inputs(views.values())
     labels = {"fused": np.clip(cloud.label, -1, 3),
               "point": np.clip(cloud.label, -1, 3),
               "range": np.clip(project_labels(cloud, views["range"].mapping), -1, 3),
