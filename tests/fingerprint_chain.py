@@ -9,15 +9,16 @@ beam-missing, a jitter and a range-cut corrupt of the val split, each
 followed by an eval of the sms checkpoint on that camera-less copy (what
 the ``robust_eval`` workload times; range-cut reads ``PointCloud.depth``),
 a one-epoch pretrain with batches of two scans and the ``exclude_positive``
-contrastive denominator, a cosine-map of a stage-1 range checkpoint on a
-val scan, and a report of literal IoU maps.
+contrastive denominator, a one-epoch cml at that denominator (both
+operands of the contrastive loss trained under its mask), a cosine-map of
+a stage-1 range checkpoint on a val scan, and a report of literal IoU maps.
 Acceptance criterion 10 runs it twice and compares every file. Run as a
 script, it runs the steps in a temporary directory and prints ``sha256
 relpath`` for every file there, sorted by path. Every path a step is given
 is relative, so no output holds the temporary directory's name. Two source
 trees write byte-identical outputs exactly when their fingerprints agree
 at one BLAS thread count; OpenBLAS splits a product differently at another
-count, so 30 of its 143 hashes change between 1 and 2 threads on any tree:
+count, so 36 of its 152 hashes change between 1 and 2 threads on any tree:
 
     git worktree add ../lidarmoe-parent HEAD~1
     diff <(OPENBLAS_NUM_THREADS=1 PYTHONPATH=../lidarmoe-parent/src \\
@@ -58,6 +59,8 @@ STEPS = [
     ("eval", dict(RUN, dataset="data_range", checkpoint="sms/sms_model.ckpt"), "eval_range"),
     ("pretrain", dict(RUN, epochs=1, batch_size=2, contrastive_denominator="exclude_positive"),
      "s1_excl"),
+    ("cml", dict(RUN, stage1_dir="s1", epochs=1, contrastive_denominator="exclude_positive"),
+     "cml_excl"),
     ("cosine-map", dict(RUN, checkpoint="s1/stage1_range.ckpt",
                         cloud="data/scans/val_000.lpcd", query_id=0), "cosine"),
     ("report", {"model_ious": {"beam-missing": [61.5, 48.25, 30.0], "jitter": [70.0, 66.5, 52.75]},
