@@ -229,17 +229,6 @@ def add(a, b):
     return _out(a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = as_var(a), as_var(b)
-    sa, sb = _saved(a, a.shape), _saved(b, b.shape)
-
-    def bwd(g):
-        return (None if sa is None else _unbroadcast(g, sa),
-                None if sb is None else _unbroadcast(-g, sb))
-
-    return _out(a.data - b.data, (a, b), bwd)
-
-
 def neg(a):
     a = as_var(a)
     return _out(-a.data, (a,), lambda g: (-g,))
@@ -256,19 +245,6 @@ def mul(a, b):
                 None if ad is None else _unbroadcast(g * ad, sb))
 
     return _out(a.data * b.data, (a, b), bwd)
-
-
-def div(a, b):
-    a, b = as_var(a), as_var(b)
-    # both grads read the divisor; only the divisor's reads the dividend
-    ad, bd, take_a = _saved(b, a.data), b.data, a.requires_grad
-    sa, sb = a.shape, b.shape
-
-    def bwd(g):
-        return (_unbroadcast(g / bd, sa) if take_a else None,
-                None if ad is None else _unbroadcast(-g * ad / (bd * bd), sb))
-
-    return _out(a.data / b.data, (a, b), bwd)
 
 
 def matmul(a, b):
@@ -330,13 +306,6 @@ def softplus(a):
     return _out(data, (a,), lambda g: (g * sig,))
 
 
-def sqrt(a):
-    a = as_var(a)
-    with np.errstate(invalid="ignore"):
-        data = np.sqrt(a.data)
-    return _out(data, (a,), lambda g: (g / (2.0 * data),))
-
-
 def softmax_rows(a):
     """Row-wise softmax of a 2D array."""
     a = as_var(a)
@@ -367,16 +336,6 @@ def log_softmax_rows(a):
         return ((g - sm * _row_sums(g)).astype(g.dtype),)
 
     return _out(data, (a,), bwd)
-
-
-def logsumexp_rows(a):
-    """Row-wise log-sum-exp, shape (N, 1)."""
-    a = as_var(a)
-    x = a.data.astype(np.float64)
-    m = _row_max(x)
-    lse64 = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
-    sm = np.exp(x - lse64)
-    return _out(lse64.astype(a.data.dtype), (a,), lambda g: (g * sm,))
 
 
 def concat_cols(parts):
@@ -444,14 +403,6 @@ def reshape(a, shape):
     return _out(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def transpose(a):
-    a = as_var(a)
-    if a.data.ndim != 2:
-        raise LidarMoeError("transpose expects 2D input")
-    return _out(np.ascontiguousarray(a.data.T), (a,),
-                lambda g: (np.ascontiguousarray(g.T),))
-
-
 def scatter_add_rows(idx, values, num_rows):
     """float64 sums of the rows of ``values`` into ``num_rows`` rows by
     non-negative target row ``idx``.
@@ -494,22 +445,6 @@ def gather_rows(a, idx):
     data = np.take(a.data, idx, axis=0)
     n = a.data.shape[0]
     return _out(data, (a,), lambda g: (scatter_add_rows(idx, g, n),))
-
-
-def take_diag(a):
-    """Diagonal of a square 2D array as an (N, 1) column."""
-    a = as_var(a)
-    n, m = a.data.shape
-    if n != m:
-        raise LidarMoeError("take_diag expects a square matrix")
-    data = np.diagonal(a.data).reshape(n, 1).copy()
-
-    def bwd(g):
-        full = np.zeros((n, n), dtype=g.dtype)
-        np.fill_diagonal(full, g[:, 0])
-        return (full,)
-
-    return _out(data, (a,), bwd)
 
 
 def segment_mean(a, seg, num_segments):
@@ -664,6 +599,74 @@ def lovasz_softmax(probs, labels):
         return (full,)
 
     return _out(data, (a,), bwd)
+
+
+def _unit_rows(x):
+    """``(x * inv, inv, den)``: the rows of ``x`` scaled by ``inv =
+    float32(1) / den``, ``den`` the root of each row's float64 sum of
+    squares, rounded, plus ``float32(1e-12)``."""
+    den = np.sqrt(_row_sums(x * x, np.float64).astype(x.dtype) + np.float32(1e-12))
+    inv = np.float32(1.0) / den
+    return x * inv, inv, den
+
+
+def _unit_rows_grad(g, x, inv, den):
+    """The grad of ``x`` for the grad ``g`` of its unit rows: ``g * inv``,
+    then the grad through ``den``, added once per factor of ``x * x``."""
+    t = -_unbroadcast(g * x, inv.shape) / (den * den) / (2.0 * den) * x
+    gx = g * inv + t
+    gx += t
+    return gx
+
+
+def info_nce(k, q, temperature, exclude_positive):
+    """InfoNCE of matched embedding rows: the rows of both (S, D) operands
+    at unit length, every pair scored by dot product over ``temperature``,
+    and the mean over rows of the log-sum-exp of a row's scores (in
+    float64, from the row max) minus its matched score on the diagonal.
+    ``exclude_positive`` adds -1e4 to the diagonal inside the log-sum-exp.
+
+    One node with the bits of the graph of row-norm, matmul, diagonal,
+    log-sum-exp and mean nodes it replaced. The score grad is the
+    diagonal's plus the log-sum-exp's ``-g/S * softmax``, summed in float64
+    and rounded once, or under the mask rounded first; each operand's grad
+    then flows through the product and its unit rows."""
+    k, q = as_var(k), as_var(q)
+    if k.data.ndim != 2 or q.data.ndim != 2:
+        raise LidarMoeError(f"info_nce expects 2D operands, got {k.data.shape} "
+                            f"and {q.data.shape}")
+    s = k.data.shape[0]
+    if s < 2:
+        raise LidarMoeError("contrastive loss needs at least 2 rows")
+    if q.data.shape != k.data.shape:
+        raise LidarMoeError("embedding shapes disagree")
+    (kn, *k_norm), (qn, *q_norm) = _unit_rows(k.data), _unit_rows(q.data)
+    qn_t = np.ascontiguousarray(qn.T)
+    scale = np.float32(1.0 / temperature)
+    scores = (kn @ qn_t) * scale
+    dtype = scores.dtype
+    logits = scores + np.diag(np.full(s, -1e4, np.float32)) if exclude_positive else scores
+    x = logits.astype(np.float64)
+    m = _row_max(x)
+    lse64 = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+    softmax = np.exp(x - lse64)
+    pos = np.diagonal(scores).reshape(s, 1)
+    data = -np.asarray(_reduce_sum(pos - lse64.astype(dtype)) / s, dtype=dtype)
+    # each operand's grad reads the other's unit rows
+    k_saved, q_saved = _saved(k, (qn_t, k.data, *k_norm)), _saved(q, (kn, q.data, *q_norm))
+
+    def bwd(g):
+        g_pos = np.full(s, float(-g) / s, dtype=dtype)
+        g_lse = -g_pos[:, None] * softmax
+        if exclude_positive:
+            g_lse = g_lse.astype(dtype)
+        g_prod = (np.diag(g_pos) + g_lse).astype(dtype, copy=False) * scale
+        return (None if k_saved is None else
+                _unit_rows_grad(g_prod @ k_saved[0].T, *k_saved[1:]),
+                None if q_saved is None else
+                _unit_rows_grad(np.ascontiguousarray((q_saved[0].T @ g_prod).T), *q_saved[1:]))
+
+    return _out(data, (k, q), bwd)
 
 
 def _padded_rows(img, dtype):

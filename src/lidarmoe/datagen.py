@@ -437,10 +437,10 @@ def corrupt(cloud: PointCloud, kind: str, severity: int, seed: int) -> PointClou
     if kind == "beam-missing":
         gone = dropped_beams(int(cloud.beam.max(initial=-1)) + 1, severity)
         keep = ~np.isin(cloud.beam, gone)
-        return cloud.select(keep)
+        return cloud.select(np.flatnonzero(keep))
     if kind == "jitter":
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(cloud.xyz.shape) * _JITTER_SIGMA[severity]
         return cloud.replace_xyz(cloud.xyz.astype(np.float64) + noise)
     keep = cloud.depth() <= _RANGE_LIMIT[severity]
-    return cloud.select(keep)
+    return cloud.select(np.flatnonzero(keep))

@@ -5,7 +5,8 @@ The contrastive loss L2-normalizes both embedding matrices, scores every
 pair by dot product over a temperature, and averages the negative log of
 the matched pair's softmax probability. By default the denominator runs
 over all columns including the match; ``denominator="exclude_positive"``
-drops the matched column instead.
+drops the matched column instead. Like the Lovasz-softmax, it is one
+autodiff node (``autodiff.info_nce``, ``autodiff.lovasz_softmax``).
 """
 
 from __future__ import annotations
@@ -21,31 +22,10 @@ SMS_TERMS = (("fused", "ce", 1.0), ("range", "ce", 1.0), ("range", "lovasz", 2.0
              ("voxel", "ce", 1.0), ("voxel", "lovasz", 2.0), ("point", "ce", 1.0))
 
 
-def _normalize_rows(x):
-    sq = ad.sum_cols(ad.mul(x, x))
-    inv = ad.div(ad.as_var(np.float32(1.0)), ad.sqrt(ad.add(sq, ad.as_var(np.float32(1e-12)))))
-    return ad.mul(x, inv)
-
-
 def build_info_nce(k_var, q_var, temperature, denominator="all"):
-    """Composable contrastive loss over matched embedding rows."""
-    s = k_var.shape[0]
-    if s < 2:
-        raise LidarMoeError("contrastive loss needs at least 2 rows")
-    if q_var.shape != k_var.shape:
-        raise LidarMoeError("embedding shapes disagree")
-    kn = _normalize_rows(k_var)
-    qn = _normalize_rows(q_var)
-    scaled = ad.mul(ad.matmul(kn, ad.transpose(qn)),
-                    ad.as_var(np.float32(1.0 / temperature)))
-    pos = ad.take_diag(scaled)
-    if denominator == "all":
-        lse = ad.logsumexp_rows(scaled)
-    else:
-        mask = np.zeros((s, s), np.float32)
-        np.fill_diagonal(mask, -1e4)
-        lse = ad.logsumexp_rows(ad.add(scaled, ad.as_var(mask)))
-    return ad.neg(ad.mean_all(ad.sub(pos, lse)))
+    """Composable contrastive loss over matched embedding rows: one
+    ``autodiff.info_nce`` node."""
+    return ad.info_nce(k_var, q_var, temperature, denominator != "all")
 
 
 def _checked_labels(rows_var, labels, what):

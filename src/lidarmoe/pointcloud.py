@@ -58,6 +58,8 @@ class PointCloud:
     def replace_xyz(self, xyz) -> "PointCloud":
         return PointCloud(xyz, self.intensity, self.beam, self.label)
 
-    def select(self, mask_or_idx) -> "PointCloud":
-        return PointCloud(self.xyz[mask_or_idx], self.intensity[mask_or_idx],
-                          self.beam[mask_or_idx], self.label[mask_or_idx])
+    def select(self, idx) -> "PointCloud":
+        """The points at indices ``idx``, gathered with ``np.take`` (several
+        times faster than fancy or boolean-mask indexing, same bytes)."""
+        return PointCloud(*(np.take(a, idx, axis=0)
+                            for a in (self.xyz, self.intensity, self.beam, self.label)))

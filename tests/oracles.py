@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from lidarmoe import autodiff as ad
+from lidarmoe.errors import LidarMoeError
 from lidarmoe.geometry import lexicographic_keys
 
 
@@ -361,8 +362,10 @@ def segment_max_at(x, seg, num_segments, g):
 
 # -- reference forms of the layer nodes ------------------------------------------
 # The column-slice primitive, the ``add(matmul(x, w), b)`` pair that
-# ``autodiff.linear`` replaced and the slice/mul/add graph that
-# ``autodiff.gated_sum`` replaced; the new nodes must give the same bytes.
+# ``autodiff.linear`` replaced, the slice/mul/add graph that
+# ``autodiff.gated_sum`` replaced, and the contrastive-loss graph that
+# ``autodiff.info_nce`` replaced, with the six primitives only it used; the
+# new nodes must give the same bytes.
 
 def slice_cols(a, j0, j1):
     """Columns ``j0:j1`` of a 2D value as a graph node; its grad is the
@@ -376,6 +379,98 @@ def slice_cols(a, j0, j1):
         return (full,)
 
     return ad._out(a.data[:, j0:j1], (a,), bwd)
+
+def sub(a, b):
+    a, b = ad.as_var(a), ad.as_var(b)
+    sa, sb = ad._saved(a, a.shape), ad._saved(b, b.shape)
+
+    def bwd(g):
+        return (None if sa is None else ad._unbroadcast(g, sa),
+                None if sb is None else ad._unbroadcast(-g, sb))
+
+    return ad._out(a.data - b.data, (a, b), bwd)
+
+
+def div(a, b):
+    a, b = ad.as_var(a), ad.as_var(b)
+    # both grads read the divisor; only the divisor's reads the dividend
+    ad_, bd, take_a = ad._saved(b, a.data), b.data, a.requires_grad
+    sa, sb = a.shape, b.shape
+
+    def bwd(g):
+        return (ad._unbroadcast(g / bd, sa) if take_a else None,
+                None if ad_ is None else ad._unbroadcast(-g * ad_ / (bd * bd), sb))
+
+    return ad._out(a.data / b.data, (a, b), bwd)
+
+
+def sqrt(a):
+    a = ad.as_var(a)
+    with np.errstate(invalid="ignore"):
+        data = np.sqrt(a.data)
+    return ad._out(data, (a,), lambda g: (g / (2.0 * data),))
+
+
+def logsumexp_rows(a):
+    """Row-wise log-sum-exp, shape (N, 1)."""
+    a = ad.as_var(a)
+    x = a.data.astype(np.float64)
+    m = ad._row_max(x)
+    lse64 = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+    sm = np.exp(x - lse64)
+    return ad._out(lse64.astype(a.data.dtype), (a,), lambda g: (g * sm,))
+
+
+def transpose(a):
+    a = ad.as_var(a)
+    if a.data.ndim != 2:
+        raise LidarMoeError("transpose expects 2D input")
+    return ad._out(np.ascontiguousarray(a.data.T), (a,),
+                   lambda g: (np.ascontiguousarray(g.T),))
+
+
+def take_diag(a):
+    """Diagonal of a square 2D array as an (N, 1) column."""
+    a = ad.as_var(a)
+    n, m = a.data.shape
+    if n != m:
+        raise LidarMoeError("take_diag expects a square matrix")
+    data = np.diagonal(a.data).reshape(n, 1).copy()
+
+    def bwd(g):
+        full = np.zeros((n, n), dtype=g.dtype)
+        np.fill_diagonal(full, g[:, 0])
+        return (full,)
+
+    return ad._out(data, (a,), bwd)
+
+
+def _normalize_rows(x):
+    sq = ad.sum_cols(ad.mul(x, x))
+    inv = div(ad.as_var(np.float32(1.0)), sqrt(ad.add(sq, ad.as_var(np.float32(1e-12)))))
+    return ad.mul(x, inv)
+
+
+def info_nce_graph(k_var, q_var, temperature, denominator="all"):
+    """The contrastive loss as a graph of row-norm, matmul, transpose,
+    diagonal, log-sum-exp, subtract and mean nodes."""
+    s = k_var.shape[0]
+    if s < 2:
+        raise LidarMoeError("contrastive loss needs at least 2 rows")
+    if q_var.shape != k_var.shape:
+        raise LidarMoeError("embedding shapes disagree")
+    kn = _normalize_rows(k_var)
+    qn = _normalize_rows(q_var)
+    scaled = ad.mul(ad.matmul(kn, transpose(qn)),
+                    ad.as_var(np.float32(1.0 / temperature)))
+    pos = take_diag(scaled)
+    if denominator == "all":
+        lse = logsumexp_rows(scaled)
+    else:
+        mask = np.zeros((s, s), np.float32)
+        np.fill_diagonal(mask, -1e4)
+        lse = logsumexp_rows(ad.add(scaled, ad.as_var(mask)))
+    return ad.neg(ad.mean_all(sub(pos, lse)))
 
 
 def linear_add_matmul(x, w, b):

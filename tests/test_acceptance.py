@@ -132,7 +132,7 @@ def test_criterion_1_gradient_integrity(rng):
 
         def build(ctx):
             fused, _ = build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe")
-            err = ad.sub(fused, ad.as_var(target))
+            err = ad.add(fused, ad.as_var(-target))
             return {"loss": ad.mean_all(ad.mul(err, err))}
 
         checks[mode] = ad.grad_check(Graph(build), store, inputs,

@@ -14,8 +14,8 @@ from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
 from oracles import (conv2d3x3_shifts, conv2d3x3_whole_image, gated_sum_slices,
-                     linear_add_matmul, log_softmax_rows_max, logsumexp_rows_max,
-                     relu_where, softmax_rows_max)
+                     info_nce_graph, linear_add_matmul, log_softmax_rows_max,
+                     logsumexp_rows, logsumexp_rows_max, relu_where, softmax_rows_max)
 
 
 def make_store(**arrays):
@@ -64,18 +64,19 @@ def _edge_rows(rng, dtype, width):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("prim, oracle", [(ad.softmax_rows, softmax_rows_max),
                                           (ad.log_softmax_rows, log_softmax_rows_max),
-                                          (ad.logsumexp_rows, logsumexp_rows_max)])
+                                          (logsumexp_rows, logsumexp_rows_max)])
 def test_row_primitives_give_the_bytes_of_the_max_axis_form(prim, oracle, dtype,
                                                             monkeypatch):
     """The column-wise row max leaves every forward and backward byte of
     the ``max(axis=1)`` form, on rows of width 1-40 with signed zeros and
     infinities. A row max of zeros may differ in sign, which no output
-    shows: the shift feeds ``exp``, or a log of a sum >= 2."""
+    shows: the shift feeds ``exp``, or a log of a sum >= 2. The
+    log-sum-exp is the reference node whose form ``ad.info_nce`` keeps."""
     monkeypatch.setattr(ad, "_check_nodes", False)  # infinities make NaNs
     rng = np.random.default_rng(11)
     for width in range(1, 41):
         x = _edge_rows(rng, dtype, width)
-        g = rng.standard_normal((x.shape[0], 1 if prim is ad.logsumexp_rows else width))
+        g = rng.standard_normal((x.shape[0], 1 if prim is logsumexp_rows else width))
         g = g.astype(dtype)
         with np.errstate(invalid="ignore"):
             out = prim(ad.Var(x, requires_grad=True))
@@ -196,7 +197,7 @@ def test_grad_check_linear_least_squares(rng):
 
     def build(ctx):
         pred = ad.add(ad.matmul(ctx.input("x"), ctx.param("w")), ctx.param("b"))
-        err = ad.sub(pred, ad.as_var(t))
+        err = ad.add(pred, ad.as_var(-t))
         return {"loss": ad.mean_all(ad.mul(err, err))}
 
     assert ad.grad_check(Graph(build), store, {"x": x}) < 1e-4
@@ -223,8 +224,7 @@ def test_grad_check_softplus_chain(rng):
     assert ad.grad_check(Graph(build), store, {"x": x}) < 1e-4
 
 
-@pytest.mark.parametrize("op", ["softmax", "log_softmax", "logsumexp", "div",
-                                "sqrt", "transpose", "diag",
+@pytest.mark.parametrize("op", ["softmax", "log_softmax", "info_nce",
                                 "concat", "gather", "segment_mean",
                                 "segment_max", "sum_cols"])
 def test_grad_check_each_primitive(op, rng):
@@ -237,16 +237,8 @@ def test_grad_check_each_primitive(op, rng):
             return ad.softmax_rows(h)
         if op == "log_softmax":
             return ad.log_softmax_rows(h)
-        if op == "logsumexp":
-            return ad.logsumexp_rows(h)
-        if op == "div":
-            return ad.div(h, ad.as_var(np.float32(3.0)))
-        if op == "sqrt":
-            return ad.sqrt(ad.add(ad.mul(h, h), ad.as_var(np.float32(1.0))))
-        if op == "transpose":
-            return ad.transpose(h)
-        if op == "diag":
-            return ad.take_diag(ad.matmul(h, ad.transpose(h)))
+        if op == "info_nce":
+            return ad.info_nce(h, ad.mul(h, h), 0.5, False)
         if op == "concat":
             return ad.concat_cols([h, ad.mul(h, h)])
         if op == "gather":
@@ -441,31 +433,25 @@ PRIMITIVES = sorted(n for n, fn in vars(ad).items()
 SEG = np.array([0, 1, 0, 2, 1])
 
 # primitive -> (parameter shapes, body over the parameter Vars); the bodies
-# give every operand a grad, and ``add``/``sub``/``mul`` broadcast one
+# give every operand a grad, and ``add``/``mul`` broadcast one
 POLICY_CASES = {
     "add": ({"a": (5, 4), "b": (4,)}, lambda p: ad.add(p["a"], p["b"])),
-    "sub": ({"a": (5, 4), "b": (1, 4)}, lambda p: ad.sub(p["a"], p["b"])),
     "neg": ({"a": (5, 4)}, lambda p: ad.neg(p["a"])),
     "mul": ({"a": (5, 4), "b": (4,)}, lambda p: ad.mul(p["a"], p["b"])),
-    "div": ({"a": (5, 4), "b": (5, 4)}, lambda p: ad.div(p["a"], p["b"])),
     "matmul": ({"a": (5, 4), "b": (4, 3)}, lambda p: ad.matmul(p["a"], p["b"])),
     "linear": ({"x": (5, 4), "w": (4, 3), "b": (3,)},
                lambda p: ad.linear(p["x"], p["w"], p["b"])),
-    "relu": ({"a": (5, 4), "b": (4,)}, lambda p: ad.relu(ad.sub(p["a"], p["b"]))),
+    "relu": ({"a": (5, 4), "b": (4,)}, lambda p: ad.relu(ad.add(p["a"], ad.neg(p["b"])))),
     "softplus": ({"a": (5, 4), "b": (4,)},
-                 lambda p: ad.softplus(ad.sub(p["a"], p["b"]))),
-    "sqrt": ({"a": (5, 4)}, lambda p: ad.sqrt(p["a"])),
+                 lambda p: ad.softplus(ad.add(p["a"], ad.neg(p["b"])))),
     "softmax_rows": ({"a": (5, 4)}, lambda p: ad.softmax_rows(p["a"])),
     "log_softmax_rows": ({"a": (5, 4)}, lambda p: ad.log_softmax_rows(p["a"])),
-    "logsumexp_rows": ({"a": (5, 4)}, lambda p: ad.logsumexp_rows(p["a"])),
     "concat_cols": ({"a": (5, 4), "b": (5, 2)},
                     lambda p: ad.concat_cols([p["a"], p["b"]])),
     "gated_sum": ({"g": (5, 3), "s": (5, 6)}, lambda p: ad.gated_sum(p["g"], p["s"])),
     "reshape": ({"a": (5, 4)}, lambda p: ad.reshape(p["a"], (4, 5))),
-    "transpose": ({"a": (5, 4)}, lambda p: ad.transpose(p["a"])),
     "gather_rows": ({"a": (5, 4)},
                     lambda p: ad.gather_rows(p["a"], np.array([0, 0, 2, 4]))),
-    "take_diag": ({"a": (4, 4)}, lambda p: ad.take_diag(p["a"])),
     "segment_mean": ({"a": (5, 4)}, lambda p: ad.segment_mean(p["a"], SEG, 3)),
     "segment_max": ({"a": (6, 4)}, lambda p: ad.segment_max(p["a"], 2)),
     "sum_all": ({"a": (5, 4)}, lambda p: ad.sum_all(p["a"])),
@@ -473,6 +459,8 @@ POLICY_CASES = {
     "sum_cols": ({"a": (5, 4)}, lambda p: ad.sum_cols(p["a"])),
     "lovasz_softmax": ({"a": (5, 4)}, lambda p: ad.lovasz_softmax(
         ad.softmax_rows(p["a"]), np.array([0, 3, -1, 3, 1]))),
+    "info_nce": ({"k": (5, 4), "q": (5, 4)},
+                 lambda p: ad.info_nce(p["k"], p["q"], 0.5, True)),
     "conv2d3x3": ({"x": (3, 4, 2), "w": (18, 3), "b": (3,)},
                   lambda p: ad.conv2d3x3(p["x"], p["w"], p["b"])),
 }
@@ -546,8 +534,8 @@ MULTI_OPERAND = [name for name, (shapes, body) in POLICY_CASES.items()
 
 
 def test_multi_operand_cases_are_the_binary_primitives():
-    assert MULTI_OPERAND == ["add", "sub", "mul", "div", "matmul", "linear",
-                             "concat_cols", "gated_sum", "conv2d3x3"]
+    assert MULTI_OPERAND == ["add", "mul", "matmul", "linear", "concat_cols",
+                             "gated_sum", "info_nce", "conv2d3x3"]
 
 
 @pytest.mark.parametrize("name", MULTI_OPERAND)
@@ -684,64 +672,73 @@ def test_shape_validation():
                                           "b": np.ones((2, 3), np.float32)})
 
 
+# its square overflows float32: a non-finite output of ``mul``
+HUGE = np.float32(1e30)
+
+
 def test_non_finite_intermediate_raises():
-    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
-        ad.sqrt(-1)
-    g = Graph(lambda ctx: {"out": ad.sqrt(ctx.input("x"))})
-    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
-        ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0], np.float32)})
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of mul$"), \
+            np.errstate(over="ignore"):
+        ad.mul(HUGE, HUGE)
+    g = Graph(lambda ctx: {"out": ad.mul(ctx.input("x"), ctx.input("x"))})
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of mul$"):
+        ad.evaluate(g, ParameterStore(), {"x": np.array([HUGE], np.float32)})
 
 
 @pytest.mark.parametrize("run", ["evaluate", "backward"])
 def test_non_finite_value_zeroed_by_no_primitive_names_its_source(run):
-    """relu passes NaN on, so the per-graph output check sees the NaN that
-    sqrt makes and the checked rebuild names sqrt; a relu that zeroed NaN
-    would hide it from the output check."""
+    """relu passes NaN on, so the per-graph output check sees the NaN of
+    the infinity that mul makes times zero, and the checked rebuild names
+    mul; a relu that zeroed NaN would hide it from the output check."""
     store = make_store(p=np.ones(2))
 
     def build(ctx):
-        hidden = ad.sum_all(ad.relu(ad.sqrt(ctx.input("x"))))
+        x = ctx.input("x")
+        nan = ad.mul(ad.mul(x, x), ad.as_var(np.float32(0.0)))
+        hidden = ad.sum_all(ad.relu(nan))
         p = ctx.param("p")
         return {"loss": ad.add(ad.sum_all(ad.mul(p, p)), hidden)}
 
-    inputs = {"x": np.array([-1.0, 4.0], np.float32)}
-    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
+    inputs = {"x": np.array([HUGE, 4.0], np.float32)}
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of mul$"):
         getattr(ad, run)(Graph(build), store, inputs)
 
 
 def test_non_finite_forward_value_seen_only_by_a_grad_names_its_primitive():
-    """The forward is finite (the NaN rows are gathered away) but sqrt's NaN
-    reaches p's grad: the checked rebuild of the forward names sqrt."""
+    """The forward is finite (the infinite rows are gathered away) but the
+    infinity mul makes reaches p's grad as a NaN: the checked rebuild of
+    the forward names mul."""
     store = make_store(p=np.ones((2, 1)))
 
     def build(ctx):
-        p = ctx.param("p")
-        root = ad.sqrt(ad.mul(p, ctx.input("x")))
+        p, x = ctx.param("p"), ctx.input("x")
+        root = ad.mul(ad.mul(ad.mul(p, x), x), p)
         return {"loss": ad.add(ad.sum_all(ad.gather_rows(root, np.zeros(0, np.int64))),
                                ad.sum_all(p))}
 
-    graph, inputs = Graph(build), {"x": np.array([[-1.0], [4.0]], np.float32)}
+    graph, inputs = Graph(build), {"x": np.array([[HUGE], [4.0]], np.float32)}
     assert ad.evaluate(graph, store, inputs)["loss"] == 2.0
-    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"), \
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of mul$"), \
             np.errstate(invalid="ignore"):
         ad.backward(graph, store, inputs)
 
 
 def test_non_finite_intermediate_reaching_no_output_is_not_reported():
-    """Finiteness is checked per graph: a NaN that no output and no grad
-    reads passes, where a per-node check would have raised."""
-    g = Graph(lambda ctx: {"out": ad.gather_rows(ad.sqrt(ctx.input("x")),
+    """Finiteness is checked per graph: an infinity that no output and no
+    grad reads passes, where a per-node check would have raised."""
+    g = Graph(lambda ctx: {"out": ad.gather_rows(ad.mul(ctx.input("x"), ctx.input("x")),
                                                  np.array([1]))})
-    out = ad.evaluate(g, ParameterStore(), {"x": np.array([-1.0, 4.0], np.float32)})
-    assert np.array_equal(out["out"], [2.0])
+    out = ad.evaluate(g, ParameterStore(), {"x": np.array([HUGE, 2.0], np.float32)})
+    assert np.array_equal(out["out"], [4.0])
 
 
 def test_a_failed_build_leaves_per_node_checks_on():
     g = Graph(lambda ctx: {"out": ad.matmul(ctx.input("a"), ctx.input("a"))})
     with pytest.raises(LidarMoeError, match="^matmul"):
         ad.evaluate(g, ParameterStore(), {"a": np.ones((2, 3), np.float32)})
-    with pytest.raises(NonFiniteError, match="^non-finite value in output of sqrt$"):
-        ad.sqrt(-1)
+    with pytest.raises(NonFiniteError, match="^non-finite value in output of mul$"), \
+            np.errstate(over="ignore"):
+        ad.mul(HUGE, HUGE)
 
 
 def test_backward_requires_scalar_loss():
@@ -869,6 +866,49 @@ def test_gated_sum_gives_the_bytes_of_the_slice_graph(dtype, upstream, takes, wi
 def test_gated_sum_rejects_columns_that_do_not_split_into_blocks():
     with pytest.raises(LidarMoeError, match=r"^gated_sum: \(4, 7\) does not split"):
         ad.gated_sum(np.ones((4, 3)), np.ones((4, 7)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("exclude_positive", [False, True])
+@pytest.mark.parametrize("takes", ["kq", "k"])
+def test_info_nce_gives_the_bytes_of_the_graph(dtype, exclude_positive, takes):
+    """400 random cases per parameter set: 2-59 rows, widths 3-64, entries
+    spread over 2**+-20 with a tenth of them +0.0 and a tenth -0.0, now
+    and then an all-zero row, and an upstream grad of 2, +0.0, -0.0 or a
+    standard normal draw (``UPSTREAM``'s draw is -0.0 at a 0-d output). In a
+    fifth of the cases each row of ``k`` has one standard normal entry, in
+    its own column, ``q`` is ``k`` with its rows rescaled, and the
+    temperature is 1e-4: the matched scores are then about 1e4 and the
+    others 0, so the masked diagonal's softmax is neither 0 nor 1, and the
+    order in which its grad is rounded shows."""
+    rng = np.random.default_rng(36)
+    denominator = "exclude_positive" if exclude_positive else "all"
+    for trial in range(400):
+        s, d = int(rng.integers(2, 60)), int(rng.integers(3, 65))
+        arrays = {"k": _spread(rng, (s, d)), "q": _spread(rng, (s, d))}
+        if trial % 10 == 0:
+            arrays["k" if trial % 20 else "q"][rng.integers(0, s)] = 0.0
+        tau = float(rng.uniform(0.05, 1.5))
+        if trial % 5 == 4:
+            s = min(s, d)
+            k = np.zeros((s, d))
+            k[np.arange(s), rng.permutation(d)[:s]] = rng.standard_normal(s)
+            arrays = {"k": k, "q": k * rng.uniform(0.5, 2.0, (s, 1))}
+            tau = 1e-4
+        upstream = (2.0, 0.0, -0.0, float(rng.standard_normal()))[trial % 4]
+        _assert_same_node_bytes(
+            _node_run(lambda k, q: ad.info_nce(k, q, tau, exclude_positive),
+                      arrays, takes, upstream, dtype),
+            _node_run(lambda k, q: info_nce_graph(k, q, tau, denominator),
+                      arrays, takes, upstream, dtype))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+def test_info_nce_rejects_an_operand_that_is_not_2d(shape):
+    with pytest.raises(LidarMoeError, match=r"^info_nce expects 2D operands, got "):
+        ad.info_nce(np.ones(shape), np.ones(shape), 0.1, False)
+    with pytest.raises(LidarMoeError, match=r"^info_nce expects 2D operands, got "):
+        ad.info_nce(np.ones((4, 3)), np.ones(shape), 0.1, True)
 
 
 def _tied_errors(rng, dtype, shape):

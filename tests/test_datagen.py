@@ -403,6 +403,22 @@ def test_range_cut_severity3_empties_cloud_at_25m():
     assert corrupt(cloud, "range-cut", 1, seed=0).count == n
 
 
+@pytest.mark.parametrize("kind, severity", [("beam-missing", 2), ("range-cut", 2)])
+def test_a_dropping_corruption_keeps_the_bytes_of_a_mask_gather(kind, severity, rng):
+    """``PointCloud.select`` of the kept indices gives each array's rows of
+    boolean-mask indexing, in order, dtype and bytes."""
+    n = 500
+    cloud = PointCloud(rng.standard_normal((n, 3)) * 40, rng.random(n),
+                       rng.integers(0, 32, n), rng.integers(-1, 6, n))
+    keep = (~np.isin(cloud.beam, dg.dropped_beams(32, severity)) if kind == "beam-missing"
+            else cloud.depth() <= dg._RANGE_LIMIT[severity])
+    out = corrupt(cloud, kind, severity, seed=0)
+    assert 0 < out.count < n
+    for field in ("xyz", "intensity", "beam", "label"):
+        got, want = getattr(out, field), getattr(cloud, field)[keep]
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_unknown_corruption_kind_rejected():
     cloud = PointCloud(np.ones((1, 3), np.float32), [0.0], [0], [0])
     with pytest.raises(LidarMoeError, match="^unknown corruption kind: fog$"):

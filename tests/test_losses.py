@@ -102,6 +102,15 @@ def test_info_nce_requires_two_rows():
         info_nce(k, k, 0.1)
 
 
+@pytest.mark.parametrize("denominator", ["all", "exclude_positive"])
+def test_build_info_nce_makes_one_node(denominator, rng):
+    """The loss's entry has the two operands as its parents: no node lies
+    between them."""
+    k, q = (ad.Var(rng.standard_normal((5, 4)), requires_grad=True) for _ in range(2))
+    loss = build_info_nce(k, q, 0.1, denominator)
+    assert loss.parents == (k, q)
+
+
 def test_info_nce_grad_check(rng):
     store = ParameterStore()
     store.add("k", rng.standard_normal((6, 4)).astype(np.float32))

@@ -214,7 +214,7 @@ def test_moe_grad_check(rng):
 
     def build(ctx):
         fused, _ = build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe")
-        err = ad.sub(fused, ad.as_var(target))
+        err = ad.add(fused, ad.as_var(-target))
         return {"loss": ad.mean_all(ad.mul(err, err))}
 
     err = ad.grad_check(Graph(build), store, {"r": r, "v": v, "p": p}, seed=3)

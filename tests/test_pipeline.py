@@ -1008,18 +1008,19 @@ def test_train_epochs_names_the_primitive_of_a_non_finite_forward(tmp_path):
     scans = [SimpleNamespace(name="train_000"), SimpleNamespace(name="train_001")]
     store = ParameterStore()
     store.add("w", np.ones(2, np.float32))
-    graph = Graph(lambda ctx: {"loss": ad.sum_all(ad.sqrt(ad.mul(
-        ctx.param("w"), ctx.input("x"))))})
+    graph = Graph(lambda ctx: {"loss": ad.sum_all(ad.mul(ad.mul(
+        ctx.param("w"), ctx.input("x")), ctx.input("x")))})
 
     def graph_fn(idx, scan, epoch):
-        x = np.full(2, -1.0 if idx == 1 else 1.0, np.float32)
+        # the square of 1e30 overflows float32
+        x = np.full(2, 1e30 if idx == 1 else 1.0, np.float32)
         return graph.build, {"x": x}
 
     with pytest.raises(NonFiniteError) as info:
         _train_epochs(RunConfig(epochs=2), scans, graph_fn, store,
                       lambda _: 0.01, tmp_path / "log.csv", "cml", None)
     assert str(info.value) == ("cml epoch 0 scan train_001: "
-                               "non-finite value in output of sqrt")
+                               "non-finite value in output of mul")
 
 
 def test_train_epochs_logs_scalar_outputs_and_the_rows_before_a_failure(tmp_path):
@@ -1034,9 +1035,9 @@ def test_train_epochs_logs_scalar_outputs_and_the_rows_before_a_failure(tmp_path
         def build(ctx):
             w = ctx.param("w")
             return {"zeta": ad.sum_all(w), "vec": w, "alpha": ad.mean_all(w),
-                    "loss": ad.sum_all(ad.sqrt(ad.mul(w, ctx.input("x"))))}
+                    "loss": ad.sum_all(ad.mul(ad.mul(w, ctx.input("x")), ctx.input("x")))}
 
-        return build, {"x": np.full(2, -1.0 if epoch == 1 else 1.0, np.float32)}
+        return build, {"x": np.full(2, 1e30 if epoch == 1 else 1.0, np.float32)}
 
     with pytest.raises(NonFiniteError, match="^sms epoch 1 scan train_000: "):
         _train_epochs(RunConfig(epochs=3), scans, graph_fn, store,
