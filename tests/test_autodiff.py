@@ -13,6 +13,7 @@ from lidarmoe.autodiff import Graph, NonFiniteError
 from lidarmoe.errors import LidarMoeError
 from lidarmoe.params import ParameterStore
 
+import oracles
 from oracles import (conv2d3x3_shifts, conv2d3x3_whole_image, gated_sum_slices,
                      info_nce_graph, linear_add_matmul, log_softmax_rows_max,
                      logsumexp_rows, logsumexp_rows_max, relu_where, softmax_rows_max)
@@ -224,10 +225,14 @@ def test_grad_check_softplus_chain(rng):
     assert ad.grad_check(Graph(build), store, {"x": x}) < 1e-4
 
 
-@pytest.mark.parametrize("op", ["softmax", "log_softmax", "info_nce",
+@pytest.mark.parametrize("op", ["softmax", "log_softmax", "logsumexp", "div",
+                                "sqrt", "transpose", "diag", "info_nce",
                                 "concat", "gather", "segment_mean",
                                 "segment_max", "sum_cols"])
 def test_grad_check_each_primitive(op, rng):
+    """Each node's grads against finite differences; ``logsumexp``,
+    ``div``, ``sqrt``, ``transpose`` and ``diag`` are the reference nodes
+    ``oracles.info_nce_graph`` is built from."""
     store = make_store(w=rng.standard_normal((4, 4)))
     x = rng.standard_normal((5, 4)).astype(np.float32)
     seg = np.array([0, 1, 0, 2, 1])
@@ -237,6 +242,16 @@ def test_grad_check_each_primitive(op, rng):
             return ad.softmax_rows(h)
         if op == "log_softmax":
             return ad.log_softmax_rows(h)
+        if op == "logsumexp":
+            return oracles.logsumexp_rows(h)
+        if op == "div":
+            return oracles.div(h, ad.as_var(np.float32(3.0)))
+        if op == "sqrt":
+            return oracles.sqrt(ad.add(ad.mul(h, h), ad.as_var(np.float32(1.0))))
+        if op == "transpose":
+            return oracles.transpose(h)
+        if op == "diag":
+            return oracles.take_diag(ad.matmul(h, oracles.transpose(h)))
         if op == "info_nce":
             return ad.info_nce(h, ad.mul(h, h), 0.5, False)
         if op == "concat":
@@ -466,16 +481,31 @@ POLICY_CASES = {
 }
 
 
+# the six primitives ``info_nce`` replaced, kept in ``oracles`` to build the
+# reference graph ``info_nce_graph``; they keep the engine's policies, or
+# that reference would not be the graph the node replaced
+ORACLE_CASES = {
+    "sub": ({"a": (5, 4), "b": (1, 4)}, lambda p: oracles.sub(p["a"], p["b"])),
+    "div": ({"a": (5, 4), "b": (5, 4)}, lambda p: oracles.div(p["a"], p["b"])),
+    "sqrt": ({"a": (5, 4)}, lambda p: oracles.sqrt(p["a"])),
+    "logsumexp_rows": ({"a": (5, 4)}, lambda p: oracles.logsumexp_rows(p["a"])),
+    "transpose": ({"a": (5, 4)}, lambda p: oracles.transpose(p["a"])),
+    "take_diag": ({"a": (4, 4)}, lambda p: oracles.take_diag(p["a"])),
+}
+CASES = {**POLICY_CASES, **ORACLE_CASES}
+
+
 def test_policy_cases_cover_every_primitive():
     assert "conv2d3x3" in PRIMITIVES and "scatter_add_rows" not in PRIMITIVES
     assert sorted(POLICY_CASES) == PRIMITIVES
+    assert not set(ORACLE_CASES) & set(PRIMITIVES)
 
 
-@pytest.mark.parametrize("name", PRIMITIVES)
+@pytest.mark.parametrize("name", PRIMITIVES + sorted(ORACLE_CASES))
 def test_backward_runs_in_the_graph_dtype(name):
     """Every parameter grad has the graph's dtype and shape, in normal
     (float32) and exact (float64) mode, and exact mode passes grad_check."""
-    shapes, body = POLICY_CASES[name]
+    shapes, body = CASES[name]
     rng = np.random.default_rng(7)
     store = make_store(**{k: rng.uniform(0.5, 1.5, s) for k, s in shapes.items()})
 
@@ -496,11 +526,11 @@ def test_backward_runs_in_the_graph_dtype(name):
     assert ad.grad_check(graph, store, {}, eps=eps) < 1e-4
 
 
-@pytest.mark.parametrize("name", PRIMITIVES)
+@pytest.mark.parametrize("name", PRIMITIVES + sorted(ORACLE_CASES))
 def test_forward_bytes_equal_inside_and_outside_a_graph(name):
     """Each primitive's forward, built with per-node checks off inside
     Graph.run, gives the bytes of a direct call, which checks at once."""
-    shapes, body = POLICY_CASES[name]
+    shapes, body = CASES[name]
     rng = np.random.default_rng(7)
     store = make_store(**{k: rng.uniform(0.5, 1.5, s) for k, s in shapes.items()})
     graph = Graph(lambda ctx: {"out": body({k: ctx.param(k) for k in shapes})})
@@ -538,12 +568,12 @@ def test_multi_operand_cases_are_the_binary_primitives():
                              "gated_sum", "info_nce", "conv2d3x3"]
 
 
-@pytest.mark.parametrize("name", MULTI_OPERAND)
+@pytest.mark.parametrize("name", MULTI_OPERAND + ["sub", "div"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_constant_operand_gets_no_grad(name, dtype):
     """The closure returns None for an operand that takes no grad, and
     exactly the all-trainable grads for the others."""
-    shapes, body = POLICY_CASES[name]
+    shapes, body = CASES[name]
     rng = np.random.default_rng(7)
     arrays = {k: rng.uniform(0.5, 1.5, s).astype(dtype) for k, s in shapes.items()}
     full = _operand_grads(body, arrays)
@@ -584,12 +614,12 @@ def _captured(values):
     return found
 
 
-@pytest.mark.parametrize("name", PRIMITIVES)
+@pytest.mark.parametrize("name", PRIMITIVES + sorted(ORACLE_CASES))
 def test_backward_closures_save_no_graph_value(name):
     """A closure saves arrays, shapes and flags, never a ``Var`` or a
     ``Value``, so it keeps no operand's array alive that its grads do not
     read."""
-    shapes, body = POLICY_CASES[name]
+    shapes, body = CASES[name]
     out = body({k: ad.Var(np.ones(s), requires_grad=True) for k, s in shapes.items()})
     saved = _captured(cell.cell_contents for cell in out.bwd.__closure__ or ())
     assert not [v for v in saved if isinstance(v, (ad.Var, ad.Value))]
