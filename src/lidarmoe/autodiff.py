@@ -229,11 +229,6 @@ def add(a, b):
     return _out(a.data + b.data, (a, b), bwd)
 
 
-def neg(a):
-    a = as_var(a)
-    return _out(-a.data, (a,), lambda g: (-g,))
-
-
 def mul(a, b):
     a, b = as_var(a), as_var(b)
     # each operand's grad reads the other operand
@@ -494,24 +489,34 @@ def sum_all(a):
     return _out(data, (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
-def mean_all(a):
-    a = as_var(a)
-    n = a.data.size
-    data = np.asarray(_reduce_sum(a.data) / n, dtype=a.data.dtype)
+def nll(logp, labels):
+    """Mean negative log-likelihood of the rows of the 2D ``logp`` whose
+    integer label is >= 0, with the bits of the one-hot product, row-sum,
+    mean and negation graph it replaced. The grad puts ``v = -g / n`` in a
+    labeled row's label column and ``v * 0`` in its others; an unlabeled
+    row's is +0.0. When some row had no label that graph gathered the
+    labeled rows before their ``log_softmax_rows``, whose grad can hold a
+    -0.0 under a negative or +0.0 loss grad; the gather's scatter-add made
+    it +0.0, and without the gather it stays -0.0."""
+    a = as_var(logp)
+    if a.data.ndim != 2:
+        raise LidarMoeError(f"nll expects 2D log-probabilities, got {a.data.shape}")
     shape = a.data.shape
+    labels = np.asarray(labels, np.int64).reshape(-1)
+    if np.any(labels >= shape[1]):
+        raise LidarMoeError(f"nll labels must be below {shape[1]}, got {labels.max()}")
+    keep = np.flatnonzero(labels >= 0)
+    cols, n = labels[keep], keep.size
+    data = -np.asarray(_reduce_sum(a.data[keep, cols].reshape(n, 1)) / n, dtype=a.data.dtype)
 
     def bwd(g):
-        return (np.full(shape, float(g) / n, dtype=g.dtype),)
+        v = g.dtype.type(float(-g) / n)
+        full = np.zeros(shape, dtype=g.dtype)
+        full[keep] = v * 0
+        full[keep, cols] = v
+        return (full,)
 
     return _out(data, (a,), bwd)
-
-
-def sum_cols(a):
-    """Row sums of a 2D array, shape (N, 1)."""
-    a = as_var(a)
-    data = _row_sums(a.data, np.float64).astype(a.data.dtype)
-    d = a.data.shape[1]
-    return _out(data, (a,), lambda g: (np.repeat(g, d, axis=1),))
 
 
 def _jaccard_grads(fg):
@@ -624,7 +629,8 @@ def info_nce(k, q, temperature, exclude_positive):
     at unit length, every pair scored by dot product over ``temperature``,
     and the mean over rows of the log-sum-exp of a row's scores (in
     float64, from the row max) minus its matched score on the diagonal.
-    ``exclude_positive`` adds -1e4 to the diagonal inside the log-sum-exp.
+    ``exclude_positive`` leaves the diagonal out of the log-sum-exp (its
+    float64 score is -inf there), at any temperature.
 
     One node with the bits of the graph of row-norm, matmul, diagonal,
     log-sum-exp and mean nodes it replaced. The score grad is the
@@ -645,8 +651,9 @@ def info_nce(k, q, temperature, exclude_positive):
     scale = np.float32(1.0 / temperature)
     scores = (kn @ qn_t) * scale
     dtype = scores.dtype
-    logits = scores + np.diag(np.full(s, -1e4, np.float32)) if exclude_positive else scores
-    x = logits.astype(np.float64)
+    x = scores.astype(np.float64)
+    if exclude_positive:
+        np.fill_diagonal(x, -np.inf)
     m = _row_max(x)
     lse64 = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
     softmax = np.exp(x - lse64)

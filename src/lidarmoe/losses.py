@@ -5,8 +5,9 @@ The contrastive loss L2-normalizes both embedding matrices, scores every
 pair by dot product over a temperature, and averages the negative log of
 the matched pair's softmax probability. By default the denominator runs
 over all columns including the match; ``denominator="exclude_positive"``
-drops the matched column instead. Like the Lovasz-softmax, it is one
-autodiff node (``autodiff.info_nce``, ``autodiff.lovasz_softmax``).
+drops the matched column instead. It, the Lovasz-softmax and the
+likelihood term of the cross-entropy are one autodiff node each
+(``autodiff.info_nce``, ``lovasz_softmax``, ``nll``).
 """
 
 from __future__ import annotations
@@ -41,17 +42,10 @@ def _checked_labels(rows_var, labels, what):
 
 
 def build_cross_entropy(logits_var, labels):
-    """Mean negative log-likelihood over labeled rows (label >= 0); the
-    labeled rows are gathered only when some row has no label."""
+    """Mean negative log-likelihood over labeled rows (label >= 0): a
+    ``log_softmax_rows`` node and one ``autodiff.nll`` node."""
     labels = _checked_labels(logits_var, labels, "logits")
-    keep = np.flatnonzero(labels >= 0)
-    if keep.size < labels.size:
-        logits_var, labels = ad.gather_rows(logits_var, keep), labels[keep]
-    logp = ad.log_softmax_rows(logits_var)
-    onehot = np.zeros(logp.shape, np.float32)
-    onehot[np.arange(labels.size), labels] = 1.0
-    picked = ad.sum_cols(ad.mul(logp, ad.as_var(onehot)))
-    return ad.neg(ad.mean_all(picked))
+    return ad.nll(ad.log_softmax_rows(logits_var), labels)
 
 
 def build_lovasz_softmax(probs_var, labels):

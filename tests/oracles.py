@@ -363,9 +363,11 @@ def segment_max_at(x, seg, num_segments, g):
 # -- reference forms of the layer nodes ------------------------------------------
 # The column-slice primitive, the ``add(matmul(x, w), b)`` pair that
 # ``autodiff.linear`` replaced, the slice/mul/add graph that
-# ``autodiff.gated_sum`` replaced, and the contrastive-loss graph that
-# ``autodiff.info_nce`` replaced, with the six primitives only it used; the
-# new nodes must give the same bytes.
+# ``autodiff.gated_sum`` replaced, the contrastive-loss graph that
+# ``autodiff.info_nce`` replaced, with the six primitives only it used, and
+# the cross-entropy graph that ``autodiff.nll`` replaced, with the three
+# primitives only the two loss graphs used; the new nodes must give the
+# same bytes.
 
 def slice_cols(a, j0, j1):
     """Columns ``j0:j1`` of a 2D value as a graph node; its grad is the
@@ -379,6 +381,32 @@ def slice_cols(a, j0, j1):
         return (full,)
 
     return ad._out(a.data[:, j0:j1], (a,), bwd)
+
+
+def neg(a):
+    a = ad.as_var(a)
+    return ad._out(-a.data, (a,), lambda g: (-g,))
+
+
+def mean_all(a):
+    a = ad.as_var(a)
+    n = a.data.size
+    data = np.asarray(ad._reduce_sum(a.data) / n, dtype=a.data.dtype)
+    shape = a.data.shape
+
+    def bwd(g):
+        return (np.full(shape, float(g) / n, dtype=g.dtype),)
+
+    return ad._out(data, (a,), bwd)
+
+
+def sum_cols(a):
+    """Row sums of a 2D array, shape (N, 1)."""
+    a = ad.as_var(a)
+    data = ad._row_sums(a.data, np.float64).astype(a.data.dtype)
+    d = a.data.shape[1]
+    return ad._out(data, (a,), lambda g: (np.repeat(g, d, axis=1),))
+
 
 def sub(a, b):
     a, b = ad.as_var(a), ad.as_var(b)
@@ -446,14 +474,16 @@ def take_diag(a):
 
 
 def _normalize_rows(x):
-    sq = ad.sum_cols(ad.mul(x, x))
+    sq = sum_cols(ad.mul(x, x))
     inv = div(ad.as_var(np.float32(1.0)), sqrt(ad.add(sq, ad.as_var(np.float32(1e-12)))))
     return ad.mul(x, inv)
 
 
 def info_nce_graph(k_var, q_var, temperature, denominator="all"):
     """The contrastive loss as a graph of row-norm, matmul, transpose,
-    diagonal, log-sum-exp, subtract and mean nodes."""
+    diagonal, log-sum-exp, subtract and mean nodes. The mask adds float32's
+    most negative value to the diagonal, whose softmax is then 0 at any
+    temperature, as ``-inf`` makes it in ``autodiff.info_nce``."""
     s = k_var.shape[0]
     if s < 2:
         raise LidarMoeError("contrastive loss needs at least 2 rows")
@@ -468,9 +498,25 @@ def info_nce_graph(k_var, q_var, temperature, denominator="all"):
         lse = logsumexp_rows(scaled)
     else:
         mask = np.zeros((s, s), np.float32)
-        np.fill_diagonal(mask, -1e4)
+        np.fill_diagonal(mask, np.finfo(np.float32).min)
         lse = logsumexp_rows(ad.add(scaled, ad.as_var(mask)))
-    return ad.neg(ad.mean_all(sub(pos, lse)))
+    return neg(mean_all(sub(pos, lse)))
+
+
+def cross_entropy_graph(logits_var, labels):
+    """Mean negative log-likelihood over labeled rows (label >= 0) as a
+    graph: the labeled rows gathered (when some row has none), their
+    log-softmax, a product with a one-hot constant, row sums, a mean and a
+    negation."""
+    labels = np.asarray(labels, np.int64).reshape(-1)
+    keep = np.flatnonzero(labels >= 0)
+    if keep.size < labels.size:
+        logits_var, labels = ad.gather_rows(logits_var, keep), labels[keep]
+    logp = ad.log_softmax_rows(logits_var)
+    onehot = np.zeros(logp.shape, np.float32)
+    onehot[np.arange(labels.size), labels] = 1.0
+    picked = sum_cols(ad.mul(logp, ad.as_var(onehot)))
+    return neg(mean_all(picked))
 
 
 def linear_add_matmul(x, w, b):

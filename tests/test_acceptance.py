@@ -37,7 +37,7 @@ import fingerprint_chain
 from chain import (SEEDS, baseline_probe, datagen, fingerprints, reference_chain,
                    run_config, run_steps)
 from graph_eval import evaluate_builder
-from oracles import info_nce_bruteforce, lovasz_bruteforce, range_uv_scalar
+from oracles import info_nce_bruteforce, lovasz_bruteforce, mean_all, range_uv_scalar
 
 
 def report(criterion, ok, detail):
@@ -95,7 +95,7 @@ def test_criterion_1_gradient_integrity(rng):
                           axis=2).astype(np.float32)
     def range_embed(ctx):
         return build_range_embed(ctx, ctx.input("x"), "range", "head")
-    g = Graph(lambda ctx: {"loss": ad.mean_all(ad.mul(range_embed(ctx), range_embed(ctx)))})
+    g = Graph(lambda ctx: {"loss": mean_all(ad.mul(range_embed(ctx), range_embed(ctx)))})
     checks["encoder_range"] = ad.grad_check(g, store, {"x": grid}, eps=1e-5)
 
     # voxel encoder
@@ -105,7 +105,7 @@ def test_criterion_1_gradient_integrity(rng):
     pairs = voxel_neighbor_pairs(vg)
     def voxel_embed(ctx):
         return build_voxel_embed(ctx, ctx.input("x"), pairs, "voxel", "head")
-    g = Graph(lambda ctx: {"loss": ad.mean_all(ad.mul(voxel_embed(ctx), voxel_embed(ctx)))})
+    g = Graph(lambda ctx: {"loss": mean_all(ad.mul(voxel_embed(ctx), voxel_embed(ctx)))})
     checks["encoder_voxel"] = ad.grad_check(g, store, {"x": vg.features}, eps=1e-5)
 
     # point encoder
@@ -115,7 +115,7 @@ def test_criterion_1_gradient_integrity(rng):
     grouping = point_grouping(pc, 5, 4)
     def point_embed(ctx):
         return build_point_embed(ctx, ctx.input("x"), grouping, "point", "head")
-    g = Graph(lambda ctx: {"loss": ad.mean_all(ad.mul(point_embed(ctx), point_embed(ctx)))})
+    g = Graph(lambda ctx: {"loss": mean_all(ad.mul(point_embed(ctx), point_embed(ctx)))})
     checks["encoder_point"] = ad.grad_check(g, store, {"x": pc.features()}, eps=1e-5)
 
     # gated fusion, feature and logit mode
@@ -133,7 +133,7 @@ def test_criterion_1_gradient_integrity(rng):
         def build(ctx):
             fused, _ = build_moe(ctx, ad.concat_cols([ctx.input(k) for k in "rvp"]), "moe")
             err = ad.add(fused, ad.as_var(-target))
-            return {"loss": ad.mean_all(ad.mul(err, err))}
+            return {"loss": mean_all(ad.mul(err, err))}
 
         checks[mode] = ad.grad_check(Graph(build), store, inputs,
                                      seed=3, eps=1e-4)

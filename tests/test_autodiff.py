@@ -199,7 +199,7 @@ def test_grad_check_linear_least_squares(rng):
     def build(ctx):
         pred = ad.add(ad.matmul(ctx.input("x"), ctx.param("w")), ctx.param("b"))
         err = ad.add(pred, ad.as_var(-t))
-        return {"loss": ad.mean_all(ad.mul(err, err))}
+        return {"loss": oracles.mean_all(ad.mul(err, err))}
 
     assert ad.grad_check(Graph(build), store, {"x": x}) < 1e-4
 
@@ -218,21 +218,22 @@ def test_grad_check_softplus_chain(rng):
     store = make_store(w=rng.standard_normal((4, 3)))
 
     def build(ctx):
-        return {"loss": ad.mean_all(ad.softplus(ad.matmul(ctx.input("x"),
-                                                          ctx.param("w"))))}
+        return {"loss": oracles.mean_all(ad.softplus(ad.matmul(ctx.input("x"),
+                                                               ctx.param("w"))))}
 
     x = rng.standard_normal((6, 4)).astype(np.float32)
     assert ad.grad_check(Graph(build), store, {"x": x}) < 1e-4
 
 
 @pytest.mark.parametrize("op", ["softmax", "log_softmax", "logsumexp", "div",
-                                "sqrt", "transpose", "diag", "info_nce",
+                                "sqrt", "transpose", "diag", "info_nce", "nll",
                                 "concat", "gather", "segment_mean",
                                 "segment_max", "sum_cols"])
 def test_grad_check_each_primitive(op, rng):
     """Each node's grads against finite differences; ``logsumexp``,
-    ``div``, ``sqrt``, ``transpose`` and ``diag`` are the reference nodes
-    ``oracles.info_nce_graph`` is built from."""
+    ``div``, ``sqrt``, ``transpose``, ``diag`` and ``sum_cols`` are the
+    reference nodes ``oracles.info_nce_graph`` is built from, and the loss
+    is the reference ``mean_all``."""
     store = make_store(w=rng.standard_normal((4, 4)))
     x = rng.standard_normal((5, 4)).astype(np.float32)
     seg = np.array([0, 1, 0, 2, 1])
@@ -254,6 +255,8 @@ def test_grad_check_each_primitive(op, rng):
             return oracles.take_diag(ad.matmul(h, oracles.transpose(h)))
         if op == "info_nce":
             return ad.info_nce(h, ad.mul(h, h), 0.5, False)
+        if op == "nll":
+            return ad.nll(ad.log_softmax_rows(h), np.array([2, -1, 0, 3, 2]))
         if op == "concat":
             return ad.concat_cols([h, ad.mul(h, h)])
         if op == "gather":
@@ -262,11 +265,11 @@ def test_grad_check_each_primitive(op, rng):
             return ad.segment_mean(h, seg, 3)
         if op == "segment_max":
             return ad.segment_max(ad.gather_rows(h, np.array([0, 2, 1, 3, 4, 1])), 2)
-        return ad.sum_cols(h)
+        return oracles.sum_cols(h)
 
     def build(ctx):
         h = ad.matmul(ctx.input("x"), ctx.param("w"))
-        return {"loss": ad.mean_all(body(h))}
+        return {"loss": oracles.mean_all(body(h))}
 
     eps = 1e-4 if op == "segment_max" else 1e-3
     assert ad.grad_check(Graph(build), store, {"x": x}, eps=eps) < 1e-4
@@ -451,14 +454,14 @@ SEG = np.array([0, 1, 0, 2, 1])
 # give every operand a grad, and ``add``/``mul`` broadcast one
 POLICY_CASES = {
     "add": ({"a": (5, 4), "b": (4,)}, lambda p: ad.add(p["a"], p["b"])),
-    "neg": ({"a": (5, 4)}, lambda p: ad.neg(p["a"])),
     "mul": ({"a": (5, 4), "b": (4,)}, lambda p: ad.mul(p["a"], p["b"])),
     "matmul": ({"a": (5, 4), "b": (4, 3)}, lambda p: ad.matmul(p["a"], p["b"])),
     "linear": ({"x": (5, 4), "w": (4, 3), "b": (3,)},
                lambda p: ad.linear(p["x"], p["w"], p["b"])),
-    "relu": ({"a": (5, 4), "b": (4,)}, lambda p: ad.relu(ad.add(p["a"], ad.neg(p["b"])))),
+    "relu": ({"a": (5, 4), "b": (4,)},
+             lambda p: ad.relu(ad.add(p["a"], oracles.neg(p["b"])))),
     "softplus": ({"a": (5, 4), "b": (4,)},
-                 lambda p: ad.softplus(ad.add(p["a"], ad.neg(p["b"])))),
+                 lambda p: ad.softplus(ad.add(p["a"], oracles.neg(p["b"])))),
     "softmax_rows": ({"a": (5, 4)}, lambda p: ad.softmax_rows(p["a"])),
     "log_softmax_rows": ({"a": (5, 4)}, lambda p: ad.log_softmax_rows(p["a"])),
     "concat_cols": ({"a": (5, 4), "b": (5, 2)},
@@ -470,8 +473,7 @@ POLICY_CASES = {
     "segment_mean": ({"a": (5, 4)}, lambda p: ad.segment_mean(p["a"], SEG, 3)),
     "segment_max": ({"a": (6, 4)}, lambda p: ad.segment_max(p["a"], 2)),
     "sum_all": ({"a": (5, 4)}, lambda p: ad.sum_all(p["a"])),
-    "mean_all": ({"a": (5, 4)}, lambda p: ad.mean_all(p["a"])),
-    "sum_cols": ({"a": (5, 4)}, lambda p: ad.sum_cols(p["a"])),
+    "nll": ({"a": (5, 4)}, lambda p: ad.nll(p["a"], np.array([0, 3, -1, 3, 1]))),
     "lovasz_softmax": ({"a": (5, 4)}, lambda p: ad.lovasz_softmax(
         ad.softmax_rows(p["a"]), np.array([0, 3, -1, 3, 1]))),
     "info_nce": ({"k": (5, 4), "q": (5, 4)},
@@ -481,10 +483,14 @@ POLICY_CASES = {
 }
 
 
-# the six primitives ``info_nce`` replaced, kept in ``oracles`` to build the
-# reference graph ``info_nce_graph``; they keep the engine's policies, or
-# that reference would not be the graph the node replaced
+# the six primitives ``info_nce`` replaced and the three ``nll`` replaced,
+# kept in ``oracles`` to build the reference graphs ``info_nce_graph`` and
+# ``cross_entropy_graph``; they keep the engine's policies, or those
+# references would not be the graphs the nodes replaced
 ORACLE_CASES = {
+    "neg": ({"a": (5, 4)}, lambda p: oracles.neg(p["a"])),
+    "mean_all": ({"a": (5, 4)}, lambda p: oracles.mean_all(p["a"])),
+    "sum_cols": ({"a": (5, 4)}, lambda p: oracles.sum_cols(p["a"])),
     "sub": ({"a": (5, 4), "b": (1, 4)}, lambda p: oracles.sub(p["a"], p["b"])),
     "div": ({"a": (5, 4), "b": (5, 4)}, lambda p: oracles.div(p["a"], p["b"])),
     "sqrt": ({"a": (5, 4)}, lambda p: oracles.sqrt(p["a"])),
@@ -909,8 +915,9 @@ def test_info_nce_gives_the_bytes_of_the_graph(dtype, exclude_positive, takes):
     fifth of the cases each row of ``k`` has one standard normal entry, in
     its own column, ``q`` is ``k`` with its rows rescaled, and the
     temperature is 1e-4: the matched scores are then about 1e4 and the
-    others 0, so the masked diagonal's softmax is neither 0 nor 1, and the
-    order in which its grad is rounded shows."""
+    others 0, so the diagonal's softmax is near 1 without the mask and 0
+    under it, where the graph's mask of float32's most negative value
+    gives the bytes of the node's -inf."""
     rng = np.random.default_rng(36)
     denominator = "exclude_positive" if exclude_positive else "all"
     for trial in range(400):
@@ -939,6 +946,46 @@ def test_info_nce_rejects_an_operand_that_is_not_2d(shape):
         ad.info_nce(np.ones(shape), np.ones(shape), 0.1, False)
     with pytest.raises(LidarMoeError, match=r"^info_nce expects 2D operands, got "):
         ad.info_nce(np.ones((4, 3)), np.ones(shape), 0.1, True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nll_of_log_softmax_gives_the_bytes_of_the_cross_entropy_graph(dtype):
+    """1,500 random cases: 1-299 rows, 2-11 columns, logits scaled by up
+    to 300, every row, some rows or one row labeled, and an upstream grad
+    of 1, 2, a uniform draw, +0.0, -0.0, -1 or -2. Under a positive one,
+    loss and logit grad have the graph's bytes. Otherwise a labeled row's
+    ``log_softmax_rows`` grad can hold a -0.0, which the graph's gather,
+    taken when some row has no label, turned into +0.0 and the node keeps,
+    so there the grads are compared by value."""
+    rng = np.random.default_rng(44)
+    for trial in range(1500):
+        n, c = int(rng.integers(1, 300)), int(rng.integers(2, 12))
+        logits = rng.standard_normal((n, c)) * rng.uniform(0.0, 300.0)
+        labels = rng.integers(0, c, n)
+        if trial % 3:
+            labels[rng.random(n) < (0.4 if trial % 3 == 1 else 1.0)] = -1
+            labels[rng.integers(0, n)] = rng.integers(0, c)
+        upstream = (1.0, 2.0, float(rng.uniform(0.01, 10.0)), 0.0, -0.0, -1.0, -2.0)[trial % 7]
+        new, old = (_node_run(node, {"logits": logits}, "logits", upstream, dtype) for node in (
+            lambda logits: ad.nll(ad.log_softmax_rows(logits), labels),
+            lambda logits: oracles.cross_entropy_graph(logits, labels)))
+        if upstream > 0:
+            _assert_same_node_bytes(new, old)
+        else:
+            assert new[0].tobytes() == old[0].tobytes(), trial
+            (got,), (want,) = new[1].values(), old[1].values()
+            assert got.dtype == want.dtype and np.array_equal(got, want), trial
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+def test_nll_rejects_log_probabilities_that_are_not_2d(shape):
+    with pytest.raises(LidarMoeError, match=r"^nll expects 2D log-probabilities, got "):
+        ad.nll(np.zeros(shape), np.zeros(shape[0], np.int64))
+
+
+def test_nll_rejects_a_label_not_below_the_column_count():
+    with pytest.raises(LidarMoeError, match=r"^nll labels must be below 3, got 3$"):
+        ad.nll(np.zeros((4, 3)), [0, 2, -1, 3])
 
 
 def _tied_errors(rng, dtype, shape):

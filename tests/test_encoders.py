@@ -20,6 +20,7 @@ from lidarmoe.pointcloud import PointCloud
 from lidarmoe.sensors import SensorModel
 
 from graph_eval import evaluate_builder
+from oracles import mean_all
 
 
 def small_sensor(w=16):
@@ -435,7 +436,7 @@ def test_encoder_grad_check(kind, rng):
 
     def build(ctx):
         out = build_out(ctx)
-        return {"loss": ad.mean_all(ad.mul(out, out))}
+        return {"loss": mean_all(ad.mul(out, out))}
 
     # eps small relative to the input scaling so steps stay on one side
     # of the relu/max kinks; differences run in float64

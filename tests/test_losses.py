@@ -111,6 +111,28 @@ def test_build_info_nce_makes_one_node(denominator, rng):
     assert loss.parents == (k, q)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_exclude_positive_leaves_the_match_out_at_a_small_temperature(dtype):
+    """Ten one-hot rows matched to rescaled copies of themselves at
+    temperature 1e-4: the matched scores are about 1e4, the others 0. The
+    loss is the float64 log-sum-exp of each row's off-diagonal scores
+    minus its match, averaged; a mask of -1e4 on the match left it in the
+    denominator (its softmax read 0.1), and the loss log(10/9) higher."""
+    k = np.eye(10)[::-1] * np.arange(1.0, 11.0)[:, None]
+    q = k * np.linspace(0.5, 3.0, 10)[:, None]
+    loss = build_info_nce(k.astype(dtype), q.astype(dtype), 1e-4, "exclude_positive").data
+
+    def unit(x):
+        return x / np.sqrt(np.sum(x * x, axis=1, keepdims=True) + 1e-12)
+
+    scores = unit(k) @ unit(q).T / 1e-4
+    off = np.where(np.eye(10, dtype=bool), -np.inf, scores)
+    m = off.max(axis=1)
+    want = np.mean(m + np.log(np.sum(np.exp(off - m[:, None]), axis=1)) - np.diagonal(scores))
+    assert loss.dtype == dtype
+    assert float(loss) == pytest.approx(want, rel=1e-12 if dtype == np.float64 else 1e-6)
+
+
 def test_info_nce_grad_check(rng):
     store = ParameterStore()
     store.add("k", rng.standard_normal((6, 4)).astype(np.float32))
@@ -145,6 +167,23 @@ def test_ce_ignore_rows_do_not_change_loss(rng):
 def test_ce_all_ignored_rejected():
     with pytest.raises(LidarMoeError, match="^all labels are ignored$"):
         cross_entropy(np.zeros((2, 3), np.float32), [-1, -1])
+
+
+def test_build_cross_entropy_makes_two_nodes(rng):
+    """With unlabeled rows too, the loss is an ``nll`` node over a
+    ``log_softmax_rows`` node over the logits: no gather, product or
+    one-hot constant lies between."""
+    logits = ad.Var(rng.standard_normal((6, 4)), requires_grad=True)
+    loss = build_cross_entropy(logits, [0, -1, 3, -1, 2, 1])
+    (logp,) = loss.parents
+    assert logp.parents == (logits,)
+    assert [e.bwd.__qualname__.split(".")[0] for e in (loss, logp)] == [
+        "nll", "log_softmax_rows"]
+
+
+def test_ce_label_not_below_the_class_count_rejected():
+    with pytest.raises(LidarMoeError, match="^nll labels must be below 3, got 5$"):
+        cross_entropy(np.zeros((3, 3), np.float32), [0, 5, -1])
 
 
 def test_ce_grad_check(rng):

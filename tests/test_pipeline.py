@@ -26,7 +26,7 @@ from lidarmoe.encoders import param_names, teacher_features, teacher_weights
 from lidarmoe.geometry import SuperpointPartition
 from lidarmoe.sensors import CameraModel, SensorModel, config_from_json, config_to_json
 
-from oracles import pooled_two_gathers
+from oracles import mean_all, pooled_two_gathers
 
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -683,9 +683,11 @@ def _tape_entries(value):
 
 # tape entries of one SMS training step on reference scan train_000, whose
 # range and voxel heads each see all 6 classes; with the Lovasz-softmax
-# spread over per-class nodes it was 167, and 84 with a matmul and an add
-# per linear layer and 11 slice, mul and add nodes for the MoE's weighted sum
-SMS_STEP_TAPE_ENTRIES = 67
+# spread over per-class nodes it was 167, 84 with a matmul and an add per
+# linear layer and 11 slice, mul and add nodes for the MoE's weighted sum,
+# and 67 with each cross-entropy a graph of 5-6 nodes (a gather of the
+# labeled rows, then log-softmax, one-hot product, row sums, mean, negation)
+SMS_STEP_TAPE_ENTRIES = 54
 
 
 def test_one_sms_step_holds_one_tape_entry_per_lovasz_term(tmp_path, monkeypatch):
@@ -1034,7 +1036,7 @@ def test_train_epochs_logs_scalar_outputs_and_the_rows_before_a_failure(tmp_path
     def graph_fn(idx, scan, epoch):
         def build(ctx):
             w = ctx.param("w")
-            return {"zeta": ad.sum_all(w), "vec": w, "alpha": ad.mean_all(w),
+            return {"zeta": ad.sum_all(w), "vec": w, "alpha": mean_all(w),
                     "loss": ad.sum_all(ad.mul(ad.mul(w, ctx.input("x")), ctx.input("x")))}
 
         return build, {"x": np.full(2, 1e30 if epoch == 1 else 1.0, np.float32)}
